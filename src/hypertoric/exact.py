@@ -45,9 +45,6 @@ class CRat:
     def __neg__(self) -> "CRat":
         return CRat(-self.re, -self.im)
 
-    def scale(self, factor: Fraction) -> "CRat":
-        return CRat(self.re * factor, self.im * factor)
-
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
@@ -108,13 +105,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
-
-def identity_matrix(n: int) -> RatMatrix:
-    return RatMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

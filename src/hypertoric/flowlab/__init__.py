@@ -23,10 +23,7 @@ from .moments import (
     energy,
     grad,
     grad_component,
-    grad_moment_real,
     moment_hk,
-    moment_holo,
-    moment_real,
     pack_state,
     unpack_state,
 )
@@ -59,10 +56,7 @@ __all__ = [
     "energy",
     "grad",
     "grad_component",
-    "grad_moment_real",
     "moment_hk",
-    "moment_holo",
-    "moment_real",
     "pack_state",
     "unpack_state",
     "STATUS_CONVERGED",

@@ -17,7 +17,7 @@ from ..flats import closure
 from ..torus import critical_level
 from .flow import (STATUS_CONVERGED, Trajectory, descend, integrate_flow,
                    path_length)
-from .moments import grad_component, moment_hk, moment_real, pack_state
+from .moments import grad_component, moment_hk, pack_state, unpack_state
 from .reps import GroupRep, random_state, torus_rep
 
 _EXPONENT = 0.75
@@ -86,10 +86,8 @@ def classify_limit(setup, traj: Trajectory, tol_state: float = 1e-4,
     level agrees with the limit energy within ``tol_f``.  Returns the
     flat, or None when the limit is unresolved.
     """
-    state = traj.final_state
     n = setup.n
-    x = state[:2 * n].copy().view(np.complex128)
-    y = state[2 * n:].copy().view(np.complex128)
+    x, y = unpack_state(traj.final_state, n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= tol_state)
     if closure(setup.weights, flat) != flat:
@@ -111,6 +109,9 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     trials can be re-run in isolation.  Limit classification applies to
     the holomorphic energy only; for the other energies J is None.
     """
+    if trials < 1:
+        raise InputError("need at least one trial")
+    _require_radius(radius)
     trep = torus_rep(setup)
     records = []
     for trial in range(trials):
@@ -146,6 +147,11 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     return records
 
 
+def _require_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise InputError(f"the radius must be finite and positive, got {radius}")
+
+
 def _real_inner(ux, uy, vx, vy) -> float:
     """Real inner product of two complex-form tangent vectors."""
     return float(np.real(np.vdot(ux, vx)) + np.real(np.vdot(uy, vy)))
@@ -166,6 +172,7 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     """
     if samples < 1:
         raise InputError("need at least one sample state")
+    _require_radius(radius)
     rng = np.random.default_rng(seed)
     beta = np.zeros(rep.k, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -207,12 +214,6 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     return stats
 
 
-def _moment_offspan_energy(rep: GroupRep, projector: np.ndarray, x: np.ndarray) -> float:
-    mu = moment_real(rep, np.zeros(rep.k), x)
-    off = mu - projector @ mu
-    return float(off @ off)
-
-
 def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
                           seed: int, *, alpha=None, radius: float = 1.0,
                           prep_tol: float = 1e-20,
@@ -228,13 +229,12 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     """
     if samples < 1:
         raise InputError("need at least one sample state")
-    coords = np.array([[float(np.real(np.sum(np.conj(sub_rep.basis[b]) * rep.basis[a])))
-                        for a in range(rep.k)] for b in range(sub_rep.k)])
-    for b in range(sub_rep.k):
-        rebuilt = np.tensordot(coords[b], rep.basis, axes=1)
-        if np.linalg.norm(rebuilt - sub_rep.basis[b]) > 1e-10:
-            raise InputError(
-                "the abelian family does not lie in the span of the full basis")
+    _require_radius(radius)
+    coords = np.real(np.einsum("bij,aij->ba", np.conj(sub_rep.basis), rep.basis))
+    rebuilt = np.tensordot(coords, rep.basis, axes=1)
+    if np.any(np.linalg.norm(rebuilt - sub_rep.basis, axis=(1, 2)) > 1e-10):
+        raise InputError(
+            "the abelian family does not lie in the span of the full basis")
     projector = coords.T @ coords
     if alpha is None:
         alpha_full = np.zeros(rep.k)
@@ -246,43 +246,37 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     alpha_sub = coords @ alpha_full
 
     n = rep.dim
+    zero_fiber = np.zeros(n, dtype=np.complex128)
+    zero_level = np.zeros(rep.k)
+
+    def off_energy(state):
+        mu = moment_hk(rep, zero_level, zero_level, *unpack_state(state, n))[0]
+        off = mu - projector @ mu
+        return float(off @ off)
+
+    def off_grad(state):
+        # I - projector is an orthogonal projection, so the gradient of
+        # |(I - projector) mu1|^2 is that of |mu1 - a|^2 at a = projector mu1.
+        x, y = unpack_state(state, n)
+        mu = moment_hk(rep, zero_level, zero_level, x, y)[0]
+        return pack_state(*grad_component(rep, 1, projector @ mu, zero_level, x, y))
+
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(samples):
         x0 = radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-
-        def fun(state):
-            xs = state.copy().view(np.complex128)
-            return _moment_offspan_energy(rep, projector, xs)
-
-        def grad_fun(state):
-            xs = state.copy().view(np.complex128)
-            mu = moment_real(rep, np.zeros(rep.k), xs)
-            off = mu - projector @ mu
-            gx = np.zeros(n, dtype=np.complex128)
-            for a in range(rep.k):
-                gx += 2.0 * off[a] * (-1j * (rep.basis[a] @ xs))
-            return np.ascontiguousarray(gx).view(np.float64)
-
-        traj = descend(fun, grad_fun,
-                       np.ascontiguousarray(x0).view(np.float64),
+        traj = descend(off_energy, off_grad, pack_state(x0, zero_fiber),
                        grad_tol=1e-12, max_steps=50_000)
-        x = traj.final_state.copy().view(np.complex128)
-        off_norm2 = fun(traj.final_state)
+        off_norm2 = off_energy(traj.final_state)
         if off_norm2 >= prep_tol:
             results.append({"status": "skipped", "off_norm2": off_norm2,
                             "rel_err": None})
             continue
-        mu_full = moment_real(rep, alpha_full, x)
-        g_full = np.zeros(n, dtype=np.complex128)
-        for a in range(rep.k):
-            g_full += 2.0 * mu_full[a] * (-1j * (rep.basis[a] @ x))
-        mu_sub = moment_real(sub_rep, alpha_sub, x)
-        g_sub = np.zeros(n, dtype=np.complex128)
-        for b in range(sub_rep.k):
-            g_sub += 2.0 * mu_sub[b] * (-1j * (sub_rep.basis[b] @ x))
-        full_norm = float(np.linalg.norm(g_full))
-        sub_norm = float(np.linalg.norm(g_sub))
+        x, y = unpack_state(traj.final_state, n)
+        full_norm = float(np.linalg.norm(pack_state(
+            *grad_component(rep, 1, alpha_full, zero_level, x, y))))
+        sub_norm = float(np.linalg.norm(pack_state(
+            *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y))))
         rel = abs(full_norm - sub_norm) / max(full_norm, 1e-30)
         status = "pass" if rel < rel_tol else "fail"
         results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})

@@ -9,12 +9,12 @@ strictly decreasing along every recorded trajectory.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from ..errors import NonFiniteState
-from .moments import energy, grad, pack_state
+from .moments import energy, grad, pack_state, unpack_state
 from .reps import GroupRep
 
 STATUS_CONVERGED = "Converged"
@@ -71,7 +71,6 @@ def descend(fun: Callable[[np.ndarray], float],
             grad_tol: float = 1e-8,
             max_time: float = 1e6,
             h0: float = 0.05,
-            max_step: Optional[float] = None,
             max_steps: int = 1_000_000,
             min_step: float = 1e-18) -> Trajectory:
     """Integrate the negative gradient flow of ``fun`` from ``state0``.
@@ -123,8 +122,6 @@ def descend(fun: Callable[[np.ndarray], float],
             raise NonFiniteState(f"non-finite energy or gradient at flow time {t}")
         samples.append((t, state.copy(), f, gnorm))
         h *= 2.0
-        if max_step is not None:
-            h = min(h, max_step)
     return Trajectory(samples=samples, status=status)
 
 
@@ -138,14 +135,9 @@ def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
     n = np.asarray(x0).shape[0]
 
     def fun(state):
-        xs = state[:2 * n].copy().view(np.complex128)
-        ys = state[2 * n:].copy().view(np.complex128)
-        return energy(rep, which, alpha, beta, xs, ys)
+        return energy(rep, which, alpha, beta, *unpack_state(state, n))
 
     def grad_fun(state):
-        xs = state[:2 * n].copy().view(np.complex128)
-        ys = state[2 * n:].copy().view(np.complex128)
-        gx, gy = grad(rep, which, alpha, beta, xs, ys)
-        return pack_state(gx, gy)
+        return pack_state(*grad(rep, which, alpha, beta, *unpack_state(state, n)))
 
     return descend(fun, grad_fun, pack_state(x0, y0), **options)

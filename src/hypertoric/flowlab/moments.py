@@ -7,10 +7,27 @@ its entrywise conjugate.  Real moment-map components carry the one-half
 normalization; the holomorphic component does not, so that for a circle
 acting with weight one on C the maps reduce to (|x|^2 - |y|^2)/2 and xy.
 
+Everything is read off the basis applied once to the state, the rows
+e_a x and conj(e_a) y; since e_a^T = -conj(e_a), no third product is
+needed.  With <u, v> = u^H v,
+
+    mu1_a = -Im<e_a x, x>/2 - Im<conj(e_a) y, y>/2 - alpha_a,
+    muC_a = mu2_a + i mu3_a = -i y^T e_a x - beta_a.
+
 Gradients are returned in complex form: the complex vector whose real
 and imaginary parts are the partial derivatives with respect to the real
 and imaginary parts of the coordinate.  Flowing along the negative of
 that vector is plain gradient descent in real coordinates.
+
+Every gradient is one weighted form.  For a real weight w and a complex
+weight c, the gradient of 2 sum_a (w_a mu1_a + Re(conj(c_a) muC_a)) at
+fixed weights is
+
+    g_x = -2i sum_a (w_a e_a x + c_a conj(conj(e_a) y)),
+    g_y = -2i sum_a (w_a conj(e_a) y - c_a conj(e_a x)).
+
+The weights (mu1, muC) give the gradient of |mu1|^2 + |muC|^2, and
+(mu1, 0), (0, mu2) and (0, i mu3) those of |mu1|^2, |mu2|^2 and |mu3|^2.
 """
 
 from typing import Tuple
@@ -23,109 +40,81 @@ from .reps import GroupRep
 ENERGY_KINDS = ("muR2", "muC2", "muHK2")
 
 
-def moment_real(rep: GroupRep, alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real moment map of the base action alone, level subtracted."""
-    out = np.empty(rep.k)
-    for a in range(rep.k):
-        out[a] = -0.5 * np.real(np.vdot(1j * (rep.basis[a] @ x), x))
-    return out - np.asarray(alpha, dtype=np.float64)
+def _kind(which: str) -> Tuple[bool, bool]:
+    """Whether the energy ``which`` reads mu1 and whether it reads muC."""
+    if which not in ENERGY_KINDS:
+        raise InputError(f"unknown energy kind {which!r}")
+    return which != "muC2", which != "muR2"
+
+
+def _apply(rep: GroupRep, x, y, fiber: bool = True):
+    """The basis applied once to the state: rows e_a x and conj(e_a) y.
+
+    The fiber rows are left out (None) when ``fiber`` is false; muC alone
+    reads only e_a x.
+    """
+    return rep.basis @ x, (np.conj(rep.basis) @ y if fiber else None)
+
+
+def _mu_real(alpha, x, y, ex, eyc) -> np.ndarray:
+    return (-0.5 * np.imag(np.conj(ex) @ x + np.conj(eyc) @ y)
+            - np.asarray(alpha, dtype=np.float64))
+
+
+def _mu_holo(beta, y, ex) -> np.ndarray:
+    return -1j * (ex @ y) - np.asarray(beta, dtype=np.complex128)
+
+
+def _weighted_grad(ex, eyc, w_real, w_holo):
+    """The weighted gradient of the module docstring; a zero weight is None."""
+    gx = gy = 0.0
+    if w_real is not None:
+        gx, gy = w_real @ ex, w_real @ eyc
+    if w_holo is not None:
+        gx, gy = gx + w_holo @ np.conj(eyc), gy - w_holo @ np.conj(ex)
+    return -2j * gx, -2j * gy
 
 
 def moment_hk(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The hyperkahler triple (mu1, mu2, mu3), levels subtracted."""
-    mu1 = np.empty(rep.k)
-    for a in range(rep.k):
-        e = rep.basis[a]
-        mu1[a] = (-0.5 * np.real(np.vdot(1j * (e @ x), x))
-                  - 0.5 * np.real(np.vdot(1j * (np.conj(e) @ y), y)))
-    mu1 -= np.asarray(alpha, dtype=np.float64)
-    mu_c = moment_holo(rep, beta, x, y)
-    return mu1, np.real(mu_c), np.imag(mu_c)
-
-
-def moment_holo(rep: GroupRep, beta, x, y) -> np.ndarray:
-    """Holomorphic moment map mu_2 + i mu_3, level subtracted."""
-    out = np.empty(rep.k, dtype=np.complex128)
-    for a in range(rep.k):
-        out[a] = -1j * (y @ (rep.basis[a] @ x))
-    return out - np.asarray(beta, dtype=np.complex128)
-
-
-def _holo_partials(rep: GroupRep, x, y):
-    """Per-component complex partials of the holomorphic moment map."""
-    dx = np.empty((rep.k, x.shape[0]), dtype=np.complex128)
-    dy = np.empty((rep.k, y.shape[0]), dtype=np.complex128)
-    for a in range(rep.k):
-        e = rep.basis[a]
-        dx[a] = -1j * (e.T @ y)
-        dy[a] = -1j * (e @ x)
-    return dx, dy
-
-
-def grad_moment_real(rep: GroupRep, x, y, a: int):
-    """Gradient (complex form) of the a-th real moment component."""
-    e = rep.basis[a]
-    return -1j * (e @ x), -1j * (np.conj(e) @ y)
+    ex, eyc = _apply(rep, x, y)
+    mu_c = _mu_holo(beta, y, ex)
+    return _mu_real(alpha, x, y, ex, eyc), np.real(mu_c), np.imag(mu_c)
 
 
 def grad_component(rep: GroupRep, index: int, alpha, beta, x, y):
     """Gradient of |mu_index|^2 for index in {1, 2, 3}."""
-    gx = np.zeros_like(x, dtype=np.complex128)
-    gy = np.zeros_like(y, dtype=np.complex128)
-    if index == 1:
-        mu1, _, _ = moment_hk(rep, alpha, beta, x, y)
-        for a in range(rep.k):
-            dgx, dgy = grad_moment_real(rep, x, y, a)
-            gx += 2.0 * mu1[a] * dgx
-            gy += 2.0 * mu1[a] * dgy
-        return gx, gy
-    if index not in (2, 3):
+    if index not in (1, 2, 3):
         raise InputError("component index must be 1, 2 or 3")
-    mu_c = moment_holo(rep, beta, x, y)
-    dx, dy = _holo_partials(rep, x, y)
-    if index == 2:
-        weight = np.real(mu_c)
-        factor = 1.0
-    else:
-        weight = np.imag(mu_c)
-        factor = 1j
-    for a in range(rep.k):
-        gx += 2.0 * weight[a] * factor * np.conj(dx[a])
-        gy += 2.0 * weight[a] * factor * np.conj(dy[a])
-    return gx, gy
+    ex, eyc = _apply(rep, x, y)
+    if index == 1:
+        return _weighted_grad(ex, eyc, _mu_real(alpha, x, y, ex, eyc), None)
+    mu_c = _mu_holo(beta, y, ex)
+    weight = np.real(mu_c) if index == 2 else 1j * np.imag(mu_c)
+    return _weighted_grad(ex, eyc, None, weight)
 
 
 def energy(rep: GroupRep, which: str, alpha, beta, x, y) -> float:
     """Squared distance of the selected moment map from its level."""
-    if which not in ENERGY_KINDS:
-        raise InputError(f"unknown energy kind {which!r}")
+    real, holo = _kind(which)
+    ex, eyc = _apply(rep, x, y, fiber=real)
     total = 0.0
-    if which in ("muR2", "muHK2"):
-        mu1, _, _ = moment_hk(rep, alpha, beta, x, y)
-        total += float(np.sum(mu1 * mu1))
-    if which in ("muC2", "muHK2"):
-        mu_c = moment_holo(rep, beta, x, y)
-        total += float(np.sum(np.abs(mu_c) ** 2))
+    if real:
+        mu1 = _mu_real(alpha, x, y, ex, eyc)
+        total += float(mu1 @ mu1)
+    if holo:
+        mu_c = _mu_holo(beta, y, ex)
+        total += float(np.real(np.vdot(mu_c, mu_c)))
     return total
 
 
 def grad(rep: GroupRep, which: str, alpha, beta, x, y):
     """Gradient (complex form) of the selected energy."""
-    if which not in ENERGY_KINDS:
-        raise InputError(f"unknown energy kind {which!r}")
-    gx = np.zeros_like(x, dtype=np.complex128)
-    gy = np.zeros_like(y, dtype=np.complex128)
-    if which in ("muR2", "muHK2"):
-        ax, ay = grad_component(rep, 1, alpha, beta, x, y)
-        gx += ax
-        gy += ay
-    if which in ("muC2", "muHK2"):
-        mu_c = moment_holo(rep, beta, x, y)
-        dx, dy = _holo_partials(rep, x, y)
-        for a in range(rep.k):
-            gx += 2.0 * mu_c[a] * np.conj(dx[a])
-            gy += 2.0 * mu_c[a] * np.conj(dy[a])
-    return gx, gy
+    real, holo = _kind(which)
+    ex, eyc = _apply(rep, x, y)
+    return _weighted_grad(ex, eyc,
+                          _mu_real(alpha, x, y, ex, eyc) if real else None,
+                          _mu_holo(beta, y, ex) if holo else None)
 
 
 def abelian_gradient_norm2(bmat: np.ndarray, beta: np.ndarray, x, y) -> float:

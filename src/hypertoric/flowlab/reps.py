@@ -69,6 +69,8 @@ def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> Gro
             raise InputError(f"generator {idx} is not a square matrix")
         if a.shape[0] != n:
             raise InputError("generators act on spaces of different dimensions")
+        if not np.all(np.isfinite(a)):
+            raise InputError(f"generator {idx} has non-finite entries")
         scale = 1.0 + float(np.linalg.norm(a))
         if np.linalg.norm(a + np.conj(a.T)) > _SKEW_TOL * scale:
             raise InputError(f"generator {idx} is not skew-Hermitian")
@@ -87,7 +89,8 @@ def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> Gro
     k = len(basis)
     gram = np.array([[_trace_form(stack[a], stack[b]) for b in range(k)]
                      for a in range(k)])
-    assert np.max(np.abs(gram - np.eye(k))) < _GRAM_TOL
+    if np.max(np.abs(gram - np.eye(k))) >= _GRAM_TOL:
+        raise RankDeficient("generators are too close to dependent to orthonormalize")
 
     structure = np.zeros((k, k, k))
     abelian = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonGenericAlpha, PartitionViolation
+from .errors import NonGenericAlpha, PartitionViolation, RankDeficient
 from .exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, poly_divide_exact, rank
 from .flats import enumerate_flats, flat_rank, proper_flats
 from .torus import (
@@ -58,20 +58,6 @@ def critical_components(setup: TorusSetup) -> tuple:
     return tuple(out)
 
 
-def classify_level(setup: TorusSetup, value: float):
-    """Nearest exact critical level to a measured energy value.
-
-    Returns (flat, exact_level, absolute_error).
-    """
-    best = None
-    for f in enumerate_flats(setup.weights):
-        level = norm2_dual(metric_of(setup.weights), residual_beta(setup, f))
-        err = abs(float(level) - value)
-        if best is None or err < best[2]:
-            best = (f, level, err)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Poincare polynomial by downward induction over flats
 # ---------------------------------------------------------------------------
@@ -87,8 +73,8 @@ def poincare_morse(weights) -> PoincarePoly:
     """
     n = len(weights)
     d = len(weights[0]) if weights else 0
-    if n:
-        assert d == 0 or rank(RatMatrix(weights)) == d, "weights must have full column rank"
+    if n and d and rank(RatMatrix(weights)) != d:
+        raise RankDeficient("weights must have full column rank")
     acc = PoincarePoly.one()
     for f in proper_flats(weights):
         sub = restrict_weights(weights, f)

@@ -61,6 +61,9 @@ def setup_from_json(obj) -> TorusSetup:
         raise InputError("\"weights\" must be a list of integer rows")
     alpha = obj.get("alpha")
     beta = obj.get("beta")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if value is not None and not isinstance(value, list):
+            raise InputError(f"\"{name}\" must be a list with one entry per column")
     if alpha is not None:
         alpha = [parse_rational(a) for a in alpha]
     if beta is not None:

@@ -180,3 +180,28 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
+
+
+NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
+                               "im": [[float("nan"), 0], [0, 1]]}]}
+
+
+@pytest.mark.parametrize("command, obj, flags", [
+    ("analyze", {"weights": [[1], [1]], "alpha": 5}, ()),
+    ("analyze", {"weights": [[1], [1]], "beta": 3}, ()),
+    ("crossterm", dict(TORUS_MATS, alpha=["abc"]), ()),
+    ("crossterm", NAN_GENERATOR, ()),
+    ("flow", PAIR, ("--radius", "nan")),
+    ("flow", PAIR, ("--radius", "inf")),
+    ("crossterm", TORUS_MATS, ("--radius", "nan")),
+    ("flow", PAIR, ("--trials", "-1")),
+], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
+        "nan-generator", "flow-radius-nan", "flow-radius-inf",
+        "crossterm-radius-nan", "flow-negative-trials"])
+def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
+    path = write_json(tmp_path, "input.json", obj)
+    proc = run_cli(command, path, *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -12,7 +12,6 @@ from hypertoric.exact import (
     as_rat,
     crat,
     hnf_rows,
-    identity_matrix,
     int_kernel_rows,
     inverse,
     nullspace,
@@ -51,7 +50,6 @@ class TestCRat:
         assert a + b == crat("3/2", "2/3")
         assert a - b == crat("-1/2", "4/3")
         assert (-a) == crat("-1/2", -1)
-        assert a.scale(Fraction(2)) == crat(1, 2)
 
     def test_abs2_exact(self):
         assert crat("3/5", "4/5").abs2() == 1
@@ -68,7 +66,7 @@ class TestRankNullspace:
         assert rank(RatMatrix([[1, 1], [1, 0], [0, -1]])) == 2
         assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
         assert rank(RatMatrix([[0, 0], [0, 0]])) == 0
-        assert rank(identity_matrix(4)) == 4
+        assert rank(RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 4
 
     def test_rank_rational_entries(self):
         assert rank(RatMatrix([["1/2", "1/3"], ["3/2", 1]])) == 1
@@ -141,7 +139,7 @@ class TestHNF:
         assert sat2 == [[1, 0, 1]]
 
     def test_saturate_full_space(self):
-        sat = saturate_rowspace(identity_matrix(3))
+        sat = saturate_rowspace(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         assert sat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_int_kernel_of_kernel_recovers_saturation(self):
@@ -174,7 +172,7 @@ class TestSolveInverse:
         m = RatMatrix([[2, 1], [1, 2]])
         inv = inverse(m)
         assert inv == RatMatrix([["2/3", "-1/3"], ["-1/3", "2/3"]])
-        assert m @ inv == identity_matrix(2)
+        assert m @ inv == RatMatrix([[1, 0], [0, 1]])
 
     def test_inverse_singular(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,6 @@ from hypertoric.flowlab import (
     grad_component,
     integrate_flow,
     moment_hk,
-    moment_holo,
-    moment_real,
     pack_state,
     random_state,
     su2_irrep,
@@ -107,12 +105,15 @@ class TestMoments:
         rep = circle_rep(3)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        m = moment_real(rep, np.zeros(1), x)
-        assert np.allclose(m, np.sum(np.abs(x) ** 2) / (2 * np.sqrt(3)))
+        mu1, _, _ = moment_hk(rep, np.zeros(1), np.zeros(1, complex), x,
+                              np.zeros(3, complex))
+        assert np.allclose(mu1, np.sum(np.abs(x) ** 2) / (2 * np.sqrt(3)))
 
     def test_zero_state_zero_level(self):
         rep = circle_rep(2)
-        assert np.allclose(moment_real(rep, np.zeros(1), np.zeros(2, complex)), 0.0)
+        zero = np.zeros(2, complex)
+        triple = moment_hk(rep, np.zeros(1), np.zeros(1, complex), zero, zero)
+        assert all(np.allclose(mu, 0.0) for mu in triple)
 
     def test_conjugate_fiber_kills_real_moment(self):
         trep = torus_rep(new_setup(TRIPLE))
@@ -129,8 +130,8 @@ class TestMoments:
         mu1, mu2, mu3 = moment_hk(rep, np.zeros(1), np.zeros(1, complex), x, y)
         assert np.allclose(mu1, [0.5])
         assert np.allclose(mu2, [0.0]) and np.allclose(mu3, [0.0])
-        mu_c = moment_holo(rep, np.ones(1, complex), x, y)
-        assert np.allclose(mu_c, [-1.0])
+        _, mu2, mu3 = moment_hk(rep, np.zeros(1), np.ones(1, complex), x, y)
+        assert np.allclose(mu2, [-1.0]) and np.allclose(mu3, [0.0])
 
     def test_hand_gradient(self):
         # f = |xy - 1|^2 at (1, 0): gradient (0, -2)
@@ -157,6 +158,29 @@ class TestMoments:
         assert np.allclose(sum(p[0] for p in parts), gx)
         assert np.allclose(sum(p[1] for p in parts), gy)
 
+    @pytest.mark.parametrize("rep", [su2_irrep(3), diagonal_sum(su2_irrep(2), 2),
+                                     torus_rep(sample_generic(TRIPLE, seed=5)).rep],
+                             ids=["su2", "su2-sum", "torus"])
+    def test_matches_per_element_loop(self, rep):
+        rng = np.random.default_rng(12)
+        alpha = rng.standard_normal(rep.k)
+        beta = rng.standard_normal(rep.k) + 1j * rng.standard_normal(rep.k)
+        x, y = random_state(rng, rep.dim, 1.4)
+        mu1 = np.array([-0.5 * np.real(np.vdot(1j * (e @ x), x))
+                        - 0.5 * np.real(np.vdot(1j * (np.conj(e) @ y), y))
+                        for e in rep.basis]) - alpha
+        mu_c = np.array([-1j * (y @ (e @ x)) for e in rep.basis]) - beta
+        gx = sum(2 * m * (-1j * (e @ x)) + 2 * c * np.conj(-1j * (e.T @ y))
+                 for e, m, c in zip(rep.basis, mu1, mu_c))
+        gy = sum(2 * m * (-1j * (np.conj(e) @ y)) + 2 * c * np.conj(-1j * (e @ x))
+                 for e, m, c in zip(rep.basis, mu1, mu_c))
+        got = moment_hk(rep, alpha, beta, x, y)
+        assert np.allclose(got[0], mu1, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got[1] + 1j * got[2], mu_c, rtol=1e-12, atol=1e-12)
+        hx, hy = grad(rep, "muHK2", alpha, beta, x, y)
+        assert np.allclose(hx, gx, rtol=1e-12, atol=1e-12)
+        assert np.allclose(hy, gy, rtol=1e-12, atol=1e-12)
+
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(4)
         x, y = random_state(rng, 5, 2.0)
@@ -182,35 +206,49 @@ def finite_difference(fun, x, y, h=1e-5):
     return gx, gy
 
 
+def energy_and_grad(rep, which, alpha, beta):
+    """Energy and gradient callables for an energy kind or a component index."""
+    if which in (1, 2, 3):
+        def fun(x, y):
+            mu = moment_hk(rep, alpha, beta, x, y)[which - 1]
+            return float(mu @ mu)
+        return fun, lambda x, y: grad_component(rep, which, alpha, beta, x, y)
+    return (lambda x, y: energy(rep, which, alpha, beta, x, y),
+            lambda x, y: grad(rep, which, alpha, beta, x, y))
+
+
+ENERGIES = ["muR2", "muC2", "muHK2", 1, 2, 3]
+ENERGY_IDS = ["muR2", "muC2", "muHK2", "mu1sq", "mu2sq", "mu3sq"]
+
+
+def assert_matches_finite_differences(fun, gradient, x, y):
+    num = finite_difference(fun, x, y)
+    exact = gradient(x, y)
+    scale = np.linalg.norm(np.concatenate(exact))
+    err = np.linalg.norm(np.concatenate(num) - np.concatenate(exact))
+    assert err < 1e-5 * max(scale, 1.0)
+
+
 class TestFiniteDifferences:
-    @pytest.mark.parametrize("which", ["muR2", "muC2", "muHK2"])
+    @pytest.mark.parametrize("which", ENERGIES, ids=ENERGY_IDS)
     def test_torus_rep(self, which):
         trep = torus_rep(sample_generic(TRIPLE, seed=7))
+        fun, gradient = energy_and_grad(trep.rep, which, trep.alpha, trep.beta)
         rng = np.random.default_rng(8)
         for _ in range(10):
             x, y = random_state(rng, 3, 1.5)
-            num = finite_difference(
-                lambda a, b: energy(trep.rep, which, trep.alpha, trep.beta, a, b),
-                x, y)
-            exact = grad(trep.rep, which, trep.alpha, trep.beta, x, y)
-            scale = np.linalg.norm(np.concatenate(exact))
-            err = np.linalg.norm(np.concatenate(num) - np.concatenate(exact))
-            assert err < 1e-5 * max(scale, 1.0)
+            assert_matches_finite_differences(fun, gradient, x, y)
 
-    @pytest.mark.parametrize("which", ["muR2", "muC2", "muHK2"])
+    @pytest.mark.parametrize("which", ENERGIES, ids=ENERGY_IDS)
     def test_su2(self, which):
         rep = su2_irrep(2)
         rng = np.random.default_rng(9)
         alpha = rng.standard_normal(3)
         beta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        fun, gradient = energy_and_grad(rep, which, alpha, beta)
         for _ in range(10):
             x, y = random_state(rng, 2, 1.5)
-            num = finite_difference(
-                lambda a, b: energy(rep, which, alpha, beta, a, b), x, y)
-            exact = grad(rep, which, alpha, beta, x, y)
-            scale = np.linalg.norm(np.concatenate(exact))
-            err = np.linalg.norm(np.concatenate(num) - np.concatenate(exact))
-            assert err < 1e-5 * max(scale, 1.0)
+            assert_matches_finite_differences(fun, gradient, x, y)
 
 
 class TestNormFormula:

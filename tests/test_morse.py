@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertoric.errors import NonGenericAlpha, NonGenericBeta
+from hypertoric.errors import NonGenericAlpha, NonGenericBeta, RankDeficient
 from hypertoric.exact import PoincarePoly, RatMatrix, rank
 from hypertoric.morse import (
-    classify_level,
     critical_components,
     modification_cases,
     modification_recurrence,
@@ -40,6 +39,10 @@ class TestPoincare:
 
     def test_scaled_weights_share_matroid(self):
         assert poincare_morse(((1,), (2,))).coeffs == (1, 1)
+
+    def test_rank_deficient_weights_rejected(self):
+        with pytest.raises(RankDeficient):
+            poincare_morse(((1, 1), (2, 2)))
 
     def test_zero_row_is_inert(self):
         assert poincare_morse(((0,), (1,))).coeffs == (1,)
@@ -90,14 +93,6 @@ class TestCriticalComponents:
         comps = critical_components(s)
         levels = [c.level for c in comps]
         assert len(set(levels)) == len(levels)
-
-    def test_classify_level_picks_nearest(self):
-        s = new_setup(DIAG2, [1], [(3, 0)])
-        flat, level, err = classify_level(s, 4.5000001)
-        assert flat == () and level == Fraction(9, 2)
-        assert err < 1e-5
-        flat, level, err = classify_level(s, 1e-9)
-        assert flat == (0, 1) and level == 0
 
 
 class TestSignSplit:
