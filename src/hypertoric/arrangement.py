@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .errors import DegenerateNormal, NotSimple
+from .errors import DegenerateNormal, InvariantViolation, NotSimple
 from .exact import PoincarePoly, RatMatrix, nullspace, rank, solve_exact
-from .torus import TorusSetup, _dependent_witness, gale_of
+from .torus import ModificationPair, TorusSetup, gale_of, simplicity_witness
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,9 @@ def fm_feasible(constraints, nvars) -> bool:
             return False
     remaining = list(range(nvars))
     while live:
-        assert remaining, "constraint survived all eliminations"
+        if not remaining:
+            raise InvariantViolation(
+                f"a constraint survived the elimination of all {nvars} variables")
         best_var, best_cost = None, None
         for v in remaining:
             pos = sum(1 for c in live if c[0][v] > 0)
@@ -166,7 +168,7 @@ def face_census(setup: TorusSetup) -> tuple:
         if not any(normals[j]) and offsets[j] == 0:
             raise DegenerateNormal(
                 f"normal {j + 1} vanishes with zero offset")
-    witness = _dependent_witness(normals, offsets, m + 1)
+    witness = simplicity_witness(setup)
     if witness is not None:
         raise NotSimple(
             f"hyperplanes {tuple(i + 1 for i in witness)} meet non-simply")
@@ -214,19 +216,15 @@ def census_poincare(counts) -> PoincarePoly:
     return total
 
 
-def modification_census(setup: TorusSetup, circle, seed: int = 0):
+def modification_census(pair: ModificationPair):
     """Face censuses of a setup and its two circle modifications.
 
     Returns (base_counts, enlarged_counts, extended_counts, ok) where ok
     records whether every extended count equals the base count plus the
-    enlarged count at the same and the previous dimension.  The base
-    census uses the levels carried by ``setup``; the modified setups get
-    sampled generic levels derived from ``seed``.
+    enlarged count at the same and the previous dimension.  Each census
+    uses the levels the pair carries (see ``torus.modify``).
     """
-    from .torus import modify
-
-    pair = modify(setup, circle, seed=seed)
-    base_counts = face_census(setup)
+    base_counts = face_census(pair.base)
     enlarged_counts = face_census(pair.enlarged)
     extended_counts = face_census(pair.extended)
 

@@ -2,8 +2,8 @@
 
 Reports are JSON on stdout (or --out); status prose goes to stderr.
 Exit codes: 0 success, 2 invalid input, 3 non-generic or degenerate
-parameters, 4 failed cross-check.  Exact data is emitted as rational
-strings and all indices are 1-based.
+parameters, 4 failed cross-check or internal invariant.  Exact data is
+emitted as rational strings and all indices are 1-based.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from .errors import (
     DegenerateNormal,
     EnumerationTooLarge,
     InputError,
+    InvariantViolation,
     NonFiniteState,
     NonGenericAlpha,
     NonGenericBeta,
@@ -37,9 +38,9 @@ from .serialize import (
     witness_to_json,
 )
 from .torus import (
+    alpha_witness,
+    beta_witness,
     derived_seed,
-    is_generic_alpha,
-    is_generic_beta,
     modify,
     sample_generic,
 )
@@ -52,7 +53,8 @@ EXIT_CROSS_CHECK = 4
 _INPUT_ERRORS = (InputError, EnumerationTooLarge)
 _NON_GENERIC_ERRORS = (NonGenericAlpha, NonGenericBeta, CircleInsideTorus,
                        NotSimple, DegenerateNormal, SamplingExhausted)
-_CROSS_CHECK_ERRORS = (PartitionViolation, NonZeroRemainder, NonFiniteState)
+_CROSS_CHECK_ERRORS = (PartitionViolation, NonZeroRemainder, NonFiniteState,
+                       InvariantViolation)
 
 
 def _load_json(path):
@@ -84,20 +86,18 @@ def _load_setup(args):
 
 def _ensure_generic(setup, args):
     """Return (setup, sampled) with generic levels, resampling if allowed."""
-    alpha_ok = is_generic_alpha(setup)
-    beta_ok = is_generic_beta(setup)
-    if alpha_ok and beta_ok:
+    alpha_bad = alpha_witness(setup)
+    beta_bad = beta_witness(setup)
+    if alpha_bad is None and beta_bad is None:
         return setup, False
     if not args.sample_generic:
-        if not alpha_ok:
-            from .torus import alpha_witness
-            raise NonGenericAlpha(alpha_witness(setup))
-        from .torus import beta_witness
-        raise NonGenericBeta(beta_witness(setup))
+        if alpha_bad is not None:
+            raise NonGenericAlpha(alpha_bad)
+        raise NonGenericBeta(beta_bad)
     seed = derived_seed("cli-sample", setup.weights, args.seed)
     sampled = sample_generic(setup.weights, seed,
-                             alpha=setup.alpha if alpha_ok else None,
-                             beta=setup.beta if beta_ok else None)
+                             alpha=setup.alpha if alpha_bad is None else None,
+                             beta=setup.beta if beta_bad is None else None)
     return sampled, True
 
 
@@ -174,6 +174,11 @@ def _parse_column(text, n):
 
 def cmd_modify(args) -> int:
     setup = _load_setup(args)
+    if setup.n + 1 > flats.MAX_GROUND_SET:
+        raise EnumerationTooLarge(
+            f"modify adds a row: {setup.n} rows become {setup.n + 1}, above "
+            f"the flat-enumeration bound of {flats.MAX_GROUND_SET}; modify "
+            f"takes at most {flats.MAX_GROUND_SET - 1} rows")
     circle = _parse_column(args.column, setup.n)
     if args.check_recurrence:
         setup, _ = _ensure_generic(setup, args)
@@ -194,7 +199,7 @@ def cmd_modify(args) -> int:
     if args.check_recurrence:
         cases = morse.modification_cases(setup.weights, circle)
         base_d, enl_d, ext_d, census_ok = arrangement.modification_census(
-            setup, circle, seed=args.seed)
+            pair)
         report["trichotomy"] = {
             "new_only": [flat_to_json(f) for f in cases.new_only],
             "shared_both": [flat_to_json(f) for f in cases.shared_both],

@@ -57,6 +57,10 @@ class NotSimple(HypertoricError):
     """The affine arrangement has a dependent-normal coincidence."""
 
 
+class InvariantViolation(HypertoricError):
+    """An internal invariant of an exact computation failed."""
+
+
 class PartitionViolation(HypertoricError):
     """Modification case analysis failed to partition the flats."""
 

@@ -130,7 +130,7 @@ def _int_rows(matrix: RatMatrix):
     return out
 
 
-def _int_rank(rows, ncols: int) -> int:
+def int_rank(rows, ncols: int) -> int:
     """Rank via one-step Bareiss elimination on integer rows."""
     m = [row[:] for row in rows if any(row)]
     nr = len(m)
@@ -161,7 +161,7 @@ def rank(matrix: RatMatrix) -> int:
     """Exact rank over the rationals."""
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0
-    return _int_rank(_int_rows(matrix), matrix.ncols)
+    return int_rank(_int_rows(matrix), matrix.ncols)
 
 
 def hnf_rows(rows, ncols: int):

@@ -85,3 +85,11 @@ def proper_flats(weights) -> tuple:
     """Flats other than the full ground set (equivalently: of non-maximal rank)."""
     full = tuple(range(len(weights)))
     return tuple(f for f in enumerate_flats(weights) if f != full)
+
+
+@lru_cache(maxsize=None)
+def coatoms(weights) -> tuple:
+    """Flats of rank one less than the whole configuration, in flat order."""
+    top = flat_rank(weights, tuple(range(len(weights))))
+    return tuple(f for f in proper_flats(weights)
+                 if flat_rank(weights, f) == top - 1)

@@ -112,6 +112,11 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     if trials < 1:
         raise InputError("need at least one trial")
     _require_radius(radius)
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise InputError(
+            f"the gradient tolerance must be finite and positive, got {grad_tol}")
+    if not max_time > 0:  # also rejects NaN
+        raise InputError(f"the flow-time budget must be positive, got {max_time}")
     trep = torus_rep(setup)
     records = []
     for trial in range(trials):

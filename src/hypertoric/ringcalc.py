@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exact import _int_rank
+from .exact import int_rank
 from .flats import proper_flats
 from .morse import sign_split
 from .torus import TorusSetup
@@ -130,7 +130,7 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
                     shifted = tuple(x + y for x, y in zip(exp, mult))
                     row[index[shifted]] += c
                 rows.append(row)
-        r = _int_rank(rows, len(basis)) if rows else 0
+        r = int_rank(rows, len(basis)) if rows else 0
         dims.append(len(basis) - r)
     return tuple(dims)
 

@@ -93,8 +93,6 @@ def witness_to_json(witness) -> dict:
     if kind in ("residual_collision", "level_collision"):
         return {"kind": kind, "flats": [flat_to_json(witness[1]),
                                         flat_to_json(witness[2])]}
-    if kind == "not_simple":
-        return {"kind": "not_simple", "hyperplanes": flat_to_json(witness[1])}
     return {"kind": str(kind), "data": [str(part) for part in witness[1:]]}
 
 

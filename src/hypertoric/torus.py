@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +19,7 @@ from .errors import (
     CircleInsideTorus,
     DimensionMismatch,
     InputError,
+    InvariantViolation,
     NonGenericAlpha,
     NonGenericBeta,
     RankDeficient,
@@ -182,27 +183,44 @@ def pairing(metric: Metric, a, b) -> Fraction:
     return total
 
 
-def perp_part(metric: Metric, weights, subset, vec):
+@lru_cache(maxsize=None)
+def _residual_map(weights, subset) -> tuple:
+    """Rows of the d x d matrix sending a covector to its residual.
+
+    The residual of v is v minus its dual-metric projection onto the span of
+    the rows in subset.  That projection is unique even when the rows are
+    dependent, so the matrix is built once per (weights, subset) from the
+    projections of the unit covectors and reused for every level.
+    """
+    metric = metric_of(weights)
+    u = RatMatrix([weights[j] for j in subset])
+    ug = u @ metric.gram_inv
+    gram_sub = ug @ u.transpose()
+    d = len(weights[0])
+    cols = []
+    for i in range(d):
+        coeffs = solve_exact(gram_sub, [row[i] for row in ug.rows])
+        col = [Fraction(int(j == i)) for j in range(d)]
+        for c, row in zip(coeffs, u.rows):
+            if c != 0:
+                for j, x in enumerate(row):
+                    col[j] -= c * x
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def perp_part(weights, subset, vec):
     """Component of a real covector orthogonal to span{rows in subset}."""
     vec = tuple(as_rat(v) for v in vec)
     if not subset or not vec:
         return vec
-    u = RatMatrix([weights[j] for j in subset])
-    ug = u @ metric.gram_inv
-    gram_sub = ug @ u.transpose()
-    rhs = [sum(row[j] * vec[j] for j in range(len(vec))) for row in ug.rows]
-    coeffs = solve_exact(gram_sub, rhs)
-    proj = [Fraction(0)] * len(vec)
-    for c, row in zip(coeffs, u.rows):
-        if c != 0:
-            for j, x in enumerate(row):
-                proj[j] += c * x
-    return tuple(v - p for v, p in zip(vec, proj))
+    return tuple(sum((r * v for r, v in zip(row, vec) if r and v), Fraction(0))
+                 for row in _residual_map(weights, tuple(subset)))
 
 
-def perp_part_complex(metric: Metric, weights, subset, cvec):
-    re = perp_part(metric, weights, subset, tuple(z.re for z in cvec))
-    im = perp_part(metric, weights, subset, tuple(z.im for z in cvec))
+def perp_part_complex(weights, subset, cvec):
+    re = perp_part(weights, subset, tuple(z.re for z in cvec))
+    im = perp_part(weights, subset, tuple(z.im for z in cvec))
     return tuple(CRat(r, i) for r, i in zip(re, im))
 
 
@@ -215,13 +233,11 @@ def norm2_dual(metric: Metric, cvec) -> Fraction:
 
 def residual_beta(setup: TorusSetup, subset):
     """beta minus its projection onto the span of the subset rows."""
-    return perp_part_complex(metric_of(setup.weights), setup.weights,
-                             subset, setup.beta)
+    return perp_part_complex(setup.weights, subset, setup.beta)
 
 
 def residual_alpha(setup: TorusSetup, subset):
-    return perp_part(metric_of(setup.weights), setup.weights,
-                     subset, setup.alpha)
+    return perp_part(setup.weights, subset, setup.alpha)
 
 
 def critical_level(setup: TorusSetup, subset) -> Fraction:
@@ -245,8 +261,9 @@ def restrict_weights(weights, subset) -> tuple:
     out = []
     for row in rows:
         sol = solve_exact(bt, row)
-        assert sol is not None
-        assert all(s.denominator == 1 for s in sol), "saturation basis not integral"
+        if sol is None or any(s.denominator != 1 for s in sol):
+            raise InvariantViolation(
+                f"row {row} has no integral coordinates in the saturated basis")
         out.append(tuple(int(s) for s in sol))
     return tuple(out)
 
@@ -299,22 +316,17 @@ def require_generic_beta(setup: TorusSetup) -> None:
         raise NonGenericBeta(w)
 
 
-def _affine_consistent(normal_rows, rhs) -> bool:
-    """Whether {y : <n_i, y> = rhs_i} has a common solution."""
-    if not normal_rows:
-        return True
-    width = len(normal_rows[0])
-    if width == 0:
-        return all(r == 0 for r in rhs)
-    return solve_exact(RatMatrix(normal_rows), rhs) is not None
-
-
 def alpha_witness(setup: TorusSetup):
     """First failing condition for alpha-genericity, or None.
 
-    Conditions: <alpha_J, u_i> != 0 for every proper flat J and row i outside
-    it, and the Gale-dual arrangement is simple (no dependent set of normals
-    meets in a common point, including vanishing normals with zero offset).
+    The condition is <alpha_J, u_i> != 0 for every proper flat J and row i
+    outside it.  It implies that the Gale-dual arrangement is simple, so no
+    separate simplicity search is needed.  Hyperplanes S of the arrangement
+    are dependent and share a point exactly when the rows outside S span a
+    proper subspace containing alpha (see ``simplicity_witness``).  The
+    closure J of those rows is then a proper flat with alpha in span(J), so
+    alpha_J = 0 pairs to zero with every row outside J, and the loop below
+    has already returned a pairing witness.
     """
     metric = metric_of(setup.weights)
     for f in flats.proper_flats(setup.weights):
@@ -324,32 +336,31 @@ def alpha_witness(setup: TorusSetup):
                 continue
             if pairing(metric, res, setup.weights[i]) == 0:
                 return ("pairing", f, i)
-    gale = gale_of(setup)
-    m = setup.ambient_dim
-    bad = _dependent_witness(gale.normals, gale.offsets, m + 1)
-    if bad is not None:
-        return ("not_simple", bad)
     return None
 
 
-def _dependent_witness(normals, offsets, max_size):
-    """Smallest dependent subset of hyperplanes with a common point, if any.
+def simplicity_witness(setup: TorusSetup):
+    """Smallest dependent set of dual hyperplanes with a common point, or None.
 
-    A non-simple coincidence of any size contains a dependent consistent
-    circuit of size at most ambient_dim + 1, so the bounded search is enough.
+    Indices are 0-based and sorted; among the smallest sets the
+    lexicographically first is returned.  By Gale duality, with y the point
+    and z = offsets - C^T y, the hyperplanes S meet exactly when alpha =
+    B^T z for some z vanishing on S, that is when alpha lies in the span of
+    the rows outside S.  Their normals (columns of C) are dependent exactly
+    when some nonzero B v vanishes off S, that is when the rows outside S
+    span a proper subspace.  Any such span lies in the span of a coatom (a
+    flat of rank d - 1), whose complement is then a witness no larger than
+    S.  So the smallest witnesses are the complements of the largest coatoms
+    F with alpha in span(F): one test per coatom.
     """
-    from itertools import combinations
-    n = len(normals)
-    for size in range(1, min(n, max_size) + 1):
-        for subset in combinations(range(n), size):
-            sub = [list(normals[i]) for i in subset]
-            width = len(sub[0]) if sub else 0
-            if width and rank(RatMatrix(sub)) == size:
-                continue
-            rhs = [offsets[i] for i in subset]
-            if _affine_consistent(sub, rhs):
-                return subset
-    return None
+    best = None
+    for f in flats.coatoms(setup.weights):
+        if any(residual_alpha(setup, f)):
+            continue
+        rest = tuple(j for j in range(setup.n) if j not in f)
+        if best is None or (len(rest), rest) < (len(best), best):
+            best = rest
+    return best
 
 
 def is_generic_alpha(setup: TorusSetup) -> bool:
@@ -395,7 +406,7 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
         size = 3
         for round_no in range(_SAMPLE_ROUNDS):
             for _ in range(_TRIES_PER_ROUND):
-                cand = new_setup(weights, draw(size))
+                cand = replace(base, alpha=tuple(Fraction(a) for a in draw(size)))
                 if is_generic_alpha(cand):
                     alpha_t = cand.alpha
                     break
@@ -416,7 +427,7 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
                          Fraction(rng.randint(-size, size)))
                     for _ in range(d)
                 )
-                cand = new_setup(weights, alpha_t, cand_beta)
+                cand = replace(base, alpha=alpha_t, beta=cand_beta)
                 if is_generic_beta(cand):
                     beta_t = cand_beta
                     break
@@ -428,7 +439,7 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
     else:
         require_generic_beta(new_setup(weights, alpha_t, beta_t))
 
-    return new_setup(weights, alpha_t, beta_t)
+    return replace(base, alpha=alpha_t, beta=beta_t)
 
 
 def derived_seed(tag: str, *parts) -> int:

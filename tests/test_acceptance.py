@@ -40,6 +40,7 @@ from hypertoric.torus import (
     critical_level,
     derived_seed,
     enlarged_weights,
+    modify,
     new_setup,
     sample_generic,
 )
@@ -151,7 +152,7 @@ def test_criterion_3_modification_recurrences():
                  + len(cases.shared_extended))
         assert total == len(enumerate_flats(enlarged_weights(weights, column)))
         setup = sample_generic(weights, derived_seed("acc3", weights, column))
-        _, _, _, census_ok = modification_census(setup, column, seed=1)
+        _, _, _, census_ok = modification_census(modify(setup, column, seed=1))
         assert census_ok, (weights, column)
     print(f"ACCEPTANCE 3 PASS: {len(MODIFICATION_PAIRS)} modification pairs, "
           "polynomial + census recurrences, trichotomy zero violations")

@@ -7,7 +7,7 @@ from hypertoric.arrangement import (
     face_census,
     fm_feasible,
 )
-from hypertoric.errors import DegenerateNormal, NotSimple
+from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
 from hypertoric.morse import poincare_morse
 from hypertoric.torus import new_setup, sample_generic
 
@@ -39,6 +39,10 @@ class TestFeasibility:
 
     def test_empty_system(self):
         assert fm_feasible([], 3)
+
+    def test_constraint_beyond_nvars_is_invariant_violation(self):
+        with pytest.raises(InvariantViolation):
+            fm_feasible([((1,), 0, True)], 0)
 
 
 class TestPointedCone:

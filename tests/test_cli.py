@@ -195,9 +195,16 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("flow", PAIR, ("--radius", "inf")),
     ("crossterm", TORUS_MATS, ("--radius", "nan")),
     ("flow", PAIR, ("--trials", "-1")),
+    ("flow", PAIR, ("--grad-tol", "nan")),
+    ("flow", PAIR, ("--grad-tol", "-1")),
+    ("flow", PAIR, ("--grad-tol", "0")),
+    ("flow", PAIR, ("--max-time", "-5")),
+    ("flow", PAIR, ("--max-time", "nan")),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
-        "crossterm-radius-nan", "flow-negative-trials"])
+        "crossterm-radius-nan", "flow-negative-trials",
+        "flow-grad-tol-nan", "flow-grad-tol-negative", "flow-grad-tol-zero",
+        "flow-max-time-negative", "flow-max-time-nan"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     path = write_json(tmp_path, "input.json", obj)
     proc = run_cli(command, path, *flags)
@@ -205,3 +212,27 @@ def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):
+    path = write_json(tmp_path, "wide.json", {"weights": [[1]] * 14})
+    proc = run_cli("modify", path, "--column", ",".join(["1"] + ["0"] * 13))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("EnumerationTooLarge: modify ")
+    assert "at most 13 rows" in proc.stderr
+
+
+def test_invariant_violation_exits_4(tmp_path, monkeypatch, capsys):
+    from hypertoric import cli
+    from hypertoric.errors import InvariantViolation
+
+    def broken(setup):
+        raise InvariantViolation("broken on purpose")
+
+    monkeypatch.setattr(cli.arrangement, "face_census", broken)
+    path = write_json(tmp_path, "cp2.json", CP2)
+    assert cli.main(["census", path]) == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["type"] == "InvariantViolation"
+    assert err == "InvariantViolation: broken on purpose\n"

@@ -6,6 +6,7 @@ from hypertoric.errors import (
     CircleInsideTorus,
     DimensionMismatch,
     InputError,
+    InvariantViolation,
     NonGenericAlpha,
     NonGenericBeta,
     RankDeficient,
@@ -121,12 +122,10 @@ class TestMetricGale:
 
 class TestResiduals:
     def test_perp_part_empty_subset_is_identity(self):
-        m = metric_of(TRIPLE)
-        assert perp_part(m, TRIPLE, (), (1, 2)) == (1, 2)
+        assert perp_part(TRIPLE, (), (1, 2)) == (1, 2)
 
     def test_perp_part_full_span_kills_vector(self):
-        m = metric_of(TRIPLE)
-        assert perp_part(m, TRIPLE, (0, 1), (3, -2)) == (0, 0)
+        assert perp_part(TRIPLE, (0, 1), (3, -2)) == (0, 0)
 
     def test_residual_orthogonal_to_flat(self):
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (0, 1)])
@@ -248,6 +247,15 @@ class TestRestriction:
     def test_restrict_zero_rows(self):
         weights = ((0, 0), (1, 0))
         assert restrict_weights(weights, (0,)) == ((),)
+
+    def test_unsaturated_basis_is_invariant_violation(self, monkeypatch):
+        # a basis of twice the saturated lattice leaves half-integral
+        # coordinates, which restrict_weights must refuse
+        from hypertoric import torus
+        monkeypatch.setattr(torus, "saturate_rowspace",
+                            lambda m: [tuple(2 * x for x in r) for r in m.rows])
+        with pytest.raises(InvariantViolation):
+            restrict_weights(TRIPLE, (2,))
 
 
 class TestModification:
