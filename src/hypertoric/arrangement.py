@@ -92,22 +92,16 @@ def fm_feasible(constraints, nvars) -> bool:
 def cone_is_pointed(rows, k) -> bool:
     """Whether {v : r . v >= 0 for every row} contains only the origin.
 
-    With full-rank rows this reduces to finding strictly positive multipliers
-    summing the rows to zero (scaled so every multiplier is at least one).
+    With rows of rank k, a nonzero v has r . v != 0 for some row, so a
+    nonzero v in the cone has some r . v > 0 and hence (sum of rows) . v > 0.
+    The cone is therefore pointed exactly when no v satisfies every
+    r . v >= 0 together with (sum of rows) . v > 0.
     """
     rows = [tuple(r) for r in rows]
     if not rows or rank(RatMatrix(rows)) < k:
         return k == 0
-    m = len(rows)
-    cons = []
-    for c in range(k):
-        coeffs = tuple(rows[j][c] for j in range(m))
-        cons.append((coeffs, 0, False))
-        cons.append((tuple(-x for x in coeffs), 0, False))
-    for j in range(m):
-        unit = tuple(int(i == j) for i in range(m))
-        cons.append((unit, -1, False))
-    return fm_feasible(cons, m)
+    total = tuple(map(sum, zip(*rows)))
+    return not fm_feasible([(r, 0, False) for r in rows] + [(total, 0, True)], k)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,7 @@ from .serialize import (
     setup_to_json,
     witness_to_json,
 )
-from .torus import (
-    alpha_witness,
-    beta_witness,
-    derived_seed,
-    modify,
-    sample_generic,
-)
+from .torus import derived_seed, modify, require_generic, sample_generic
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,19 +80,12 @@ def _load_setup(args):
 
 def _ensure_generic(setup, args):
     """Return (setup, sampled) with generic levels, resampling if allowed."""
-    alpha_bad = alpha_witness(setup)
-    beta_bad = beta_witness(setup)
-    if alpha_bad is None and beta_bad is None:
-        return setup, False
     if not args.sample_generic:
-        if alpha_bad is not None:
-            raise NonGenericAlpha(alpha_bad)
-        raise NonGenericBeta(beta_bad)
+        require_generic(setup)
+        return setup, False
     seed = derived_seed("cli-sample", setup.weights, args.seed)
-    sampled = sample_generic(setup.weights, seed,
-                             alpha=setup.alpha if alpha_bad is None else None,
-                             beta=setup.beta if beta_bad is None else None)
-    return sampled, True
+    result = sample_generic(setup.weights, seed, setup.alpha, setup.beta)
+    return result, result != setup
 
 
 def cmd_analyze(args) -> int:
@@ -113,13 +100,9 @@ def cmd_analyze(args) -> int:
     ordinary = ringcalc.ring_dims(setup.weights)
     circle = ringcalc.circle_dims(setup)
 
-    m = setup.ambient_dim
     p_coeffs = poly_to_json(p_morse)
-    ring_head = list(ordinary[:m + 1])
-    ring_tail_zero = all(v == 0 for v in ordinary[m + 1:])
-    padded = p_coeffs + [0] * (m + 1 - len(p_coeffs))
     agree_census = p_morse == p_census
-    agree_ring = ring_head == padded and ring_tail_zero
+    agree_ring = ringcalc.matches_poincare(ordinary, p_morse, setup.ambient_dim)
     agree_circle = list(circle) == list(
         ringcalc.cumulative(ordinary, len(circle)))
     report = {

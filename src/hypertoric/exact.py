@@ -15,8 +15,6 @@ from math import gcd
 
 from .errors import NonZeroRemainder
 
-Rat = Fraction
-
 
 def as_rat(value) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to an exact rational."""
@@ -110,13 +108,6 @@ class RatMatrix:
 # ---------------------------------------------------------------------------
 # Integer helpers (fraction-free where it matters for speed)
 # ---------------------------------------------------------------------------
-
-
-def _content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g
 
 
 def _int_rows(matrix: RatMatrix):

@@ -21,6 +21,10 @@ from .moments import grad_component, moment_hk, pack_state, unpack_state
 from .reps import GroupRep, random_state, torus_rep
 
 _EXPONENT = 0.75
+_MIN_TAIL_POINTS = 4
+_STATE_TOL = 1e-4
+_PREP_TOL = 1e-20
+_REL_TOL = 1e-8
 
 
 @dataclass
@@ -43,12 +47,12 @@ class LojReport:
 
 
 def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
-                       decades: float = 2.0, min_points: int = 4) -> LojReport:
+                       decades: float = 2.0) -> LojReport:
     """Fit the gradient-decay law on the final decades of a trajectory.
 
     The window consists of the samples whose energy exceeds the limit
     value by at most a factor 10**decades of the smallest positive excess
-    observed.  Raises InsufficientTail when fewer than ``min_points``
+    observed.  Raises InsufficientTail when fewer than ``_MIN_TAIL_POINTS``
     samples land in the window.
     """
     fs = traj.energies()
@@ -60,10 +64,10 @@ def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
         raise InsufficientTail("no samples lie strictly above the limit value")
     cap = excess[usable].min() * (10.0 ** decades)
     window = usable[excess[usable] <= cap]
-    if window.size < min_points:
+    if window.size < _MIN_TAIL_POINTS:
         raise InsufficientTail(
             f"only {window.size} samples in the final {decades} decades "
-            f"(need {min_points})")
+            f"(need {_MIN_TAIL_POINTS})")
     g = excess[window]
     gn = gns[window]
     ratios = gn / g ** _EXPONENT
@@ -77,7 +81,7 @@ def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
                      window_start=int(window[0]), window_size=int(window.size))
 
 
-def classify_limit(setup, traj: Trajectory, tol_state: float = 1e-4,
+def classify_limit(setup, traj: Trajectory,
                    tol_f: float = 1e-6) -> Optional[Tuple[int, ...]]:
     """Match a converged holomorphic-energy limit to a flat of the setup.
 
@@ -89,7 +93,7 @@ def classify_limit(setup, traj: Trajectory, tol_state: float = 1e-4,
     n = setup.n
     x, y = unpack_state(traj.final_state, n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
-    flat = tuple(j for j in range(n) if sizes[j] >= tol_state)
+    flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
     if closure(setup.weights, flat) != flat:
         return None
     level = float(critical_level(setup, flat))
@@ -220,9 +224,8 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
 
 
 def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
-                          seed: int, *, alpha=None, radius: float = 1.0,
-                          prep_tol: float = 1e-20,
-                          rel_tol: float = 1e-8) -> List[dict]:
+                          seed: int, *, alpha=None,
+                          radius: float = 1.0) -> List[dict]:
     """Compare full and abelian gradient norms at prepared base states.
 
     Each random base vector is first driven by gradient descent to make
@@ -230,7 +233,7 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     At such states the gradient of the full energy coincides with the
     gradient of the energy of the restricted abelian action, so the two
     norms must agree to rounding.  Samples whose preparation does not
-    reach ``prep_tol`` are reported as skipped rather than judged.
+    reach ``_PREP_TOL`` are reported as skipped rather than judged.
     """
     if samples < 1:
         raise InputError("need at least one sample state")
@@ -273,7 +276,7 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
         traj = descend(off_energy, off_grad, pack_state(x0, zero_fiber),
                        grad_tol=1e-12, max_steps=50_000)
         off_norm2 = off_energy(traj.final_state)
-        if off_norm2 >= prep_tol:
+        if off_norm2 >= _PREP_TOL:
             results.append({"status": "skipped", "off_norm2": off_norm2,
                             "rel_err": None})
             continue
@@ -283,6 +286,6 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
         sub_norm = float(np.linalg.norm(pack_state(
             *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y))))
         rel = abs(full_norm - sub_norm) / max(full_norm, 1e-30)
-        status = "pass" if rel < rel_tol else "fail"
+        status = "pass" if rel < _REL_TOL else "fail"
         results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})
     return results

@@ -22,6 +22,7 @@ STATUS_MAX_TIME = "MaxTimeReached"
 STATUS_UNDERFLOW = "StepUnderflow"
 
 _DECREASE_FRACTION = 0.7
+_MIN_STEP = 1e-18
 
 
 @dataclass
@@ -71,14 +72,13 @@ def descend(fun: Callable[[np.ndarray], float],
             grad_tol: float = 1e-8,
             max_time: float = 1e6,
             h0: float = 0.05,
-            max_steps: int = 1_000_000,
-            min_step: float = 1e-18) -> Trajectory:
+            max_steps: int = 1_000_000) -> Trajectory:
     """Integrate the negative gradient flow of ``fun`` from ``state0``.
 
     Terminates with status Converged once the gradient norm drops below
     ``grad_tol``, MaxTimeReached when the flow-time or step budget is
     exhausted, and StepUnderflow when no acceptable step at least
-    ``min_step`` long exists.  Non-finite values at an accepted state
+    ``_MIN_STEP`` long exists.  Non-finite values at an accepted state
     raise NonFiniteState; non-finite trial steps are merely rejected.
     """
     state = np.array(state0, dtype=np.float64).copy()
@@ -102,7 +102,7 @@ def descend(fun: Callable[[np.ndarray], float],
             status = STATUS_MAX_TIME
             break
         accepted = False
-        while h >= min_step:
+        while h >= _MIN_STEP:
             trial = state - h * g
             f_trial = float(fun(trial))
             if (np.isfinite(f_trial) and np.all(np.isfinite(trial))

@@ -14,17 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonGenericAlpha, PartitionViolation, RankDeficient
+from .errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
+                     RankDeficient)
 from .exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, poly_divide_exact, rank
 from .flats import enumerate_flats, flat_rank, proper_flats
 from .torus import (
     TorusSetup,
+    beta_witness,
     enlarged_weights,
     extended_weights,
     metric_of,
     norm2_dual,
     pairing,
-    require_generic_beta,
     require_new_circle,
     residual_alpha,
     residual_beta,
@@ -43,7 +44,8 @@ class CriticalComponent:
 
 def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one per flat, in (size, lex) flat order."""
-    require_generic_beta(setup)
+    if (witness := beta_witness(setup)) is not None:
+        raise NonGenericBeta(witness)
     metric = metric_of(setup.weights)
     out = []
     for f in enumerate_flats(setup.weights):

@@ -163,3 +163,10 @@ def cumulative(coeffs, length) -> tuple:
         total += coeffs[m] if m < len(coeffs) else 0
         out.append(total)
     return tuple(out)
+
+
+def matches_poincare(dims, poly, top) -> bool:
+    """Whether ring dimensions equal the coefficients of poly through degree
+    top (zero-padded) and vanish above it."""
+    padded = list(poly.coeffs) + [0] * (top + 1 - len(poly.coeffs))
+    return list(dims[:top + 1]) == padded and not any(dims[top + 1:])

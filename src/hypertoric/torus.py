@@ -271,6 +271,10 @@ def restrict_weights(weights, subset) -> tuple:
 # ---------------------------------------------------------------------------
 # Genericity
 # ---------------------------------------------------------------------------
+#
+# A witness depends on the weights and one level only, so each (weights,
+# alpha) and (weights, beta) pair is decided once per process and every
+# later check, sampling included, reads the cached decision.
 
 
 def beta_witness(setup: TorusSetup):
@@ -280,19 +284,24 @@ def beta_witness(setup: TorusSetup):
     (ii) <beta_J, u_i> != 0 for every row i outside J, (iii) the levels
     |beta_J|^2 are pairwise distinct.
     """
-    metric = metric_of(setup.weights)
-    all_flats = flats.enumerate_flats(setup.weights)
+    return _beta_witness(setup.weights, setup.beta)
+
+
+@lru_cache(maxsize=None)
+def _beta_witness(weights, beta):
+    metric = metric_of(weights)
+    all_flats = flats.enumerate_flats(weights)
     residuals = {}
     levels = {}
     for f in all_flats:
-        res = residual_beta(setup, f)
+        res = perp_part_complex(weights, f, beta)
         residuals[f] = res
         levels[f] = norm2_dual(metric, res)
-        for i in range(setup.n):
+        for i in range(len(weights)):
             if i in f:
                 continue
-            re_pair = pairing(metric, tuple(z.re for z in res), setup.weights[i])
-            im_pair = pairing(metric, tuple(z.im for z in res), setup.weights[i])
+            re_pair = pairing(metric, tuple(z.re for z in res), weights[i])
+            im_pair = pairing(metric, tuple(z.im for z in res), weights[i])
             if re_pair == 0 and im_pair == 0:
                 return ("pairing", f, i)
     flat_list = list(all_flats)
@@ -304,16 +313,6 @@ def beta_witness(setup: TorusSetup):
             if levels[fa] == levels[fb]:
                 return ("level_collision", fa, fb)
     return None
-
-
-def is_generic_beta(setup: TorusSetup) -> bool:
-    return beta_witness(setup) is None
-
-
-def require_generic_beta(setup: TorusSetup) -> None:
-    w = beta_witness(setup)
-    if w is not None:
-        raise NonGenericBeta(w)
 
 
 def alpha_witness(setup: TorusSetup):
@@ -328,15 +327,30 @@ def alpha_witness(setup: TorusSetup):
     alpha_J = 0 pairs to zero with every row outside J, and the loop below
     has already returned a pairing witness.
     """
-    metric = metric_of(setup.weights)
-    for f in flats.proper_flats(setup.weights):
-        res = residual_alpha(setup, f)
-        for i in range(setup.n):
+    return _alpha_witness(setup.weights, setup.alpha)
+
+
+@lru_cache(maxsize=None)
+def _alpha_witness(weights, alpha):
+    metric = metric_of(weights)
+    for f in flats.proper_flats(weights):
+        res = perp_part(weights, f, alpha)
+        for i in range(len(weights)):
             if i in f:
                 continue
-            if pairing(metric, res, setup.weights[i]) == 0:
+            if pairing(metric, res, weights[i]) == 0:
                 return ("pairing", f, i)
     return None
+
+
+def require_generic(setup: TorusSetup) -> None:
+    """Raise NonGenericAlpha, else NonGenericBeta, for a non-generic level."""
+    witness = alpha_witness(setup)
+    if witness is not None:
+        raise NonGenericAlpha(witness)
+    witness = beta_witness(setup)
+    if witness is not None:
+        raise NonGenericBeta(witness)
 
 
 def simplicity_witness(setup: TorusSetup):
@@ -363,16 +377,6 @@ def simplicity_witness(setup: TorusSetup):
     return best
 
 
-def is_generic_alpha(setup: TorusSetup) -> bool:
-    return alpha_witness(setup) is None
-
-
-def require_generic_alpha(setup: TorusSetup) -> None:
-    w = alpha_witness(setup)
-    if w is not None:
-        raise NonGenericAlpha(w)
-
-
 # ---------------------------------------------------------------------------
 # Parameter sampling
 # ---------------------------------------------------------------------------
@@ -382,64 +386,34 @@ _TRIES_PER_ROUND = 64
 
 
 def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
-    """Deterministically sample generic levels for the given weights.
+    """Deterministically give the weights generic levels.
 
-    Draws integer vectors from boxes [-s, s] with s doubling from 3; either
-    level can instead be pinned by passing it explicitly.
+    A level passed explicitly is kept when it is generic.  A level not
+    given, or not generic, is redrawn: alpha first, then beta, each from
+    integer boxes [-s, s] with s doubling from 3 every 64 draws.
     """
-    base = new_setup(weights)
-    d = base.dim
+    given = new_setup(weights, alpha, beta)
+    d = given.dim
     rng = random.Random(seed)
 
-    def draw(size):
-        return tuple(rng.randint(-size, size) for _ in range(d))
+    def draw_alpha(size):
+        return tuple(Fraction(rng.randint(-size, size)) for _ in range(d))
 
-    alpha_t = None if alpha is None else tuple(as_rat(a) for a in alpha)
-    beta_t = None
-    if beta is not None:
-        beta_t = tuple(
-            b if isinstance(b, CRat) else CRat(as_rat(b[0]), as_rat(b[1]))
-            for b in beta
-        )
+    def draw_beta(size):
+        return tuple(CRat(Fraction(rng.randint(-size, size)),
+                          Fraction(rng.randint(-size, size))) for _ in range(d))
 
-    if alpha_t is None:
-        size = 3
-        for round_no in range(_SAMPLE_ROUNDS):
-            for _ in range(_TRIES_PER_ROUND):
-                cand = replace(base, alpha=tuple(Fraction(a) for a in draw(size)))
-                if is_generic_alpha(cand):
-                    alpha_t = cand.alpha
-                    break
-            if alpha_t is not None:
-                break
-            size *= 2
-        if alpha_t is None:
-            raise SamplingExhausted("no generic alpha found")
-    else:
-        require_generic_alpha(new_setup(weights, alpha_t))
-
-    if beta_t is None:
-        size = 3
-        for round_no in range(_SAMPLE_ROUNDS):
-            for _ in range(_TRIES_PER_ROUND):
-                cand_beta = tuple(
-                    CRat(Fraction(rng.randint(-size, size)),
-                         Fraction(rng.randint(-size, size)))
-                    for _ in range(d)
-                )
-                cand = replace(base, alpha=alpha_t, beta=cand_beta)
-                if is_generic_beta(cand):
-                    beta_t = cand_beta
-                    break
-            if beta_t is not None:
-                break
-            size *= 2
-        if beta_t is None:
-            raise SamplingExhausted("no generic beta found")
-    else:
-        require_generic_beta(new_setup(weights, alpha_t, beta_t))
-
-    return replace(base, alpha=alpha_t, beta=beta_t)
+    setup = replace(given, alpha=None if alpha is None else given.alpha,
+                    beta=None if beta is None else given.beta)
+    for name, draw, witness in (("alpha", draw_alpha, alpha_witness),
+                                ("beta", draw_beta, beta_witness)):
+        tries = 0
+        while getattr(setup, name) is None or witness(setup) is not None:
+            if tries == _SAMPLE_ROUNDS * _TRIES_PER_ROUND:
+                raise SamplingExhausted(f"no generic {name} found")
+            setup = replace(setup, **{name: draw(3 << tries // _TRIES_PER_ROUND)})
+            tries += 1
+    return setup
 
 
 def derived_seed(tag: str, *parts) -> int:

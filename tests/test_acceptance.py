@@ -35,7 +35,7 @@ from hypertoric.morse import (
     modification_recurrence,
     poincare_morse,
 )
-from hypertoric.ringcalc import circle_dims, cumulative, ring_dims
+from hypertoric.ringcalc import circle_dims, cumulative, matches_poincare, ring_dims
 from hypertoric.torus import (
     critical_level,
     derived_seed,
@@ -94,12 +94,6 @@ ENSEMBLE_SETUPS = (
 )
 
 
-def poly_matches_ring(poly, dims, n, d):
-    head = list(dims[:n - d + 1])
-    padded = list(poly.coeffs) + [0] * (n - d + 1 - len(poly.coeffs))
-    return head == padded and all(v == 0 for v in dims[n - d + 1:])
-
-
 def finite_difference(fun, x, y, h=1e-5):
     """Central finite-difference gradient in complex form."""
     gx = np.zeros_like(x, dtype=complex)
@@ -124,7 +118,7 @@ def test_criterion_1_triple_agreement():
         assert n <= 7 and d <= 3
         poly = poincare_morse(weights)
         dims = ring_dims(weights)
-        assert poly_matches_ring(poly, dims, n, d), weights
+        assert matches_poincare(dims, poly, n - d), weights
         for repeat in range(5):
             setup = sample_generic(weights, derived_seed("acc1", weights, repeat))
             counts = face_census(setup)

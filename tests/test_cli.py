@@ -236,3 +236,18 @@ def test_invariant_violation_exits_4(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "InvariantViolation"
     assert err == "InvariantViolation: broken on purpose\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--sample-generic"]])
+def test_analyze_decides_each_level_once(tmp_path, capsys, flags):
+    from hypertoric import cli, torus
+
+    path = write_json(tmp_path, "cp2.json", CP2)
+    torus._alpha_witness.cache_clear()
+    torus._beta_witness.cache_clear()
+    assert cli.main(["analyze", path, *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["sampled_generic"] is False
+    assert torus._alpha_witness.cache_info().misses == 1
+    assert torus._beta_witness.cache_info().misses == 1
+    # critical_components checks beta again and reads the cached decision
+    assert torus._beta_witness.cache_info().hits >= 1

@@ -1,21 +1,29 @@
-"""Property tests: genericity read from flat data agrees with subset searches.
+"""Property tests: genericity read from flat data agrees with subset searches,
+and one sampling loop decides levels as the two loops it replaced did.
 
 Random setups have n <= 7 rows and d <= 3 columns.  Levels are drawn both
 from a small box, where they are often non-generic, and from a wide one.
 """
 
+import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypertoric.exact import RatMatrix, rank, solve_exact
+from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
+from hypertoric.exact import CRat, RatMatrix, rank, solve_exact
 from hypertoric.torus import (
     alpha_witness,
+    beta_witness,
     gale_of,
     metric_of,
     new_setup,
     perp_part,
+    require_generic,
+    sample_generic,
     simplicity_witness,
 )
 
@@ -56,10 +64,77 @@ def solved_perp_part(weights, subset, vec):
                  for j, v in enumerate(vec))
 
 
+def two_loop_sample_generic(weights, seed, alpha=None, beta=None):
+    """Sampling as it was before one loop served both levels: a level not
+    given was drawn, alpha first.  A given level had to be generic, which
+    ``two_witness_ensure_generic`` has checked before calling this.
+    """
+    base = new_setup(weights)
+    d = base.dim
+    rng = random.Random(seed)
+    alpha_t = None if alpha is None else tuple(alpha)
+    beta_t = None if beta is None else tuple(beta)
+    if alpha_t is None:
+        size = 3
+        for _ in range(8):
+            for _ in range(64):
+                cand = replace(base, alpha=tuple(
+                    Fraction(rng.randint(-size, size)) for _ in range(d)))
+                if alpha_witness(cand) is None:
+                    alpha_t = cand.alpha
+                    break
+            if alpha_t is not None:
+                break
+            size *= 2
+        if alpha_t is None:
+            raise SamplingExhausted("no generic alpha found")
+    if beta_t is None:
+        size = 3
+        for _ in range(8):
+            for _ in range(64):
+                cand_beta = tuple(CRat(Fraction(rng.randint(-size, size)),
+                                       Fraction(rng.randint(-size, size)))
+                                  for _ in range(d))
+                if beta_witness(replace(base, beta=cand_beta)) is None:
+                    beta_t = cand_beta
+                    break
+            if beta_t is not None:
+                break
+            size *= 2
+        if beta_t is None:
+            raise SamplingExhausted("no generic beta found")
+    return replace(base, alpha=alpha_t, beta=beta_t)
+
+
+def two_witness_ensure_generic(setup, seed, sample):
+    """The command line's genericity step before ``require_generic``: both
+    witnesses first, then the bad levels redrawn or the first one raised."""
+    alpha_bad = alpha_witness(setup)
+    beta_bad = beta_witness(setup)
+    if alpha_bad is None and beta_bad is None:
+        return setup
+    if not sample:
+        if alpha_bad is not None:
+            raise NonGenericAlpha(alpha_bad)
+        raise NonGenericBeta(beta_bad)
+    return two_loop_sample_generic(
+        setup.weights, seed,
+        alpha=setup.alpha if alpha_bad is None else None,
+        beta=setup.beta if beta_bad is None else None)
+
+
+def outcome(fn, *args):
+    """The setup fn returns, or the type, witness and message it raises."""
+    try:
+        return fn(*args)
+    except (NonGenericAlpha, NonGenericBeta, SamplingExhausted) as exc:
+        return type(exc).__name__, getattr(exc, "witness", None), str(exc)
+
+
 @st.composite
-def weight_matrices(draw):
+def weight_matrices(draw, max_rows=7):
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(d, 7))
+    n = draw(st.integers(d, max_rows))
     entry = st.integers(-2, 2)
     rows = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
     assume(rank(RatMatrix(rows)) == d)
@@ -75,6 +150,31 @@ def levels(d):
 def setups(draw):
     weights = draw(weight_matrices())
     return new_setup(weights, draw(levels(len(weights[0]))))
+
+
+@st.composite
+def given_levels(draw):
+    """Setups with n <= 6 whose levels come from boxes small enough that
+    about half of them are not generic."""
+    weights = draw(weight_matrices(max_rows=6))
+    d = len(weights[0])
+    alpha = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    beta = draw(st.tuples(*[st.tuples(st.integers(-1, 1), st.integers(0, 1))] * d))
+    return new_setup(weights, alpha, beta)
+
+
+@PROPS
+@given(given_levels(), st.integers(0, 2**32 - 1))
+def test_one_sampling_loop_matches_two(setup, seed):
+    def required(s):
+        require_generic(s)
+        return s
+
+    assert outcome(required, setup) == outcome(
+        two_witness_ensure_generic, setup, seed, False)
+    assert outcome(sample_generic, setup.weights, seed, setup.alpha,
+                   setup.beta) == outcome(
+        two_witness_ensure_generic, setup, seed, True)
 
 
 @PROPS

@@ -20,16 +20,13 @@ from hypertoric.torus import (
     enlarged_weights,
     extended_weights,
     gale_of,
-    is_generic_alpha,
-    is_generic_beta,
     metric_of,
     modify,
     new_setup,
     norm2_dual,
     pairing,
     perp_part,
-    require_generic_alpha,
-    require_generic_beta,
+    require_generic,
     residual_beta,
     restrict_weights,
     sample_generic,
@@ -153,7 +150,7 @@ class TestGenericBeta:
         s = new_setup(DIAG2, [1], [(0, 0)])
         assert beta_witness(s) == ("pairing", (), 0)
         with pytest.raises(NonGenericBeta):
-            require_generic_beta(s)
+            require_generic(s)
 
     def test_residual_vanishes_on_flat(self):
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (1, 0)])
@@ -166,8 +163,8 @@ class TestGenericBeta:
         assert set(w[1:]) == {(0,), (1,)}
 
     def test_generic_beta_accepted(self):
-        assert is_generic_beta(new_setup(DIAG2, [1], [(1, 0)]))
-        assert is_generic_beta(new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (2, 0)]))
+        assert beta_witness(new_setup(DIAG2, [1], [(1, 0)])) is None
+        assert beta_witness(new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (2, 0)])) is None
 
 
 class TestGenericAlpha:
@@ -175,7 +172,7 @@ class TestGenericAlpha:
         s = new_setup(DIAG2, [0])
         assert alpha_witness(s) == ("pairing", (), 0)
         with pytest.raises(NonGenericAlpha):
-            require_generic_alpha(s)
+            require_generic(s)
 
     def test_coincident_hyperplanes_rejected(self):
         s = new_setup(TRIPLE, [1, 1])
@@ -189,10 +186,10 @@ class TestGenericAlpha:
         assert alpha_witness(s) == ("pairing", (), 0)
 
     def test_generic_alpha_accepted(self):
-        assert is_generic_alpha(new_setup(DIAG2, [1]))
-        assert is_generic_alpha(new_setup(TRIPLE, [1, 3]))
-        assert is_generic_alpha(new_setup(((1, 0), (0, 1)), [1, 2]))
-        assert is_generic_alpha(new_setup(((), ()), [], []))
+        assert alpha_witness(new_setup(DIAG2, [1])) is None
+        assert alpha_witness(new_setup(TRIPLE, [1, 3])) is None
+        assert alpha_witness(new_setup(((1, 0), (0, 1)), [1, 2])) is None
+        assert alpha_witness(new_setup(((), ()), [], [])) is None
 
 
 class TestSampling:
@@ -200,16 +197,17 @@ class TestSampling:
         s1 = sample_generic(TRIPLE, seed=11)
         s2 = sample_generic(TRIPLE, seed=11)
         assert s1 == s2
-        assert is_generic_alpha(s1) and is_generic_beta(s1)
+        require_generic(s1)
 
     def test_sample_respects_pinned_alpha(self):
         s = sample_generic(TRIPLE, seed=5, alpha=[1, 3])
         assert s.alpha == (Fraction(1), Fraction(3))
-        assert is_generic_beta(s)
+        assert beta_witness(s) is None
 
-    def test_pinned_nongeneric_alpha_raises(self):
-        with pytest.raises(NonGenericAlpha):
-            sample_generic(TRIPLE, seed=5, alpha=[1, 1])
+    def test_pinned_nongeneric_alpha_is_redrawn(self):
+        s = sample_generic(TRIPLE, seed=5, alpha=[1, 1])
+        assert s.alpha != (Fraction(1), Fraction(1))
+        require_generic(s)
 
     def test_different_seeds_usually_differ(self):
         draws = {sample_generic(TRIPLE, seed=k) for k in range(6)}
@@ -268,8 +266,8 @@ class TestModification:
         pair = modify(s, (1, 0), seed=2)
         assert pair.enlarged.weights == ((1, 1), (1, 0))
         assert pair.extended.weights == ((1, 1), (1, 0), (0, -1))
-        assert is_generic_alpha(pair.enlarged) and is_generic_beta(pair.enlarged)
-        assert is_generic_alpha(pair.extended) and is_generic_beta(pair.extended)
+        require_generic(pair.enlarged)
+        require_generic(pair.extended)
 
     def test_modify_deterministic(self):
         s = sample_generic(DIAG2, seed=1)
