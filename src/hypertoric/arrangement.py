@@ -1,145 +1,31 @@
 """Bounded-face census of the Gale-dual affine hyperplane arrangement.
 
-The census walks supports (independent subsets of normals), counts bounded
-open cells of the arrangement induced on each support's intersection, and
-tallies them by dimension.  All feasibility and boundedness questions are
-settled with integer Fourier-Motzkin elimination -- no floating point, so the
-counts are exact and reproducible.
+The census works from the vertices of the arrangement.  Each vertex is
+solved once, in integer arithmetic; the faces that have it as their lowest
+or highest point under a fixed lexicographic order are then read off as sign
+vectors, with no feasibility test.  A face is bounded exactly when it is the
+lowest-point face of one vertex and the highest-point face of another, so
+the counts are exact and reproducible.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 from .errors import DegenerateNormal, InvariantViolation, NotSimple
-from .exact import PoincarePoly, RatMatrix, nullspace, rank, solve_exact
+from .exact import PoincarePoly, int_solve
 from .torus import ModificationPair, TorusSetup, gale_of, simplicity_witness
 
 
-# ---------------------------------------------------------------------------
-# Integer linear constraints: (coeffs, const, strict) means
-# coeffs . y + const > 0 when strict, >= 0 otherwise.
-# ---------------------------------------------------------------------------
-
-
-def _normalize(coeffs, const, strict):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(const))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        const //= g
-    return (tuple(coeffs), const, strict)
-
-
-def _const_violated(const, strict) -> bool:
-    return const < 0 or (const == 0 and strict)
-
-
-def fm_feasible(constraints, nvars) -> bool:
-    """Exact feasibility of a strict/weak inequality system by elimination."""
-    live = set()
-    for coeffs, const, strict in constraints:
-        if any(coeffs):
-            live.add(_normalize(coeffs, const, strict))
-        elif _const_violated(const, strict):
-            return False
-    remaining = list(range(nvars))
-    while live:
-        if not remaining:
-            raise InvariantViolation(
-                f"a constraint survived the elimination of all {nvars} variables")
-        best_var, best_cost = None, None
-        for v in remaining:
-            pos = sum(1 for c in live if c[0][v] > 0)
-            neg = sum(1 for c in live if c[0][v] < 0)
-            cost = pos * neg
-            if cost == 0 and (pos or neg):
-                best_var, best_cost = v, 0
-                break
-            if (pos or neg) and (best_cost is None or cost < best_cost):
-                best_var, best_cost = v, cost
-        if best_var is None:  # no live constraint mentions a remaining var
-            break
-        v = best_var
-        lows, ups, keep = [], [], set()
-        for c in live:
-            cv = c[0][v]
-            if cv > 0:
-                lows.append(c)
-            elif cv < 0:
-                ups.append(c)
-            else:
-                keep.add(c)
-        for ac, a0, astrict in lows:
-            av = ac[v]
-            for bc, b0, bstrict in ups:
-                bv = -bc[v]
-                coeffs = tuple(bv * x + av * y for x, y in zip(ac, bc))
-                const = bv * a0 + av * b0
-                strict = astrict or bstrict
-                if any(coeffs):
-                    keep.add(_normalize(coeffs, const, strict))
-                elif _const_violated(const, strict):
-                    return False
-        live = keep
-        remaining.remove(v)
-    return True
-
-
-def cone_is_pointed(rows, k) -> bool:
-    """Whether {v : r . v >= 0 for every row} contains only the origin.
-
-    With rows of rank k, a nonzero v has r . v != 0 for some row, so a
-    nonzero v in the cone has some r . v > 0 and hence (sum of rows) . v > 0.
-    The cone is therefore pointed exactly when no v satisfies every
-    r . v >= 0 together with (sum of rows) . v > 0.
-    """
-    rows = [tuple(r) for r in rows]
-    if not rows or rank(RatMatrix(rows)) < k:
-        return k == 0
-    total = tuple(map(sum, zip(*rows)))
-    return not fm_feasible([(r, 0, False) for r in rows] + [(total, 0, True)], k)
-
-
-# ---------------------------------------------------------------------------
-# Census
-# ---------------------------------------------------------------------------
-
-
-def _int_hyperplane(coeffs_q, const_q):
-    """Clear denominators of a rational hyperplane a . y = b."""
-    lcm = 1
-    for x in list(coeffs_q) + [const_q]:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return tuple(int(x * lcm) for x in coeffs_q), int(const_q * lcm)
-
-
-def bounded_regions(hyperplanes, k) -> int:
-    """Bounded open cells cut out of R^k by integer hyperplanes a . y = b.
-
-    Sign vectors are grown one hyperplane at a time, discarding infeasible
-    prefixes, and each surviving cell is tested for a pointed recession cone.
-    """
-    if k == 0:
-        return 1
-    cells = [()]
-    for a, b in hyperplanes:
-        grown = []
-        for cell in cells:
-            for sgn in (1, -1):
-                con = (tuple(sgn * x for x in a), -sgn * b, True)
-                cand = cell + (con,)
-                if fm_feasible(cand, k):
-                    grown.append(cand)
-        cells = grown
-    count = 0
-    for cell in cells:
-        if cone_is_pointed([c[0] for c in cell], k):
-            count += 1
-    return count
+def _submasks(mask) -> list:
+    """Every submask of an int bitmask, the empty one first."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        subs += [s | bit for s in subs]
+        mask ^= bit
+    return subs
 
 
 def face_census(setup: TorusSetup) -> tuple:
@@ -147,6 +33,37 @@ def face_census(setup: TorusSetup) -> tuple:
 
     Requires a simple arrangement; coincidences raise NotSimple and a
     hyperplane degenerating to the whole space raises DegenerateNormal.
+
+    A face is a nonempty set of points with one sign vector (covector)
+    against the hyperplanes a_j . y = b_j.  A vertex is an independent
+    m-subset S of normals; with A_S the matrix of those rows, it is the point
+    v = A_S^-1 b_S, and the columns d_i of A_S^-1 (a_i . d_i = 1, a_s . d_i
+    = 0 for s != i) are its edge directions.  Simplicity puts no other
+    hyperplane through v, so near v the faces are exactly v + sum t_i d_i
+    with the signs of t_i on S free and the signs of v off S.  Order R^m
+    lexicographically (a generic functional, positive on a vector whose first
+    nonzero entry is positive; no edge is level) and let u_i be the sign of
+    d_i under it.  The face of K within S is lower at v when its edges at v
+    are u_i d_i for i in K, and upper when they are -u_i d_i.
+
+    1. Every face has a vertex in its closure: the normals span R^m, so the
+       closure of a face is a polyhedron with no line.
+    2. A polyhedron with a vertex is bounded iff the functional attains both
+       its minimum and its maximum on it: an unbounded one has a nonzero
+       recession direction r, a generic functional f has f(r) != 0, and
+       along x + t r (t >= 0) it has no maximum if f(r) > 0 and no minimum
+       if f(r) < 0.
+    3. v is the minimum of a face F whose closure contains v iff every edge
+       of F at v goes up: near v the closure is the cone v + cone(edges),
+       and a local minimum of a linear function on a convex set is global.
+       The maximum is the same statement with every edge going down.
+
+    So every bounded k-face is the lower face of exactly one vertex and the
+    upper face of exactly one vertex, every other face is at most one of the
+    two, and d_k counts the upper covectors of dimension k that also occur
+    as lower covectors.  A covector is one int: the plus bitmask, then the
+    minus bitmask shifted by n; its dimension is its bit count less n - m.
+    Only the lower keys are stored; the upper ones are tested as made.
     """
     gale = gale_of(setup)
     m = setup.ambient_dim
@@ -167,37 +84,50 @@ def face_census(setup: TorusSetup) -> tuple:
         raise NotSimple(
             f"hyperplanes {tuple(i + 1 for i in witness)} meet non-simply")
 
-    counts = [0] * (m + 1)
-    for size in range(m + 1):
-        k = m - size
-        for support in combinations(range(n), size):
-            if size:
-                mat = RatMatrix([normals[i] for i in support])
-                if rank(mat) < size:
-                    continue
-                point = solve_exact(mat, [offsets[i] for i in support])
-                dirs = nullspace(mat)
-                basis = [dirs.col(c) for c in range(dirs.ncols)]
+    # Scaling every offset by one positive integer scales the arrangement.
+    scale = lcm(*(off.denominator for off in offsets))
+    offsets = [int(off * scale) for off in offsets]
+    lower = set()
+    vertices = []
+    for support in combinations(range(n), m):
+        solved = int_solve(
+            [normals[i] for i in support],
+            [[int(r == c) for c in range(m)] + [offsets[i]]
+             for r, i in enumerate(support)])
+        if solved is None:
+            continue
+        det, inv = solved  # rows: det * A_S^-1, then det * v
+        point = [row[m] for row in inv]
+        orient = 1 if det > 0 else -1
+        plus = minus = 0
+        for j in range(n):
+            if j in support:
+                continue
+            side = orient * (sum(a * y for a, y in zip(normals[j], point))
+                             - det * offsets[j])
+            if side > 0:
+                plus |= 1 << j
+            elif side < 0:
+                minus |= 1 << j
             else:
-                point = tuple(0 for _ in range(m))
-                basis = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-            induced = []
-            for j in range(n):
-                if j in support:
-                    continue
-                a = tuple(
-                    sum(normals[j][i] * col[i] for i in range(m))
-                    for col in basis
-                )
-                b = offsets[j] - sum(normals[j][i] * point[i] for i in range(m))
-                if not any(a):
-                    if b == 0:
-                        raise NotSimple(
-                            f"hyperplane {j + 1} contains the span of "
-                            f"{tuple(i + 1 for i in support)}")
-                    continue
-                induced.append(_int_hyperplane(a, b))
-            counts[k] += bounded_regions(induced, k)
+                raise InvariantViolation(
+                    f"hyperplane {j + 1} passes through the vertex of "
+                    f"{tuple(i + 1 for i in support)}")
+        up = down = 0
+        for col, i in enumerate(support):
+            lead = next(row[col] for row in inv if row[col])
+            if orient * lead > 0:
+                up |= 1 << i
+            else:
+                down |= 1 << i
+        base = plus | minus << n
+        lower.update([base | s for s in _submasks(up | down << n)])
+        vertices.append((base, down | up << n))
+
+    counts = [0] * (m + 1)
+    for base, upper in vertices:
+        for key in lower.intersection([base | s for s in _submasks(upper)]):
+            counts[key.bit_count() - (n - m)] += 1
     return tuple(counts)
 
 

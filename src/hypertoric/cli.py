@@ -166,8 +166,7 @@ def cmd_modify(args) -> int:
     if args.check_recurrence:
         setup, _ = _ensure_generic(setup, args)
     pair = modify(setup, circle, seed=args.seed)
-    p_base, p_enl, p_ext, poly_ok = morse.modification_recurrence(
-        setup.weights, circle)
+    p_base, p_enl, p_ext, poly_ok = morse.modification_recurrence(pair)
     report = {
         "base": setup_to_json(pair.base),
         "enlarged": setup_to_json(pair.enlarged),
@@ -180,7 +179,7 @@ def cmd_modify(args) -> int:
         "recurrence": {"holds": poly_ok},
     }
     if args.check_recurrence:
-        cases = morse.modification_cases(setup.weights, circle)
+        cases = morse.modification_cases(pair)
         base_d, enl_d, ext_d, census_ok = arrangement.modification_census(
             pair)
         report["trichotomy"] = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonZeroRemainder
 
@@ -294,25 +294,52 @@ def solve_exact(matrix: RatMatrix, rhs):
     return tuple(out)
 
 
+def int_solve(rows, rhs_rows):
+    """Fraction-free Gauss–Jordan solve of A X = R for a square integer A.
+
+    rows are the m integer rows of A, rhs_rows the m integer rows of R.
+    Returns (det, X) with X = det * A^-1 R integral and det = +-det(A), or
+    None when A is singular.  Every division is exact, because each entry
+    stays a minor of [A | R].  Column k is dropped once it is eliminated: it
+    is zero off the diagonal, and every diagonal entry ends up equal to det.
+    """
+    m = len(rows)
+    aug = [list(a) + list(r) for a, r in zip(rows, rhs_rows)]
+    prev = 1
+    for k in range(m):
+        piv = next((i for i in range(k, m) if aug[i][0]), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        head = aug[k][1:]
+        p = aug[k][0]
+        for i in range(m):
+            if i != k:
+                row = aug[i]
+                f = row[0]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], head)]
+        aug[k] = head
+        prev = p
+    return prev, aug
+
+
 def inverse(matrix: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square nonsingular matrix (Gauss–Jordan)."""
+    """Exact inverse of a square nonsingular matrix.
+
+    With the diagonal S of row scales that make A_int = S A integral,
+    A^-1 = A_int^-1 S, which ``int_solve`` returns up to det.
+    """
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(matrix.rows[i]) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return RatMatrix([row[n:] for row in aug])
+    scales = [lcm(*(x.denominator for x in row)) for row in matrix.rows]
+    solved = int_solve(
+        [[int(x * s) for x in row] for row, s in zip(matrix.rows, scales)],
+        [[s if i == j else 0 for j in range(n)] for i, s in enumerate(scales)])
+    if solved is None:
+        raise ValueError("matrix is singular")
+    det, x = solved
+    return RatMatrix([[Fraction(v, det) for v in row] for row in x])
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,12 @@ from .errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
 from .exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, poly_divide_exact, rank
 from .flats import enumerate_flats, flat_rank, proper_flats
 from .torus import (
+    ModificationPair,
     TorusSetup,
     beta_witness,
-    enlarged_weights,
-    extended_weights,
     metric_of,
     norm2_dual,
     pairing,
-    require_new_circle,
     residual_alpha,
     residual_beta,
     restrict_weights,
@@ -134,17 +132,16 @@ def sign_split(setup: TorusSetup, flat) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def modification_recurrence(weights, circle):
+def modification_recurrence(pair: ModificationPair):
     """Poincare polynomials (base, enlarged, extended) plus the identity check.
 
     Extending by a circle adds one coordinate whose flat structure interleaves
-    the base and enlarged ones, giving P_ext = P_base + q * P_enl.
+    the base and enlarged ones, giving P_ext = P_base + q * P_enl.  The pair
+    comes from ``torus.modify``, which has checked the circle.
     """
-    weights = tuple(tuple(r) for r in weights)
-    circle = require_new_circle(weights, circle)
-    p_base = poincare_morse(weights)
-    p_enl = poincare_morse(enlarged_weights(weights, circle))
-    p_ext = poincare_morse(extended_weights(weights, circle))
+    p_base = poincare_morse(pair.base.weights)
+    p_enl = poincare_morse(pair.enlarged.weights)
+    p_ext = poincare_morse(pair.extended.weights)
     ok = p_ext == p_base + PoincarePoly.monomial(1) * p_enl
     return p_base, p_enl, p_ext, ok
 
@@ -156,24 +153,20 @@ class ModificationCases:
     shared_extended: tuple # base flats that stay flats only with the new row added
 
 
-def modification_cases(weights, circle) -> ModificationCases:
+def modification_cases(pair: ModificationPair) -> ModificationCases:
     """Classify enlarged-configuration flats into the three recursion cases.
 
     Every enlarged flat must land in exactly one case, and together the cases
     must cover each extended flat and each base flat exactly once; any
     violation is raised rather than papered over.
     """
-    weights = tuple(tuple(r) for r in weights)
-    circle = require_new_circle(weights, circle)
-    n = len(weights)
-    enl = enlarged_weights(weights, circle)
-    ext = extended_weights(weights, circle)
-    base_flats = set(enumerate_flats(weights))
-    ext_flats = set(enumerate_flats(ext))
+    n = pair.base.n
+    base_flats = set(enumerate_flats(pair.base.weights))
+    ext_flats = set(enumerate_flats(pair.extended.weights))
     cases = {1: [], 2: [], 3: []}
     ext_cover = {f: 0 for f in ext_flats}
     base_cover = {f: 0 for f in base_flats}
-    for f in enumerate_flats(enl):
+    for f in enumerate_flats(pair.enlarged.weights):
         with_new = tuple(sorted(f + (n,)))
         in_base = f in base_flats
         in_ext = f in ext_flats

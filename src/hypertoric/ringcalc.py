@@ -113,10 +113,15 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     """Graded dimensions of the quotient ring, degrees 0..max_degree.
 
     In each degree the span of (monomial multiple of generator) is a lattice
-    of integer coefficient vectors; its rank is computed exactly.
+    of integer coefficient vectors; its rank is computed exactly.  The ring
+    is generated in degree 1, so R_{k+1} = S_1 R_k: once a degree is zero,
+    every higher one is, and the remaining degrees are padded with zeros
+    instead of ranked.
     """
     dims = []
     for m in range(max_degree + 1):
+        if dims and dims[-1] == 0:
+            return tuple(dims) + (0,) * (max_degree + 1 - m)
         basis = _monomials(pres.nvars, m)
         index = {exp: i for i, exp in enumerate(basis)}
         rows = []

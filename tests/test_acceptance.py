@@ -139,14 +139,15 @@ def test_criterion_2_projective_family():
 def test_criterion_3_modification_recurrences():
     assert len(MODIFICATION_PAIRS) >= 10
     for weights, column in MODIFICATION_PAIRS:
-        _, _, _, poly_ok = modification_recurrence(weights, column)
+        setup = sample_generic(weights, derived_seed("acc3", weights, column))
+        pair = modify(setup, column, seed=1)
+        _, _, _, poly_ok = modification_recurrence(pair)
         assert poly_ok, (weights, column)
-        cases = modification_cases(weights, column)
+        cases = modification_cases(pair)
         total = (len(cases.new_only) + len(cases.shared_both)
                  + len(cases.shared_extended))
         assert total == len(enumerate_flats(enlarged_weights(weights, column)))
-        setup = sample_generic(weights, derived_seed("acc3", weights, column))
-        _, _, _, census_ok = modification_census(modify(setup, column, seed=1))
+        _, _, _, census_ok = modification_census(pair)
         assert census_ok, (weights, column)
     print(f"ACCEPTANCE 3 PASS: {len(MODIFICATION_PAIRS)} modification pairs, "
           "polynomial + census recurrences, trichotomy zero violations")

@@ -1,13 +1,20 @@
-import pytest
+"""Face census tests.
 
-from hypertoric.arrangement import (
-    bounded_regions,
-    census_poincare,
-    cone_is_pointed,
-    face_census,
-    fm_feasible,
-)
+The vertex census in ``hypertoric.arrangement`` is checked against the
+support-by-support Fourier-Motzkin census it replaced, kept in
+``fm_census`` with its own unit tests, and against the Morse recursion.
+"""
+
+import random
+
+import pytest
+from fm_census import bounded_regions, cone_is_pointed, fm_face_census, fm_feasible
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hypertoric.arrangement import census_poincare, face_census
 from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
+from hypertoric.exact import RatMatrix, rank
 from hypertoric.morse import poincare_morse
 from hypertoric.torus import new_setup, sample_generic
 
@@ -130,3 +137,55 @@ class TestAgreementWithRecursion:
             if reference is None:
                 reference = c
             assert c == reference
+
+
+class TestLargeCensus:
+    """Sizes the Fourier-Motzkin census could not reach in minutes."""
+
+    @pytest.mark.parametrize("n, d", [(14, 1), (12, 2)])
+    def test_census_matches_morse(self, n, d):
+        rng = random.Random(f"large-census-{n}-{d}")
+        while True:
+            weights = tuple(tuple(rng.randint(-2, 2) for _ in range(d))
+                            for _ in range(n))
+            if rank(RatMatrix(weights)) == d:
+                break
+        s = sample_generic(weights, seed=n)
+        assert census_poincare(face_census(s)) == poincare_morse(weights)
+
+
+def test_four_planes_bound_one_tetrahedron():
+    # T*P^3: the Gale dual is four planes in general position in R^3, which
+    # bound one tetrahedron with 4 vertices, 6 edges and 4 triangles.
+    weights = ((1,), (1,), (1,), (1,))
+    s = new_setup(weights, [1])
+    assert face_census(s) == (4, 6, 4, 1)
+    assert census_poincare(face_census(s)) == poincare_morse(weights)
+    assert poincare_morse(weights).coeffs == (1, 1, 1, 1)
+
+
+@st.composite
+def setups(draw):
+    """Setups with n <= 7 rows and d <= 3 columns; levels come from a small
+    box, where many arrangements are not simple, or from a wide one."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 7))
+    entry = st.integers(-2, 2)
+    weights = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
+    assume(rank(RatMatrix(weights)) == d)
+    coord = st.one_of(st.integers(-2, 2), st.integers(-60, 60))
+    return new_setup(weights, draw(st.tuples(*[coord] * d)))
+
+
+def outcome(census, setup):
+    """The counts census returns, or the type and message it raises."""
+    try:
+        return census(setup)
+    except (DegenerateNormal, NotSimple) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(setups())
+def test_vertex_census_matches_fm_census(setup):
+    assert outcome(face_census, setup) == outcome(fm_face_census, setup)

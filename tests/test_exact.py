@@ -13,6 +13,7 @@ from hypertoric.exact import (
     crat,
     hnf_rows,
     int_kernel_rows,
+    int_solve,
     inverse,
     nullspace,
     poly_divide_exact,
@@ -177,6 +178,22 @@ class TestSolveInverse:
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             inverse(RatMatrix([[1, 2], [2, 4]]))
+
+    def test_inverse_of_rational_rows(self):
+        m = RatMatrix([["1/2", "1/3"], ["2", "-5/4"]])
+        assert m @ inverse(m) == RatMatrix([[1, 0], [0, 1]])
+
+    @given(int_matrix(4, 4), st.lists(small_ints, min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_int_solve_is_det_times_solution(self, m, rhs):
+        a = [[int(x) for x in row] for row in m.rows]
+        solved = int_solve(a, [[r] for r in rhs])
+        if rank(m) < 4:
+            assert solved is None
+            return
+        det, x = solved
+        assert all(len(row) == 1 and isinstance(row[0], int) for row in x)
+        assert tuple(Fraction(row[0], det) for row in x) == solve_exact(m, rhs)
 
 
 class TestPoly:

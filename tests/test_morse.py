@@ -14,7 +14,7 @@ from hypertoric.morse import (
     poincare_morse,
     sign_split,
 )
-from hypertoric.torus import new_setup, sample_generic
+from hypertoric.torus import modify, new_setup, sample_generic
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -113,9 +113,13 @@ class TestSignSplit:
             sign_split(s, ())
 
 
+def pair_of(weights, circle):
+    return modify(new_setup(weights), circle)
+
+
 class TestModification:
     def test_recurrence_diagonal_circle(self):
-        p_base, p_enl, p_ext, ok = modification_recurrence(DIAG2, (1, 0))
+        p_base, p_enl, p_ext, ok = modification_recurrence(pair_of(DIAG2, (1, 0)))
         assert p_base.coeffs == (1, 1)
         assert p_enl.coeffs == (1,)
         assert p_ext.coeffs == (1, 2)
@@ -131,16 +135,16 @@ class TestModification:
             (((1,), (2,), (3,)), (0, 1, 1)),
         ]
         for weights, circle in pairs:
-            _, _, _, ok = modification_recurrence(weights, circle)
+            _, _, _, ok = modification_recurrence(pair_of(weights, circle))
             assert ok, (weights, circle)
 
     def test_recurrence_rejects_spanned_circle(self):
         from hypertoric.errors import CircleInsideTorus
         with pytest.raises(CircleInsideTorus):
-            modification_recurrence(TRIPLE, (0, 1, 1))
+            pair_of(TRIPLE, (0, 1, 1))
 
     def test_cases_diagonal_circle(self):
-        cases = modification_cases(DIAG2, (1, 0))
+        cases = modification_cases(pair_of(DIAG2, (1, 0)))
         assert cases.new_only == ((0,), (1,))
         assert cases.shared_both == ((),)
         assert cases.shared_extended == ((0, 1),)
@@ -150,7 +154,7 @@ class TestModification:
         from hypertoric.torus import enlarged_weights
         for weights, circle in [(TRIPLE, (1, 0, 0)), (DIAG2, (0, 1)),
                                 (((1,), (1,), (1,)), (1, -1, 0))]:
-            cases = modification_cases(weights, circle)
+            cases = modification_cases(pair_of(weights, circle))
             total = (len(cases.new_only) + len(cases.shared_both)
                      + len(cases.shared_extended))
             assert total == len(enumerate_flats(enlarged_weights(weights, circle)))

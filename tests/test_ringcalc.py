@@ -1,6 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from hypertoric.errors import NonGenericAlpha
+from hypertoric.exact import int_rank
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import (
     RingPresentation,
@@ -73,6 +76,39 @@ class TestDims:
 
     def test_custom_degree(self):
         assert ring_dims(DIAG2, max_degree=5) == (1, 1, 0, 0, 0, 0)
+
+    def test_padded_degrees_equal_every_degree(self):
+        for weights in [DIAG2, TRIPLE, ((1,), (2,), (3,)),
+                        ((1, 0), (0, 1), (1, 1), (1, -1))]:
+            top = len(weights) - len(weights[0])
+            dims = ring_dims(weights, max_degree=top + 6)
+            assert dims == every_degree(cohomology_presentation(weights), top + 6)
+            assert dims[top + 1:] == (0,) * 6
+
+
+def every_degree(pres, max_degree):
+    """Quotient dimensions with every degree ranked, none padded."""
+    def monomials(degree):
+        out = []
+        for combo in combinations_with_replacement(range(pres.nvars), degree):
+            out.append(tuple(combo.count(v) for v in range(pres.nvars)))
+        return out
+
+    dims = []
+    for m in range(max_degree + 1):
+        index = {exp: i for i, exp in enumerate(monomials(m))}
+        rows = []
+        for gen in pres.gens:
+            g = sum(gen[0][0])
+            if g > m:
+                continue
+            for mult in monomials(m - g):
+                row = [0] * len(index)
+                for exp, c in gen:
+                    row[index[tuple(x + y for x, y in zip(exp, mult))]] += c
+                rows.append(row)
+        dims.append(len(index) - (int_rank(rows, len(index)) if rows else 0))
+    return tuple(dims)
 
 
 class TestCircleDims:
