@@ -3,8 +3,8 @@
 Everything feeding the cross-checked invariants runs on arbitrary-precision
 rationals (stdlib ``fractions.Fraction``); floats only appear in the flow
 laboratory.  Matrix kernels are computed as integer *lattices* (Hermite normal
-form with a unimodular transform), so re-expressing weight vectors in a
-sub-basis stays integral.
+form with a unimodular transform), so the Gale dual of a weight matrix has a
+canonical integer basis.
 """
 
 from __future__ import annotations
@@ -247,15 +247,6 @@ def nullspace(matrix: RatMatrix) -> RatMatrix:
     if not ker:
         return RatMatrix([[] for _ in range(matrix.ncols)])
     return RatMatrix(ker).transpose()
-
-
-def saturate_rowspace(matrix: RatMatrix):
-    """Canonical integer basis rows of rowspan_Q(matrix) ∩ Z^ncols."""
-    ker = int_kernel_rows(_int_rows(matrix), matrix.ncols)
-    if not ker:
-        return hnf_rows([[1 if i == j else 0 for j in range(matrix.ncols)]
-                         for i in range(matrix.ncols)], matrix.ncols)
-    return int_kernel_rows(ker, matrix.ncols)
 
 
 def solve_exact(matrix: RatMatrix, rhs):

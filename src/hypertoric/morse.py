@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
                      RankDeficient)
 from .exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, poly_divide_exact, rank
-from .flats import enumerate_flats, flat_rank, proper_flats
+from .flats import enumerate_flats, lattice
 from .torus import (
     ModificationPair,
     TorusSetup,
@@ -27,7 +26,6 @@ from .torus import (
     pairing,
     residual_alpha,
     residual_beta,
-    restrict_weights,
 )
 
 
@@ -46,11 +44,12 @@ def critical_components(setup: TorusSetup) -> tuple:
         raise NonGenericBeta(witness)
     metric = metric_of(setup.weights)
     out = []
-    for f in enumerate_flats(setup.weights):
+    for f, (_, rank_f) in zip(enumerate_flats(setup.weights),
+                              lattice(setup.weights)):
         res = residual_beta(setup, f)
         out.append(CriticalComponent(
             flat=f,
-            rank=flat_rank(setup.weights, f),
+            rank=rank_f,
             index=2 * (setup.n - len(f)),
             level=norm2_dual(metric, res),
             residual=res,
@@ -59,11 +58,35 @@ def critical_components(setup: TorusSetup) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Poincare polynomial by downward induction over flats
+# Poincare polynomial by induction over the flat lattice
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _flat_polys(weights) -> tuple:
+    """P(F) for every flat F, in flat order.
+
+    P(F) is the Poincare polynomial of the sub-configuration on F.  Its flats
+    are the flats inside F, with the same ranks, so the contributions of its
+    critical manifolds give, bottom-up over the lattice,
+    (1-q)^{rk F} P(F) = 1 - sum over G < F of q^{|F|-|G|} (1-q)^{rk G} P(G).
+    """
+    flats = lattice(weights)
+    polys = []
+    lifted = []  # (1-q)^{rk G} P(G), coefficients
+    for mask, rank_f in flats:
+        size = mask.bit_count()
+        acc = [1] + [0] * size
+        for (sub, _), coeffs in zip(flats, lifted):
+            if sub & mask == sub:
+                shift = size - sub.bit_count()
+                for k, c in enumerate(coeffs):
+                    acc[shift + k] -= c
+        lifted.append(acc)
+        polys.append(poly_divide_exact(PoincarePoly.from_coeffs(acc),
+                                       ONE_MINUS_Q ** rank_f))
+    return tuple(polys)
+
+
 def poincare_morse(weights) -> PoincarePoly:
     """Poincare polynomial in q = t^2 of the quotient for these weights.
 
@@ -75,14 +98,7 @@ def poincare_morse(weights) -> PoincarePoly:
     d = len(weights[0]) if weights else 0
     if n and d and rank(RatMatrix(weights)) != d:
         raise RankDeficient("weights must have full column rank")
-    acc = PoincarePoly.one()
-    for f in proper_flats(weights):
-        sub = restrict_weights(weights, f)
-        term = (PoincarePoly.monomial(n - len(f))
-                * ONE_MINUS_Q ** flat_rank(weights, f)
-                * poincare_morse(sub))
-        acc = acc - term
-    return poly_divide_exact(acc, ONE_MINUS_Q ** d)
+    return _flat_polys(weights)[-1]
 
 
 def perfection_sum(weights) -> PoincarePoly:
@@ -92,11 +108,9 @@ def perfection_sum(weights) -> PoincarePoly:
     """
     n = len(weights)
     total = PoincarePoly.zero()
-    for f in enumerate_flats(weights):
-        sub = restrict_weights(weights, f)
-        total = total + (PoincarePoly.monomial(n - len(f))
-                         * ONE_MINUS_Q ** flat_rank(weights, f)
-                         * poincare_morse(sub))
+    for (mask, rank_f), p in zip(lattice(weights), _flat_polys(weights)):
+        total = total + (PoincarePoly.monomial(n - mask.bit_count())
+                         * ONE_MINUS_Q ** rank_f * p)
     return total
 
 

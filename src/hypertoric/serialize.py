@@ -24,9 +24,11 @@ def parse_rational(value) -> Fraction:
         raise InputError(
             f"floating-point literal {value!r} is not accepted for exact data; "
             "write it as a rational string like \"3/4\"")
+    if isinstance(value, bool):
+        raise InputError(f"cannot read {value!r} as a rational number")
     try:
         return as_rat(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot read {value!r} as a rational number") from exc
 
 

@@ -19,7 +19,6 @@ from .errors import (
     CircleInsideTorus,
     DimensionMismatch,
     InputError,
-    InvariantViolation,
     NonGenericAlpha,
     NonGenericBeta,
     RankDeficient,
@@ -32,7 +31,6 @@ from .exact import (
     inverse,
     nullspace,
     rank,
-    saturate_rowspace,
     solve_exact,
 )
 
@@ -243,29 +241,6 @@ def residual_alpha(setup: TorusSetup, subset):
 def critical_level(setup: TorusSetup, subset) -> Fraction:
     """Exact value |beta_perp|^2 attached to a flat."""
     return norm2_dual(metric_of(setup.weights), residual_beta(setup, subset))
-
-
-# ---------------------------------------------------------------------------
-# Restriction to a flat
-# ---------------------------------------------------------------------------
-
-
-def restrict_weights(weights, subset) -> tuple:
-    """Weights of the sub-configuration on subset, written in a basis of the
-    saturated lattice spanned by those rows (so the result is integral)."""
-    rows = [weights[j] for j in subset]
-    if not rows or all(not any(r) for r in rows):
-        return tuple(() for _ in rows)
-    basis = saturate_rowspace(RatMatrix(rows))  # r independent integer rows
-    bt = RatMatrix(list(zip(*basis)))  # d x r
-    out = []
-    for row in rows:
-        sol = solve_exact(bt, row)
-        if sol is None or any(s.denominator != 1 for s in sol):
-            raise InvariantViolation(
-                f"row {row} has no integral coordinates in the saturated basis")
-        out.append(tuple(int(s) for s in sol))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

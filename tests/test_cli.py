@@ -200,11 +200,15 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("flow", PAIR, ("--grad-tol", "0")),
     ("flow", PAIR, ("--max-time", "-5")),
     ("flow", PAIR, ("--max-time", "nan")),
+    ("analyze", {"weights": [[1], [1]], "alpha": ["1/0"]}, ()),
+    ("analyze", {"weights": [[1], [1]], "beta": [["1/0", "0"]]}, ()),
+    ("analyze", {"weights": [[1], [1]], "alpha": [True]}, ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
         "flow-grad-tol-nan", "flow-grad-tol-negative", "flow-grad-tol-zero",
-        "flow-max-time-negative", "flow-max-time-nan"])
+        "flow-max-time-negative", "flow-max-time-nan",
+        "alpha-zero-denominator", "beta-zero-denominator", "alpha-bool"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     path = write_json(tmp_path, "input.json", obj)
     proc = run_cli(command, path, *flags)

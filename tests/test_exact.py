@@ -18,7 +18,6 @@ from hypertoric.exact import (
     nullspace,
     poly_divide_exact,
     rank,
-    saturate_rowspace,
     solve_exact,
 )
 
@@ -131,24 +130,6 @@ class TestHNF:
         a = hnf_rows([[1, 2, 3], [4, 5, 6]], 3)
         b = hnf_rows([[5, 7, 9], [4, 5, 6], [1, 2, 3]], 3)
         assert a == b
-
-    def test_saturate_rowspace(self):
-        sat = saturate_rowspace(RatMatrix([[2, 1, 1]]))
-        assert len(sat) == 1
-        assert sat[0] == [2, 1, 1]
-        sat2 = saturate_rowspace(RatMatrix([[2, 0, 2]]))
-        assert sat2 == [[1, 0, 1]]
-
-    def test_saturate_full_space(self):
-        sat = saturate_rowspace(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        assert sat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-    def test_int_kernel_of_kernel_recovers_saturation(self):
-        # rowspan{(1,1,0),(0,2,2)} saturates to contain (0,1,1)
-        sat = saturate_rowspace(RatMatrix([[1, 1, 0], [0, 2, 2]]))
-        assert [0, 1, 1] in sat or any(
-            solve_exact(RatMatrix(sat).transpose(), [0, 1, 1]) for _ in [0]
-        )
 
     def test_empty_kernel(self):
         assert int_kernel_rows([[1, 0], [0, 1]], 2) == []

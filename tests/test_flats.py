@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flat_reference
+from flat_reference import reference_flats, weight_configurations
 from hypertoric.errors import EnumerationTooLarge
-from hypertoric.flats import closure, enumerate_flats, flat_rank, is_flat, proper_flats
+from hypertoric.flats import (closure, coatoms, enumerate_flats, flat_rank,
+                              is_flat, lattice, proper_flats)
 
 DIAG2 = ((1,), (1,))
 DIAG3 = ((1,), (1,), (1,))
@@ -79,3 +84,18 @@ def test_flats_are_closed_and_sorted():
     assert sizes == sorted(sizes)
     # zero row sits inside every flat
     assert all(4 in f for f in fs)
+
+
+@given(weight_configurations(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lattice_matches_closure_of_every_subset(weights, data):
+    expected = reference_flats(weights)
+    assert enumerate_flats(weights) == tuple(f for f, _ in expected)
+    assert lattice(weights) == tuple((sum(1 << j for j in f), r)
+                                     for f, r in expected)
+    top = expected[-1][1]
+    assert coatoms(weights) == tuple(f for f, r in expected if r == top - 1)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(weights),
+                                max_size=len(weights)))
+    subset = tuple(j for j, c in enumerate(chosen) if c)
+    assert closure(weights, subset) == flat_reference.closure(weights, subset)

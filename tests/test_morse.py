@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from flat_reference import weight_configurations
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, RankDeficient
-from hypertoric.exact import PoincarePoly, RatMatrix, rank
+from hypertoric.exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, rank
 from hypertoric.morse import (
     critical_components,
     modification_cases,
@@ -55,6 +57,33 @@ class TestPoincare:
             assert p.coefficient(0) == 1
             n, d = len(weights), len(weights[0])
             assert p.degree <= n - d
+
+
+def spanning_set_sum(weights):
+    """Sum over spanning subsets A of q^(n-|A|) (1-q)^(|A|-d).
+
+    This is q^(n-d) T_M(1, 1/q) for the Tutte polynomial T_M of the rows
+    (Hausel-Sturmfels, Toric hyperKahler varieties, 2002), computed with no
+    flats and no recursion.
+    """
+    n = len(weights)
+    d = len(weights[0]) if weights else 0
+    total = PoincarePoly.zero()
+    for size in range(d, n + 1):
+        for subset in combinations(range(n), size):
+            if not d or rank(RatMatrix([weights[j] for j in subset])) == d:
+                total = total + (PoincarePoly.monomial(n - size)
+                                 * ONE_MINUS_Q ** (size - d))
+    return total
+
+
+class TestPoincareAgainstTutte:
+    @given(weight_configurations())
+    @settings(max_examples=100, deadline=None)
+    def test_morse_equals_spanning_set_sum(self, weights):
+        d = len(weights[0]) if weights else 0
+        assume(not weights or not d or rank(RatMatrix(weights)) == d)
+        assert poincare_morse(weights) == spanning_set_sum(weights)
 
 
 class TestPerfection:

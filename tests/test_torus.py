@@ -6,7 +6,6 @@ from hypertoric.errors import (
     CircleInsideTorus,
     DimensionMismatch,
     InputError,
-    InvariantViolation,
     NonGenericAlpha,
     NonGenericBeta,
     RankDeficient,
@@ -28,7 +27,6 @@ from hypertoric.torus import (
     perp_part,
     require_generic,
     residual_beta,
-    restrict_weights,
     sample_generic,
 )
 
@@ -219,41 +217,6 @@ class TestSampling:
         c = derived_seed("tag", TRIPLE, (1, 0, 1), 4)
         assert a == b != c
         assert 0 <= a < 2 ** 32
-
-
-class TestRestriction:
-    def test_restrict_to_empty_is_empty(self):
-        assert restrict_weights(TRIPLE, ()) == ()
-
-    def test_restrict_single_row(self):
-        assert restrict_weights(TRIPLE, (2,)) == ((1,),)
-
-    def test_restrict_keeps_integrality_via_saturation(self):
-        # span{(1,1,0),(0,2,2)} meets Z^3 in a lattice strictly larger than
-        # their integer span; coordinates must still come out integral
-        weights = ((1, 1, 0), (0, 2, 2), (0, 0, 1))
-        out = restrict_weights(weights, (0, 1))
-        assert out == ((1, 1), (0, 2))
-        from hypertoric.exact import RatMatrix, saturate_rowspace
-        basis = saturate_rowspace(RatMatrix([weights[0], weights[1]]))
-        rebuilt = [
-            tuple(sum(c * h[k] for c, h in zip(row, basis)) for k in range(3))
-            for row in out
-        ]
-        assert rebuilt == [weights[0], weights[1]]
-
-    def test_restrict_zero_rows(self):
-        weights = ((0, 0), (1, 0))
-        assert restrict_weights(weights, (0,)) == ((),)
-
-    def test_unsaturated_basis_is_invariant_violation(self, monkeypatch):
-        # a basis of twice the saturated lattice leaves half-integral
-        # coordinates, which restrict_weights must refuse
-        from hypertoric import torus
-        monkeypatch.setattr(torus, "saturate_rowspace",
-                            lambda m: [tuple(2 * x for x in r) for r in m.rows])
-        with pytest.raises(InvariantViolation):
-            restrict_weights(TRIPLE, (2,))
 
 
 class TestModification:
