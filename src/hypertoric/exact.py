@@ -4,14 +4,18 @@ Everything feeding the cross-checked invariants runs on arbitrary-precision
 rationals (stdlib ``fractions.Fraction``); floats only appear in the flow
 laboratory.  Matrix kernels are computed as integer *lattices* (Hermite normal
 form with a unimodular transform), so the Gale dual of a weight matrix has a
-canonical integer basis.
+canonical integer basis.  ``certified_rank`` searches a rank with int64
+arithmetic mod a prime and returns it only with a proof over Q, falling back
+to Bareiss elimination otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 from .errors import NonZeroRemainder
 
@@ -153,6 +157,192 @@ def rank(matrix: RatMatrix) -> int:
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0
     return int_rank(_int_rows(matrix), matrix.ncols)
+
+
+MODULUS = 33_554_393
+"""The largest prime below 2^25.  A product of two residues is below 2^50,
+so an int64 holds a sum of up to 2^13 of them."""
+
+_INT64 = 1 << 63
+
+
+def _reduce_mod_p(m):
+    """Gauss–Jordan elimination of an int64 array modulo MODULUS.
+
+    Returns (rows, cols, reduced): the original indices of the pivot rows,
+    the pivot columns, and the reduced array, whose row i holds pivot i.
+    A column is reduced before its pivot search and a row before it scales;
+    the rest only at the end.  Each of the r steps changes an entry by less
+    than MODULUS², so the caller's (r + 1) MODULUS² < 2^63 keeps it exact.
+    """
+    m = m % MODULUS
+    order = np.arange(m.shape[0])
+    cols = []
+    for c in range(m.shape[1]):
+        r = len(cols)
+        if r == m.shape[0]:
+            break
+        col = m[:, c] % MODULUS
+        nonzero = col[r:].nonzero()[0]
+        if not nonzero.size:
+            continue
+        piv = r + nonzero[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+            order[[r, piv]] = order[[piv, r]]
+            col[[r, piv]] = col[[piv, r]]
+        row = m[r, c:] % MODULUS * pow(int(col[r]), -1, MODULUS) % MODULUS
+        m[r, c:] = row
+        col[r] = 0
+        others = col.nonzero()[0]
+        m[others, c:] -= col[others, None] * row
+        cols.append(c)
+    return order[:len(cols)], np.array(cols, dtype=np.int64), m % MODULUS
+
+
+def _assemble(digits):
+    """Σ digits[i] · MODULUS^i as Python ints, two digits per int64 step."""
+    total = np.zeros(digits[0].shape, dtype=object)
+    for i in reversed(range(0, len(digits), 2)):
+        pair = digits[i] + MODULUS * digits[i + 1] if i + 1 < len(digits) else digits[i]
+        total = total * MODULUS ** 2 + pair.astype(object)
+    return total
+
+
+def _reconstruct(u, modulus, bound):
+    """Denominator d ≤ bound of a fraction n/d ≡ u with |n| ≤ bound, or None."""
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
+
+
+def _rational_solution(x, modulus):
+    """(D, N) with N ≡ D·x and |N|, D ≤ sqrt(modulus / 2), or None.
+
+    D is grown entry by entry: an entry already integral at the current D
+    needs one product, and only the others a reconstruction.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    for u in x.flat:
+        y = den * u % modulus
+        if min(y, modulus - y) <= bound:
+            continue
+        d = _reconstruct(y, modulus, bound)
+        if d is None or den * d > bound:
+            return None
+        den *= d
+    nums = x * den % modulus
+    return den, np.where(nums > modulus // 2, nums - modulus, nums)
+
+
+def _failing_rows(a, nulls, digit_bits):
+    """Mask of the rows i with a[i] · nulls ≠ 0, computed exactly in int64.
+
+    nulls holds Python ints.  Split into signed base-β planes, β =
+    2^digit_bits, a · nulls = Σ_t (a · plane_t) β^t.  Each product is
+    bounded by ‖a[i]‖₁ (β − 1) and each carry by ‖a[i]‖₁, so the caller's
+    ‖a[i]‖₁ · β < 2^63 keeps every step exact.  A row is zero iff every
+    partial sum is divisible by β and the last carry is zero.
+    """
+    mags = np.abs(nulls)
+    signs = np.sign(nulls).astype(np.int64)
+    mask = (1 << digit_bits) - 1
+    bad = np.zeros(len(a), dtype=bool)
+    carry = np.zeros((len(a), nulls.shape[1]), dtype=np.int64)
+    for t in range(-(-int(mags.max()).bit_length() // digit_bits)):
+        plane = ((mags >> (digit_bits * t)) & mask).astype(np.int64) * signs
+        v = a @ plane + carry
+        bad |= (v & mask).any(axis=1)
+        carry = v >> digit_bits
+    return bad | carry.any(axis=1)
+
+
+def _kernel_certified(a, piv_rows, piv_cols) -> bool:
+    """Whether ncols − r null vectors of a, r = len(piv_rows), are found and
+    checked exactly against every row, which proves rank(a) ≤ r.
+
+    A[I, J] is nonsingular mod MODULUS.  The system A[I, J] X = A[I, F] on
+    the free columns F is solved over Q by Dixon's p-adic lifting (Numer.
+    Math. 40, 1982): one inverse mod MODULUS, then int64 residual updates.
+    Rational reconstruction over a common denominator D, tried as the digits
+    grow by a quarter, gives the null vectors N_J = −D X, N_F = D·I.  A
+    candidate that fails a row of I came too early and lifting goes on; one
+    that fails another row, or no candidate by the Hadamard bound, is False.
+    Every int64 kernel runs only after its bound is checked on the integers.
+    """
+    ncols = a.shape[1]
+    r = len(piv_rows)
+    free = np.ones(ncols, dtype=bool)  # np.setdiff1d would import numpy.ma
+    free[piv_cols] = False
+    free = np.flatnonzero(free)
+    top = max(int(a.max()), -int(a.min()))
+    if top * ncols >= _INT64:  # the row norms below must fit an int64
+        return False
+    # The row check needs ‖row‖₁ · 2^digit_bits < 2^63.  A residual stays
+    # at most top (r + 1) in size, so an update stays below top (P r + r + 1).
+    norms = [int(v) for v in np.abs(a).sum(axis=1)]
+    digit_bits = 62 - max(norms).bit_length()
+    if digit_bits < 1 or top * (MODULUS * r + r + 1) >= _INT64:
+        return False
+    b = a[piv_rows][:, piv_cols]
+    res = a[piv_rows][:, free]
+    inv = _reduce_mod_p(np.concatenate([b, np.eye(r, dtype=np.int64)], axis=1))[2][:, r:]
+    # Hadamard: D and every |N| are minors of A[I, :], at most H = Π ‖row‖₁.
+    # Reconstruction succeeds once P^s > 2 H², and P > 2^24.
+    log_h = sum(norms[i].bit_length() for i in piv_rows)
+    last = (2 * log_h + 24) // 24
+    x = np.zeros(res.shape, dtype=object)
+    pending = []
+    attempt = 1
+    for s in range(1, last + 1):
+        digit = inv @ (res % MODULUS) % MODULUS
+        res = (res - b @ digit) // MODULUS
+        pending.append(digit)
+        if s < min(attempt, last):
+            continue
+        attempt = s + s // 4 + 1
+        x = x + _assemble(pending) * MODULUS ** (s - len(pending))
+        pending = []
+        found = _rational_solution(x, MODULUS ** s)
+        if found is None:
+            continue
+        den, nums = found
+        nulls = np.zeros((ncols, len(free)), dtype=object)
+        nulls[piv_cols] = -nums
+        nulls[free, np.arange(len(free))] = den
+        bad = _failing_rows(a, nulls, digit_bits)
+        if not bad[piv_rows].any():
+            return not bad.any()
+    return False
+
+
+def certified_rank(rows, ncols: int) -> int:
+    """Exact rank of integer rows over Q: searched mod MODULUS, then proven.
+
+    One int64 elimination mod MODULUS finds pivot rows I and columns J with
+    A[I, J] nonsingular mod MODULUS, hence nonsingular over Q: the rank is
+    at least r = |I|.  When r = min(#rows, ncols) that settles it.
+    Otherwise ``_kernel_certified`` proves rank ≤ r with ncols − r null
+    vectors checked against every row.  When it cannot, or when an entry or
+    a product could leave int64, the answer is ``int_rank`` on the same rows.
+    """
+    if not rows or not ncols:
+        return 0
+    cap = min(len(rows), ncols)
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return int_rank(rows, ncols)
+    if MODULUS ** 2 * (cap + 1) >= _INT64:
+        return int_rank(rows, ncols)
+    piv_rows, piv_cols, _ = _reduce_mod_p(a)
+    r = len(piv_rows)
+    if r == cap or _kernel_certified(a, piv_rows, piv_cols):
+        return r
+    return int_rank(rows, ncols)
 
 
 def hnf_rows(rows, ncols: int):

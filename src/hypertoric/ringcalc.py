@@ -4,7 +4,14 @@ The ring is a polynomial ring on one generator per torus dimension modulo
 one product-of-linear-forms relation per proper flat (the rows outside the
 flat).  The circle-equivariant variant adds one extra variable and replaces
 each factor by its reflection when the level pairs negatively with the row.
-Dimensions are counted degree by degree with integer rank computations.
+Dimensions are counted degree by degree with exact integer ranks, which
+``exact.certified_rank`` proves from both sides.  An elimination mod a prime
+finds a minor that is nonzero mod p, hence nonzero: rank ≥ r.  Null vectors
+N_J = −D X, N_F = D·I on the free columns, solved over Q by p-adic lifting
+and checked exactly against every row, give rank ≤ r.  Where that proof
+fails, or a bound of its int64 arithmetic does, Bareiss elimination
+(``exact.int_rank``) gives the rank.  The ring route reads only its
+presentation, never the Morse or census answers.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exact import int_rank
+from .exact import certified_rank
 from .flats import proper_flats
 from .morse import sign_split
 from .torus import TorusSetup
@@ -113,10 +120,15 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     """Graded dimensions of the quotient ring, degrees 0..max_degree.
 
     In each degree the span of (monomial multiple of generator) is a lattice
-    of integer coefficient vectors; its rank is computed exactly.  The ring
-    is generated in degree 1, so R_{k+1} = S_1 R_k: once a degree is zero,
-    every higher one is, and the remaining degrees are padded with zeros
-    instead of ranked.
+    of integer coefficient vectors; its rank is ``certified_rank``, exact
+    from both sides.  A nonzero r × r minor mod p is a nonzero integer, so
+    rank ≥ r; when r is the row or column count, that is the rank (as in
+    every vanishing degree).  Otherwise ncols − r null vectors, equal to D·I
+    on the free columns and checked exactly against every row, prove
+    rank ≤ r.  If the check or an int64 bound fails, Bareiss elimination
+    gives the rank.  The ring is generated in degree 1, so
+    R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
+    remaining degrees are padded with zeros instead of ranked.
     """
     dims = []
     for m in range(max_degree + 1):
@@ -135,7 +147,7 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
                     shifted = tuple(x + y for x, y in zip(exp, mult))
                     row[index[shifted]] += c
                 rows.append(row)
-        r = int_rank(rows, len(basis)) if rows else 0
+        r = certified_rank(rows, len(basis)) if rows else 0
         dims.append(len(basis) - r)
     return tuple(dims)
 
@@ -155,6 +167,12 @@ def ring_dims(weights, max_degree=None) -> tuple:
 
 
 def circle_dims(setup: TorusSetup, max_degree=None) -> tuple:
+    """Quotient-ring dimensions for the circle-equivariant presentation.
+
+    Defaults to three degrees past the top degree n − d of the ordinary
+    ring: the dimensions are cumulative sums of the Betti numbers, so they
+    should stay constant from the top on, and the extra degrees show it.
+    """
     if max_degree is None:
         max_degree = setup.n - setup.dim + 3
     return hilbert_dims(circle_equivariant_presentation(setup), max_degree)

@@ -1,18 +1,23 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertoric import exact
 from hypertoric.errors import NonZeroRemainder
 from hypertoric.exact import (
+    MODULUS,
     CRat,
     PoincarePoly,
     RatMatrix,
     as_rat,
+    certified_rank,
     crat,
     hnf_rows,
     int_kernel_rows,
+    int_rank,
     int_solve,
     inverse,
     nullspace,
@@ -117,6 +122,76 @@ class TestRankNullspace:
     @settings(max_examples=60, deadline=None)
     def test_rank_transpose(self, m):
         assert rank(m) == rank(m.transpose())
+
+
+@st.composite
+def rank_test_matrices(draw):
+    """Integer rows B·C of rank at most the inner size, then edited row by
+    row: zeroed, duplicated, scaled by MODULUS, 2^40 or 2^64, or given an
+    entry plus a multiple of MODULUS, which raises the rank over Q and not
+    mod MODULUS."""
+    nrows = draw(st.integers(min_value=1, max_value=9))
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    inner = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    left = draw(st.lists(st.lists(small_ints, min_size=inner, max_size=inner),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                          min_size=inner, max_size=inner))
+    rows = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(ncols)]
+            for row in left]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(
+            ["keep", "zero", "duplicate", "times_modulus", "plus_modulus",
+             "times_2^40", "times_2^64"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "duplicate":
+            rows[i] = list(rows[draw(st.integers(min_value=0, max_value=nrows - 1))])
+        elif kind == "times_modulus":
+            rows[i] = [MODULUS * x for x in rows[i]]
+        elif kind == "plus_modulus":
+            rows[i][draw(st.integers(min_value=0, max_value=ncols - 1))] += (
+                MODULUS * draw(small_ints))
+        elif kind == "times_2^40":
+            rows[i] = [x << 40 for x in rows[i]]
+        elif kind == "times_2^64":
+            rows[i] = [x << 64 for x in rows[i]]
+    return rows, ncols
+
+
+class TestCertifiedRank:
+    @given(rank_test_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bareiss(self, drawn):
+        rows, ncols = drawn
+        assert certified_rank(rows, ncols) == int_rank(rows, ncols)
+
+    def test_rank_lost_mod_the_modulus_falls_back_to_bareiss(self):
+        assert certified_rank([[MODULUS, 0], [0, 1]], 2) == 2
+
+    def test_deficient_rank_is_proven_without_bareiss(self, monkeypatch):
+        def bareiss(rows, ncols):
+            raise AssertionError("the certificate should have proven the rank")
+
+        monkeypatch.setattr(exact, "int_rank", bareiss)
+        left = [[1, 0, 2], [0, 1, -1], [3, 1, 0], [1, 1, 1], [2, -1, 5], [0, 0, 1]]
+        right = [[1, 2, 0, -1, 3], [0, 1, 1, 2, -2], [4, 0, -3, 1, 1]]
+        rows = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(5)]
+                for row in left]
+        assert certified_rank(rows, 5) == 3
+        assert certified_rank(rows + [[7, 0, 0, 0, 0]], 5) == 4
+
+    def test_row_check_carries_out_of_the_top_digit(self):
+        # 255 + 1 = 2^8: every 8-bit partial sum is divisible by 2^8, and
+        # only the carry left after the last digit shows the row is not 0.
+        a = np.array([[1, 1], [1, -255]], dtype=np.int64)
+        nulls = np.array([[255], [1]], dtype=object)
+        assert exact._failing_rows(a, nulls, 8).tolist() == [True, False]
+
+    def test_empty_and_zero(self):
+        assert certified_rank([], 3) == 0
+        assert certified_rank([[0, 0], [0, 0]], 2) == 0
+        assert certified_rank([[]], 0) == 0
 
 
 class TestHNF:

@@ -1,9 +1,7 @@
-from itertools import combinations_with_replacement
-
 import pytest
+from hypothesis import given, settings
 
 from hypertoric.errors import NonGenericAlpha
-from hypertoric.exact import int_rank
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import (
     RingPresentation,
@@ -15,6 +13,7 @@ from hypertoric.ringcalc import (
     ring_dims,
 )
 from hypertoric.torus import new_setup, sample_generic
+from ring_reference import generic_setups, quotient_dim, reference_dims
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -82,33 +81,9 @@ class TestDims:
                         ((1, 0), (0, 1), (1, 1), (1, -1))]:
             top = len(weights) - len(weights[0])
             dims = ring_dims(weights, max_degree=top + 6)
-            assert dims == every_degree(cohomology_presentation(weights), top + 6)
+            pres = cohomology_presentation(weights)
+            assert dims == tuple(quotient_dim(pres, m) for m in range(top + 7))
             assert dims[top + 1:] == (0,) * 6
-
-
-def every_degree(pres, max_degree):
-    """Quotient dimensions with every degree ranked, none padded."""
-    def monomials(degree):
-        out = []
-        for combo in combinations_with_replacement(range(pres.nvars), degree):
-            out.append(tuple(combo.count(v) for v in range(pres.nvars)))
-        return out
-
-    dims = []
-    for m in range(max_degree + 1):
-        index = {exp: i for i, exp in enumerate(monomials(m))}
-        rows = []
-        for gen in pres.gens:
-            g = sum(gen[0][0])
-            if g > m:
-                continue
-            for mult in monomials(m - g):
-                row = [0] * len(index)
-                for exp, c in gen:
-                    row[index[tuple(x + y for x, y in zip(exp, mult))]] += c
-                rows.append(row)
-        dims.append(len(index) - (int_rank(rows, len(index)) if rows else 0))
-    return tuple(dims)
 
 
 class TestCircleDims:
@@ -128,6 +103,15 @@ class TestCircleDims:
             n, d = s.n, s.dim
             want = cumulative(poincare_morse(weights).coeffs, n - d + 4)
             assert circle_dims(s) == want, weights
+
+    @settings(max_examples=40, deadline=None)
+    @given(generic_setups())
+    def test_both_routes_equal_the_bareiss_reference(self, setup):
+        top = setup.n - setup.dim
+        assert ring_dims(setup.weights) == reference_dims(
+            cohomology_presentation(setup.weights), top + 2)
+        assert circle_dims(setup) == reference_dims(
+            circle_equivariant_presentation(setup), top + 3)
 
 
 class TestCumulative:
