@@ -204,25 +204,12 @@ def cmd_modify(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    setup = _load_setup(args)
-    if args.sample_generic:
-        setup, _ = _ensure_generic(setup, args)
+    setup, _ = _ensure_generic(_load_setup(args), args)
     records = run_ensemble(setup, args.trials, args.seed,
                            function=args.function, radius=args.radius,
                            grad_tol=args.grad_tol, max_time=args.max_time)
-    payload = []
-    for rec in records:
-        payload.append({
-            "seed": rec["seed"],
-            "status": rec["status"],
-            "f_limit": rec["f_limit"],
-            "J": None if rec["J"] is None else flat_to_json(rec["J"]),
-            "k_hat": rec["k_hat"],
-            "fitted_exponent": rec["fitted_exponent"],
-            "arclength": rec["arclength"],
-            "bound": rec["bound"],
-        })
-    _emit(payload, args.out)
+    _emit([dict(rec, J=None if rec["J"] is None else flat_to_json(rec["J"]))
+           for rec in records], args.out)
     return EXIT_OK
 
 

@@ -8,15 +8,14 @@ trajectory is summarized by an empirical power-law certificate.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import InputError, InsufficientTail
 from ..flats import closure
 from ..torus import critical_level
-from .flow import (STATUS_CONVERGED, Trajectory, descend, integrate_flow,
-                   path_length)
+from .flow import STATUS_CONVERGED, Trajectory, descend, energy_functions
 from .moments import grad_component, moment_hk, pack_state, unpack_state
 from .reps import GroupRep, random_state, torus_rep
 
@@ -25,6 +24,9 @@ _MIN_TAIL_POINTS = 4
 _STATE_TOL = 1e-4
 _PREP_TOL = 1e-20
 _REL_TOL = 1e-8
+# Most states stacked at once: ensembles, cross terms and reduction checks
+# run in blocks of this many, so memory does not grow with their size.
+_BLOCK = 256
 
 
 @dataclass
@@ -55,8 +57,8 @@ def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
     observed.  Raises InsufficientTail when fewer than ``_MIN_TAIL_POINTS``
     samples land in the window.
     """
-    fs = traj.energies()
-    gns = traj.grad_norms()
+    fs = traj.energies
+    gns = traj.grad_norms
     limit = float(fs[-1]) if f_c is None else float(f_c)
     excess = fs - limit
     usable = np.flatnonzero((excess > 0.0) & (gns > 0.0))
@@ -74,7 +76,8 @@ def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
     k_hat = float(ratios.min())
     g_start = float(g[0])
     bound = 4.0 * g_start ** (1.0 - _EXPONENT) / k_hat
-    tail = path_length(traj, start=int(window[0]))
+    tail = float(np.sum(np.linalg.norm(np.diff(traj.states[window[0]:], axis=0),
+                                       axis=1)))
     slope = float(np.polyfit(np.log(g), np.log(gn), 1)[0])
     return LojReport(f_c=limit, k_hat=k_hat, fitted_exponent=slope,
                      tail_arclength=tail, bound=bound,
@@ -91,7 +94,7 @@ def classify_limit(setup, traj: Trajectory,
     flat, or None when the limit is unresolved.
     """
     n = setup.n
-    x, y = unpack_state(traj.final_state, n)
+    x, y = unpack_state(traj.states[-1], n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
     if closure(setup.weights, flat) != flat:
@@ -102,6 +105,12 @@ def classify_limit(setup, traj: Trajectory,
     return flat
 
 
+def _blocks(count: int):
+    """Consecutive ranges of at most _BLOCK indices that cover range(count)."""
+    return (range(start, min(start + _BLOCK, count))
+            for start in range(0, count, _BLOCK))
+
+
 def run_ensemble(setup, trials: int, base_seed: int, *,
                  function: str = "muC2", radius: float = 1.0,
                  grad_tol: float = 1e-5, max_time: float = 1e6,
@@ -110,8 +119,10 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
 
     Each trial draws its start from a generator seeded by
     (base_seed, trial), so ensembles are reproducible and individual
-    trials can be re-run in isolation.  Limit classification applies to
-    the holomorphic energy only; for the other energies J is None.
+    trials can be re-run in isolation.  The starts descend together, as
+    stacks of at most _BLOCK states, each along its own trajectory.  Limit
+    classification applies to the holomorphic energy only; for the other
+    energies J is None.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -122,48 +133,46 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     if not max_time > 0:  # also rejects NaN
         raise InputError(f"the flow-time budget must be positive, got {max_time}")
     trep = torus_rep(setup)
+    fun, grad_fun = energy_functions(trep.rep, function, trep.alpha, trep.beta,
+                                     setup.n)
     records = []
-    for trial in range(trials):
-        rng = np.random.default_rng((base_seed, trial))
-        x0, y0 = random_state(rng, setup.n, radius)
-        traj = integrate_flow(trep.rep, function, trep.alpha, trep.beta, x0, y0,
-                              grad_tol=grad_tol, max_time=max_time,
-                              max_steps=max_steps)
-        flat = None
-        if function == "muC2" and traj.status == STATUS_CONVERGED:
-            flat = classify_limit(setup, traj)
-        f_c = float(critical_level(setup, flat)) if flat is not None else None
-        record = {"seed": trial, "status": traj.status,
-                  "f_limit": traj.f_limit, "J": flat,
-                  "k_hat": None, "fitted_exponent": None,
-                  "arclength": None, "bound": None}
-        # A trial that collapses several decades of energy per step can
-        # leave too few samples in the default window; widen it until the
-        # estimate has enough points (16 decades spans any double tail).
-        report = None
-        width = decades
-        while report is None and width <= 16.0:
-            try:
-                report = lojasiewicz_report(traj, f_c=f_c, decades=width)
-            except InsufficientTail:
-                width *= 2.0
-        if report is not None:
-            record.update(k_hat=report.k_hat,
-                          fitted_exponent=report.fitted_exponent,
-                          arclength=report.tail_arclength,
-                          bound=report.bound)
-        records.append(record)
+    for block in _blocks(trials):
+        starts = [pack_state(*random_state(np.random.default_rng((base_seed, trial)),
+                                           setup.n, radius))
+                  for trial in block]
+        trajs = descend(fun, grad_fun, starts, grad_tol=grad_tol,
+                        max_time=max_time, max_steps=max_steps)
+        for trial, traj in zip(block, trajs):
+            flat = None
+            if function == "muC2" and traj.status == STATUS_CONVERGED:
+                flat = classify_limit(setup, traj)
+            f_c = float(critical_level(setup, flat)) if flat is not None else None
+            record = {"seed": trial, "status": traj.status,
+                      "f_limit": traj.f_limit, "J": flat,
+                      "k_hat": None, "fitted_exponent": None,
+                      "arclength": None, "bound": None}
+            # A trial that collapses several decades of energy per step can
+            # leave too few samples in the default window; widen it until the
+            # estimate has enough points (16 decades spans any double tail).
+            report = None
+            width = decades
+            while report is None and width <= 16.0:
+                try:
+                    report = lojasiewicz_report(traj, f_c=f_c, decades=width)
+                except InsufficientTail:
+                    width *= 2.0
+            if report is not None:
+                record.update(k_hat=report.k_hat,
+                              fitted_exponent=report.fitted_exponent,
+                              arclength=report.tail_arclength,
+                              bound=report.bound)
+            records.append(record)
     return records
 
 
 def _require_radius(radius: float) -> None:
     if not (math.isfinite(radius) and radius > 0):
         raise InputError(f"the radius must be finite and positive, got {radius}")
-
-
-def _real_inner(ux, uy, vx, vy) -> float:
-    """Real inner product of two complex-form tangent vectors."""
-    return float(np.real(np.vdot(ux, vx)) + np.real(np.vdot(uy, vy)))
 
 
 def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
@@ -178,6 +187,8 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     stays meaningful when both sides are pure roundoff, is reported.
     Both the raw bracket scalar and the dimensionless comparison
     4|<mu_1,[mu_2,mu_3]>| / (|grad_2| + |grad_3|)^2 are recorded.
+    The states are drawn from one generator in order and evaluated in
+    stacks of at most _BLOCK; only running maxima and sums are kept.
     """
     if samples < 1:
         raise InputError("need at least one sample state")
@@ -186,40 +197,35 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     beta = np.zeros(rep.k, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.float64)
     pair_keys = ((1, 2), (1, 3), (2, 3))
-    abs_ip = {p: [] for p in pair_keys}
-    ratio = {p: [] for p in pair_keys}
-    scalars = []
-    remark_ratios = []
-    identity_residuals = []
-    for _ in range(samples):
-        x, y = random_state(rng, rep.dim, radius)
-        grads = {i: grad_component(rep, i, alpha, beta, x, y) for i in (1, 2, 3)}
-        norms = {i: math.sqrt(_real_inner(*grads[i], *grads[i])) for i in (1, 2, 3)}
-        for i, j in pair_keys:
-            ip = _real_inner(*grads[i], *grads[j])
-            abs_ip[(i, j)].append(abs(ip))
-            ratio[(i, j)].append(abs(ip) / (norms[i] * norms[j] + 1e-30))
-            if (i, j) == (2, 3):
-                mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
-                scalar = float(mu1 @ rep.bracket_coords(mu2, mu3))
-                scalars.append(abs(scalar))
-                remark_ratios.append(
-                    4.0 * abs(scalar) / ((norms[2] + norms[3]) ** 2 + 1e-30))
-                identity_residuals.append(
-                    abs(ip + 4.0 * scalar) / (norms[2] * norms[3] + 1e-30))
+    # Running maxima and sums of |ip| and ratio per pair, |scalar|, the
+    # remark ratio and the identity residual.
+    top, total = np.full(9, -np.inf), np.zeros(9)
+    for block in _blocks(samples):
+        x, y = random_state(rng, rep.dim, radius, count=len(block))
+        grads = {i: pack_state(*grad_component(rep, i, alpha, beta, x, y))
+                 for i in (1, 2, 3)}
+        norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}
+        ips = {(i, j): np.sum(grads[i] * grads[j], axis=1) for i, j in pair_keys}
+        mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
+        scalar = np.sum(mu1 * rep.bracket_coords(mu2, mu3), axis=1)
+        values = np.array(
+            [np.abs(ips[p]) for p in pair_keys]
+            + [np.abs(ips[i, j]) / (norms[i] * norms[j] + 1e-30) for i, j in pair_keys]
+            + [np.abs(scalar),
+               4.0 * np.abs(scalar) / ((norms[2] + norms[3]) ** 2 + 1e-30),
+               np.abs(ips[2, 3] + 4.0 * scalar) / (norms[2] * norms[3] + 1e-30)])
+        top = np.maximum(top, values.max(axis=1))
+        total += values.sum(axis=1)
+    top, mean = top.tolist(), (total / samples).tolist()
     stats = {"samples": samples, "seed": seed, "radius": radius,
              "abelian": rep.abelian, "pairs": {}}
-    for i, j in pair_keys:
-        values = np.array(abs_ip[(i, j)])
-        ratios = np.array(ratio[(i, j)])
+    for p, (i, j) in enumerate(pair_keys):
         stats["pairs"][f"{i}{j}"] = {
-            "max_abs": float(values.max()), "mean_abs": float(values.mean()),
-            "max_ratio": float(ratios.max()), "mean_ratio": float(ratios.mean())}
+            "max_abs": top[p], "mean_abs": mean[p],
+            "max_ratio": top[3 + p], "mean_ratio": mean[3 + p]}
     stats["bracket"] = {
-        "max_abs_scalar": float(np.max(scalars)),
-        "mean_abs_scalar": float(np.mean(scalars)),
-        "max_remark_ratio": float(np.max(remark_ratios)),
-        "max_identity_residual": float(np.max(identity_residuals))}
+        "max_abs_scalar": top[6], "mean_abs_scalar": mean[6],
+        "max_remark_ratio": top[7], "max_identity_residual": top[8]}
     return stats
 
 
@@ -254,38 +260,38 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     alpha_sub = coords @ alpha_full
 
     n = rep.dim
-    zero_fiber = np.zeros(n, dtype=np.complex128)
     zero_level = np.zeros(rep.k)
 
-    def off_energy(state):
-        mu = moment_hk(rep, zero_level, zero_level, *unpack_state(state, n))[0]
-        off = mu - projector @ mu
-        return float(off @ off)
+    def off_energy(states):
+        mu = moment_hk(rep, zero_level, zero_level, *unpack_state(states, n))[0]
+        off = mu - mu @ projector
+        return np.sum(off * off, axis=-1)
 
-    def off_grad(state):
+    def off_grad(states):
         # I - projector is an orthogonal projection, so the gradient of
         # |(I - projector) mu1|^2 is that of |mu1 - a|^2 at a = projector mu1.
-        x, y = unpack_state(state, n)
+        x, y = unpack_state(states, n)
         mu = moment_hk(rep, zero_level, zero_level, x, y)[0]
-        return pack_state(*grad_component(rep, 1, projector @ mu, zero_level, x, y))
+        return pack_state(*grad_component(rep, 1, mu @ projector, zero_level, x, y))
 
     rng = np.random.default_rng(seed)
     results = []
-    for _ in range(samples):
-        x0 = radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        traj = descend(off_energy, off_grad, pack_state(x0, zero_fiber),
-                       grad_tol=1e-12, max_steps=50_000)
-        off_norm2 = off_energy(traj.final_state)
-        if off_norm2 >= _PREP_TOL:
-            results.append({"status": "skipped", "off_norm2": off_norm2,
-                            "rel_err": None})
-            continue
-        x, y = unpack_state(traj.final_state, n)
-        full_norm = float(np.linalg.norm(pack_state(
-            *grad_component(rep, 1, alpha_full, zero_level, x, y))))
-        sub_norm = float(np.linalg.norm(pack_state(
-            *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y))))
-        rel = abs(full_norm - sub_norm) / max(full_norm, 1e-30)
-        status = "pass" if rel < _REL_TOL else "fail"
-        results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})
+    for block in _blocks(samples):
+        draws = rng.standard_normal((len(block), 2, n))
+        x0 = radius * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+        trajs = descend(off_energy, off_grad, pack_state(x0, np.zeros_like(x0)),
+                        grad_tol=1e-12, max_steps=50_000)
+        finals = np.array([traj.states[-1] for traj in trajs])
+        x, y = unpack_state(finals, n)
+        full = np.linalg.norm(pack_state(
+            *grad_component(rep, 1, alpha_full, zero_level, x, y)), axis=1)
+        sub = np.linalg.norm(pack_state(
+            *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y)),
+            axis=1)
+        for off_norm2, full_norm, sub_norm in zip(off_energy(finals).tolist(),
+                                                  full, sub):
+            rel = (None if off_norm2 >= _PREP_TOL
+                   else float(abs(full_norm - sub_norm) / max(full_norm, 1e-30)))
+            status = "skipped" if rel is None else "pass" if rel < _REL_TOL else "fail"
+            results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})
     return results

@@ -6,10 +6,14 @@ first-order decrease; otherwise the step size is halved.  Accepted
 steps double the step size for the next attempt, so the scheme adapts
 to the local curvature without a stiffness model.  Energy is therefore
 strictly decreasing along every recorded trajectory.
+
+States descend as a stack in lock step: each round every unfinished state
+makes one trial step with its own step size, and the energies at the trial
+steps, then the gradients at the accepted ones, are evaluated as one stack.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -27,102 +31,114 @@ _MIN_STEP = 1e-18
 
 @dataclass
 class Trajectory:
-    """Recorded descent path: samples of (time, state, energy, gradient norm)."""
+    """Recorded descent path of one state: row s of ``states`` is the state
+    at flow time ``times[s]``, with energy ``energies[s]`` and gradient norm
+    ``grad_norms[s]``; row 0 is the start."""
 
-    samples: List[Tuple[float, np.ndarray, float, float]]
+    times: np.ndarray
+    states: np.ndarray
+    energies: np.ndarray
+    grad_norms: np.ndarray
     status: str
 
     @property
     def steps(self) -> int:
-        return len(self.samples) - 1
+        return len(self.times) - 1
 
     @property
     def f_limit(self) -> float:
-        return self.samples[-1][2]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.samples[-1][1]
-
-    def times(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
-
-    def energies(self) -> np.ndarray:
-        return np.array([s[2] for s in self.samples])
-
-    def grad_norms(self) -> np.ndarray:
-        return np.array([s[3] for s in self.samples])
-
-    def states(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
+        return float(self.energies[-1])
 
 
-def path_length(traj: Trajectory, start: int = 0) -> float:
-    """Euclidean length of the recorded polygonal path from sample ``start``."""
-    states = traj.states()
-    if len(states) - 1 <= start:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(states[start:], axis=0), axis=1)))
-
-
-def descend(fun: Callable[[np.ndarray], float],
+def descend(fun: Callable[[np.ndarray], np.ndarray],
             grad_fun: Callable[[np.ndarray], np.ndarray],
-            state0,
+            states0,
             *,
             grad_tol: float = 1e-8,
             max_time: float = 1e6,
             h0: float = 0.05,
-            max_steps: int = 1_000_000) -> Trajectory:
-    """Integrate the negative gradient flow of ``fun`` from ``state0``.
+            max_steps: int = 1_000_000) -> List[Trajectory]:
+    """Integrate the negative gradient flow of ``fun`` from each row of ``states0``.
 
-    Terminates with status Converged once the gradient norm drops below
-    ``grad_tol``, MaxTimeReached when the flow-time or step budget is
-    exhausted, and StepUnderflow when no acceptable step at least
-    ``_MIN_STEP`` long exists.  Non-finite values at an accepted state
-    raise NonFiniteState; non-finite trial steps are merely rejected.
+    ``fun`` maps a stack of states (one per row) to their energies and
+    ``grad_fun`` to their gradients, each row on its own.  Every row keeps
+    its own step size, flow time, step count and status, and gets its own
+    trajectory.  A row terminates with status Converged once its gradient
+    norm drops below ``grad_tol``, MaxTimeReached when its flow-time or
+    step budget is exhausted, and StepUnderflow when no acceptable step at
+    least ``_MIN_STEP`` long exists.  Non-finite values at an accepted
+    state raise NonFiniteState; non-finite trial steps are merely rejected.
+    A one-dimensional ``states0`` is a stack of one.
     """
-    state = np.array(state0, dtype=np.float64).copy()
-    if not np.all(np.isfinite(state)):
+    states = np.array(states0, dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(states)):
         raise NonFiniteState("initial state is not finite")
-    f = float(fun(state))
-    g = np.asarray(grad_fun(state), dtype=np.float64)
-    gnorm = float(np.linalg.norm(g))
-    if not (np.isfinite(f) and np.isfinite(gnorm)):
+    f = np.array(fun(states), dtype=np.float64)
+    g = np.array(grad_fun(states), dtype=np.float64)
+    gnorm = np.linalg.norm(g, axis=1)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(gnorm))):
         raise NonFiniteState("energy or gradient is not finite at the start")
 
-    samples: List[Tuple[float, np.ndarray, float, float]] = [(0.0, state.copy(), f, gnorm)]
-    t = 0.0
-    h = float(h0)
-    status = None
+    count = len(states)
+    t, h = np.zeros(count), np.full(count, float(h0))
+    steps, status = np.zeros(count, dtype=np.int64), np.empty(count, dtype=object)
+    log = [(np.arange(count), t.copy(), states.copy(), f.copy(), gnorm.copy())]
+    active = np.arange(count)
     while True:
-        if gnorm < grad_tol:
-            status = STATUS_CONVERGED
+        converged = gnorm[active] < grad_tol
+        spent = (t[active] >= max_time) | (steps[active] >= max_steps)
+        underflow = h[active] < _MIN_STEP
+        # Later assignments win: convergence is tested first, then the budgets.
+        status[active[underflow]] = STATUS_UNDERFLOW
+        status[active[spent]] = STATUS_MAX_TIME
+        status[active[converged]] = STATUS_CONVERGED
+        active = active[~(converged | spent | underflow)]
+        if active.size == 0:
             break
-        if t >= max_time or len(samples) - 1 >= max_steps:
-            status = STATUS_MAX_TIME
-            break
-        accepted = False
-        while h >= _MIN_STEP:
-            trial = state - h * g
-            f_trial = float(fun(trial))
-            if (np.isfinite(f_trial) and np.all(np.isfinite(trial))
-                    and f_trial <= f - _DECREASE_FRACTION * h * gnorm * gnorm):
-                accepted = True
-                break
-            h *= 0.5
-        if not accepted:
-            status = STATUS_UNDERFLOW
-            break
-        state = trial
-        t += h
-        f = f_trial
-        g = np.asarray(grad_fun(state), dtype=np.float64)
-        gnorm = float(np.linalg.norm(g))
-        if not (np.isfinite(f) and np.isfinite(gnorm)):
-            raise NonFiniteState(f"non-finite energy or gradient at flow time {t}")
-        samples.append((t, state.copy(), f, gnorm))
-        h *= 2.0
-    return Trajectory(samples=samples, status=status)
+        hs = h[active]
+        trial = states[active] - hs[:, None] * g[active]
+        f_trial = np.asarray(fun(trial), dtype=np.float64)
+        ok = (np.isfinite(f_trial) & np.all(np.isfinite(trial), axis=1)
+              & (f_trial <= f[active] - _DECREASE_FRACTION * hs * gnorm[active]
+                 * gnorm[active]))
+        h[active[~ok]] *= 0.5
+        moved = active[ok]
+        if moved.size == 0:
+            continue
+        accepted = trial[ok]
+        states[moved] = accepted
+        t[moved] += h[moved]
+        f[moved] = f_trial[ok]
+        g[moved] = grad_fun(accepted)
+        gnorm[moved] = np.linalg.norm(g[moved], axis=1)
+        finite = np.isfinite(gnorm[moved])   # f_trial passed the finite test
+        if not np.all(finite):
+            raise NonFiniteState("non-finite energy or gradient at flow time "
+                                 f"{float(t[moved][~finite][0])}")
+        steps[moved] += 1
+        h[moved] *= 2.0
+        log.append((moved, t[moved], accepted, f[moved], gnorm[moved]))
+
+    # Regroup the log by row; a stable sort keeps each row in time order.
+    order = np.argsort(np.concatenate([entry[0] for entry in log]), kind="stable")
+    cuts = np.cumsum(steps + 1)[:-1]
+    columns = [np.split(np.concatenate([entry[i] for entry in log])[order], cuts)
+               for i in range(1, 5)]
+    return [Trajectory(*fields, status=row_status)
+            for *fields, row_status in zip(*columns, status)]
+
+
+def energy_functions(rep: GroupRep, which: str, alpha, beta, n: int):
+    """The selected moment-map energy and its gradient as ``descend`` reads
+    them: on stacks of states packed by pack_state, for base dimension n."""
+
+    def fun(states):
+        return energy(rep, which, alpha, beta, *unpack_state(states, n))
+
+    def grad_fun(states):
+        return pack_state(*grad(rep, which, alpha, beta, *unpack_state(states, n)))
+
+    return fun, grad_fun
 
 
 def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
@@ -133,11 +149,5 @@ def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
     by pack_state.
     """
     n = np.asarray(x0).shape[0]
-
-    def fun(state):
-        return energy(rep, which, alpha, beta, *unpack_state(state, n))
-
-    def grad_fun(state):
-        return pack_state(*grad(rep, which, alpha, beta, *unpack_state(state, n)))
-
-    return descend(fun, grad_fun, pack_state(x0, y0), **options)
+    return descend(*energy_functions(rep, which, alpha, beta, n),
+                   pack_state(x0, y0), **options)[0]

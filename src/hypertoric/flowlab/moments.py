@@ -19,6 +19,11 @@ and imaginary parts are the partial derivatives with respect to the real
 and imaginary parts of the coordinate.  Flowing along the negative of
 that vector is plain gradient descent in real coordinates.
 
+States come in stacks: x and y of shape (T, n) hold T states (a single
+state has shape (n,)), and every value is returned per state.  Each state
+is multiplied and reduced on its own, so its values do not depend on the
+other states in its stack.
+
 Every gradient is one weighted form.  For a real weight w and a complex
 weight c, the gradient of 2 sum_a (w_a mu1_a + Re(conj(c_a) muC_a)) at
 fixed weights is
@@ -48,30 +53,36 @@ def _kind(which: str) -> Tuple[bool, bool]:
 
 
 def _apply(rep: GroupRep, x, y, fiber: bool = True):
-    """The basis applied once to the state: rows e_a x and conj(e_a) y.
+    """The basis applied once to each state: rows e_a x and conj(e_a) y.
 
-    The fiber rows are left out (None) when ``fiber`` is false; muC alone
-    reads only e_a x.
+    Both have shape (..., k, n).  The fiber rows are left out (None) when
+    ``fiber`` is false; muC alone reads only e_a x.
     """
-    return rep.basis @ x, (np.conj(rep.basis) @ y if fiber else None)
+    ex = (rep.basis @ x[..., None, :, None])[..., 0]
+    return ex, ((np.conj(rep.basis) @ y[..., None, :, None])[..., 0] if fiber else None)
 
 
 def _mu_real(alpha, x, y, ex, eyc) -> np.ndarray:
-    return (-0.5 * np.imag(np.conj(ex) @ x + np.conj(eyc) @ y)
-            - np.asarray(alpha, dtype=np.float64))
+    inner = np.sum(np.conj(ex) * x[..., None, :] + np.conj(eyc) * y[..., None, :],
+                   axis=-1)
+    return -0.5 * np.imag(inner) - np.asarray(alpha, dtype=np.float64)
 
 
 def _mu_holo(beta, y, ex) -> np.ndarray:
-    return -1j * (ex @ y) - np.asarray(beta, dtype=np.complex128)
+    return (-1j * np.sum(ex * y[..., None, :], axis=-1)
+            - np.asarray(beta, dtype=np.complex128))
 
 
 def _weighted_grad(ex, eyc, w_real, w_holo):
     """The weighted gradient of the module docstring; a zero weight is None."""
     gx = gy = 0.0
     if w_real is not None:
-        gx, gy = w_real @ ex, w_real @ eyc
+        w = w_real[..., None]
+        gx, gy = np.sum(w * ex, axis=-2), np.sum(w * eyc, axis=-2)
     if w_holo is not None:
-        gx, gy = gx + w_holo @ np.conj(eyc), gy - w_holo @ np.conj(ex)
+        c = w_holo[..., None]
+        gx = gx + np.sum(c * np.conj(eyc), axis=-2)
+        gy = gy - np.sum(c * np.conj(ex), axis=-2)
     return -2j * gx, -2j * gy
 
 
@@ -94,17 +105,17 @@ def grad_component(rep: GroupRep, index: int, alpha, beta, x, y):
     return _weighted_grad(ex, eyc, None, weight)
 
 
-def energy(rep: GroupRep, which: str, alpha, beta, x, y) -> float:
-    """Squared distance of the selected moment map from its level."""
+def energy(rep: GroupRep, which: str, alpha, beta, x, y) -> np.ndarray:
+    """Squared distance of the selected moment map from its level, per state."""
     real, holo = _kind(which)
     ex, eyc = _apply(rep, x, y, fiber=real)
     total = 0.0
     if real:
         mu1 = _mu_real(alpha, x, y, ex, eyc)
-        total += float(mu1 @ mu1)
+        total = total + np.sum(mu1 * mu1, axis=-1)
     if holo:
         mu_c = _mu_holo(beta, y, ex)
-        total += float(np.real(np.vdot(mu_c, mu_c)))
+        total = total + np.sum(np.real(mu_c) ** 2 + np.imag(mu_c) ** 2, axis=-1)
     return total
 
 
@@ -139,15 +150,13 @@ def abelian_gradient_norm2(bmat: np.ndarray, beta: np.ndarray, x, y) -> float:
 
 
 def pack_state(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Interleave (x, y) into one flat real vector."""
-    xs = np.ascontiguousarray(x, dtype=np.complex128)
-    ys = np.ascontiguousarray(y, dtype=np.complex128)
-    return np.concatenate([xs.view(np.float64), ys.view(np.float64)])
+    """Join complex (x, y) of shape (..., n) into real (..., 4n), re and im
+    interleaved."""
+    return np.concatenate([np.asarray(x, dtype=np.complex128),
+                           np.asarray(y, dtype=np.complex128)], axis=-1).view(np.float64)
 
 
 def unpack_state(state: np.ndarray, n: int):
-    """Inverse of pack_state for base dimension n."""
-    flat = np.ascontiguousarray(state, dtype=np.float64)
-    x = flat[:2 * n].copy().view(np.complex128)
-    y = flat[2 * n:].copy().view(np.complex128)
-    return x, y
+    """Inverse of pack_state for base dimension n, as views of ``state``."""
+    z = np.ascontiguousarray(state, dtype=np.float64).view(np.complex128)
+    return z[..., :n], z[..., n:]

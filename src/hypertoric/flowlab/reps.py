@@ -49,8 +49,9 @@ class GroupRep:
         return self.basis.shape[1]
 
     def bracket_coords(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coordinates of [U, V] for U, V given in basis coordinates."""
-        return np.einsum("abc,a,b->c", self.structure, u, v)
+        """Coordinates of [U, V] for U, V given in basis coordinates; stacks
+        of coordinate rows give a stack of brackets."""
+        return np.einsum("abc,...a,...b->...c", self.structure, u, v)
 
 
 def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> GroupRep:
@@ -210,8 +211,11 @@ def diagonal_sum(rep: GroupRep, copies: int = 2) -> GroupRep:
     return from_matrices(mats, cartan=rep.cartan)
 
 
-def random_state(rng: np.random.Generator, n: int, radius: float = 1.0):
-    """Independent complex Gaussian coordinates with scale ``radius``."""
-    x = radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    y = radius * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+def random_state(rng: np.random.Generator, n: int, radius: float = 1.0,
+                 count: Optional[int] = None):
+    """Independent complex Gaussian coordinates with scale ``radius``; with
+    ``count``, a stack of that many states, drawn as that many calls would."""
+    draws = rng.standard_normal((4, n) if count is None else (count, 4, n))
+    x = radius * (draws[..., 0, :] + 1j * draws[..., 1, :]) / np.sqrt(2)
+    y = radius * (draws[..., 2, :] + 1j * draws[..., 3, :]) / np.sqrt(2)
     return x, y

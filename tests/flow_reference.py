@@ -1,0 +1,160 @@
+"""Reference flows and cross terms, one state at a time.
+
+These are the loops ``flowlab`` ran before it stacked states: ``descend_one``
+integrates a single state with the same step rule as ``descend``, an
+ensemble runs its trials one after another, and the cross-term experiment
+evaluates one sample state per iteration.  The tests compare the stacked
+code against them.
+"""
+
+import math
+
+import numpy as np
+
+from hypertoric.errors import InsufficientTail, NonFiniteState
+from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
+                                Trajectory, classify_limit, energy, grad,
+                                grad_component, lojasiewicz_report, moment_hk,
+                                pack_state, random_state, torus_rep, unpack_state)
+from hypertoric.torus import critical_level
+
+_DECREASE_FRACTION = 0.7
+_MIN_STEP = 1e-18
+
+
+def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
+                max_steps=1_000_000):
+    """Negative gradient flow of one state; ``fun`` and ``grad_fun`` read one
+    flat state."""
+    state = np.array(state0, dtype=np.float64).copy()
+    if not np.all(np.isfinite(state)):
+        raise NonFiniteState("initial state is not finite")
+    f = float(fun(state))
+    g = np.asarray(grad_fun(state), dtype=np.float64)
+    gnorm = float(np.linalg.norm(g))
+    if not (np.isfinite(f) and np.isfinite(gnorm)):
+        raise NonFiniteState("energy or gradient is not finite at the start")
+
+    samples = [(0.0, state.copy(), f, gnorm)]
+    t = 0.0
+    h = float(h0)
+    while True:
+        if gnorm < grad_tol:
+            status = STATUS_CONVERGED
+            break
+        if t >= max_time or len(samples) - 1 >= max_steps:
+            status = STATUS_MAX_TIME
+            break
+        accepted = False
+        while h >= _MIN_STEP:
+            trial = state - h * g
+            f_trial = float(fun(trial))
+            if (np.isfinite(f_trial) and np.all(np.isfinite(trial))
+                    and f_trial <= f - _DECREASE_FRACTION * h * gnorm * gnorm):
+                accepted = True
+                break
+            h *= 0.5
+        if not accepted:
+            status = STATUS_UNDERFLOW
+            break
+        state = trial
+        t += h
+        f = f_trial
+        g = np.asarray(grad_fun(state), dtype=np.float64)
+        gnorm = float(np.linalg.norm(g))
+        if not (np.isfinite(f) and np.isfinite(gnorm)):
+            raise NonFiniteState(f"non-finite energy or gradient at flow time {t}")
+        samples.append((t, state.copy(), f, gnorm))
+        h *= 2.0
+    times, states, energies, norms = (np.array(column) for column in zip(*samples))
+    return Trajectory(times, states, energies, norms, status)
+
+
+def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
+                            radius=1.0, grad_tol=1e-5, max_time=1e6, decades=2.0,
+                            max_steps=200_000):
+    """``run_ensemble`` with each trial integrated on its own."""
+    trep = torus_rep(setup)
+    n = setup.n
+
+    def fun(state):
+        return energy(trep.rep, function, trep.alpha, trep.beta, *unpack_state(state, n))
+
+    def grad_fun(state):
+        return pack_state(*grad(trep.rep, function, trep.alpha, trep.beta,
+                                *unpack_state(state, n)))
+
+    records = []
+    for trial in range(trials):
+        rng = np.random.default_rng((base_seed, trial))
+        traj = descend_one(fun, grad_fun, pack_state(*random_state(rng, n, radius)),
+                           grad_tol=grad_tol, max_time=max_time, max_steps=max_steps)
+        flat = None
+        if function == "muC2" and traj.status == STATUS_CONVERGED:
+            flat = classify_limit(setup, traj)
+        f_c = float(critical_level(setup, flat)) if flat is not None else None
+        record = {"seed": trial, "status": traj.status,
+                  "f_limit": traj.f_limit, "J": flat,
+                  "k_hat": None, "fitted_exponent": None,
+                  "arclength": None, "bound": None}
+        report = None
+        width = decades
+        while report is None and width <= 16.0:
+            try:
+                report = lojasiewicz_report(traj, f_c=f_c, decades=width)
+            except InsufficientTail:
+                width *= 2.0
+        if report is not None:
+            record.update(k_hat=report.k_hat,
+                          fitted_exponent=report.fitted_exponent,
+                          arclength=report.tail_arclength,
+                          bound=report.bound)
+        records.append(record)
+    return records
+
+
+def _real_inner(ux, uy, vx, vy):
+    return float(np.real(np.vdot(ux, vx)) + np.real(np.vdot(uy, vy)))
+
+
+def cross_term_stats_one_by_one(rep, alpha, samples, seed, radius=1.0):
+    """``cross_term_stats`` with one sample state per iteration."""
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(rep.k, dtype=np.complex128)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    pair_keys = ((1, 2), (1, 3), (2, 3))
+    abs_ip = {p: [] for p in pair_keys}
+    ratio = {p: [] for p in pair_keys}
+    scalars = []
+    remark_ratios = []
+    identity_residuals = []
+    for _ in range(samples):
+        x, y = random_state(rng, rep.dim, radius)
+        grads = {i: grad_component(rep, i, alpha, beta, x, y) for i in (1, 2, 3)}
+        norms = {i: math.sqrt(_real_inner(*grads[i], *grads[i])) for i in (1, 2, 3)}
+        for i, j in pair_keys:
+            ip = _real_inner(*grads[i], *grads[j])
+            abs_ip[(i, j)].append(abs(ip))
+            ratio[(i, j)].append(abs(ip) / (norms[i] * norms[j] + 1e-30))
+            if (i, j) == (2, 3):
+                mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
+                scalar = float(mu1 @ rep.bracket_coords(mu2, mu3))
+                scalars.append(abs(scalar))
+                remark_ratios.append(
+                    4.0 * abs(scalar) / ((norms[2] + norms[3]) ** 2 + 1e-30))
+                identity_residuals.append(
+                    abs(ip + 4.0 * scalar) / (norms[2] * norms[3] + 1e-30))
+    stats = {"samples": samples, "seed": seed, "radius": radius,
+             "abelian": rep.abelian, "pairs": {}}
+    for i, j in pair_keys:
+        values = np.array(abs_ip[(i, j)])
+        ratios = np.array(ratio[(i, j)])
+        stats["pairs"][f"{i}{j}"] = {
+            "max_abs": float(values.max()), "mean_abs": float(values.mean()),
+            "max_ratio": float(ratios.max()), "mean_ratio": float(ratios.mean())}
+    stats["bracket"] = {
+        "max_abs_scalar": float(np.max(scalars)),
+        "mean_abs_scalar": float(np.mean(scalars)),
+        "max_remark_ratio": float(np.max(remark_ratios)),
+        "max_identity_residual": float(np.max(identity_residuals))}
+    return stats

@@ -1,5 +1,7 @@
 """Limit classification, decay certificates, and structured experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,8 @@ class TestClassifyLimit:
 
 class TestLojReport:
     def _trajectory(self):
-        traj = descend(lambda s: s[0] ** 4, lambda s: np.array([4 * s[0] ** 3]),
-                       [1.0], grad_tol=1e-10, h0=1e-3, max_time=1e12)
+        [traj] = descend(lambda s: s[:, 0] ** 4, lambda s: 4 * s ** 3,
+                         [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
         return traj
 
     def test_exact_power_law(self):
@@ -72,9 +74,7 @@ class TestLojReport:
 
     def test_time_reparametrization_invariance(self):
         traj = self._trajectory()
-        scaled = Trajectory(samples=[(2.0 * t, s, f, g)
-                                     for t, s, f, g in traj.samples],
-                            status=traj.status)
+        scaled = replace(traj, times=2.0 * traj.times)
         a = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
         b = lojasiewicz_report(scaled, f_c=0.0, decades=3.0)
         assert a.k_hat == b.k_hat
@@ -82,7 +82,8 @@ class TestLojReport:
 
     def test_insufficient_tail(self):
         traj = self._trajectory()
-        short = Trajectory(samples=traj.samples[:2], status=traj.status)
+        short = Trajectory(traj.times[:2], traj.states[:2], traj.energies[:2],
+                           traj.grad_norms[:2], traj.status)
         with pytest.raises(InsufficientTail):
             lojasiewicz_report(short, f_c=0.0)
 

@@ -121,6 +121,18 @@ def test_flow_records(tmp_path):
         assert rec["arclength"] <= 1.5 * rec["bound"]
 
 
+def test_flow_refuses_a_non_generic_level(tmp_path):
+    path = write_json(tmp_path, "pair.json", dict(PAIR, beta=[["0", "0"]]))
+    proc = run_cli("flow", path, "--trials", "2")
+    assert proc.returncode == 3
+    report = json.loads(proc.stdout)
+    assert report["error"]["type"] == "NonGenericBeta"
+    assert "witness" in report["error"]
+    proc = run_cli("flow", path, "--trials", "2", "--sample-generic")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)) == 2
+
+
 def test_crossterm_abelian(tmp_path):
     path = write_json(tmp_path, "mats.json", TORUS_MATS)
     proc = run_cli("crossterm", path, "--samples", "50", "--seed", "2")

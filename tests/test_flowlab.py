@@ -276,7 +276,7 @@ class TestFlow:
                               np.array([1.0 + 0j]), np.array([0.0 + 0j]),
                               grad_tol=1e-10)
         assert traj.status == STATUS_CONVERGED
-        x, y = unpack_state(traj.final_state, 1)
+        x, y = unpack_state(traj.states[-1], 1)
         assert abs(x[0] * y[0] - 1.0) < 1e-6
         assert traj.f_limit < 1e-12
 
@@ -301,8 +301,8 @@ class TestFlow:
         x0, y0 = random_state(rng, 2, 1.0)
         traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta, x0, y0,
                               grad_tol=1e-6)
-        fs = traj.energies()
-        ts = traj.times()
+        fs = traj.energies
+        ts = traj.times
         assert np.all(np.diff(fs) < 0)
         assert np.all(np.diff(ts) > 0)
         assert traj.status == STATUS_CONVERGED
@@ -316,24 +316,24 @@ class TestFlow:
             traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
                                   x0, y0, grad_tol=1e-6)
             assert traj.status == STATUS_CONVERGED
-            assert np.max(np.linalg.norm(traj.states(), axis=1)) < 100.0
+            assert np.max(np.linalg.norm(traj.states, axis=1)) < 100.0
 
     def test_step_underflow_status(self):
         # pretend gradient of |x| at the minimum: no step can decrease f
-        traj = descend(lambda s: abs(s[0]), lambda s: np.array([1.0]), [0.0])
+        [traj] = descend(lambda s: np.abs(s[:, 0]), np.ones_like, [[0.0]])
         assert traj.status == STATUS_UNDERFLOW
 
     def test_non_finite_start_raises(self):
         with pytest.raises(NonFiniteState):
-            descend(lambda s: s[0] ** 2, lambda s: 2 * s, [np.inf])
+            descend(lambda s: s[:, 0] ** 2, lambda s: 2 * s, [[np.inf]])
 
     def test_non_finite_energy_raises(self):
         with pytest.raises(NonFiniteState):
-            descend(lambda s: np.nan, lambda s: np.array([1.0]), [1.0])
+            descend(lambda s: np.full(len(s), np.nan), np.ones_like, [[1.0]])
 
     def test_quartic_toy_exponent(self):
-        traj = descend(lambda s: s[0] ** 4, lambda s: np.array([4 * s[0] ** 3]),
-                       [1.0], grad_tol=1e-10, h0=1e-3, max_time=1e12)
+        [traj] = descend(lambda s: s[:, 0] ** 4, lambda s: 4 * s ** 3,
+                         [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
         from hypertoric.flowlab import lojasiewicz_report
         report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
         assert abs(report.fitted_exponent - 0.75) < 0.02
