@@ -1,19 +1,22 @@
-"""Exact rational linear algebra and polynomial arithmetic.
+"""Exact integer linear algebra, exact rationals and polynomial arithmetic.
 
-Everything feeding the cross-checked invariants runs on arbitrary-precision
-rationals (stdlib ``fractions.Fraction``); floats only appear in the flow
-laboratory.  Matrix kernels are computed as integer *lattices* (Hermite normal
-form with a unimodular transform), so the Gale dual of a weight matrix has a
-canonical integer basis.  ``certified_rank`` searches a rank with int64
-arithmetic mod a prime and returns it only with a proof over Q, falling back
-to Bareiss elimination otherwise.
+Everything feeding the cross-checked invariants runs on Python integers and
+stdlib ``fractions.Fraction``; floats only appear in the flow laboratory.
+Matrices are lists of integer rows, and every exact system is solved
+fraction-free: ``int_rank`` by Bareiss elimination, ``int_solve`` by
+fraction-free Gauss–Jordan returning a determinant and an integer solution.
+Matrix kernels are computed as integer *lattices* (Hermite normal form with
+a unimodular transform), so the Gale dual of a weight matrix has a canonical
+integer basis.  ``certified_rank`` searches a rank with int64 arithmetic mod
+a prime and returns it only with a proof over Q, falling back to Bareiss
+elimination otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
@@ -38,96 +41,15 @@ class CRat:
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
 
-    def __add__(self, other: "CRat") -> "CRat":
-        return CRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CRat") -> "CRat":
-        return CRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CRat":
-        return CRat(-self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        """Squared modulus, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-def crat(re, im=0) -> CRat:
-    return CRat(as_rat(re), as_rat(im))
-
-
-class RatMatrix:
-    """Dense row-major matrix of exact rationals."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(as_rat(x) for x in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows in matrix")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def row(self, i):
-        return self.rows[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.rows)) if self.rows else RatMatrix([])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose().rows
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
-
 
 # ---------------------------------------------------------------------------
-# Integer helpers (fraction-free where it matters for speed)
+# Integer matrices: lists of rows, eliminated fraction-free
 # ---------------------------------------------------------------------------
-
-
-def _int_rows(matrix: RatMatrix):
-    """Scale each row to integers (kernel and rank are row-scaling invariant)."""
-    out = []
-    for row in matrix.rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        out.append([int(x * lcm) for x in row])
-    return out
 
 
 def int_rank(rows, ncols: int) -> int:
     """Rank via one-step Bareiss elimination on integer rows."""
-    m = [row[:] for row in rows if any(row)]
+    m = [list(row) for row in rows if any(row)]
     nr = len(m)
     rank = 0
     prev = 1
@@ -150,13 +72,6 @@ def int_rank(rows, ncols: int) -> int:
         prev = pv
         rank += 1
     return rank
-
-
-def rank(matrix: RatMatrix) -> int:
-    """Exact rank over the rationals."""
-    if matrix.nrows == 0 or matrix.ncols == 0:
-        return 0
-    return int_rank(_int_rows(matrix), matrix.ncols)
 
 
 MODULUS = 33_554_393
@@ -345,6 +260,25 @@ def certified_rank(rows, ncols: int) -> int:
     return int_rank(rows, ncols)
 
 
+def _column_gcd_row(m, start, col):
+    """Index of the one row of m[start:] left nonzero in column col, or None.
+
+    Euclid's algorithm down the column by unimodular row operations on m in
+    place: the row with the smallest nonzero entry (ties to the lower index)
+    reduces the others, until only one nonzero entry is left.
+    """
+    nz = [i for i in range(start, len(m)) if m[i][col] != 0]
+    while len(nz) > 1:
+        nz.sort(key=lambda i: (abs(m[i][col]), i))
+        base = m[nz[0]]
+        for i in nz[1:]:
+            q = m[i][col] // base[col]
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], base)]
+        nz = [i for i in nz if m[i][col] != 0]
+    return nz[0] if nz else None
+
+
 def hnf_rows(rows, ncols: int):
     """Canonical Hermite-form basis (as integer rows) of the row lattice.
 
@@ -356,20 +290,11 @@ def hnf_rows(rows, ncols: int):
     res = []
     col = 0
     while m and col < ncols:
-        nz = [i for i in range(len(m)) if m[i][col] != 0]
-        if not nz:
+        piv = _column_gcd_row(m, 0, col)
+        if piv is None:
             col += 1
             continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: (abs(m[i][col]), i))
-            i0 = nz[0]
-            base = m[i0]
-            for i in nz[1:]:
-                q = m[i][col] // base[col]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], base)]
-            nz = [i for i in nz if m[i][col] != 0]
-        piv_row = m.pop(nz[0])
+        piv_row = m.pop(piv)
         if piv_row[col] < 0:
             piv_row = [-a for a in piv_row]
         res.append(piv_row)
@@ -398,81 +323,21 @@ def int_kernel_rows(rows, ncols: int):
     nr = len(rows)
     if nr == 0 or all(not any(r) for r in rows):
         return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    # aug rows: [column i of M | e_i]
-    aug = [[rows[k][i] for k in range(nr)] + [1 if j == i else 0 for j in range(ncols)]
-           for i in range(ncols)]
-    m = aug
+    # rows of m: [column i of M | e_i]
+    m = [[rows[k][i] for k in range(nr)] + [1 if j == i else 0 for j in range(ncols)]
+         for i in range(ncols)]
     col = 0
     fixed = 0
     while col < nr and fixed < len(m):
-        nz = [i for i in range(fixed, len(m)) if m[i][col] != 0]
-        if not nz:
+        piv = _column_gcd_row(m, fixed, col)
+        if piv is None:
             col += 1
             continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: (abs(m[i][col]), i))
-            i0 = nz[0]
-            base = m[i0]
-            for i in nz[1:]:
-                q = m[i][col] // base[col]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], base)]
-            nz = [i for i in nz if m[i][col] != 0]
-        i0 = nz[0]
-        m[fixed], m[i0] = m[i0], m[fixed]
+        m[fixed], m[piv] = m[piv], m[fixed]
         fixed += 1
         col += 1
     kernel = [r[nr:] for r in m[fixed:] if not any(r[:nr])]
     return hnf_rows(kernel, ncols)
-
-
-def nullspace(matrix: RatMatrix) -> RatMatrix:
-    """Primitive integer kernel basis, returned as the columns of a matrix.
-
-    Column count is ncols − rank; each basis vector has content 1 with its
-    first nonzero entry positive (rows of a canonical Hermite basis of the
-    saturated kernel lattice).
-    """
-    ker = int_kernel_rows(_int_rows(matrix), matrix.ncols)
-    if not ker:
-        return RatMatrix([[] for _ in range(matrix.ncols)])
-    return RatMatrix(ker).transpose()
-
-
-def solve_exact(matrix: RatMatrix, rhs):
-    """One exact solution of M x = rhs with free variables set to zero.
-
-    Returns a tuple of Fractions, or None when the system is inconsistent.
-    """
-    nr, nc = matrix.nrows, matrix.ncols
-    rhs = [as_rat(x) for x in rhs]
-    if len(rhs) != nr:
-        raise ValueError("right-hand side has wrong length")
-    aug = [list(matrix.rows[i]) + [rhs[i]] for i in range(nr)]
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc] != 0:
-            return None
-    out = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        out[c] = aug[i][nc]
-    return tuple(out)
 
 
 def int_solve(rows, rhs_rows):
@@ -502,25 +367,6 @@ def int_solve(rows, rhs_rows):
         aug[k] = head
         prev = p
     return prev, aug
-
-
-def inverse(matrix: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square nonsingular matrix.
-
-    With the diagonal S of row scales that make A_int = S A integral,
-    A^-1 = A_int^-1 S, which ``int_solve`` returns up to det.
-    """
-    n = matrix.nrows
-    if n != matrix.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    scales = [lcm(*(x.denominator for x in row)) for row in matrix.rows]
-    solved = int_solve(
-        [[int(x * s) for x in row] for row, s in zip(matrix.rows, scales)],
-        [[s if i == j else 0 for j in range(n)] for i, s in enumerate(scales)])
-    if solved is None:
-        raise ValueError("matrix is singular")
-    det, x = solved
-    return RatMatrix([[Fraction(v, det) for v in row] for row in x])
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +444,6 @@ class PoincarePoly:
         for _ in range(n):
             result = result * self
         return result
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def pretty(self) -> str:
         if not self.coeffs:

@@ -35,10 +35,6 @@ def closure(weights, subset) -> tuple:
                  if j in subset or flat_rank(weights, (*subset, j)) == r)
 
 
-def is_flat(weights, subset) -> bool:
-    return closure(weights, subset) == tuple(sorted(subset))
-
-
 def _mask(subset) -> int:
     return sum(1 << j for j in subset)
 

@@ -131,18 +131,29 @@ class TorusRep(NamedTuple):
     beta: np.ndarray
 
 
+def _to_float(value, what: str) -> float:
+    """An exact number as a float; InputError when it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(
+            f"an entry of {what} is too large for floating point") from exc
+
+
 def weights_matrix(setup) -> np.ndarray:
     """Weight matrix of a setup as a float array of shape (n, dim)."""
-    return np.array([[float(w) for w in row] for row in setup.weights],
+    return np.array([[_to_float(w, "the weights") for w in row]
+                     for row in setup.weights],
                     dtype=np.float64).reshape(setup.n, setup.dim)
 
 
 def alpha_vector(setup) -> np.ndarray:
-    return np.array([float(a) for a in setup.alpha], dtype=np.float64)
+    return np.array([_to_float(a, "alpha") for a in setup.alpha], dtype=np.float64)
 
 
 def beta_vector(setup) -> np.ndarray:
-    return np.array([complex(b) for b in setup.beta], dtype=np.complex128)
+    return np.array([complex(_to_float(b.re, "beta"), _to_float(b.im, "beta"))
+                     for b in setup.beta], dtype=np.complex128)
 
 
 def torus_rep(setup) -> TorusRep:

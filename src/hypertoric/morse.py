@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
                      RankDeficient)
-from .exact import ONE_MINUS_Q, PoincarePoly, RatMatrix, poly_divide_exact, rank
+from .exact import ONE_MINUS_Q, PoincarePoly, int_rank, poly_divide_exact
 from .flats import enumerate_flats, lattice
 from .torus import (
     ModificationPair,
@@ -96,7 +96,7 @@ def poincare_morse(weights) -> PoincarePoly:
     """
     n = len(weights)
     d = len(weights[0]) if weights else 0
-    if n and d and rank(RatMatrix(weights)) != d:
+    if n and d and int_rank(weights, d) != d:
         raise RankDeficient("weights must have full column rank")
     return _flat_polys(weights)[-1]
 

@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import flats
 from .errors import (
@@ -24,15 +25,7 @@ from .errors import (
     RankDeficient,
     SamplingExhausted,
 )
-from .exact import (
-    CRat,
-    RatMatrix,
-    as_rat,
-    inverse,
-    nullspace,
-    rank,
-    solve_exact,
-)
+from .exact import CRat, as_rat, int_kernel_rows, int_rank, int_solve
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
             raise DimensionMismatch(
                 f"beta has {len(beta_t)} entries, weights have {d} columns")
 
-    if d > 0 and rank(RatMatrix(rows)) != d:
+    if d > 0 and int_rank(rows, d) != d:
         raise RankDeficient(f"weight matrix does not have full column rank {d}")
     return TorusSetup(rows, alpha_t, beta_t)
 
@@ -111,18 +104,33 @@ def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
 
 @dataclass(frozen=True)
 class Metric:
-    gram: RatMatrix      # B^T B
-    gram_inv: RatMatrix
+    """G^{-1} = adj / det for the Gram matrix G = B^T B of the weights.
+
+    G is positive definite, so det = det G > 0 and adj is its adjugate.
+    """
+
+    adj: tuple  # d integer rows
+    det: int
 
 
 @lru_cache(maxsize=None)
 def metric_of(weights) -> Metric:
-    if not weights or not weights[0]:
-        empty = RatMatrix([])
-        return Metric(empty, empty)
-    b = RatMatrix(weights)
-    g = b.transpose() @ b
-    return Metric(g, inverse(g))
+    d = len(weights[0]) if weights else 0
+    gram = [[sum(row[i] * row[j] for row in weights) for j in range(d)]
+            for i in range(d)]
+    det, adj = int_solve(gram, [[int(i == j) for j in range(d)] for i in range(d)])
+    return Metric(tuple(map(tuple, adj)), det)
+
+
+def _independent(rows) -> list:
+    """Indices of the rows, in order, that raise the rank of those before."""
+    picked = []
+    for i, row in enumerate(rows):
+        if len(picked) == len(row):
+            break
+        if int_rank([rows[j] for j in picked] + [row], len(row)) > len(picked):
+            picked.append(i)
+    return picked
 
 
 @dataclass(frozen=True)
@@ -141,29 +149,20 @@ class GaleData:
 
 @lru_cache(maxsize=None)
 def _gale(weights, alpha) -> GaleData:
+    """C is the Hermite basis of the kernel lattice of B^T.  The offsets are
+    nonzero only on the first d independent rows I of B, where they solve
+    the square system B_I^T offsets_I = alpha."""
     n = len(weights)
-    d = len(alpha)
-    if d == 0:
-        cmatrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        normals = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-        return GaleData(cmatrix, normals, tuple(Fraction(0) for _ in range(n)))
-    bt = RatMatrix(list(zip(*weights)))  # d x N
-    if n == d:
-        cmatrix = ()
-        normals = tuple(() for _ in range(n))
-    else:
-        ker_cols = nullspace(bt)  # N x (N - d)
-        cmatrix = tuple(
-            tuple(int(ker_cols.rows[i][k]) for i in range(n))
-            for k in range(ker_cols.ncols)
-        )
-        normals = tuple(
-            tuple(row[j] for row in cmatrix) for j in range(n)
-        )
-    offsets = solve_exact(bt, alpha)
-    if offsets is None:  # full column rank makes this impossible
-        raise RankDeficient("offset system unexpectedly inconsistent")
-    return GaleData(cmatrix, normals, offsets)
+    cmatrix = tuple(map(tuple, int_kernel_rows(list(zip(*weights)), n)))
+    normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
+    pivots = _independent(weights)
+    scale = lcm(*(a.denominator for a in alpha))
+    det, x = int_solve([[weights[i][k] for i in pivots] for k in range(len(alpha))],
+                       [[int(a * scale)] for a in alpha])
+    offsets = [Fraction(0)] * n
+    for i, row in zip(pivots, x):
+        offsets[i] = Fraction(row[0], det * scale)
+    return GaleData(cmatrix, normals, tuple(offsets))
 
 
 def gale_of(setup: TorusSetup) -> GaleData:
@@ -172,39 +171,35 @@ def gale_of(setup: TorusSetup) -> GaleData:
 
 def pairing(metric: Metric, a, b) -> Fraction:
     """Dual-space inner product a^T G^{-1} b of two real covectors."""
-    gi = metric.gram_inv.rows
-    total = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        total += ai * sum(gi[i][j] * b[j] for j in range(len(b)) if b[j] != 0)
-    return total
+    total = 0
+    for ai, row in zip(a, metric.adj):
+        if ai:
+            total += ai * sum(x * bj for x, bj in zip(row, b) if bj)
+    return Fraction(total, metric.det)
 
 
 @lru_cache(maxsize=None)
 def _residual_map(weights, subset) -> tuple:
-    """Rows of the d x d matrix sending a covector to its residual.
+    """Rows of the d x d matrix R sending a covector to its residual.
 
     The residual of v is v minus its dual-metric projection onto the span of
-    the rows in subset.  That projection is unique even when the rows are
-    dependent, so the matrix is built once per (weights, subset) from the
-    projections of the unit covectors and reused for every level.
+    the rows in subset.  With U the first independent rows of subset and
+    G^{-1} = A / det, that projection is U^T M^{-1} U A v for the integer
+    matrix M = U A U^T.  One fraction-free solve gives X = det_M M^{-1} U A,
+    so R = I - U^T X / det_M, built once per (weights, subset) and reused
+    for every level.
     """
-    metric = metric_of(weights)
-    u = RatMatrix([weights[j] for j in subset])
-    ug = u @ metric.gram_inv
-    gram_sub = ug @ u.transpose()
+    adj = metric_of(weights).adj
     d = len(weights[0])
-    cols = []
-    for i in range(d):
-        coeffs = solve_exact(gram_sub, [row[i] for row in ug.rows])
-        col = [Fraction(int(j == i)) for j in range(d)]
-        for c, row in zip(coeffs, u.rows):
-            if c != 0:
-                for j, x in enumerate(row):
-                    col[j] -= c * x
-        cols.append(col)
-    return tuple(zip(*cols))
+    rows = [weights[j] for j in subset]
+    u = [rows[k] for k in _independent(rows)]
+    ua = [[sum(r[k] * adj[k][j] for k in range(d)) for j in range(d)] for r in u]
+    det_m, x = int_solve([[sum(a * b for a, b in zip(row, r)) for r in u]
+                          for row in ua], ua)
+    return tuple(
+        tuple(Fraction(det_m * (i == j) - sum(r[i] * xr[j] for r, xr in zip(u, x)),
+                       det_m) for j in range(d))
+        for i in range(d))
 
 
 def perp_part(weights, subset, vec):
@@ -436,7 +431,7 @@ def require_new_circle(weights, circle) -> tuple:
             f"circle has {len(circle)} entries, weights have {len(weights)} rows")
     d = len(weights[0]) if weights else 0
     wide = enlarged_weights(weights, circle)
-    if weights and rank(RatMatrix(wide)) != d + 1:
+    if weights and int_rank(wide, d + 1) != d + 1:
         raise CircleInsideTorus(
             "circle weight column lies in the span of the existing weights")
     return circle

@@ -14,8 +14,9 @@ from itertools import combinations
 from math import gcd
 
 from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
-from hypertoric.exact import RatMatrix, nullspace, rank, solve_exact
+from hypertoric.exact import int_kernel_rows, int_rank
 from hypertoric.torus import gale_of, simplicity_witness
+from metric_reference import solve_exact
 
 
 def _normalize(coeffs, const, strict):
@@ -93,7 +94,7 @@ def cone_is_pointed(rows, k) -> bool:
     r . v >= 0 together with (sum of rows) . v > 0.
     """
     rows = [tuple(r) for r in rows]
-    if not rows or rank(RatMatrix(rows)) < k:
+    if not rows or int_rank(rows, k) < k:
         return k == 0
     total = tuple(map(sum, zip(*rows)))
     return not fm_feasible([(r, 0, False) for r in rows] + [(total, 0, True)], k)
@@ -158,12 +159,11 @@ def fm_face_census(setup) -> tuple:
         k = m - size
         for support in combinations(range(n), size):
             if size:
-                mat = RatMatrix([normals[i] for i in support])
-                if rank(mat) < size:
+                mat = [normals[i] for i in support]
+                if int_rank(mat, m) < size:
                     continue
                 point = solve_exact(mat, [offsets[i] for i in support])
-                dirs = nullspace(mat)
-                basis = [dirs.col(c) for c in range(dirs.ncols)]
+                basis = int_kernel_rows(mat, m)
             else:
                 point = tuple(0 for _ in range(m))
                 basis = [tuple(int(i == j) for i in range(m)) for j in range(m)]

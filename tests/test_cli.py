@@ -215,12 +215,17 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("analyze", {"weights": [[1], [1]], "alpha": ["1/0"]}, ()),
     ("analyze", {"weights": [[1], [1]], "beta": [["1/0", "0"]]}, ()),
     ("analyze", {"weights": [[1], [1]], "alpha": [True]}, ()),
+    ("flow", dict(PAIR, weights=[[10 ** 400], [1]]), ()),
+    ("flow", dict(PAIR, alpha=["1e400"]), ()),
+    ("flow", dict(PAIR, beta=[["1e400", "0"]]), ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
         "flow-grad-tol-nan", "flow-grad-tol-negative", "flow-grad-tol-zero",
         "flow-max-time-negative", "flow-max-time-nan",
-        "alpha-zero-denominator", "beta-zero-denominator", "alpha-bool"])
+        "alpha-zero-denominator", "beta-zero-denominator", "alpha-bool",
+        "flow-weight-beyond-float", "flow-alpha-beyond-float",
+        "flow-beta-beyond-float"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     path = write_json(tmp_path, "input.json", obj)
     proc = run_cli(command, path, *flags)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,24 +11,17 @@ from hypertoric import exact
 from hypertoric.errors import NonZeroRemainder
 from hypertoric.exact import (
     MODULUS,
-    CRat,
     PoincarePoly,
-    RatMatrix,
     as_rat,
     certified_rank,
-    crat,
     hnf_rows,
     int_kernel_rows,
     int_rank,
     int_solve,
-    inverse,
-    nullspace,
     poly_divide_exact,
-    rank,
-    solve_exact,
 )
+from metric_reference import solve_exact
 
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=7)
 small_ints = st.integers(min_value=-6, max_value=6)
 
 
@@ -34,7 +29,27 @@ def int_matrix(nrows, ncols):
     return st.lists(
         st.lists(small_ints, min_size=ncols, max_size=ncols),
         min_size=nrows, max_size=nrows,
-    ).map(RatMatrix)
+    )
+
+
+def times(a, b):
+    """Matrix product of integer rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def maximal_minors_gcd(rows, ncols):
+    """gcd of the k x k minors of k integer rows; 1 iff their lattice is
+    saturated, that is equal to its rational span meet Z^ncols."""
+    g = 0
+    for cols in combinations(range(ncols), len(rows)):
+        solved = int_solve([[row[c] for c in cols] for row in rows], [[]] * len(rows))
+        if solved is not None:
+            g = gcd(g, solved[0])
+    return g
 
 
 class TestRat:
@@ -48,80 +63,60 @@ class TestRat:
             as_rat(0.5)
 
 
-class TestCRat:
-    def test_arithmetic(self):
-        a = crat("1/2", 1)
-        b = crat(1, "-1/3")
-        assert a + b == crat("3/2", "2/3")
-        assert a - b == crat("-1/2", "4/3")
-        assert (-a) == crat("-1/2", -1)
-
-    def test_abs2_exact(self):
-        assert crat("3/5", "4/5").abs2() == 1
-        assert crat(0, 0).is_zero()
-        assert not crat(0, "1/7").is_zero()
-
-    @given(rationals, rationals)
-    def test_abs2_nonnegative(self, re, im):
-        assert CRat(re, im).abs2() >= 0
-
-
 class TestRankNullspace:
     def test_rank_known(self):
-        assert rank(RatMatrix([[1, 1], [1, 0], [0, -1]])) == 2
-        assert rank(RatMatrix([[1, 2], [2, 4]])) == 1
-        assert rank(RatMatrix([[0, 0], [0, 0]])) == 0
-        assert rank(RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 4
+        assert int_rank([[1, 1], [1, 0], [0, -1]], 2) == 2
+        assert int_rank([[1, 2], [2, 4]], 2) == 1
+        assert int_rank([[0, 0], [0, 0]], 2) == 0
+        assert int_rank(identity(4), 4) == 4
 
     def test_rank_rational_entries(self):
-        assert rank(RatMatrix([["1/2", "1/3"], ["3/2", 1]])) == 1
+        # rows (1/2, 1/3) and (3/2, 1) cleared of denominators; tuples too
+        assert int_rank([(3, 2), (9, 6)], 2) == 1
 
     def test_nullspace_of_ones_column(self):
         # weights (1), (1): kernel of the transpose pairing is spanned by (1, -1)
-        ns = nullspace(RatMatrix([[1, 1]]))
-        assert ns.ncols == 1
-        assert ns.col(0) == (1, -1)
+        assert int_kernel_rows([[1, 1]], 2) == [[1, -1]]
 
     def test_nullspace_zero_rows(self):
-        ns = nullspace(RatMatrix([[0, 0, 0]]))
-        assert ns.ncols == 3
-        prod = RatMatrix([[0, 0, 0]]) @ ns
-        assert all(x == 0 for row in prod.rows for x in row)
+        ker = int_kernel_rows([[0, 0, 0]], 3)
+        assert ker == identity(3)
+        assert times([[0, 0, 0]], list(zip(*ker))) == [[0, 0, 0]]
 
     def test_nullspace_saturated_not_just_primitive(self):
         # For the single row (2, 1, 1) a naive echelon basis can land in an
         # index-2 sublattice; the saturated kernel contains (0, 1, -1).
-        ns = nullspace(RatMatrix([[2, 1, 1]]))
-        cols = {ns.col(j) for j in range(ns.ncols)}
-        assert ns.ncols == 2
-        vecs = [tuple(int(x) for x in c) for c in cols]
-        # (0, 1, -1) must be an integer combination of the basis columns.
-        sols = solve_exact(RatMatrix(vecs).transpose(), [0, 1, -1])
-        assert sols is not None
-        assert all(s.denominator == 1 for s in sols)
+        ker = int_kernel_rows([[2, 1, 1]], 3)
+        assert len(ker) == 2
+        assert maximal_minors_gcd(ker, 3) == 1
+        # (0, 1, -1) must be an integer combination of the basis rows.
+        det, x = int_solve([[ker[0][c], ker[1][c]] for c in (0, 1)], [[0], [1]])
+        coeffs = [Fraction(row[0], det) for row in x]
+        assert all(c.denominator == 1 for c in coeffs)
+        combination = [sum(c * r[j] for c, r in zip(coeffs, ker)) for j in range(3)]
+        assert combination == [0, 1, -1]
 
     @given(int_matrix(3, 5))
     @settings(max_examples=60, deadline=None)
     def test_nullspace_annihilates(self, m):
-        ns = nullspace(m)
-        assert ns.ncols == m.ncols - rank(m)
-        if ns.ncols:
-            prod = m @ ns
-            assert all(x == 0 for row in prod.rows for x in row)
-            for j in range(ns.ncols):
-                col = [int(x) for x in ns.col(j)]
-                from math import gcd
+        ker = int_kernel_rows(m, 5)
+        assert len(ker) == 5 - int_rank(m, 5)
+        assert hnf_rows(ker, 5) == ker
+        if ker:
+            assert all(x == 0 for row in times(m, list(zip(*ker))) for x in row)
+            assert maximal_minors_gcd(ker, 5) == 1
+            for row in ker:
                 g = 0
-                for x in col:
+                for x in row:
                     g = gcd(g, abs(x))
                 assert g == 1
-                first = next(x for x in col if x != 0)
+                first = next(x for x in row if x != 0)
                 assert first > 0
 
     @given(int_matrix(4, 3))
     @settings(max_examples=60, deadline=None)
     def test_rank_transpose(self, m):
-        assert rank(m) == rank(m.transpose())
+        assert int_rank(m, 3) == int_rank(list(zip(*m)), 4)
 
 
 @st.composite
@@ -212,39 +207,39 @@ class TestHNF:
 
 class TestSolveInverse:
     def test_solve_unique(self):
-        m = RatMatrix([[2, 1], [1, 3]])
-        x = solve_exact(m, [5, 10])
-        assert x == (Fraction(1), Fraction(3))
+        det, x = int_solve([[2, 1], [1, 3]], [[5], [10]])
+        assert [Fraction(row[0], det) for row in x] == [1, 3]
 
     def test_solve_inconsistent(self):
-        m = RatMatrix([[1, 1], [2, 2]])
-        assert solve_exact(m, [1, 3]) is None
+        assert int_solve([[1, 1], [2, 2]], [[1], [3]]) is None
 
     def test_solve_underdetermined(self):
-        m = RatMatrix([[1, 1, 1]])
-        x = solve_exact(m, [6])
-        assert sum(x) == 6
+        # x0 + x1 + x2 = 6 is solved on its first independent column with the
+        # other unknowns zero, the solution the Fraction reference picks.
+        det, x = int_solve([[1]], [[6]])
+        assert (Fraction(x[0][0], det), 0, 0) == solve_exact([[1, 1, 1]], [6])
 
     def test_inverse_roundtrip(self):
-        m = RatMatrix([[2, 1], [1, 2]])
-        inv = inverse(m)
-        assert inv == RatMatrix([["2/3", "-1/3"], ["-1/3", "2/3"]])
-        assert m @ inv == RatMatrix([[1, 0], [0, 1]])
+        det, adj = int_solve([[2, 1], [1, 2]], identity(2))
+        assert (det, adj) == (3, [[2, -1], [-1, 2]])
+        assert times([[2, 1], [1, 2]], adj) == [[det, 0], [0, det]]
 
     def test_inverse_singular(self):
-        with pytest.raises(ValueError):
-            inverse(RatMatrix([[1, 2], [2, 4]]))
+        assert int_solve([[1, 2], [2, 4]], identity(2)) is None
 
     def test_inverse_of_rational_rows(self):
-        m = RatMatrix([["1/2", "1/3"], ["2", "-5/4"]])
-        assert m @ inverse(m) == RatMatrix([[1, 0], [0, 1]])
+        # rows (1/2, 1/3) and (2, -5/4) scaled by S = diag(6, 4): the inverse
+        # of the rational matrix is A_int^-1 S
+        a_int = [[3, 2], [8, -5]]
+        det, x = int_solve(a_int, [[6, 0], [0, 4]])
+        rational = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2), Fraction(-5, 4)]]
+        assert times(rational, x) == [[det, 0], [0, det]]
 
     @given(int_matrix(4, 4), st.lists(small_ints, min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_int_solve_is_det_times_solution(self, m, rhs):
-        a = [[int(x) for x in row] for row in m.rows]
-        solved = int_solve(a, [[r] for r in rhs])
-        if rank(m) < 4:
+        solved = int_solve(m, [[r] for r in rhs])
+        if int_rank(m, 4) < 4:
             assert solved is None
             return
         det, x = solved
@@ -288,7 +283,3 @@ class TestPoly:
         if not q.coeffs or q.coeffs[0] == 0 or not p.coeffs:
             return
         assert poly_divide_exact(p * q, q) == p
-
-    def test_evaluate(self):
-        p = PoincarePoly((1, 2, 1))
-        assert p.evaluate(Fraction(1, 2)) == Fraction(9, 4)

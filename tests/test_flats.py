@@ -6,7 +6,7 @@ import flat_reference
 from flat_reference import reference_flats, weight_configurations
 from hypertoric.errors import EnumerationTooLarge
 from hypertoric.flats import (closure, coatoms, enumerate_flats, flat_rank,
-                              is_flat, lattice, proper_flats)
+                              lattice, proper_flats)
 
 DIAG2 = ((1,), (1,))
 DIAG3 = ((1,), (1,), (1,))
@@ -54,13 +54,6 @@ def test_enumerate_flats_zero_column_width():
 def test_proper_flats_drop_full_set():
     assert proper_flats(TRIPLE) == ((), (0,), (1,), (2,))
     assert proper_flats(DIAG2) == ((),)
-
-
-def test_is_flat():
-    assert is_flat(TRIPLE, (2,))
-    assert not is_flat(TRIPLE, (0, 1))
-    assert is_flat(DIAG2, ())
-    assert not is_flat(DIAG2, (0,))
 
 
 def test_flat_rank():

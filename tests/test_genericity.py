@@ -14,18 +14,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
-from hypertoric.exact import CRat, RatMatrix, rank, solve_exact
+from hypertoric.exact import CRat, int_rank
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
     gale_of,
-    metric_of,
     new_setup,
     perp_part,
     require_generic,
     sample_generic,
     simplicity_witness,
 )
+from metric_reference import gram_inverse, matmul, solve_exact
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -40,13 +40,13 @@ def subset_search_witness(normals, offsets, max_size):
         for subset in combinations(range(n), size):
             sub = [list(normals[i]) for i in subset]
             width = len(sub[0])
-            if width and rank(RatMatrix(sub)) == size:
+            if width and int_rank(sub, width) == size:
                 continue
             rhs = [offsets[i] for i in subset]
             if width == 0:
                 consistent = all(r == 0 for r in rhs)
             else:
-                consistent = solve_exact(RatMatrix(sub), rhs) is not None
+                consistent = solve_exact(sub, rhs) is not None
             if consistent:
                 return subset
     return None
@@ -56,11 +56,11 @@ def solved_perp_part(weights, subset, vec):
     """Residual of vec against span{subset rows}, by one linear solve."""
     if not subset:
         return tuple(vec)
-    u = RatMatrix([weights[j] for j in subset])
-    ug = u @ metric_of(weights).gram_inv
-    coeffs = solve_exact(ug @ u.transpose(),
-                         [sum(g * v for g, v in zip(row, vec)) for row in ug.rows])
-    return tuple(v - sum(c * row[j] for c, row in zip(coeffs, u.rows))
+    u = [list(weights[j]) for j in subset]
+    ug = matmul(u, gram_inverse(weights))
+    coeffs = solve_exact(matmul(ug, list(zip(*u))),
+                         [sum(g * v for g, v in zip(row, vec)) for row in ug])
+    return tuple(v - sum(c * row[j] for c, row in zip(coeffs, u))
                  for j, v in enumerate(vec))
 
 
@@ -137,7 +137,7 @@ def weight_matrices(draw, max_rows=7):
     n = draw(st.integers(d, max_rows))
     entry = st.integers(-2, 2)
     rows = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
-    assume(rank(RatMatrix(rows)) == d)
+    assume(int_rank(rows, d) == d)
     return rows
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypertoric.errors import (
     CircleInsideTorus,
@@ -10,8 +12,11 @@ from hypertoric.errors import (
     NonGenericBeta,
     RankDeficient,
 )
-from hypertoric.exact import CRat, RatMatrix, crat
+from hypertoric.exact import CRat, int_rank
+from hypertoric.flats import enumerate_flats
 from hypertoric.torus import (
+    GaleData,
+    _residual_map,
     alpha_witness,
     beta_witness,
     critical_level,
@@ -26,9 +31,11 @@ from hypertoric.torus import (
     pairing,
     perp_part,
     require_generic,
+    residual_alpha,
     residual_beta,
     sample_generic,
 )
+import metric_reference as ref
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -44,7 +51,7 @@ class TestNewSetup:
     def test_accepts_rational_strings(self):
         s = new_setup(DIAG2, ["3/2"], [("1/2", "-2")])
         assert s.alpha == (Fraction(3, 2),)
-        assert s.beta == (crat("1/2", -2),)
+        assert s.beta == (CRat(Fraction(1, 2), Fraction(-2)),)
 
     def test_rejects_non_integer_weights(self):
         with pytest.raises(InputError):
@@ -76,8 +83,9 @@ class TestNewSetup:
 class TestMetricGale:
     def test_gram_and_inverse(self):
         m = metric_of(TRIPLE)
-        assert m.gram == RatMatrix([[2, 1], [1, 2]])
-        assert m.gram_inv == RatMatrix([["2/3", "-1/3"], ["-1/3", "2/3"]])
+        # G = [[2, 1], [1, 2]], G^-1 = [[2/3, -1/3], [-1/3, 2/3]]
+        assert m.adj == ((2, -1), (-1, 2))
+        assert m.det == 3
 
     def test_gale_diagonal_circle(self):
         s = new_setup(DIAG2, [1])
@@ -140,7 +148,7 @@ class TestResiduals:
 
     def test_norm2_uses_dual_metric(self):
         m = metric_of(DIAG2)
-        assert norm2_dual(m, (crat(3, 0),)) == Fraction(9, 2)
+        assert norm2_dual(m, (CRat(Fraction(3), Fraction(0)),)) == Fraction(9, 2)
 
 
 class TestGenericBeta:
@@ -247,3 +255,36 @@ class TestModification:
             modify(s, (1, 0, 0))
         with pytest.raises(InputError):
             modify(s, (1, 0.5))
+
+
+@st.composite
+def rational_setups(draw):
+    """Full-rank weights with n <= 8 rows and d <= 4 columns, and rational
+    levels."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(max(d, 1), 8))
+    weights = tuple(draw(st.tuples(*[st.integers(-3, 3)] * d)) for _ in range(n))
+    assume(int_rank(weights, d) == d)
+    q = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    alpha = draw(st.tuples(*[q] * d))
+    beta = [CRat(draw(q), draw(q)) for _ in range(d)]
+    return new_setup(weights, alpha, beta)
+
+
+@given(rational_setups())
+@settings(max_examples=100, deadline=None)
+def test_metric_and_residuals_equal_the_fraction_reference(setup):
+    w = setup.weights
+    metric = metric_of(w)
+    gi = ref.gram_inverse(w)
+    assert metric.det > 0
+    assert [[Fraction(x, metric.det) for x in row] for row in metric.adj] == gi
+    assert gale_of(setup) == GaleData(*ref.gale(w, setup.alpha))
+    for f in enumerate_flats(w):
+        assert _residual_map(w, f) == ref.residual_map(w, f)
+        assert critical_level(setup, f) == ref.critical_level(w, setup.beta, f)
+        res = residual_alpha(setup, f)
+        assert res == ref.residual(w, f, setup.alpha)
+        for i in range(setup.n):
+            if i not in f:
+                assert pairing(metric, res, w[i]) == ref.pairing(gi, res, w[i])
