@@ -2,20 +2,21 @@
 
 Everything feeding the cross-checked invariants runs on Python integers and
 stdlib ``fractions.Fraction``; floats only appear in the flow laboratory.
-Matrices are lists of integer rows, and every exact system is solved
-fraction-free: ``int_rank`` by Bareiss elimination, ``int_solve`` by
-fraction-free Gauss–Jordan returning a determinant and an integer solution.
-Matrix kernels are computed as integer *lattices* (Hermite normal form with
-a unimodular transform), so the Gale dual of a weight matrix has a canonical
-integer basis.  ``certified_rank`` searches a rank with int64 arithmetic mod
-a prime and returns it only with a proof over Q, falling back to Bareiss
-elimination otherwise.
+Matrices are lists of integer rows, and there are three algorithms on them:
+``int_rank`` by Bareiss elimination, ``int_solve`` by fraction-free
+Gauss–Jordan returning a determinant and an integer solution, and
+``certified_rank``, which searches a rank with int64 arithmetic mod a prime
+and returns it only with a proof over Q, falling back to Bareiss
+elimination otherwise.  Kernels come from ``int_solve`` on a nonsingular
+block.  Polynomials have integer coefficients, and the one division the
+package needs, by a power of 1 - q, is a run of integer prefix sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -260,86 +261,6 @@ def certified_rank(rows, ncols: int) -> int:
     return int_rank(rows, ncols)
 
 
-def _column_gcd_row(m, start, col):
-    """Index of the one row of m[start:] left nonzero in column col, or None.
-
-    Euclid's algorithm down the column by unimodular row operations on m in
-    place: the row with the smallest nonzero entry (ties to the lower index)
-    reduces the others, until only one nonzero entry is left.
-    """
-    nz = [i for i in range(start, len(m)) if m[i][col] != 0]
-    while len(nz) > 1:
-        nz.sort(key=lambda i: (abs(m[i][col]), i))
-        base = m[nz[0]]
-        for i in nz[1:]:
-            q = m[i][col] // base[col]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], base)]
-        nz = [i for i in nz if m[i][col] != 0]
-    return nz[0] if nz else None
-
-
-def hnf_rows(rows, ncols: int):
-    """Canonical Hermite-form basis (as integer rows) of the row lattice.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    entries below are zero.  The result depends only on the lattice spanned,
-    which makes every downstream basis choice deterministic.
-    """
-    m = [list(r) for r in rows if any(r)]
-    res = []
-    col = 0
-    while m and col < ncols:
-        piv = _column_gcd_row(m, 0, col)
-        if piv is None:
-            col += 1
-            continue
-        piv_row = m.pop(piv)
-        if piv_row[col] < 0:
-            piv_row = [-a for a in piv_row]
-        res.append(piv_row)
-        m = [r for r in m if any(r)]
-        col += 1
-    # Reduce entries above each pivot into [0, pivot).
-    pivots = [next(j for j, a in enumerate(r) if a) for r in res]
-    for i in range(len(res)):
-        for j in range(i + 1, len(res)):
-            c = pivots[j]
-            q = res[i][c] // res[j][c]
-            if q:
-                res[i] = [a - q * b for a, b in zip(res[i], res[j])]
-    return res
-
-
-def int_kernel_rows(rows, ncols: int):
-    """Basis rows of the lattice {v in Z^ncols : M v = 0}, in canonical form.
-
-    Row-reduces [M^T | I] with unimodular operations; transform rows facing a
-    zero block are a lattice basis of the kernel.  The kernel of a rational
-    matrix equals the kernel of its row-scaled integer version.
-    """
-    if ncols == 0:
-        return []
-    nr = len(rows)
-    if nr == 0 or all(not any(r) for r in rows):
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    # rows of m: [column i of M | e_i]
-    m = [[rows[k][i] for k in range(nr)] + [1 if j == i else 0 for j in range(ncols)]
-         for i in range(ncols)]
-    col = 0
-    fixed = 0
-    while col < nr and fixed < len(m):
-        piv = _column_gcd_row(m, fixed, col)
-        if piv is None:
-            col += 1
-            continue
-        m[fixed], m[piv] = m[piv], m[fixed]
-        fixed += 1
-        col += 1
-    kernel = [r[nr:] for r in m[fixed:] if not any(r[:nr])]
-    return hnf_rows(kernel, ncols)
-
-
 def int_solve(rows, rhs_rows):
     """Fraction-free Gauss–Jordan solve of A X = R for a square integer A.
 
@@ -388,16 +309,6 @@ class PoincarePoly:
     coeffs: tuple = ()
 
     @staticmethod
-    def from_coeffs(coeffs) -> "PoincarePoly":
-        out = []
-        for c in coeffs:
-            c = as_rat(c)
-            if c.denominator != 1:
-                raise ValueError("polynomial coefficients must be integers")
-            out.append(int(c))
-        return PoincarePoly(_trim(out))
-
-    @staticmethod
     def zero() -> "PoincarePoly":
         return PoincarePoly(())
 
@@ -423,11 +334,6 @@ class PoincarePoly:
         return PoincarePoly(_trim(self.coefficient(k) + other.coefficient(k)
                                   for k in range(n)))
 
-    def __sub__(self, other: "PoincarePoly") -> "PoincarePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PoincarePoly(_trim(self.coefficient(k) - other.coefficient(k)
-                                  for k in range(n)))
-
     def __mul__(self, other: "PoincarePoly") -> "PoincarePoly":
         if not self.coeffs or not other.coeffs:
             return PoincarePoly(())
@@ -445,51 +351,20 @@ class PoincarePoly:
             result = result * self
         return result
 
-    def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts)
 
+def divide_by_one_minus_q(coeffs, power: int) -> PoincarePoly:
+    """The integer coefficients coeffs divided by (1 - q)^power in Z[q].
 
-def poly_divide_exact(num: PoincarePoly, den: PoincarePoly) -> PoincarePoly:
-    """Exact quotient num/den in Z[q]; raises NonZeroRemainder otherwise.
-
-    Division proceeds from the lowest degree (the divisors used here have
-    constant term ±1), and the product is verified against num.
+    p = (1 - q) s exactly when s_k = p_0 + ... + p_k and the last prefix sum,
+    p(1), is zero: so each division takes prefix sums and pops that last
+    one.  A nonzero one raises NonZeroRemainder.
     """
-    if not den.coeffs:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not num.coeffs:
-        return PoincarePoly(())
-    if num.degree < den.degree:
-        raise NonZeroRemainder(f"{num.pretty()} is not divisible by {den.pretty()}")
-    if den.coeffs[0] == 0:
-        raise NonZeroRemainder("divisor has zero constant term")
-    qdeg = num.degree - den.degree
-    d0 = Fraction(den.coeffs[0])
-    quot = []
-    for k in range(qdeg + 1):
-        acc = Fraction(num.coefficient(k))
-        for j in range(max(0, k - len(den.coeffs) + 1), k):
-            acc -= quot[j] * den.coefficient(k - j)
-        c = acc / d0
-        if c.denominator != 1:
-            raise NonZeroRemainder(
-                f"{num.pretty()} is not divisible by {den.pretty()} over the integers")
-        quot.append(c)
-    result = PoincarePoly(_trim(int(c) for c in quot))
-    if result * den != num:
-        raise NonZeroRemainder(f"{num.pretty()} is not divisible by {den.pretty()}")
-    return result
+    coeffs = list(coeffs)
+    for _ in range(power):
+        coeffs = list(accumulate(coeffs))
+        if coeffs and coeffs.pop():
+            raise NonZeroRemainder(f"not divisible by (1 - q)^{power}")
+    return PoincarePoly(_trim(coeffs))
 
 
 ONE_MINUS_Q = PoincarePoly((1, -1))

@@ -165,7 +165,8 @@ def torus_rep(setup) -> TorusRep:
     an extra factor 1/2: the real moment map used here carries the
     one-half normalization, while the exact modules use the coordinate
     formula without it.  Critical sets are unaffected by that rescaling,
-    and the complex level is transported as is.
+    and the complex level is transported as is.  Input whose B^T B,
+    |alpha|^2 or |beta|^2 overflows a float raises InputError.
     """
     bmat = weights_matrix(setup)
     d = setup.dim
@@ -174,7 +175,14 @@ def torus_rep(setup) -> TorusRep:
         rep = GroupRep(basis=np.zeros((0, n, n), dtype=np.complex128),
                        structure=np.zeros((0, 0, 0)), abelian=True, cartan=())
         return TorusRep(rep, np.zeros(0), np.zeros(0, dtype=np.complex128))
-    gram = bmat.T @ bmat
+    alpha_in, beta_in = alpha_vector(setup), beta_vector(setup)
+    with np.errstate(all="ignore"):
+        gram = bmat.T @ bmat
+        squares = {"B^T B": gram, "|alpha|^2": alpha_in @ alpha_in,
+                   "|beta|^2": np.vdot(beta_in, beta_in).real}
+    for what, square in squares.items():
+        if not np.all(np.isfinite(square)):
+            raise InputError(f"{what} is too large for floating point")
     lower = np.linalg.cholesky(gram)
     vmat = np.linalg.inv(lower).T        # columns orthonormalize the Gram matrix
     diag_weights = bmat @ vmat           # column a holds the diagonal of e_a / i
@@ -183,8 +191,8 @@ def torus_rep(setup) -> TorusRep:
         np.fill_diagonal(basis[a], 1j * diag_weights[:, a])
     rep = GroupRep(basis=basis, structure=np.zeros((d, d, d)), abelian=True,
                    cartan=tuple(range(d)))
-    alpha = 0.5 * (vmat.T @ alpha_vector(setup))
-    beta = vmat.T.astype(np.complex128) @ beta_vector(setup)
+    alpha = 0.5 * (vmat.T @ alpha_in)
+    beta = vmat.T.astype(np.complex128) @ beta_in
     return TorusRep(rep, alpha, beta)
 
 

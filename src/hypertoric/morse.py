@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
-                     RankDeficient)
-from .exact import ONE_MINUS_Q, PoincarePoly, int_rank, poly_divide_exact
+from .errors import NonGenericBeta, PartitionViolation, RankDeficient
+from .exact import ONE_MINUS_Q, PoincarePoly, divide_by_one_minus_q, int_rank
 from .flats import enumerate_flats, lattice
 from .torus import (
     ModificationPair,
@@ -23,8 +22,6 @@ from .torus import (
     beta_witness,
     metric_of,
     norm2_dual,
-    pairing,
-    residual_alpha,
     residual_beta,
 )
 
@@ -82,8 +79,7 @@ def _flat_polys(weights) -> tuple:
                 for k, c in enumerate(coeffs):
                     acc[shift + k] -= c
         lifted.append(acc)
-        polys.append(poly_divide_exact(PoincarePoly.from_coeffs(acc),
-                                       ONE_MINUS_Q ** rank_f))
+        polys.append(divide_by_one_minus_q(acc, rank_f))
     return tuple(polys)
 
 
@@ -112,33 +108,6 @@ def perfection_sum(weights) -> PoincarePoly:
         total = total + (PoincarePoly.monomial(n - mask.bit_count())
                          * ONE_MINUS_Q ** rank_f * p)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Flow directions off a critical manifold
-# ---------------------------------------------------------------------------
-
-
-def sign_split(setup: TorusSetup, flat) -> tuple:
-    """Partition rows outside the flat by the sign of their alpha pairing.
-
-    The sign decides whether the circle-equivariant Euler factor for that
-    row is the bare weight or its reflection through the equivariant class.
-    """
-    metric = metric_of(setup.weights)
-    res = residual_alpha(setup, flat)
-    plus, minus = [], []
-    for i in range(setup.n):
-        if i in flat:
-            continue
-        p = pairing(metric, res, setup.weights[i])
-        if p > 0:
-            plus.append(i)
-        elif p < 0:
-            minus.append(i)
-        else:
-            raise NonGenericAlpha(("pairing", tuple(flat), i))
-    return tuple(plus), tuple(minus)
 
 
 # ---------------------------------------------------------------------------

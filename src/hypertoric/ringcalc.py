@@ -21,8 +21,7 @@ from itertools import combinations_with_replacement
 
 from .exact import certified_rank
 from .flats import proper_flats
-from .morse import sign_split
-from .torus import TorusSetup
+from .torus import TorusSetup, sign_split
 
 
 def _linear_form(coeffs, nvars):

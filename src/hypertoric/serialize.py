@@ -87,15 +87,14 @@ def flat_to_json(flat: Sequence[int]) -> list:
 
 
 def witness_to_json(witness) -> dict:
-    """Structured form of a genericity witness, indices 1-based."""
+    """Structured form of a genericity witness, indices 1-based: a pairing,
+    or a level collision of two flats."""
     kind = witness[0]
     if kind == "pairing":
         return {"kind": "pairing", "flat": flat_to_json(witness[1]),
                 "weight": witness[2] + 1}
-    if kind in ("residual_collision", "level_collision"):
-        return {"kind": kind, "flats": [flat_to_json(witness[1]),
-                                        flat_to_json(witness[2])]}
-    return {"kind": str(kind), "data": [str(part) for part in witness[1:]]}
+    return {"kind": kind, "flats": [flat_to_json(witness[1]),
+                                    flat_to_json(witness[2])]}
 
 
 def parse_matrix_list(obj):

@@ -25,7 +25,7 @@ from .errors import (
     RankDeficient,
     SamplingExhausted,
 )
-from .exact import CRat, as_rat, int_kernel_rows, int_rank, int_solve
+from .exact import CRat, as_rat, int_rank, int_solve
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,9 @@ class GaleData:
 
     Hyperplane j of the dual arrangement is {y : <normal_j, y> = offset_j},
     where normal_j is column j of C.  Offsets solve B^T offsets = alpha; the
-    choice of solution only translates the arrangement.
+    choice of solution only translates the arrangement.  The rows of C are
+    a basis of ker B^T over Q, not of its integer lattice: another basis TC,
+    T invertible, changes the coordinates y by T^T and no face count.
     """
 
     cmatrix: tuple  # (N - d) integer rows of length N
@@ -149,20 +151,30 @@ class GaleData:
 
 @lru_cache(maxsize=None)
 def _gale(weights, alpha) -> GaleData:
-    """C is the Hermite basis of the kernel lattice of B^T.  The offsets are
-    nonzero only on the first d independent rows I of B, where they solve
-    the square system B_I^T offsets_I = alpha."""
+    """One fraction-free solve gives C and the offsets.  With I the first d
+    independent rows of B and F the others, int_solve returns det and
+    X = det (B_I^T)^-1 [B_F^T | alpha].  Kernel row f of C is det at f and
+    -X[:, f] on I, since B_F^T det e_f = B_I^T X[:, f].  The offsets are
+    X[:, alpha] / det on I and zero off it."""
     n = len(weights)
-    cmatrix = tuple(map(tuple, int_kernel_rows(list(zip(*weights)), n)))
-    normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
     pivots = _independent(weights)
+    free = [j for j in range(n) if j not in pivots]
     scale = lcm(*(a.denominator for a in alpha))
     det, x = int_solve([[weights[i][k] for i in pivots] for k in range(len(alpha))],
-                       [[int(a * scale)] for a in alpha])
+                       [[weights[f][k] for f in free] + [int(a * scale)]
+                        for k, a in enumerate(alpha)])
+    cmatrix = []
+    for col, f in enumerate(free):
+        row = [0] * n
+        row[f] = det
+        for i, xr in zip(pivots, x):
+            row[i] = -xr[col]
+        cmatrix.append(tuple(row))
+    normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
     offsets = [Fraction(0)] * n
     for i, row in zip(pivots, x):
-        offsets[i] = Fraction(row[0], det * scale)
-    return GaleData(cmatrix, normals, tuple(offsets))
+        offsets[i] = Fraction(row[-1], det * scale)
+    return GaleData(tuple(cmatrix), normals, tuple(offsets))
 
 
 def gale_of(setup: TorusSetup) -> GaleData:
@@ -250,9 +262,11 @@ def critical_level(setup: TorusSetup, subset) -> Fraction:
 def beta_witness(setup: TorusSetup):
     """First failing condition for beta-genericity, or None.
 
-    Conditions over flats J: (i) the residuals beta_J are pairwise distinct,
-    (ii) <beta_J, u_i> != 0 for every row i outside J, (iii) the levels
-    |beta_J|^2 are pairwise distinct.
+    Conditions over flats J: (i) <beta_J, u_i> != 0 for every row i outside
+    J, (ii) the levels |beta_J|^2 are pairwise distinct.  (i) also makes the
+    residuals beta_J pairwise distinct: two flats differ in some row i, and
+    beta_J pairs to zero with every row of J, so the residual of the flat
+    without i, were it equal to the other's, would pair to zero with u_i.
     """
     return _beta_witness(setup.weights, setup.beta)
 
@@ -260,13 +274,10 @@ def beta_witness(setup: TorusSetup):
 @lru_cache(maxsize=None)
 def _beta_witness(weights, beta):
     metric = metric_of(weights)
-    all_flats = flats.enumerate_flats(weights)
-    residuals = {}
-    levels = {}
-    for f in all_flats:
+    by_level = {}  # level -> flats at that level, in flat order
+    for f in flats.enumerate_flats(weights):
         res = perp_part_complex(weights, f, beta)
-        residuals[f] = res
-        levels[f] = norm2_dual(metric, res)
+        by_level.setdefault(norm2_dual(metric, res), []).append(f)
         for i in range(len(weights)):
             if i in f:
                 continue
@@ -274,14 +285,12 @@ def _beta_witness(weights, beta):
             im_pair = pairing(metric, tuple(z.im for z in res), weights[i])
             if re_pair == 0 and im_pair == 0:
                 return ("pairing", f, i)
-    flat_list = list(all_flats)
-    for a in range(len(flat_list)):
-        for b in range(a + 1, len(flat_list)):
-            fa, fb = flat_list[a], flat_list[b]
-            if residuals[fa] == residuals[fb]:
-                return ("residual_collision", fa, fb)
-            if levels[fa] == levels[fb]:
-                return ("level_collision", fa, fb)
+    # The first colliding pair (a, b) in flat order: a is the first flat of
+    # the first level shared by two flats (dicts keep insertion order), and
+    # b the next flat at that level.
+    for group in by_level.values():
+        if len(group) > 1:
+            return ("level_collision", group[0], group[1])
     return None
 
 
@@ -311,6 +320,28 @@ def _alpha_witness(weights, alpha):
             if pairing(metric, res, weights[i]) == 0:
                 return ("pairing", f, i)
     return None
+
+
+def sign_split(setup: TorusSetup, flat) -> tuple:
+    """Partition rows outside the flat by the sign of their alpha pairing.
+
+    The sign decides whether the circle-equivariant Euler factor for that
+    row is the bare weight or its reflection through the equivariant class.
+    """
+    metric = metric_of(setup.weights)
+    res = residual_alpha(setup, flat)
+    plus, minus = [], []
+    for i in range(setup.n):
+        if i in flat:
+            continue
+        p = pairing(metric, res, setup.weights[i])
+        if p > 0:
+            plus.append(i)
+        elif p < 0:
+            minus.append(i)
+        else:
+            raise NonGenericAlpha(("pairing", tuple(flat), i))
+    return tuple(plus), tuple(minus)
 
 
 def require_generic(setup: TorusSetup) -> None:

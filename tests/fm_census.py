@@ -14,9 +14,9 @@ from itertools import combinations
 from math import gcd
 
 from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
-from hypertoric.exact import int_kernel_rows, int_rank
+from hypertoric.exact import int_rank
 from hypertoric.torus import gale_of, simplicity_witness
-from metric_reference import solve_exact
+from metric_reference import nullspace, solve_exact
 
 
 def _normalize(coeffs, const, strict):
@@ -163,7 +163,7 @@ def fm_face_census(setup) -> tuple:
                 if int_rank(mat, m) < size:
                     continue
                 point = solve_exact(mat, [offsets[i] for i in support])
-                basis = int_kernel_rows(mat, m)
+                basis = nullspace(mat, m)
             else:
                 point = tuple(0 for _ in range(m))
                 basis = [tuple(int(i == j) for i in range(m)) for j in range(m)]

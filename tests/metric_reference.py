@@ -6,13 +6,13 @@ entries (``solve_exact``), the inverse Gram matrix (B^T B)^{-1} as Fraction
 rows, and the residual map solved one unit covector at a time.  The tests
 compare ``torus.metric_of``, ``torus._residual_map``, the critical levels,
 the alpha pairings and ``torus._gale`` against it, and the FM census takes
-its vertex solves from here.
+its vertex solves and support kernels from here.  The kernels come from a
+Fraction reduced row echelon form (``nullspace``), so ``torus._gale`` is
+compared with it by row space.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-
-from hypertoric.exact import int_kernel_rows
 
 
 def solve_exact(rows, rhs):
@@ -50,6 +50,42 @@ def solve_exact(rows, rhs):
     for i, c in enumerate(piv_cols):
         out[c] = aug[i][nc]
     return tuple(out)
+
+
+def rref(rows, ncols):
+    """(reduced rows, pivot columns) of the Fraction reduced row echelon
+    form, zero rows dropped; it depends only on the row space."""
+    aug = [[Fraction(x) for x in row] for row in rows]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    return tuple(map(tuple, aug[:r])), tuple(piv_cols)
+
+
+def nullspace(rows, ncols):
+    """Basis of {v : M v = 0} over Q, one Fraction row per free column f:
+    1 at f, minus the RREF column f on the pivots, zero elsewhere."""
+    reduced, piv_cols = rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in piv_cols:
+            continue
+        v = [Fraction(int(j == f)) for j in range(ncols)]
+        for row, c in zip(reduced, piv_cols):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def matmul(a, b):
@@ -106,10 +142,10 @@ def critical_level(weights, beta, subset) -> Fraction:
 
 
 def gale(weights, alpha) -> tuple:
-    """(cmatrix, normals, offsets): the Hermite kernel basis of B^T and the
+    """(cmatrix, normals, offsets): the RREF kernel basis of B^T and the
     offsets that ``solve_exact`` picks for B^T offsets = alpha."""
     n = len(weights)
-    cmatrix = tuple(map(tuple, int_kernel_rows(list(zip(*weights)), n)))
+    cmatrix = tuple(nullspace(list(zip(*weights)), n))
     normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
     if not alpha:
         return cmatrix, normals, (Fraction(0),) * n

@@ -218,6 +218,9 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("flow", dict(PAIR, weights=[[10 ** 400], [1]]), ()),
     ("flow", dict(PAIR, alpha=["1e400"]), ()),
     ("flow", dict(PAIR, beta=[["1e400", "0"]]), ()),
+    ("flow", dict(PAIR, weights=[[10 ** 200], [1]]), ("--sample-generic",)),
+    ("flow", dict(PAIR, alpha=["1e200"]), ()),
+    ("flow", dict(PAIR, beta=[["1e200", "0"]]), ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -225,7 +228,8 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
         "flow-max-time-negative", "flow-max-time-nan",
         "alpha-zero-denominator", "beta-zero-denominator", "alpha-bool",
         "flow-weight-beyond-float", "flow-alpha-beyond-float",
-        "flow-beta-beyond-float"])
+        "flow-beta-beyond-float", "flow-weight-square-beyond-float",
+        "flow-alpha-square-beyond-float", "flow-beta-square-beyond-float"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     path = write_json(tmp_path, "input.json", obj)
     proc = run_cli(command, path, *flags)

@@ -1,24 +1,21 @@
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import exact
 from hypertoric.errors import NonZeroRemainder
 from hypertoric.exact import (
     MODULUS,
+    ONE_MINUS_Q,
     PoincarePoly,
     as_rat,
     certified_rank,
-    hnf_rows,
-    int_kernel_rows,
+    divide_by_one_minus_q,
     int_rank,
     int_solve,
-    poly_divide_exact,
 )
 from metric_reference import solve_exact
 
@@ -41,15 +38,22 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def maximal_minors_gcd(rows, ncols):
-    """gcd of the k x k minors of k integer rows; 1 iff their lattice is
-    saturated, that is equal to its rational span meet Z^ncols."""
-    g = 0
-    for cols in combinations(range(ncols), len(rows)):
-        solved = int_solve([[row[c] for c in cols] for row in rows], [[]] * len(rows))
-        if solved is not None:
-            g = gcd(g, solved[0])
-    return g
+def solve_kernel(rows, ncols, pivots):
+    """Kernel rows of integer rows whose columns at pivots form a nonsingular
+    square block, from one int_solve as torus._gale builds C: with X = det
+    A_pivots^-1 A_free, the row for free column f is det at f and -X[:, f]
+    on the pivots."""
+    free = [f for f in range(ncols) if f not in pivots]
+    det, x = int_solve([[row[c] for c in pivots] for row in rows],
+                       [[row[f] for f in free] for row in rows])
+    kernel = []
+    for col, f in enumerate(free):
+        v = [0] * ncols
+        v[f] = det
+        for c, xr in zip(pivots, x):
+            v[c] = -xr[col]
+        kernel.append(v)
+    return kernel
 
 
 class TestRat:
@@ -76,42 +80,26 @@ class TestRankNullspace:
 
     def test_nullspace_of_ones_column(self):
         # weights (1), (1): kernel of the transpose pairing is spanned by (1, -1)
-        assert int_kernel_rows([[1, 1]], 2) == [[1, -1]]
+        assert solve_kernel([[1, 1]], 2, [0]) == [[-1, 1]]
 
     def test_nullspace_zero_rows(self):
-        ker = int_kernel_rows([[0, 0, 0]], 3)
-        assert ker == identity(3)
-        assert times([[0, 0, 0]], list(zip(*ker))) == [[0, 0, 0]]
-
-    def test_nullspace_saturated_not_just_primitive(self):
-        # For the single row (2, 1, 1) a naive echelon basis can land in an
-        # index-2 sublattice; the saturated kernel contains (0, 1, -1).
-        ker = int_kernel_rows([[2, 1, 1]], 3)
-        assert len(ker) == 2
-        assert maximal_minors_gcd(ker, 3) == 1
-        # (0, 1, -1) must be an integer combination of the basis rows.
-        det, x = int_solve([[ker[0][c], ker[1][c]] for c in (0, 1)], [[0], [1]])
-        coeffs = [Fraction(row[0], det) for row in x]
-        assert all(c.denominator == 1 for c in coeffs)
-        combination = [sum(c * r[j] for c, r in zip(coeffs, ker)) for j in range(3)]
-        assert combination == [0, 1, -1]
+        # No rows (a trivial torus): int_solve of the empty system is (1, []),
+        # so the kernel is the identity with no special case.
+        assert int_solve([], []) == (1, [])
+        assert solve_kernel([], 3, []) == identity(3)
 
     @given(int_matrix(3, 5))
     @settings(max_examples=60, deadline=None)
     def test_nullspace_annihilates(self, m):
-        ker = int_kernel_rows(m, 5)
-        assert len(ker) == 5 - int_rank(m, 5)
-        assert hnf_rows(ker, 5) == ker
-        if ker:
-            assert all(x == 0 for row in times(m, list(zip(*ker))) for x in row)
-            assert maximal_minors_gcd(ker, 5) == 1
-            for row in ker:
-                g = 0
-                for x in row:
-                    g = gcd(g, abs(x))
-                assert g == 1
-                first = next(x for x in row if x != 0)
-                assert first > 0
+        assume(int_rank(m, 5) == 3)
+        pivots = []
+        for c in range(5):
+            if int_rank([[row[p] for p in pivots + [c]] for row in m],
+                        len(pivots) + 1) > len(pivots):
+                pivots.append(c)
+        ker = solve_kernel(m, 5, pivots)
+        assert len(ker) == 2 and int_rank(ker, 5) == 2
+        assert all(x == 0 for row in times(m, list(zip(*ker))) for x in row)
 
     @given(int_matrix(4, 3))
     @settings(max_examples=60, deadline=None)
@@ -189,22 +177,6 @@ class TestCertifiedRank:
         assert certified_rank([[]], 0) == 0
 
 
-class TestHNF:
-    def test_canonical_form(self):
-        rows = hnf_rows([[2, 4], [1, 1]], 2)
-        assert rows == [[1, 0], [0, 2]] or rows == [[1, 1], [0, 2]]
-        # pivots positive, below-pivot zeros
-        assert rows[0][0] > 0 and rows[1][0] == 0
-
-    def test_lattice_invariance(self):
-        a = hnf_rows([[1, 2, 3], [4, 5, 6]], 3)
-        b = hnf_rows([[5, 7, 9], [4, 5, 6], [1, 2, 3]], 3)
-        assert a == b
-
-    def test_empty_kernel(self):
-        assert int_kernel_rows([[1, 0], [0, 1]], 2) == []
-
-
 class TestSolveInverse:
     def test_solve_unique(self):
         det, x = int_solve([[2, 1], [1, 3]], [[5], [10]])
@@ -249,37 +221,35 @@ class TestSolveInverse:
 
 class TestPoly:
     def test_trim_and_degree(self):
-        p = PoincarePoly.from_coeffs([1, 2, 0, 0])
-        assert p.coeffs == (1, 2)
-        assert p.degree == 1
+        p = PoincarePoly((1, 1)) * PoincarePoly((1, -1)) + PoincarePoly((0, 0, 1))
+        assert p.coeffs == (1,)
+        assert p.degree == 0
+        assert (p + PoincarePoly((-1,))).coeffs == ()
 
     def test_arithmetic(self):
         p = PoincarePoly((1, 1))
         q = PoincarePoly((1, -1))
         assert (p * q).coeffs == (1, 0, -1)
         assert (p + q).coeffs == (2,)
-        assert (p - q).coeffs == (0, 2)
         assert (q ** 2).coeffs == (1, -2, 1)
 
     def test_divide_exact(self):
-        num = PoincarePoly((1, 0, -1))  # 1 - q^2
-        den = PoincarePoly((1, -1))     # 1 - q
-        assert poly_divide_exact(num, den).coeffs == (1, 1)
+        assert divide_by_one_minus_q([1, 0, -1], 1).coeffs == (1, 1)  # 1 - q^2
+        assert divide_by_one_minus_q([1, -1, -1, 1, 0], 2).coeffs == (1, 1)
+        assert divide_by_one_minus_q([3, 0], 0).coeffs == (3,)
+        assert divide_by_one_minus_q([0, 0], 1).coeffs == ()
 
     def test_divide_rejects_remainder(self):
         with pytest.raises(NonZeroRemainder):
-            poly_divide_exact(PoincarePoly((1, 1)), PoincarePoly((1, -1)))
-
-    def test_pretty(self):
-        assert PoincarePoly((1, 2, 0, 1)).pretty() == "1 + 2*q + q^3"
-        assert PoincarePoly(()).pretty() == "0"
+            divide_by_one_minus_q([1, 1], 1)
+        with pytest.raises(NonZeroRemainder):
+            divide_by_one_minus_q([1, 0, -1], 2)  # (1 - q)(1 + q)
 
     @given(st.lists(small_ints, min_size=1, max_size=5),
-           st.lists(small_ints, min_size=1, max_size=5))
+           st.integers(min_value=0, max_value=4))
     @settings(max_examples=80, deadline=None)
-    def test_divide_undoes_multiply(self, a, b):
-        p = PoincarePoly.from_coeffs(a)
-        q = PoincarePoly.from_coeffs(b)
-        if not q.coeffs or q.coeffs[0] == 0 or not p.coeffs:
-            return
-        assert poly_divide_exact(p * q, q) == p
+    def test_divide_undoes_multiply(self, a, power):
+        p = PoincarePoly(tuple(a)) + PoincarePoly.zero()  # trimmed
+        product = p * ONE_MINUS_Q ** power
+        padded = list(product.coeffs) + [0] * 3
+        assert divide_by_one_minus_q(padded, power) == p

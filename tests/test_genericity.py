@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
 from hypertoric.exact import CRat, int_rank
+from hypertoric.flats import enumerate_flats
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
     gale_of,
+    metric_of,
     new_setup,
+    norm2_dual,
+    pairing,
     perp_part,
+    perp_part_complex,
     require_generic,
     sample_generic,
     simplicity_witness,
@@ -49,6 +54,38 @@ def subset_search_witness(normals, offsets, max_size):
                 consistent = solve_exact(sub, rhs) is not None
             if consistent:
                 return subset
+    return None
+
+
+def pairwise_beta_witness(weights, beta):
+    """First failing beta condition, with collisions found pair by pair.
+
+    The O(flats^2) loop over pairs (a, b), a < b in flat order, that
+    grouping the flats by level replaced.  Its residual_collision branch is
+    never reached: equal residuals fail a pairing first.
+    """
+    metric = metric_of(weights)
+    all_flats = enumerate_flats(weights)
+    residuals = {}
+    levels = {}
+    for f in all_flats:
+        res = perp_part_complex(weights, f, beta)
+        residuals[f] = res
+        levels[f] = norm2_dual(metric, res)
+        for i in range(len(weights)):
+            if i in f:
+                continue
+            re_pair = pairing(metric, tuple(z.re for z in res), weights[i])
+            im_pair = pairing(metric, tuple(z.im for z in res), weights[i])
+            if re_pair == 0 and im_pair == 0:
+                return ("pairing", f, i)
+    for a in range(len(all_flats)):
+        for b in range(a + 1, len(all_flats)):
+            fa, fb = all_flats[a], all_flats[b]
+            if residuals[fa] == residuals[fb]:
+                return ("residual_collision", fa, fb)
+            if levels[fa] == levels[fb]:
+                return ("level_collision", fa, fb)
     return None
 
 
@@ -175,6 +212,17 @@ def test_one_sampling_loop_matches_two(setup, seed):
     assert outcome(sample_generic, setup.weights, seed, setup.alpha,
                    setup.beta) == outcome(
         two_witness_ensure_generic, setup, seed, True)
+
+
+@PROPS
+@given(weight_matrices(), st.data())
+def test_beta_witness_equals_the_pairwise_search(weights, data):
+    # Entries in [-1, 1] make pairing failures and level collisions common:
+    # about a third and a tenth of the draws.
+    part = st.integers(-1, 1).map(Fraction)
+    beta = data.draw(st.tuples(*[st.builds(CRat, part, part)] * len(weights[0])))
+    setup = new_setup(weights, beta=beta)
+    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
 
 
 @PROPS

@@ -14,9 +14,8 @@ from hypertoric.morse import (
     modification_recurrence,
     perfection_sum,
     poincare_morse,
-    sign_split,
 )
-from hypertoric.torus import modify, new_setup, sample_generic
+from hypertoric.torus import modify, new_setup, sample_generic, sign_split
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
