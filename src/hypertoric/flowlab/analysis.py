@@ -33,18 +33,16 @@ _BLOCK = 256
 class LojReport:
     """Empirical gradient-decay certificate over the tail of a trajectory.
 
-    ``k_hat`` is the smallest observed value of |grad f| / (f - f_c)^(3/4)
-    on the window, and ``bound`` is the resulting prediction
-    4 k_hat^{-1} (f_start - f_c)^{1/4} for the remaining path length from
-    the start of the window.
+    With f_c the limit value, ``k_hat`` is the smallest observed value of
+    |grad f| / (f - f_c)^(3/4) on the window, and ``bound`` is the resulting
+    prediction 4 k_hat^{-1} (f_start - f_c)^{1/4} for the remaining path
+    length from the start of the window.
     """
 
-    f_c: float
     k_hat: float
     fitted_exponent: float
     tail_arclength: float
     bound: float
-    window_start: int
     window_size: int
 
 
@@ -79,9 +77,8 @@ def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
     tail = float(np.sum(np.linalg.norm(np.diff(traj.states[window[0]:], axis=0),
                                        axis=1)))
     slope = float(np.polyfit(np.log(g), np.log(gn), 1)[0])
-    return LojReport(f_c=limit, k_hat=k_hat, fitted_exponent=slope,
-                     tail_arclength=tail, bound=bound,
-                     window_start=int(window[0]), window_size=int(window.size))
+    return LojReport(k_hat=k_hat, fitted_exponent=slope, tail_arclength=tail,
+                     bound=bound, window_size=int(window.size))
 
 
 def classify_limit(setup, traj: Trajectory,

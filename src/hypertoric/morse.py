@@ -16,14 +16,7 @@ from fractions import Fraction
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
 from .exact import ONE_MINUS_Q, PoincarePoly, divide_by_one_minus_q, int_rank
 from .flats import enumerate_flats, lattice
-from .torus import (
-    ModificationPair,
-    TorusSetup,
-    beta_witness,
-    metric_of,
-    norm2_dual,
-    residual_beta,
-)
+from .torus import ModificationPair, TorusSetup, beta_witness, critical_level
 
 
 @dataclass(frozen=True)
@@ -32,26 +25,17 @@ class CriticalComponent:
     rank: int
     index: int        # Morse index: 2 * (rows outside the flat)
     level: Fraction   # exact energy value |beta_residual|^2
-    residual: tuple   # beta minus its projection onto the flat span
 
 
 def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one per flat, in (size, lex) flat order."""
     if (witness := beta_witness(setup)) is not None:
         raise NonGenericBeta(witness)
-    metric = metric_of(setup.weights)
-    out = []
-    for f, (_, rank_f) in zip(enumerate_flats(setup.weights),
-                              lattice(setup.weights)):
-        res = residual_beta(setup, f)
-        out.append(CriticalComponent(
-            flat=f,
-            rank=rank_f,
-            index=2 * (setup.n - len(f)),
-            level=norm2_dual(metric, res),
-            residual=res,
-        ))
-    return tuple(out)
+    return tuple(
+        CriticalComponent(flat=f, rank=rank_f, index=2 * (setup.n - len(f)),
+                          level=critical_level(setup, f))
+        for f, (_, rank_f) in zip(enumerate_flats(setup.weights),
+                                  lattice(setup.weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
+from types import MappingProxyType
 
 from . import flats
 from .errors import (
@@ -122,6 +124,16 @@ def metric_of(weights) -> Metric:
     return Metric(tuple(map(tuple, adj)), det)
 
 
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _integral(level) -> tuple:
+    """(s, s * level) for the least s > 0 making every entry an integer."""
+    scale = lcm(*(x.denominator for x in level))
+    return scale, [x.numerator * (scale // x.denominator) for x in level]
+
+
 def _independent(rows) -> list:
     """Indices of the rows, in order, that raise the rank of those before."""
     picked = []
@@ -159,10 +171,10 @@ def _gale(weights, alpha) -> GaleData:
     n = len(weights)
     pivots = _independent(weights)
     free = [j for j in range(n) if j not in pivots]
-    scale = lcm(*(a.denominator for a in alpha))
+    scale, level = _integral(alpha)
     det, x = int_solve([[weights[i][k] for i in pivots] for k in range(len(alpha))],
-                       [[weights[f][k] for f in free] + [int(a * scale)]
-                        for k, a in enumerate(alpha)])
+                       [[weights[f][k] for f in free] + [a]
+                        for k, a in enumerate(level)])
     cmatrix = []
     for col, f in enumerate(free):
         row = [0] * n
@@ -181,73 +193,72 @@ def gale_of(setup: TorusSetup) -> GaleData:
     return _gale(setup.weights, setup.alpha)
 
 
-def pairing(metric: Metric, a, b) -> Fraction:
-    """Dual-space inner product a^T G^{-1} b of two real covectors."""
-    total = 0
-    for ai, row in zip(a, metric.adj):
-        if ai:
-            total += ai * sum(x * bj for x, bj in zip(row, b) if bj)
-    return Fraction(total, metric.det)
+@dataclass(frozen=True)
+class FlatWalls:
+    """The walls and the level form of one flat J, all integer.
+
+    With R_J the residual map (a covector minus its dual-metric projection
+    onto the span of J) and u_i row i, every level question on J reads
+
+        <R_J a, u_i> = (h_i . a) / denom   and   |R_J b|^2 = b^T form b / denom.
+    """
+
+    walls: tuple  # (i, h_i) for every row i outside J, in row order
+    form: tuple   # d integer rows, symmetric
+    denom: int    # positive
 
 
 @lru_cache(maxsize=None)
-def _residual_map(weights, subset) -> tuple:
-    """Rows of the d x d matrix R sending a covector to its residual.
+def walls_of(weights) -> MappingProxyType:
+    """FlatWalls of every flat, keyed by the flat, in flat order (read-only).
 
-    The residual of v is v minus its dual-metric projection onto the span of
-    the rows in subset.  With U the first independent rows of subset and
-    G^{-1} = A / det, that projection is U^T M^{-1} U A v for the integer
-    matrix M = U A U^T.  One fraction-free solve gives X = det_M M^{-1} U A,
-    so R = I - U^T X / det_M, built once per (weights, subset) and reused
-    for every level.
+    With U the first independent rows of J and G^-1 = adj / det, the
+    projection onto span(J) is U^T M^-1 U adj for the integer matrix
+    M = U adj U^T.  One fraction-free solve gives X = det_M M^-1 U adj, so
+    K = det_M R_J = det_M I - U^T X is integral, and so is
+    form = adj K = det_M adj - (U adj)^T X.  M is positive definite, so
+    ``int_solve`` pivots on its leading principal minors without a swap and
+    det_M = det M > 0: denom = det det_M is positive, and the sign of
+    h_i . a is the sign of the pairing.  The projection is self-adjoint,
+    K^T adj = adj K, so the pairing <R_J a, u_i> = a^T K^T adj u_i / denom
+    has h_i = form u_i, and |R_J b|^2 = b^T R_J^T G^-1 R_J b = b^T G^-1 R_J b
+    because R_J^2 = R_J.  These are the walls of Hausel and Sturmfels
+    (Toric hyperKahler varieties, Doc. Math. 7, 2002): a level is generic
+    exactly when it lies on none of them.
     """
-    adj = metric_of(weights).adj
-    d = len(weights[0])
-    rows = [weights[j] for j in subset]
-    u = [rows[k] for k in _independent(rows)]
-    ua = [[sum(r[k] * adj[k][j] for k in range(d)) for j in range(d)] for r in u]
-    det_m, x = int_solve([[sum(a * b for a, b in zip(row, r)) for r in u]
-                          for row in ua], ua)
-    return tuple(
-        tuple(Fraction(det_m * (i == j) - sum(r[i] * xr[j] for r, xr in zip(u, x)),
-                       det_m) for j in range(d))
-        for i in range(d))
+    metric = metric_of(weights)
+    adj = metric.adj
+    d = len(adj)
+    table = {}
+    for f in flats.enumerate_flats(weights):
+        rows = [weights[j] for j in f]
+        u = [rows[k] for k in _independent(rows)]
+        ua = [[_dot(r, row) for row in adj] for r in u]
+        det_m, x = int_solve([[_dot(row, r) for r in u] for row in ua], ua)
+        form = tuple(tuple(det_m * adj[i][j] - sum(a[i] * xr[j] for a, xr in zip(ua, x))
+                           for j in range(d)) for i in range(d))
+        walls = tuple((i, tuple(_dot(row, weights[i]) for row in form))
+                      for i in range(len(weights)) if i not in f)
+        table[f] = FlatWalls(walls, form, metric.det * det_m)
+    return MappingProxyType(table)
 
 
-def perp_part(weights, subset, vec):
-    """Component of a real covector orthogonal to span{rows in subset}."""
-    vec = tuple(as_rat(v) for v in vec)
-    if not subset or not vec:
-        return vec
-    return tuple(sum((r * v for r, v in zip(row, vec) if r and v), Fraction(0))
-                 for row in _residual_map(weights, tuple(subset)))
+def _scaled_beta(beta) -> tuple:
+    """(s, s Re beta, s Im beta), integral with one scale s > 0."""
+    scale, parts = _integral([x for z in beta for x in (z.re, z.im)])
+    return scale, parts[0::2], parts[1::2]
 
 
-def perp_part_complex(weights, subset, cvec):
-    re = perp_part(weights, subset, tuple(z.re for z in cvec))
-    im = perp_part(weights, subset, tuple(z.im for z in cvec))
-    return tuple(CRat(r, i) for r, i in zip(re, im))
+def _level(entry: FlatWalls, scale, re, im) -> Fraction:
+    quad = sum(x * _dot(row, part) for part in (re, im)
+               for x, row in zip(part, entry.form))
+    return Fraction(quad, entry.denom * scale * scale)
 
 
-def norm2_dual(metric: Metric, cvec) -> Fraction:
-    """Squared length of a complex covector in the dual metric."""
-    re = tuple(z.re for z in cvec)
-    im = tuple(z.im for z in cvec)
-    return pairing(metric, re, re) + pairing(metric, im, im)
-
-
-def residual_beta(setup: TorusSetup, subset):
-    """beta minus its projection onto the span of the subset rows."""
-    return perp_part_complex(setup.weights, subset, setup.beta)
-
-
-def residual_alpha(setup: TorusSetup, subset):
-    return perp_part(setup.weights, subset, setup.alpha)
-
-
-def critical_level(setup: TorusSetup, subset) -> Fraction:
-    """Exact value |beta_perp|^2 attached to a flat."""
-    return norm2_dual(metric_of(setup.weights), residual_beta(setup, subset))
+def critical_level(setup: TorusSetup, flat) -> Fraction:
+    """Exact value |beta_J|^2 of a flat J: the squared dual length of beta's
+    residual against the span of J."""
+    return _level(walls_of(setup.weights)[flat], *_scaled_beta(setup.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +267,8 @@ def critical_level(setup: TorusSetup, subset) -> Fraction:
 #
 # A witness depends on the weights and one level only, so each (weights,
 # alpha) and (weights, beta) pair is decided once per process and every
-# later check, sampling included, reads the cached decision.
+# later check, sampling included, reads the cached decision.  Every check
+# reads the walls of ``walls_of``, on a level scaled to integers.
 
 
 def beta_witness(setup: TorusSetup):
@@ -273,17 +285,12 @@ def beta_witness(setup: TorusSetup):
 
 @lru_cache(maxsize=None)
 def _beta_witness(weights, beta):
-    metric = metric_of(weights)
+    scale, re, im = _scaled_beta(beta)
     by_level = {}  # level -> flats at that level, in flat order
-    for f in flats.enumerate_flats(weights):
-        res = perp_part_complex(weights, f, beta)
-        by_level.setdefault(norm2_dual(metric, res), []).append(f)
-        for i in range(len(weights)):
-            if i in f:
-                continue
-            re_pair = pairing(metric, tuple(z.re for z in res), weights[i])
-            im_pair = pairing(metric, tuple(z.im for z in res), weights[i])
-            if re_pair == 0 and im_pair == 0:
+    for f, entry in walls_of(weights).items():
+        by_level.setdefault(_level(entry, scale, re, im), []).append(f)
+        for i, h in entry.walls:
+            if not _dot(h, re) and not _dot(h, im):
                 return ("pairing", f, i)
     # The first colliding pair (a, b) in flat order: a is the first flat of
     # the first level shared by two flats (dicts keep insertion order), and
@@ -311,13 +318,10 @@ def alpha_witness(setup: TorusSetup):
 
 @lru_cache(maxsize=None)
 def _alpha_witness(weights, alpha):
-    metric = metric_of(weights)
-    for f in flats.proper_flats(weights):
-        res = perp_part(weights, f, alpha)
-        for i in range(len(weights)):
-            if i in f:
-                continue
-            if pairing(metric, res, weights[i]) == 0:
+    _, a = _integral(alpha)
+    for f, entry in walls_of(weights).items():
+        for i, h in entry.walls:
+            if not _dot(h, a):
                 return ("pairing", f, i)
     return None
 
@@ -328,19 +332,16 @@ def sign_split(setup: TorusSetup, flat) -> tuple:
     The sign decides whether the circle-equivariant Euler factor for that
     row is the bare weight or its reflection through the equivariant class.
     """
-    metric = metric_of(setup.weights)
-    res = residual_alpha(setup, flat)
+    _, a = _integral(setup.alpha)
     plus, minus = [], []
-    for i in range(setup.n):
-        if i in flat:
-            continue
-        p = pairing(metric, res, setup.weights[i])
+    for i, h in walls_of(setup.weights)[flat].walls:
+        p = _dot(h, a)
         if p > 0:
             plus.append(i)
         elif p < 0:
             minus.append(i)
         else:
-            raise NonGenericAlpha(("pairing", tuple(flat), i))
+            raise NonGenericAlpha(("pairing", flat, i))
     return tuple(plus), tuple(minus)
 
 
@@ -367,10 +368,19 @@ def simplicity_witness(setup: TorusSetup):
     flat of rank d - 1), whose complement is then a witness no larger than
     S.  So the smallest witnesses are the complements of the largest coatoms
     F with alpha in span(F): one test per coatom.
+
+    That test reads one wall.  alpha is in span(F) exactly when its residual
+    R_F alpha is zero.  The residual lies on the line of covectors pairing
+    to zero with every row of F, and a row i outside F pairs nonzero with
+    every nonzero point of that line: F and i span the whole space, and only
+    zero pairs to zero with all of it.  So R_F alpha = 0 exactly when alpha
+    lies on the wall of the first row outside F.
     """
+    table = walls_of(setup.weights)
+    _, a = _integral(setup.alpha)
     best = None
     for f in flats.coatoms(setup.weights):
-        if any(residual_alpha(setup, f)):
+        if _dot(table[f].walls[0][1], a):
             continue
         rest = tuple(j for j in range(setup.n) if j not in f)
         if best is None or (len(rest), rest) < (len(best), best):
@@ -431,7 +441,6 @@ def derived_seed(tag: str, *parts) -> int:
 @dataclass(frozen=True)
 class ModificationPair:
     base: TorusSetup
-    circle: tuple
     enlarged: TorusSetup   # same coordinates, torus grown by the circle
     extended: TorusSetup   # one extra coordinate carrying the inverse circle
 
@@ -479,4 +488,4 @@ def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
     hat = sample_generic(wide, derived_seed("enlarged", setup.weights, circle, seed))
     tilde = sample_generic(extended_weights(setup.weights, circle),
                            derived_seed("extended", setup.weights, circle, seed))
-    return ModificationPair(setup, circle, hat, tilde)
+    return ModificationPair(setup, hat, tilde)

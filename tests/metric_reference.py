@@ -4,8 +4,9 @@ This is the linear algebra the package used before it solved every exact
 system fraction-free on integer rows: Gauss–Jordan elimination on Fraction
 entries (``solve_exact``), the inverse Gram matrix (B^T B)^{-1} as Fraction
 rows, and the residual map solved one unit covector at a time.  The tests
-compare ``torus.metric_of``, ``torus._residual_map``, the critical levels,
-the alpha pairings and ``torus._gale`` against it, and the FM census takes
+compare ``torus.metric_of``, the wall table ``torus.walls_of``, every
+witness, sign split and critical level read off it, and ``torus._gale``
+against it, and the FM census takes
 its vertex solves and support kernels from here.  The kernels come from a
 Fraction reduced row echelon form (``nullspace``), so ``torus._gale`` is
 compared with it by row space.

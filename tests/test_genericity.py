@@ -3,6 +3,9 @@ and one sampling loop decides levels as the two loops it replaced did.
 
 Random setups have n <= 7 rows and d <= 3 columns.  Levels are drawn both
 from a small box, where they are often non-generic, and from a wide one.
+Every answer read off the integer wall table is also checked against the
+Fraction residuals and pairings of ``metric_reference``, with the loops the
+package ran on them before the table.
 """
 
 import random
@@ -15,22 +18,27 @@ from hypothesis import strategies as st
 
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
 from hypertoric.exact import CRat, int_rank
-from hypertoric.flats import enumerate_flats
+from hypertoric.flats import closure, coatoms, enumerate_flats
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
+    critical_level,
     gale_of,
-    metric_of,
     new_setup,
-    norm2_dual,
-    pairing,
-    perp_part,
-    perp_part_complex,
     require_generic,
     sample_generic,
+    sign_split,
     simplicity_witness,
+    walls_of,
 )
-from metric_reference import gram_inverse, matmul, solve_exact
+from metric_reference import (
+    gram_inverse,
+    matmul,
+    pairing,
+    residual,
+    solve_exact,
+)
+from metric_reference import critical_level as reference_level
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -64,20 +72,19 @@ def pairwise_beta_witness(weights, beta):
     grouping the flats by level replaced.  Its residual_collision branch is
     never reached: equal residuals fail a pairing first.
     """
-    metric = metric_of(weights)
+    gi = gram_inverse(weights)
     all_flats = enumerate_flats(weights)
     residuals = {}
     levels = {}
     for f in all_flats:
-        res = perp_part_complex(weights, f, beta)
-        residuals[f] = res
-        levels[f] = norm2_dual(metric, res)
+        re = residual(weights, f, [z.re for z in beta])
+        im = residual(weights, f, [z.im for z in beta])
+        residuals[f] = (re, im)
+        levels[f] = reference_level(weights, beta, f)
         for i in range(len(weights)):
             if i in f:
                 continue
-            re_pair = pairing(metric, tuple(z.re for z in res), weights[i])
-            im_pair = pairing(metric, tuple(z.im for z in res), weights[i])
-            if re_pair == 0 and im_pair == 0:
+            if pairing(gi, re, weights[i]) == 0 and pairing(gi, im, weights[i]) == 0:
                 return ("pairing", f, i)
     for a in range(len(all_flats)):
         for b in range(a + 1, len(all_flats)):
@@ -87,6 +94,52 @@ def pairwise_beta_witness(weights, beta):
             if levels[fa] == levels[fb]:
                 return ("level_collision", fa, fb)
     return None
+
+
+def reference_alpha_witness(weights, alpha):
+    """The first (J, i) with <alpha_J, u_i> = 0, J a proper flat."""
+    gi = gram_inverse(weights)
+    for f in enumerate_flats(weights)[:-1]:
+        res = residual(weights, f, alpha)
+        for i in range(len(weights)):
+            if i not in f and pairing(gi, res, weights[i]) == 0:
+                return ("pairing", f, i)
+    return None
+
+
+def reference_sign_split(weights, alpha, flat):
+    """(plus, minus) rows outside the flat by the sign of their pairing with
+    alpha_J, or the witness of the first zero pairing."""
+    gi = gram_inverse(weights)
+    res = residual(weights, flat, alpha)
+    plus, minus = [], []
+    for i in range(len(weights)):
+        if i in flat:
+            continue
+        p = pairing(gi, res, weights[i])
+        if p == 0:
+            return ("pairing", flat, i)
+        (plus if p > 0 else minus).append(i)
+    return tuple(plus), tuple(minus)
+
+
+def reference_simplicity_witness(weights, alpha):
+    """Complement of the largest coatom F with alpha_F = 0, or None."""
+    best = None
+    for f in coatoms(weights):
+        if any(residual(weights, f, alpha)):
+            continue
+        rest = tuple(j for j in range(len(weights)) if j not in f)
+        if best is None or (len(rest), rest) < (len(best), best):
+            best = rest
+    return best
+
+
+def signs(setup, flat):
+    try:
+        return sign_split(setup, flat)
+    except NonGenericAlpha as exc:
+        return exc.witness
 
 
 def solved_perp_part(weights, subset, vec):
@@ -246,11 +299,36 @@ def test_pairing_conditions_imply_a_simple_arrangement(setup):
 @PROPS
 @given(st.data())
 def test_cached_projection_equals_solved_projection(data):
+    # The table holds G^-1 R_J as form / denom for the flat J spanned by the
+    # subset, so form . vec / denom is G^-1 of the solved residual.
     weights = data.draw(weight_matrices())
     subset = tuple(sorted(data.draw(
         st.sets(st.integers(0, len(weights) - 1), max_size=len(weights)))))
     vec = data.draw(levels(len(weights[0])))
-    assert perp_part(weights, subset, vec) == solved_perp_part(weights, subset, vec)
+    entry = walls_of(weights)[closure(weights, subset)]
+    res = solved_perp_part(weights, subset, vec)
+    assert [Fraction(sum(x * v for x, v in zip(row, vec)), entry.denom)
+            for row in entry.form] == [sum(g * r for g, r in zip(row, res))
+                                       for row in gram_inverse(weights)]
+
+
+@PROPS
+@given(weight_matrices(), st.data())
+def test_wall_table_equals_the_fraction_reference(weights, data):
+    # Entries of small numerator and denominator put levels on walls often.
+    q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    d = len(weights[0])
+    setup = new_setup(weights, data.draw(st.tuples(*[q] * d)),
+                      data.draw(st.tuples(*[st.builds(CRat, q, q)] * d)))
+    assert alpha_witness(setup) == reference_alpha_witness(weights, setup.alpha)
+    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
+    assert simplicity_witness(setup) == reference_simplicity_witness(
+        weights, setup.alpha)
+    all_flats = enumerate_flats(weights)
+    for f in all_flats:
+        assert critical_level(setup, f) == reference_level(weights, setup.beta, f)
+    for f in all_flats[:-1]:
+        assert signs(setup, f) == reference_sign_split(weights, setup.alpha, f)
 
 
 def test_coincident_hyperplanes_witness():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,6 @@ from hypertoric.errors import (
 from hypertoric.exact import CRat, int_rank
 from hypertoric.flats import enumerate_flats
 from hypertoric.torus import (
-    _residual_map,
     alpha_witness,
     beta_witness,
     critical_level,
@@ -26,18 +26,20 @@ from hypertoric.torus import (
     metric_of,
     modify,
     new_setup,
-    norm2_dual,
-    pairing,
-    perp_part,
     require_generic,
-    residual_alpha,
-    residual_beta,
     sample_generic,
+    walls_of,
 )
 import metric_reference as ref
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
+
+
+def pairing(weights, flat, vec, i):
+    """<R_J vec, u_i> read off the wall of row i outside the flat J."""
+    entry = walls_of(weights)[flat]
+    return Fraction(sum(map(mul, dict(entry.walls)[i], vec)), entry.denom)
 
 
 def assert_kernel_basis(gale, weights):
@@ -123,28 +125,39 @@ class TestMetricGale:
         assert g.offsets == (Fraction(0), Fraction(0))
 
     def test_pairing(self):
-        m = metric_of(DIAG2)
-        assert pairing(m, (1,), (1,)) == Fraction(1, 2)
-        m3 = metric_of(TRIPLE)
-        assert pairing(m3, (1, 2), (1, 0)) == 0
-        assert pairing(m3, (1, 3), (1, 0)) == Fraction(-1, 3)
+        # on the empty flat the residual is the identity: plain pairings
+        assert pairing(DIAG2, (), (1,), 0) == Fraction(1, 2)
+        assert pairing(TRIPLE, (), (1, 2), 0) == 0
+        assert pairing(TRIPLE, (), (1, 3), 0) == Fraction(-1, 3)
 
 
 class TestResiduals:
     def test_perp_part_empty_subset_is_identity(self):
-        assert perp_part(TRIPLE, (), (1, 2)) == (1, 2)
+        # the empty flat's level form is G^-1 itself: adj over det
+        entry = walls_of(TRIPLE)[()]
+        assert entry.form == metric_of(TRIPLE).adj
+        assert entry.denom == metric_of(TRIPLE).det
+        assert [pairing(TRIPLE, (), (1, 2), i) for i in range(3)] == [0, 1, 1]
 
     def test_perp_part_full_span_kills_vector(self):
-        assert perp_part(TRIPLE, (0, 1), (3, -2)) == (0, 0)
+        # (0, 1) spans everything and closes to the top flat: no walls, and
+        # the residual of (3, -2) is zero
+        entry = walls_of(TRIPLE)[(0, 1, 2)]
+        assert entry.walls == ()
+        assert entry.form == ((0, 0), (0, 0))
+        assert critical_level(new_setup(TRIPLE, beta=[(3, 0), (-2, 0)]),
+                              (0, 1, 2)) == 0
 
     def test_residual_orthogonal_to_flat(self):
+        # form u_2 would be the wall of row 2 on the flat (2,): it is zero,
+        # so the residuals of Re beta and Im beta pair to zero with u_2
+        entry = walls_of(TRIPLE)[(2,)]
+        assert [sum(map(mul, row, TRIPLE[2])) for row in entry.form] == [0, 0]
+        assert [i for i, _ in entry.walls] == [0, 1]
+        # Re beta and Im beta have residuals +-(1/2, -1/2), each of squared
+        # dual length 1/2
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (0, 1)])
-        m = metric_of(TRIPLE)
-        res = residual_beta(s, (2,))
-        re = tuple(z.re for z in res)
-        im = tuple(z.im for z in res)
-        assert pairing(m, re, TRIPLE[2]) == 0
-        assert pairing(m, im, TRIPLE[2]) == 0
+        assert critical_level(s, (2,)) == 1
 
     def test_critical_levels_diagonal(self):
         s = new_setup(DIAG2, [1], [(3, 0)])
@@ -154,8 +167,9 @@ class TestResiduals:
         assert critical_level(s2, ()) == Fraction(1, 2)
 
     def test_norm2_uses_dual_metric(self):
-        m = metric_of(DIAG2)
-        assert norm2_dual(m, (CRat(Fraction(3), Fraction(0)),)) == Fraction(9, 2)
+        # 3^2 G^-1 = 9/2 where the Euclidean square would be 9
+        entry = walls_of(DIAG2)[()]
+        assert Fraction(3 * 3 * entry.form[0][0], entry.denom) == Fraction(9, 2)
 
 
 class TestGenericBeta:
@@ -291,11 +305,16 @@ def test_metric_and_residuals_equal_the_fraction_reference(setup):
     assert_kernel_basis(gale, w)
     assert ref.rref(gale.cmatrix, setup.n) == ref.rref(cmatrix, setup.n)
     assert gale.offsets == offsets
-    for f in enumerate_flats(w):
-        assert _residual_map(w, f) == ref.residual_map(w, f)
+    table = walls_of(w)
+    assert list(table) == list(enumerate_flats(w))
+    for f, entry in table.items():
+        assert entry.denom > 0
+        # form / denom = G^-1 R_J, which is symmetric
+        assert [[Fraction(x, entry.denom) for x in row] for row in entry.form] \
+            == ref.matmul(gi, ref.residual_map(w, f))
         assert critical_level(setup, f) == ref.critical_level(w, setup.beta, f)
-        res = residual_alpha(setup, f)
-        assert res == ref.residual(w, f, setup.alpha)
-        for i in range(setup.n):
-            if i not in f:
-                assert pairing(metric, res, w[i]) == ref.pairing(gi, res, w[i])
+        res = ref.residual(w, f, setup.alpha)
+        assert [i for i, _ in entry.walls] == [i for i in range(setup.n)
+                                               if i not in f]
+        for i, h in entry.walls:
+            assert pairing(w, f, setup.alpha, i) == ref.pairing(gi, res, w[i])
