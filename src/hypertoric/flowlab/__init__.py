@@ -16,7 +16,8 @@ from .moments import (abelian_gradient_norm2, energy, grad, grad_component,
 from .flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
                    descend, integrate_flow)
 from .analysis import (LojReport, classify_limit, cross_term_stats,
-                       lojasiewicz_report, run_ensemble, torus_reduction_check)
+                       lojasiewicz_report, run_ensemble, tail_reports,
+                       torus_reduction_check)
 
 __all__ = [
     "GroupRep", "TorusRep", "diagonal_sum", "from_matrices", "random_state",
@@ -26,5 +27,5 @@ __all__ = [
     "STATUS_CONVERGED", "STATUS_MAX_TIME", "STATUS_UNDERFLOW", "Trajectory",
     "descend", "integrate_flow",
     "LojReport", "classify_limit", "cross_term_stats", "lojasiewicz_report",
-    "run_ensemble", "torus_reduction_check",
+    "run_ensemble", "tail_reports", "torus_reduction_check",
 ]

@@ -8,15 +8,16 @@ trajectory is summarized by an empirical power-law certificate.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InputError, InsufficientTail
 from ..flats import closure
 from ..torus import critical_level
-from .flow import STATUS_CONVERGED, Trajectory, descend, energy_functions
-from .moments import grad_component, moment_hk, pack_state, unpack_state
+from .flow import STATUS_CONVERGED, Trajectory, descend
+from .moments import (flow_objective, grad_component, moment_hk, pack_state,
+                      unpack_state)
 from .reps import GroupRep, random_state, torus_rep
 
 _EXPONENT = 0.75
@@ -46,39 +47,87 @@ class LojReport:
     window_size: int
 
 
+def tail_reports(trajs: Sequence[Trajectory], limits,
+                 widths: Sequence[float]) -> List[Optional[LojReport]]:
+    """Fit the gradient-decay law on the final decades of every trajectory.
+
+    Trajectory i is measured against the limit value ``limits[i]``.  Its
+    window holds the samples with a nonzero gradient whose energy exceeds
+    the limit by at most 10**width times the smallest positive excess
+    observed, for the first of ``widths`` (in decades) that puts
+    _MIN_TAIL_POINTS samples in it; its report is None when none does.
+    The exponent is the least-squares slope of log |grad f| against
+    log(f - f_c), each centred on its window mean.  The samples of all
+    trajectories, whose states must have one length, are reduced together
+    with one reduction per quantity, segment by segment.
+    """
+    count = len(trajs)
+    sizes = np.array([len(traj.energies) for traj in trajs])
+    owner = np.repeat(np.arange(count), sizes)
+    excess = (np.concatenate([traj.energies for traj in trajs])
+              - np.asarray(limits, dtype=np.float64)[owner])
+    gns = np.concatenate([traj.grad_norms for traj in trajs])
+    usable = (excess > 0.0) & (gns > 0.0)
+    floor = np.full(count, np.inf)
+    np.minimum.at(floor, owner[usable], excess[usable])
+    cap = np.full(count, -np.inf)
+    for width in widths:
+        wide = floor * (10.0 ** width)
+        inside = np.bincount(owner[usable & (excess <= wide[owner])], minlength=count)
+        grown = np.isneginf(cap) & (inside >= _MIN_TAIL_POINTS)
+        cap[grown] = wide[grown]
+        if not np.isneginf(cap).any():
+            break
+    window = np.flatnonzero(usable & (excess <= cap[owner]))
+    reports: List[Optional[LojReport]] = [None] * count
+    if window.size == 0:
+        return reports
+
+    # Per windowed trajectory: its first window sample and its window size.
+    heads = np.flatnonzero(np.diff(owner[window], prepend=-1))
+    size = np.diff(heads, append=window.size)
+    g, gn = excess[window], gns[window]
+    k_hat = np.minimum.reduceat(gn / g ** _EXPONENT, heads)
+    log_g, log_gn = np.log(g), np.log(gn)
+    dx = log_g - np.repeat(np.add.reduceat(log_g, heads) / size, size)
+    dy = log_gn - np.repeat(np.add.reduceat(log_gn, heads) / size, size)
+    slope = np.add.reduceat(dx * dy, heads) / np.add.reduceat(dx * dx, heads)
+    # Path length from the start of each window to the end of its trajectory,
+    # over the concatenated tails of the states alone, one segment each.
+    first = owner[window[heads]]
+    starts = window[heads] - (np.cumsum(sizes) - sizes)[first]
+    tails = [trajs[i].states[start:]
+             for i, start in zip(first.tolist(), starts.tolist())]
+    segment = np.repeat(np.arange(len(tails)), sizes[first] - starts)
+    inner = segment[1:] == segment[:-1]
+    steps = np.linalg.norm(np.diff(np.concatenate(tails), axis=0), axis=1)
+    arclength = np.bincount(segment[1:][inner], weights=steps[inner],
+                            minlength=len(tails))
+    for i, k, g_start, exponent, length, size_i in zip(
+            first.tolist(), k_hat.tolist(), g[heads].tolist(), slope.tolist(),
+            arclength.tolist(), size.tolist()):
+        reports[i] = LojReport(k_hat=k, fitted_exponent=exponent,
+                               tail_arclength=length,
+                               bound=4.0 * g_start ** (1.0 - _EXPONENT) / k,
+                               window_size=size_i)
+    return reports
+
+
 def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
                        decades: float = 2.0) -> LojReport:
-    """Fit the gradient-decay law on the final decades of a trajectory.
+    """The report of ``tail_reports`` for one trajectory at one width.
 
-    The window consists of the samples whose energy exceeds the limit
-    value by at most a factor 10**decades of the smallest positive excess
-    observed.  Raises InsufficientTail when fewer than ``_MIN_TAIL_POINTS``
-    samples land in the window.
+    The limit value is ``f_c``, or the final energy when it is None.
+    Raises InsufficientTail when fewer than ``_MIN_TAIL_POINTS`` samples
+    land in the window.
     """
-    fs = traj.energies
-    gns = traj.grad_norms
-    limit = float(fs[-1]) if f_c is None else float(f_c)
-    excess = fs - limit
-    usable = np.flatnonzero((excess > 0.0) & (gns > 0.0))
-    if usable.size == 0:
-        raise InsufficientTail("no samples lie strictly above the limit value")
-    cap = excess[usable].min() * (10.0 ** decades)
-    window = usable[excess[usable] <= cap]
-    if window.size < _MIN_TAIL_POINTS:
+    limit = traj.f_limit if f_c is None else float(f_c)
+    [report] = tail_reports([traj], [limit], [decades])
+    if report is None:
         raise InsufficientTail(
-            f"only {window.size} samples in the final {decades} decades "
-            f"(need {_MIN_TAIL_POINTS})")
-    g = excess[window]
-    gn = gns[window]
-    ratios = gn / g ** _EXPONENT
-    k_hat = float(ratios.min())
-    g_start = float(g[0])
-    bound = 4.0 * g_start ** (1.0 - _EXPONENT) / k_hat
-    tail = float(np.sum(np.linalg.norm(np.diff(traj.states[window[0]:], axis=0),
-                                       axis=1)))
-    slope = float(np.polyfit(np.log(g), np.log(gn), 1)[0])
-    return LojReport(k_hat=k_hat, fitted_exponent=slope, tail_arclength=tail,
-                     bound=bound, window_size=int(window.size))
+            f"fewer than {_MIN_TAIL_POINTS} samples lie within {decades} "
+            "decades above the limit value")
+    return report
 
 
 def classify_limit(setup, traj: Trajectory,
@@ -90,6 +139,13 @@ def classify_limit(setup, traj: Trajectory,
     level agrees with the limit energy within ``tol_f``.  Returns the
     flat, or None when the limit is unresolved.
     """
+    match = _match_limit(setup, traj, tol_f)
+    return None if match is None else match[0]
+
+
+def _match_limit(setup, traj: Trajectory, tol_f: float = 1e-6):
+    """The flat of ``classify_limit`` with its critical level as a float,
+    or None."""
     n = setup.n
     x, y = unpack_state(traj.states[-1], n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
@@ -99,7 +155,7 @@ def classify_limit(setup, traj: Trajectory,
     level = float(critical_level(setup, flat))
     if abs(traj.f_limit - level) >= tol_f:
         return None
-    return flat
+    return flat, level
 
 
 def _blocks(count: int):
@@ -119,7 +175,10 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     trials can be re-run in isolation.  The starts descend together, as
     stacks of at most _BLOCK states, each along its own trajectory.  Limit
     classification applies to the holomorphic energy only; for the other
-    energies J is None.
+    energies J is None.  A trial that collapses several decades of energy
+    per step can leave too few samples in the window of ``decades``, so
+    its decay report widens the window up to 16 decades, which span any
+    double tail.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -129,35 +188,33 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             f"the gradient tolerance must be finite and positive, got {grad_tol}")
     if not max_time > 0:  # also rejects NaN
         raise InputError(f"the flow-time budget must be positive, got {max_time}")
+    if not decades > 0:  # a window of no decades would widen forever
+        raise InputError(f"the tail window must span positive decades, got {decades}")
     trep = torus_rep(setup)
-    fun, grad_fun = energy_functions(trep.rep, function, trep.alpha, trep.beta,
-                                     setup.n)
+    objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+    widths, width = [], decades
+    while width <= 16.0:
+        widths.append(width)
+        width *= 2.0
     records = []
     for block in _blocks(trials):
         starts = [pack_state(*random_state(np.random.default_rng((base_seed, trial)),
                                            setup.n, radius))
                   for trial in block]
-        trajs = descend(fun, grad_fun, starts, grad_tol=grad_tol,
+        trajs = descend(objective, starts, grad_tol=grad_tol,
                         max_time=max_time, max_steps=max_steps)
-        for trial, traj in zip(block, trajs):
-            flat = None
-            if function == "muC2" and traj.status == STATUS_CONVERGED:
-                flat = classify_limit(setup, traj)
-            f_c = float(critical_level(setup, flat)) if flat is not None else None
+        matches = [_match_limit(setup, traj)
+                   if function == "muC2" and traj.status == STATUS_CONVERGED
+                   else None for traj in trajs]
+        reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
+                                       for traj, match in zip(trajs, matches)],
+                               widths)
+        for trial, traj, match, report in zip(block, trajs, matches, reports):
             record = {"seed": trial, "status": traj.status,
-                      "f_limit": traj.f_limit, "J": flat,
+                      "f_limit": traj.f_limit,
+                      "J": None if match is None else match[0],
                       "k_hat": None, "fitted_exponent": None,
                       "arclength": None, "bound": None}
-            # A trial that collapses several decades of energy per step can
-            # leave too few samples in the default window; widen it until the
-            # estimate has enough points (16 decades spans any double tail).
-            report = None
-            width = decades
-            while report is None and width <= 16.0:
-                try:
-                    report = lojasiewicz_report(traj, f_c=f_c, decades=width)
-                except InsufficientTail:
-                    width *= 2.0
             if report is not None:
                 record.update(k_hat=report.k_hat,
                               fitted_exponent=report.fitted_exponent,
@@ -246,37 +303,30 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     if np.any(np.linalg.norm(rebuilt - sub_rep.basis, axis=(1, 2)) > 1e-10):
         raise InputError(
             "the abelian family does not lie in the span of the full basis")
-    projector = coords.T @ coords
+    # Orthonormal coordinate rows of the complement of the abelian subalgebra.
+    others = np.linalg.svd(coords)[2][len(coords):]
     if alpha is None:
         alpha_full = np.zeros(rep.k)
     else:
         alpha_full = np.asarray(alpha, dtype=np.float64)
-        off_level = alpha_full - projector @ alpha_full
-        if np.linalg.norm(off_level) > 1e-12:
+        if np.linalg.norm(others @ alpha_full) > 1e-12:
             raise InputError("the level must lie in the abelian subalgebra")
     alpha_sub = coords @ alpha_full
 
+    # The components of mu1 off the abelian subalgebra are mu1 of the basis
+    # of the complement, so the preparation descends the real energy of that
+    # family at level zero.
     n = rep.dim
     zero_level = np.zeros(rep.k)
-
-    def off_energy(states):
-        mu = moment_hk(rep, zero_level, zero_level, *unpack_state(states, n))[0]
-        off = mu - mu @ projector
-        return np.sum(off * off, axis=-1)
-
-    def off_grad(states):
-        # I - projector is an orthogonal projection, so the gradient of
-        # |(I - projector) mu1|^2 is that of |mu1 - a|^2 at a = projector mu1.
-        x, y = unpack_state(states, n)
-        mu = moment_hk(rep, zero_level, zero_level, x, y)[0]
-        return pack_state(*grad_component(rep, 1, mu @ projector, zero_level, x, y))
+    objective = flow_objective(np.tensordot(others, rep.basis, axes=1), "muR2",
+                               np.zeros(len(others)), np.zeros(len(others)))
 
     rng = np.random.default_rng(seed)
     results = []
     for block in _blocks(samples):
         draws = rng.standard_normal((len(block), 2, n))
         x0 = radius * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
-        trajs = descend(off_energy, off_grad, pack_state(x0, np.zeros_like(x0)),
+        trajs = descend(objective, pack_state(x0, np.zeros_like(x0)),
                         grad_tol=1e-12, max_steps=50_000)
         finals = np.array([traj.states[-1] for traj in trajs])
         x, y = unpack_state(finals, n)
@@ -285,7 +335,7 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
         sub = np.linalg.norm(pack_state(
             *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y)),
             axis=1)
-        for off_norm2, full_norm, sub_norm in zip(off_energy(finals).tolist(),
+        for off_norm2, full_norm, sub_norm in zip(objective(finals)[0].tolist(),
                                                   full, sub):
             rel = (None if off_norm2 >= _PREP_TOL
                    else float(abs(full_norm - sub_norm) / max(full_norm, 1e-30)))

@@ -8,17 +8,18 @@ to the local curvature without a stiffness model.  Energy is therefore
 strictly decreasing along every recorded trajectory.
 
 States descend as a stack in lock step: each round every unfinished state
-makes one trial step with its own step size, and the energies at the trial
-steps, then the gradients at the accepted ones, are evaluated as one stack.
+makes one trial step with its own step size, and the energies and gradients
+at all trial steps are evaluated as one stack; an accepted step keeps the
+gradient found at its trial point.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from ..errors import NonFiniteState
-from .moments import energy, grad, pack_state, unpack_state
+from .moments import flow_objective, pack_state
 from .reps import GroupRep
 
 STATUS_CONVERGED = "Converged"
@@ -50,8 +51,7 @@ class Trajectory:
         return float(self.energies[-1])
 
 
-def descend(fun: Callable[[np.ndarray], np.ndarray],
-            grad_fun: Callable[[np.ndarray], np.ndarray],
+def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
             states0,
             *,
             grad_tol: float = 1e-8,
@@ -60,8 +60,8 @@ def descend(fun: Callable[[np.ndarray], np.ndarray],
             max_steps: int = 1_000_000) -> List[Trajectory]:
     """Integrate the negative gradient flow of ``fun`` from each row of ``states0``.
 
-    ``fun`` maps a stack of states (one per row) to their energies and
-    ``grad_fun`` to their gradients, each row on its own.  Every row keeps
+    ``fun`` maps a stack of states (one per row) to the pair of their
+    energies and their gradients, each row on its own.  Every row keeps
     its own step size, flow time, step count and status, and gets its own
     trajectory.  A row terminates with status Converged once its gradient
     norm drops below ``grad_tol``, MaxTimeReached when its flow-time or
@@ -73,8 +73,7 @@ def descend(fun: Callable[[np.ndarray], np.ndarray],
     states = np.array(states0, dtype=np.float64, ndmin=2)
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("initial state is not finite")
-    f = np.array(fun(states), dtype=np.float64)
-    g = np.array(grad_fun(states), dtype=np.float64)
+    f, g = (np.array(value, dtype=np.float64) for value in fun(states))
     gnorm = np.linalg.norm(g, axis=1)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(gnorm))):
         raise NonFiniteState("energy or gradient is not finite at the start")
@@ -97,7 +96,8 @@ def descend(fun: Callable[[np.ndarray], np.ndarray],
             break
         hs = h[active]
         trial = states[active] - hs[:, None] * g[active]
-        f_trial = np.asarray(fun(trial), dtype=np.float64)
+        f_trial, g_trial = (np.asarray(value, dtype=np.float64)
+                            for value in fun(trial))
         ok = (np.isfinite(f_trial) & np.all(np.isfinite(trial), axis=1)
               & (f_trial <= f[active] - _DECREASE_FRACTION * hs * gnorm[active]
                  * gnorm[active]))
@@ -109,7 +109,7 @@ def descend(fun: Callable[[np.ndarray], np.ndarray],
         states[moved] = accepted
         t[moved] += h[moved]
         f[moved] = f_trial[ok]
-        g[moved] = grad_fun(accepted)
+        g[moved] = g_trial[ok]
         gnorm[moved] = np.linalg.norm(g[moved], axis=1)
         finite = np.isfinite(gnorm[moved])   # f_trial passed the finite test
         if not np.all(finite):
@@ -128,19 +128,6 @@ def descend(fun: Callable[[np.ndarray], np.ndarray],
             for *fields, row_status in zip(*columns, status)]
 
 
-def energy_functions(rep: GroupRep, which: str, alpha, beta, n: int):
-    """The selected moment-map energy and its gradient as ``descend`` reads
-    them: on stacks of states packed by pack_state, for base dimension n."""
-
-    def fun(states):
-        return energy(rep, which, alpha, beta, *unpack_state(states, n))
-
-    def grad_fun(states):
-        return pack_state(*grad(rep, which, alpha, beta, *unpack_state(states, n)))
-
-    return fun, grad_fun
-
-
 def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
                    **options) -> Trajectory:
     """Gradient descent of the selected moment-map energy from (x0, y0).
@@ -148,6 +135,5 @@ def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
     States in the returned trajectory are flat real vectors as produced
     by pack_state.
     """
-    n = np.asarray(x0).shape[0]
-    return descend(*energy_functions(rep, which, alpha, beta, n),
+    return descend(flow_objective(rep.basis, which, alpha, beta),
                    pack_state(x0, y0), **options)[0]

@@ -1,10 +1,11 @@
-"""Reference flows and cross terms, one state at a time.
+"""Reference flows, tail fits and cross terms, one at a time.
 
 These are the loops ``flowlab`` ran before it stacked states: ``descend_one``
 integrates a single state with the same step rule as ``descend``, an
-ensemble runs its trials one after another, and the cross-term experiment
-evaluates one sample state per iteration.  The tests compare the stacked
-code against them.
+ensemble runs its trials one after another, ``tail_report_one`` fits the
+decay law of one trajectory with ``np.polyfit`` and widens its window one
+width at a time, and the cross-term experiment evaluates one sample state
+per iteration.  The tests compare the stacked code against them.
 """
 
 import math
@@ -13,13 +14,15 @@ import numpy as np
 
 from hypertoric.errors import InsufficientTail, NonFiniteState
 from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
-                                Trajectory, classify_limit, energy, grad,
-                                grad_component, lojasiewicz_report, moment_hk,
-                                pack_state, random_state, torus_rep, unpack_state)
+                                LojReport, Trajectory, classify_limit, energy, grad,
+                                grad_component, moment_hk, pack_state, random_state,
+                                torus_rep, unpack_state)
 from hypertoric.torus import critical_level
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
+_EXPONENT = 0.75
+_MIN_TAIL_POINTS = 4
 
 
 def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
@@ -70,6 +73,47 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
     return Trajectory(times, states, energies, norms, status)
 
 
+def lojasiewicz_report_one(traj, f_c=None, decades=2.0):
+    """The decay certificate of one trajectory at one window width; raises
+    InsufficientTail when fewer than _MIN_TAIL_POINTS samples land in it."""
+    fs = traj.energies
+    gns = traj.grad_norms
+    limit = float(fs[-1]) if f_c is None else float(f_c)
+    excess = fs - limit
+    usable = np.flatnonzero((excess > 0.0) & (gns > 0.0))
+    if usable.size == 0:
+        raise InsufficientTail("no samples lie strictly above the limit value")
+    cap = excess[usable].min() * (10.0 ** decades)
+    window = usable[excess[usable] <= cap]
+    if window.size < _MIN_TAIL_POINTS:
+        raise InsufficientTail(
+            f"only {window.size} samples in the final {decades} decades "
+            f"(need {_MIN_TAIL_POINTS})")
+    g = excess[window]
+    gn = gns[window]
+    ratios = gn / g ** _EXPONENT
+    k_hat = float(ratios.min())
+    g_start = float(g[0])
+    bound = 4.0 * g_start ** (1.0 - _EXPONENT) / k_hat
+    tail = float(np.sum(np.linalg.norm(np.diff(traj.states[window[0]:], axis=0),
+                                       axis=1)))
+    slope = float(np.polyfit(np.log(g), np.log(gn), 1)[0])
+    return LojReport(k_hat=k_hat, fitted_exponent=slope, tail_arclength=tail,
+                     bound=bound, window_size=int(window.size))
+
+
+def tail_report_one(traj, f_c=None, decades=2.0):
+    """The certificate at the first of decades, 2 decades, ... up to 16
+    decades that fits, or None."""
+    width = decades
+    while width <= 16.0:
+        try:
+            return lojasiewicz_report_one(traj, f_c=f_c, decades=width)
+        except InsufficientTail:
+            width *= 2.0
+    return None
+
+
 def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
                             radius=1.0, grad_tol=1e-5, max_time=1e6, decades=2.0,
                             max_steps=200_000):
@@ -97,13 +141,7 @@ def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
                   "f_limit": traj.f_limit, "J": flat,
                   "k_hat": None, "fitted_exponent": None,
                   "arclength": None, "bound": None}
-        report = None
-        width = decades
-        while report is None and width <= 16.0:
-            try:
-                report = lojasiewicz_report(traj, f_c=f_c, decades=width)
-            except InsufficientTail:
-                width *= 2.0
+        report = tail_report_one(traj, f_c=f_c, decades=decades)
         if report is not None:
             record.update(k_hat=report.k_hat,
                           fitted_exponent=report.fitted_exponent,

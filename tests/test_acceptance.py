@@ -230,7 +230,7 @@ def test_criterion_6_flow_and_lojasiewicz():
             assert rec["k_hat"] is not None and rec["k_hat"] > 0
             assert rec["arclength"] <= 1.5 * rec["bound"]
         total += len(records)
-    [traj] = descend(lambda s: s[:, 0] ** 4, lambda s: 4 * s ** 3,
+    [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                      [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
     report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
     assert abs(report.fitted_exponent - 0.75) < 0.02

@@ -60,7 +60,7 @@ class TestClassifyLimit:
 
 class TestLojReport:
     def _trajectory(self):
-        [traj] = descend(lambda s: s[:, 0] ** 4, lambda s: 4 * s ** 3,
+        [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                          [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
         return traj
 
@@ -116,6 +116,12 @@ class TestEnsemble:
         setup = new_setup(PAIR, beta=(3,))
         records = run_ensemble(setup, 1, base_seed=3, function="muHK2")
         assert records[0]["J"] is None
+
+    @pytest.mark.parametrize("decades", [0.0, -2.0, float("nan")])
+    def test_rejects_a_tail_window_of_no_decades(self, decades):
+        # Doubling such a width never passes 16 decades.
+        with pytest.raises(InputError):
+            run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=3, decades=decades)
 
 
 class TestCrossTerms:

@@ -1,23 +1,32 @@
-"""Stacked flows and cross terms against their one-state-at-a-time reference.
+"""Stacked flows, tail fits and cross terms against their one-at-a-time
+reference.
 
 Trials keep their seed, status and classified flat; limit energies agree to
-1e-12 absolute and the other floats to 1e-6 relative.  Cross-term
-statistics agree to 1e-12 relative, with a 1e-12 absolute floor for the
-statistics that are roundoff by construction (the bracket identity
-residual, and every cross term of a torus).
+1e-12 absolute and the other floats to 1e-6 relative.  Stacked tail fits
+keep the window, k_hat and bound of the per-trajectory fit exactly, its
+arclength to 1e-12 and its exponent, a centred least-squares slope in
+place of ``np.polyfit``, to 1e-9 relative.  Cross-term statistics agree to
+1e-12 relative, with a 1e-12 absolute floor for the statistics that are
+roundoff by construction (the bracket identity residual, and every cross
+term of a torus).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import cross_term_stats_one_by_one, run_ensemble_one_by_one
+from flow_reference import (cross_term_stats_one_by_one, lojasiewicz_report_one,
+                            run_ensemble_one_by_one, tail_report_one)
+from hypertoric.errors import InsufficientTail
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (cross_term_stats, diagonal_sum, run_ensemble,
-                                su2_irrep, torus_rep)
+from hypertoric.flowlab import (Trajectory, cross_term_stats, diagonal_sum,
+                                energy, grad, grad_component, lojasiewicz_report,
+                                moment_hk, random_state, run_ensemble, su2_irrep,
+                                tail_reports, torus_rep)
 from hypertoric.flowlab import analysis
 from hypertoric.flowlab.moments import ENERGY_KINDS
 from hypertoric.torus import new_setup, sample_generic
@@ -103,6 +112,128 @@ def test_small_blocks_match_one_block(monkeypatch, function):
     assert_stats_match(cross_term_stats(rep, np.zeros(3), 10, 5), stats)
 
 
-def test_a_trial_does_not_depend_on_its_ensemble():
-    setup = new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3))
-    assert_records_match(run_ensemble(setup, 8, 13)[:3], run_ensemble(setup, 3, 13))
+@given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),
+       seed=st.integers(min_value=0, max_value=1 << 16))
+@example(setup=new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3)), function="muC2",
+         seed=13)
+@settings(max_examples=20, deadline=None)
+def test_a_trial_does_not_depend_on_its_ensemble(setup, function, seed):
+    first = run_ensemble(setup, 8, seed, function=function)[:3]
+    alone = run_ensemble(setup, 3, seed, function=function)
+    with mock.patch.object(analysis, "_BLOCK", 3):
+        blocked = run_ensemble(setup, 8, seed, function=function)[:3]
+    for other in (alone, blocked):
+        assert_records_match(other, first)
+
+
+@st.composite
+def tails(draw):
+    """A trajectory and its limit value: energies falling by 0.01 to 1
+    decades a step, or in one step of four by 3 to 20, so that some windows
+    must widen and some find no width; gradient norms on a noisy power law
+    of the excess, some of them zero; and a limit at zero, at the final
+    energy, or at a random sample, with the later samples at or below it."""
+    size = draw(st.integers(min_value=1, max_value=24))
+    small, large = st.floats(0.01, 1.0), st.floats(3.0, 20.0)
+    drops = draw(st.lists(st.one_of(small, small, small, large),
+                          min_size=size - 1, max_size=size - 1))
+    decades = draw(st.floats(-3.0, 3.0)) - np.concatenate([[0.0], np.cumsum(drops)])
+    energies = 10.0 ** decades
+    power, scale = draw(st.floats(0.3, 1.5)), draw(st.floats(0.1, 10.0))
+    noise = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=size,
+                                   max_size=size)))
+    norms = scale * 10.0 ** (power * decades) * np.exp(noise)
+    norms[draw(st.lists(st.integers(0, size - 1), max_size=2))] = 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+    traj = Trajectory(np.arange(float(size)), rng.standard_normal((size, 8)),
+                      energies, norms, "Converged")
+    limit = draw(st.sampled_from(["final", "zero", "sample"]))
+    if limit == "final":
+        return traj, None
+    return traj, 0.0 if limit == "zero" else float(
+        energies[draw(st.integers(0, size - 1))])
+
+
+def assert_reports_match(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.window_size, got.k_hat, got.bound) == \
+        (want.window_size, want.k_hat, want.bound)
+    assert math.isclose(got.tail_arclength, want.tail_arclength, rel_tol=1e-12)
+    assert math.isclose(got.fitted_exponent, want.fitted_exponent, rel_tol=1e-9)
+
+
+@given(stack=st.lists(tails(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_stacked_tail_reports_match_one_by_one(stack):
+    trajs = [traj for traj, _ in stack]
+    limits = [traj.f_limit if f_c is None else f_c for traj, f_c in stack]
+    for (traj, f_c), got in zip(stack, tail_reports(trajs, limits,
+                                                    [2.0, 4.0, 8.0, 16.0])):
+        assert_reports_match(got, tail_report_one(traj, f_c=f_c))
+        try:
+            want = lojasiewicz_report_one(traj, f_c=f_c)
+        except InsufficientTail:
+            want = None
+        try:
+            got = lojasiewicz_report(traj, f_c=f_c)
+        except InsufficientTail:
+            got = None
+        assert_reports_match(got, want)
+
+
+def test_tail_reports_widen_and_give_up_like_the_reference():
+    """Five-decade drops leave one sample per 2 decades: the window widens
+    to 16 decades; three samples are too few at any width; and a sample
+    exactly 2 decades above the smallest excess lies in the window."""
+    energies = 10.0 ** -np.arange(0.0, 30.0, 5.0)
+    edge = np.array([1000.0, 100.0, 50.0, 10.0, 1.0])
+    stack = [Trajectory(np.arange(float(len(fs))), np.eye(6)[:len(fs)], fs,
+                        fs ** 0.75, "Converged")
+             for fs in (energies, energies[:3], edge)]
+    wide, none, closed = tail_reports(stack, [0.0] * 3, [2.0, 4.0, 8.0, 16.0])
+    assert (wide.window_size, none, closed.window_size) == (4, None, 4)
+    for traj, got in zip(stack, (wide, none, closed)):
+        assert_reports_match(got, tail_report_one(traj, f_c=0.0))
+
+
+def _stack_values(rep, alpha, beta, x, y):
+    """Every value the moments module returns, for a stack of states."""
+    values = [*moment_hk(rep, alpha, beta, x, y)]
+    for which in ENERGY_KINDS:
+        values += [energy(rep, which, alpha, beta, x, y),
+                   *grad(rep, which, alpha, beta, x, y)]
+    for index in (1, 2, 3):
+        values += grad_component(rep, index, alpha, beta, x, y)
+    return values
+
+
+def _one_by_one(rep, alpha, beta, x, y):
+    rows = [_stack_values(rep, alpha, beta, x[i:i + 1], y[i:i + 1])
+            for i in range(len(x))]
+    return [np.concatenate(column) for column in zip(*rows)]
+
+
+@given(setup=torus_setups(), count=st.integers(min_value=2, max_value=70),
+       seed=st.integers(min_value=0, max_value=1 << 16))
+@settings(max_examples=30, deadline=None)
+def test_torus_values_do_not_depend_on_the_stack(setup, count, seed):
+    trep = torus_rep(setup)
+    x, y = random_state(np.random.default_rng(seed), setup.n, 1.5, count=count)
+    for got, want in zip(_stack_values(trep.rep, trep.alpha, trep.beta, x, y),
+                         _one_by_one(trep.rep, trep.alpha, trep.beta, x, y)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rep", [su2_irrep(2), su2_irrep(4),
+                                 diagonal_sum(su2_irrep(3), 2), su2_irrep(14)],
+                         ids=["su2-2", "su2-4", "su2-3x2", "su2-14"])
+def test_values_in_a_stack_equal_a_stack_of_one_to_rounding(rep):
+    rng = np.random.default_rng(31)
+    alpha = rng.standard_normal(rep.k)
+    beta = rng.standard_normal(rep.k) + 1j * rng.standard_normal(rep.k)
+    x, y = random_state(rng, rep.dim, 1.5, count=300)
+    for got, want in zip(_stack_values(rep, alpha, beta, x, y),
+                         _one_by_one(rep, alpha, beta, x, y)):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)

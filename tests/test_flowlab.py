@@ -320,19 +320,19 @@ class TestFlow:
 
     def test_step_underflow_status(self):
         # pretend gradient of |x| at the minimum: no step can decrease f
-        [traj] = descend(lambda s: np.abs(s[:, 0]), np.ones_like, [[0.0]])
+        [traj] = descend(lambda s: (np.abs(s[:, 0]), np.ones_like(s)), [[0.0]])
         assert traj.status == STATUS_UNDERFLOW
 
     def test_non_finite_start_raises(self):
         with pytest.raises(NonFiniteState):
-            descend(lambda s: s[:, 0] ** 2, lambda s: 2 * s, [[np.inf]])
+            descend(lambda s: (s[:, 0] ** 2, 2 * s), [[np.inf]])
 
     def test_non_finite_energy_raises(self):
         with pytest.raises(NonFiniteState):
-            descend(lambda s: np.full(len(s), np.nan), np.ones_like, [[1.0]])
+            descend(lambda s: (np.full(len(s), np.nan), np.ones_like(s)), [[1.0]])
 
     def test_quartic_toy_exponent(self):
-        [traj] = descend(lambda s: s[:, 0] ** 4, lambda s: 4 * s ** 3,
+        [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                          [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
         from hypertoric.flowlab import lojasiewicz_report
         report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
