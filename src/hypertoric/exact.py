@@ -236,14 +236,18 @@ def _kernel_certified(a, piv_rows, piv_cols) -> bool:
 
 
 def certified_rank(rows, ncols: int) -> int:
-    """Exact rank of integer rows over Q: searched mod MODULUS, then proven.
+    """Exact rank of integer rows over Q: searched mod MODULUS, then proven
+    from both sides.
 
     One int64 elimination mod MODULUS finds pivot rows I and columns J with
-    A[I, J] nonsingular mod MODULUS, hence nonsingular over Q: the rank is
-    at least r = |I|.  When r = min(#rows, ncols) that settles it.
-    Otherwise ``_kernel_certified`` proves rank ≤ r with ncols − r null
-    vectors checked against every row.  When it cannot, or when an entry or
-    a product could leave int64, the answer is ``int_rank`` on the same rows.
+    A[I, J] nonsingular mod MODULUS.  Its determinant is then a nonzero
+    integer, so the rank is at least r = |I|.  When r = min(#rows, ncols)
+    that settles it, as in every degree of a ring that vanishes.  Otherwise
+    ``_kernel_certified`` proves rank ≤ r with ncols − r null vectors,
+    N_J = −D X and N_F = D·I on the free columns, solved over Q by p-adic
+    lifting and checked exactly against every row.  When it cannot, or when
+    an entry or a product could leave int64, the answer is Bareiss
+    elimination, ``int_rank``, on the same rows.
     """
     if not rows or not ncols:
         return 0

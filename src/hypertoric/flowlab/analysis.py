@@ -13,12 +13,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import InputError, InsufficientTail
-from ..flats import closure
-from ..torus import critical_level
+from ..torus import critical_level, walls_of
 from .flow import STATUS_CONVERGED, Trajectory, descend
 from .moments import (flow_objective, grad_component, moment_hk, pack_state,
                       unpack_state)
-from .reps import GroupRep, random_state, torus_rep
+from .reps import GroupRep, gaussian_state, random_state, torus_rep
 
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
@@ -150,7 +149,7 @@ def _match_limit(setup, traj: Trajectory, tol_f: float = 1e-6):
     x, y = unpack_state(traj.states[-1], n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
-    if closure(setup.weights, flat) != flat:
+    if flat not in walls_of(setup.weights):  # keyed by exactly the flats
         return None
     level = float(critical_level(setup, flat))
     if abs(traj.f_limit - level) >= tol_f:
@@ -198,9 +197,9 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
         width *= 2.0
     records = []
     for block in _blocks(trials):
-        starts = [pack_state(*random_state(np.random.default_rng((base_seed, trial)),
-                                           setup.n, radius))
-                  for trial in block]
+        draws = np.stack([np.random.default_rng((base_seed, trial)).standard_normal(
+            (4, setup.n)) for trial in block])
+        starts = pack_state(*gaussian_state(draws, radius))
         trajs = descend(objective, starts, grad_tol=grad_tol,
                         max_time=max_time, max_steps=max_steps)
         matches = [_match_limit(setup, traj)

@@ -234,7 +234,15 @@ def random_state(rng: np.random.Generator, n: int, radius: float = 1.0,
                  count: Optional[int] = None):
     """Independent complex Gaussian coordinates with scale ``radius``; with
     ``count``, a stack of that many states, drawn as that many calls would."""
-    draws = rng.standard_normal((4, n) if count is None else (count, 4, n))
+    return gaussian_state(
+        rng.standard_normal((4, n) if count is None else (count, 4, n)), radius)
+
+
+def gaussian_state(draws: np.ndarray, radius: float):
+    """Complex coordinates (x, y) of scale ``radius`` from standard normal
+    draws of shape (..., 4, n): the real and imaginary parts of x, then of y.
+    The arithmetic is elementwise, so a stack of draws gives the states its
+    draws give one by one, bit for bit."""
     x = radius * (draws[..., 0, :] + 1j * draws[..., 1, :]) / np.sqrt(2)
     y = radius * (draws[..., 2, :] + 1j * draws[..., 3, :]) / np.sqrt(2)
     return x, y

@@ -2,16 +2,12 @@
 
 The ring is a polynomial ring on one generator per torus dimension modulo
 one product-of-linear-forms relation per proper flat (the rows outside the
-flat).  The circle-equivariant variant adds one extra variable and replaces
+flat); for the ordinary ring the coatoms' relations already generate the
+ideal.  The circle-equivariant variant adds one extra variable and replaces
 each factor by its reflection when the level pairs negatively with the row.
-Dimensions are counted degree by degree with exact integer ranks, which
-``exact.certified_rank`` proves from both sides.  An elimination mod a prime
-finds a minor that is nonzero mod p, hence nonzero: rank ≥ r.  Null vectors
-N_J = −D X, N_F = D·I on the free columns, solved over Q by p-adic lifting
-and checked exactly against every row, give rank ≤ r.  Where that proof
-fails, or a bound of its int64 arithmetic does, Bareiss elimination
-(``exact.int_rank``) gives the rank.  The ring route reads only its
-presentation, never the Morse or census answers.
+Dimensions are counted degree by degree with exact integer ranks from
+``exact.certified_rank``, whose docstring gives its two-sided proof.  The
+ring route reads only its presentation, never the Morse or census answers.
 """
 
 from __future__ import annotations
@@ -20,134 +16,97 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .exact import certified_rank
-from .flats import proper_flats
+from .flats import coatoms, proper_flats
 from .torus import TorusSetup, sign_split
-
-
-def _linear_form(coeffs, nvars):
-    """Homogeneous linear polynomial sum coeffs[a] * z_a as {exponent: coeff}."""
-    out = {}
-    for a, c in enumerate(coeffs):
-        if c:
-            exp = tuple(int(i == a) for i in range(nvars))
-            out[exp] = out.get(exp, 0) + c
-    return out
-
-
-def _mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(exp, 0) + ca * cb
-            if c:
-                out[exp] = c
-            else:
-                out.pop(exp, None)
-    return out
-
-
-def _freeze(p):
-    return tuple(sorted(p.items()))
 
 
 @dataclass(frozen=True)
 class RingPresentation:
     nvars: int
-    gens: tuple  # one frozen polynomial per proper flat, flats order
+    gens: tuple  # sorted (exponent tuple, coefficient) pairs per generator
+
+
+def _expand(forms, nvars) -> tuple:
+    """The product of integer linear forms, each a row of nvars
+    coefficients, as sorted (exponent tuple, coefficient) pairs."""
+    poly = {(0,) * nvars: 1}
+    for form in forms:
+        out = {}
+        for exp, c in poly.items():
+            for a, w in enumerate(form):
+                if w:
+                    e = exp[:a] + (exp[a] + 1,) + exp[a + 1:]
+                    out[e] = out.get(e, 0) + c * w
+        poly = {e: c for e, c in out.items() if c}
+    return tuple(sorted(poly.items()))
 
 
 def cohomology_presentation(weights) -> RingPresentation:
-    """Ordinary presentation: for each proper flat, the product of the
-    linear forms of the rows outside it."""
+    """Ordinary presentation: for each coatom, the product of the linear
+    forms of the rows outside it, in flat order.
+
+    These generate the ideal of all proper flats.  Every proper flat F lies
+    in a coatom H, so the rows outside H are among the rows outside F, and
+    gen_H divides gen_F: adding gen_F leaves the ideal unchanged.
+    """
     weights = tuple(tuple(r) for r in weights)
     d = len(weights[0]) if weights else 0
-    gens = []
-    for f in proper_flats(weights):
-        poly = {tuple(0 for _ in range(d)): 1}
-        for i in range(len(weights)):
-            if i not in f:
-                poly = _mul(poly, _linear_form(weights[i], d))
-        gens.append(_freeze(poly))
-    return RingPresentation(d, tuple(gens))
+    return RingPresentation(d, tuple(
+        _expand([w for i, w in enumerate(weights) if i not in h], d)
+        for h in coatoms(weights)))
 
 
 def circle_equivariant_presentation(setup: TorusSetup) -> RingPresentation:
     """Circle-equivariant presentation on d + 1 variables (the last one is
-    the equivariant class of the extra circle).
+    the equivariant class of the extra circle), one generator per proper
+    flat, in flat order.
 
     Rows pairing positively with the level keep their linear form; rows
-    pairing negatively contribute the reflected factor (u0 - form).
+    pairing negatively contribute the reflected factor (u0 - form).  The
+    signs depend on the flat, so no flat is left out.
     """
-    d = setup.dim
-    nvars = d + 1
-    u0 = _linear_form(tuple(0 for _ in range(d)) + (1,), nvars)
     gens = []
     for f in proper_flats(setup.weights):
         plus, minus = sign_split(setup, f)
-        poly = {tuple(0 for _ in range(nvars)): 1}
-        for i in plus:
-            poly = _mul(poly, _linear_form(setup.weights[i] + (0,), nvars))
-        for i in minus:
-            factor = dict(u0)
-            for exp, c in _linear_form(setup.weights[i] + (0,), nvars).items():
-                factor[exp] = factor.get(exp, 0) - c
-                if not factor[exp]:
-                    del factor[exp]
-            poly = _mul(poly, factor)
-        gens.append(_freeze(poly))
-    return RingPresentation(nvars, tuple(gens))
-
-
-def _monomials(nvars, degree):
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exp = [0] * nvars
-        for v in combo:
-            exp[v] += 1
-        out.append(tuple(exp))
-    return out
-
-
-def _gen_degree(gen) -> int:
-    return sum(gen[0][0]) if gen else 0
+        gens.append(_expand(
+            [setup.weights[i] + (0,) for i in plus]
+            + [tuple(-x for x in setup.weights[i]) + (1,) for i in minus],
+            setup.dim + 1))
+    return RingPresentation(setup.dim + 1, tuple(gens))
 
 
 def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     """Graded dimensions of the quotient ring, degrees 0..max_degree.
 
     In each degree the span of (monomial multiple of generator) is a lattice
-    of integer coefficient vectors; its rank is ``certified_rank``, exact
-    from both sides.  A nonzero r × r minor mod p is a nonzero integer, so
-    rank ≥ r; when r is the row or column count, that is the rank (as in
-    every vanishing degree).  Otherwise ncols − r null vectors, equal to D·I
-    on the free columns and checked exactly against every row, prove
-    rank ≤ r.  If the check or an int64 bound fails, Bareiss elimination
-    gives the rank.  The ring is generated in degree 1, so
-    R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
+    of integer coefficient vectors, whose rank is ``certified_rank``, proven
+    from both sides as its docstring states.  A monomial of degree at most
+    max_degree is keyed by the integer sum e_a B^a with B = max_degree + 1,
+    so the key of a product is the sum of the keys.  The ring is generated
+    in degree 1, so R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
     remaining degrees are padded with zeros instead of ranked.
     """
+    powers = [(max_degree + 1) ** a for a in range(pres.nvars)]
+    gens = [(sum(gen[0][0]),
+             [(sum(e * b for e, b in zip(exp, powers)), c) for exp, c in gen])
+            for gen in pres.gens if gen]
+    keys = []  # keys[m]: the monomials of degree m, in basis order
     dims = []
     for m in range(max_degree + 1):
         if dims and dims[-1] == 0:
             return tuple(dims) + (0,) * (max_degree + 1 - m)
-        basis = _monomials(pres.nvars, m)
-        index = {exp: i for i, exp in enumerate(basis)}
+        keys.append([sum(powers[a] for a in combo) for combo in
+                     combinations_with_replacement(range(pres.nvars), m)])
+        index = {k: i for i, k in enumerate(keys[m])}
         rows = []
-        for gen in pres.gens:
-            g = _gen_degree(gen)
-            if not gen or g > m:
-                continue
-            for mult in _monomials(pres.nvars, m - g):
-                row = [0] * len(basis)
-                for exp, c in gen:
-                    shifted = tuple(x + y for x, y in zip(exp, mult))
-                    row[index[shifted]] += c
+        for g, terms in gens:
+            for shift in keys[m - g] if g <= m else ():
+                row = [0] * len(index)
+                for k, c in terms:
+                    row[index[k + shift]] += c
                 rows.append(row)
-        r = certified_rank(rows, len(basis)) if rows else 0
-        dims.append(len(basis) - r)
+        r = certified_rank(rows, len(index)) if rows else 0
+        dims.append(len(index) - r)
     return tuple(dims)
 
 

@@ -1,10 +1,15 @@
-"""Reference Hilbert dimensions by Bareiss elimination in every ranked degree.
+"""Reference presentations and Hilbert dimensions, built the long way.
 
-This is the loop ``ringcalc.hilbert_dims`` ran before its ranks were found
-mod a prime and then proven.  Each degree's matrix has one row per monomial
-multiple of a generator, in the monomial basis of that degree, and its rank
-is ``exact.int_rank``.  The tests compare ``ring_dims`` and ``circle_dims``
-against it on setups drawn by ``generic_setups``.
+``reference_presentation`` and ``reference_circle_presentation`` take one
+generator per proper flat, multiplied out from dict polynomials, as
+``ringcalc`` did before it kept only the coatoms of the ordinary ring and
+expanded every generator with one builder.  ``reference_dims`` is the loop
+``ringcalc.hilbert_dims`` ran before its ranks were found mod a prime and
+then proven, and before its monomials were keyed by integers.  Each
+degree's matrix has one row per monomial multiple of a generator, in the
+monomial basis of that degree, and its rank is ``exact.int_rank``.  The
+tests compare ``ring_dims`` and ``circle_dims`` against them on setups
+drawn by ``generic_setups``.
 """
 
 from itertools import combinations_with_replacement
@@ -13,7 +18,73 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hypertoric.exact import int_rank
-from hypertoric.torus import sample_generic
+from hypertoric.flats import proper_flats
+from hypertoric.ringcalc import RingPresentation
+from hypertoric.torus import sample_generic, sign_split
+
+
+def _linear_form(coeffs, nvars):
+    """Homogeneous linear polynomial sum coeffs[a] * z_a as {exponent: coeff}."""
+    out = {}
+    for a, c in enumerate(coeffs):
+        if c:
+            exp = tuple(int(i == a) for i in range(nvars))
+            out[exp] = out.get(exp, 0) + c
+    return out
+
+
+def _mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(exp, 0) + ca * cb
+            if c:
+                out[exp] = c
+            else:
+                out.pop(exp, None)
+    return out
+
+
+def _freeze(p):
+    return tuple(sorted(p.items()))
+
+
+def reference_presentation(weights):
+    """Ordinary presentation with one generator per proper flat: the product
+    of the linear forms of the rows outside it."""
+    weights = tuple(tuple(r) for r in weights)
+    d = len(weights[0]) if weights else 0
+    gens = []
+    for f in proper_flats(weights):
+        poly = {(0,) * d: 1}
+        for i in range(len(weights)):
+            if i not in f:
+                poly = _mul(poly, _linear_form(weights[i], d))
+        gens.append(_freeze(poly))
+    return RingPresentation(d, tuple(gens))
+
+
+def reference_circle_presentation(setup):
+    """Circle-equivariant presentation with one generator per proper flat;
+    a row pairing negatively with the level contributes (u0 - form)."""
+    nvars = setup.dim + 1
+    u0 = _linear_form((0,) * setup.dim + (1,), nvars)
+    gens = []
+    for f in proper_flats(setup.weights):
+        plus, minus = sign_split(setup, f)
+        poly = {(0,) * nvars: 1}
+        for i in plus:
+            poly = _mul(poly, _linear_form(setup.weights[i] + (0,), nvars))
+        for i in minus:
+            factor = dict(u0)
+            for exp, c in _linear_form(setup.weights[i] + (0,), nvars).items():
+                factor[exp] = factor.get(exp, 0) - c
+                if not factor[exp]:
+                    del factor[exp]
+            poly = _mul(poly, factor)
+        gens.append(_freeze(poly))
+    return RingPresentation(nvars, tuple(gens))
 
 
 def monomials(nvars, degree):

@@ -29,6 +29,7 @@ from hypertoric.flowlab import (Trajectory, cross_term_stats, diagonal_sum,
                                 tail_reports, torus_rep)
 from hypertoric.flowlab import analysis
 from hypertoric.flowlab.moments import ENERGY_KINDS
+from hypertoric.flowlab.reps import gaussian_state
 from hypertoric.torus import new_setup, sample_generic
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -110,6 +111,18 @@ def test_small_blocks_match_one_block(monkeypatch, function):
     monkeypatch.setattr(analysis, "_BLOCK", 3)
     assert_records_match(run_ensemble(setup, 8, 21, function=function), whole)
     assert_stats_match(cross_term_stats(rep, np.zeros(3), 10, 5), stats)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.3])
+def test_stacked_starts_equal_one_draw_per_trial(radius):
+    # run_ensemble turns a block's draws into states in one call; each start
+    # must equal bit for bit the one random_state gives its trial alone.
+    draws = np.stack([np.random.default_rng((7, trial)).standard_normal((4, 5))
+                      for trial in range(70)])
+    x, y = gaussian_state(draws, radius)
+    for trial in range(70):
+        x1, y1 = random_state(np.random.default_rng((7, trial)), 5, radius)
+        assert np.array_equal(x[trial], x1) and np.array_equal(y[trial], y1)
 
 
 @given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),

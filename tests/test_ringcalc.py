@@ -13,7 +13,8 @@ from hypertoric.ringcalc import (
     ring_dims,
 )
 from hypertoric.torus import new_setup, sample_generic
-from ring_reference import generic_setups, quotient_dim, reference_dims
+from ring_reference import (generic_setups, quotient_dim, reference_circle_presentation,
+                            reference_dims, reference_presentation)
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -24,11 +25,13 @@ class TestPresentation:
         pres = cohomology_presentation(DIAG2)
         assert pres.nvars == 1
         # single proper flat (the empty one): x^2
-        assert pres.gens == ((((2,), 1)),) or pres.gens == ((((2,), 1),),)
+        assert pres.gens == ((((2,), 1),),)
 
     def test_triple_generators(self):
         pres = cohomology_presentation(TRIPLE)
         assert pres.nvars == 2
+        # one generator per coatom: the three single rows
+        assert len(pres.gens) == 3
         gens = {g for g in pres.gens}
         # flat (2,) leaves rows x1 and x2: generator x1 x2
         assert (((1, 1), 1),) in gens
@@ -44,6 +47,24 @@ class TestPresentation:
         pres2 = circle_equivariant_presentation(down)
         # (u0 - x)^2 = x^2 - 2 x u0 + u0^2
         assert pres2.gens == ((((0, 2), 1), ((1, 1), -2), ((2, 0), 1)),)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generic_setups())
+    def test_generators_keep_the_presentation_format(self, setup):
+        # Readers outside the package take a generator's degree as
+        # sum(gen[0][0]), so every generator must be a nonempty, sorted,
+        # homogeneous tuple of (exponent tuple, nonzero int) pairs.
+        for pres in (cohomology_presentation(setup.weights),
+                     circle_equivariant_presentation(setup)):
+            assert isinstance(pres.gens, tuple) and pres.gens
+            for gen in pres.gens:
+                assert isinstance(gen, tuple) and gen
+                assert list(gen) == sorted(gen)
+                assert len({exp for exp, _ in gen}) == len(gen)
+                for exp, c in gen:
+                    assert isinstance(exp, tuple) and len(exp) == pres.nvars
+                    assert type(c) is int and c
+                assert {sum(exp) for exp, _ in gen} == {sum(gen[0][0])}
 
     def test_circle_requires_nonzero_pairings(self):
         with pytest.raises(NonGenericAlpha):
@@ -108,10 +129,20 @@ class TestCircleDims:
     @given(generic_setups())
     def test_both_routes_equal_the_bareiss_reference(self, setup):
         top = setup.n - setup.dim
-        assert ring_dims(setup.weights) == reference_dims(
+        assert set(cohomology_presentation(setup.weights).gens) <= set(
+            reference_presentation(setup.weights).gens)
+        assert circle_equivariant_presentation(setup) == \
+            reference_circle_presentation(setup)
+        ordinary = ring_dims(setup.weights)
+        assert ordinary == reference_dims(
             cohomology_presentation(setup.weights), top + 2)
-        assert circle_dims(setup) == reference_dims(
+        assert ordinary == reference_dims(
+            reference_presentation(setup.weights), top + 2)
+        circle = circle_dims(setup)
+        assert circle == reference_dims(
             circle_equivariant_presentation(setup), top + 3)
+        assert circle == reference_dims(
+            reference_circle_presentation(setup), top + 3)
 
 
 class TestCumulative:
