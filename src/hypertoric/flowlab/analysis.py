@@ -138,20 +138,22 @@ def classify_limit(setup, traj: Trajectory,
     level agrees with the limit energy within ``tol_f``.  Returns the
     flat, or None when the limit is unresolved.
     """
-    match = _match_limit(setup, traj, tol_f)
+    match = _match_limit(setup, traj, {}, tol_f)
     return None if match is None else match[0]
 
 
-def _match_limit(setup, traj: Trajectory, tol_f: float = 1e-6):
+def _match_limit(setup, traj: Trajectory, levels: dict, tol_f: float = 1e-6):
     """The flat of ``classify_limit`` with its critical level as a float,
-    or None."""
+    or None.  ``levels`` caches the levels of the flats met so far."""
     n = setup.n
     x, y = unpack_state(traj.states[-1], n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
     if flat not in walls_of(setup.weights):  # keyed by exactly the flats
         return None
-    level = float(critical_level(setup, flat))
+    level = levels.get(flat)
+    if level is None:
+        level = levels[flat] = float(critical_level(setup, flat))
     if abs(traj.f_limit - level) >= tol_f:
         return None
     return flat, level
@@ -181,6 +183,7 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     """
     if trials < 1:
         raise InputError("need at least one trial")
+    _require_seed(base_seed)
     _require_radius(radius)
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise InputError(
@@ -202,7 +205,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
         starts = pack_state(*gaussian_state(draws, radius))
         trajs = descend(objective, starts, grad_tol=grad_tol,
                         max_time=max_time, max_steps=max_steps)
-        matches = [_match_limit(setup, traj)
+        levels = {}   # each distinct flat's critical level, once per block
+        matches = [_match_limit(setup, traj, levels)
                    if function == "muC2" and traj.status == STATUS_CONVERGED
                    else None for traj in trajs]
         reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
@@ -228,6 +232,12 @@ def _require_radius(radius: float) -> None:
         raise InputError(f"the radius must be finite and positive, got {radius}")
 
 
+def _require_seed(seed: int) -> None:
+    # numpy's generators take only non-negative seeds.
+    if seed < 0:
+        raise InputError(f"the seed must be non-negative, got {seed}")
+
+
 def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
                      radius: float = 1.0) -> dict:
     """Pairwise gradient inner products of the three component energies.
@@ -245,6 +255,7 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     """
     if samples < 1:
         raise InputError("need at least one sample state")
+    _require_seed(seed)
     _require_radius(radius)
     rng = np.random.default_rng(seed)
     beta = np.zeros(rep.k, dtype=np.complex128)
@@ -296,6 +307,7 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     """
     if samples < 1:
         raise InputError("need at least one sample state")
+    _require_seed(seed)
     _require_radius(radius)
     coords = np.real(np.einsum("bij,aij->ba", np.conj(sub_rep.basis), rep.basis))
     rebuilt = np.tensordot(coords, rep.basis, axes=1)

@@ -1,7 +1,8 @@
 """Reference flows, tail fits and cross terms, one at a time.
 
 These are the loops ``flowlab`` ran before it stacked states: ``descend_one``
-integrates a single state with the same step rule as ``descend``, an
+integrates a single state with the same step rule as ``descend``,
+``descend_lockstep`` runs a stack with one trial step per row and round, an
 ensemble runs its trials one after another, ``tail_report_one`` fits the
 decay law of one trajectory with ``np.polyfit`` and widens its window one
 width at a time, and the cross-term experiment evaluates one sample state
@@ -71,6 +72,66 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
         h *= 2.0
     times, states, energies, norms = (np.array(column) for column in zip(*samples))
     return Trajectory(times, states, energies, norms, status)
+
+
+def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
+                     max_steps=1_000_000):
+    """``descend`` with one candidate per row and round: a rejected row
+    halves its step and tries again in the next round."""
+    states = np.array(states0, dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(states)):
+        raise NonFiniteState("initial state is not finite")
+    f, g = (np.array(value, dtype=np.float64) for value in fun(states))
+    gnorm = np.linalg.norm(g, axis=1)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(gnorm))):
+        raise NonFiniteState("energy or gradient is not finite at the start")
+
+    count = len(states)
+    t, h = np.zeros(count), np.full(count, float(h0))
+    steps, status = np.zeros(count, dtype=np.int64), np.empty(count, dtype=object)
+    log = [(np.arange(count), t.copy(), states.copy(), f.copy(), gnorm.copy())]
+    active = np.arange(count)
+    while True:
+        converged = gnorm[active] < grad_tol
+        spent = (t[active] >= max_time) | (steps[active] >= max_steps)
+        underflow = h[active] < _MIN_STEP
+        status[active[underflow]] = STATUS_UNDERFLOW
+        status[active[spent]] = STATUS_MAX_TIME
+        status[active[converged]] = STATUS_CONVERGED
+        active = active[~(converged | spent | underflow)]
+        if active.size == 0:
+            break
+        hs = h[active]
+        trial = states[active] - hs[:, None] * g[active]
+        f_trial, g_trial = (np.asarray(value, dtype=np.float64)
+                            for value in fun(trial))
+        ok = (np.isfinite(f_trial) & np.all(np.isfinite(trial), axis=1)
+              & (f_trial <= f[active] - _DECREASE_FRACTION * hs * gnorm[active]
+                 * gnorm[active]))
+        h[active[~ok]] *= 0.5
+        moved = active[ok]
+        if moved.size == 0:
+            continue
+        accepted = trial[ok]
+        states[moved] = accepted
+        t[moved] += h[moved]
+        f[moved] = f_trial[ok]
+        g[moved] = g_trial[ok]
+        gnorm[moved] = np.linalg.norm(g[moved], axis=1)
+        finite = np.isfinite(gnorm[moved])
+        if not np.all(finite):
+            raise NonFiniteState("non-finite energy or gradient at flow time "
+                                 f"{float(t[moved][~finite][0])}")
+        steps[moved] += 1
+        h[moved] *= 2.0
+        log.append((moved, t[moved], accepted, f[moved], gnorm[moved]))
+
+    order = np.argsort(np.concatenate([entry[0] for entry in log]), kind="stable")
+    cuts = np.cumsum(steps + 1)[:-1]
+    columns = [np.split(np.concatenate([entry[i] for entry in log])[order], cuts)
+               for i in range(1, 5)]
+    return [Trajectory(*fields, status=row_status)
+            for *fields, row_status in zip(*columns, status)]
 
 
 def lojasiewicz_report_one(traj, f_c=None, decades=2.0):

@@ -1,6 +1,7 @@
 """Limit classification, decay certificates, and structured experiments."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypertoric.flowlab import (
     torus_rep,
     torus_reduction_check,
 )
+from hypertoric.flowlab import analysis
 from hypertoric.torus import critical_level, new_setup
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -123,6 +125,22 @@ class TestEnsemble:
         with pytest.raises(InputError):
             run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=3, decades=decades)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=-1)
+
+    def test_each_limit_flat_gets_its_level_once_per_block(self, monkeypatch):
+        setup = new_setup(PAIR, beta=(3,))
+        want = run_ensemble(setup, 10, base_seed=11)
+        monkeypatch.setattr(analysis, "_BLOCK", 4)
+        with mock.patch.object(analysis, "critical_level",
+                               wraps=critical_level) as counted:
+            got = run_ensemble(setup, 10, base_seed=11)
+        assert got == want
+        # Every trial reaches the full flat; blocks of 4, 4 and 2 trials.
+        assert {rec["J"] for rec in got} == {(0, 1)}
+        assert counted.call_count == 3
+
 
 class TestCrossTerms:
     def test_abelian_orthogonality(self):
@@ -148,6 +166,10 @@ class TestCrossTerms:
         with pytest.raises(InputError):
             cross_term_stats(rep, np.zeros(3), 0, seed=1)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            cross_term_stats(su2_irrep(2), np.zeros(3), 5, seed=-1)
+
 
 class TestReductionCheck:
     def test_torus_against_itself(self):
@@ -164,6 +186,11 @@ class TestReductionCheck:
         assert len(passed) >= 3
         for r in passed:
             assert r["rel_err"] < 1e-8
+
+    def test_rejects_a_negative_seed(self):
+        trep = torus_rep(new_setup(PAIR, beta=(3,)))
+        with pytest.raises(InputError, match="seed"):
+            torus_reduction_check(trep.rep, trep.rep, 3, seed=-1)
 
     def test_rejects_family_outside_span(self):
         rep = su2_irrep(2)

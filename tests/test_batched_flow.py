@@ -8,7 +8,8 @@ arclength to 1e-12 and its exponent, a centred least-squares slope in
 place of ``np.polyfit``, to 1e-9 relative.  Cross-term statistics agree to
 1e-12 relative, with a 1e-12 absolute floor for the statistics that are
 roundoff by construction (the bracket identity residual, and every cross
-term of a torus).
+term of a torus).  ``descend``, which tries a row's step and its halved
+retry in one round, follows one trial per round bit for bit on tori.
 """
 
 import math
@@ -19,16 +20,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import (cross_term_stats_one_by_one, lojasiewicz_report_one,
-                            run_ensemble_one_by_one, tail_report_one)
+from flow_reference import (cross_term_stats_one_by_one, descend_lockstep,
+                            lojasiewicz_report_one, run_ensemble_one_by_one,
+                            tail_report_one)
 from hypertoric.errors import InsufficientTail
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (Trajectory, cross_term_stats, diagonal_sum,
-                                energy, grad, grad_component, lojasiewicz_report,
-                                moment_hk, random_state, run_ensemble, su2_irrep,
-                                tail_reports, torus_rep)
+from hypertoric.flowlab import (STATUS_UNDERFLOW, Trajectory, cross_term_stats,
+                                descend, diagonal_sum, energy, grad, grad_component,
+                                lojasiewicz_report, moment_hk, pack_state,
+                                random_state, run_ensemble, su2_irrep, tail_reports,
+                                torus_rep)
 from hypertoric.flowlab import analysis
-from hypertoric.flowlab.moments import ENERGY_KINDS
+from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.flowlab.reps import gaussian_state
 from hypertoric.torus import new_setup, sample_generic
 
@@ -75,6 +78,103 @@ nonabelian_reps = st.one_of(
     st.builds(su2_irrep, st.integers(min_value=2, max_value=4)),
     st.builds(diagonal_sum, st.builds(su2_irrep, st.integers(min_value=2, max_value=3)),
               st.integers(min_value=1, max_value=2)))
+
+
+def _torus_objective(setup, function):
+    trep = torus_rep(setup)
+    return flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+
+
+def _recorded(fun):
+    """``fun`` with the list of the stacks it is called with."""
+    stacks = []
+
+    def recorded(states):
+        stacks.append(states.copy())
+        return fun(states)
+    return recorded, stacks
+
+
+# Initial steps: below _MIN_STEP, just above it (so that rows which meet
+# rounding noise underflow), and from small to large enough that most
+# trials are rejected at first.
+initial_steps = st.one_of(st.just(5e-19), st.floats(min_value=1e-18, max_value=4e-18),
+                          st.floats(min_value=-3.0, max_value=3.0).map(
+                              lambda e: 10.0 ** e))
+
+
+@given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),
+       count=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=1 << 16), h0=initial_steps,
+       grad_tol=st.sampled_from([1e-5, 1e-12]),
+       max_steps=st.integers(min_value=0, max_value=200),
+       max_time=st.floats(min_value=0.05, max_value=1e3))
+# Ends rows by convergence, by the step budget and by underflow after steps.
+@example(setup=new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3)), function="muC2",
+         count=12, seed=5, h0=3e-18, grad_tol=1e-5, max_steps=200, max_time=1e3)
+@settings(max_examples=100, deadline=None)
+def test_descend_equals_one_trial_per_round(setup, function, count, seed, h0,
+                                            grad_tol, max_steps, max_time):
+    fun = _torus_objective(setup, function)
+    starts = pack_state(*random_state(np.random.default_rng(seed), setup.n, 1.0,
+                                      count=count))
+    options = dict(h0=h0, grad_tol=grad_tol, max_steps=max_steps, max_time=max_time)
+    got = descend(fun, starts, **options)
+    want = descend_lockstep(fun, starts, **options)
+    assert len(got) == len(want) == count
+    for a, b in zip(got, want):
+        assert a.status == b.status
+        for key in ("times", "states", "energies", "grad_norms"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+def test_descend_halves_the_rounds_of_an_ensemble():
+    # 64 trials at n = 5 for each energy, with run_ensemble's options.  One
+    # trial per round needs about two rounds per step of the slowest trial;
+    # trying h and h/2 together about one.
+    setup = sample_generic(((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)), 1)
+    draws = np.stack([np.random.default_rng((1, trial)).standard_normal((4, 5))
+                      for trial in range(64)])
+    starts = pack_state(*gaussian_state(draws, 1.0))
+    calls, reference_calls = 0, 0
+    for function in ENERGY_KINDS:
+        fun, got = _recorded(_torus_objective(setup, function))
+        ref, want = _recorded(_torus_objective(setup, function))
+        descend(fun, starts, grad_tol=1e-5, max_steps=200_000)
+        descend_lockstep(ref, starts, grad_tol=1e-5, max_steps=200_000)
+        calls, reference_calls = calls + len(got), reference_calls + len(want)
+    assert calls <= 0.6 * reference_calls
+
+
+def test_no_trial_point_is_tried_twice():
+    # 1.5 x**2 accepts exactly the steps h <= 0.2: from h = 4 the row is
+    # rejected at 4, 2, 1, 0.5 and 0.25 before its first step.  Every point
+    # the reference tries is tried, and none twice.
+    def quadratic(states):
+        return 1.5 * states[:, 0] ** 2, 3.0 * states
+
+    fun, stacks = _recorded(quadratic)
+    ref, reference_stacks = _recorded(quadratic)
+    [got] = descend(fun, [[1.0]], h0=4.0, grad_tol=1e-6)
+    [want] = descend_lockstep(ref, [[1.0]], h0=4.0, grad_tol=1e-6)
+    assert np.array_equal(got.states, want.states)
+    points = np.concatenate(stacks[1:])[:, 0].tolist()   # after the start
+    assert len(points) == len(set(points))
+    assert set(np.concatenate(reference_stacks[1:])[:, 0].tolist()) <= set(points)
+
+
+def test_no_candidate_below_the_minimum_step():
+    # Steps shorter than 1e-18 would be accepted, but a row whose step h is
+    # below twice _MIN_STEP may not try h/2: it underflows, as in the
+    # reference, without a step.
+    def threshold(states):
+        return np.where(states[:, 0] > -1e-18, states[:, 0], 1.0), np.ones_like(states)
+
+    for h0 in (1.5e-18, 1.9e-18):
+        [got] = descend(threshold, [[0.0]], h0=h0)
+        [want] = descend_lockstep(threshold, [[0.0]], h0=h0)
+        assert (got.status, got.steps) == (want.status, want.steps) == \
+            (STATUS_UNDERFLOW, 0)
 
 
 @given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),

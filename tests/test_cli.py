@@ -221,6 +221,9 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("flow", dict(PAIR, weights=[[10 ** 200], [1]]), ("--sample-generic",)),
     ("flow", dict(PAIR, alpha=["1e200"]), ()),
     ("flow", dict(PAIR, beta=[["1e200", "0"]]), ()),
+    ("flow", PAIR, ("--seed", "-1")),
+    ("flow", PAIR, ("--sample-generic", "--seed", "-1")),
+    ("crossterm", TORUS_MATS, ("--seed", "-1")),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -229,7 +232,9 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
         "alpha-zero-denominator", "beta-zero-denominator", "alpha-bool",
         "flow-weight-beyond-float", "flow-alpha-beyond-float",
         "flow-beta-beyond-float", "flow-weight-square-beyond-float",
-        "flow-alpha-square-beyond-float", "flow-beta-square-beyond-float"])
+        "flow-alpha-square-beyond-float", "flow-beta-square-beyond-float",
+        "flow-negative-seed", "flow-sampled-negative-seed",
+        "crossterm-negative-seed"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     path = write_json(tmp_path, "input.json", obj)
     proc = run_cli(command, path, *flags)

@@ -323,6 +323,12 @@ class TestFlow:
         [traj] = descend(lambda s: (np.abs(s[:, 0]), np.ones_like(s)), [[0.0]])
         assert traj.status == STATUS_UNDERFLOW
 
+    @pytest.mark.parametrize("h0", [float("nan"), float("inf"), 0.0, -0.05])
+    def test_initial_step_must_be_finite_and_positive(self, h0):
+        # A NaN step is never accepted and never underflows.
+        with pytest.raises(InputError, match="initial step"):
+            descend(lambda s: (s[:, 0] ** 2, 2 * s), [[1.0]], h0=h0)
+
     def test_non_finite_start_raises(self):
         with pytest.raises(NonFiniteState):
             descend(lambda s: (s[:, 0] ** 2, 2 * s), [[np.inf]])
