@@ -6,9 +6,9 @@ parameters, 4 failed cross-check or internal invariant.  Exact data is
 emitted as rational strings and all indices are 1-based.
 """
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
 from .flowlab import cross_term_stats, from_matrices, run_ensemble
 from .serialize import (
     flat_to_json,
+    parse_float_array,
     parse_matrix_list,
     poly_to_json,
     rational_to_str,
@@ -59,6 +60,8 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to read") from exc
 
 
 def _emit(payload, out_path):
@@ -219,10 +222,7 @@ def cmd_crossterm(args) -> int:
     rep = from_matrices(mats)
     alpha = np.zeros(rep.k)
     if isinstance(obj, dict) and "alpha" in obj:
-        try:
-            alpha = np.array(obj["alpha"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError("alpha must be a list of numbers") from exc
+        alpha = parse_float_array(obj["alpha"], "alpha")
         if alpha.shape != (rep.k,) or not np.all(np.isfinite(alpha)):
             raise InputError(f"alpha must have one finite entry per "
                              f"independent generator ({rep.k})")
@@ -232,66 +232,136 @@ def cmd_crossterm(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON report to this file")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized work (default 0)")
-    common.add_argument("--sample-generic", action="store_true",
-                        help="replace non-generic levels by sampled generic ones")
-    common.add_argument("--max-n", type=int, default=14,
-                        help="refuse setups with more weights than this")
+_REQUIRED = object()
 
-    parser = argparse.ArgumentParser(
-        prog="hypertoric",
-        description="Exact toric hyperkahler invariants and moment-map flows")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Options of every command: option -> (int, float, str, bool for a flag, or a
+# tuple of choices; default).
+_SHARED = {
+    "--out": (str, None),
+    "--seed": (int, 0),
+    "--sample-generic": (bool, False),
+    "--max-n": (int, 14),
+}
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full exact report with all cross-checks")
-    p.add_argument("input", help="setup JSON file")
-    p.set_defaults(fn=cmd_analyze)
+# command -> (command function, summary, options of its own).
+COMMANDS = {
+    "analyze": (cmd_analyze, "full exact report with all cross-checks", {}),
+    "census": (cmd_census, "bounded face census of the dual arrangement", {}),
+    "modify": (cmd_modify, "extend the setup by a circle and check recurrences",
+               {"--column": (str, _REQUIRED),
+                "--check-recurrence": (bool, False)}),
+    "flow": (cmd_flow, "random-start gradient descents of a moment energy",
+             {"--function": (("muR2", "muC2", "muHK2"), "muC2"),
+              "--trials": (int, 8),
+              "--max-time": (float, 1e6),
+              "--grad-tol": (float, 1e-5),
+              "--radius": (float, 1.0)}),
+    "crossterm": (cmd_crossterm,
+                  "pairwise gradient inner products of the component energies",
+                  {"--samples": (int, 1000), "--radius": (float, 1.0)}),
+}
 
-    p = sub.add_parser("census", parents=[common],
-                       help="bounded face census of the dual arrangement")
-    p.add_argument("input", help="setup JSON file")
-    p.set_defaults(fn=cmd_census)
 
-    p = sub.add_parser("modify", parents=[common],
-                       help="extend the setup by a circle and check recurrences")
-    p.add_argument("input", help="setup JSON file")
-    p.add_argument("--column", required=True,
-                   help="comma-separated integer weight of the new circle")
-    p.add_argument("--check-recurrence", action="store_true",
-                   help="also verify the trichotomy and the census recurrence")
-    p.set_defaults(fn=cmd_modify)
+def _dest(option):
+    return option[2:].replace("-", "_")
 
-    p = sub.add_parser("flow", parents=[common],
-                       help="random-start gradient descents of a moment energy")
-    p.add_argument("input", help="setup JSON file")
-    p.add_argument("--function", choices=["muR2", "muC2", "muHK2"],
-                   default="muC2", help="energy to descend (default muC2)")
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--max-time", type=float, default=1e6)
-    p.add_argument("--grad-tol", type=float, default=1e-5)
-    p.add_argument("--radius", type=float, default=1.0,
-                   help="scale of the random starting states")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("crossterm", parents=[common],
-                       help="pairwise gradient inner products of the component energies")
-    p.add_argument("input",
-                   help="JSON list of complex matrices {\"re\": ..., \"im\": ...}")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.set_defaults(fn=cmd_crossterm)
-    return parser
+def _convert(option, kind, text):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise InputError(f"{option} must be one of {', '.join(kind)}, "
+                             f"got {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{option} takes {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
+def parse_args(argv):
+    """Read ``COMMAND INPUT [--option VALUE | --option=VALUE | --flag ...]``.
+
+    Options may come before or after INPUT, the last of a repeated option
+    wins, and a value may start with "-".  Options are matched whole, never
+    by prefix.  Every argument error raises InputError; -h or --help gives
+    a namespace whose fn prints the usage.
+    """
+    if not argv:
+        raise InputError(f"expected a command: {', '.join(COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return SimpleNamespace(fn=_print_usage, command=None)
+    if command not in COMMANDS:
+        raise InputError(f"unknown command {command!r}; expected one of "
+                         f"{', '.join(COMMANDS)}")
+    fn, _, own = COMMANDS[command]
+    options = {**_SHARED, **own}
+    args = {_dest(option): default for option, (_, default) in options.items()}
+    args.update(command=command, fn=fn, input=None)
+    for token in rest:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(fn=_print_usage, command=command)
+        if not token.startswith("-") or token == "-":
+            if args["input"] is not None:
+                raise InputError(f"unexpected argument {token!r}: {command} "
+                                 f"reads one input file")
+            args["input"] = token
+            continue
+        option, has_value, value = token.partition("=")
+        if option not in options:
+            raise InputError(f"{command} has no option {option!r}")
+        kind = options[option][0]
+        if kind is bool:
+            if has_value:
+                raise InputError(f"{option} takes no value")
+            args[_dest(option)] = True
+            continue
+        if not has_value:
+            value = next(rest, None)
+            if value is None:
+                raise InputError(f"{option} needs a value")
+        args[_dest(option)] = _convert(option, kind, value)
+    if args["input"] is None:
+        raise InputError(f"{command} needs an input file")
+    for option in own:
+        if args[_dest(option)] is _REQUIRED:
+            raise InputError(f"{command} needs {option}")
+    return SimpleNamespace(**args)
+
+
+def _usage(command):
+    lines = ["usage: hypertoric COMMAND INPUT [--option VALUE | "
+             "--option=VALUE | --flag ...]",
+             "Exact toric hyperkahler invariants and moment-map flows.", ""]
+    for name, (_, summary, own) in COMMANDS.items():
+        if command in (None, name):
+            lines.append(f"{name}: {summary}")
+            lines.extend(_option_line(o, *spec) for o, spec in own.items())
+    lines.append("every command:")
+    lines.extend(_option_line(o, *spec) for o, spec in _SHARED.items())
+    return "\n".join(lines) + "\n"
+
+
+def _option_line(option, kind, default):
+    if kind is bool:
+        return f"  {option}"
+    value = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+             else kind.__name__.upper())
+    if default is _REQUIRED:
+        return f"  {option} {value}  (required)"
+    return f"  {option} {value}" + ("" if default is None
+                                   else f"  (default {default})")
+
+
+def _print_usage(args) -> int:
+    sys.stdout.write(_usage(args.command))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except _NON_GENERIC_ERRORS as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

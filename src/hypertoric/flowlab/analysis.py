@@ -183,6 +183,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     """
     if trials < 1:
         raise InputError("need at least one trial")
+    if setup.n == 0:  # no state to descend
+        raise InputError("a flow needs at least one weight row")
     _require_seed(base_seed)
     _require_radius(radius)
     if not (math.isfinite(grad_tol) and grad_tol > 0):

@@ -97,6 +97,30 @@ def witness_to_json(witness) -> dict:
                                     flat_to_json(witness[2])]}
 
 
+def _numbers_only(value) -> bool:
+    stack = [value]  # not recursive: JSON may nest deeper than Python's stack
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True
+
+
+def parse_float_array(value, what: str) -> np.ndarray:
+    """A float64 array of nested JSON lists of numbers.  Booleans and
+    strings are refused, not read as 1.0; ragged lists and integers beyond
+    float range raise InputError too."""
+    if not _numbers_only(value):
+        raise InputError(f"{what} must hold only numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be a rectangular array of numbers "
+                         f"in float range") from exc
+
+
 def parse_matrix_list(obj):
     """Complex matrices given as {"re": [[..]], "im": [[..]]} objects."""
     if isinstance(obj, dict) and "matrices" in obj:
@@ -108,11 +132,8 @@ def parse_matrix_list(obj):
         if not isinstance(entry, dict) or "re" not in entry or "im" not in entry:
             raise InputError(
                 f"matrix {idx} must be an object with \"re\" and \"im\" parts")
-        try:
-            re = np.array(entry["re"], dtype=np.float64)
-            im = np.array(entry["im"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"matrix {idx} has non-numeric entries") from exc
+        re = parse_float_array(entry["re"], f"matrix {idx}")
+        im = parse_float_array(entry["im"], f"matrix {idx}")
         if re.shape != im.shape or re.ndim != 2:
             raise InputError(f"matrix {idx} parts must be equal-shape 2d arrays")
         mats.append(re + 1j * im)

@@ -5,6 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cli_reference import build_parser
+from hypertoric import cli
 
 CP2 = {"weights": [[1], [1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
 PAIR = {"weights": [[1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
@@ -152,6 +157,19 @@ def test_malformed_json_is_input_error(tmp_path):
     assert "JSON" in proc.stderr
 
 
+@pytest.mark.parametrize("command, text", [
+    ("census", '{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    ("crossterm", '{"matrices": [{"re": ' + "[" * 900 + "0" + "]" * 900
+     + ', "im": [[0]]}]}'),
+], ids=["beyond-the-json-reader", "beyond-numpy-dimensions"])
+def test_deeply_nested_json_is_input_error(tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
 def test_missing_file_is_input_error(tmp_path):
     proc = run_cli("census", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
@@ -224,6 +242,21 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("flow", PAIR, ("--seed", "-1")),
     ("flow", PAIR, ("--sample-generic", "--seed", "-1")),
     ("crossterm", TORUS_MATS, ("--seed", "-1")),
+    ("flow", {"weights": []}, ()),
+    ("flow", {"weights": []}, ("--sample-generic",)),
+    ("crossterm", {"matrices": [{"re": [[0]], "im": [[True]]}]}, ()),
+    ("crossterm", {"matrices": [{"re": [[0]], "im": [["1"]]}]}, ()),
+    ("crossterm", dict(TORUS_MATS, alpha=[True, 0]), ()),
+    ("crossterm", dict(TORUS_MATS, alpha=["1", 0]), ()),
+    ("crossterm", {"matrices": [{"re": [[10 ** 400]], "im": [[0]]}]}, ()),
+    ("bogus", PAIR, ()),
+    ("census", PAIR, ("--bogus",)),
+    ("flow", PAIR, ("--trials",)),
+    ("flow", PAIR, ("--trials", "abc")),
+    ("flow", PAIR, ("--function", "bogus")),
+    ("modify", PAIR, ()),
+    ("census", None, ()),
+    ("census", PAIR, ("--sam",)),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -234,10 +267,15 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
         "flow-beta-beyond-float", "flow-weight-square-beyond-float",
         "flow-alpha-square-beyond-float", "flow-beta-square-beyond-float",
         "flow-negative-seed", "flow-sampled-negative-seed",
-        "crossterm-negative-seed"])
+        "crossterm-negative-seed", "flow-no-rows", "flow-sampled-no-rows",
+        "crossterm-bool-entry", "crossterm-string-entry",
+        "crossterm-alpha-bool", "crossterm-alpha-string",
+        "crossterm-entry-beyond-float", "unknown-command", "unknown-option",
+        "missing-value", "non-integer-value", "value-outside-choices",
+        "modify-without-column", "no-input-path", "abbreviated-option"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
-    path = write_json(tmp_path, "input.json", obj)
-    proc = run_cli(command, path, *flags)
+    paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
+    proc = run_cli(command, *paths, *flags)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
@@ -281,3 +319,96 @@ def test_analyze_decides_each_level_once(tmp_path, capsys, flags):
     assert torus._beta_witness.cache_info().misses == 1
     # critical_components checks beta again and reads the cached decision
     assert torus._beta_witness.cache_info().hits >= 1
+
+
+def test_help_exits_0_and_lists_every_option():
+    proc = run_cli("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hypertoric COMMAND INPUT")
+    for command, (_, _, own) in cli.COMMANDS.items():
+        assert command in proc.stdout
+        for option in [*own, *cli._SHARED]:
+            assert option in proc.stdout
+    proc = run_cli("flow", "input.json", "-h")
+    assert proc.returncode == 0, proc.stderr
+    assert "--trials" in proc.stdout and "--column" not in proc.stdout
+
+
+def test_argument_parsing_imports_no_argparse(tmp_path):
+    path = write_json(tmp_path, "pair.json", PAIR)
+    out = str(tmp_path / "report.json")
+    code = ("import json, sys\n"
+            "from hypertoric.cli import main\n"
+            f"code = main(['census', {path!r}, '--out', {out!r}])\n"
+            "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules))]))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+# Values both parsers read alike: argparse takes a value after a space only
+# if it does not start with "-" or reads as a negative decimal number.
+_WORDS = st.from_regex(r"[a-z0-9,./_][a-z0-9,./_=-]{0,6}", fullmatch=True)
+_INTS = st.integers(-10 ** 6, 10 ** 6).map(str)
+_FLOATS = st.one_of(
+    st.tuples(st.integers(-999, 999), st.integers(0, 999)).map(
+        lambda p: f"{p[0]}.{p[1]}"),
+    st.sampled_from(["1e6", "2.5e-3", "nan", "inf", "0"]))
+
+
+def _values(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return {int: _INTS, float: _FLOATS, str: _WORDS}[kind]
+
+
+@st.composite
+def valid_argv(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = {**cli._SHARED, **cli.COMMANDS[command][2]}
+    names = sorted(options)
+    if command == "modify":  # --column is required
+        names.remove("--column")
+    tokens = [[token] for token in draw(st.lists(st.sampled_from(names),
+                                                 max_size=6))]
+    if command == "modify":
+        tokens.append(["--column"])
+    for token in tokens:
+        kind = options[token[0]][0]
+        if kind is bool:
+            continue
+        value = draw(_values(kind))
+        if draw(st.booleans()):
+            token[0] += "=" + value
+        else:
+            token.append(value)
+    tokens = draw(st.permutations(tokens))
+    at = draw(st.integers(0, len(tokens)))
+    argv = [command]
+    for token in tokens[:at] + [[draw(_WORDS)]] + tokens[at:]:
+        argv.extend(token)
+    return argv
+
+
+def _fields(namespace):
+    fields = dict(vars(namespace), fn=namespace.fn.__name__)
+    return {key: repr(value) for key, value in fields.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_argv())
+def test_parse_args_matches_the_argparse_reference(argv):
+    assert _fields(cli.parse_args(argv)) == _fields(
+        build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "in.json", "--seed", "-1", "--radius=-2.5"],
+    ["modify", "--column=-1,2", "in.json", "--check-recurrence"],
+    ["flow", "--trials", "3", "in.json", "--trials=5", "--function=muHK2"],
+])
+def test_parse_args_reads_negative_and_repeated_values(argv):
+    assert _fields(cli.parse_args(argv)) == _fields(
+        build_parser().parse_args(argv))
