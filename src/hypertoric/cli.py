@@ -1,9 +1,9 @@
 """Command-line interface: analyze, census, modify, flow, crossterm.
 
-Reports are JSON on stdout (or --out); status prose goes to stderr.
-Exit codes: 0 success, 2 invalid input, 3 non-generic or degenerate
-parameters, 4 failed cross-check or internal invariant.  Exact data is
-emitted as rational strings and all indices are 1-based.
+Reports are JSON on stdout (or --out), without NaN or Infinity; status
+prose goes to stderr.  An error exits with its class's ``exit_code`` (see
+errors.py), success with 0.  Exact data is emitted as rational strings
+and all indices are 1-based.
 """
 
 import json
@@ -13,20 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import arrangement, flats, morse, ringcalc
-from .errors import (
-    CircleInsideTorus,
-    DegenerateNormal,
-    EnumerationTooLarge,
-    InputError,
-    InvariantViolation,
-    NonFiniteState,
-    NonGenericAlpha,
-    NonGenericBeta,
-    NonZeroRemainder,
-    NotSimple,
-    PartitionViolation,
-    SamplingExhausted,
-)
+from .errors import (EnumerationTooLarge, HypertoricError, InputError,
+                     InvariantViolation)
 from .flowlab import cross_term_stats, from_matrices, run_ensemble
 from .serialize import (
     flat_to_json,
@@ -41,15 +29,7 @@ from .serialize import (
 from .torus import derived_seed, modify, require_generic, sample_generic
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NON_GENERIC = 3
-EXIT_CROSS_CHECK = 4
-
-_INPUT_ERRORS = (InputError, EnumerationTooLarge)
-_NON_GENERIC_ERRORS = (NonGenericAlpha, NonGenericBeta, CircleInsideTorus,
-                       NotSimple, DegenerateNormal, SamplingExhausted)
-_CROSS_CHECK_ERRORS = (PartitionViolation, NonZeroRemainder, NonFiniteState,
-                       InvariantViolation)
+EXIT_CROSS_CHECK = HypertoricError.exit_code
 
 
 def _load_json(path):
@@ -65,10 +45,17 @@ def _load_json(path):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN and Infinity are not JSON (RFC 8259)
+        raise InvariantViolation(f"the report holds a non-finite number: "
+                                 f"{exc}") from exc
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -363,22 +350,18 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
-    except _NON_GENERIC_ERRORS as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        witness = getattr(exc, "witness", None)
-        if witness is not None:
-            payload["error"]["witness"] = witness_to_json(witness)
-        _emit(payload, args.out)
+    except HypertoricError as exc:
+        if exc.exit_code != InputError.exit_code:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            witness = getattr(exc, "witness", None)
+            if witness is not None:
+                error["witness"] = witness_to_json(witness)
+            try:
+                _emit({"error": error}, args.out)
+            except InputError as unwritten:
+                exc = unwritten
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NON_GENERIC
-    except _CROSS_CHECK_ERRORS as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              args.out)
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CROSS_CHECK
-    except _INPUT_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import InputError, InsufficientTail
+from ..errors import InputError, InsufficientTail, NonFiniteState
 from ..torus import critical_level, walls_of
 from .flow import STATUS_CONVERGED, Trajectory, descend
 from .moments import (flow_objective, grad_component, moment_hk, pack_state,
@@ -179,7 +179,9 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     energies J is None.  A trial that collapses several decades of energy
     per step can leave too few samples in the window of ``decades``, so
     its decay report widens the window up to 16 decades, which span any
-    double tail.
+    double tail.  A non-finite energy or gradient in a descent raises
+    InputError: the starts are finite and every step lowers the energy, so
+    it comes from the size of the radius or of the setup.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -201,31 +203,39 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
         widths.append(width)
         width *= 2.0
     records = []
-    for block in _blocks(trials):
-        draws = np.stack([np.random.default_rng((base_seed, trial)).standard_normal(
-            (4, setup.n)) for trial in block])
-        starts = pack_state(*gaussian_state(draws, radius))
-        trajs = descend(objective, starts, grad_tol=grad_tol,
-                        max_time=max_time, max_steps=max_steps)
-        levels = {}   # each distinct flat's critical level, once per block
-        matches = [_match_limit(setup, traj, levels)
-                   if function == "muC2" and traj.status == STATUS_CONVERGED
-                   else None for traj in trajs]
-        reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
-                                       for traj, match in zip(trajs, matches)],
-                               widths)
-        for trial, traj, match, report in zip(block, trajs, matches, reports):
-            record = {"seed": trial, "status": traj.status,
-                      "f_limit": traj.f_limit,
-                      "J": None if match is None else match[0],
-                      "k_hat": None, "fitted_exponent": None,
-                      "arclength": None, "bound": None}
-            if report is not None:
-                record.update(k_hat=report.k_hat,
-                              fitted_exponent=report.fitted_exponent,
-                              arclength=report.tail_arclength,
-                              bound=report.bound)
-            records.append(record)
+    # Overflow to inf is expected near the float range: a descent rejects
+    # such trial steps and raises on such starts, and an infinite size still
+    # compares as large.  numpy need not print a warning for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks(trials):
+            draws = np.stack([np.random.default_rng((base_seed, trial)).standard_normal(
+                (4, setup.n)) for trial in block])
+            starts = pack_state(*gaussian_state(draws, radius))
+            try:
+                trajs = descend(objective, starts, grad_tol=grad_tol,
+                                max_time=max_time, max_steps=max_steps)
+            except NonFiniteState as exc:
+                raise InputError(f"{exc}: radius {radius} or the setup is too "
+                                 "large for floating point") from exc
+            levels = {}   # each distinct flat's critical level, once per block
+            matches = [_match_limit(setup, traj, levels)
+                       if function == "muC2" and traj.status == STATUS_CONVERGED
+                       else None for traj in trajs]
+            reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
+                                           for traj, match in zip(trajs, matches)],
+                                   widths)
+            for trial, traj, match, report in zip(block, trajs, matches, reports):
+                record = {"seed": trial, "status": traj.status,
+                          "f_limit": traj.f_limit,
+                          "J": None if match is None else match[0],
+                          "k_hat": None, "fitted_exponent": None,
+                          "arclength": None, "bound": None}
+                if report is not None:
+                    record.update(k_hat=report.k_hat,
+                                  fitted_exponent=report.fitted_exponent,
+                                  arclength=report.tail_arclength,
+                                  bound=report.bound)
+                records.append(record)
     return records
 
 
@@ -266,23 +276,28 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     # Running maxima and sums of |ip| and ratio per pair, |scalar|, the
     # remark ratio and the identity residual.
     top, total = np.full(9, -np.inf), np.zeros(9)
-    for block in _blocks(samples):
-        x, y = random_state(rng, rep.dim, radius, count=len(block))
-        grads = {i: pack_state(*grad_component(rep, i, alpha, beta, x, y))
-                 for i in (1, 2, 3)}
-        norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}
-        ips = {(i, j): np.sum(grads[i] * grads[j], axis=1) for i, j in pair_keys}
-        mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
-        scalar = np.sum(mu1 * rep.bracket_coords(mu2, mu3), axis=1)
-        values = np.array(
-            [np.abs(ips[p]) for p in pair_keys]
-            + [np.abs(ips[i, j]) / (norms[i] * norms[j] + 1e-30) for i, j in pair_keys]
-            + [np.abs(scalar),
-               4.0 * np.abs(scalar) / ((norms[2] + norms[3]) ** 2 + 1e-30),
-               np.abs(ips[2, 3] + 4.0 * scalar) / (norms[2] * norms[3] + 1e-30)])
-        top = np.maximum(top, values.max(axis=1))
-        total += values.sum(axis=1)
-    top, mean = top.tolist(), (total / samples).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _blocks(samples):
+            x, y = random_state(rng, rep.dim, radius, count=len(block))
+            grads = {i: pack_state(*grad_component(rep, i, alpha, beta, x, y))
+                     for i in (1, 2, 3)}
+            norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}
+            ips = {(i, j): np.sum(grads[i] * grads[j], axis=1) for i, j in pair_keys}
+            mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
+            scalar = np.sum(mu1 * rep.bracket_coords(mu2, mu3), axis=1)
+            values = np.array(
+                [np.abs(ips[p]) for p in pair_keys]
+                + [np.abs(ips[i, j]) / (norms[i] * norms[j] + 1e-30) for i, j in pair_keys]
+                + [np.abs(scalar),
+                   4.0 * np.abs(scalar) / ((norms[2] + norms[3]) ** 2 + 1e-30),
+                   np.abs(ips[2, 3] + 4.0 * scalar) / (norms[2] * norms[3] + 1e-30)])
+            top = np.maximum(top, values.max(axis=1))
+            total += values.sum(axis=1)
+    mean = total / samples
+    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(mean))):
+        raise InputError(f"the cross terms at radius {radius} are too large "
+                         "for floating point")
+    top, mean = top.tolist(), mean.tolist()
     stats = {"samples": samples, "seed": seed, "radius": radius,
              "abelian": rep.abelian, "pairs": {}}
     for p, (i, j) in enumerate(pair_keys):

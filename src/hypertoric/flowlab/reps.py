@@ -58,8 +58,9 @@ def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> Gro
     """Build a GroupRep from a spanning family of skew-Hermitian matrices.
 
     The matrices are orthonormalized by Gram-Schmidt under the real trace
-    form; they must be linearly independent and their real span must be
-    closed under commutators.
+    form; they must be linearly independent, their real span must be
+    closed under commutators, and the trace form of each with itself must
+    be a finite float.
     """
     arrays = [np.ascontiguousarray(np.asarray(m, dtype=np.complex128)) for m in mats]
     if not arrays:
@@ -72,6 +73,11 @@ def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> Gro
             raise InputError("generators act on spaces of different dimensions")
         if not np.all(np.isfinite(a)):
             raise InputError(f"generator {idx} has non-finite entries")
+        with np.errstate(all="ignore"):
+            square = _trace_form(a, a)
+        if not np.isfinite(square):
+            raise InputError(f"generator {idx} has an entry too large for "
+                             "floating point")
         scale = 1.0 + float(np.linalg.norm(a))
         if np.linalg.norm(a + np.conj(a.T)) > _SKEW_TOL * scale:
             raise InputError(f"generator {idx} is not skew-Hermitian")
@@ -166,7 +172,8 @@ def torus_rep(setup) -> TorusRep:
     one-half normalization, while the exact modules use the coordinate
     formula without it.  Critical sets are unaffected by that rescaling,
     and the complex level is transported as is.  Input whose B^T B,
-    |alpha|^2 or |beta|^2 overflows a float raises InputError.
+    |alpha|^2 or |beta|^2 overflows a float, or whose B^T B is singular in
+    floats, raises InputError.
     """
     bmat = weights_matrix(setup)
     d = setup.dim
@@ -183,7 +190,11 @@ def torus_rep(setup) -> TorusRep:
     for what, square in squares.items():
         if not np.all(np.isfinite(square)):
             raise InputError(f"{what} is too large for floating point")
-    lower = np.linalg.cholesky(gram)
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:  # full rank, but not in floats
+        raise InputError("B^T B is singular in floating point: the weights "
+                         "are too ill-conditioned for a flow") from exc
     vmat = np.linalg.inv(lower).T        # columns orthonormalize the Gram matrix
     diag_weights = bmat @ vmat           # column a holds the diagonal of e_a / i
     basis = np.zeros((d, n, n), dtype=np.complex128)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_reference import build_parser
-from hypertoric import cli
+from hypertoric import cli, errors
+from hypertoric.errors import (InsufficientTail, InvariantViolation,
+                               NonGenericAlpha, RankDeficient)
 
 CP2 = {"weights": [[1], [1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
 PAIR = {"weights": [[1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
@@ -29,9 +31,9 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "hypertoric", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 def test_analyze_reports_triple_agreement(tmp_path):
@@ -214,6 +216,9 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
 
 NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
                                "im": [[float("nan"), 0], [0, 1]]}]}
+SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
+                    {"re": [[0, 0], [0, 0]], "im": [[0, 0.5], [0.5, 0]]},
+                    {"re": [[0, 0], [0, 0]], "im": [[0.5, 0], [0, -0.5]]}]}
 
 
 @pytest.mark.parametrize("command, obj, flags", [
@@ -257,6 +262,17 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
     ("modify", PAIR, ()),
     ("census", None, ()),
     ("census", PAIR, ("--sam",)),
+    ("census", PAIR, ("--out", ".")),
+    ("analyze", PAIR, ("--out", "missing/report.json")),
+    ("census", {"weights": [[1], [1]], "alpha": ["0"]}, ("--out", ".")),
+    ("crossterm", SU2, ("--radius", "1e300", "--samples", "5")),
+    ("crossterm", SU2, ("--radius", "1e100", "--samples", "5")),
+    ("flow", PAIR, ("--radius", "1e300")),
+    ("flow", PAIR, ("--radius", "1e100", "--function", "muHK2")),
+    ("flow", PAIR, ("--radius", "1.7e308")),
+    ("flow", {"weights": [[0, 1], [1, 10 ** 20]]}, ("--sample-generic",)),
+    ("crossterm", {"matrices": [{"re": [[0]], "im": [[1e200]]}]}, ()),
+    ("crossterm", {"matrices": [{"re": [[0]], "im": [[1e308]]}]}, ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -272,14 +288,23 @@ NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
         "crossterm-alpha-bool", "crossterm-alpha-string",
         "crossterm-entry-beyond-float", "unknown-command", "unknown-option",
         "missing-value", "non-integer-value", "value-outside-choices",
-        "modify-without-column", "no-input-path", "abbreviated-option"])
+        "modify-without-column", "no-input-path", "abbreviated-option",
+        "out-is-a-directory", "out-in-a-missing-directory",
+        "error-payload-out-is-a-directory", "crossterm-radius-overflow",
+        "crossterm-radius-square-overflow", "flow-radius-overflow",
+        "flow-muHK2-radius-overflow", "flow-start-overflow",
+        "flow-gram-singular-in-floats", "crossterm-entry-square-overflow",
+        "crossterm-entry-near-float-max"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
-    proc = run_cli(command, *paths, *flags)
+    proc = run_cli(command, *paths, *flags, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if obj is None else ["input.json"])
 
 
 def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):
@@ -291,19 +316,61 @@ def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):
     assert "at most 13 rows" in proc.stderr
 
 
-def test_invariant_violation_exits_4(tmp_path, monkeypatch, capsys):
-    from hypertoric import cli
-    from hypertoric.errors import InvariantViolation
-
+@pytest.mark.parametrize("error, code", [
+    (RankDeficient("broken on purpose"), 2),
+    (NonGenericAlpha(("pairing", (0,), 1)), 3),
+    (InvariantViolation("broken on purpose"), 4),
+    (InsufficientTail("broken on purpose"), 4),
+], ids=["RankDeficient", "NonGenericAlpha", "InvariantViolation",
+        "InsufficientTail"])
+def test_invariant_violation_exits_4(tmp_path, monkeypatch, capsys, error,
+                                     code):
     def broken(setup):
-        raise InvariantViolation("broken on purpose")
+        raise error
 
     monkeypatch.setattr(cli.arrangement, "face_census", broken)
     path = write_json(tmp_path, "cp2.json", CP2)
-    assert cli.main(["census", path]) == 4
+    assert cli.main(["census", path]) == code
+    out, err = capsys.readouterr()
+    assert err == f"{type(error).__name__}: {error}\n"
+    if code == 2:
+        assert out == ""
+        return
+    payload = json.loads(out)["error"]
+    assert payload.pop("type") == type(error).__name__
+    assert payload.pop("message") == str(error)
+    if code == 3:
+        assert payload.pop("witness") == {"kind": "pairing", "flat": [1],
+                                          "weight": 2}
+    assert payload == {}
+
+
+def test_a_non_finite_report_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cross_term_stats",
+                        lambda *args, **kwargs: {"max_abs": float("nan")})
+    assert cli.main(["crossterm", write_json(tmp_path, "mats.json",
+                                             TORUS_MATS)]) == 4
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "InvariantViolation"
-    assert err == "InvariantViolation: broken on purpose\n"
+    assert err.startswith("InvariantViolation: the report holds a non-finite")
+
+
+# The exit code of every class in errors.py.  The classes the command line
+# raises keep the codes they had when cli.py sorted them into lists.
+EXIT_CODES = {
+    "HypertoricError": 4, "InputError": 2, "DimensionMismatch": 2,
+    "RankDeficient": 2, "EnumerationTooLarge": 2, "NonGeneric": 3,
+    "CircleInsideTorus": 3, "NonGenericBeta": 3, "NonGenericAlpha": 3,
+    "SamplingExhausted": 3, "DegenerateNormal": 3, "NotSimple": 3,
+    "NonZeroRemainder": 4, "InvariantViolation": 4, "PartitionViolation": 4,
+    "NonFiniteState": 4, "InsufficientTail": 4,
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
 
 
 @pytest.mark.parametrize("flags", [[], ["--sample-generic"]])
