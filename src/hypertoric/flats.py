@@ -78,11 +78,6 @@ def enumerate_flats(weights) -> tuple:
     return tuple(_indices(mask) for mask, _ in lattice(weights))
 
 
-def proper_flats(weights) -> tuple:
-    """Flats other than the full ground set (equivalently: of non-maximal rank)."""
-    return enumerate_flats(weights)[:-1]
-
-
 @lru_cache(maxsize=None)
 def coatoms(weights) -> tuple:
     """Flats of rank one less than the whole configuration, in flat order."""

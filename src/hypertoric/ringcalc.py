@@ -2,9 +2,10 @@
 
 The ring is a polynomial ring on one generator per torus dimension modulo
 one product-of-linear-forms relation per proper flat (the rows outside the
-flat); for the ordinary ring the coatoms' relations already generate the
-ideal.  The circle-equivariant variant adds one extra variable and replaces
-each factor by its reflection when the level pairs negatively with the row.
+flat); the coatoms' relations already generate that ideal, so both
+presentations take one relation per coatom.  The circle-equivariant variant
+adds one extra variable and replaces each factor by its reflection when the
+level pairs negatively with the row.
 Dimensions are counted degree by degree with exact integer ranks from
 ``exact.certified_rank``, whose docstring gives its two-sided proof.  The
 ring route reads only its presentation, never the Morse or census answers.
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .errors import NonGenericAlpha
 from .exact import certified_rank
-from .flats import coatoms, proper_flats
-from .torus import TorusSetup, sign_split
+from .flats import coatoms
+from .torus import TorusSetup, alpha_witness, sign_split
 
 
 @dataclass(frozen=True)
@@ -41,38 +43,64 @@ def _expand(forms, nvars) -> tuple:
     return tuple(sorted(poly.items()))
 
 
-def cohomology_presentation(weights) -> RingPresentation:
-    """Ordinary presentation: for each coatom, the product of the linear
-    forms of the rows outside it, in flat order.
-
-    These generate the ideal of all proper flats.  Every proper flat F lies
-    in a coatom H, so the rows outside H are among the rows outside F, and
-    gen_H divides gen_F: adding gen_F leaves the ideal unchanged.
-    """
-    weights = tuple(tuple(r) for r in weights)
-    d = len(weights[0]) if weights else 0
-    return RingPresentation(d, tuple(
-        _expand([w for i, w in enumerate(weights) if i not in h], d)
+def _coatom_presentation(weights, nvars, factor) -> RingPresentation:
+    """For each coatom H, in flat order, the product of factor(i, H) over
+    the rows i outside H."""
+    return RingPresentation(nvars, tuple(
+        _expand([factor(i, h) for i in range(len(weights)) if i not in h], nvars)
         for h in coatoms(weights)))
 
 
-def circle_equivariant_presentation(setup: TorusSetup) -> RingPresentation:
-    """Circle-equivariant presentation on d + 1 variables (the last one is
-    the equivariant class of the extra circle), one generator per proper
-    flat, in flat order.
+def cohomology_presentation(weights) -> RingPresentation:
+    """Ordinary presentation: row i contributes its linear form.
 
-    Rows pairing positively with the level keep their linear form; rows
-    pairing negatively contribute the reflected factor (u0 - form).  The
-    signs depend on the flat, so no flat is left out.
+    The coatoms' generators generate the ideal of all proper flats.  Every
+    proper flat F lies in a coatom H, so the rows outside H are among the
+    rows outside F, and gen_H divides gen_F.
     """
-    gens = []
-    for f in proper_flats(setup.weights):
-        plus, minus = sign_split(setup, f)
-        gens.append(_expand(
-            [setup.weights[i] + (0,) for i in plus]
-            + [tuple(-x for x in setup.weights[i]) + (1,) for i in minus],
-            setup.dim + 1))
-    return RingPresentation(setup.dim + 1, tuple(gens))
+    weights = tuple(tuple(r) for r in weights)
+    return _coatom_presentation(weights, len(weights[0]) if weights else 0,
+                                lambda i, h: weights[i])
+
+
+def circle_equivariant_presentation(setup: TorusSetup) -> RingPresentation:
+    """Circle-equivariant presentation on d + 1 variables, the last one the
+    equivariant class u0 of the extra circle.  Row i outside a coatom H
+    contributes its linear form when it pairs positively with alpha_H, the
+    residual of the level against span H, and the reflected factor
+    (u0 - form) when it pairs negatively.
+
+    The coatoms' generators generate the ideal of all proper flats, each
+    signed by its own residual, when alpha is generic.  Let B be the weight
+    matrix, G = B^T B, and <a, b> = a^T G^-1 b.  For a proper flat F the
+    vector x^F = (<alpha_F, u_i>)_i = B G^-1 alpha_F lies in col(B), and by
+    genericity it vanishes exactly on F.  By Rockafellar's elementary-vector
+    theorem (The elementary vectors of a subspace of R^N, 1969), x^F is a
+    conformal sum of the minimal-support vectors of col(B): each summand is
+    nonzero only where x^F is, with the same sign there.  The zero set of
+    B v, v != 0, is a flat of rank at most d - 1; it lies in a coatom, and
+    each coatom is the zero set of some B v, so the minimal-support vectors
+    are those vanishing exactly on a coatom.  Take one summand c,
+    vanishing exactly on a coatom H; then H contains F.  Write
+    c = B G^-1 nu, with nu dual-orthogonal to span H.  That orthogonal
+    complement is the line of nu, so alpha_H = (<nu, alpha> / <nu, nu>) nu
+    and x^H = (<nu, alpha> / <nu, nu>) c.  As alpha - alpha_F lies in
+    span F, inside span H,
+        <nu, alpha> = <nu, alpha_F> = nu^T G^-1 B^T B G^-1 alpha_F
+                    = sum_i c_i x^F_i > 0,
+    every term being nonnegative and some positive.  So the signs of x^H
+    agree with those of x^F on every row outside H, and gen_H divides
+    gen_F.
+
+    The coatom walls alone do not see every non-generic level, so the
+    level's genericity is checked first, over every flat.
+    """
+    if (witness := alpha_witness(setup)) is not None:
+        raise NonGenericAlpha(witness)
+    w = setup.weights
+    minus = {h: sign_split(setup, h)[1] for h in coatoms(w)}
+    return _coatom_presentation(w, setup.dim + 1, lambda i, h: (
+        tuple(-x for x in w[i]) + (1,) if i in minus[h] else w[i] + (0,)))
 
 
 def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:

@@ -1,9 +1,10 @@
 """Reference presentations and Hilbert dimensions, built the long way.
 
 ``reference_presentation`` and ``reference_circle_presentation`` take one
-generator per proper flat, multiplied out from dict polynomials, as
-``ringcalc`` did before it kept only the coatoms of the ordinary ring and
-expanded every generator with one builder.  ``reference_dims`` is the loop
+generator per proper flat (every flat but the last, the full ground set),
+multiplied out from dict polynomials, as ``ringcalc`` did before it kept
+only the coatoms of both rings and expanded every generator with one
+builder.  ``reference_dims`` is the loop
 ``ringcalc.hilbert_dims`` ran before its ranks were found mod a prime and
 then proven, and before its monomials were keyed by integers.  Each
 degree's matrix has one row per monomial multiple of a generator, in the
@@ -18,7 +19,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from hypertoric.exact import int_rank
-from hypertoric.flats import proper_flats
+from hypertoric.flats import enumerate_flats
 from hypertoric.ringcalc import RingPresentation
 from hypertoric.torus import sample_generic, sign_split
 
@@ -56,7 +57,7 @@ def reference_presentation(weights):
     weights = tuple(tuple(r) for r in weights)
     d = len(weights[0]) if weights else 0
     gens = []
-    for f in proper_flats(weights):
+    for f in enumerate_flats(weights)[:-1]:
         poly = {(0,) * d: 1}
         for i in range(len(weights)):
             if i not in f:
@@ -71,7 +72,7 @@ def reference_circle_presentation(setup):
     nvars = setup.dim + 1
     u0 = _linear_form((0,) * setup.dim + (1,), nvars)
     gens = []
-    for f in proper_flats(setup.weights):
+    for f in enumerate_flats(setup.weights)[:-1]:
         plus, minus = sign_split(setup, f)
         poly = {(0,) * nvars: 1}
         for i in plus:
@@ -124,11 +125,12 @@ def reference_dims(pres, max_degree):
 
 
 @st.composite
-def generic_setups(draw):
-    """Full-rank weights with n ≤ 6 nonzero rows of width d ≤ 3 and entries
-    in [-9, 9], given generic levels by ``sample_generic``."""
-    d = draw(st.integers(min_value=1, max_value=3))
-    n = draw(st.integers(min_value=d, max_value=6))
+def generic_setups(draw, max_dim=3, max_rows=6):
+    """Full-rank weights with n ≤ max_rows nonzero rows of width
+    d ≤ max_dim and entries in [-9, 9], given generic levels by
+    ``sample_generic``."""
+    d = draw(st.integers(min_value=1, max_value=max_dim))
+    n = draw(st.integers(min_value=d, max_value=max_rows))
     entries = st.integers(min_value=-9, max_value=9)
     weights = tuple(
         draw(st.tuples(*[entries] * d).filter(any)) for _ in range(n))

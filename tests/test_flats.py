@@ -6,7 +6,7 @@ import flat_reference
 from flat_reference import reference_flats, weight_configurations
 from hypertoric.errors import EnumerationTooLarge
 from hypertoric.flats import (closure, coatoms, enumerate_flats, flat_rank,
-                              lattice, proper_flats)
+                              lattice)
 
 DIAG2 = ((1,), (1,))
 DIAG3 = ((1,), (1,), (1,))
@@ -52,8 +52,12 @@ def test_enumerate_flats_zero_column_width():
 
 
 def test_proper_flats_drop_full_set():
-    assert proper_flats(TRIPLE) == ((), (0,), (1,), (2,))
-    assert proper_flats(DIAG2) == ((),)
+    # The full ground set is the last flat and no other, so the proper
+    # flats are every flat but the last.
+    assert enumerate_flats(TRIPLE)[:-1] == ((), (0,), (1,), (2,))
+    assert enumerate_flats(DIAG2)[:-1] == ((),)
+    for weights in (TRIPLE, DIAG2, DIAG3, IDENT2, ((1, 0), (2, 0), (0, 1))):
+        assert enumerate_flats(weights)[-1] == tuple(range(len(weights)))
 
 
 def test_flat_rank():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from hypertoric.errors import NonGenericAlpha
+from hypertoric.flats import coatoms, enumerate_flats
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import (
     RingPresentation,
@@ -12,7 +13,7 @@ from hypertoric.ringcalc import (
     hilbert_dims,
     ring_dims,
 )
-from hypertoric.torus import new_setup, sample_generic
+from hypertoric.torus import new_setup, sample_generic, sign_split
 from ring_reference import (generic_setups, quotient_dim, reference_circle_presentation,
                             reference_dims, reference_presentation)
 
@@ -66,9 +67,40 @@ class TestPresentation:
                     assert type(c) is int and c
                 assert {sum(exp) for exp, _ in gen} == {sum(gen[0][0])}
 
+    def test_triple_circle_generators(self):
+        # alpha = (1, 3) pairs negatively only with row 0 outside the
+        # coatom (2,), so that generator is x1 (u0 - x0).
+        pres = circle_equivariant_presentation(new_setup(TRIPLE, [1, 3]))
+        assert pres.nvars == 3
+        assert pres.gens == (
+            (((0, 2, 0), 1), ((1, 1, 0), 1)),   # coatom (0,): x1 (x0 + x1)
+            (((1, 1, 0), 1), ((2, 0, 0), 1)),   # coatom (1,): x0 (x0 + x1)
+            (((0, 1, 1), 1), ((1, 1, 0), -1)),  # coatom (2,): x1 (u0 - x0)
+        )
+
     def test_circle_requires_nonzero_pairings(self):
+        # The only zero pairing of alpha = (1, 2) is on the empty flat, not
+        # a coatom, so this guards the explicit genericity check.
         with pytest.raises(NonGenericAlpha):
             circle_equivariant_presentation(new_setup(TRIPLE, [1, 2]))
+
+    def test_circle_names_the_first_zero_pairing_in_flat_order(self):
+        with pytest.raises(NonGenericAlpha) as raised:
+            circle_equivariant_presentation(new_setup(TRIPLE, [1, 2]))
+        assert raised.value.witness == ("pairing", (), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generic_setups(max_dim=4, max_rows=8))
+    def test_every_flat_is_signed_like_a_coatom_above_it(self, setup):
+        # The lemma behind the coatom-only circle presentation: each proper
+        # flat F lies in a coatom H whose rows outside it split by sign as
+        # they do for F, so gen_H divides gen_F.
+        splits = {h: tuple(map(set, sign_split(setup, h)))
+                  for h in coatoms(setup.weights)}
+        for f in enumerate_flats(setup.weights)[:-1]:
+            plus, minus = map(set, sign_split(setup, f))
+            assert any(set(h) >= set(f) and hp <= plus and hm <= minus
+                       for h, (hp, hm) in splits.items()), f
 
 
 class TestDims:
@@ -131,16 +163,18 @@ class TestCircleDims:
         top = setup.n - setup.dim
         assert set(cohomology_presentation(setup.weights).gens) <= set(
             reference_presentation(setup.weights).gens)
-        assert circle_equivariant_presentation(setup) == \
-            reference_circle_presentation(setup)
+        circle_pres = circle_equivariant_presentation(setup)
+        assert set(circle_pres.gens) <= set(
+            reference_circle_presentation(setup).gens)
+        assert circle_pres.nvars == setup.dim + 1
+        assert len(circle_pres.gens) == len(coatoms(setup.weights))
         ordinary = ring_dims(setup.weights)
         assert ordinary == reference_dims(
             cohomology_presentation(setup.weights), top + 2)
         assert ordinary == reference_dims(
             reference_presentation(setup.weights), top + 2)
         circle = circle_dims(setup)
-        assert circle == reference_dims(
-            circle_equivariant_presentation(setup), top + 3)
+        assert circle == reference_dims(circle_pres, top + 3)
         assert circle == reference_dims(
             reference_circle_presentation(setup), top + 3)
 
