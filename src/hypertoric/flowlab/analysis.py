@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import InputError, InsufficientTail, NonFiniteState
 from ..torus import critical_level, walls_of
 from .flow import STATUS_CONVERGED, Trajectory, descend
-from .moments import (flow_objective, grad_component, moment_hk, pack_state,
+from .moments import (flow_objective, grad_component, hk_components, pack_state,
                       unpack_state)
 from .reps import GroupRep, gaussian_state, random_state, torus_rep
 
@@ -279,12 +279,11 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(samples):
             x, y = random_state(rng, rep.dim, radius, count=len(block))
-            grads = {i: pack_state(*grad_component(rep, i, alpha, beta, x, y))
-                     for i in (1, 2, 3)}
+            mu, packed = hk_components(rep, alpha, beta, x, y)
+            grads = {i: packed[:, i - 1] for i in (1, 2, 3)}
             norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}
             ips = {(i, j): np.sum(grads[i] * grads[j], axis=1) for i, j in pair_keys}
-            mu1, mu2, mu3 = moment_hk(rep, alpha, beta, x, y)
-            scalar = np.sum(mu1 * rep.bracket_coords(mu2, mu3), axis=1)
+            scalar = np.sum(mu[:, 0] * rep.bracket_coords(mu[:, 1], mu[:, 2]), axis=1)
             values = np.array(
                 [np.abs(ips[p]) for p in pair_keys]
                 + [np.abs(ips[i, j]) / (norms[i] * norms[j] + 1e-30) for i, j in pair_keys]

@@ -7,37 +7,43 @@ its entrywise conjugate.  Real moment-map components carry the one-half
 normalization; the holomorphic component does not, so that for a circle
 acting with weight one on C the maps reduce to (|x|^2 - |y|^2)/2 and xy.
 
-A basis element e_a acts on a state as the generator diag(e_a, conj(e_a))
-of the phase space C^2n, on the point z = (x, y).  Everything is read off
-those generators applied once to the state, the rows e_a z = (e_a x,
-conj(e_a) y); since e_a^T = -conj(e_a), no other product is needed.  With
-<u, v> = u^H v,
+A state is packed as s in R^4n, the real and imaginary parts of the point
+z = (x, y) interleaved, so that s.s' = Re<z, z'> with <u, v> = u^H v.  Each
+component of the moment map of a unitary action is a quadratic form in s,
 
-    mu1_a = -Im<e_a z, z>/2 - alpha_a,
-    muC_a = mu2_a + i mu3_a = -i y^T e_a x - beta_a.
+    mu_c = s.(Q_c s) - l_c,    Q_c symmetric,
 
-Gradients are returned in complex form: the complex vector whose real
-and imaginary parts are the partial derivatives with respect to the real
-and imaginary parts of the coordinate.  Flowing along the negative of
-that vector is plain gradient descent in real coordinates.
+and no Q_c need be formed, since every vector Q_c s comes from one product.
+A basis element e_a acts on z as E_a = diag(e_a, conj(e_a)).  With
+
+    w_a = -(i/2) E_a z    and    v_a = (-conj(w_a,y), conj(w_a,x)),
+
+    mu1_a = Re<w_a, z> - alpha_a,
+    muC_a = mu2_a + i mu3_a = <v_a, z> - beta_a = -i y^T e_a x - beta_a,
+
+and Im<v_a, z> = Re<i v_a, z>.  So w_a, v_a and i v_a, packed, are Q_c s
+for mu1_a, mu2_a and mu3_a.  Each map is symmetric for s.s': -(i/2) E_a is
+Hermitian, and x^T conj(e_a) y' = -y'^T e_a x since e_a^T = -conj(e_a).
+One real matrix G of shape 4n x 4nk, built once per family, gives
+s G = (w_1, ..., w_k); v_a and i v_a follow from w_a by swapping halves
+and conjugating.  With p_c = Q_c s and the residuals r_c = p_c.s - l_c,
+
+    f = sum_c r_c^2,    grad f = sum_c 2 r_c grad(s.Q_c s) = 4 sum_c r_c p_c,
+
+so an energy and its gradient are three contractions of p.  The energies
+read mu1 (muR2), muC (muC2) or both (muHK2).  The gradient is returned in
+complex form: the complex vector whose real and imaginary parts are the
+partial derivatives with respect to the real and imaginary parts of the
+coordinate.  Flowing along its negative is plain gradient descent in real
+coordinates.
 
 States come in stacks: x and y of shape (T, n) hold T states (a single
-state has shape (n,)), and every value is returned per state.  The basis
-is applied to a whole stack by matrix products, which may sum in an order
-that depends on the stack's size, so a state's values equal those it has
-in a stack of one to rounding, not always bit for bit.  Where every row of
-every basis matrix has one nonzero entry, as for a torus, each sum of
-those products has one nonzero term, and the values are the same in any
-stack.
-
-Every gradient is one weighted form.  For a real weight w and a complex
-weight c, the gradient of 2 sum_a (w_a mu1_a + Re(conj(c_a) muC_a)) at
-fixed weights is, with J(u, v) = (v, -u),
-
-    g_z = (g_x, g_y) = -2i sum_a (w_a e_a z + c_a conj(J e_a z)).
-
-The weights (mu1, muC) give the gradient of |mu1|^2 + |muC|^2, and
-(mu1, 0), (0, mu2) and (0, i mu3) those of |mu1|^2, |mu2|^2 and |mu3|^2.
+state has shape (n,)), and every value is returned per state.  The
+product with G is taken a chunk of rows at a time and may sum in an order
+that depends on the chunk, so a state's values equal those it has in a
+stack of one to rounding, not always bit for bit.  On a torus every
+column of G holds one nonzero entry, so p is exact, and since every
+contraction is taken state by state the values are the same in any stack.
 """
 
 from typing import Tuple
@@ -48,122 +54,104 @@ from ..errors import InputError
 from .reps import GroupRep
 
 ENERGY_KINDS = ("muR2", "muC2", "muHK2")
+# The components each energy reads: 0 for mu1, 1 and 2 for mu2 and mu3.
+_PARTS = {"muR2": (0,), "muC2": (1, 2), "muHK2": (0, 1, 2)}
+
+# A stack meets G in chunks of 2^19 // G.size rows (33 at n = 14, k = 5):
+# OpenBLAS gives a matrix product of fewer than 2^19 multiply-adds one
+# thread, and waking a second one can stall for milliseconds on a loaded host.
+_ONE_THREAD_MADDS = 1 << 19
 
 
-def _kind(which: str) -> Tuple[bool, bool]:
-    """Whether the energy ``which`` reads mu1 and whether it reads muC."""
+def _parts(which: str) -> Tuple[int, ...]:
     if which not in ENERGY_KINDS:
         raise InputError(f"unknown energy kind {which!r}")
-    return which != "muC2", which != "muR2"
+    return _PARTS[which]
 
 
-def _point(x, y) -> np.ndarray:
-    """States (x, y) as points z of the phase space, shape (..., 2n)."""
-    return np.concatenate([x, y], axis=-1, dtype=np.complex128)
+def _generators(basis: np.ndarray) -> np.ndarray:
+    """The real matrix G with s G = (w_1, ..., w_k) packed, of shape (4n, 4nk):
+    its row i is the image of the state packed as the i-th unit vector."""
+    k, n = basis.shape[:2]
+    unit = np.eye(4 * n).view(np.complex128)
+    w = -0.5j * np.concatenate([np.einsum("aml,il->iam", basis, unit[:, :n]),
+                                np.einsum("aml,il->iam", np.conj(basis), unit[:, n:])],
+                               axis=-1)
+    return np.ascontiguousarray(w).view(np.float64).reshape(4 * n, 4 * n * k)
 
 
-# OpenBLAS runs a matrix product of more than 2^16 multiply-adds on several
-# threads, and waking them can stall for milliseconds on a loaded host.
-_ONE_THREAD_MADDS = 1 << 16
+def _kernel(basis: np.ndarray, parts, alpha, beta):
+    """The map from a stack s of packed states, of shape (T, 4n), to the
+    residuals r, of shape (T, C), and the vectors p = Q_c s, of shape
+    (T, C, 4n), of the components c = (part, a) of ``parts``, part-major.
 
-
-def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product a @ b of a stack of rows a, in chunks of rows small
-    enough for one thread each."""
-    step = max(1, _ONE_THREAD_MADDS // max(b.size, 1))
-    if len(a) <= step:
-        return a @ b
-    return np.concatenate([a[i:i + step] @ b for i in range(0, len(a), step)])
-
-
-def _apply(basis: np.ndarray, z) -> np.ndarray:
-    """The rows e_a z of every element of ``basis``, of shape (..., k, 2n).
-
-    Each half of the rows is a product of the stack with the basis read as
-    a (kn) x n matrix, taken by ``_rowwise``.  One product with the
-    block-diagonal generators would do twice the work.
+    Raises InputError unless alpha and beta have one entry per element of
+    ``basis``, of shape (k, n, n).
     """
     k, n = basis.shape[:2]
-    rows = basis.reshape(k * n, n)
-    flat = z.reshape(-1, 2 * n)
-    shape = z.shape[:-1] + (k, n)
-    return np.concatenate([_rowwise(flat[:, :n], rows.T).reshape(shape),
-                           _rowwise(flat[:, n:], np.conj(rows).T).reshape(shape)],
-                          axis=-1)
+    alpha, beta = np.asarray(alpha, dtype=np.float64), np.asarray(beta, dtype=np.complex128)
+    for name, level in (("alpha", alpha), ("beta", beta)):
+        if level.shape != (k,):
+            raise InputError(f"{name} must have k = {k} entries, one per basis "
+                             f"element; got shape {level.shape}")
+    levels = np.stack([alpha, beta.real, beta.imag])[list(parts)].ravel()
+    gen = _generators(basis)
+    rows = max(1, _ONE_THREAD_MADDS // max(gen.size, 1))
+    first, holo = parts[0], parts[-1] == 2
+
+    def evaluate(s):
+        count = len(s)
+        p = np.empty((count, 3 if holo else 1, k, 4 * n))
+        for i in range(0, count, rows):
+            chunk = s[i:i + rows]
+            np.matmul(chunk, gen, out=p[i:i + rows, 0].reshape(len(chunk), 4 * n * k))
+        if holo:   # v = (-conj(w_y), conj(w_x)), then i v
+            z = p.view(np.complex128).reshape(count, 3, k, 2, n)
+            np.conjugate(z[:, 0, :, ::-1], out=z[:, 1])
+            z[:, 1, :, 0] *= -1
+            np.multiply(z[:, 1], 1j, out=z[:, 2])
+        p = p[:, first:].reshape(count, levels.size, 4 * n)
+        r = (p @ s[:, :, None]).reshape(count, levels.size) - levels
+        return r, p
+
+    return evaluate
 
 
-def _mu_real(alpha, z, ez) -> np.ndarray:
-    return (-0.5 * np.imag((np.conj(ez) * z[..., None, :]).sum(axis=-1))
-            - np.asarray(alpha, dtype=np.float64))
-
-
-def _mu_holo(beta, z, ez) -> np.ndarray:
-    n = z.shape[-1] // 2
-    return (-1j * (ez[..., :n] * z[..., None, n:]).sum(axis=-1)
-            - np.asarray(beta, dtype=np.complex128))
-
-
-def _weighted_grad(ez, w_real, w_holo) -> np.ndarray:
-    """The weighted gradient g_z of the module docstring; a zero weight is
-    None."""
-    n = ez.shape[-1] // 2
-    terms = 0.0 if w_real is None else w_real[..., None] * ez
-    if w_holo is not None:
-        conj_jez = np.concatenate([np.conj(ez[..., n:]), -np.conj(ez[..., :n])],
-                                  axis=-1)
-        terms = terms + w_holo[..., None] * conj_jez
-    return -2j * np.sum(terms, axis=-2)
-
-
-def _halves(gz):
-    n = gz.shape[-1] // 2
-    return gz[..., :n], gz[..., n:]
-
-
-def _energy_grad(basis: np.ndarray, which: str, alpha, beta, z):
-    """The selected energy of the family ``basis`` and its gradient g_z, per
-    state, from one application of the basis."""
-    real, holo = _kind(which)
-    ez = _apply(basis, z)
-    mu1 = _mu_real(alpha, z, ez) if real else None
-    mu_c = _mu_holo(beta, z, ez) if holo else None
-    total = 0.0
-    if real:
-        total = total + (mu1 * mu1).sum(axis=-1)
-    if holo:
-        total = total + (np.real(mu_c) ** 2 + np.imag(mu_c) ** 2).sum(axis=-1)
-    return total, _weighted_grad(ez, mu1, mu_c)
+def hk_components(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndarray]:
+    """The triple (mu1, mu2, mu3), levels subtracted, of shape (..., 3, k),
+    and the gradients of |mu1|^2, |mu2|^2 and |mu3|^2 packed as by pack_state,
+    of shape (..., 3, 4n), from one evaluation."""
+    states = pack_state(x, y)
+    shape, s = states.shape[:-1], states.reshape(-1, states.shape[-1])
+    r, p = _kernel(rep.basis, (0, 1, 2), alpha, beta)(s)
+    r = r.reshape(len(s), 3, 1, rep.k)
+    grads = (4.0 * r) @ p.reshape(len(s), 3, rep.k, s.shape[1])
+    return r.reshape(shape + (3, rep.k)), grads.reshape(shape + (3, s.shape[1]))
 
 
 def moment_hk(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The hyperkahler triple (mu1, mu2, mu3), levels subtracted."""
-    z = _point(x, y)
-    ez = _apply(rep.basis, z)
-    mu_c = _mu_holo(beta, z, ez)
-    return _mu_real(alpha, z, ez), np.real(mu_c), np.imag(mu_c)
+    mu = hk_components(rep, alpha, beta, x, y)[0]
+    return mu[..., 0, :], mu[..., 1, :], mu[..., 2, :]
 
 
 def grad_component(rep: GroupRep, index: int, alpha, beta, x, y):
     """Gradient of |mu_index|^2 for index in {1, 2, 3}."""
     if index not in (1, 2, 3):
         raise InputError("component index must be 1, 2 or 3")
-    z = _point(x, y)
-    ez = _apply(rep.basis, z)
-    if index == 1:
-        return _halves(_weighted_grad(ez, _mu_real(alpha, z, ez), None))
-    mu_c = _mu_holo(beta, z, ez)
-    weight = np.real(mu_c) if index == 2 else 1j * np.imag(mu_c)
-    return _halves(_weighted_grad(ez, None, weight))
+    return unpack_state(hk_components(rep, alpha, beta, x, y)[1][..., index - 1, :],
+                        rep.dim)
 
 
 def energy(rep: GroupRep, which: str, alpha, beta, x, y) -> np.ndarray:
     """Squared distance of the selected moment map from its level, per state."""
-    return _energy_grad(rep.basis, which, alpha, beta, _point(x, y))[0]
+    return flow_objective(rep.basis, which, alpha, beta)(pack_state(x, y))[0][()]
 
 
 def grad(rep: GroupRep, which: str, alpha, beta, x, y):
     """Gradient (complex form) of the selected energy."""
-    return _halves(_energy_grad(rep.basis, which, alpha, beta, _point(x, y))[1])
+    return unpack_state(flow_objective(rep.basis, which, alpha, beta)(
+        pack_state(x, y))[1], rep.dim)
 
 
 def flow_objective(basis: np.ndarray, which: str, alpha, beta):
@@ -173,13 +161,17 @@ def flow_objective(basis: np.ndarray, which: str, alpha, beta):
     The energy is that of the moment map of the skew-Hermitian family
     ``basis``, of shape (k, n, n), such as the basis of a GroupRep; its
     brackets are not read, so the family need not span a subalgebra.
+    Raises InputError unless alpha and beta have k entries each.
     """
+    evaluate = _kernel(basis, _parts(which), alpha, beta)
 
     def fun(states):
-        f, gz = _energy_grad(basis, which, alpha, beta,
-                             np.ascontiguousarray(states, dtype=np.float64)
-                             .view(np.complex128))
-        return f, gz.view(np.float64)
+        states = np.ascontiguousarray(states, dtype=np.float64)
+        s = states.reshape(-1, states.shape[-1])
+        r, p = evaluate(s)
+        f = r[:, None, :] @ r[:, :, None]
+        return (f.reshape(states.shape[:-1]),
+                ((4.0 * r)[:, None, :] @ p).reshape(states.shape))
 
     return fun
 

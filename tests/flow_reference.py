@@ -7,6 +7,12 @@ ensemble runs its trials one after another, ``tail_report_one`` fits the
 decay law of one trajectory with ``np.polyfit`` and widens its window one
 width at a time, and the cross-term experiment evaluates one sample state
 per iteration.  The tests compare the stacked code against them.
+
+The moment maps and gradients are also kept here as they were computed
+before they were read off one generator product: ``_apply`` applies each
+basis element to the states, and ``_energy_grad`` combines those rows by
+one weighted form (``reference_energy_grad`` and ``reference_moment_hk``
+wrap it for packed stacks and for (x, y)).
 """
 
 import math
@@ -24,6 +30,82 @@ _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
+
+
+def _point(x, y) -> np.ndarray:
+    return np.concatenate([x, y], axis=-1, dtype=np.complex128)
+
+
+def _apply(basis: np.ndarray, z) -> np.ndarray:
+    """The rows e_a z = (e_a x, conj(e_a) y) of every basis element, of shape
+    (..., k, 2n)."""
+    k, n = basis.shape[:2]
+    rows = basis.reshape(k * n, n)
+    shape = z.shape[:-1] + (k, n)
+    return np.concatenate([(z[..., :n] @ rows.T).reshape(shape),
+                           (z[..., n:] @ np.conj(rows).T).reshape(shape)], axis=-1)
+
+
+def _mu_real(alpha, z, ez) -> np.ndarray:
+    """mu1_a = -Im<e_a z, z>/2 - alpha_a."""
+    return (-0.5 * np.imag((np.conj(ez) * z[..., None, :]).sum(axis=-1))
+            - np.asarray(alpha, dtype=np.float64))
+
+
+def _mu_holo(beta, z, ez) -> np.ndarray:
+    """muC_a = -i y^T e_a x - beta_a."""
+    n = z.shape[-1] // 2
+    return (-1j * (ez[..., :n] * z[..., None, n:]).sum(axis=-1)
+            - np.asarray(beta, dtype=np.complex128))
+
+
+def _weighted_grad(ez, w_real, w_holo) -> np.ndarray:
+    """The gradient of 2 sum_a (w_a mu1_a + Re(conj(c_a) muC_a)) at fixed
+    weights, -2i sum_a (w_a e_a z + c_a conj(J e_a z)) with J(u, v) = (v, -u);
+    a zero weight is None."""
+    n = ez.shape[-1] // 2
+    terms = 0.0 if w_real is None else w_real[..., None] * ez
+    if w_holo is not None:
+        conj_jez = np.concatenate([np.conj(ez[..., n:]), -np.conj(ez[..., :n])],
+                                  axis=-1)
+        terms = terms + w_holo[..., None] * conj_jez
+    return -2j * np.sum(terms, axis=-2)
+
+
+def _energy_grad(basis: np.ndarray, which: str, alpha, beta, z):
+    """The selected energy and its gradient g_z, per state, of the family
+    ``basis`` at the point z = (x, y)."""
+    real, holo = which != "muC2", which != "muR2"
+    ez = _apply(basis, z)
+    mu1 = _mu_real(alpha, z, ez) if real else None
+    mu_c = _mu_holo(beta, z, ez) if holo else None
+    total = 0.0
+    if real:
+        total = total + (mu1 * mu1).sum(axis=-1)
+    if holo:
+        total = total + (np.real(mu_c) ** 2 + np.imag(mu_c) ** 2).sum(axis=-1)
+    return total, _weighted_grad(ez, mu1, mu_c)
+
+
+def reference_energy_grad(basis, which, alpha, beta, states):
+    """The energy and packed gradient of ``flow_objective`` on packed states."""
+    f, gz = _energy_grad(basis, which, alpha, beta,
+                         np.ascontiguousarray(states, dtype=np.float64)
+                         .view(np.complex128))
+    return f, gz.view(np.float64)
+
+
+def reference_moment_hk(rep, alpha, beta, x, y):
+    """(mu1, mu2, mu3) and the gradients (gx, gy) of |mu1|^2, |mu2|^2 and
+    |mu3|^2, as ``moment_hk`` and ``grad_component`` give them."""
+    z = _point(x, y)
+    ez = _apply(rep.basis, z)
+    mu1, mu_c = _mu_real(alpha, z, ez), _mu_holo(beta, z, ez)
+    n = rep.dim
+    grads = [_weighted_grad(ez, mu1, None), _weighted_grad(ez, None, np.real(mu_c)),
+             _weighted_grad(ez, None, 1j * np.imag(mu_c))]
+    return ((mu1, np.real(mu_c), np.imag(mu_c)),
+            [(g[..., :n], g[..., n:]) for g in grads])
 
 
 def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,

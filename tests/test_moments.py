@@ -1,0 +1,158 @@
+"""The moments kernel against the weighted-form reference, by central
+differences, across stacks, and on levels of the wrong length.
+
+Every value ``energy``, ``grad``, ``grad_component``, ``moment_hk`` and
+``flow_objective`` give matches the reference of ``flow_reference`` to
+1e-12 relative to the largest entry of its array.  On tori a state's
+objective is the same bit for bit alone and in any stack, also one longer
+than a chunk of the generator product.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flow_reference import reference_energy_grad, reference_moment_hk
+from hypertoric.errors import InputError
+from hypertoric.exact import int_rank
+from hypertoric.flowlab import (GroupRep, diagonal_sum, energy, grad, grad_component,
+                                moment_hk, pack_state, random_state, su2_irrep,
+                                torus_rep)
+from hypertoric.flowlab import moments
+from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
+from hypertoric.torus import new_setup
+
+
+def empty_family(n):
+    """The family of no basis elements acting on C^n: k = 0."""
+    return GroupRep(basis=np.zeros((0, n, n), dtype=np.complex128),
+                    structure=np.zeros((0, 0, 0)), abelian=True, cartan=())
+
+
+@st.composite
+def tori(draw, max_d=4, max_n=8):
+    """The torus of full-rank integer weights, d <= max_d and n <= max_n,
+    zero rows allowed, at integer levels."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    n = draw(st.integers(min_value=d, max_value=max_n))
+    entries = st.integers(min_value=-3, max_value=3)
+    weights = [draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(n)]
+    assume(int_rank(weights, d) == d)
+    levels = st.lists(st.integers(min_value=-5, max_value=5), min_size=d, max_size=d)
+    beta = [(a, b) for a, b in zip(draw(levels), draw(levels))]
+    trep = torus_rep(new_setup([tuple(row) for row in weights], alpha=draw(levels),
+                               beta=beta))
+    return trep.rep, trep.alpha, trep.beta
+
+
+@st.composite
+def families(draw):
+    """A representation with levels: a torus, an su(2) irrep of dimension
+    2 to 6, a diagonal sum of irreps, or the empty family."""
+    kind = draw(st.sampled_from(["torus", "irrep", "sum", "empty"]))
+    if kind == "torus":
+        return draw(tori())
+    if kind == "irrep":
+        rep = su2_irrep(draw(st.integers(min_value=2, max_value=6)))
+    elif kind == "sum":
+        rep = diagonal_sum(su2_irrep(draw(st.integers(min_value=2, max_value=3))),
+                           draw(st.integers(min_value=1, max_value=3)))
+    else:
+        rep = empty_family(draw(st.integers(min_value=1, max_value=5)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=1 << 16)))
+    alpha = rng.standard_normal(rep.k)
+    return rep, alpha, rng.standard_normal(rep.k) + 1j * rng.standard_normal(rep.k)
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    assert np.shape(got) == want.shape
+    scale = np.max(np.abs(want), initial=1.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@given(family=families(), count=st.sampled_from([None, 1, 5]),
+       seed=st.integers(min_value=0, max_value=1 << 16),
+       radius=st.sampled_from([0.5, 1.0, 3.0]))
+@settings(max_examples=150, deadline=None)
+def test_values_match_the_reference(family, count, seed, radius):
+    rep, alpha, beta = family
+    x, y = random_state(np.random.default_rng(seed), rep.dim, radius, count=count)
+    states = pack_state(x, y)
+    for which in ENERGY_KINDS:
+        f, g = reference_energy_grad(rep.basis, which, alpha, beta, states)
+        got_f, got_g = flow_objective(rep.basis, which, alpha, beta)(states)
+        assert_close(got_f, f)
+        assert_close(got_g, g)
+        assert_close(energy(rep, which, alpha, beta, x, y), f)
+        assert_close(pack_state(*grad(rep, which, alpha, beta, x, y)), g)
+    triple, grads = reference_moment_hk(rep, alpha, beta, x, y)
+    for got, want in zip(moment_hk(rep, alpha, beta, x, y), triple):
+        assert_close(got, want)
+    for index, want in zip((1, 2, 3), grads):
+        assert_close(pack_state(*grad_component(rep, index, alpha, beta, x, y)),
+                     pack_state(*want))
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_the_empty_family_has_no_energy(n):
+    rep = empty_family(n)
+    states = pack_state(*random_state(np.random.default_rng(n), n, 1.0, count=3))
+    for which in ENERGY_KINDS:
+        f, g = flow_objective(rep.basis, which, [], [])(states)
+        assert np.array_equal(f, np.zeros(3)) and np.array_equal(g, np.zeros_like(states))
+    assert [mu.shape for mu in moment_hk(rep, [], [], *random_state(
+        np.random.default_rng(0), n))] == [(0,)] * 3
+
+
+@given(family=families(), seed=st.integers(min_value=0, max_value=1 << 16))
+@settings(max_examples=40, deadline=None)
+def test_gradient_matches_central_differences(family, seed):
+    rep, alpha, beta = family
+    state = pack_state(*random_state(np.random.default_rng(seed), rep.dim, 1.0))
+    step = 1e-5
+    shifts = state + step * np.concatenate([np.eye(state.size), -np.eye(state.size)])
+    for which in ENERGY_KINDS:
+        fun = flow_objective(rep.basis, which, alpha, beta)
+        values = fun(shifts)[0]
+        numeric = (values[:state.size] - values[state.size:]) / (2 * step)
+        exact = fun(state)[1]
+        assert np.allclose(numeric, exact, rtol=1e-6, atol=1e-6 * (1.0 + np.abs(exact).max()))
+
+
+@given(family=tori(max_d=2, max_n=5), function=st.sampled_from(ENERGY_KINDS),
+       seed=st.integers(min_value=0, max_value=1 << 16))
+@settings(max_examples=20, deadline=None)
+def test_torus_objective_does_not_depend_on_the_stack(family, function, seed):
+    rep, alpha, beta = family
+    fun = flow_objective(rep.basis, function, alpha, beta)
+    # One more row than a chunk of the product of the stack with G.
+    chunk = moments._ONE_THREAD_MADDS // (16 * rep.dim ** 2 * rep.k) + 1
+    rng = np.random.default_rng(seed)
+    for count in (2, 70, chunk):
+        stack = pack_state(*random_state(rng, rep.dim, 1.5, count=count))
+        f, g = fun(stack)
+        for row in sorted({0, count // 2, count - 1}):
+            f1, g1 = fun(stack[row:row + 1])
+            assert np.array_equal(f1, f[row:row + 1])
+            assert np.array_equal(g1, g[row:row + 1])
+
+
+@pytest.mark.parametrize("alpha,beta", [([0.5], np.zeros(3)),
+                                        (np.zeros(5), np.zeros(3)),
+                                        (np.zeros(3), [1j]),
+                                        (0.5, np.zeros(3)),
+                                        (np.zeros(3), np.zeros((2, 3)))])
+def test_levels_of_the_wrong_length_are_refused(alpha, beta):
+    rep = su2_irrep(3)
+    x, y = random_state(np.random.default_rng(0), rep.dim)
+    calls = [lambda: flow_objective(rep.basis, "muHK2", alpha, beta),
+             lambda: moment_hk(rep, alpha, beta, x, y)]
+    calls += [lambda i=i: grad_component(rep, i, alpha, beta, x, y) for i in (1, 2, 3)]
+    for which in ENERGY_KINDS:
+        calls += [lambda which=which: energy(rep, which, alpha, beta, x, y),
+                  lambda which=which: grad(rep, which, alpha, beta, x, y)]
+    for call in calls:
+        with pytest.raises(InputError, match="k = 3"):
+            call()
