@@ -19,6 +19,15 @@ h/2 trial evaluated in vain after each accepted h.  Each state tries the
 same points in the same order with the same float operations as one trial
 per round would, so where a state's values do not depend on the rest of
 the stack (on tori they do not) every trajectory is bit for bit the same.
+
+The stack is kept compact: every per-state array (state, gradient,
+energy, gradient norm, flow time, step count, step size, id) holds the
+unfinished states only, in the order of their ids, and a state that
+finishes is dropped from each by one boolean take.  The candidates of a
+round are one broadcast, s - [h; h/2] g, of shape (2, rows); only when
+some h/2 is below _MIN_STEP is that block cut down to the candidates
+tried.  Each round logs the states that moved, and the log is sorted by
+id once at the end; a state's status is read off its last sample.
 """
 
 import math
@@ -37,6 +46,8 @@ STATUS_UNDERFLOW = "StepUnderflow"
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
+# A round tries each row at its step h and at h/2.
+_STEP_FRACTIONS = np.array([[1.0], [0.5]])
 
 
 @dataclass
@@ -77,7 +88,8 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     step budget is exhausted, and StepUnderflow when no acceptable step at
     least ``_MIN_STEP`` long exists.  Non-finite values at an accepted
     state raise NonFiniteState; non-finite trial steps are merely rejected.
-    A one-dimensional ``states0`` is a stack of one.
+    A one-dimensional ``states0`` is a stack of one; a stack of no rows
+    gives no trajectories, without a call of ``fun``.
 
     Each round makes one call of ``fun`` on the trial points of every
     unfinished row: its step h, then h/2 for the rows whose h/2 is at
@@ -87,73 +99,88 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     """
     if not (math.isfinite(h0) and h0 > 0):
         raise InputError(f"the initial step must be finite and positive, got {h0}")
-    states = np.array(states0, dtype=np.float64, ndmin=2)
-    if not np.all(np.isfinite(states)):
+    s = np.array(states0, dtype=np.float64, ndmin=2)
+    if not np.all(np.isfinite(s)):
         raise NonFiniteState("initial state is not finite")
-    f, g = (np.array(value, dtype=np.float64) for value in fun(states))
-    gnorm = np.linalg.norm(g, axis=1)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(gnorm))):
+    count = len(s)
+    if count == 0:
+        return []
+    f, g = (np.array(value, dtype=np.float64) for value in fun(s))
+    gn = _norms(g)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(gn))):
         raise NonFiniteState("energy or gradient is not finite at the start")
 
-    count = len(states)
+    # The unfinished rows, in the order of their ids.
+    ids = np.arange(count)
     t, h = np.zeros(count), np.full(count, float(h0))
-    steps, status = np.zeros(count, dtype=np.int64), np.empty(count, dtype=object)
-    log = [(np.arange(count), t.copy(), states.copy(), f.copy(), gnorm.copy())]
-    active = np.arange(count)
+    steps = np.zeros(count, dtype=np.int64)
+    log = [(ids, t.copy(), s.copy(), f.copy(), gn.copy())]
     while True:
-        converged = gnorm[active] < grad_tol
-        spent = (t[active] >= max_time) | (steps[active] >= max_steps)
-        underflow = h[active] < _MIN_STEP
-        done = converged | spent | underflow
+        done = (gn < grad_tol) | (t >= max_time) | (steps >= max_steps) | (h < _MIN_STEP)
         if done.any():
-            # Later assignments win: convergence is tested first, then the
-            # budgets.
-            status[active[underflow]] = STATUS_UNDERFLOW
-            status[active[spent]] = STATUS_MAX_TIME
-            status[active[converged]] = STATUS_CONVERGED
-            active = active[~done]
-            if active.size == 0:
+            keep = ~done
+            ids, s, g, f, gn, t, h, steps = (
+                column[keep] for column in (ids, s, g, f, gn, t, h, steps))
+            if ids.size == 0:
                 break
-        # Candidates: every row at its step h, then the rows that may halve
-        # it at h/2.
-        hs = h[active]
-        halves = hs * 0.5
-        second = halves >= _MIN_STEP
-        rows = np.concatenate([active, active[second]])
-        sizes = np.concatenate([hs, halves[second]])
-        trial = states[rows] - sizes[:, None] * g[rows]
+        # Candidates: every row at its step h, then at h/2; candidate c
+        # tries row c % size at sizes.flat[c].
+        size = len(ids)
+        sizes = _STEP_FRACTIONS * h
+        trial = (s - sizes[:, :, None] * g).reshape(2 * size, -1)
+        bound = (f - _DECREASE_FRACTION * sizes * gn * gn).ravel()
+        second = sizes[1] >= _MIN_STEP
+        if second.all():
+            tried, h = None, 0.25 * h   # rows that move reset h
+        else:   # the rows whose h/2 is below _MIN_STEP try h alone
+            tried = np.flatnonzero(np.concatenate([np.ones(size, dtype=bool), second]))
+            trial, bound = trial[tried], bound[tried]
+            h = np.where(second, 0.25 * h, sizes[1])
         f_trial, g_trial = (np.asarray(value, dtype=np.float64)
                             for value in fun(trial))
-        norms = gnorm[rows]
-        ok = (np.isfinite(f_trial) & np.all(np.isfinite(trial), axis=1)
-              & (f_trial <= f[rows] - _DECREASE_FRACTION * sizes * norms * norms))
+        ok = np.isfinite(f_trial) & (f_trial <= bound)
+        if not np.isfinite(trial).all():
+            ok &= np.isfinite(trial).all(axis=1)
         # A row takes its first acceptable candidate, or none.
-        taken = ok.copy()
-        taken[active.size:] &= ~ok[:active.size][second]
-        h[active] = np.where(second, hs * 0.25, halves)  # rows that move reset it
-        moved = rows[taken]
-        if moved.size == 0:
+        ok[size:] &= ~(ok[:size] if tried is None else ok[:size][second])
+        taken = np.flatnonzero(ok)
+        if taken.size == 0:
             continue
-        size, accepted = sizes[taken], trial[taken]
-        f_new, g_new = f_trial[taken], g_trial[taken]
-        t_new, gnorm_new = t[moved] + size, np.linalg.norm(g_new, axis=1)
-        finite = np.isfinite(gnorm_new)   # f_trial passed the finite test
-        if not np.all(finite):
+        candidate = taken if tried is None else tried[taken]
+        rows, step = candidate % size, sizes.ravel()[candidate]
+        accepted, f_new, g_new = trial[taken], f_trial[taken], g_trial[taken]
+        t_new, gn_new = t[rows] + step, _norms(g_new)
+        if not np.isfinite(gn_new).all():   # f_trial passed the finite test
             raise NonFiniteState("non-finite energy or gradient at flow time "
-                                 f"{float(t_new[~finite][0])}")
-        states[moved], f[moved], g[moved] = accepted, f_new, g_new
-        t[moved], gnorm[moved] = t_new, gnorm_new
-        steps[moved] += 1
-        h[moved] = 2.0 * size
-        log.append((moved, t_new, accepted, f_new, gnorm_new))
+                                 f"{float(t_new[~np.isfinite(gn_new)][0])}")
+        s[rows], f[rows], g[rows], gn[rows], t[rows] = accepted, f_new, g_new, gn_new, t_new
+        steps[rows] += 1
+        h[rows] = 2.0 * step
+        log.append((ids[rows], t_new, accepted, f_new, gn_new))
 
-    # Regroup the log by row; a stable sort keeps each row in time order.
-    order = np.argsort(np.concatenate([entry[0] for entry in log]), kind="stable")
-    cuts = np.cumsum(steps + 1)[:-1]
-    columns = [np.split(np.concatenate([entry[i] for entry in log])[order], cuts)
-               for i in range(1, 5)]
-    return [Trajectory(*fields, status=row_status)
-            for *fields, row_status in zip(*columns, status)]
+    # Regroup the log by row id; a stable sort keeps each row in time order.
+    logged = np.concatenate([entry[0] for entry in log])
+    order = np.argsort(logged, kind="stable")
+    times, states, energies, norms = (np.concatenate([entry[i] for entry in log])[order]
+                                      for i in range(1, 5))
+    lengths = np.bincount(logged, minlength=count)
+    ends = np.cumsum(lengths)
+    # A row ended at its last sample: convergence is tested first, then the
+    # budgets; a row that met neither had no step left.
+    converged = (norms[ends - 1] < grad_tol).tolist()
+    spent = ((times[ends - 1] >= max_time) | (lengths - 1 >= max_steps)).tolist()
+    return [Trajectory(times[end - length:end], states[end - length:end],
+                       energies[end - length:end], norms[end - length:end],
+                       STATUS_CONVERGED if conv else STATUS_MAX_TIME if budget
+                       else STATUS_UNDERFLOW)
+            for end, length, conv, budget in zip(ends.tolist(), lengths.tolist(),
+                                                 converged, spent)]
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, as ``np.linalg.norm(g, axis=1)``
+    computes it."""
+    return np.sqrt(np.add.reduce(g * g, axis=1))
 
 
 def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,

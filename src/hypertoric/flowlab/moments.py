@@ -24,9 +24,13 @@ A basis element e_a acts on z as E_a = diag(e_a, conj(e_a)).  With
 and Im<v_a, z> = Re<i v_a, z>.  So w_a, v_a and i v_a, packed, are Q_c s
 for mu1_a, mu2_a and mu3_a.  Each map is symmetric for s.s': -(i/2) E_a is
 Hermitian, and x^T conj(e_a) y' = -y'^T e_a x since e_a^T = -conj(e_a).
-One real matrix G of shape 4n x 4nk, built once per family, gives
-s G = (w_1, ..., w_k); v_a and i v_a follow from w_a by swapping halves
-and conjugating.  With p_c = Q_c s and the residuals r_c = p_c.s - l_c,
+Since v_a and i v_a are real-linear in s, like w_a, each of the three
+is a real matrix: s G_w = (w_1, ..., w_k) packed, and G_v and G_iv alike.
+The blocks the energy reads, built once per family and energy, give every
+Q_c s in one batched product, s G = (p_1, ..., p_C).  The columns of G_v
+and G_iv are those of G_w with halves swapped, signs flipped and real and
+imaginary parts exchanged, which the product commutes with exactly.  With
+p_c = Q_c s and the residuals r_c = p_c.s - l_c,
 
     f = sum_c r_c^2,    grad f = sum_c 2 r_c grad(s.Q_c s) = 4 sum_c r_c p_c,
 
@@ -57,9 +61,13 @@ ENERGY_KINDS = ("muR2", "muC2", "muHK2")
 # The components each energy reads: 0 for mu1, 1 and 2 for mu2 and mu3.
 _PARTS = {"muR2": (0,), "muC2": (1, 2), "muHK2": (0, 1, 2)}
 
-# A stack meets G in chunks of 2^19 // G.size rows (33 at n = 14, k = 5):
-# OpenBLAS gives a matrix product of fewer than 2^19 multiply-adds one
-# thread, and waking a second one can stall for milliseconds on a loaded host.
+# A stack meets G in chunks of 2^19 // (16 n^2 k) rows (33 at n = 14,
+# k = 5), so that the product of a chunk with each 4n x 4nk block stays
+# below 2^19 multiply-adds: OpenBLAS gives such a product one thread, and
+# waking a second one can stall for milliseconds on a loaded host.  A chunk
+# meets the blocks in one batched product, so its length does not depend on
+# how many blocks the energy reads; one matrix of all three blocks would
+# allow 11 rows at n = 14, k = 5, which ran slower per row.
 _ONE_THREAD_MADDS = 1 << 19
 
 
@@ -69,15 +77,18 @@ def _parts(which: str) -> Tuple[int, ...]:
     return _PARTS[which]
 
 
-def _generators(basis: np.ndarray) -> np.ndarray:
-    """The real matrix G with s G = (w_1, ..., w_k) packed, of shape (4n, 4nk):
-    its row i is the image of the state packed as the i-th unit vector."""
+def _generators(basis: np.ndarray, parts) -> np.ndarray:
+    """The real blocks G_b, of shape (len(parts), 4n, 4nk), with s G_b the
+    packed (Q_c s for c = (parts[b], a), a = 1..k): w, v or i v.  Row i of a
+    block is its image of the state packed as the i-th unit vector."""
     k, n = basis.shape[:2]
     unit = np.eye(4 * n).view(np.complex128)
     w = -0.5j * np.concatenate([np.einsum("aml,il->iam", basis, unit[:, :n]),
                                 np.einsum("aml,il->iam", np.conj(basis), unit[:, n:])],
                                axis=-1)
-    return np.ascontiguousarray(w).view(np.float64).reshape(4 * n, 4 * n * k)
+    v = np.concatenate([-np.conj(w[..., n:]), np.conj(w[..., :n])], axis=-1)
+    blocks = np.stack([w, v, 1j * v])[list(parts)]
+    return np.ascontiguousarray(blocks).view(np.float64).reshape(len(parts), 4 * n, -1)
 
 
 def _kernel(basis: np.ndarray, parts, alpha, beta):
@@ -95,22 +106,15 @@ def _kernel(basis: np.ndarray, parts, alpha, beta):
             raise InputError(f"{name} must have k = {k} entries, one per basis "
                              f"element; got shape {level.shape}")
     levels = np.stack([alpha, beta.real, beta.imag])[list(parts)].ravel()
-    gen = _generators(basis)
-    rows = max(1, _ONE_THREAD_MADDS // max(gen.size, 1))
-    first, holo = parts[0], parts[-1] == 2
+    gen = _generators(basis, parts)
+    rows = max(1, _ONE_THREAD_MADDS // max(gen[0].size, 1))
 
     def evaluate(s):
         count = len(s)
-        p = np.empty((count, 3 if holo else 1, k, 4 * n))
+        p = np.empty((count, len(parts), 4 * n * k))
         for i in range(0, count, rows):
-            chunk = s[i:i + rows]
-            np.matmul(chunk, gen, out=p[i:i + rows, 0].reshape(len(chunk), 4 * n * k))
-        if holo:   # v = (-conj(w_y), conj(w_x)), then i v
-            z = p.view(np.complex128).reshape(count, 3, k, 2, n)
-            np.conjugate(z[:, 0, :, ::-1], out=z[:, 1])
-            z[:, 1, :, 0] *= -1
-            np.multiply(z[:, 1], 1j, out=z[:, 2])
-        p = p[:, first:].reshape(count, levels.size, 4 * n)
+            np.matmul(s[i:i + rows], gen, out=p[i:i + rows].transpose(1, 0, 2))
+        p = p.reshape(count, levels.size, 4 * n)
         r = (p @ s[:, :, None]).reshape(count, levels.size) - levels
         return r, p
 

@@ -12,7 +12,10 @@ The moment maps and gradients are also kept here as they were computed
 before they were read off one generator product: ``_apply`` applies each
 basis element to the states, and ``_energy_grad`` combines those rows by
 one weighted form (``reference_energy_grad`` and ``reference_moment_hk``
-wrap it for packed stacks and for (x, y)).
+wrap it for packed stacks and for (x, y)).  ``reference_kernel`` is the
+generator product as it was before v and i v had generator blocks of their
+own: the product gives w alone, and v and i v follow from it by
+conjugation, negation and multiplication by i.
 """
 
 import math
@@ -106,6 +109,39 @@ def reference_moment_hk(rep, alpha, beta, x, y):
              _weighted_grad(ez, None, 1j * np.imag(mu_c))]
     return ((mu1, np.real(mu_c), np.imag(mu_c)),
             [(g[..., :n], g[..., n:]) for g in grads])
+
+
+def reference_kernel(basis, parts, alpha, beta):
+    """``moments._kernel`` with G holding w alone: the product s G gives
+    w = (w_1, ..., w_k), and v = (-conj(w_y), conj(w_x)) and i v are made from
+    it.  The stack meets G in chunks of fewer than 2^19 multiply-adds."""
+    k, n = basis.shape[:2]
+    alpha, beta = np.asarray(alpha, dtype=np.float64), np.asarray(beta, dtype=np.complex128)
+    levels = np.stack([alpha, beta.real, beta.imag])[list(parts)].ravel()
+    unit = np.eye(4 * n).view(np.complex128)
+    w = -0.5j * np.concatenate([np.einsum("aml,il->iam", basis, unit[:, :n]),
+                                np.einsum("aml,il->iam", np.conj(basis), unit[:, n:])],
+                               axis=-1)
+    gen = np.ascontiguousarray(w).view(np.float64).reshape(4 * n, 4 * n * k)
+    rows = max(1, (1 << 19) // max(gen.size, 1))
+    first, holo = parts[0], parts[-1] == 2
+
+    def evaluate(s):
+        count = len(s)
+        p = np.empty((count, 3 if holo else 1, k, 4 * n))
+        for i in range(0, count, rows):
+            chunk = s[i:i + rows]
+            np.matmul(chunk, gen, out=p[i:i + rows, 0].reshape(len(chunk), 4 * n * k))
+        if holo:
+            z = p.view(np.complex128).reshape(count, 3, k, 2, n)
+            np.conjugate(z[:, 0, :, ::-1], out=z[:, 1])
+            z[:, 1, :, 0] *= -1
+            np.multiply(z[:, 1], 1j, out=z[:, 2])
+        p = p[:, first:].reshape(count, levels.size, 4 * n)
+        r = (p @ s[:, :, None]).reshape(count, levels.size) - levels
+        return r, p
+
+    return evaluate
 
 
 def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,

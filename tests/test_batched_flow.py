@@ -25,11 +25,11 @@ from flow_reference import (cross_term_stats_one_by_one, descend_lockstep,
                             tail_report_one)
 from hypertoric.errors import InsufficientTail
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (STATUS_UNDERFLOW, Trajectory, cross_term_stats,
-                                descend, diagonal_sum, energy, grad, grad_component,
-                                lojasiewicz_report, moment_hk, pack_state,
-                                random_state, run_ensemble, su2_irrep, tail_reports,
-                                torus_rep)
+from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
+                                cross_term_stats, descend, diagonal_sum, energy, grad,
+                                grad_component, lojasiewicz_report, moment_hk,
+                                pack_state, random_state, run_ensemble, su2_irrep,
+                                tail_reports, torus_rep)
 from hypertoric.flowlab import analysis
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.flowlab.reps import gaussian_state
@@ -175,6 +175,45 @@ def test_no_candidate_below_the_minimum_step():
         [want] = descend_lockstep(threshold, [[0.0]], h0=h0)
         assert (got.status, got.steps) == (want.status, want.steps) == \
             (STATUS_UNDERFLOW, 0)
+
+
+def test_rows_below_twice_the_minimum_step_try_one_candidate_among_others():
+    # Each row descends x along a gradient of 1 towards a cliff at -c, its
+    # second coordinate, past which the energy jumps to 1.  From h0 = 4e-18,
+    # in the second round the rows at c = 1e-30 and c = 1.5e-18 have
+    # h = 1e-18 and try it alone (the second takes it), while the row at
+    # c = 1e-17 tries 8e-18 and takes 4e-18 and the row at c = 1 takes 8e-18.
+    def cliff(states):
+        x, c = states[:, 0], states[:, 1]
+        return np.where(x > -c, x, 1.0), np.stack([np.ones_like(x), np.zeros_like(x)], 1)
+
+    starts = [[0.0, 1e-30], [0.0, 1.5e-18], [0.0, 1e-17], [0.0, 1.0]]
+    fun, stacks = _recorded(cliff)
+    got = descend(fun, starts, h0=4e-18, max_steps=8)
+    want = descend_lockstep(cliff, starts, h0=4e-18, max_steps=8)
+    assert [len(stack) for stack in stacks[:3]] == [4, 8, 6]
+    assert np.array_equal(stacks[2][:, 0], [-1e-18, -1e-18, -4e-18 - 8e-18, -4e-18 - 8e-18,
+                                            -4e-18 - 4e-18, -4e-18 - 4e-18])
+    assert [(traj.status, traj.steps) for traj in got] == [
+        (STATUS_UNDERFLOW, 0), (STATUS_UNDERFLOW, 1), (STATUS_UNDERFLOW, 3),
+        (STATUS_MAX_TIME, 8)]
+    for a, b in zip(got, want):
+        assert a.status == b.status
+        for key in ("times", "states", "energies", "grad_norms"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+
+
+def test_an_empty_stack_has_no_trajectories():
+    calls = []
+
+    def fun(states):
+        calls.append(states.shape)
+        if len(calls) > 3:
+            raise AssertionError("descend keeps evaluating an empty stack")
+        return np.zeros(len(states)), np.zeros_like(states)
+
+    assert descend(fun, np.zeros((0, 4))) == []
+    assert len(calls) <= 1
 
 
 @given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),

@@ -3,9 +3,11 @@ differences, across stacks, and on levels of the wrong length.
 
 Every value ``energy``, ``grad``, ``grad_component``, ``moment_hk`` and
 ``flow_objective`` give matches the reference of ``flow_reference`` to
-1e-12 relative to the largest entry of its array.  On tori a state's
-objective is the same bit for bit alone and in any stack, also one longer
-than a chunk of the generator product.
+1e-12 relative to the largest entry of its array.  The product with the
+generator blocks w, v and i v gives the residuals and the vectors Q_c s of
+the conjugation construction bit for bit, in stacks of any length.  On
+tori a state's objective is the same bit for bit alone and in any stack,
+also one longer than a chunk of the generator product.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import reference_energy_grad, reference_moment_hk
+from flow_reference import reference_energy_grad, reference_kernel, reference_moment_hk
 from hypertoric.errors import InputError
 from hypertoric.exact import int_rank
 from hypertoric.flowlab import (GroupRep, diagonal_sum, energy, grad, grad_component,
@@ -137,6 +139,46 @@ def test_torus_objective_does_not_depend_on_the_stack(family, function, seed):
             f1, g1 = fun(stack[row:row + 1])
             assert np.array_equal(f1, f[row:row + 1])
             assert np.array_equal(g1, g[row:row + 1])
+
+
+def _with_levels(rep, seed):
+    rng = np.random.default_rng(seed)
+    return (rep, rng.standard_normal(rep.k),
+            rng.standard_normal(rep.k) + 1j * rng.standard_normal(rep.k))
+
+
+def _torus(weights, seed):
+    rng = np.random.default_rng(seed)
+    d = len(weights[0])
+    trep = torus_rep(new_setup(weights, alpha=rng.integers(-5, 6, d).tolist(),
+                               beta=rng.integers(-5, 6, (d, 2)).tolist()))
+    return trep.rep, trep.alpha, trep.beta
+
+
+@pytest.mark.parametrize("family", [
+    _torus(((1, 0), (0, 1), (1, 1)), 1),
+    _torus(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 0), (0, 0, 0), (2, 1, -3)), 2),
+    _torus(tuple((i % 3 - 1, 7 * i % 5 - 2, 1, i % 2, 3 * i % 4 - 1)
+                 for i in range(14)), 3),
+    _with_levels(su2_irrep(3), 4),
+    _with_levels(su2_irrep(5), 5),
+    _with_levels(diagonal_sum(su2_irrep(3), 2), 6)],
+    ids=["torus-3-2", "torus-6-3", "torus-14-5", "su2-3", "su2-5", "su2-3x2"])
+def test_the_folded_product_equals_the_conjugation_construction(family):
+    # A stack of one, a chunk less one row, a chunk, a chunk and one row
+    # (that row meets G alone, in a product that on su2-5 and su2-3x2 rounds
+    # unlike a longer one), and many chunks.
+    rep, alpha, beta = family
+    rng = np.random.default_rng(rep.dim)
+    rows = moments._ONE_THREAD_MADDS // (16 * rep.dim ** 2 * rep.k)
+    for which in ENERGY_KINDS:
+        parts = moments._PARTS[which]
+        folded = moments._kernel(rep.basis, parts, alpha, beta)
+        reference = reference_kernel(rep.basis, parts, alpha, beta)
+        for count in (1, rows - 1, rows, rows + 1, 513):
+            s = pack_state(*random_state(rng, rep.dim, 1.5, count=count))
+            (r, p), (want_r, want_p) = folded(s), reference(s)
+            assert np.array_equal(r, want_r) and np.array_equal(p, want_p), (which, count)
 
 
 @pytest.mark.parametrize("alpha,beta", [([0.5], np.zeros(3)),
