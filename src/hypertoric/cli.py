@@ -50,7 +50,7 @@ def _emit(payload, out_path):
     except ValueError as exc:  # NaN and Infinity are not JSON (RFC 8259)
         raise InvariantViolation(f"the report holds a non-finite number: "
                                  f"{exc}") from exc
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -61,11 +61,7 @@ def _emit(payload, out_path):
 
 
 def _load_setup(args):
-    setup = setup_from_json(_load_json(args.input))
-    if setup.n > args.max_n:
-        raise EnumerationTooLarge(
-            f"setup has {setup.n} weights, above the --max-n bound {args.max_n}")
-    return setup
+    return setup_from_json(_load_json(args.input))
 
 
 def _ensure_generic(setup, args):
@@ -226,23 +222,25 @@ _REQUIRED = object()
 _SHARED = {
     "--out": (str, None),
     "--seed": (int, 0),
-    "--sample-generic": (bool, False),
-    "--max-n": (int, 14),
 }
+# An option of the commands that read a setup's levels.
+_SAMPLE_GENERIC = {"--sample-generic": (bool, False)}
 
 # command -> (command function, summary, options of its own).
 COMMANDS = {
-    "analyze": (cmd_analyze, "full exact report with all cross-checks", {}),
-    "census": (cmd_census, "bounded face census of the dual arrangement", {}),
+    "analyze": (cmd_analyze, "full exact report with all cross-checks",
+                _SAMPLE_GENERIC),
+    "census": (cmd_census, "bounded face census of the dual arrangement",
+               _SAMPLE_GENERIC),
     "modify": (cmd_modify, "extend the setup by a circle and check recurrences",
                {"--column": (str, _REQUIRED),
-                "--check-recurrence": (bool, False)}),
+                "--check-recurrence": (bool, False), **_SAMPLE_GENERIC}),
     "flow": (cmd_flow, "random-start gradient descents of a moment energy",
              {"--function": (("muR2", "muC2", "muHK2"), "muC2"),
               "--trials": (int, 8),
               "--max-time": (float, 1e6),
               "--grad-tol": (float, 1e-5),
-              "--radius": (float, 1.0)}),
+              "--radius": (float, 1.0), **_SAMPLE_GENERIC}),
     "crossterm": (cmd_crossterm,
                   "pairwise gradient inner products of the component energies",
                   {"--samples": (int, 1000), "--radius": (float, 1.0)}),

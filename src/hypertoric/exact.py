@@ -321,10 +321,8 @@ class PoincarePoly:
         return PoincarePoly((1,))
 
     @staticmethod
-    def monomial(power: int, coeff: int = 1) -> "PoincarePoly":
-        if coeff == 0:
-            return PoincarePoly(())
-        return PoincarePoly(tuple([0] * power + [coeff]))
+    def monomial(power: int) -> "PoincarePoly":
+        return PoincarePoly((0,) * power + (1,))
 
     @property
     def degree(self) -> int:

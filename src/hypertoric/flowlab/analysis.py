@@ -27,6 +27,10 @@ _REL_TOL = 1e-8
 # Most states stacked at once: ensembles, cross terms and reduction checks
 # run in blocks of this many, so memory does not grow with their size.
 _BLOCK = 256
+# Accepted steps of one ensemble trial at most.
+_MAX_STEPS = 200_000
+# Tail windows of an ensemble's decay reports, in decades, tried in order.
+_WIDTHS = (2.0, 4.0, 8.0, 16.0)
 
 
 @dataclass
@@ -167,8 +171,7 @@ def _blocks(count: int):
 
 def run_ensemble(setup, trials: int, base_seed: int, *,
                  function: str = "muC2", radius: float = 1.0,
-                 grad_tol: float = 1e-5, max_time: float = 1e6,
-                 decades: float = 2.0, max_steps: int = 200_000) -> List[dict]:
+                 grad_tol: float = 1e-5, max_time: float = 1e6) -> List[dict]:
     """Independent random-start descents of a moment-map energy.
 
     Each trial draws its start from a generator seeded by
@@ -177,8 +180,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     stacks of at most _BLOCK states, each along its own trajectory.  Limit
     classification applies to the holomorphic energy only; for the other
     energies J is None.  A trial that collapses several decades of energy
-    per step can leave too few samples in the window of ``decades``, so
-    its decay report widens the window up to 16 decades, which span any
+    per step can leave too few samples in a window of 2 decades, so its
+    decay report widens the window up to 16 decades, which span any
     double tail.  A non-finite energy or gradient in a descent raises
     InputError: the starts are finite and every step lowers the energy, so
     it comes from the size of the radius or of the setup.
@@ -194,14 +197,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             f"the gradient tolerance must be finite and positive, got {grad_tol}")
     if not max_time > 0:  # also rejects NaN
         raise InputError(f"the flow-time budget must be positive, got {max_time}")
-    if not decades > 0:  # a window of no decades would widen forever
-        raise InputError(f"the tail window must span positive decades, got {decades}")
     trep = torus_rep(setup)
     objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
-    widths, width = [], decades
-    while width <= 16.0:
-        widths.append(width)
-        width *= 2.0
     records = []
     # Overflow to inf is expected near the float range: a descent rejects
     # such trial steps and raises on such starts, and an infinite size still
@@ -213,7 +210,7 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             starts = pack_state(*gaussian_state(draws, radius))
             try:
                 trajs = descend(objective, starts, grad_tol=grad_tol,
-                                max_time=max_time, max_steps=max_steps)
+                                max_time=max_time, max_steps=_MAX_STEPS)
             except NonFiniteState as exc:
                 raise InputError(f"{exc}: radius {radius} or the setup is too "
                                  "large for floating point") from exc
@@ -223,7 +220,7 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
                        else None for traj in trajs]
             reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
                                            for traj, match in zip(trajs, matches)],
-                                   widths)
+                                   _WIDTHS)
             for trial, traj, match, report in zip(block, trajs, matches, reports):
                 record = {"seed": trial, "status": traj.status,
                           "f_limit": traj.f_limit,
@@ -310,8 +307,7 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
 
 
 def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
-                          seed: int, *, alpha=None,
-                          radius: float = 1.0) -> List[dict]:
+                          seed: int, *, alpha=None) -> List[dict]:
     """Compare full and abelian gradient norms at prepared base states.
 
     Each random base vector is first driven by gradient descent to make
@@ -324,7 +320,6 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     if samples < 1:
         raise InputError("need at least one sample state")
     _require_seed(seed)
-    _require_radius(radius)
     coords = np.real(np.einsum("bij,aij->ba", np.conj(sub_rep.basis), rep.basis))
     rebuilt = np.tensordot(coords, rep.basis, axes=1)
     if np.any(np.linalg.norm(rebuilt - sub_rep.basis, axis=(1, 2)) > 1e-10):
@@ -352,7 +347,7 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
     results = []
     for block in _blocks(samples):
         draws = rng.standard_normal((len(block), 2, n))
-        x0 = radius * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+        x0 = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
         trajs = descend(objective, pack_state(x0, np.zeros_like(x0)),
                         grad_tol=1e-12, max_steps=50_000)
         finals = np.array([traj.states[-1] for traj in trajs])

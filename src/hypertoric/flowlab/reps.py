@@ -7,7 +7,7 @@ precomputed so that brackets of moment-map components can be evaluated
 without touching the matrices again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -29,16 +29,13 @@ class GroupRep:
     """Orthonormal skew-Hermitian basis of a matrix Lie algebra.
 
     ``basis`` has shape (k, n, n); ``structure[a, b, c]`` is the trace-form
-    coefficient of basis element c in the bracket ``[e_a, e_b]``;
-    ``abelian`` records whether all brackets vanish; ``cartan`` lists the
-    indices of basis elements spanning a distinguished abelian subalgebra
-    (all indices for abelian representations).
+    coefficient of basis element c in the bracket ``[e_a, e_b]``; and
+    ``abelian`` records whether all brackets vanish.
     """
 
     basis: np.ndarray
     structure: np.ndarray
     abelian: bool
-    cartan: tuple = field(default=())
 
     @property
     def k(self) -> int:
@@ -54,7 +51,7 @@ class GroupRep:
         return np.einsum("abc,...a,...b->...c", self.structure, u, v)
 
 
-def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> GroupRep:
+def from_matrices(mats: Sequence) -> GroupRep:
     """Build a GroupRep from a spanning family of skew-Hermitian matrices.
 
     The matrices are orthonormalized by Gram-Schmidt under the real trace
@@ -117,16 +114,9 @@ def from_matrices(mats: Sequence, cartan: Optional[Sequence[int]] = None) -> Gro
                     "the family is not a Lie algebra basis")
             structure[a, b] = coords
 
-    if cartan is None:
-        cartan_idx = tuple(range(k)) if abelian else ()
-    else:
-        cartan_idx = tuple(int(i) for i in cartan)
-        if any(i < 0 or i >= k for i in cartan_idx):
-            raise InputError("cartan indices out of range")
     stack.flags.writeable = False
     structure.flags.writeable = False
-    return GroupRep(basis=stack, structure=structure, abelian=abelian,
-                    cartan=cartan_idx)
+    return GroupRep(basis=stack, structure=structure, abelian=abelian)
 
 
 class TorusRep(NamedTuple):
@@ -178,10 +168,6 @@ def torus_rep(setup) -> TorusRep:
     bmat = weights_matrix(setup)
     d = setup.dim
     n = setup.n
-    if d == 0:
-        rep = GroupRep(basis=np.zeros((0, n, n), dtype=np.complex128),
-                       structure=np.zeros((0, 0, 0)), abelian=True, cartan=())
-        return TorusRep(rep, np.zeros(0), np.zeros(0, dtype=np.complex128))
     alpha_in, beta_in = alpha_vector(setup), beta_vector(setup)
     with np.errstate(all="ignore"):
         gram = bmat.T @ bmat
@@ -200,8 +186,7 @@ def torus_rep(setup) -> TorusRep:
     basis = np.zeros((d, n, n), dtype=np.complex128)
     for a in range(d):
         np.fill_diagonal(basis[a], 1j * diag_weights[:, a])
-    rep = GroupRep(basis=basis, structure=np.zeros((d, d, d)), abelian=True,
-                   cartan=tuple(range(d)))
+    rep = GroupRep(basis=basis, structure=np.zeros((d, d, d)), abelian=True)
     alpha = 0.5 * (vmat.T @ alpha_in)
     beta = vmat.T.astype(np.complex128) @ beta_in
     return TorusRep(rep, alpha, beta)
@@ -224,7 +209,7 @@ def su2_irrep(dim: int) -> GroupRep:
     sminus = splus.conj().T
     s1 = (splus + sminus) / 2
     s2 = (splus - sminus) / (2j)
-    return from_matrices([1j * s1, 1j * s2, 1j * s3], cartan=(2,))
+    return from_matrices([1j * s1, 1j * s2, 1j * s3])
 
 
 def diagonal_sum(rep: GroupRep, copies: int = 2) -> GroupRep:
@@ -238,7 +223,7 @@ def diagonal_sum(rep: GroupRep, copies: int = 2) -> GroupRep:
         for c in range(copies):
             big[c * n:(c + 1) * n, c * n:(c + 1) * n] = rep.basis[a]
         mats.append(big)
-    return from_matrices(mats, cartan=rep.cartan)
+    return from_matrices(mats)
 
 
 def random_state(rng: np.random.Generator, n: int, radius: float = 1.0,

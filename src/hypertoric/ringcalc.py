@@ -152,16 +152,15 @@ def ring_dims(weights, max_degree=None) -> tuple:
     return hilbert_dims(cohomology_presentation(weights), max_degree)
 
 
-def circle_dims(setup: TorusSetup, max_degree=None) -> tuple:
+def circle_dims(setup: TorusSetup) -> tuple:
     """Quotient-ring dimensions for the circle-equivariant presentation.
 
-    Defaults to three degrees past the top degree n − d of the ordinary
-    ring: the dimensions are cumulative sums of the Betti numbers, so they
-    should stay constant from the top on, and the extra degrees show it.
+    Runs to three degrees past the top degree n − d of the ordinary ring:
+    the dimensions are cumulative sums of the Betti numbers, so they should
+    stay constant from the top on, and the extra degrees show it.
     """
-    if max_degree is None:
-        max_degree = setup.n - setup.dim + 3
-    return hilbert_dims(circle_equivariant_presentation(setup), max_degree)
+    return hilbert_dims(circle_equivariant_presentation(setup),
+                        setup.n - setup.dim + 3)
 
 
 def cumulative(coeffs, length) -> tuple:

@@ -1,5 +1,5 @@
-"""The argparse parser the command line used before it read its option
-table in place: the reference its parse is compared against."""
+"""An argparse parser of the command line's options: the reference that
+``cli.parse_args`` is compared against."""
 
 import argparse
 
@@ -12,27 +12,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the JSON report to this file")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized work (default 0)")
-    common.add_argument("--sample-generic", action="store_true",
+    levels = argparse.ArgumentParser(add_help=False)
+    levels.add_argument("--sample-generic", action="store_true",
                         help="replace non-generic levels by sampled generic ones")
-    common.add_argument("--max-n", type=int, default=14,
-                        help="refuse setups with more weights than this")
 
     parser = argparse.ArgumentParser(
         prog="hypertoric",
         description="Exact toric hyperkahler invariants and moment-map flows")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, levels],
                        help="full exact report with all cross-checks")
     p.add_argument("input", help="setup JSON file")
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[common, levels],
                        help="bounded face census of the dual arrangement")
     p.add_argument("input", help="setup JSON file")
     p.set_defaults(fn=cmd_census)
 
-    p = sub.add_parser("modify", parents=[common],
+    p = sub.add_parser("modify", parents=[common, levels],
                        help="extend the setup by a circle and check recurrences")
     p.add_argument("input", help="setup JSON file")
     p.add_argument("--column", required=True,
@@ -41,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also verify the trichotomy and the census recurrence")
     p.set_defaults(fn=cmd_modify)
 
-    p = sub.add_parser("flow", parents=[common],
+    p = sub.add_parser("flow", parents=[common, levels],
                        help="random-start gradient descents of a moment energy")
     p.add_argument("input", help="setup JSON file")
     p.add_argument("--function", choices=["muR2", "muC2", "muHK2"],

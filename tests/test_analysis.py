@@ -119,12 +119,6 @@ class TestEnsemble:
         records = run_ensemble(setup, 1, base_seed=3, function="muHK2")
         assert records[0]["J"] is None
 
-    @pytest.mark.parametrize("decades", [0.0, -2.0, float("nan")])
-    def test_rejects_a_tail_window_of_no_decades(self, decades):
-        # Doubling such a width never passes 16 decades.
-        with pytest.raises(InputError):
-            run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=3, decades=decades)
-
     def test_rejects_a_negative_seed(self):
         with pytest.raises(InputError, match="seed"):
             run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=-1)

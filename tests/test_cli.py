@@ -177,11 +177,47 @@ def test_missing_file_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
-def test_max_n_guard(tmp_path):
-    path = write_json(tmp_path, "cp2.json", CP2)
-    proc = run_cli("analyze", path, "--max-n", "2")
-    assert proc.returncode == 2
-    assert "max-n" in proc.stderr
+WIDE = {"weights": [[1]] * 15, "alpha": ["1"], "beta": [["3", "0"]]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "census", "flow"])
+@pytest.mark.parametrize("flags", [(), ("--sample-generic",)])
+def test_fifteen_rows_are_refused_by_the_flat_lattice(tmp_path, capsys,
+                                                      command, flags):
+    # flats.MAX_GROUND_SET is the one row bound: no option moves it.
+    path = write_json(tmp_path, "wide.json", WIDE)
+    assert cli.main([command, path, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("EnumerationTooLarge: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_every_option_a_command_accepts_is_read(tmp_path, capsys):
+    inputs = {"crossterm": TORUS_MATS, "modify": CP2}
+    values = {"--column": "1,0,0", "--trials": "2", "--samples": "5"}
+    for command, (_, _, own) in cli.COMMANDS.items():
+        path = write_json(tmp_path, "in.json", inputs.get(command, PAIR))
+        argv = [command, path]
+        options = {**cli._SHARED, **own}
+        for option, (kind, default) in options.items():
+            if option == "--out":
+                argv += [option, str(tmp_path / "report.json")]
+            elif kind is bool:
+                argv.append(option)
+            else:
+                argv += [option, values.get(option, str(default))]
+        read = set()
+        args = cli.parse_args(argv)
+
+        class Recorder:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(args, name)
+
+        assert args.fn(Recorder()) == 0, command
+        assert capsys.readouterr().out == ""
+        assert {cli._dest(option) for option in options} - read == set(), command
 
 
 def test_out_writes_file(tmp_path):
@@ -256,6 +292,8 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("crossterm", {"matrices": [{"re": [[10 ** 400]], "im": [[0]]}]}, ()),
     ("bogus", PAIR, ()),
     ("census", PAIR, ("--bogus",)),
+    ("analyze", PAIR, ("--max-n", "14")),
+    ("crossterm", TORUS_MATS, ("--sample-generic",)),
     ("flow", PAIR, ("--trials",)),
     ("flow", PAIR, ("--trials", "abc")),
     ("flow", PAIR, ("--function", "bogus")),
@@ -265,6 +303,8 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("census", PAIR, ("--out", ".")),
     ("analyze", PAIR, ("--out", "missing/report.json")),
     ("census", {"weights": [[1], [1]], "alpha": ["0"]}, ("--out", ".")),
+    ("census", PAIR, ("--out=",)),
+    ("census", {"weights": [[1], [1]], "alpha": ["0"]}, ("--out=",)),
     ("crossterm", SU2, ("--radius", "1e300", "--samples", "5")),
     ("crossterm", SU2, ("--radius", "1e100", "--samples", "5")),
     ("flow", PAIR, ("--radius", "1e300")),
@@ -287,10 +327,12 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
         "crossterm-bool-entry", "crossterm-string-entry",
         "crossterm-alpha-bool", "crossterm-alpha-string",
         "crossterm-entry-beyond-float", "unknown-command", "unknown-option",
+        "max-n-is-unknown", "crossterm-takes-no-sample-generic",
         "missing-value", "non-integer-value", "value-outside-choices",
         "modify-without-column", "no-input-path", "abbreviated-option",
         "out-is-a-directory", "out-in-a-missing-directory",
-        "error-payload-out-is-a-directory", "crossterm-radius-overflow",
+        "error-payload-out-is-a-directory", "out-empty",
+        "error-payload-out-empty", "crossterm-radius-overflow",
         "crossterm-radius-square-overflow", "flow-radius-overflow",
         "flow-muHK2-radius-overflow", "flow-start-overflow",
         "flow-gram-singular-in-floats", "crossterm-entry-square-overflow",

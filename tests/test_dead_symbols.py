@@ -4,7 +4,10 @@ Every function, class and constant defined at the top level of a module in
 ``src/hypertoric`` must be named somewhere in ``src/`` or ``tests/`` outside
 its own definition: read as a name, as an attribute, or imported.  Every
 field annotated in a class body there must be read somewhere in ``src/`` or
-``tests/`` as an attribute.
+``tests/`` as an attribute.  Every parameter with a default of a function
+there must be passed, by keyword or by position, at some call in ``src/``
+or ``tests/`` to a callee of that name: a default no caller changes is a
+constant.
 """
 
 import ast
@@ -82,3 +85,59 @@ def test_class_fields_finds_annotated_names_only():
     source = ("class A:\n    x: int\n    y: int = 0\n    z = 1\n"
               "    def f(self):\n        w: int = 2\n")
     assert list(class_fields(ast.parse(source))) == [("A", "x"), ("A", "y")]
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) of every parameter with a default of
+    every function in a syntax tree.  The position counts the arguments a
+    call passes, so a method's self or cls is not counted; a keyword-only
+    parameter has position None."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        bound = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first = len(positional) - len(spec.defaults)
+        for position in range(first, len(positional)):
+            yield node.name, positional[position].arg, position - bound
+        for arg, default in zip(spec.kwonlyargs, spec.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def arguments_passed(tree):
+    """(callee name, positional count, keywords) of every call in a syntax
+    tree.  A starred argument counts as every position, and a ** argument
+    as every keyword (None)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        yield name, count, {keyword.arg for keyword in node.keywords}
+
+
+def test_every_optional_parameter_is_set_by_some_caller():
+    package, trees = parse_all()
+    calls = [call for tree in trees.values() for call in arguments_passed(tree)]
+    unset = [f"{path.relative_to(SRC)}: {function}.{parameter}"
+             for path in package
+             for function, parameter, position in defaulted_parameters(trees[path])
+             if not any(name == function
+                        and (parameter in keywords or None in keywords
+                             or (position is not None and count > position))
+                        for name, count, keywords in calls)]
+    assert unset == []
+
+
+def test_defaulted_parameters_skip_self_and_bare_keyword_only_names():
+    source = ("def f(a, b=1, *, c, d=2):\n    pass\n"
+              "class A:\n    def m(self, x, y=0):\n        pass\n")
+    assert list(defaulted_parameters(ast.parse(source))) == [
+        ("f", "b", 1), ("f", "d", None), ("m", "y", 1)]

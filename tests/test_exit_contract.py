@@ -112,7 +112,6 @@ def requests(draw):
                                                st.integers(0, 1000))))
     if draw(st.booleans()):
         options["--sample-generic"] = True
-    options["--max-n"] = draw(st.sampled_from([None] * 7 + ["-1", "0", "3"]))
     options["--out"] = draw(st.sampled_from(
         [None] * 5 + ["file", "directory", "missing-directory"]))
     if command == "flow":

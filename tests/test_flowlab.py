@@ -53,13 +53,11 @@ class TestFromMatrices:
         rep = from_matrices([3j * np.eye(2)])
         assert np.allclose(rep.basis[0], 1j * np.eye(2) / np.sqrt(2))
         assert rep.abelian
-        assert rep.cartan == (0,)
 
     def test_su2_structure(self):
         rep = su2_irrep(2)
         assert rep.k == 3 and rep.dim == 2
         assert not rep.abelian
-        assert rep.cartan == (2,)
         # orthonormal and skew
         for a in range(3):
             e = rep.basis[a]

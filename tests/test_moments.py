@@ -29,7 +29,7 @@ from hypertoric.torus import new_setup
 def empty_family(n):
     """The family of no basis elements acting on C^n: k = 0."""
     return GroupRep(basis=np.zeros((0, n, n), dtype=np.complex128),
-                    structure=np.zeros((0, 0, 0)), abelian=True, cartan=())
+                    structure=np.zeros((0, 0, 0)), abelian=True)
 
 
 @st.composite
