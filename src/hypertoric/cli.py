@@ -201,6 +201,10 @@ def cmd_flow(args) -> int:
 
 def cmd_crossterm(args) -> int:
     obj = _load_json(args.input)
+    if isinstance(obj, dict):
+        unknown = set(obj) - {"matrices", "alpha"}
+        if unknown:
+            raise InputError(f"unknown crossterm fields: {sorted(unknown)}")
     mats = parse_matrix_list(obj)
     rep = from_matrices(mats)
     alpha = np.zeros(rep.k)

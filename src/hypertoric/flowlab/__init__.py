@@ -11,21 +11,18 @@ cross-term experiment for nonabelian groups.
 
 from .reps import (GroupRep, TorusRep, diagonal_sum, from_matrices, random_state,
                    su2_irrep, torus_rep)
-from .moments import (abelian_gradient_norm2, energy, grad, grad_component,
-                      moment_hk, pack_state, unpack_state)
+from .moments import abelian_gradient_norm2, pack_state, unpack_state
 from .flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
-                   descend, integrate_flow)
-from .analysis import (LojReport, classify_limit, cross_term_stats,
-                       lojasiewicz_report, run_ensemble, tail_reports,
+                   descend)
+from .analysis import (LojReport, cross_term_stats, run_ensemble, tail_reports,
                        torus_reduction_check)
 
 __all__ = [
     "GroupRep", "TorusRep", "diagonal_sum", "from_matrices", "random_state",
     "su2_irrep", "torus_rep",
-    "abelian_gradient_norm2", "energy", "grad", "grad_component", "moment_hk",
-    "pack_state", "unpack_state",
+    "abelian_gradient_norm2", "pack_state", "unpack_state",
     "STATUS_CONVERGED", "STATUS_MAX_TIME", "STATUS_UNDERFLOW", "Trajectory",
-    "descend", "integrate_flow",
-    "LojReport", "classify_limit", "cross_term_stats", "lojasiewicz_report",
-    "run_ensemble", "tail_reports", "torus_reduction_check",
+    "descend",
+    "LojReport", "cross_term_stats", "run_ensemble", "tail_reports",
+    "torus_reduction_check",
 ]

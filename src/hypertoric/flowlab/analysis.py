@@ -8,15 +8,14 @@ trajectory is summarized by an empirical power-law certificate.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import InputError, InsufficientTail, NonFiniteState
+from ..errors import InputError, NonFiniteState
 from ..torus import critical_level, walls_of
 from .flow import STATUS_CONVERGED, Trajectory, descend
-from .moments import (flow_objective, grad_component, hk_components, pack_state,
-                      unpack_state)
+from .moments import flow_objective, hk_components, pack_state, unpack_state
 from .reps import GroupRep, gaussian_state, random_state, torus_rep
 
 _EXPONENT = 0.75
@@ -60,9 +59,10 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     observed, for the first of ``widths`` (in decades) that puts
     _MIN_TAIL_POINTS samples in it; its report is None when none does.
     The exponent is the least-squares slope of log |grad f| against
-    log(f - f_c), each centred on its window mean.  The samples of all
-    trajectories, whose states must have one length, are reduced together
-    with one reduction per quantity, segment by segment.
+    log(f - f_c), each centred on its window mean, and the tail arclength is
+    the sum of the step lengths after the window's first sample.  The
+    samples of all trajectories are reduced together with one reduction per
+    quantity, segment by segment.
     """
     count = len(trajs)
     sizes = np.array([len(traj.energies) for traj in trajs])
@@ -95,17 +95,14 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     dx = log_g - np.repeat(np.add.reduceat(log_g, heads) / size, size)
     dy = log_gn - np.repeat(np.add.reduceat(log_gn, heads) / size, size)
     slope = np.add.reduceat(dx * dy, heads) / np.add.reduceat(dx * dx, heads)
-    # Path length from the start of each window to the end of its trajectory,
-    # over the concatenated tails of the states alone, one segment each.
+    # Path length from the start of each window to the end of its trajectory:
+    # the steps after the window's first sample, summed in order.
     first = owner[window[heads]]
-    starts = window[heads] - (np.cumsum(sizes) - sizes)[first]
-    tails = [trajs[i].states[start:]
-             for i, start in zip(first.tolist(), starts.tolist())]
-    segment = np.repeat(np.arange(len(tails)), sizes[first] - starts)
-    inner = segment[1:] == segment[:-1]
-    steps = np.linalg.norm(np.diff(np.concatenate(tails), axis=0), axis=1)
-    arclength = np.bincount(segment[1:][inner], weights=steps[inner],
-                            minlength=len(tails))
+    lengths = np.concatenate([traj.step_lengths for traj in trajs])
+    after = np.full(count, owner.size)
+    after[first] = window[heads]
+    tail = np.arange(owner.size) > after[owner]
+    arclength = np.bincount(owner[tail], weights=lengths[tail], minlength=count)[first]
     for i, k, g_start, exponent, length, size_i in zip(
             first.tolist(), k_hat.tolist(), g[heads].tolist(), slope.tolist(),
             arclength.tolist(), size.tolist()):
@@ -116,41 +113,17 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     return reports
 
 
-def lojasiewicz_report(traj: Trajectory, f_c: Optional[float] = None,
-                       decades: float = 2.0) -> LojReport:
-    """The report of ``tail_reports`` for one trajectory at one width.
-
-    The limit value is ``f_c``, or the final energy when it is None.
-    Raises InsufficientTail when fewer than ``_MIN_TAIL_POINTS`` samples
-    land in the window.
-    """
-    limit = traj.f_limit if f_c is None else float(f_c)
-    [report] = tail_reports([traj], [limit], [decades])
-    if report is None:
-        raise InsufficientTail(
-            f"fewer than {_MIN_TAIL_POINTS} samples lie within {decades} "
-            "decades above the limit value")
-    return report
-
-
-def classify_limit(setup, traj: Trajectory,
-                   tol_f: float = 1e-6) -> Optional[Tuple[int, ...]]:
+def _match_limit(setup, traj: Trajectory, levels: dict, tol_f: float = 1e-6):
     """Match a converged holomorphic-energy limit to a flat of the setup.
 
     The candidate index set collects the coordinates whose base and fiber
     sizes both vanished; its complement must be a flat whose critical
-    level agrees with the limit energy within ``tol_f``.  Returns the
-    flat, or None when the limit is unresolved.
+    level agrees with the limit energy within ``tol_f``.  Returns the flat
+    with its critical level as a float, or None when the limit is
+    unresolved.  ``levels`` caches the levels of the flats met so far.
     """
-    match = _match_limit(setup, traj, {}, tol_f)
-    return None if match is None else match[0]
-
-
-def _match_limit(setup, traj: Trajectory, levels: dict, tol_f: float = 1e-6):
-    """The flat of ``classify_limit`` with its critical level as a float,
-    or None.  ``levels`` caches the levels of the flats met so far."""
     n = setup.n
-    x, y = unpack_state(traj.states[-1], n)
+    x, y = unpack_state(traj.final, n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
     if flat not in walls_of(setup.weights):  # keyed by exactly the flats
@@ -350,13 +323,12 @@ def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
         x0 = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
         trajs = descend(objective, pack_state(x0, np.zeros_like(x0)),
                         grad_tol=1e-12, max_steps=50_000)
-        finals = np.array([traj.states[-1] for traj in trajs])
+        finals = np.array([traj.final for traj in trajs])
         x, y = unpack_state(finals, n)
-        full = np.linalg.norm(pack_state(
-            *grad_component(rep, 1, alpha_full, zero_level, x, y)), axis=1)
-        sub = np.linalg.norm(pack_state(
-            *grad_component(sub_rep, 1, alpha_sub, np.zeros(sub_rep.k), x, y)),
-            axis=1)
+        full = np.linalg.norm(hk_components(rep, alpha_full, zero_level, x, y)[1][:, 0],
+                              axis=1)
+        sub = np.linalg.norm(hk_components(sub_rep, alpha_sub, np.zeros(sub_rep.k),
+                                           x, y)[1][:, 0], axis=1)
         for off_norm2, full_norm, sub_norm in zip(objective(finals)[0].tolist(),
                                                   full, sub):
             rel = (None if off_norm2 >= _PREP_TOL

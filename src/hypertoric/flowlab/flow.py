@@ -26,8 +26,11 @@ unfinished states only, in the order of their ids, and a state that
 finishes is dropped from each by one boolean take.  The candidates of a
 round are one broadcast, s - [h; h/2] g, of shape (2, rows); only when
 some h/2 is below _MIN_STEP is that block cut down to the candidates
-tried.  Each round logs the states that moved, and the log is sorted by
-id once at the end; a state's status is read off its last sample.
+tried.  Each round logs, for the states that moved, the length of the
+step each took, and the log is sorted by id once at the end; a state's
+status is read off its last sample.  A state is written out once, when it
+finishes, as the last state of its trajectory: the tail analysis reads path
+lengths and limits only, so no other state is kept.
 """
 
 import math
@@ -37,8 +40,6 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from ..errors import InputError, NonFiniteState
-from .moments import flow_objective, pack_state
-from .reps import GroupRep
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_TIME = "MaxTimeReached"
@@ -52,14 +53,17 @@ _STEP_FRACTIONS = np.array([[1.0], [0.5]])
 
 @dataclass
 class Trajectory:
-    """Recorded descent path of one state: row s of ``states`` is the state
-    at flow time ``times[s]``, with energy ``energies[s]`` and gradient norm
-    ``grad_norms[s]``; row 0 is the start."""
+    """Recorded descent path of one state: sample s is the state at flow time
+    ``times[s]``, with energy ``energies[s]`` and gradient norm
+    ``grad_norms[s]``, reached by a step of length ``step_lengths[s]`` (the
+    distance from sample s - 1; 0.0 at the start, sample 0).  Of the states
+    only the last, ``final``, is kept."""
 
     times: np.ndarray
-    states: np.ndarray
+    step_lengths: np.ndarray
     energies: np.ndarray
     grad_norms: np.ndarray
+    final: np.ndarray
     status: str
 
     @property
@@ -114,10 +118,12 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     ids = np.arange(count)
     t, h = np.zeros(count), np.full(count, float(h0))
     steps = np.zeros(count, dtype=np.int64)
-    log = [(ids, t.copy(), s.copy(), f.copy(), gn.copy())]
+    final = np.empty_like(s)
+    log = [(ids, t.copy(), np.zeros(count), f.copy(), gn.copy())]
     while True:
         done = (gn < grad_tol) | (t >= max_time) | (steps >= max_steps) | (h < _MIN_STEP)
         if done.any():
+            final[ids[done]] = s[done]
             keep = ~done
             ids, s, g, f, gn, t, h, steps = (
                 column[keep] for column in (ids, s, g, f, gn, t, h, steps))
@@ -153,42 +159,31 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         if not np.isfinite(gn_new).all():   # f_trial passed the finite test
             raise NonFiniteState("non-finite energy or gradient at flow time "
                                  f"{float(t_new[~np.isfinite(gn_new)][0])}")
+        log.append((ids[rows], t_new, _norms(accepted - s[rows]), f_new, gn_new))
         s[rows], f[rows], g[rows], gn[rows], t[rows] = accepted, f_new, g_new, gn_new, t_new
         steps[rows] += 1
         h[rows] = 2.0 * step
-        log.append((ids[rows], t_new, accepted, f_new, gn_new))
 
     # Regroup the log by row id; a stable sort keeps each row in time order.
     logged = np.concatenate([entry[0] for entry in log])
     order = np.argsort(logged, kind="stable")
-    times, states, energies, norms = (np.concatenate([entry[i] for entry in log])[order]
-                                      for i in range(1, 5))
-    lengths = np.bincount(logged, minlength=count)
-    ends = np.cumsum(lengths)
+    times, lengths, energies, norms = (np.concatenate([entry[i] for entry in log])[order]
+                                       for i in range(1, 5))
+    samples = np.bincount(logged, minlength=count)
+    ends = np.cumsum(samples)
     # A row ended at its last sample: convergence is tested first, then the
     # budgets; a row that met neither had no step left.
     converged = (norms[ends - 1] < grad_tol).tolist()
-    spent = ((times[ends - 1] >= max_time) | (lengths - 1 >= max_steps)).tolist()
-    return [Trajectory(times[end - length:end], states[end - length:end],
-                       energies[end - length:end], norms[end - length:end],
+    spent = ((times[ends - 1] >= max_time) | (samples - 1 >= max_steps)).tolist()
+    return [Trajectory(times[end - size:end], lengths[end - size:end],
+                       energies[end - size:end], norms[end - size:end], last,
                        STATUS_CONVERGED if conv else STATUS_MAX_TIME if budget
                        else STATUS_UNDERFLOW)
-            for end, length, conv, budget in zip(ends.tolist(), lengths.tolist(),
-                                                 converged, spent)]
+            for end, size, conv, budget, last in zip(ends.tolist(), samples.tolist(),
+                                                     converged, spent, final)]
 
 
 def _norms(g: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row, as ``np.linalg.norm(g, axis=1)``
     computes it."""
     return np.sqrt(np.add.reduce(g * g, axis=1))
-
-
-def integrate_flow(rep: GroupRep, which: str, alpha, beta, x0, y0,
-                   **options) -> Trajectory:
-    """Gradient descent of the selected moment-map energy from (x0, y0).
-
-    States in the returned trajectory are flat real vectors as produced
-    by pack_state.
-    """
-    return descend(flow_objective(rep.basis, which, alpha, beta),
-                   pack_state(x0, y0), **options)[0]

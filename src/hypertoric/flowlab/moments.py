@@ -133,31 +133,6 @@ def hk_components(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndar
     return r.reshape(shape + (3, rep.k)), grads.reshape(shape + (3, s.shape[1]))
 
 
-def moment_hk(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hyperkahler triple (mu1, mu2, mu3), levels subtracted."""
-    mu = hk_components(rep, alpha, beta, x, y)[0]
-    return mu[..., 0, :], mu[..., 1, :], mu[..., 2, :]
-
-
-def grad_component(rep: GroupRep, index: int, alpha, beta, x, y):
-    """Gradient of |mu_index|^2 for index in {1, 2, 3}."""
-    if index not in (1, 2, 3):
-        raise InputError("component index must be 1, 2 or 3")
-    return unpack_state(hk_components(rep, alpha, beta, x, y)[1][..., index - 1, :],
-                        rep.dim)
-
-
-def energy(rep: GroupRep, which: str, alpha, beta, x, y) -> np.ndarray:
-    """Squared distance of the selected moment map from its level, per state."""
-    return flow_objective(rep.basis, which, alpha, beta)(pack_state(x, y))[0][()]
-
-
-def grad(rep: GroupRep, which: str, alpha, beta, x, y):
-    """Gradient (complex form) of the selected energy."""
-    return unpack_state(flow_objective(rep.basis, which, alpha, beta)(
-        pack_state(x, y))[1], rep.dim)
-
-
 def flow_objective(basis: np.ndarray, which: str, alpha, beta):
     """The selected energy with its gradient, as ``descend`` reads them: on a
     stack of states packed by pack_state, the gradients packed alike.

@@ -6,7 +6,16 @@ integrates a single state with the same step rule as ``descend``,
 ensemble runs its trials one after another, ``tail_report_one`` fits the
 decay law of one trajectory with ``np.polyfit`` and widens its window one
 width at a time, and the cross-term experiment evaluates one sample state
-per iteration.  The tests compare the stacked code against them.
+per iteration.  The reference flows record every state of their path, as a
+``StatePath``, and the tail fits measure arclength from those states; a
+``Trajectory`` keeps step lengths and the last state only.  The tests
+compare the stacked code against them.
+
+The one-state entries to the stacked API are kept here as adapters:
+``integrate_flow``, ``energy``, ``grad``, ``moment_hk``, ``grad_component``,
+``classify_limit`` and ``lojasiewicz_report`` each make one call of
+``descend``, ``flow_objective``, ``hk_components``, ``analysis._match_limit``
+or ``tail_reports``.
 
 The moment maps and gradients are also kept here as they were computed
 before they were read off one generator product: ``_apply`` applies each
@@ -19,20 +28,105 @@ conjugation, negation and multiplication by i.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from hypertoric.errors import InsufficientTail, NonFiniteState
+from hypertoric.errors import InputError, InsufficientTail, NonFiniteState
 from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
-                                LojReport, Trajectory, classify_limit, energy, grad,
-                                grad_component, moment_hk, pack_state, random_state,
-                                torus_rep, unpack_state)
+                                LojReport, Trajectory, descend, pack_state, random_state,
+                                tail_reports, torus_rep, unpack_state)
+from hypertoric.flowlab.analysis import _match_limit
+from hypertoric.flowlab.moments import flow_objective, hk_components
 from hypertoric.torus import critical_level
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
+
+
+def integrate_flow(rep, which, alpha, beta, x0, y0, **options):
+    """Gradient descent of the selected moment-map energy from (x0, y0): the
+    trajectory ``descend`` gives a stack of one packed state."""
+    return descend(flow_objective(rep.basis, which, alpha, beta),
+                   pack_state(x0, y0), **options)[0]
+
+
+def energy(rep, which, alpha, beta, x, y):
+    """Squared distance of the selected moment map from its level, per state."""
+    return flow_objective(rep.basis, which, alpha, beta)(pack_state(x, y))[0][()]
+
+
+def grad(rep, which, alpha, beta, x, y):
+    """Gradient (complex form) of the selected energy."""
+    return unpack_state(flow_objective(rep.basis, which, alpha, beta)(
+        pack_state(x, y))[1], rep.dim)
+
+
+def moment_hk(rep, alpha, beta, x, y):
+    """The hyperkahler triple (mu1, mu2, mu3), levels subtracted."""
+    mu = hk_components(rep, alpha, beta, x, y)[0]
+    return mu[..., 0, :], mu[..., 1, :], mu[..., 2, :]
+
+
+def grad_component(rep, index, alpha, beta, x, y):
+    """Gradient (complex form) of |mu_index|^2 for index in {1, 2, 3}."""
+    if index not in (1, 2, 3):
+        raise InputError("component index must be 1, 2 or 3")
+    return unpack_state(hk_components(rep, alpha, beta, x, y)[1][..., index - 1, :],
+                        rep.dim)
+
+
+def classify_limit(setup, traj, tol_f=1e-6):
+    """The flat a converged holomorphic-energy limit reaches, or None."""
+    match = _match_limit(setup, traj, {}, tol_f)
+    return None if match is None else match[0]
+
+
+def lojasiewicz_report(traj, f_c=None, decades=2.0):
+    """The report of ``tail_reports`` for one trajectory at one width, against
+    ``f_c`` or else the final energy; raises InsufficientTail when fewer than
+    _MIN_TAIL_POINTS samples land in the window."""
+    limit = traj.f_limit if f_c is None else float(f_c)
+    [report] = tail_reports([traj], [limit], [decades])
+    if report is None:
+        raise InsufficientTail(
+            f"fewer than {_MIN_TAIL_POINTS} samples lie within {decades} "
+            "decades above the limit value")
+    return report
+
+
+@dataclass
+class StatePath:
+    """Recorded descent path of one state with every state kept: row s of
+    ``states`` is the state at flow time ``times[s]``, with energy
+    ``energies[s]`` and gradient norm ``grad_norms[s]``; row 0 is the start."""
+
+    times: np.ndarray
+    states: np.ndarray
+    energies: np.ndarray
+    grad_norms: np.ndarray
+    status: str
+
+    @property
+    def steps(self) -> int:
+        return len(self.times) - 1
+
+    @property
+    def f_limit(self) -> float:
+        return float(self.energies[-1])
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.states[-1]
+
+    def trajectory(self) -> Trajectory:
+        """The ``Trajectory`` that records this path: the distance of each
+        state from the one before (0.0 at the start) and the last state."""
+        lengths = np.linalg.norm(np.diff(self.states, axis=0), axis=1)
+        return Trajectory(self.times, np.concatenate([[0.0], lengths]), self.energies,
+                          self.grad_norms, self.final, self.status)
 
 
 def _point(x, y) -> np.ndarray:
@@ -189,7 +283,7 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
         samples.append((t, state.copy(), f, gnorm))
         h *= 2.0
     times, states, energies, norms = (np.array(column) for column in zip(*samples))
-    return Trajectory(times, states, energies, norms, status)
+    return StatePath(times, states, energies, norms, status)
 
 
 def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
@@ -248,7 +342,7 @@ def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
     cuts = np.cumsum(steps + 1)[:-1]
     columns = [np.split(np.concatenate([entry[i] for entry in log])[order], cuts)
                for i in range(1, 5)]
-    return [Trajectory(*fields, status=row_status)
+    return [StatePath(*fields, status=row_status)
             for *fields, row_status in zip(*columns, status)]
 
 

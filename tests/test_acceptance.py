@@ -15,15 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from flow_reference import energy, grad, lojasiewicz_report
 from hypertoric.arrangement import census_poincare, face_census, modification_census
 from hypertoric.flats import enumerate_flats
 from hypertoric.flowlab import (
     abelian_gradient_norm2,
     cross_term_stats,
     descend,
-    energy,
-    grad,
-    lojasiewicz_report,
     random_state,
     run_ensemble,
     su2_irrep,

