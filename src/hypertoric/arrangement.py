@@ -13,9 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import lcm
 
-from .errors import DegenerateNormal, InvariantViolation, NotSimple
+from .errors import InvariantViolation, NonGenericAlpha
 from .exact import PoincarePoly, int_solve
-from .torus import ModificationPair, TorusSetup, gale_of, simplicity_witness
+from .torus import ModificationPair, TorusSetup, alpha_witness, gale_of
 
 
 def _submasks(mask) -> list:
@@ -31,8 +31,8 @@ def _submasks(mask) -> list:
 def face_census(setup: TorusSetup) -> tuple:
     """Bounded face counts (d_0, ..., d_m) of the dual arrangement.
 
-    Requires a simple arrangement; coincidences raise NotSimple and a
-    hyperplane degenerating to the whole space raises DegenerateNormal.
+    Requires a generic alpha and raises NonGenericAlpha otherwise: a generic
+    alpha makes the arrangement simple (see ``torus.alpha_witness``).
 
     A face is a nonempty set of points with one sign vector (covector)
     against the hyperplanes a_j . y = b_j.  A vertex is an independent
@@ -65,25 +65,13 @@ def face_census(setup: TorusSetup) -> tuple:
     minus bitmask shifted by n; its dimension is its bit count less n - m.
     Only the lower keys are stored; the upper ones are tested as made.
     """
+    if (witness := alpha_witness(setup)) is not None:
+        raise NonGenericAlpha(witness)
     gale = gale_of(setup)
     m = setup.ambient_dim
     n = setup.n
     normals = gale.normals
     offsets = gale.offsets
-    if m == 0:
-        if any(off == 0 for off in offsets):
-            raise DegenerateNormal(
-                "empty normal with zero offset: hyperplane fills the space")
-        return (1,)
-    for j in range(n):
-        if not any(normals[j]) and offsets[j] == 0:
-            raise DegenerateNormal(
-                f"normal {j + 1} vanishes with zero offset")
-    witness = simplicity_witness(setup)
-    if witness is not None:
-        raise NotSimple(
-            f"hyperplanes {tuple(i + 1 for i in witness)} meet non-simply")
-
     # Scaling every offset by one positive integer scales the arrangement.
     scale = lcm(*(off.denominator for off in offsets))
     offsets = [int(off * scale) for off in offsets]

@@ -64,14 +64,6 @@ class EnumerationTooLarge(InputError):
     """Requested subset enumeration exceeds the supported size bound."""
 
 
-class DegenerateNormal(NonGeneric):
-    """A Gale-dual normal vanishes (the coordinate is torus-fixed up to scale)."""
-
-
-class NotSimple(NonGeneric):
-    """The affine arrangement has a dependent-normal coincidence."""
-
-
 class InvariantViolation(HypertoricError):
     """An internal invariant of an exact computation failed."""
 
@@ -82,7 +74,3 @@ class PartitionViolation(HypertoricError):
 
 class NonFiniteState(HypertoricError):
     """A flow state left the finite floating-point range."""
-
-
-class InsufficientTail(HypertoricError):
-    """Too few trajectory samples in the decay window for a tail estimate."""

@@ -26,11 +26,11 @@ unfinished states only, in the order of their ids, and a state that
 finishes is dropped from each by one boolean take.  The candidates of a
 round are one broadcast, s - [h; h/2] g, of shape (2, rows); only when
 some h/2 is below _MIN_STEP is that block cut down to the candidates
-tried.  Each round logs, for the states that moved, the length of the
-step each took, and the log is sorted by id once at the end; a state's
-status is read off its last sample.  A state is written out once, when it
-finishes, as the last state of its trajectory: the tail analysis reads path
-lengths and limits only, so no other state is kept.
+tried.  Each round logs, for the states that moved, the step length,
+energy and gradient norm; the log is joined into one block every
+_LOG_BLOCK rounds and sorted by id once at the end.  A state's status and
+last state are written out when it finishes: the tail analysis reads step
+lengths and limits only, and the flow time serves the stop rule alone.
 """
 
 import math
@@ -44,22 +44,25 @@ from ..errors import InputError, NonFiniteState
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_TIME = "MaxTimeReached"
 STATUS_UNDERFLOW = "StepUnderflow"
+# By code: 2 converged, else 1 spent its budget, else 0 had no step left.
+_STATUSES = (STATUS_UNDERFLOW, STATUS_MAX_TIME, STATUS_CONVERGED)
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 # A round tries each row at its step h and at h/2.
 _STEP_FRACTIONS = np.array([[1.0], [0.5]])
+# Rounds logged between joins of the log into one block.
+_LOG_BLOCK = 1024
 
 
 @dataclass
 class Trajectory:
-    """Recorded descent path of one state: sample s is the state at flow time
-    ``times[s]``, with energy ``energies[s]`` and gradient norm
+    """Recorded descent path of one state: sample s is the state after s
+    accepted steps, with energy ``energies[s]`` and gradient norm
     ``grad_norms[s]``, reached by a step of length ``step_lengths[s]`` (the
     distance from sample s - 1; 0.0 at the start, sample 0).  Of the states
     only the last, ``final``, is kept."""
 
-    times: np.ndarray
     step_lengths: np.ndarray
     energies: np.ndarray
     grad_norms: np.ndarray
@@ -68,7 +71,7 @@ class Trajectory:
 
     @property
     def steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.energies) - 1
 
     @property
     def f_limit(self) -> float:
@@ -118,12 +121,14 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     ids = np.arange(count)
     t, h = np.zeros(count), np.full(count, float(h0))
     steps = np.zeros(count, dtype=np.int64)
-    final = np.empty_like(s)
-    log = [(ids, t.copy(), np.zeros(count), f.copy(), gn.copy())]
+    final, ended = np.empty_like(s), np.empty(count, dtype=np.int64)
+    log, blocks = [(ids, np.zeros(count), f.copy(), gn.copy())], []
     while True:
-        done = (gn < grad_tol) | (t >= max_time) | (steps >= max_steps) | (h < _MIN_STEP)
+        converged, spent = gn < grad_tol, (t >= max_time) | (steps >= max_steps)
+        done = converged | spent | (h < _MIN_STEP)
         if done.any():
             final[ids[done]] = s[done]
+            ended[ids[done]] = np.where(converged, 2, spent)[done]
             keep = ~done
             ids, s, g, f, gn, t, h, steps = (
                 column[keep] for column in (ids, s, g, f, gn, t, h, steps))
@@ -159,28 +164,24 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         if not np.isfinite(gn_new).all():   # f_trial passed the finite test
             raise NonFiniteState("non-finite energy or gradient at flow time "
                                  f"{float(t_new[~np.isfinite(gn_new)][0])}")
-        log.append((ids[rows], t_new, _norms(accepted - s[rows]), f_new, gn_new))
+        log.append((ids[rows], _norms(accepted - s[rows]), f_new, gn_new))
+        if len(log) == _LOG_BLOCK:
+            blocks.append(tuple(map(np.concatenate, zip(*log))))
+            log = []
         s[rows], f[rows], g[rows], gn[rows], t[rows] = accepted, f_new, g_new, gn_new, t_new
         steps[rows] += 1
         h[rows] = 2.0 * step
 
-    # Regroup the log by row id; a stable sort keeps each row in time order.
-    logged = np.concatenate([entry[0] for entry in log])
+    # Regroup the log by row id; a stable sort keeps each row in step order.
+    logged, lengths, energies, norms = map(np.concatenate, zip(*blocks, *log))
     order = np.argsort(logged, kind="stable")
-    times, lengths, energies, norms = (np.concatenate([entry[i] for entry in log])[order]
-                                       for i in range(1, 5))
+    lengths, energies, norms = lengths[order], energies[order], norms[order]
     samples = np.bincount(logged, minlength=count)
     ends = np.cumsum(samples)
-    # A row ended at its last sample: convergence is tested first, then the
-    # budgets; a row that met neither had no step left.
-    converged = (norms[ends - 1] < grad_tol).tolist()
-    spent = ((times[ends - 1] >= max_time) | (samples - 1 >= max_steps)).tolist()
-    return [Trajectory(times[end - size:end], lengths[end - size:end],
-                       energies[end - size:end], norms[end - size:end], last,
-                       STATUS_CONVERGED if conv else STATUS_MAX_TIME if budget
-                       else STATUS_UNDERFLOW)
-            for end, size, conv, budget, last in zip(ends.tolist(), samples.tolist(),
-                                                     converged, spent, final)]
+    return [Trajectory(lengths[end - size:end], energies[end - size:end],
+                       norms[end - size:end], last, _STATUSES[code])
+            for end, size, last, code in zip(ends.tolist(), samples.tolist(), final,
+                                             ended.tolist())]
 
 
 def _norms(g: np.ndarray) -> np.ndarray:

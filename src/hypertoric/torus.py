@@ -305,13 +305,17 @@ def alpha_witness(setup: TorusSetup):
     """First failing condition for alpha-genericity, or None.
 
     The condition is <alpha_J, u_i> != 0 for every proper flat J and row i
-    outside it.  It implies that the Gale-dual arrangement is simple, so no
-    separate simplicity search is needed.  Hyperplanes S of the arrangement
-    are dependent and share a point exactly when the rows outside S span a
-    proper subspace containing alpha (see ``simplicity_witness``).  The
-    closure J of those rows is then a proper flat with alpha in span(J), so
-    alpha_J = 0 pairs to zero with every row outside J, and the loop below
-    has already returned a pairing witness.
+    outside it.  It implies that the Gale-dual arrangement is simple, which
+    is all the face census needs.  By Gale duality, with y a point of the
+    arrangement and z = offsets - C^T y, hyperplanes S share a point exactly
+    when alpha = B^T z for some z vanishing on S, that is when alpha lies in
+    the span of the rows outside S; their normals (columns of C) are
+    dependent exactly when those rows span a proper subspace.  The closure
+    J of those rows is then a proper flat with alpha in span(J), so alpha_J
+    = 0 pairs to zero with every row outside J, and the loop below has
+    already returned a pairing witness.  A zero normal j is the case S =
+    {j}: row j is then outside the span of the others, and a zero offset
+    puts alpha in that span.
     """
     return _alpha_witness(setup.weights, setup.alpha)
 
@@ -353,39 +357,6 @@ def require_generic(setup: TorusSetup) -> None:
     witness = beta_witness(setup)
     if witness is not None:
         raise NonGenericBeta(witness)
-
-
-def simplicity_witness(setup: TorusSetup):
-    """Smallest dependent set of dual hyperplanes with a common point, or None.
-
-    Indices are 0-based and sorted; among the smallest sets the
-    lexicographically first is returned.  By Gale duality, with y the point
-    and z = offsets - C^T y, the hyperplanes S meet exactly when alpha =
-    B^T z for some z vanishing on S, that is when alpha lies in the span of
-    the rows outside S.  Their normals (columns of C) are dependent exactly
-    when some nonzero B v vanishes off S, that is when the rows outside S
-    span a proper subspace.  Any such span lies in the span of a coatom (a
-    flat of rank d - 1), whose complement is then a witness no larger than
-    S.  So the smallest witnesses are the complements of the largest coatoms
-    F with alpha in span(F): one test per coatom.
-
-    That test reads one wall.  alpha is in span(F) exactly when its residual
-    R_F alpha is zero.  The residual lies on the line of covectors pairing
-    to zero with every row of F, and a row i outside F pairs nonzero with
-    every nonzero point of that line: F and i span the whole space, and only
-    zero pairs to zero with all of it.  So R_F alpha = 0 exactly when alpha
-    lies on the wall of the first row outside F.
-    """
-    table = walls_of(setup.weights)
-    _, a = _integral(setup.alpha)
-    best = None
-    for f in flats.coatoms(setup.weights):
-        if _dot(table[f].walls[0][1], a):
-            continue
-        rest = tuple(j for j in range(setup.n) if j not in f)
-        if best is None or (len(rest), rest) < (len(best), best):
-            best = rest
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypertoric.errors import InputError, InsufficientTail, NonFiniteState
+from hypertoric.errors import InputError, NonFiniteState
 from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
                                 LojReport, Trajectory, descend, pack_state, random_state,
                                 tail_reports, torus_rep, unpack_state)
@@ -44,6 +44,10 @@ _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
+
+
+class InsufficientTail(Exception):
+    """Too few trajectory samples in the decay window for a tail estimate."""
 
 
 def integrate_flow(rep, which, alpha, beta, x0, y0, **options):
@@ -100,10 +104,9 @@ def lojasiewicz_report(traj, f_c=None, decades=2.0):
 @dataclass
 class StatePath:
     """Recorded descent path of one state with every state kept: row s of
-    ``states`` is the state at flow time ``times[s]``, with energy
+    ``states`` is the state after s accepted steps, with energy
     ``energies[s]`` and gradient norm ``grad_norms[s]``; row 0 is the start."""
 
-    times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
     grad_norms: np.ndarray
@@ -111,7 +114,7 @@ class StatePath:
 
     @property
     def steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.energies) - 1
 
     @property
     def f_limit(self) -> float:
@@ -125,7 +128,7 @@ class StatePath:
         """The ``Trajectory`` that records this path: the distance of each
         state from the one before (0.0 at the start) and the last state."""
         lengths = np.linalg.norm(np.diff(self.states, axis=0), axis=1)
-        return Trajectory(self.times, np.concatenate([[0.0], lengths]), self.energies,
+        return Trajectory(np.concatenate([[0.0], lengths]), self.energies,
                           self.grad_norms, self.final, self.status)
 
 
@@ -251,7 +254,7 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
     if not (np.isfinite(f) and np.isfinite(gnorm)):
         raise NonFiniteState("energy or gradient is not finite at the start")
 
-    samples = [(0.0, state.copy(), f, gnorm)]
+    samples = [(state.copy(), f, gnorm)]
     t = 0.0
     h = float(h0)
     while True:
@@ -280,10 +283,10 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
         gnorm = float(np.linalg.norm(g))
         if not (np.isfinite(f) and np.isfinite(gnorm)):
             raise NonFiniteState(f"non-finite energy or gradient at flow time {t}")
-        samples.append((t, state.copy(), f, gnorm))
+        samples.append((state.copy(), f, gnorm))
         h *= 2.0
-    times, states, energies, norms = (np.array(column) for column in zip(*samples))
-    return StatePath(times, states, energies, norms, status)
+    states, energies, norms = (np.array(column) for column in zip(*samples))
+    return StatePath(states, energies, norms, status)
 
 
 def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
@@ -301,7 +304,7 @@ def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
     count = len(states)
     t, h = np.zeros(count), np.full(count, float(h0))
     steps, status = np.zeros(count, dtype=np.int64), np.empty(count, dtype=object)
-    log = [(np.arange(count), t.copy(), states.copy(), f.copy(), gnorm.copy())]
+    log = [(np.arange(count), states.copy(), f.copy(), gnorm.copy())]
     active = np.arange(count)
     while True:
         converged = gnorm[active] < grad_tol
@@ -336,12 +339,12 @@ def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
                                  f"{float(t[moved][~finite][0])}")
         steps[moved] += 1
         h[moved] *= 2.0
-        log.append((moved, t[moved], accepted, f[moved], gnorm[moved]))
+        log.append((moved, accepted, f[moved], gnorm[moved]))
 
     order = np.argsort(np.concatenate([entry[0] for entry in log]), kind="stable")
     cuts = np.cumsum(steps + 1)[:-1]
     columns = [np.split(np.concatenate([entry[i] for entry in log])[order], cuts)
-               for i in range(1, 5)]
+               for i in range(1, 4)]
     return [StatePath(*fields, status=row_status)
             for *fields, row_status in zip(*columns, status)]
 

@@ -13,9 +13,9 @@ Constraints are triples (coeffs, const, strict), meaning coeffs . y + const
 from itertools import combinations
 from math import gcd
 
-from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
+from hypertoric.errors import InvariantViolation, NonGenericAlpha
 from hypertoric.exact import int_rank
-from hypertoric.torus import gale_of, simplicity_witness
+from hypertoric.torus import alpha_witness, gale_of
 from metric_reference import nullspace, solve_exact
 
 
@@ -134,25 +134,15 @@ def bounded_regions(hyperplanes, k) -> int:
 
 
 def fm_face_census(setup) -> tuple:
-    """Bounded face counts (d_0, ..., d_m), support by support."""
+    """Bounded face counts (d_0, ..., d_m), support by support; a
+    non-generic alpha raises NonGenericAlpha, as the vertex census does."""
+    if (witness := alpha_witness(setup)) is not None:
+        raise NonGenericAlpha(witness)
     gale = gale_of(setup)
     m = setup.ambient_dim
     n = setup.n
     normals = gale.normals
     offsets = gale.offsets
-    if m == 0:
-        if any(off == 0 for off in offsets):
-            raise DegenerateNormal(
-                "empty normal with zero offset: hyperplane fills the space")
-        return (1,)
-    for j in range(n):
-        if not any(normals[j]) and offsets[j] == 0:
-            raise DegenerateNormal(
-                f"normal {j + 1} vanishes with zero offset")
-    witness = simplicity_witness(setup)
-    if witness is not None:
-        raise NotSimple(
-            f"hyperplanes {tuple(i + 1 for i in witness)} meet non-simply")
 
     counts = [0] * (m + 1)
     for size in range(m + 1):
@@ -178,7 +168,7 @@ def fm_face_census(setup) -> tuple:
                 b = offsets[j] - sum(normals[j][i] * point[i] for i in range(m))
                 if not any(a):
                     if b == 0:
-                        raise NotSimple(
+                        raise InvariantViolation(
                             f"hyperplane {j + 1} contains the span of "
                             f"{tuple(i + 1 for i in support)}")
                     continue

@@ -1,13 +1,13 @@
 """Limit classification, decay certificates, and structured experiments."""
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from flow_reference import classify_limit, integrate_flow, lojasiewicz_report
-from hypertoric.errors import InputError, InsufficientTail
+from flow_reference import (InsufficientTail, classify_limit, integrate_flow,
+                            lojasiewicz_report)
+from hypertoric.errors import InputError
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
     cross_term_stats,
@@ -71,14 +71,6 @@ class TestLojReport:
         assert abs(report.fitted_exponent - 0.75) < 1e-9
         assert report.tail_arclength <= 1.5 * report.bound
         assert report.window_size >= 4
-
-    def test_time_reparametrization_invariance(self):
-        traj = self._trajectory()
-        scaled = replace(traj, times=2.0 * traj.times)
-        a = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
-        b = lojasiewicz_report(scaled, f_c=0.0, decades=3.0)
-        assert a.k_hat == b.k_hat
-        assert a.tail_arclength == b.tail_arclength
 
     def test_insufficient_tail(self):
         # The first two samples of the trajectory, with its first step's length.

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric.arrangement import census_poincare, face_census
-from hypertoric.errors import DegenerateNormal, InvariantViolation, NotSimple
+from hypertoric.errors import InvariantViolation, NonGenericAlpha
 from hypertoric.exact import int_rank
 from hypertoric.morse import poincare_morse
 from hypertoric.torus import new_setup, sample_generic
@@ -103,12 +103,19 @@ class TestCensus:
         assert face_census(new_setup(((1, 0), (0, 1)), [1, 2])) == (1,)
 
     def test_ambient_zero_degenerate(self):
-        with pytest.raises(DegenerateNormal):
+        # Hyperplane 2 of the point arrangement has a zero offset, so it
+        # fills the space: alpha lies on the first row.
+        with pytest.raises(NonGenericAlpha) as caught:
             face_census(new_setup(((1, 0), (0, 1)), [1, 0]))
+        assert caught.value.witness == ("pairing", (), 1)
+        assert caught.value.exit_code == 3
 
     def test_coincident_hyperplanes_rejected(self):
-        with pytest.raises(NotSimple):
+        # alpha = (1, 1) lies on the third row: hyperplanes 1 and 2 coincide.
+        with pytest.raises(NonGenericAlpha) as caught:
             face_census(new_setup(TRIPLE, [1, 1]))
+        assert caught.value.witness == ("pairing", (2,), 0)
+        assert caught.value.exit_code == 3
 
     def test_inert_coordinate_is_skipped(self):
         weights = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))
@@ -167,22 +174,24 @@ def test_four_planes_bound_one_tetrahedron():
 @st.composite
 def setups(draw):
     """Setups with n <= 7 rows and d <= 3 columns; levels come from a small
-    box, where many arrangements are not simple, or from a wide one."""
+    box, where many are not generic, from a wide one, or from
+    ``sample_generic``."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(d, 7))
     entry = st.integers(-2, 2)
     weights = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
     assume(int_rank(weights, d) == d)
     coord = st.one_of(st.integers(-2, 2), st.integers(-60, 60))
-    return new_setup(weights, draw(st.tuples(*[coord] * d)))
+    sampled = st.integers(0, 2**16).map(lambda seed: sample_generic(weights, seed).alpha)
+    return new_setup(weights, draw(st.one_of(st.tuples(*[coord] * d), sampled)))
 
 
 def outcome(census, setup):
-    """The counts census returns, or the type and message it raises."""
+    """The counts census returns, or the type and witness it raises."""
     try:
         return census(setup)
-    except (DegenerateNormal, NotSimple) as exc:
-        return type(exc).__name__, str(exc)
+    except NonGenericAlpha as exc:
+        return type(exc).__name__, exc.witness
 
 
 @settings(max_examples=150, deadline=None)

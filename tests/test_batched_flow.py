@@ -20,16 +20,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import (StatePath, cross_term_stats_one_by_one, descend_lockstep,
-                            energy, grad, grad_component, lojasiewicz_report,
-                            lojasiewicz_report_one, moment_hk, run_ensemble_one_by_one,
-                            tail_report_one)
-from hypertoric.errors import InsufficientTail
+from flow_reference import (InsufficientTail, StatePath, cross_term_stats_one_by_one,
+                            descend_lockstep, energy, grad, grad_component,
+                            lojasiewicz_report, lojasiewicz_report_one, moment_hk,
+                            run_ensemble_one_by_one, tail_report_one)
 from hypertoric.exact import int_rank
 from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, cross_term_stats,
                                 descend, diagonal_sum, pack_state, random_state,
                                 run_ensemble, su2_irrep, tail_reports, torus_rep)
-from hypertoric.flowlab import analysis
+from hypertoric.flowlab import analysis, flow
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.flowlab.reps import gaussian_state
 from hypertoric.torus import new_setup, sample_generic
@@ -80,12 +79,12 @@ nonabelian_reps = st.one_of(
 
 
 def assert_records_path(traj, path):
-    """``traj`` records ``path`` bit for bit: the same status, times, energies
-    and gradient norms, the distance of each state from the one before, and
+    """``traj`` records ``path`` bit for bit: the same status, energies and
+    gradient norms, the distance of each state from the one before, and
     the last state; each per-sample field holds one entry per sample."""
     want = path.trajectory()
     assert traj.status == want.status
-    for key in ("times", "step_lengths", "energies", "grad_norms"):
+    for key in ("step_lengths", "energies", "grad_norms"):
         assert getattr(traj, key).shape == (traj.steps + 1,), key
         assert np.array_equal(getattr(traj, key), getattr(want, key)), key
     assert np.array_equal(traj.final, want.final)
@@ -119,18 +118,23 @@ initial_steps = st.one_of(st.just(5e-19), st.floats(min_value=1e-18, max_value=4
        seed=st.integers(min_value=0, max_value=1 << 16), h0=initial_steps,
        grad_tol=st.sampled_from([1e-5, 1e-12]),
        max_steps=st.integers(min_value=0, max_value=200),
-       max_time=st.floats(min_value=0.05, max_value=1e3))
+       max_time=st.floats(min_value=0.05, max_value=1e3),
+       log_block=st.sampled_from([1, 2, 7, flow._LOG_BLOCK]))
 # Ends rows by convergence, by the step budget and by underflow after steps.
 @example(setup=new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3)), function="muC2",
-         count=12, seed=5, h0=3e-18, grad_tol=1e-5, max_steps=200, max_time=1e3)
+         count=12, seed=5, h0=3e-18, grad_tol=1e-5, max_steps=200, max_time=1e3,
+         log_block=flow._LOG_BLOCK)
 @settings(max_examples=100, deadline=None)
 def test_descend_equals_one_trial_per_round(setup, function, count, seed, h0,
-                                            grad_tol, max_steps, max_time):
+                                            grad_tol, max_steps, max_time, log_block):
+    # Small log blocks join the log many times within a descent; the
+    # trajectories must not depend on where the joins fall.
     fun = _torus_objective(setup, function)
     starts = pack_state(*random_state(np.random.default_rng(seed), setup.n, 1.0,
                                       count=count))
     options = dict(h0=h0, grad_tol=grad_tol, max_steps=max_steps, max_time=max_time)
-    got = descend(fun, starts, **options)
+    with mock.patch.object(flow, "_LOG_BLOCK", log_block):
+        got = descend(fun, starts, **options)
     want = descend_lockstep(fun, starts, **options)
     assert len(got) == len(want) == count
     for a, b in zip(got, want):
@@ -304,8 +308,7 @@ def tails(draw):
     norms = scale * 10.0 ** (power * decades) * np.exp(noise)
     norms[draw(st.lists(st.integers(0, size - 1), max_size=2))] = 0.0
     rng = np.random.default_rng(draw(st.integers(0, 1 << 16)))
-    path = StatePath(np.arange(float(size)), rng.standard_normal((size, 8)),
-                     energies, norms, "Converged")
+    path = StatePath(rng.standard_normal((size, 8)), energies, norms, "Converged")
     limit = draw(st.sampled_from(["final", "zero", "sample"]))
     if limit == "final":
         return path, None
@@ -348,8 +351,7 @@ def test_tail_reports_widen_and_give_up_like_the_reference():
     exactly 2 decades above the smallest excess lies in the window."""
     energies = 10.0 ** -np.arange(0.0, 30.0, 5.0)
     edge = np.array([1000.0, 100.0, 50.0, 10.0, 1.0])
-    paths = [StatePath(np.arange(float(len(fs))), np.eye(6)[:len(fs)], fs,
-                       fs ** 0.75, "Converged")
+    paths = [StatePath(np.eye(6)[:len(fs)], fs, fs ** 0.75, "Converged")
              for fs in (energies, energies[:3], edge)]
     wide, none, closed = tail_reports([path.trajectory() for path in paths],
                                       [0.0] * 3, [2.0, 4.0, 8.0, 16.0])

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cli_reference import build_parser
 from hypertoric import cli, errors
-from hypertoric.errors import (InsufficientTail, InvariantViolation,
-                               NonGenericAlpha, RankDeficient)
+from hypertoric.errors import InvariantViolation, NonGenericAlpha, RankDeficient
 
 CP2 = {"weights": [[1], [1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
 PAIR = {"weights": [[1], [1]], "alpha": ["1"], "beta": [["3", "0"]]}
@@ -373,9 +372,7 @@ def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):
     (RankDeficient("broken on purpose"), 2),
     (NonGenericAlpha(("pairing", (0,), 1)), 3),
     (InvariantViolation("broken on purpose"), 4),
-    (InsufficientTail("broken on purpose"), 4),
-], ids=["RankDeficient", "NonGenericAlpha", "InvariantViolation",
-        "InsufficientTail"])
+], ids=["RankDeficient", "NonGenericAlpha", "InvariantViolation"])
 def test_invariant_violation_exits_4(tmp_path, monkeypatch, capsys, error,
                                      code):
     def broken(setup):
@@ -414,9 +411,8 @@ EXIT_CODES = {
     "HypertoricError": 4, "InputError": 2, "DimensionMismatch": 2,
     "RankDeficient": 2, "EnumerationTooLarge": 2, "NonGeneric": 3,
     "CircleInsideTorus": 3, "NonGenericBeta": 3, "NonGenericAlpha": 3,
-    "SamplingExhausted": 3, "DegenerateNormal": 3, "NotSimple": 3,
-    "NonZeroRemainder": 4, "InvariantViolation": 4, "PartitionViolation": 4,
-    "NonFiniteState": 4, "InsufficientTail": 4,
+    "SamplingExhausted": 3, "NonZeroRemainder": 4, "InvariantViolation": 4,
+    "PartitionViolation": 4, "NonFiniteState": 4,
 }
 
 

@@ -7,7 +7,9 @@ field annotated in a class body there must be read somewhere in ``src/`` or
 ``tests/`` as an attribute.  Every parameter with a default of a function
 there must be passed, by keyword or by position, at some call in ``src/``
 or ``tests/`` to a callee of that name: a default no caller changes is a
-constant.
+constant.  Every exception class in ``errors.py`` must be raised somewhere
+in ``src/``, itself or through a subclass: an error only tests raise
+belongs to the tests.
 """
 
 import ast
@@ -79,6 +81,32 @@ def test_every_class_field_is_read_as_an_attribute():
             for cls, field in class_fields(trees[path])
             if field not in read]
     assert dead == []
+
+
+def raised_names(tree):
+    """Names of the classes a syntax tree raises, called or bare."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised_in_src():
+    package, trees = parse_all()
+    classes = [node for node in trees[SRC / "hypertoric" / "errors.py"].body
+               if isinstance(node, ast.ClassDef)]
+    extended = {base.id for node in classes for base in node.bases
+                if isinstance(base, ast.Name)}
+    raised = {name for path in package for name in raised_names(trees[path])}
+    assert [node.name for node in classes
+            if node.name not in raised | extended] == []
+
+
+def test_raised_names_reads_calls_and_bare_classes():
+    source = ("def f():\n    raise A('x')\n    raise B\n    raise\n"
+              "    raise exc.C()\n")
+    assert list(raised_names(ast.parse(source))) == ["A", "B"]
 
 
 def test_class_fields_finds_annotated_names_only():

@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
@@ -28,7 +28,6 @@ from hypertoric.torus import (
     require_generic,
     sample_generic,
     sign_split,
-    simplicity_witness,
     walls_of,
 )
 from metric_reference import (
@@ -278,22 +277,27 @@ def test_beta_witness_equals_the_pairwise_search(weights, data):
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
 
 
-@PROPS
-@given(setups())
-def test_coatom_witness_equals_subset_search(setup):
-    gale = gale_of(setup)
-    expected = subset_search_witness(gale.normals, gale.offsets,
-                                     setup.ambient_dim + 1)
-    assert simplicity_witness(setup) == expected
-
-
-@PROPS
+# alpha = (1, 1) lies on the third row of TRIPLE: hyperplanes 1 and 2 of the
+# dual line coincide.  alpha = (1, 3) is generic.
+@example(new_setup(((1, 0), (0, 1), (1, 1)), [1, 1]))
+@example(new_setup(((1, 0), (0, 1), (1, 1)), [1, 3]))
+@settings(max_examples=300, deadline=None)
 @given(setups())
 def test_pairing_conditions_imply_a_simple_arrangement(setup):
+    # The face census decides genericity alone and rests on this: a generic
+    # alpha leaves no dependent set of hyperplanes with a common point, found
+    # by the coatom test or by the subset search, and no zero normal with a
+    # zero offset (a hyperplane filling the space).
     witness = alpha_witness(setup)
     assert witness is None or witness[0] == "pairing"
+    gale = gale_of(setup)
+    coatom = reference_simplicity_witness(setup.weights, setup.alpha)
+    assert coatom == subset_search_witness(gale.normals, gale.offsets,
+                                           setup.ambient_dim + 1)
     if witness is None:
-        assert simplicity_witness(setup) is None
+        assert coatom is None
+        assert all(any(normal) or offset for normal, offset
+                   in zip(gale.normals, gale.offsets))
 
 
 @PROPS
@@ -322,18 +326,8 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
                       data.draw(st.tuples(*[st.builds(CRat, q, q)] * d)))
     assert alpha_witness(setup) == reference_alpha_witness(weights, setup.alpha)
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
-    assert simplicity_witness(setup) == reference_simplicity_witness(
-        weights, setup.alpha)
     all_flats = enumerate_flats(weights)
     for f in all_flats:
         assert critical_level(setup, f) == reference_level(weights, setup.beta, f)
     for f in all_flats[:-1]:
         assert signs(setup, f) == reference_sign_split(weights, setup.alpha, f)
-
-
-def test_coincident_hyperplanes_witness():
-    # alpha = (1, 1) lies on the third weight row: hyperplanes 1 and 2 of the
-    # dual line coincide
-    triple = ((1, 0), (0, 1), (1, 1))
-    assert simplicity_witness(new_setup(triple, [1, 1])) == (0, 1)
-    assert simplicity_witness(new_setup(triple, [1, 3])) is None
