@@ -15,7 +15,7 @@ from math import lcm
 
 from .errors import InvariantViolation, NonGenericAlpha
 from .exact import PoincarePoly, int_solve
-from .torus import ModificationPair, TorusSetup, alpha_witness, gale_of
+from .torus import TorusSetup, alpha_witness, gale_of
 
 
 def _submasks(mask) -> list:
@@ -127,26 +127,3 @@ def census_poincare(counts) -> PoincarePoly:
         total = total + PoincarePoly((c,)) * q_minus_1 ** k
     return total
 
-
-def modification_census(pair: ModificationPair):
-    """Face censuses of a setup and its two circle modifications.
-
-    Returns (base_counts, enlarged_counts, extended_counts, ok) where ok
-    records whether every extended count equals the base count plus the
-    enlarged count at the same and the previous dimension.  Each census
-    uses the levels the pair carries (see ``torus.modify``).
-    """
-    base_counts = face_census(pair.base)
-    enlarged_counts = face_census(pair.enlarged)
-    extended_counts = face_census(pair.extended)
-
-    def at(counts, k):
-        return counts[k] if 0 <= k < len(counts) else 0
-
-    top = max(len(extended_counts), len(base_counts), len(enlarged_counts) + 1)
-    ok = all(
-        at(extended_counts, k) == at(base_counts, k) + at(enlarged_counts, k)
-        + at(enlarged_counts, k - 1)
-        for k in range(top)
-    )
-    return base_counts, enlarged_counts, extended_counts, ok

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import arrangement, flats, morse, ringcalc
+from . import arrangement, crosscheck, flats
 from .errors import (EnumerationTooLarge, HypertoricError, InputError,
                      InvariantViolation)
 from .flowlab import cross_term_stats, from_matrices, run_ensemble
@@ -74,51 +74,38 @@ def _ensure_generic(setup, args):
     return result, result != setup
 
 
+def _verdict(holds, complaint) -> int:
+    """Exit 0 when a cross-check holds, else say so on stderr and exit 4."""
+    if holds:
+        return EXIT_OK
+    print(complaint, file=sys.stderr)
+    return EXIT_CROSS_CHECK
+
+
 def cmd_analyze(args) -> int:
-    setup = _load_setup(args)
-    setup, sampled = _ensure_generic(setup, args)
-
-    all_flats = flats.enumerate_flats(setup.weights)
-    components = morse.critical_components(setup)
-    p_morse = morse.poincare_morse(setup.weights)
-    counts = arrangement.face_census(setup)
-    p_census = arrangement.census_poincare(counts)
-    ordinary = ringcalc.ring_dims(setup.weights)
-    circle = ringcalc.circle_dims(setup)
-
-    p_coeffs = poly_to_json(p_morse)
-    agree_census = p_morse == p_census
-    agree_ring = ringcalc.matches_poincare(ordinary, p_morse, setup.ambient_dim)
-    agree_circle = list(circle) == list(
-        ringcalc.cumulative(ordinary, len(circle)))
+    setup, sampled = _ensure_generic(_load_setup(args), args)
+    result = crosscheck.analyze(setup)
     report = {
         "setup": setup_to_json(setup),
         "sampled_generic": sampled,
-        "flats": [flat_to_json(f) for f in all_flats],
+        "flats": [flat_to_json(f) for f in result.flats],
         "morse": {
-            "poincare": p_coeffs,
+            "poincare": poly_to_json(result.poincare),
             "components": [
                 {"flat": flat_to_json(c.flat), "rank": c.rank, "index": c.index,
                  "level": rational_to_str(c.level)}
-                for c in components
+                for c in result.components
             ],
         },
-        "census": {"d": list(counts), "poincare": poly_to_json(p_census)},
-        "ring": {"ordinary": list(ordinary), "circle": list(circle)},
-        "agreement": {
-            "morse_census": agree_census,
-            "morse_ring": agree_ring,
-            "circle_series": agree_circle,
-        },
+        "census": {"d": list(result.counts),
+                   "poincare": poly_to_json(result.census_poincare)},
+        "ring": {"ordinary": list(result.ordinary), "circle": list(result.circle)},
+        "agreement": result.agreement,
     }
-    report["agreement"]["all"] = all(report["agreement"].values())
     _emit(report, args.out)
-    if not report["agreement"]["all"]:
-        print("cross-check disagreement: the routes to the Poincare "
-              "polynomial do not match; see the agreement flags",
-              file=sys.stderr)
-        return EXIT_CROSS_CHECK
-    return EXIT_OK
+    return _verdict(result.agreement["all"],
+                    "cross-check disagreement: the routes to the Poincare "
+                    "polynomial do not match; see the agreement flags")
 
 
 def cmd_census(args) -> int:
@@ -152,7 +139,7 @@ def cmd_modify(args) -> int:
     if args.check_recurrence:
         setup, _ = _ensure_generic(setup, args)
     pair = modify(setup, circle, seed=args.seed)
-    p_base, p_enl, p_ext, poly_ok = morse.modification_recurrence(pair)
+    p_base, p_enl, p_ext, holds = crosscheck.polynomial_recurrence(pair)
     report = {
         "base": setup_to_json(pair.base),
         "enlarged": setup_to_json(pair.enlarged),
@@ -162,11 +149,10 @@ def cmd_modify(args) -> int:
             "enlarged": poly_to_json(p_enl),
             "extended": poly_to_json(p_ext),
         },
-        "recurrence": {"holds": poly_ok},
+        "recurrence": {"holds": holds},
     }
     if args.check_recurrence:
-        cases = morse.modification_cases(pair)
-        base_d, enl_d, ext_d, census_ok = arrangement.modification_census(
+        cases, base_d, enl_d, ext_d, census_ok = crosscheck.census_recurrence(
             pair)
         report["trichotomy"] = {
             "new_only": [flat_to_json(f) for f in cases.new_only],
@@ -179,14 +165,9 @@ def cmd_modify(args) -> int:
             "extended_d": list(ext_d),
             "holds": census_ok,
         }
+        holds = holds and census_ok
     _emit(report, args.out)
-    trouble = not poly_ok or (args.check_recurrence
-                              and not report["census_recurrence"]["holds"])
-    if trouble:
-        print("modification recurrence violated; see the report",
-              file=sys.stderr)
-        return EXIT_CROSS_CHECK
-    return EXIT_OK
+    return _verdict(holds, "modification recurrence violated; see the report")
 
 
 def cmd_flow(args) -> int:

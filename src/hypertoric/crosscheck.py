@@ -1,0 +1,95 @@
+"""The cross-checks of the exact routes: each route answers, this module compares.
+
+Three routes find the Poincare polynomial P and share only their inputs:
+the Morse recursion (``morse``), the face census (``arrangement``) and the
+ring presentations (``ringcalc``).  No route imports another, so none can
+read another's answer; this module alone imports more than one of them and
+decides whether their answers agree.
+"""
+
+from dataclasses import dataclass
+from itertools import accumulate
+
+from . import arrangement, morse, ringcalc
+from .exact import PoincarePoly
+from .flats import enumerate_flats
+from .torus import ModificationPair, TorusSetup
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Every route's answer for one setup, and the agreement flags
+    morse_census, morse_ring, circle_series and all, in that order."""
+
+    flats: tuple
+    components: tuple               # morse.CriticalComponent, one per flat
+    poincare: PoincarePoly          # the Morse recursion's P
+    counts: tuple                   # bounded face counts d_0, ..., d_m
+    census_poincare: PoincarePoly
+    ordinary: tuple                 # ordinary ring dims, degrees 0..n - d + 2
+    circle: tuple                   # circle-equivariant dims, 0..n - d + 3
+    agreement: dict
+
+
+def analyze(setup: TorusSetup) -> Analysis:
+    """Run every route on a setup with generic levels and compare them.
+
+    morse_census: the census polynomial is P.  morse_ring: the ordinary
+    dims are P's coefficients through degree n - d and vanish above it, so
+    a P of higher degree never agrees.  circle_series: the
+    circle-equivariant dims are the running sums of the ordinary dims,
+    padded with zeros.
+    """
+    flats = enumerate_flats(setup.weights)
+    components = morse.critical_components(setup)
+    p = morse.poincare_morse(setup.weights)
+    counts = arrangement.face_census(setup)
+    p_census = arrangement.census_poincare(counts)
+    ordinary = ringcalc.ring_dims(setup.weights)
+    circle = ringcalc.circle_dims(setup)
+
+    top = setup.ambient_dim
+    betti = list(p.coeffs) + [0] * (top + 1 - len(p.coeffs))
+    padded = (list(ordinary) + [0] * len(circle))[:len(circle)]
+    agreement = {
+        "morse_census": p == p_census,
+        "morse_ring": (list(ordinary[:top + 1]) == betti
+                       and not any(ordinary[top + 1:])),
+        "circle_series": list(circle) == list(accumulate(padded)),
+    }
+    agreement["all"] = all(agreement.values())
+    return Analysis(flats, components, p, counts, p_census, ordinary, circle,
+                    agreement)
+
+
+def polynomial_recurrence(pair: ModificationPair):
+    """The Morse recursion's P of the base, enlarged and extended setups of
+    a modification, and whether P_ext = P_base + q P_enl.
+
+    Extending by a circle adds one row whose flat structure interleaves the
+    base and enlarged ones, which gives the identity.  The pair comes from
+    ``torus.modify``, which has checked the circle.
+    """
+    base, enlarged, extended = (morse.poincare_morse(s.weights) for s in
+                                (pair.base, pair.enlarged, pair.extended))
+    return (base, enlarged, extended,
+            extended == base + PoincarePoly.monomial(1) * enlarged)
+
+
+def census_recurrence(pair: ModificationPair):
+    """The modification cases of the enlarged flats, the face counts of the
+    base, enlarged and extended setups at the levels the pair carries (see
+    ``torus.modify``), and whether every extended count is the base count
+    plus the enlarged counts at the same and the previous dimension.
+
+    The cases come first: ``morse.modification_cases`` raises if they do
+    not partition the flats.
+    """
+    cases = morse.modification_cases(pair)
+    counts = [arrangement.face_census(s)
+              for s in (pair.base, pair.enlarged, pair.extended)]
+    base, enlarged, extended = (dict(enumerate(c)) for c in counts)
+    holds = all(extended.get(k, 0) == base.get(k, 0) + enlarged.get(k, 0)
+                + enlarged.get(k - 1, 0)
+                for k in range(max(map(len, counts)) + 1))
+    return (cases, *counts, holds)

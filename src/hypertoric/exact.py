@@ -21,18 +21,19 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import NonZeroRemainder
+from .errors import InputError, NonZeroRemainder
 
 
 def as_rat(value) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    """Read an int, a string like ``"3/4"`` or a Fraction as an exact
+    rational; anything else, booleans included, raises InputError."""
+    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot read {value!r} as an exact rational; write it "
+                     "as an integer or a rational string like \"3/4\"")
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ round are one broadcast, s - [h; h/2] g, of shape (2, rows); only when
 some h/2 is below _MIN_STEP is that block cut down to the candidates
 tried.  Each round logs, for the states that moved, the step length,
 energy and gradient norm; the log is joined into one block every
-_LOG_BLOCK rounds and sorted by id once at the end.  A state's status and
-last state are written out when it finishes: the tail analysis reads step
-lengths and limits only, and the flow time serves the stop rule alone.
+_LOG_BLOCK rounds and sorted by id once at the end, one column at a time.
+A state's status and last state are written out when it finishes: the
+tail analysis reads step lengths and limits only, and the flow time serves
+the stop rule alone.
 """
 
 import math
@@ -173,10 +174,16 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         h[rows] = 2.0 * step
 
     # Regroup the log by row id; a stable sort keeps each row in step order.
-    logged, lengths, energies, norms = map(np.concatenate, zip(*blocks, *log))
+    # The columns are joined, sorted and released one at a time, so that
+    # only one of them is ever held twice.
+    columns = list(zip(*blocks, *log))
+    del blocks, log
+    logged = np.concatenate(columns.pop(0))
     order = np.argsort(logged, kind="stable")
-    lengths, energies, norms = lengths[order], energies[order], norms[order]
     samples = np.bincount(logged, minlength=count)
+    del logged
+    lengths, energies, norms = (np.concatenate(columns.pop(0))[order]
+                                for _ in range(3))
     ends = np.cumsum(samples)
     return [Trajectory(lengths[end - size:end], energies[end - size:end],
                        norms[end - size:end], last, _STATUSES[code])

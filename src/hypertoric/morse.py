@@ -95,22 +95,8 @@ def perfection_sum(weights) -> PoincarePoly:
 
 
 # ---------------------------------------------------------------------------
-# Modification along a circle: recursion and case analysis
+# Modification along a circle: case analysis
 # ---------------------------------------------------------------------------
-
-
-def modification_recurrence(pair: ModificationPair):
-    """Poincare polynomials (base, enlarged, extended) plus the identity check.
-
-    Extending by a circle adds one coordinate whose flat structure interleaves
-    the base and enlarged ones, giving P_ext = P_base + q * P_enl.  The pair
-    comes from ``torus.modify``, which has checked the circle.
-    """
-    p_base = poincare_morse(pair.base.weights)
-    p_enl = poincare_morse(pair.enlarged.weights)
-    p_ext = poincare_morse(pair.extended.weights)
-    ok = p_ext == p_base + PoincarePoly.monomial(1) * p_enl
-    return p_base, p_enl, p_ext, ok
 
 
 @dataclass(frozen=True)

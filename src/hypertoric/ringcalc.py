@@ -138,18 +138,11 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     return tuple(dims)
 
 
-def ring_dims(weights, max_degree=None) -> tuple:
-    """Quotient-ring dimensions for the ordinary presentation.
-
-    Defaults to two degrees past the top nonzero one, so vanishing beyond
-    the expected range is visible in the result.
-    """
-    weights = tuple(tuple(r) for r in weights)
-    n = len(weights)
+def ring_dims(weights) -> tuple:
+    """Quotient-ring dimensions for the ordinary presentation, to two
+    degrees past the top degree n − d, so that vanishing beyond it shows."""
     d = len(weights[0]) if weights else 0
-    if max_degree is None:
-        max_degree = n - d + 2
-    return hilbert_dims(cohomology_presentation(weights), max_degree)
+    return hilbert_dims(cohomology_presentation(weights), len(weights) - d + 2)
 
 
 def circle_dims(setup: TorusSetup) -> tuple:
@@ -162,19 +155,3 @@ def circle_dims(setup: TorusSetup) -> tuple:
     return hilbert_dims(circle_equivariant_presentation(setup),
                         setup.n - setup.dim + 3)
 
-
-def cumulative(coeffs, length) -> tuple:
-    """Running sums of a coefficient sequence, padded out to length."""
-    out = []
-    total = 0
-    for m in range(length):
-        total += coeffs[m] if m < len(coeffs) else 0
-        out.append(total)
-    return tuple(out)
-
-
-def matches_poincare(dims, poly, top) -> bool:
-    """Whether ring dimensions equal the coefficients of poly through degree
-    top (zero-padded) and vanish above it."""
-    padded = list(poly.coeffs) + [0] * (top + 1 - len(poly.coeffs))
-    return list(dims[:top + 1]) == padded and not any(dims[top + 1:])

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exact import CRat, PoincarePoly, as_rat
+from .exact import CRat, PoincarePoly
 from .torus import TorusSetup, new_setup
 
 
@@ -19,30 +19,8 @@ def rational_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(
-            f"floating-point literal {value!r} is not accepted for exact data; "
-            "write it as a rational string like \"3/4\"")
-    if isinstance(value, bool):
-        raise InputError(f"cannot read {value!r} as a rational number")
-    try:
-        return as_rat(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot read {value!r} as a rational number") from exc
-
-
 def complex_to_json(value: CRat) -> list:
     return [rational_to_str(value.re), rational_to_str(value.im)]
-
-
-def parse_complex(value) -> CRat:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise InputError(
-                "a complex level entry must be a value or a [re, im] pair")
-        return CRat(parse_rational(value[0]), parse_rational(value[1]))
-    return CRat(parse_rational(value))
 
 
 def setup_to_json(setup: TorusSetup) -> dict:
@@ -66,10 +44,6 @@ def setup_from_json(obj) -> TorusSetup:
     for name, value in (("alpha", alpha), ("beta", beta)):
         if value is not None and not isinstance(value, list):
             raise InputError(f"\"{name}\" must be a list with one entry per column")
-    if alpha is not None:
-        alpha = [parse_rational(a) for a in alpha]
-    if beta is not None:
-        beta = [parse_complex(b) for b in beta]
     unknown = set(obj) - {"weights", "alpha", "beta"}
     if unknown:
         raise InputError(f"unknown setup fields: {sorted(unknown)}")

@@ -51,13 +51,13 @@ class TorusSetup:
 
 
 def _as_crat(value) -> CRat:
-    """Coerce a complex level entry: CRat, (re, im) pair, or a real."""
+    """Read a complex level entry: a CRat, an [re, im] pair, or a real."""
     if isinstance(value, CRat):
         return value
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
-            raise DimensionMismatch(
-                "a complex level entry given as a pair needs exactly two parts")
+            raise InputError(
+                "a complex level entry must be a value or a [re, im] pair")
         return CRat(as_rat(value[0]), as_rat(value[1]))
     return CRat(as_rat(value))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from flow_reference import energy, grad, lojasiewicz_report
-from hypertoric.arrangement import census_poincare, face_census, modification_census
+from hypertoric.crosscheck import analyze, census_recurrence, polynomial_recurrence
 from hypertoric.flats import enumerate_flats
 from hypertoric.flowlab import (
     abelian_gradient_norm2,
@@ -28,12 +28,8 @@ from hypertoric.flowlab import (
     torus_rep,
 )
 from hypertoric.flowlab.reps import beta_vector, weights_matrix
-from hypertoric.morse import (
-    modification_cases,
-    modification_recurrence,
-    poincare_morse,
-)
-from hypertoric.ringcalc import circle_dims, cumulative, matches_poincare, ring_dims
+from hypertoric.morse import poincare_morse
+from hypertoric.ringcalc import cohomology_presentation, hilbert_dims
 from hypertoric.torus import (
     critical_level,
     derived_seed,
@@ -114,13 +110,11 @@ def test_criterion_1_triple_agreement():
     for weights in CATALOG:
         n, d = len(weights), len(weights[0]) if weights[0] else 0
         assert n <= 7 and d <= 3
-        poly = poincare_morse(weights)
-        dims = ring_dims(weights)
-        assert matches_poincare(dims, poly, n - d), weights
         for repeat in range(5):
             setup = sample_generic(weights, derived_seed("acc1", weights, repeat))
-            counts = face_census(setup)
-            assert census_poincare(counts) == poly, (weights, repeat)
+            agreement = analyze(setup).agreement
+            assert agreement["morse_census"], (weights, repeat)
+            assert agreement["morse_ring"], (weights, repeat)
     elapsed = time.time() - start
     assert elapsed < 120.0
     print(f"ACCEPTANCE 1 PASS: 20 setups x (morse = census x5 = hilbert), "
@@ -139,13 +133,12 @@ def test_criterion_3_modification_recurrences():
     for weights, column in MODIFICATION_PAIRS:
         setup = sample_generic(weights, derived_seed("acc3", weights, column))
         pair = modify(setup, column, seed=1)
-        _, _, _, poly_ok = modification_recurrence(pair)
+        *_, poly_ok = polynomial_recurrence(pair)
         assert poly_ok, (weights, column)
-        cases = modification_cases(pair)
+        cases, *_, census_ok = census_recurrence(pair)
         total = (len(cases.new_only) + len(cases.shared_both)
                  + len(cases.shared_extended))
         assert total == len(enumerate_flats(enlarged_weights(weights, column)))
-        _, _, _, census_ok = modification_census(pair)
         assert census_ok, (weights, column)
     print(f"ACCEPTANCE 3 PASS: {len(MODIFICATION_PAIRS)} modification pairs, "
           "polynomial + census recurrences, trichotomy zero violations")
@@ -154,13 +147,14 @@ def test_criterion_3_modification_recurrences():
 def test_criterion_4_ring_sanity():
     for weights in CATALOG:
         n, d = len(weights), len(weights[0]) if weights[0] else 0
-        dims = ring_dims(weights, max_degree=n - d + 3)
+        dims = hilbert_dims(cohomology_presentation(weights), n - d + 3)
         assert dims[0] == 1
         assert all(v == 0 for k, v in enumerate(dims) if k > n - d)
         setup = sample_generic(weights, derived_seed("acc4", weights))
-        circle = circle_dims(setup)
-        assert len(circle) == n - d + 4
-        assert circle == cumulative(dims, len(circle))
+        result = analyze(setup)
+        assert result.ordinary == dims[:-1]
+        assert len(result.circle) == n - d + 4
+        assert result.agreement["circle_series"], weights
     print("ACCEPTANCE 4 PASS: Hilbert tables vanish above top degree, "
           "constant term 1, circle series is the cumulative ordinary series")
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import exact
-from hypertoric.errors import NonZeroRemainder
+from hypertoric.errors import InputError, NonZeroRemainder
 from hypertoric.exact import (
     MODULUS,
     ONE_MINUS_Q,
@@ -63,8 +63,9 @@ class TestRat:
         assert as_rat(5) == Fraction(5)
 
     def test_as_rat_rejects_floats(self):
-        with pytest.raises(TypeError):
-            as_rat(0.5)
+        for value in (0.5, True, None, [1], "abc", "1/0"):
+            with pytest.raises(InputError, match="3/4"):
+                as_rat(value)
 
 
 class TestRankNullspace:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypertoric"
-EXACT_SIDE = ("exact", "flats", "torus", "morse", "arrangement", "ringcalc")
+EXACT_SIDE = ("exact", "flats", "torus", "morse", "arrangement", "ringcalc",
+              "crosscheck")
 FLOAT_TYPE = re.compile(r"(float|complex)\d*|c?(long)?double|single|half")
 
 

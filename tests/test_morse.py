@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from flat_reference import weight_configurations
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, RankDeficient
 from hypertoric.exact import ONE_MINUS_Q, PoincarePoly, int_rank
+from hypertoric.crosscheck import polynomial_recurrence
 from hypertoric.morse import (
     critical_components,
     modification_cases,
-    modification_recurrence,
     perfection_sum,
     poincare_morse,
 )
@@ -147,7 +147,7 @@ def pair_of(weights, circle):
 
 class TestModification:
     def test_recurrence_diagonal_circle(self):
-        p_base, p_enl, p_ext, ok = modification_recurrence(pair_of(DIAG2, (1, 0)))
+        p_base, p_enl, p_ext, ok = polynomial_recurrence(pair_of(DIAG2, (1, 0)))
         assert p_base.coeffs == (1, 1)
         assert p_enl.coeffs == (1,)
         assert p_ext.coeffs == (1, 2)
@@ -163,7 +163,7 @@ class TestModification:
             (((1,), (2,), (3,)), (0, 1, 1)),
         ]
         for weights, circle in pairs:
-            _, _, _, ok = modification_recurrence(pair_of(weights, circle))
+            *_, ok = polynomial_recurrence(pair_of(weights, circle))
             assert ok, (weights, circle)
 
     def test_recurrence_rejects_spanned_circle(self):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from hypertoric.crosscheck import analyze
 from hypertoric.errors import NonGenericAlpha
 from hypertoric.flats import coatoms, enumerate_flats
 from hypertoric.morse import poincare_morse
@@ -9,7 +10,6 @@ from hypertoric.ringcalc import (
     circle_dims,
     circle_equivariant_presentation,
     cohomology_presentation,
-    cumulative,
     hilbert_dims,
     ring_dims,
 )
@@ -127,14 +127,14 @@ class TestDims:
             assert all(x == 0 for x in dims[n - d + 1:]), weights
 
     def test_custom_degree(self):
-        assert ring_dims(DIAG2, max_degree=5) == (1, 1, 0, 0, 0, 0)
+        assert hilbert_dims(cohomology_presentation(DIAG2), 5) == (1, 1, 0, 0, 0, 0)
 
     def test_padded_degrees_equal_every_degree(self):
         for weights in [DIAG2, TRIPLE, ((1,), (2,), (3,)),
                         ((1, 0), (0, 1), (1, 1), (1, -1))]:
             top = len(weights) - len(weights[0])
-            dims = ring_dims(weights, max_degree=top + 6)
             pres = cohomology_presentation(weights)
+            dims = hilbert_dims(pres, top + 6)
             assert dims == tuple(quotient_dim(pres, m) for m in range(top + 7))
             assert dims[top + 1:] == (0,) * 6
 
@@ -152,10 +152,8 @@ class TestCircleDims:
 
     def test_equals_cumulative_ordinary(self):
         for weights in [DIAG2, TRIPLE, ((1,), (1,), (1,))]:
-            s = sample_generic(weights, seed=2)
-            n, d = s.n, s.dim
-            want = cumulative(poincare_morse(weights).coeffs, n - d + 4)
-            assert circle_dims(s) == want, weights
+            agreement = analyze(sample_generic(weights, seed=2)).agreement
+            assert agreement["morse_ring"] and agreement["circle_series"], weights
 
     @settings(max_examples=40, deadline=None)
     @given(generic_setups())
@@ -177,12 +175,6 @@ class TestCircleDims:
         assert circle == reference_dims(circle_pres, top + 3)
         assert circle == reference_dims(
             reference_circle_presentation(setup), top + 3)
-
-
-class TestCumulative:
-    def test_padding(self):
-        assert cumulative((1, 2), 5) == (1, 3, 3, 3, 3)
-        assert cumulative((), 3) == (0, 0, 0)
 
 
 class TestHilbertEdgeCases:

@@ -12,10 +12,8 @@ pins in ``test_torus.py`` check with C B = 0.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypertoric.arrangement import census_poincare, face_census
+from hypertoric.crosscheck import analyze
 from hypertoric.exact import int_rank
-from hypertoric.morse import poincare_morse
-from hypertoric.ringcalc import circle_dims, cumulative, matches_poincare, ring_dims
 from hypertoric.torus import sample_generic
 
 
@@ -32,8 +30,5 @@ def generic_setups(draw):
 @settings(max_examples=150, deadline=None)
 @given(generic_setups())
 def test_census_recursion_and_rings_agree(setup):
-    top = setup.n - setup.dim
-    p = poincare_morse(setup.weights)
-    assert census_poincare(face_census(setup)) == p
-    assert matches_poincare(ring_dims(setup.weights), p, top)
-    assert circle_dims(setup) == cumulative(p.coeffs, top + 4)
+    assert analyze(setup).agreement == {"morse_census": True, "morse_ring": True,
+                                        "circle_series": True, "all": True}

@@ -2,7 +2,8 @@
 
 ``arrangement`` (the census), ``morse`` (the recursion) and ``ringcalc``
 (the ring) share inputs through ``exact``, ``flats`` and ``torus``, but no
-route module imports another, so none can read another's answer.
+route module imports another, so none can read another's answer.  Only
+``crosscheck``, which compares the answers, imports more than one route.
 ``perfbench/oracle.py`` imports no module of the package at all.  Both are
 read from the syntax trees; nothing is imported or run.
 """
@@ -45,6 +46,18 @@ def test_no_route_imports_another(route):
     names = set(imported_modules(tree))
     assert [other for other in ROUTES
             if other != route and reads_module(names, f"hypertoric.{other}")] == []
+
+
+def test_only_crosscheck_imports_two_routes():
+    readers = set()
+    for path in PACKAGE.rglob("*.py"):
+        module = path.relative_to(PACKAGE).with_suffix("")
+        package = ".".join(("hypertoric", *module.parent.parts))
+        names = set(imported_modules(ast.parse(path.read_text(encoding="utf-8")),
+                                     package))
+        if sum(reads_module(names, f"hypertoric.{r}") for r in ROUTES) >= 2:
+            readers.add(module.as_posix())
+    assert readers == {"crosscheck"}
 
 
 def test_oracle_imports_no_package_module():
