@@ -1,11 +1,12 @@
-"""Bounded-face census of the Gale-dual affine hyperplane arrangement.
+"""Bounded-face census of the coordinate hyperplanes in {z : B^T z = alpha}.
 
-The census works from the vertices of the arrangement.  Each vertex is
-solved once, in integer arithmetic; the faces that have it as their lowest
-or highest point under a fixed lexicographic order are then read off as sign
-vectors, with no feasibility test.  A face is bounded exactly when it is the
-lowest-point face of one vertex and the highest-point face of another, so
-the counts are exact and reproducible.
+The arrangement lives in the affine space {z in R^n : B^T z = alpha}, cut by
+the hyperplanes z_j = 0.  The census works from its vertices.  Each vertex
+is solved once, in integer arithmetic; the faces that have it as their
+lowest or highest point under a fixed lexicographic order are then read off
+as sign vectors, with no feasibility test.  A face is bounded exactly when
+it is the lowest-point face of one vertex and the highest-point face of
+another, so the counts are exact and reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import lcm
 
 from .errors import InvariantViolation, NonGenericAlpha
 from .exact import PoincarePoly, int_solve
-from .torus import TorusSetup, alpha_witness, gale_of
+from .torus import TorusSetup, alpha_witness
 
 
 def _submasks(mask) -> list:
@@ -29,81 +30,80 @@ def _submasks(mask) -> list:
 
 
 def face_census(setup: TorusSetup) -> tuple:
-    """Bounded face counts (d_0, ..., d_m) of the dual arrangement.
+    """Bounded face counts (d_0, ..., d_m) of the arrangement, m = n - d.
 
     Requires a generic alpha and raises NonGenericAlpha otherwise: a generic
     alpha makes the arrangement simple (see ``torus.alpha_witness``).
 
-    A face is a nonempty set of points with one sign vector (covector)
-    against the hyperplanes a_j . y = b_j.  A vertex is an independent
-    m-subset S of normals; with A_S the matrix of those rows, it is the point
-    v = A_S^-1 b_S, and the columns d_i of A_S^-1 (a_i . d_i = 1, a_s . d_i
-    = 0 for s != i) are its edge directions.  Simplicity puts no other
-    hyperplane through v, so near v the faces are exactly v + sum t_i d_i
-    with the signs of t_i on S free and the signs of v off S.  Order R^m
-    lexicographically (a generic functional, positive on a vector whose first
-    nonzero entry is positive; no edge is level) and let u_i be the sign of
-    d_i under it.  The face of K within S is lower at v when its edges at v
-    are u_i d_i for i in K, and upper when they are -u_i d_i.
+    The arrangement is the affine space A = {z : B^T z = alpha} of dimension
+    m, cut by the hyperplanes z_j = 0.  A face is a nonempty set of points
+    of A with one sign vector (covector) of z.  A vertex is a basis T of d
+    rows: z = 0 off T and z_T = (B_T^T)^-1 alpha.  For each row i off T the
+    vector e_i with e_i = 1 at i, e_T = -(B_T^T)^-1 b_i and zero elsewhere
+    lies in ker B^T, and these m vectors are the edge directions at the
+    vertex v.  Simplicity puts no other hyperplane through v (z_T has no
+    zero entry), so near v the faces are exactly v + sum t_i e_i with the
+    signs of t_i off T free and the signs of z_T fixed.  Order R^n
+    lexicographically (positive on a vector whose first nonzero entry is
+    positive), which orders the directions of A; no edge is level, since an
+    edge direction is nonzero.  Let u_i be the sign of e_i under it: the
+    sign of its first nonzero entry, which is at a row of T before i or else
+    e_i = 1.  The face of K, a set of rows off T, is lower at v when its
+    edges at v are u_i e_i for i in K, and upper when they are -u_i e_i.
 
-    1. Every face has a vertex in its closure: the normals span R^m, so the
-       closure of a face is a polyhedron with no line.
-    2. A polyhedron with a vertex is bounded iff the functional attains both
-       its minimum and its maximum on it: an unbounded one has a nonzero
-       recession direction r, a generic functional f has f(r) != 0, and
-       along x + t r (t >= 0) it has no maximum if f(r) > 0 and no minimum
-       if f(r) < 0.
-    3. v is the minimum of a face F whose closure contains v iff every edge
-       of F at v goes up: near v the closure is the cone v + cone(edges),
-       and a local minimum of a linear function on a convex set is global.
-       The maximum is the same statement with every edge going down.
+    1. Every face has a vertex in its closure: the closure of a face fixes
+       the sign of every coordinate z_j, so a line in it would keep every
+       z_j constant, and it is a polyhedron with no line.
+    2. A polyhedron with a vertex is bounded iff the order has both a least
+       and a greatest point on it: an unbounded one has a nonzero recession
+       direction r, r is positive or negative, and along x + t r (t >= 0)
+       there is no greatest point if r > 0 and no least point if r < 0.
+    3. v is the least point of a face F whose closure contains v iff every
+       edge of F at v is positive: near v the closure is the cone
+       v + cone(edges), a sum of positive vectors is positive, and any
+       point x of the closure has x - v in that cone, by convexity.  The
+       greatest point is the same statement with every edge negative.
 
     So every bounded k-face is the lower face of exactly one vertex and the
     upper face of exactly one vertex, every other face is at most one of the
     two, and d_k counts the upper covectors of dimension k that also occur
     as lower covectors.  A covector is one int: the plus bitmask, then the
-    minus bitmask shifted by n; its dimension is its bit count less n - m.
+    minus bitmask shifted by n; its dimension is its bit count less d.
     Only the lower keys are stored; the upper ones are tested as made.
     """
     if (witness := alpha_witness(setup)) is not None:
         raise NonGenericAlpha(witness)
-    gale = gale_of(setup)
-    m = setup.ambient_dim
+    weights = setup.weights
     n = setup.n
-    normals = gale.normals
-    offsets = gale.offsets
-    # Scaling every offset by one positive integer scales the arrangement.
-    scale = lcm(*(off.denominator for off in offsets))
-    offsets = [int(off * scale) for off in offsets]
+    d = setup.dim
+    # Scaling alpha by one positive integer scales the arrangement.
+    scale = lcm(*(a.denominator for a in setup.alpha))
+    level = [int(a * scale) for a in setup.alpha]
     lower = set()
     vertices = []
-    for support in combinations(range(n), m):
+    for basis in combinations(range(n), d):
+        rest = [i for i in range(n) if i not in basis]
         solved = int_solve(
-            [normals[i] for i in support],
-            [[int(r == c) for c in range(m)] + [offsets[i]]
-             for r, i in enumerate(support)])
+            [[weights[t][k] for t in basis] for k in range(d)],
+            [[a] + [weights[i][k] for i in rest] for k, a in enumerate(level)])
         if solved is None:
             continue
-        det, inv = solved  # rows: det * A_S^-1, then det * v
-        point = [row[m] for row in inv]
+        det, x = solved  # row of t: det scale z_t, then det ((B_T^T)^-1 b_i)_t
         orient = 1 if det > 0 else -1
         plus = minus = 0
-        for j in range(n):
-            if j in support:
-                continue
-            side = orient * (sum(a * y for a, y in zip(normals[j], point))
-                             - det * offsets[j])
-            if side > 0:
-                plus |= 1 << j
-            elif side < 0:
-                minus |= 1 << j
+        for t, row in zip(basis, x):
+            if orient * row[0] > 0:
+                plus |= 1 << t
+            elif row[0]:
+                minus |= 1 << t
             else:
                 raise InvariantViolation(
-                    f"hyperplane {j + 1} passes through the vertex of "
-                    f"{tuple(i + 1 for i in support)}")
+                    f"hyperplane {t + 1} passes through the vertex of "
+                    f"{tuple(b + 1 for b in basis)}")
         up = down = 0
-        for col, i in enumerate(support):
-            lead = next(row[col] for row in inv if row[col])
+        for col, i in enumerate(rest, 1):
+            lead = next((-row[col] for t, row in zip(basis, x)
+                         if t < i and row[col]), det)
             if orient * lead > 0:
                 up |= 1 << i
             else:
@@ -112,10 +112,10 @@ def face_census(setup: TorusSetup) -> tuple:
         lower.update([base | s for s in _submasks(up | down << n)])
         vertices.append((base, down | up << n))
 
-    counts = [0] * (m + 1)
+    counts = [0] * (n - d + 1)
     for base, upper in vertices:
         for key in lower.intersection([base | s for s in _submasks(upper)]):
-            counts[key.bit_count() - (n - m)] += 1
+            counts[key.bit_count() - d] += 1
     return tuple(counts)
 
 

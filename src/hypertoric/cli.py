@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
     report = {
         "setup": setup_to_json(setup),
         "sampled_generic": sampled,
-        "flats": [flat_to_json(f) for f in result.flats],
+        "flats": [flat_to_json(c.flat) for c in result.components],
         "morse": {
             "poincare": poly_to_json(result.poincare),
             "components": [

@@ -12,7 +12,6 @@ from itertools import accumulate
 
 from . import arrangement, morse, ringcalc
 from .exact import PoincarePoly
-from .flats import enumerate_flats
 from .torus import ModificationPair, TorusSetup
 
 
@@ -21,8 +20,7 @@ class Analysis:
     """Every route's answer for one setup, and the agreement flags
     morse_census, morse_ring, circle_series and all, in that order."""
 
-    flats: tuple
-    components: tuple               # morse.CriticalComponent, one per flat
+    components: tuple               # morse.CriticalComponent per flat, in order
     poincare: PoincarePoly          # the Morse recursion's P
     counts: tuple                   # bounded face counts d_0, ..., d_m
     census_poincare: PoincarePoly
@@ -40,7 +38,6 @@ def analyze(setup: TorusSetup) -> Analysis:
     circle-equivariant dims are the running sums of the ordinary dims,
     padded with zeros.
     """
-    flats = enumerate_flats(setup.weights)
     components = morse.critical_components(setup)
     p = morse.poincare_morse(setup.weights)
     counts = arrangement.face_census(setup)
@@ -58,8 +55,7 @@ def analyze(setup: TorusSetup) -> Analysis:
         "circle_series": list(circle) == list(accumulate(padded)),
     }
     agreement["all"] = all(agreement.values())
-    return Analysis(flats, components, p, counts, p_census, ordinary, circle,
-                    agreement)
+    return Analysis(components, p, counts, p_census, ordinary, circle, agreement)
 
 
 def polynomial_recurrence(pair: ModificationPair):

@@ -1,4 +1,4 @@
-"""Subtorus data: weights, induced metric, Gale duals, genericity, modification.
+"""Subtorus data: weights, induced metric, genericity, modification.
 
 A setup is an integer N x d weight matrix B of full column rank together with
 a real level alpha (d rationals) and a complex level beta (d exact complex
@@ -46,7 +46,7 @@ class TorusSetup:
 
     @property
     def ambient_dim(self) -> int:
-        """Dimension of the Gale-dual affine arrangement."""
+        """Dimension n - d of the level set {z : B^T z = alpha} in R^n."""
         return self.n - self.dim
 
 
@@ -100,7 +100,7 @@ def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
 
 
 # ---------------------------------------------------------------------------
-# Metric and Gale duality
+# Metric and walls
 # ---------------------------------------------------------------------------
 
 
@@ -143,54 +143,6 @@ def _independent(rows) -> list:
         if int_rank([rows[j] for j in picked] + [row], len(row)) > len(picked):
             picked.append(i)
     return picked
-
-
-@dataclass(frozen=True)
-class GaleData:
-    """Kernel matrix C (rows) with C B = 0, plus arrangement offsets.
-
-    Hyperplane j of the dual arrangement is {y : <normal_j, y> = offset_j},
-    where normal_j is column j of C.  Offsets solve B^T offsets = alpha; the
-    choice of solution only translates the arrangement.  The rows of C are
-    a basis of ker B^T over Q, not of its integer lattice: another basis TC,
-    T invertible, changes the coordinates y by T^T and no face count.
-    """
-
-    cmatrix: tuple  # (N - d) integer rows of length N
-    normals: tuple  # N columns, each a tuple of (N - d) ints
-    offsets: tuple  # N rationals
-
-
-@lru_cache(maxsize=None)
-def _gale(weights, alpha) -> GaleData:
-    """One fraction-free solve gives C and the offsets.  With I the first d
-    independent rows of B and F the others, int_solve returns det and
-    X = det (B_I^T)^-1 [B_F^T | alpha].  Kernel row f of C is det at f and
-    -X[:, f] on I, since B_F^T det e_f = B_I^T X[:, f].  The offsets are
-    X[:, alpha] / det on I and zero off it."""
-    n = len(weights)
-    pivots = _independent(weights)
-    free = [j for j in range(n) if j not in pivots]
-    scale, level = _integral(alpha)
-    det, x = int_solve([[weights[i][k] for i in pivots] for k in range(len(alpha))],
-                       [[weights[f][k] for f in free] + [a]
-                        for k, a in enumerate(level)])
-    cmatrix = []
-    for col, f in enumerate(free):
-        row = [0] * n
-        row[f] = det
-        for i, xr in zip(pivots, x):
-            row[i] = -xr[col]
-        cmatrix.append(tuple(row))
-    normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
-    offsets = [Fraction(0)] * n
-    for i, row in zip(pivots, x):
-        offsets[i] = Fraction(row[-1], det * scale)
-    return GaleData(tuple(cmatrix), normals, tuple(offsets))
-
-
-def gale_of(setup: TorusSetup) -> GaleData:
-    return _gale(setup.weights, setup.alpha)
 
 
 @dataclass(frozen=True)
@@ -305,17 +257,19 @@ def alpha_witness(setup: TorusSetup):
     """First failing condition for alpha-genericity, or None.
 
     The condition is <alpha_J, u_i> != 0 for every proper flat J and row i
-    outside it.  It implies that the Gale-dual arrangement is simple, which
-    is all the face census needs.  By Gale duality, with y a point of the
-    arrangement and z = offsets - C^T y, hyperplanes S share a point exactly
+    outside it.  It implies that the census's arrangement, the level set
+    A = {z : B^T z = alpha} cut by the hyperplanes z_j = 0, is simple, which
+    is all the face census needs.  Hyperplanes S share a point of A exactly
     when alpha = B^T z for some z vanishing on S, that is when alpha lies in
-    the span of the rows outside S; their normals (columns of C) are
-    dependent exactly when those rows span a proper subspace.  The closure
-    J of those rows is then a proper flat with alpha in span(J), so alpha_J
-    = 0 pairs to zero with every row outside J, and the loop below has
-    already returned a pairing witness.  A zero normal j is the case S =
-    {j}: row j is then outside the span of the others, and a zero offset
-    puts alpha in that span.
+    the span of the rows outside S.  They are dependent on A exactly when
+    some nonzero c supported on S is orthogonal to ker B^T, that is c = B w
+    for a w != 0 orthogonal to every row outside S, so when those rows span
+    a proper subspace.  The closure J of those rows is then a proper flat
+    with alpha in span(J), so alpha_J = 0 pairs to zero with every row
+    outside J, and the loop below has already returned a pairing witness.
+    A coordinate z_j constant on A is the case S = {j}: row j is then
+    outside the span of the others, and a hyperplane z_j = 0 filling A puts
+    alpha in that span.
     """
     return _alpha_witness(setup.weights, setup.alpha)
 
@@ -442,7 +396,7 @@ def require_new_circle(weights, circle) -> tuple:
             f"circle has {len(circle)} entries, weights have {len(weights)} rows")
     d = len(weights[0]) if weights else 0
     wide = enlarged_weights(weights, circle)
-    if weights and int_rank(wide, d + 1) != d + 1:
+    if int_rank(wide, d + 1) != d + 1:
         raise CircleInsideTorus(
             "circle weight column lies in the span of the existing weights")
     return circle

@@ -1,10 +1,12 @@
 """Reference face census by integer Fourier-Motzkin elimination.
 
 This is the census the package used before it counted faces from vertices.
-It walks supports (independent subsets of normals), grows the sign vectors
-of the arrangement induced on each support's intersection one hyperplane at
-a time, discards infeasible prefixes, and keeps the cells whose recession
-cone is pointed.  The tests compare the vertex census against it.
+It reads the Gale-dual arrangement of ``metric_reference.gale``, where the
+vertex census reads the coordinates z of R^n.  It walks supports
+(independent subsets of normals), grows the sign vectors of the arrangement
+induced on each support's intersection one hyperplane at a time, discards
+infeasible prefixes, and keeps the cells whose recession cone is pointed.
+The tests compare the vertex census against it.
 
 Constraints are triples (coeffs, const, strict), meaning coeffs . y + const
 > 0 when strict and >= 0 otherwise.
@@ -15,8 +17,8 @@ from math import gcd
 
 from hypertoric.errors import InvariantViolation, NonGenericAlpha
 from hypertoric.exact import int_rank
-from hypertoric.torus import alpha_witness, gale_of
-from metric_reference import nullspace, solve_exact
+from hypertoric.torus import alpha_witness
+from metric_reference import gale, nullspace, solve_exact
 
 
 def _normalize(coeffs, const, strict):
@@ -138,11 +140,9 @@ def fm_face_census(setup) -> tuple:
     non-generic alpha raises NonGenericAlpha, as the vertex census does."""
     if (witness := alpha_witness(setup)) is not None:
         raise NonGenericAlpha(witness)
-    gale = gale_of(setup)
     m = setup.ambient_dim
     n = setup.n
-    normals = gale.normals
-    offsets = gale.offsets
+    normals, offsets = gale(setup.weights, setup.alpha)
 
     counts = [0] * (m + 1)
     for size in range(m + 1):

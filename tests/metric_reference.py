@@ -1,19 +1,20 @@
-"""Reference dual metric, residual maps and Gale offsets in Fraction arithmetic.
+"""Reference dual metric, residual maps and Gale duals in Fraction arithmetic.
 
 This is the linear algebra the package used before it solved every exact
 system fraction-free on integer rows: Gauss–Jordan elimination on Fraction
 entries (``solve_exact``), the inverse Gram matrix (B^T B)^{-1} as Fraction
 rows, and the residual map solved one unit covector at a time.  The tests
-compare ``torus.metric_of``, the wall table ``torus.walls_of``, every
-witness, sign split and critical level read off it, and ``torus._gale``
-against it, and the FM census takes
-its vertex solves and support kernels from here.  The kernels come from a
-Fraction reduced row echelon form (``nullspace``), so ``torus._gale`` is
-compared with it by row space.
+compare ``torus.metric_of``, the wall table ``torus.walls_of``, and every
+witness, sign split and critical level read off it, against it.  The Gale
+dual (``gale``) is the arrangement the face census used to read, built
+from a Fraction reduced row echelon form (``nullspace``).  The FM census
+takes its hyperplanes, vertex solves and support kernels from here, and the
+subset search of the genericity tests its hyperplanes.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 
 def solve_exact(rows, rhs):
@@ -143,11 +144,15 @@ def critical_level(weights, beta, subset) -> Fraction:
 
 
 def gale(weights, alpha) -> tuple:
-    """(cmatrix, normals, offsets): the RREF kernel basis of B^T and the
-    offsets that ``solve_exact`` picks for B^T offsets = alpha."""
+    """(normals, offsets) of the Gale-dual arrangement: normal j is column j
+    of the RREF kernel basis C of B^T, each row scaled to integers, and the
+    offsets are those ``solve_exact`` picks for B^T offsets = alpha.
+    Hyperplane j is {y : normal_j . y = offset_j}; with z = offsets - C^T y
+    it is the hyperplane z_j = 0 of {z : B^T z = alpha}."""
     n = len(weights)
-    cmatrix = tuple(nullspace(list(zip(*weights)), n))
+    cmatrix = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+               for row in nullspace(list(zip(*weights)), n)]
     normals = tuple(tuple(row[j] for row in cmatrix) for j in range(n))
     if not alpha:
-        return cmatrix, normals, (Fraction(0),) * n
-    return cmatrix, normals, solve_exact(list(zip(*weights)), alpha)
+        return normals, (Fraction(0),) * n
+    return normals, solve_exact(list(zip(*weights)), alpha)

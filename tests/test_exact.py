@@ -40,9 +40,8 @@ def identity(n):
 
 def solve_kernel(rows, ncols, pivots):
     """Kernel rows of integer rows whose columns at pivots form a nonsingular
-    square block, from one int_solve as torus._gale builds C: with X = det
-    A_pivots^-1 A_free, the row for free column f is det at f and -X[:, f]
-    on the pivots."""
+    square block, from one int_solve: with X = det A_pivots^-1 A_free, the
+    row for free column f is det at f and -X[:, f] on the pivots."""
     free = [f for f in range(ncols) if f not in pivots]
     det, x = int_solve([[row[c] for c in pivots] for row in rows],
                        [[row[f] for f in free] for row in rows])

@@ -23,7 +23,6 @@ from hypertoric.torus import (
     alpha_witness,
     beta_witness,
     critical_level,
-    gale_of,
     new_setup,
     require_generic,
     sample_generic,
@@ -31,6 +30,7 @@ from hypertoric.torus import (
     walls_of,
 )
 from metric_reference import (
+    gale,
     gram_inverse,
     matmul,
     pairing,
@@ -290,14 +290,14 @@ def test_pairing_conditions_imply_a_simple_arrangement(setup):
     # zero offset (a hyperplane filling the space).
     witness = alpha_witness(setup)
     assert witness is None or witness[0] == "pairing"
-    gale = gale_of(setup)
+    normals, offsets = gale(setup.weights, setup.alpha)
     coatom = reference_simplicity_witness(setup.weights, setup.alpha)
-    assert coatom == subset_search_witness(gale.normals, gale.offsets,
+    assert coatom == subset_search_witness(normals, offsets,
                                            setup.ambient_dim + 1)
     if witness is None:
         assert coatom is None
         assert all(any(normal) or offset for normal, offset
-                   in zip(gale.normals, gale.offsets))
+                   in zip(normals, offsets))
 
 
 @PROPS

@@ -1,12 +1,9 @@
 """The three exact routes agree on random generic setups.
 
 Weights have n <= 7 nonzero rows of width d <= 3 with entries in [-2, 2];
-levels come from ``sample_generic``.  The census reads only the Gale data,
-the recursion only the flat lattice and the ring only its presentation.
-The face counts depend only on the matroid of the Gale normals, so this
-checks that ``torus._gale`` gives the matroid dual to the weights' without
-a reference basis; it cannot see a rescaled or negated normal, which the
-pins in ``test_torus.py`` check with C B = 0.
+levels come from ``sample_generic``.  The census reads only the weights and
+alpha, the recursion only the flat lattice and the ring only its
+presentation.
 """
 
 from hypothesis import assume, given, settings

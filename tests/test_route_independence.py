@@ -4,7 +4,8 @@
 (the ring) share inputs through ``exact``, ``flats`` and ``torus``, but no
 route module imports another, so none can read another's answer.  Only
 ``crosscheck``, which compares the answers, imports more than one route.
-``perfbench/oracle.py`` imports no module of the package at all.  Both are
+``perfbench/oracle.py`` imports no module of the package at all, and no
+module of the package imports another's single-underscore name.  All are
 read from the syntax trees; nothing is imported or run.
 """
 
@@ -40,6 +41,23 @@ def reads_module(names, module) -> bool:
     return any(name == module or name.startswith(module + ".") for name in names)
 
 
+def package_imports():
+    """(module, the names it imports) for every module of the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).with_suffix("")
+        package = ".".join(("hypertoric", *module.parent.parts))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield module.as_posix(), set(imported_modules(tree, package))
+
+
+def is_private_import(name) -> bool:
+    """Whether a dotted import name is a single-underscore name of the
+    package."""
+    head, _, last = name.rpartition(".")
+    return (reads_module({head}, "hypertoric") and last.startswith("_")
+            and not last.startswith("__"))
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_no_route_imports_another(route):
     tree = ast.parse((PACKAGE / f"{route}.py").read_text(encoding="utf-8"))
@@ -49,15 +67,28 @@ def test_no_route_imports_another(route):
 
 
 def test_only_crosscheck_imports_two_routes():
-    readers = set()
-    for path in PACKAGE.rglob("*.py"):
-        module = path.relative_to(PACKAGE).with_suffix("")
-        package = ".".join(("hypertoric", *module.parent.parts))
-        names = set(imported_modules(ast.parse(path.read_text(encoding="utf-8")),
-                                     package))
-        if sum(reads_module(names, f"hypertoric.{r}") for r in ROUTES) >= 2:
-            readers.add(module.as_posix())
+    readers = {module for module, names in package_imports()
+               if sum(reads_module(names, f"hypertoric.{r}") for r in ROUTES) >= 2}
     assert readers == {"crosscheck"}
+
+
+def test_no_module_imports_a_private_name():
+    # A helper named with one leading underscore stays inside its module.
+    assert {module: sorted(filter(is_private_import, names))
+            for module, names in package_imports()
+            if any(map(is_private_import, names))} == {}
+
+
+@pytest.mark.parametrize("source, private", [
+    ("from .torus import _integral", True),
+    ("from hypertoric.exact import _reduce_mod_p", True),
+    ("def f():\n    from . import _helpers", True),
+    ("from .torus import walls_of", False),
+    ("from . import __version__", False),
+    ("from numpy import _core", False),
+])
+def test_is_private_import_reads_each_form(source, private):
+    assert any(map(is_private_import, imported_modules(ast.parse(source)))) == private
 
 
 def test_oracle_imports_no_package_module():

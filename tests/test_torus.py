@@ -22,7 +22,6 @@ from hypertoric.torus import (
     derived_seed,
     enlarged_weights,
     extended_weights,
-    gale_of,
     metric_of,
     modify,
     new_setup,
@@ -40,17 +39,6 @@ def pairing(weights, flat, vec, i):
     """<R_J vec, u_i> read off the wall of row i outside the flat J."""
     entry = walls_of(weights)[flat]
     return Fraction(sum(map(mul, dict(entry.walls)[i], vec)), entry.denom)
-
-
-def assert_kernel_basis(gale, weights):
-    """C B = 0, C has n - d rows of rank n - d, and the normals are the
-    columns of C."""
-    n, d = len(weights), len(weights[0])
-    c = gale.cmatrix
-    assert all(sum(row[j] * weights[j][k] for j in range(n)) == 0
-               for row in c for k in range(d))
-    assert len(c) == n - d and int_rank(c, n) == n - d
-    assert gale.normals == tuple(tuple(row[j] for row in c) for j in range(n))
 
 
 class TestNewSetup:
@@ -98,31 +86,6 @@ class TestMetricGale:
         # G = [[2, 1], [1, 2]], G^-1 = [[2/3, -1/3], [-1/3, 2/3]]
         assert m.adj == ((2, -1), (-1, 2))
         assert m.det == 3
-
-    def test_gale_diagonal_circle(self):
-        s = new_setup(DIAG2, [1])
-        g = gale_of(s)
-        assert_kernel_basis(g, s.weights)
-        assert g.offsets == (Fraction(1), Fraction(0))
-
-    def test_gale_kernel_annihilates_weights(self):
-        s = new_setup(((1,), (1,), (1,)), [2])
-        g = gale_of(s)
-        assert_kernel_basis(g, s.weights)
-        assert g.offsets == (Fraction(2), Fraction(0), Fraction(0))
-
-    def test_gale_square_case_has_empty_normals(self):
-        s = new_setup(((1, 0), (0, 1)), [1, 2])
-        g = gale_of(s)
-        assert g.cmatrix == ()
-        assert g.normals == ((), ())
-        assert g.offsets == (Fraction(1), Fraction(2))
-
-    def test_gale_trivial_torus_is_coordinate_arrangement(self):
-        s = new_setup(((), ()), [], [])
-        g = gale_of(s)
-        assert_kernel_basis(g, s.weights)
-        assert g.offsets == (Fraction(0), Fraction(0))
 
     def test_pairing(self):
         # on the empty flat the residual is the identity: plain pairings
@@ -269,6 +232,9 @@ class TestModification:
         s = sample_generic(DIAG2, seed=1)
         with pytest.raises(CircleInsideTorus):
             modify(s, (2, 2))
+        # With no rows the circle column is empty: rank 0, not 1.
+        with pytest.raises(CircleInsideTorus):
+            modify(new_setup(()), ())
 
     def test_bad_circle_rejected(self):
         s = sample_generic(DIAG2, seed=1)
@@ -300,11 +266,6 @@ def test_metric_and_residuals_equal_the_fraction_reference(setup):
     gi = ref.gram_inverse(w)
     assert metric.det > 0
     assert [[Fraction(x, metric.det) for x in row] for row in metric.adj] == gi
-    gale = gale_of(setup)
-    cmatrix, _, offsets = ref.gale(w, setup.alpha)
-    assert_kernel_basis(gale, w)
-    assert ref.rref(gale.cmatrix, setup.n) == ref.rref(cmatrix, setup.n)
-    assert gale.offsets == offsets
     table = walls_of(w)
     assert list(table) == list(enumerate_flats(w))
     for f, entry in table.items():
