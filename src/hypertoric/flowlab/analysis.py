@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import InputError, NonFiniteState
-from ..torus import critical_level, walls_of
+from ..torus import critical_levels
 from .flow import STATUS_CONVERGED, Trajectory, descend
 from .moments import flow_objective, hk_components, pack_state, unpack_state
 from .reps import GroupRep, gaussian_state, random_state, torus_rep
@@ -113,27 +113,23 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     return reports
 
 
-def _match_limit(setup, traj: Trajectory, levels: dict, tol_f: float = 1e-6):
+def _match_limit(setup, traj: Trajectory, levels, tol_f: float = 1e-6):
     """Match a converged holomorphic-energy limit to a flat of the setup.
 
     The candidate index set collects the coordinates whose base and fiber
     sizes both vanished; its complement must be a flat whose critical
-    level agrees with the limit energy within ``tol_f``.  Returns the flat
-    with its critical level as a float, or None when the limit is
-    unresolved.  ``levels`` caches the levels of the flats met so far.
+    level, in ``levels`` (``critical_levels(setup)``), agrees with the limit
+    energy within ``tol_f``.  Returns the flat with its critical level as a
+    float, or None when the limit is unresolved.
     """
     n = setup.n
     x, y = unpack_state(traj.final, n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
-    if flat not in walls_of(setup.weights):  # keyed by exactly the flats
+    level = levels.get(flat)  # keyed by exactly the flats
+    if level is None or abs(traj.f_limit - float(level)) >= tol_f:
         return None
-    level = levels.get(flat)
-    if level is None:
-        level = levels[flat] = float(critical_level(setup, flat))
-    if abs(traj.f_limit - level) >= tol_f:
-        return None
-    return flat, level
+    return flat, float(level)
 
 
 def _blocks(count: int):
@@ -172,6 +168,7 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
         raise InputError(f"the flow-time budget must be positive, got {max_time}")
     trep = torus_rep(setup)
     objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+    levels = critical_levels(setup) if function == "muC2" else None
     records = []
     # Overflow to inf is expected near the float range: a descent rejects
     # such trial steps and raises on such starts, and an infinite size still
@@ -187,9 +184,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             except NonFiniteState as exc:
                 raise InputError(f"{exc}: radius {radius} or the setup is too "
                                  "large for floating point") from exc
-            levels = {}   # each distinct flat's critical level, once per block
             matches = [_match_limit(setup, traj, levels)
-                       if function == "muC2" and traj.status == STATUS_CONVERGED
+                       if levels is not None and traj.status == STATUS_CONVERGED
                        else None for traj in trajs]
             reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
                                            for traj, match in zip(trajs, matches)],

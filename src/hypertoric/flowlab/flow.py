@@ -8,25 +8,26 @@ to the local curvature without a stiffness model.  Energy is therefore
 strictly decreasing along every recorded trajectory.
 
 States descend as a stack in lock step.  Each round every unfinished
-state tries its step h and, when h/2 is at least _MIN_STEP, also the
-halved step h/2 that a rejection of h would try next; the energies and
-gradients at all trial points are evaluated as one stack.  A state takes
-the first of its candidates that is acceptable, keeping the gradient found
-at that trial point, and leaves the round with h/4 when it takes none (h/2
-when it had no second candidate).  Since the doubling rule rejects about
-every other step, this halves the rounds a stack needs, at the cost of an
-h/2 trial evaluated in vain after each accepted h.  Each state tries the
-same points in the same order with the same float operations as one trial
-per round would, so where a state's values do not depend on the rest of
-the stack (on tori they do not) every trajectory is bit for bit the same.
+state tries its step h and also the halved step h/2 that a rejection of h
+would try next; the energies and gradients at all trial points are
+evaluated as one stack.  A state takes the first of its candidates that is
+acceptable, keeping the gradient found at that trial point, and leaves the
+round with h/4 when it takes none.  An h/2 below _MIN_STEP is evaluated
+but never taken: its state has h below twice _MIN_STEP, so unless it takes
+h it ends with StepUnderflow the next round, as with one trial per round.
+Since the doubling rule rejects about every other step, this halves the
+rounds a stack needs, at the cost of an h/2 trial evaluated in vain after
+each accepted h.  Each state takes the same points in the same order, with
+the same float operations, as one trial per round would, so where a
+state's values do not depend on the rest of the stack (on tori they do
+not) every trajectory is bit for bit the same.
 
 The stack is kept compact: every per-state array (state, gradient,
 energy, gradient norm, flow time, step count, step size, id) holds the
 unfinished states only, in the order of their ids, and a state that
 finishes is dropped from each by one boolean take.  The candidates of a
-round are one broadcast, s - [h; h/2] g, of shape (2, rows); only when
-some h/2 is below _MIN_STEP is that block cut down to the candidates
-tried.  Each round logs, for the states that moved, the step length,
+round are one broadcast, s - [h; h/2] g, of shape (2, rows), evaluated
+whole.  Each round logs, for the states that moved, the step length,
 energy and gradient norm; the log is joined into one block every
 _LOG_BLOCK rounds and sorted by id once at the end, one column at a time.
 A state's status and last state are written out when it finishes: the
@@ -100,8 +101,8 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     gives no trajectories, without a call of ``fun``.
 
     Each round makes one call of ``fun`` on the trial points of every
-    unfinished row: its step h, then h/2 for the rows whose h/2 is at
-    least ``_MIN_STEP`` (see the module docstring).  A row thus follows
+    unfinished row: its step h, then h/2, which is never taken below
+    ``_MIN_STEP`` (see the module docstring).  A row thus follows
     the path of one trial per round in about half the rounds.  Raises
     InputError unless ``h0`` is finite and positive.
     """
@@ -141,25 +142,19 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         sizes = _STEP_FRACTIONS * h
         trial = (s - sizes[:, :, None] * g).reshape(2 * size, -1)
         bound = (f - _DECREASE_FRACTION * sizes * gn * gn).ravel()
-        second = sizes[1] >= _MIN_STEP
-        if second.all():
-            tried, h = None, 0.25 * h   # rows that move reset h
-        else:   # the rows whose h/2 is below _MIN_STEP try h alone
-            tried = np.flatnonzero(np.concatenate([np.ones(size, dtype=bool), second]))
-            trial, bound = trial[tried], bound[tried]
-            h = np.where(second, 0.25 * h, sizes[1])
+        h = 0.25 * h   # rows that move reset h
         f_trial, g_trial = (np.asarray(value, dtype=np.float64)
                             for value in fun(trial))
         ok = np.isfinite(f_trial) & (f_trial <= bound)
         if not np.isfinite(trial).all():
             ok &= np.isfinite(trial).all(axis=1)
-        # A row takes its first acceptable candidate, or none.
-        ok[size:] &= ~(ok[:size] if tried is None else ok[:size][second])
+        # A row takes its first acceptable candidate, or none; an h/2 below
+        # _MIN_STEP is never taken.
+        ok[size:] &= (sizes[1] >= _MIN_STEP) & ~ok[:size]
         taken = np.flatnonzero(ok)
         if taken.size == 0:
             continue
-        candidate = taken if tried is None else tried[taken]
-        rows, step = candidate % size, sizes.ravel()[candidate]
+        rows, step = taken % size, sizes.ravel()[taken]
         accepted, f_new, g_new = trial[taken], f_trial[taken], g_trial[taken]
         t_new, gn_new = t[rows] + step, _norms(g_new)
         if not np.isfinite(gn_new).all():   # f_trial passed the finite test

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
 from .exact import ONE_MINUS_Q, PoincarePoly, divide_by_one_minus_q, int_rank
 from .flats import enumerate_flats, lattice
-from .torus import ModificationPair, TorusSetup, beta_witness, critical_level
+from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ def critical_components(setup: TorusSetup) -> tuple:
         raise NonGenericBeta(witness)
     return tuple(
         CriticalComponent(flat=f, rank=rank_f, index=2 * (setup.n - len(f)),
-                          level=critical_level(setup, f))
-        for f, (_, rank_f) in zip(enumerate_flats(setup.weights),
-                                  lattice(setup.weights)))
+                          level=level)
+        for (f, level), (_, rank_f) in zip(critical_levels(setup).items(),
+                                           lattice(setup.weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -100,28 +100,8 @@ def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
 
 
 # ---------------------------------------------------------------------------
-# Metric and walls
+# Walls
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Metric:
-    """G^{-1} = adj / det for the Gram matrix G = B^T B of the weights.
-
-    G is positive definite, so det = det G > 0 and adj is its adjugate.
-    """
-
-    adj: tuple  # d integer rows
-    det: int
-
-
-@lru_cache(maxsize=None)
-def metric_of(weights) -> Metric:
-    d = len(weights[0]) if weights else 0
-    gram = [[sum(row[i] * row[j] for row in weights) for j in range(d)]
-            for i in range(d)]
-    det, adj = int_solve(gram, [[int(i == j) for j in range(d)] for i in range(d)])
-    return Metric(tuple(map(tuple, adj)), det)
 
 
 def _dot(a, b) -> int:
@@ -164,7 +144,10 @@ class FlatWalls:
 def walls_of(weights) -> MappingProxyType:
     """FlatWalls of every flat, keyed by the flat, in flat order (read-only).
 
-    With U the first independent rows of J and G^-1 = adj / det, the
+    G = B^T B is positive definite, so one fraction-free solve gives its
+    adjugate adj and det = det G > 0, with G^-1 = adj / det.  The bottom
+    flat has nothing to project out: its entry is the metric itself, form =
+    adj and denom = det.  With U the first independent rows of J, the
     projection onto span(J) is U^T M^-1 U adj for the integer matrix
     M = U adj U^T.  One fraction-free solve gives X = det_M M^-1 U adj, so
     K = det_M R_J = det_M I - U^T X is integral, and so is
@@ -178,9 +161,10 @@ def walls_of(weights) -> MappingProxyType:
     (Toric hyperKahler varieties, Doc. Math. 7, 2002): a level is generic
     exactly when it lies on none of them.
     """
-    metric = metric_of(weights)
-    adj = metric.adj
-    d = len(adj)
+    d = len(weights[0]) if weights else 0
+    gram = [[sum(row[i] * row[j] for row in weights) for j in range(d)]
+            for i in range(d)]
+    det, adj = int_solve(gram, [[int(i == j) for j in range(d)] for i in range(d)])
     table = {}
     for f in flats.enumerate_flats(weights):
         rows = [weights[j] for j in f]
@@ -191,26 +175,8 @@ def walls_of(weights) -> MappingProxyType:
                            for j in range(d)) for i in range(d))
         walls = tuple((i, tuple(_dot(row, weights[i]) for row in form))
                       for i in range(len(weights)) if i not in f)
-        table[f] = FlatWalls(walls, form, metric.det * det_m)
+        table[f] = FlatWalls(walls, form, det * det_m)
     return MappingProxyType(table)
-
-
-def _scaled_beta(beta) -> tuple:
-    """(s, s Re beta, s Im beta), integral with one scale s > 0."""
-    scale, parts = _integral([x for z in beta for x in (z.re, z.im)])
-    return scale, parts[0::2], parts[1::2]
-
-
-def _level(entry: FlatWalls, scale, re, im) -> Fraction:
-    quad = sum(x * _dot(row, part) for part in (re, im)
-               for x, row in zip(part, entry.form))
-    return Fraction(quad, entry.denom * scale * scale)
-
-
-def critical_level(setup: TorusSetup, flat) -> Fraction:
-    """Exact value |beta_J|^2 of a flat J: the squared dual length of beta's
-    residual against the span of J."""
-    return _level(walls_of(setup.weights)[flat], *_scaled_beta(setup.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +186,9 @@ def critical_level(setup: TorusSetup, flat) -> Fraction:
 # A witness depends on the weights and one level only, so each (weights,
 # alpha) and (weights, beta) pair is decided once per process and every
 # later check, sampling included, reads the cached decision.  Every check
-# reads the walls of ``walls_of``, on a level scaled to integers.
+# reads the walls of ``walls_of``, on a level scaled to integers.  The beta
+# decision keeps the critical level of every flat, which it has to compute
+# anyway, so ``critical_levels`` reads the same cache.
 
 
 def beta_witness(setup: TorusSetup):
@@ -232,25 +200,41 @@ def beta_witness(setup: TorusSetup):
     beta_J pairs to zero with every row of J, so the residual of the flat
     without i, were it equal to the other's, would pair to zero with u_i.
     """
-    return _beta_witness(setup.weights, setup.beta)
+    return _beta_levels(setup.weights, setup.beta)[0]
+
+
+def critical_levels(setup: TorusSetup) -> MappingProxyType:
+    """Exact value |beta_J|^2 of every flat J, keyed by the flat, in flat
+    order (read-only): the squared dual length of beta's residual against
+    the span of J.  Every flat has its level, generic beta or not."""
+    return _beta_levels(setup.weights, setup.beta)[1]
 
 
 @lru_cache(maxsize=None)
-def _beta_witness(weights, beta):
-    scale, re, im = _scaled_beta(beta)
-    by_level = {}  # level -> flats at that level, in flat order
+def _beta_levels(weights, beta):
+    """(witness, levels) for one beta: the first pairing failure in flat
+    order, else the first level collision, else None; and every flat's
+    level, read off its level form with beta = (re + i im) / s integral."""
+    scale, parts = _integral([x for z in beta for x in (z.re, z.im)])
+    re, im = parts[0::2], parts[1::2]
+    witness, levels, by_level = None, {}, {}  # by_level: level -> its flats
     for f, entry in walls_of(weights).items():
-        by_level.setdefault(_level(entry, scale, re, im), []).append(f)
-        for i, h in entry.walls:
-            if not _dot(h, re) and not _dot(h, im):
-                return ("pairing", f, i)
+        quad = sum(x * _dot(row, re) + y * _dot(row, im)
+                   for x, y, row in zip(re, im, entry.form))
+        levels[f] = level = Fraction(quad, entry.denom * scale * scale)
+        by_level.setdefault(level, []).append(f)
+        if witness is None:
+            for i, h in entry.walls:
+                if not _dot(h, re) and not _dot(h, im):
+                    witness = ("pairing", f, i)
+                    break
     # The first colliding pair (a, b) in flat order: a is the first flat of
     # the first level shared by two flats (dicts keep insertion order), and
     # b the next flat at that level.
-    for group in by_level.values():
-        if len(group) > 1:
-            return ("level_collision", group[0], group[1])
-    return None
+    if witness is None:
+        witness = next((("level_collision", *group[:2])
+                        for group in by_level.values() if len(group) > 1), None)
+    return witness, MappingProxyType(levels)
 
 
 def alpha_witness(setup: TorusSetup):

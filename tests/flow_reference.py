@@ -38,7 +38,7 @@ from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERF
                                 tail_reports, torus_rep, unpack_state)
 from hypertoric.flowlab.analysis import _match_limit
 from hypertoric.flowlab.moments import flow_objective, hk_components
-from hypertoric.torus import critical_level
+from hypertoric.torus import critical_levels
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
@@ -84,7 +84,7 @@ def grad_component(rep, index, alpha, beta, x, y):
 
 def classify_limit(setup, traj, tol_f=1e-6):
     """The flat a converged holomorphic-energy limit reaches, or None."""
-    match = _match_limit(setup, traj, {}, tol_f)
+    match = _match_limit(setup, traj, critical_levels(setup), tol_f)
     return None if match is None else match[0]
 
 
@@ -412,7 +412,7 @@ def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
         flat = None
         if function == "muC2" and traj.status == STATUS_CONVERGED:
             flat = classify_limit(setup, traj)
-        f_c = float(critical_level(setup, flat)) if flat is not None else None
+        f_c = float(critical_levels(setup)[flat]) if flat is not None else None
         record = {"seed": trial, "status": traj.status,
                   "f_limit": traj.f_limit, "J": flat,
                   "k_hat": None, "fitted_exponent": None,

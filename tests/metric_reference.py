@@ -4,12 +4,13 @@ This is the linear algebra the package used before it solved every exact
 system fraction-free on integer rows: Gauss–Jordan elimination on Fraction
 entries (``solve_exact``), the inverse Gram matrix (B^T B)^{-1} as Fraction
 rows, and the residual map solved one unit covector at a time.  The tests
-compare ``torus.metric_of``, the wall table ``torus.walls_of``, and every
-witness, sign split and critical level read off it, against it.  The Gale
-dual (``gale``) is the arrangement the face census used to read, built
-from a Fraction reduced row echelon form (``nullspace``).  The FM census
-takes its hyperplanes, vertex solves and support kernels from here, and the
-subset search of the genericity tests its hyperplanes.
+compare the wall table ``torus.walls_of``, whose bottom flat's level form
+is the metric, and every witness, sign split and critical level read off
+it, against it.  The Gale dual (``gale``) is the arrangement the face
+census used to read, built from a Fraction reduced row echelon form
+(``nullspace``).  The FM census takes its hyperplanes, vertex solves and
+support kernels from here, and the subset search of the genericity tests
+its hyperplanes.
 """
 
 from fractions import Fraction

@@ -31,7 +31,7 @@ from hypertoric.flowlab.reps import beta_vector, weights_matrix
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import cohomology_presentation, hilbert_dims
 from hypertoric.torus import (
-    critical_level,
+    critical_levels,
     derived_seed,
     enlarged_weights,
     modify,
@@ -217,7 +217,7 @@ def test_criterion_6_flow_and_lojasiewicz():
         for rec in records:
             assert rec["status"] == "Converged"
             assert rec["J"] is not None, rec
-            level = float(critical_level(setup, rec["J"]))
+            level = float(critical_levels(setup)[rec["J"]])
             assert abs(rec["f_limit"] - level) < 1e-6
             assert rec["k_hat"] is not None and rec["k_hat"] > 0
             assert rec["arclength"] <= 1.5 * rec["bound"]

@@ -1,7 +1,5 @@
 """Limit classification, decay certificates, and structured experiments."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,8 @@ from hypertoric.flowlab import (
     torus_reduction_check,
 )
 from hypertoric.flowlab import analysis
-from hypertoric.torus import critical_level, new_setup
+from hypertoric import torus
+from hypertoric.torus import critical_levels, new_setup
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
 PAIR = ((1,), (1,))
@@ -36,7 +35,7 @@ class TestClassifyLimit:
                               grad_tol=1e-7)
         flat = classify_limit(setup, traj)
         assert flat == (0, 1)
-        assert abs(traj.f_limit - float(critical_level(setup, flat))) < 1e-8
+        assert abs(traj.f_limit - float(critical_levels(setup)[flat])) < 1e-8
 
     def test_origin_start_lands_on_empty_flat(self):
         setup = new_setup(PAIR, beta=(3,))
@@ -93,7 +92,7 @@ class TestEnsemble:
         for rec in records:
             assert rec["status"] == STATUS_CONVERGED
             assert rec["J"] == (0, 1)
-            level = float(critical_level(setup, rec["J"]))
+            level = float(critical_levels(setup)[rec["J"]])
             assert abs(rec["f_limit"] - level) < 1e-6
             assert rec["k_hat"] > 0
             assert rec["arclength"] <= 1.5 * rec["bound"]
@@ -113,17 +112,18 @@ class TestEnsemble:
         with pytest.raises(InputError, match="seed"):
             run_ensemble(new_setup(PAIR, beta=(3,)), 1, base_seed=-1)
 
-    def test_each_limit_flat_gets_its_level_once_per_block(self, monkeypatch):
+    def test_each_limit_flat_gets_its_level_once_per_ensemble(self, monkeypatch):
         setup = new_setup(PAIR, beta=(3,))
         want = run_ensemble(setup, 10, base_seed=11)
         monkeypatch.setattr(analysis, "_BLOCK", 4)
-        with mock.patch.object(analysis, "critical_level",
-                               wraps=critical_level) as counted:
-            got = run_ensemble(setup, 10, base_seed=11)
+        torus._beta_levels.cache_clear()
+        got = run_ensemble(setup, 10, base_seed=11)
         assert got == want
-        # Every trial reaches the full flat; blocks of 4, 4 and 2 trials.
+        # Every trial reaches the full flat; blocks of 4, 4 and 2 trials read
+        # the levels computed once, fetched once.
         assert {rec["J"] for rec in got} == {(0, 1)}
-        assert counted.call_count == 3
+        info = torus._beta_levels.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
 
 
 class TestCrossTerms:

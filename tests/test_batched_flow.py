@@ -178,7 +178,7 @@ def test_no_trial_point_is_tried_twice():
 
 def test_no_candidate_below_the_minimum_step():
     # Steps shorter than 1e-18 would be accepted, but a row whose step h is
-    # below twice _MIN_STEP may not try h/2: it underflows, as in the
+    # below twice _MIN_STEP may not take h/2: it underflows, as in the
     # reference, without a step.
     def threshold(states):
         return np.where(states[:, 0] > -1e-18, states[:, 0], 1.0), np.ones_like(states)
@@ -190,12 +190,14 @@ def test_no_candidate_below_the_minimum_step():
             (STATUS_UNDERFLOW, 0)
 
 
-def test_rows_below_twice_the_minimum_step_try_one_candidate_among_others():
+def test_rows_below_twice_the_minimum_step_never_take_their_half_step():
     # Each row descends x along a gradient of 1 towards a cliff at -c, its
     # second coordinate, past which the energy jumps to 1.  From h0 = 4e-18,
     # in the second round the rows at c = 1e-30 and c = 1.5e-18 have
-    # h = 1e-18 and try it alone (the second takes it), while the row at
-    # c = 1e-17 tries 8e-18 and takes 4e-18 and the row at c = 1 takes 8e-18.
+    # h = 1e-18: both try h and h/2 = 5e-19 like every row, the second takes
+    # h, and the first takes neither, since h/2 is below _MIN_STEP though it
+    # would be accepted.  The row at c = 1e-17 tries 8e-18 and takes 4e-18,
+    # and the row at c = 1 takes 8e-18.
     def cliff(states):
         x, c = states[:, 0], states[:, 1]
         return np.where(x > -c, x, 1.0), np.stack([np.ones_like(x), np.zeros_like(x)], 1)
@@ -204,9 +206,9 @@ def test_rows_below_twice_the_minimum_step_try_one_candidate_among_others():
     fun, stacks = _recorded(cliff)
     got = descend(fun, starts, h0=4e-18, max_steps=8)
     want = descend_lockstep(cliff, starts, h0=4e-18, max_steps=8)
-    assert [len(stack) for stack in stacks[:3]] == [4, 8, 6]
+    assert [len(stack) for stack in stacks[:3]] == [4, 8, 8]
     assert np.array_equal(stacks[2][:, 0], [-1e-18, -1e-18, -4e-18 - 8e-18, -4e-18 - 8e-18,
-                                            -4e-18 - 4e-18, -4e-18 - 4e-18])
+                                            -5e-19, -5e-19, -4e-18 - 4e-18, -4e-18 - 4e-18])
     assert [(traj.status, traj.steps) for traj in got] == [
         (STATUS_UNDERFLOW, 0), (STATUS_UNDERFLOW, 1), (STATUS_UNDERFLOW, 3),
         (STATUS_MAX_TIME, 8)]

@@ -428,13 +428,13 @@ def test_analyze_decides_each_level_once(tmp_path, capsys, flags):
 
     path = write_json(tmp_path, "cp2.json", CP2)
     torus._alpha_witness.cache_clear()
-    torus._beta_witness.cache_clear()
+    torus._beta_levels.cache_clear()
     assert cli.main(["analyze", path, *flags]) == 0
     assert json.loads(capsys.readouterr().out)["sampled_generic"] is False
     assert torus._alpha_witness.cache_info().misses == 1
-    assert torus._beta_witness.cache_info().misses == 1
+    assert torus._beta_levels.cache_info().misses == 1
     # critical_components checks beta again and reads the cached decision
-    assert torus._beta_witness.cache_info().hits >= 1
+    assert torus._beta_levels.cache_info().hits >= 1
 
 
 def test_help_exits_0_and_lists_every_option():

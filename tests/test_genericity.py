@@ -13,6 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from hypertoric.flats import closure, coatoms, enumerate_flats
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
-    critical_level,
+    critical_levels,
     new_setup,
     require_generic,
     sample_generic,
@@ -277,6 +278,24 @@ def test_beta_witness_equals_the_pairwise_search(weights, data):
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
 
 
+@pytest.mark.parametrize("weights, beta, witness", [
+    # beta = 0 pairs to zero with every row on the bottom flat, first of all
+    (((1, 0), (0, 1), (1, 1)), [0, 0], ("pairing", (), 0)),
+    # Re beta = (1, 1) is row 2 and Im beta = 0: beta's residual vanishes
+    # on the flat (2,), the fourth of five
+    (((1, 0), (0, 1), (1, 1)), [1, 1], ("pairing", (2,), 0)),
+    (((1, 0), (0, 1)), [1, 1], ("level_collision", (0,), (1,))),
+])
+def test_levels_of_a_non_generic_beta_cover_every_flat(weights, beta, witness):
+    # The beta decision computes every flat's level, also past the witness.
+    setup = new_setup(weights, beta=beta)
+    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta) == witness
+    levels = critical_levels(setup)
+    assert list(levels) == list(enumerate_flats(weights))
+    for f in enumerate_flats(weights):
+        assert levels[f] == reference_level(weights, setup.beta, f)
+
+
 # alpha = (1, 1) lies on the third row of TRIPLE: hyperplanes 1 and 2 of the
 # dual line coincide.  alpha = (1, 3) is generic.
 @example(new_setup(((1, 0), (0, 1), (1, 1)), [1, 1]))
@@ -328,6 +347,6 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
     all_flats = enumerate_flats(weights)
     for f in all_flats:
-        assert critical_level(setup, f) == reference_level(weights, setup.beta, f)
+        assert critical_levels(setup)[f] == reference_level(weights, setup.beta, f)
     for f in all_flats[:-1]:
         assert signs(setup, f) == reference_sign_split(weights, setup.alpha, f)

@@ -5,8 +5,10 @@
 route module imports another, so none can read another's answer.  Only
 ``crosscheck``, which compares the answers, imports more than one route.
 ``perfbench/oracle.py`` imports no module of the package at all, and no
-module of the package imports another's single-underscore name.  All are
-read from the syntax trees; nothing is imported or run.
+module of the package imports another's single-underscore name.  Only
+``torus`` names its wall table ``walls_of``: every other module asks its
+level questions through ``torus``.  All are read from the syntax trees;
+nothing is imported or run.
 """
 
 import ast
@@ -41,13 +43,31 @@ def reads_module(names, module) -> bool:
     return any(name == module or name.startswith(module + ".") for name in names)
 
 
-def package_imports():
-    """(module, the names it imports) for every module of the package."""
+def named_identifiers(tree):
+    """Every identifier a syntax tree names: each variable, each attribute,
+    and each part of each name an import takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+
+
+def package_trees():
+    """(module, its package, its syntax tree) for every module of the
+    package."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).with_suffix("")
         package = ".".join(("hypertoric", *module.parent.parts))
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        yield module.as_posix(), set(imported_modules(tree, package))
+        yield module.as_posix(), package, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_imports():
+    """(module, the names it imports) for every module of the package."""
+    for module, package, tree in package_trees():
+        yield module, set(imported_modules(tree, package))
 
 
 def is_private_import(name) -> bool:
@@ -89,6 +109,24 @@ def test_no_module_imports_a_private_name():
 ])
 def test_is_private_import_reads_each_form(source, private):
     assert any(map(is_private_import, imported_modules(ast.parse(source)))) == private
+
+
+def test_only_torus_names_the_wall_table():
+    assert {module for module, _, tree in package_trees()
+            if "walls_of" in named_identifiers(tree)} == {"torus"}
+
+
+@pytest.mark.parametrize("source, named", [
+    ("from .torus import walls_of", True),
+    ("from .torus import walls_of as table", True),
+    ("import hypertoric.torus.walls_of", True),
+    ("table = torus.walls_of(w)", True),
+    ("def f(w):\n    return walls_of(w)[()]", True),
+    ("levels = critical_levels(setup)", False),
+    ("note = 'walls_of'", False),
+])
+def test_named_identifiers_reads_each_form(source, named):
+    assert ("walls_of" in named_identifiers(ast.parse(source))) == named
 
 
 def test_oracle_imports_no_package_module():

@@ -18,11 +18,10 @@ from hypertoric.flats import enumerate_flats
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
-    critical_level,
+    critical_levels,
     derived_seed,
     enlarged_weights,
     extended_weights,
-    metric_of,
     modify,
     new_setup,
     require_generic,
@@ -82,10 +81,11 @@ class TestNewSetup:
 
 class TestMetricGale:
     def test_gram_and_inverse(self):
-        m = metric_of(TRIPLE)
-        # G = [[2, 1], [1, 2]], G^-1 = [[2/3, -1/3], [-1/3, 2/3]]
-        assert m.adj == ((2, -1), (-1, 2))
-        assert m.det == 3
+        # The bottom flat's level form is G^-1: with G = [[2, 1], [1, 2]],
+        # G^-1 = [[2/3, -1/3], [-1/3, 2/3]] is its adjugate over det G
+        m = walls_of(TRIPLE)[()]
+        assert m.form == ((2, -1), (-1, 2))
+        assert m.denom == 3
 
     def test_pairing(self):
         # on the empty flat the residual is the identity: plain pairings
@@ -98,8 +98,8 @@ class TestResiduals:
     def test_perp_part_empty_subset_is_identity(self):
         # the empty flat's level form is G^-1 itself: adj over det
         entry = walls_of(TRIPLE)[()]
-        assert entry.form == metric_of(TRIPLE).adj
-        assert entry.denom == metric_of(TRIPLE).det
+        assert entry.form == ((2, -1), (-1, 2))
+        assert entry.denom == 3
         assert [pairing(TRIPLE, (), (1, 2), i) for i in range(3)] == [0, 1, 1]
 
     def test_perp_part_full_span_kills_vector(self):
@@ -108,8 +108,8 @@ class TestResiduals:
         entry = walls_of(TRIPLE)[(0, 1, 2)]
         assert entry.walls == ()
         assert entry.form == ((0, 0), (0, 0))
-        assert critical_level(new_setup(TRIPLE, beta=[(3, 0), (-2, 0)]),
-                              (0, 1, 2)) == 0
+        assert critical_levels(new_setup(TRIPLE, beta=[(3, 0), (-2, 0)]))[
+            (0, 1, 2)] == 0
 
     def test_residual_orthogonal_to_flat(self):
         # form u_2 would be the wall of row 2 on the flat (2,): it is zero,
@@ -120,14 +120,13 @@ class TestResiduals:
         # Re beta and Im beta have residuals +-(1/2, -1/2), each of squared
         # dual length 1/2
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (0, 1)])
-        assert critical_level(s, (2,)) == 1
+        assert critical_levels(s)[(2,)] == 1
 
     def test_critical_levels_diagonal(self):
         s = new_setup(DIAG2, [1], [(3, 0)])
-        assert critical_level(s, ()) == Fraction(9, 2)
-        assert critical_level(s, (0, 1)) == 0
+        assert critical_levels(s) == {(): Fraction(9, 2), (0, 1): 0}
         s2 = new_setup(DIAG2, [1], [(0, 1)])
-        assert critical_level(s2, ()) == Fraction(1, 2)
+        assert critical_levels(s2)[()] == Fraction(1, 2)
 
     def test_norm2_uses_dual_metric(self):
         # 3^2 G^-1 = 9/2 where the Euclidean square would be 9
@@ -262,18 +261,20 @@ def rational_setups(draw):
 @settings(max_examples=100, deadline=None)
 def test_metric_and_residuals_equal_the_fraction_reference(setup):
     w = setup.weights
-    metric = metric_of(w)
-    gi = ref.gram_inverse(w)
-    assert metric.det > 0
-    assert [[Fraction(x, metric.det) for x in row] for row in metric.adj] == gi
     table = walls_of(w)
     assert list(table) == list(enumerate_flats(w))
+    # The bottom flat, spanned by the zero rows, projects nothing out: its
+    # level form over its denominator is G^-1
+    metric = next(iter(table.values()))
+    gi = ref.gram_inverse(w)
+    assert metric.denom > 0
+    assert [[Fraction(x, metric.denom) for x in row] for row in metric.form] == gi
     for f, entry in table.items():
         assert entry.denom > 0
         # form / denom = G^-1 R_J, which is symmetric
         assert [[Fraction(x, entry.denom) for x in row] for row in entry.form] \
             == ref.matmul(gi, ref.residual_map(w, f))
-        assert critical_level(setup, f) == ref.critical_level(w, setup.beta, f)
+        assert critical_levels(setup)[f] == ref.critical_level(w, setup.beta, f)
         res = ref.residual(w, f, setup.alpha)
         assert [i for i, _ in entry.walls] == [i for i in range(setup.n)
                                                if i not in f]
