@@ -38,8 +38,8 @@ def _load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not JSON, not UTF-8, or past the digit limit
+        raise InputError(f"cannot read {path} as JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path} nests too deeply to read") from exc
 

@@ -14,6 +14,7 @@ package needs, by a power of 1 - q, is a run of integer prefix sums.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -26,7 +27,13 @@ from .errors import InputError, NonZeroRemainder
 
 def as_rat(value) -> Fraction:
     """Read an int, a string like ``"3/4"`` or a Fraction as an exact
-    rational; anything else, booleans included, raises InputError."""
+    rational; anything else, booleans included, raises InputError, as does
+    ``"1e5000"``: Fraction would take unbounded time to build a power of
+    ten past ``sys.get_int_max_str_digits()``, and no report could print it."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, str) and limit and _exponent(value) >= limit:
+        raise InputError(f"cannot read {value!r} as an exact rational: its "
+                         f"power of ten has more than {limit} digits")
     if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
         try:
             return Fraction(value)
@@ -34,6 +41,14 @@ def as_rat(value) -> Fraction:
             pass
     raise InputError(f"cannot read {value!r} as an exact rational; write it "
                      "as an integer or a rational string like \"3/4\"")
+
+
+def _exponent(text: str) -> int:
+    """|e| of a decimal string like ``"1.5e-3"``; 0 without an integer e."""
+    try:
+        return abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -368,6 +383,3 @@ def divide_by_one_minus_q(coeffs, power: int) -> PoincarePoly:
         if coeffs and coeffs.pop():
             raise NonZeroRemainder(f"not divisible by (1 - q)^{power}")
     return PoincarePoly(_trim(coeffs))
-
-
-ONE_MINUS_Q = PoincarePoly((1, -1))

@@ -9,20 +9,15 @@ norm, limit classification against the exact critical data, and the
 cross-term experiment for nonabelian groups.
 """
 
-from .reps import (GroupRep, TorusRep, diagonal_sum, from_matrices, random_state,
-                   su2_irrep, torus_rep)
-from .moments import abelian_gradient_norm2, pack_state, unpack_state
+from .reps import GroupRep, TorusRep, from_matrices, random_state, torus_rep
+from .moments import pack_state, unpack_state
 from .flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
                    descend)
-from .analysis import (LojReport, cross_term_stats, run_ensemble, tail_reports,
-                       torus_reduction_check)
+from .analysis import LojReport, cross_term_stats, run_ensemble, tail_reports
 
 __all__ = [
-    "GroupRep", "TorusRep", "diagonal_sum", "from_matrices", "random_state",
-    "su2_irrep", "torus_rep",
-    "abelian_gradient_norm2", "pack_state", "unpack_state",
-    "STATUS_CONVERGED", "STATUS_MAX_TIME", "STATUS_UNDERFLOW", "Trajectory",
-    "descend",
+    "GroupRep", "TorusRep", "from_matrices", "random_state", "torus_rep",
+    "pack_state", "unpack_state",
+    "STATUS_CONVERGED", "STATUS_MAX_TIME", "STATUS_UNDERFLOW", "Trajectory", "descend",
     "LojReport", "cross_term_stats", "run_ensemble", "tail_reports",
-    "torus_reduction_check",
 ]

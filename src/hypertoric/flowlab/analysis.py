@@ -1,4 +1,4 @@
-"""Decay analysis, limit classification, and structured experiments.
+"""Decay analysis, limit classification, and the cross-term experiment.
 
 This module connects the floating-point flows back to the exact data:
 limits of the holomorphic energy flow are matched against the critical
@@ -21,10 +21,8 @@ from .reps import GroupRep, gaussian_state, random_state, torus_rep
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
 _STATE_TOL = 1e-4
-_PREP_TOL = 1e-20
-_REL_TOL = 1e-8
-# Most states stacked at once: ensembles, cross terms and reduction checks
-# run in blocks of this many, so memory does not grow with their size.
+# Most states stacked at once: ensembles and cross terms run in blocks of
+# this many, so memory does not grow with their size.
 _BLOCK = 256
 # Accepted steps of one ensemble trial at most.
 _MAX_STEPS = 200_000
@@ -273,62 +271,3 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
         "max_abs_scalar": top[6], "mean_abs_scalar": mean[6],
         "max_remark_ratio": top[7], "max_identity_residual": top[8]}
     return stats
-
-
-def torus_reduction_check(rep: GroupRep, sub_rep: GroupRep, samples: int,
-                          seed: int, *, alpha=None) -> List[dict]:
-    """Compare full and abelian gradient norms at prepared base states.
-
-    Each random base vector is first driven by gradient descent to make
-    the moment-map components outside the abelian subalgebra vanish.
-    At such states the gradient of the full energy coincides with the
-    gradient of the energy of the restricted abelian action, so the two
-    norms must agree to rounding.  Samples whose preparation does not
-    reach ``_PREP_TOL`` are reported as skipped rather than judged.
-    """
-    if samples < 1:
-        raise InputError("need at least one sample state")
-    _require_seed(seed)
-    coords = np.real(np.einsum("bij,aij->ba", np.conj(sub_rep.basis), rep.basis))
-    rebuilt = np.tensordot(coords, rep.basis, axes=1)
-    if np.any(np.linalg.norm(rebuilt - sub_rep.basis, axis=(1, 2)) > 1e-10):
-        raise InputError(
-            "the abelian family does not lie in the span of the full basis")
-    # Orthonormal coordinate rows of the complement of the abelian subalgebra.
-    others = np.linalg.svd(coords)[2][len(coords):]
-    if alpha is None:
-        alpha_full = np.zeros(rep.k)
-    else:
-        alpha_full = np.asarray(alpha, dtype=np.float64)
-        if np.linalg.norm(others @ alpha_full) > 1e-12:
-            raise InputError("the level must lie in the abelian subalgebra")
-    alpha_sub = coords @ alpha_full
-
-    # The components of mu1 off the abelian subalgebra are mu1 of the basis
-    # of the complement, so the preparation descends the real energy of that
-    # family at level zero.
-    n = rep.dim
-    zero_level = np.zeros(rep.k)
-    objective = flow_objective(np.tensordot(others, rep.basis, axes=1), "muR2",
-                               np.zeros(len(others)), np.zeros(len(others)))
-
-    rng = np.random.default_rng(seed)
-    results = []
-    for block in _blocks(samples):
-        draws = rng.standard_normal((len(block), 2, n))
-        x0 = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
-        trajs = descend(objective, pack_state(x0, np.zeros_like(x0)),
-                        grad_tol=1e-12, max_steps=50_000)
-        finals = np.array([traj.final for traj in trajs])
-        x, y = unpack_state(finals, n)
-        full = np.linalg.norm(hk_components(rep, alpha_full, zero_level, x, y)[1][:, 0],
-                              axis=1)
-        sub = np.linalg.norm(hk_components(sub_rep, alpha_sub, np.zeros(sub_rep.k),
-                                           x, y)[1][:, 0], axis=1)
-        for off_norm2, full_norm, sub_norm in zip(objective(finals)[0].tolist(),
-                                                  full, sub):
-            rel = (None if off_norm2 >= _PREP_TOL
-                   else float(abs(full_norm - sub_norm) / max(full_norm, 1e-30)))
-            status = "skipped" if rel is None else "pass" if rel < _REL_TOL else "fail"
-            results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})
-    return results

@@ -155,27 +155,6 @@ def flow_objective(basis: np.ndarray, which: str, alpha, beta):
     return fun
 
 
-def abelian_gradient_norm2(bmat: np.ndarray, beta: np.ndarray, x, y) -> float:
-    """Closed form for |grad of the holomorphic energy|^2 on a torus.
-
-    For the diagonal torus with integer weight rows b_j the squared
-    gradient norm of (B^T z - beta)^H G^{-1} (B^T z - beta), z_j = x_j y_j,
-    equals 4 sum_j (|x_j|^2 + |y_j|^2) |(B w)_j|^2 with w = G^{-1}(B^T z - beta).
-    Here beta is the level in the original weight coordinates.
-    """
-    bmat = np.asarray(bmat, dtype=np.float64)
-    if bmat.ndim != 2:
-        raise InputError("weight matrix must be two-dimensional")
-    if bmat.shape[1] == 0:
-        return 0.0
-    z = np.asarray(x) * np.asarray(y)
-    gram = bmat.T @ bmat
-    w = np.linalg.solve(gram, bmat.T @ z - np.asarray(beta, dtype=np.complex128))
-    rates = bmat @ w
-    sizes = np.abs(np.asarray(x)) ** 2 + np.abs(np.asarray(y)) ** 2
-    return float(4.0 * np.sum(sizes * np.abs(rates) ** 2))
-
-
 def pack_state(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Join complex (x, y) of shape (..., n) into real (..., 4n), re and im
     interleaved."""

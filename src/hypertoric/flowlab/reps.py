@@ -192,40 +192,6 @@ def torus_rep(setup) -> TorusRep:
     return TorusRep(rep, alpha, beta)
 
 
-def su2_irrep(dim: int) -> GroupRep:
-    """Irreducible su(2) representation on C^dim, orthonormalized.
-
-    The third basis element is diagonal and spans the Cartan subalgebra.
-    """
-    if dim < 2:
-        raise InputError("an irreducible su(2) representation needs dim >= 2")
-    j = (dim - 1) / 2.0
-    m = j - np.arange(dim)
-    s3 = np.diag(m).astype(np.complex128)
-    raise_offdiag = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    splus = np.zeros((dim, dim), dtype=np.complex128)
-    for i, val in enumerate(raise_offdiag):
-        splus[i, i + 1] = val
-    sminus = splus.conj().T
-    s1 = (splus + sminus) / 2
-    s2 = (splus - sminus) / (2j)
-    return from_matrices([1j * s1, 1j * s2, 1j * s3])
-
-
-def diagonal_sum(rep: GroupRep, copies: int = 2) -> GroupRep:
-    """Same algebra acting diagonally on several copies of its space."""
-    if copies < 1:
-        raise InputError("need at least one copy")
-    n = rep.dim
-    mats = []
-    for a in range(rep.k):
-        big = np.zeros((n * copies, n * copies), dtype=np.complex128)
-        for c in range(copies):
-            big[c * n:(c + 1) * n, c * n:(c + 1) * n] = rep.basis[a]
-        mats.append(big)
-    return from_matrices(mats)
-
-
 def random_state(rng: np.random.Generator, n: int, radius: float = 1.0,
                  count: Optional[int] = None):
     """Independent complex Gaussian coordinates with scale ``radius``; with

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
-from .exact import ONE_MINUS_Q, PoincarePoly, divide_by_one_minus_q, int_rank
+from .exact import PoincarePoly, divide_by_one_minus_q, int_rank
 from .flats import enumerate_flats, lattice
 from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
 
@@ -79,19 +79,6 @@ def poincare_morse(weights) -> PoincarePoly:
     if n and d and int_rank(weights, d) != d:
         raise RankDeficient("weights must have full column rank")
     return _flat_polys(weights)[-1]
-
-
-def perfection_sum(weights) -> PoincarePoly:
-    """Sum of q^{n-|J|} (1-q)^{rank J} P(sub_J) over all flats.
-
-    Equals the constant polynomial 1; exposed so tests can assert it.
-    """
-    n = len(weights)
-    total = PoincarePoly.zero()
-    for (mask, rank_f), p in zip(lattice(weights), _flat_polys(weights)):
-        total = total + (PoincarePoly.monomial(n - mask.bit_count())
-                         * ONE_MINUS_Q ** rank_f * p)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ from .torus import TorusSetup, new_setup
 
 
 def rational_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:  # a part past sys.get_int_max_str_digits()
+        raise InputError(f"cannot print an exact value: {exc}") from exc
 
 
 def complex_to_json(value: CRat) -> list:

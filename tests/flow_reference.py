@@ -25,6 +25,12 @@ wrap it for packed stacks and for (x, y)).  ``reference_kernel`` is the
 generator product as it was before v and i v had generator blocks of their
 own: the product gives w alone, and v and i v follow from it by
 conjugation, negation and multiplication by i.
+
+Last come the fixtures and checks no command runs: ``su2_irrep`` and
+``diagonal_sum`` build su(2) representations for the tests,
+``abelian_gradient_norm2`` is the closed form of the holomorphic gradient
+norm on a torus, and ``torus_reduction_check`` compares full and abelian
+gradient norms at states where the moment map lies in the abelian part.
 """
 
 import math
@@ -34,8 +40,8 @@ import numpy as np
 
 from hypertoric.errors import InputError, NonFiniteState
 from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
-                                LojReport, Trajectory, descend, pack_state, random_state,
-                                tail_reports, torus_rep, unpack_state)
+                                LojReport, Trajectory, descend, from_matrices, pack_state,
+                                random_state, tail_reports, torus_rep, unpack_state)
 from hypertoric.flowlab.analysis import _match_limit
 from hypertoric.flowlab.moments import flow_objective, hk_components
 from hypertoric.torus import critical_levels
@@ -472,3 +478,108 @@ def cross_term_stats_one_by_one(rep, alpha, samples, seed, radius=1.0):
         "max_remark_ratio": float(np.max(remark_ratios)),
         "max_identity_residual": float(np.max(identity_residuals))}
     return stats
+
+
+def su2_irrep(dim):
+    """Irreducible su(2) representation on C^dim, orthonormalized.
+
+    The third basis element is diagonal and spans the Cartan subalgebra.
+    """
+    j = (dim - 1) / 2.0
+    m = j - np.arange(dim)
+    s3 = np.diag(m).astype(np.complex128)
+    raise_offdiag = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    splus = np.zeros((dim, dim), dtype=np.complex128)
+    for i, val in enumerate(raise_offdiag):
+        splus[i, i + 1] = val
+    sminus = splus.conj().T
+    s1 = (splus + sminus) / 2
+    s2 = (splus - sminus) / (2j)
+    return from_matrices([1j * s1, 1j * s2, 1j * s3])
+
+
+def diagonal_sum(rep, copies):
+    """Same algebra acting diagonally on several copies of its space."""
+    n = rep.dim
+    mats = []
+    for a in range(rep.k):
+        big = np.zeros((n * copies, n * copies), dtype=np.complex128)
+        for c in range(copies):
+            big[c * n:(c + 1) * n, c * n:(c + 1) * n] = rep.basis[a]
+        mats.append(big)
+    return from_matrices(mats)
+
+
+def abelian_gradient_norm2(bmat, beta, x, y):
+    """Closed form for |grad of the holomorphic energy|^2 on a torus.
+
+    For the diagonal torus with integer weight rows b_j the squared
+    gradient norm of (B^T z - beta)^H G^{-1} (B^T z - beta), z_j = x_j y_j,
+    equals 4 sum_j (|x_j|^2 + |y_j|^2) |(B w)_j|^2 with w = G^{-1}(B^T z - beta).
+    Here beta is the level in the original weight coordinates.
+    """
+    bmat = np.asarray(bmat, dtype=np.float64)
+    if bmat.shape[1] == 0:
+        return 0.0
+    z = np.asarray(x) * np.asarray(y)
+    gram = bmat.T @ bmat
+    w = np.linalg.solve(gram, bmat.T @ z - np.asarray(beta, dtype=np.complex128))
+    rates = bmat @ w
+    sizes = np.abs(np.asarray(x)) ** 2 + np.abs(np.asarray(y)) ** 2
+    return float(4.0 * np.sum(sizes * np.abs(rates) ** 2))
+
+
+_PREP_TOL = 1e-20
+_REL_TOL = 1e-8
+
+
+def torus_reduction_check(rep, sub_rep, samples, seed, *, alpha=None):
+    """Compare full and abelian gradient norms at prepared base states.
+
+    Each random base vector is first driven by gradient descent to make
+    the moment-map components outside the abelian subalgebra vanish.
+    At such states the gradient of the full energy coincides with the
+    gradient of the energy of the restricted abelian action, so the two
+    norms must agree to rounding.  Samples whose preparation does not
+    reach ``_PREP_TOL`` are reported as skipped rather than judged.
+    """
+    if seed < 0:
+        raise InputError(f"the seed must be non-negative, got {seed}")
+    coords = np.real(np.einsum("bij,aij->ba", np.conj(sub_rep.basis), rep.basis))
+    rebuilt = np.tensordot(coords, rep.basis, axes=1)
+    if np.any(np.linalg.norm(rebuilt - sub_rep.basis, axis=(1, 2)) > 1e-10):
+        raise InputError(
+            "the abelian family does not lie in the span of the full basis")
+    # Orthonormal coordinate rows of the complement of the abelian subalgebra.
+    others = np.linalg.svd(coords)[2][len(coords):]
+    if alpha is None:
+        alpha_full = np.zeros(rep.k)
+    else:
+        alpha_full = np.asarray(alpha, dtype=np.float64)
+        if np.linalg.norm(others @ alpha_full) > 1e-12:
+            raise InputError("the level must lie in the abelian subalgebra")
+    alpha_sub = coords @ alpha_full
+
+    # The components of mu1 off the abelian subalgebra are mu1 of the basis
+    # of the complement, so the preparation descends the real energy of that
+    # family at level zero.
+    n = rep.dim
+    objective = flow_objective(np.tensordot(others, rep.basis, axes=1), "muR2",
+                               np.zeros(len(others)), np.zeros(len(others)))
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, n))
+    x0 = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+    trajs = descend(objective, pack_state(x0, np.zeros_like(x0)),
+                    grad_tol=1e-12, max_steps=50_000)
+    finals = np.array([traj.final for traj in trajs])
+    x, y = unpack_state(finals, n)
+    full = np.linalg.norm(hk_components(rep, alpha_full, np.zeros(rep.k), x, y)[1][:, 0],
+                          axis=1)
+    sub = np.linalg.norm(hk_components(sub_rep, alpha_sub, np.zeros(sub_rep.k),
+                                       x, y)[1][:, 0], axis=1)
+    results = []
+    for off_norm2, full_norm, sub_norm in zip(objective(finals)[0].tolist(), full, sub):
+        rel = (None if off_norm2 >= _PREP_TOL
+               else float(abs(full_norm - sub_norm) / max(full_norm, 1e-30)))
+        status = "skipped" if rel is None else "pass" if rel < _REL_TOL else "fail"
+        results.append({"status": status, "off_norm2": off_norm2, "rel_err": rel})
+    return results

@@ -15,16 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from flow_reference import energy, grad, lojasiewicz_report
+from flow_reference import (abelian_gradient_norm2, energy, grad, lojasiewicz_report,
+                            su2_irrep)
 from hypertoric.crosscheck import analyze, census_recurrence, polynomial_recurrence
 from hypertoric.flats import enumerate_flats
 from hypertoric.flowlab import (
-    abelian_gradient_norm2,
     cross_term_stats,
     descend,
     random_state,
     run_ensemble,
-    su2_irrep,
     torus_rep,
 )
 from hypertoric.flowlab.reps import beta_vector, weights_matrix

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flow_reference import (InsufficientTail, classify_limit, integrate_flow,
-                            lojasiewicz_report)
+                            lojasiewicz_report, su2_irrep, torus_reduction_check)
 from hypertoric.errors import InputError
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
@@ -12,9 +12,7 @@ from hypertoric.flowlab import (
     descend,
     from_matrices,
     run_ensemble,
-    su2_irrep,
     torus_rep,
-    torus_reduction_check,
 )
 from hypertoric.flowlab import analysis
 from hypertoric import torus

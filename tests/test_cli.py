@@ -25,8 +25,10 @@ TORUS_MATS = {
 
 
 def write_json(tmp_path, name, obj):
+    """Write obj as JSON, or bytes as they are: json.dumps refuses an
+    integer past the digit limit, and writes only valid UTF-8."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
     return str(path)
 
 
@@ -251,6 +253,9 @@ def test_repeat_runs_are_byte_identical(tmp_path, args):
 
 NAN_GENERATOR = {"matrices": [{"re": [[0, 0], [0, 0]],
                                "im": [[float("nan"), 0], [0, 1]]}]}
+# Raw input text: json.dumps refuses an integer of 5,000 digits.
+DIGITS_5000 = b"1" * 5000
+HUGE_WEIGHT = b'{"weights": [[%s], [1]]}' % DIGITS_5000
 SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
                     {"re": [[0, 0], [0, 0]], "im": [[0, 0.5], [0.5, 0]]},
                     {"re": [[0, 0], [0, 0]], "im": [[0.5, 0], [0, -0.5]]}]}
@@ -314,6 +319,14 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("crossterm", {"matrices": [{"re": [[0]], "im": [[1e308]]}]}, ()),
     ("crossterm", {"matrices": TORUS_MATS["matrices"], "alpah": [1.0, 0.0]}, ()),
     ("crossterm", dict(TORUS_MATS, beta=[0.0, 0.0]), ()),
+    ("analyze", HUGE_WEIGHT, ()),
+    ("census", HUGE_WEIGHT, ()),
+    ("crossterm", b'{"matrices": [{"re": [[%s]], "im": [[0]]}]}' % DIGITS_5000, ()),
+    ("analyze", b'{"weights": [[1], [1]], "alpha": ["\xff"]}', ()),
+    ("analyze", dict(PAIR, alpha=["1e5000"]), ()),
+    ("modify", dict(PAIR, alpha=["1e5000"]), ("--column", "1,0")),
+    ("analyze", dict(PAIR, alpha=["1e-5000"]), ()),
+    ("analyze", {"weights": [[1], [2]], "alpha": ["1"], "beta": [["1e3000", "0"]]}, ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -338,7 +351,12 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
         "flow-muHK2-radius-overflow", "flow-start-overflow",
         "flow-gram-singular-in-floats", "crossterm-entry-square-overflow",
         "crossterm-entry-near-float-max", "crossterm-misspelt-field",
-        "crossterm-beta-field"])
+        "crossterm-beta-field", "analyze-weight-past-digit-limit",
+        "census-weight-past-digit-limit", "crossterm-entry-past-digit-limit",
+        "input-not-utf8", "analyze-alpha-power-past-digit-limit",
+        "modify-alpha-power-past-digit-limit",
+        "analyze-alpha-negative-power-past-digit-limit",
+        "analyze-level-past-digit-limit"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
     proc = run_cli(command, *paths, *flags, cwd=tmp_path)

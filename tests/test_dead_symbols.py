@@ -1,15 +1,18 @@
 """No symbol of the package is dead.
 
 Every function, class and constant defined at the top level of a module in
-``src/hypertoric`` must be named somewhere in ``src/`` or ``tests/`` outside
-its own definition: read as a name, as an attribute, or imported.  Every
-field annotated in a class body there must be read somewhere in ``src/`` or
-``tests/`` as an attribute.  Every parameter with a default of a function
-there must be passed, by keyword or by position, at some call in ``src/``
-or ``tests/`` to a callee of that name: a default no caller changes is a
-constant.  Every exception class in ``errors.py`` must be raised somewhere
-in ``src/``, itself or through a subclass: an error only tests raise
-belongs to the tests.
+``src/hypertoric`` must be loaded somewhere in ``src/`` outside its own
+definition, as a name or as an attribute: an import, an entry of
+``__all__`` or a read from ``tests/`` does not keep it alive, since code
+only tests run belongs to the tests.  Every name a module of ``src/`` other
+than a package ``__init__`` imports must be loaded in that module, so an
+unused import hides no dead code.  Every field annotated in a class body
+there must be read somewhere in ``src/`` or ``tests/`` as an attribute.
+Every parameter with a default of a function there must be passed, by
+keyword or by position, at some call in ``src/`` or ``tests/`` to a callee
+of that name: a default no caller changes is a constant.  Every exception
+class in ``errors.py`` must be raised somewhere in ``src/``, itself or
+through a subclass: an error only tests raise belongs to the tests.
 """
 
 import ast
@@ -20,17 +23,26 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 
-def names_read(tree):
-    """Names a syntax tree reads, as loads, attributes or imports."""
+def names_loaded(tree):
+    """Names a syntax tree loads, as names or as attributes."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name] += 1
     return out
+
+
+def imported_names(tree):
+    """Names a syntax tree binds by import: the alias, or else the first
+    part of the module or name imported.  Future imports bind no name the
+    code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
 
 
 def top_level_definitions(tree):
@@ -61,15 +73,36 @@ def parse_all():
     return package, trees
 
 
-def test_every_top_level_symbol_is_named_outside_its_definition():
+def test_every_top_level_symbol_is_loaded_in_src_outside_its_definition():
     package, trees = parse_all()
-    reads = sum((names_read(tree) for tree in trees.values()), Counter())
+    loads = sum((names_loaded(trees[path]) for path in package), Counter())
     dead = [f"{path.relative_to(SRC)}: {name}"
             for path in package
             for name, node in top_level_definitions(trees[path])
             if not name.startswith("__")
-            and reads[name] == names_read(node)[name]]
+            and loads[name] == names_loaded(node)[name]]
     assert dead == []
+
+
+def test_every_import_of_a_src_module_is_loaded_there():
+    package, trees = parse_all()
+    unused = [f"{path.relative_to(SRC)}: {name}"
+              for path in package if path.name != "__init__.py"
+              for name in imported_names(trees[path])
+              if not names_loaded(trees[path])[name]]
+    assert unused == []
+
+
+def test_names_loaded_skips_imports_stores_and_strings():
+    source = ("import a\nfrom b import c as d\ne = f.g\nh.i = 1\n"
+              "__all__ = ['j']\n")
+    assert names_loaded(ast.parse(source)) == Counter({"f": 1, "g": 1, "h": 1})
+
+
+def test_imported_names_reads_aliases_and_dotted_modules():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom . import a, b as c\n")
+    assert list(imported_names(ast.parse(source))) == ["os", "np", "a", "c"]
 
 
 def test_every_class_field_is_read_as_an_attribute():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypertoric import exact
 from hypertoric.errors import InputError, NonZeroRemainder
 from hypertoric.exact import (
     MODULUS,
-    ONE_MINUS_Q,
     PoincarePoly,
     as_rat,
     certified_rank,
@@ -60,6 +60,13 @@ class TestRat:
         assert as_rat("3/4") == Fraction(3, 4)
         assert as_rat("-2") == Fraction(-2)
         assert as_rat(5) == Fraction(5)
+
+    def test_as_rat_refuses_a_power_of_ten_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert as_rat(f"1e{limit - 1}") == 10 ** (limit - 1)
+        for text in (f"1e{limit}", f"1e-{limit}", "2.5E10000000"):
+            with pytest.raises(InputError, match=f"more than {limit} digits"):
+                as_rat(text)
 
     def test_as_rat_rejects_floats(self):
         for value in (0.5, True, None, [1], "abc", "1/0"):
@@ -250,6 +257,6 @@ class TestPoly:
     @settings(max_examples=80, deadline=None)
     def test_divide_undoes_multiply(self, a, power):
         p = PoincarePoly(tuple(a)) + PoincarePoly.zero()  # trimmed
-        product = p * ONE_MINUS_Q ** power
+        product = p * PoincarePoly((1, -1)) ** power
         padded = list(product.coeffs) + [0] * 3
         assert divide_by_one_minus_q(padded, power) == p

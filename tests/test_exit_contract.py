@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from hypertoric import cli
 
 HUGE_INTS = [10 ** 20, 10 ** 200, 10 ** 400, -10 ** 400]
-ODD_VALUES = ["1.5", "1/0", "abc", "", "1e400", True, None, 1.5, 1e308, [],
-              {}, [1]]
+ODD_VALUES = ["1.5", "1/0", "abc", "", "1e400", "1e5000", True, None, 1.5,
+              1e308, [], {}, [1]]
 EXTREME_FLOATS = ["5e-324", "1e-300", "1e-30", "0.5", "1", "1e30", "1e100",
                   "1e154", "1e200", "1e300", "1.7e308", "1e400", "0", "-1",
                   "nan", "inf", "-inf"]

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from flow_reference import (energy, grad, grad_component, integrate_flow,
-                            lojasiewicz_report, moment_hk)
+from flow_reference import (abelian_gradient_norm2, diagonal_sum, energy, grad,
+                            grad_component, integrate_flow, lojasiewicz_report,
+                            moment_hk, su2_irrep)
 from hypertoric.errors import InputError, NonFiniteState, RankDeficient
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
     STATUS_UNDERFLOW,
-    abelian_gradient_norm2,
     descend,
-    diagonal_sum,
     from_matrices,
     pack_state,
     random_state,
-    su2_irrep,
     torus_rep,
     unpack_state,
 )

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import (energy, grad, grad_component, moment_hk, reference_energy_grad,
-                            reference_kernel, reference_moment_hk)
+from flow_reference import (diagonal_sum, energy, grad, grad_component, moment_hk,
+                            reference_energy_grad, reference_kernel, reference_moment_hk,
+                            su2_irrep)
 from hypertoric.errors import InputError
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (GroupRep, diagonal_sum, pack_state, random_state, su2_irrep,
-                                torus_rep)
+from hypertoric.flowlab import GroupRep, pack_state, random_state, torus_rep
 from hypertoric.flowlab import moments
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.torus import new_setup

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from flat_reference import weight_configurations
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, RankDeficient
-from hypertoric.exact import ONE_MINUS_Q, PoincarePoly, int_rank
+from hypertoric.exact import PoincarePoly, int_rank
 from hypertoric.crosscheck import polynomial_recurrence
+from hypertoric.flats import lattice
 from hypertoric.morse import (
+    _flat_polys,
     critical_components,
     modification_cases,
-    perfection_sum,
     poincare_morse,
 )
 from hypertoric.torus import modify, new_setup, sample_generic, sign_split
@@ -72,7 +73,7 @@ def spanning_set_sum(weights):
         for subset in combinations(range(n), size):
             if not d or int_rank([weights[j] for j in subset], d) == d:
                 total = total + (PoincarePoly.monomial(n - size)
-                                 * ONE_MINUS_Q ** (size - d))
+                                 * PoincarePoly((1, -1)) ** (size - d))
     return total
 
 
@@ -83,6 +84,19 @@ class TestPoincareAgainstTutte:
         d = len(weights[0]) if weights else 0
         assume(not weights or not d or int_rank(weights, d) == d)
         assert poincare_morse(weights) == spanning_set_sum(weights)
+
+
+def perfection_sum(weights) -> PoincarePoly:
+    """Sum of q^{n-|J|} (1-q)^{rank J} P(sub_J) over all flats.
+
+    Equals the constant polynomial 1.
+    """
+    n = len(weights)
+    total = PoincarePoly.zero()
+    for (mask, rank_f), p in zip(lattice(weights), _flat_polys(weights)):
+        total = total + (PoincarePoly.monomial(n - mask.bit_count())
+                         * PoincarePoly((1, -1)) ** rank_f * p)
+    return total
 
 
 class TestPerfection:
