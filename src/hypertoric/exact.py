@@ -6,9 +6,11 @@ Matrices are lists of integer rows, and there are three algorithms on them:
 ``int_rank`` by Bareiss elimination, ``int_solve`` by fraction-free
 Gauss–Jordan returning a determinant and an integer solution, and
 ``certified_rank``, which searches a rank with int64 arithmetic mod a prime
-and returns it only with a proof over Q, falling back to Bareiss
-elimination otherwise.  Kernels come from ``int_solve`` on a nonsingular
-block.  Polynomials have integer coefficients, and the one division the
+and returns it only with a proof over Q from both sides: a minor that is
+nonsingular mod the prime, and null vectors proven by a congruence mod a
+power of the prime and an integer size bound.  Bareiss elimination answers
+otherwise.  Kernels come from ``int_solve`` on a nonsingular block.
+Polynomials have integer coefficients, and the one division the
 package needs, by a power of 1 - q, is a run of integer prefix sums.
 """
 
@@ -170,68 +172,61 @@ def _rational_solution(x, modulus):
     return den, np.where(nums > modulus // 2, nums - modulus, nums)
 
 
-def _failing_rows(a, nulls, digit_bits):
-    """Mask of the rows i with a[i] · nulls ≠ 0, computed exactly in int64.
-
-    nulls holds Python ints.  Split into signed base-β planes, β =
-    2^digit_bits, a · nulls = Σ_t (a · plane_t) β^t.  Each product is
-    bounded by ‖a[i]‖₁ (β − 1) and each carry by ‖a[i]‖₁, so the caller's
-    ‖a[i]‖₁ · β < 2^63 keeps every step exact.  A row is zero iff every
-    partial sum is divisible by β and the last carry is zero.
-    """
-    mags = np.abs(nulls)
-    signs = np.sign(nulls).astype(np.int64)
-    mask = (1 << digit_bits) - 1
-    bad = np.zeros(len(a), dtype=bool)
-    carry = np.zeros((len(a), nulls.shape[1]), dtype=np.int64)
-    for t in range(-(-int(mags.max()).bit_length() // digit_bits)):
-        plane = ((mags >> (digit_bits * t)) & mask).astype(np.int64) * signs
-        v = a @ plane + carry
-        bad |= (v & mask).any(axis=1)
-        carry = v >> digit_bits
-    return bad | carry.any(axis=1)
-
-
 def _kernel_certified(a, piv_rows, piv_cols) -> bool:
-    """Whether ncols − r null vectors of a, r = len(piv_rows), are found and
-    checked exactly against every row, which proves rank(a) ≤ r.
+    """Whether ncols − r null vectors of a, r = len(piv_rows), are proven
+    by congruence and size, which proves rank(a) ≤ r.
 
     A[I, J] is nonsingular mod MODULUS.  The system A[I, J] X = A[I, F] on
     the free columns F is solved over Q by Dixon's p-adic lifting (Numer.
     Math. 40, 1982): one inverse mod MODULUS, then int64 residual updates.
-    Rational reconstruction over a common denominator D, tried as the digits
-    grow by a quarter, gives the null vectors N_J = −D X, N_F = D·I.  A
-    candidate that fails a row of I came too early and lifting goes on; one
-    that fails another row, or no candidate by the Hadamard bound, is False.
-    Every int64 kernel runs only after its bound is checked on the integers.
+    The other rows R are carried beside I: after s digits x ≡ X mod P^s,
+    P = MODULUS, and A[R, F] − A[R, J] x must be divisible by P^s, as it is
+    when rank(a) = r; a residual that is not gives False.  Rational
+    reconstruction over a common denominator D, tried as the digits grow by
+    a quarter, gives (D, N) with N ≡ D x, and the null vectors N_J = −N,
+    N_F = D·I.  Every entry of a times them is then ≡ 0 mod P^s, and once
+    2 max‖a_i‖₁ max(D, |N|) < P^s it is below P^s / 2 in size, so it is 0.
+    The bound reads the N returned, as a candidate may come too early.  It
+    is what refuses [[P, 0], [0, 1]] at s = 1, whose congruence holds.  No
+    proof by the Hadamard bound gives False.  Every int64 kernel runs only
+    after its bound is checked on the integers.
     """
     ncols = a.shape[1]
     r = len(piv_rows)
     free = np.ones(ncols, dtype=bool)  # np.setdiff1d would import numpy.ma
     free[piv_cols] = False
     free = np.flatnonzero(free)
+    rest = np.ones(len(a), dtype=bool)
+    rest[piv_rows] = False
     top = max(int(a.max()), -int(a.min()))
     if top * ncols >= _INT64:  # the row norms below must fit an int64
         return False
-    # The row check needs ‖row‖₁ · 2^digit_bits < 2^63.  A residual stays
-    # at most top (r + 1) in size, so an update stays below top (P r + r + 1).
-    norms = [int(v) for v in np.abs(a).sum(axis=1)]
-    digit_bits = 62 - max(norms).bit_length()
-    if digit_bits < 1 or top * (MODULUS * r + r + 1) >= _INT64:
+    # A residual stays at most top (r + 1) in size, so an update of it, or
+    # of a carried row, stays below top (P r + r + 1).
+    if top * (MODULUS * r + r + 1) >= _INT64:
         return False
+    norms = [int(v) for v in np.abs(a).sum(axis=1)]
+    widest = max(norms)
     b = a[piv_rows][:, piv_cols]
     res = a[piv_rows][:, free]
+    others = a[rest][:, piv_cols]
+    carry = a[rest][:, free]
     inv = _reduce_mod_p(np.concatenate([b, np.eye(r, dtype=np.int64)], axis=1))[2][:, r:]
     # Hadamard: D and every |N| are minors of A[I, :], at most H = Π ‖row‖₁.
-    # Reconstruction succeeds once P^s > 2 H², and P > 2^24.
+    # Reconstruction succeeds once P^s > 2 H², the size bound holds once
+    # P^s > 2 H max‖a_i‖₁, and P > 2^24.
     log_h = sum(norms[i].bit_length() for i in piv_rows)
-    last = (2 * log_h + 24) // 24
+    last = (log_h + max(log_h, widest.bit_length()) + 24) // 24
     x = np.zeros(res.shape, dtype=object)
     pending = []
     attempt = 1
     for s in range(1, last + 1):
         digit = inv @ (res % MODULUS) % MODULUS
         res = (res - b @ digit) // MODULUS
+        carry = carry - others @ digit
+        if (carry % MODULUS).any():
+            return False
+        carry //= MODULUS
         pending.append(digit)
         if s < min(attempt, last):
             continue
@@ -242,12 +237,8 @@ def _kernel_certified(a, piv_rows, piv_cols) -> bool:
         if found is None:
             continue
         den, nums = found
-        nulls = np.zeros((ncols, len(free)), dtype=object)
-        nulls[piv_cols] = -nums
-        nulls[free, np.arange(len(free))] = den
-        bad = _failing_rows(a, nulls, digit_bits)
-        if not bad[piv_rows].any():
-            return not bad.any()
+        if 2 * widest * np.abs(nums).max(initial=den) < MODULUS ** s:
+            return True
     return False
 
 
@@ -260,10 +251,11 @@ def certified_rank(rows, ncols: int) -> int:
     integer, so the rank is at least r = |I|.  When r = min(#rows, ncols)
     that settles it, as in every degree of a ring that vanishes.  Otherwise
     ``_kernel_certified`` proves rank ≤ r with ncols − r null vectors,
-    N_J = −D X and N_F = D·I on the free columns, solved over Q by p-adic
-    lifting and checked exactly against every row.  When it cannot, or when
-    an entry or a product could leave int64, the answer is Bareiss
-    elimination, ``int_rank``, on the same rows.
+    N_J = −D X and N_F = D·I on the free columns, found by p-adic lifting:
+    every row times them is ≡ 0 mod MODULUS^s and smaller than MODULUS^s / 2
+    in size, so it is 0.  When it cannot, or when an entry or a product
+    could leave int64, the answer is Bareiss elimination, ``int_rank``, on
+    the same rows.
     """
     if not rows or not ncols:
         return 0

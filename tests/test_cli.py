@@ -482,6 +482,30 @@ def test_argument_parsing_imports_no_argparse(tmp_path):
     assert json.loads(proc.stdout) == [0, []]
 
 
+# A wide-entry setup whose circle ring ranks deficient degrees, as the
+# benchmark's ring rungs do.
+RING_RUNG = {"weights": [[-2, 9, 8], [-5, 2, 6], [9, -7, -9], [6, -1, 8],
+                         [-2, -3, 6], [8, 8, 6]]}
+
+
+@pytest.mark.parametrize("command, obj, flags", [
+    ("analyze", RING_RUNG, ["--sample-generic"]),
+    ("flow", PAIR, ["--trials", "2"]),
+])
+def test_no_command_imports_numpy_ma(tmp_path, command, obj, flags):
+    # numpy.ma, which np.setdiff1d and np.isin load, takes about 11 ms.
+    path = write_json(tmp_path, "input.json", obj)
+    out = str(tmp_path / "report.json")
+    code = ("import json, sys\n"
+            "from hypertoric.cli import main\n"
+            f"code = main([{command!r}, {path!r}, '--out', {out!r}, *{flags!r}])\n"
+            "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False]
+
+
 # Values both parsers read alike: argparse takes a value after a space only
 # if it does not start with "-" or reads as a negative decimal number.
 _WORDS = st.from_regex(r"[a-z0-9,./_][a-z0-9,./_=-]{0,6}", fullmatch=True)

@@ -1,7 +1,6 @@
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +16,8 @@ from hypertoric.exact import (
     int_rank,
     int_solve,
 )
+from hypertoric.ringcalc import circle_dims
+from hypertoric.torus import new_setup
 from metric_reference import solve_exact
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -149,6 +150,19 @@ def rank_test_matrices(draw):
     return rows, ncols
 
 
+def spy(monkeypatch, name):
+    """The (arguments, result) of every call to exact.<name>, in order."""
+    calls = []
+    original = getattr(exact, name)
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(exact, name, recording)
+    return calls
+
+
 class TestCertifiedRank:
     @given(rank_test_matrices())
     @settings(max_examples=300, deadline=None)
@@ -170,13 +184,38 @@ class TestCertifiedRank:
                 for row in left]
         assert certified_rank(rows, 5) == 3
         assert certified_rank(rows + [[7, 0, 0, 0, 0]], 5) == 4
+        # A carried row far wider than the pivot row: its norm enters the
+        # size bound, and lifting runs until the bound holds.
+        assert certified_rank([[1, 2], [2 ** 30, 2 ** 31], [3, 6]], 2) == 1
+        # A circle ring with entries up to 11,640, like the benchmark's ring
+        # rungs: degrees 4-6 rank 15, 60 and 150 rows of 35, 56 and 84
+        # columns, the last two of rank 36 and 64.
+        setup = new_setup([[-2, 9, 8], [-5, 2, 6], [9, -7, -9], [6, -1, 8],
+                           [-2, -3, 6], [8, 8, 6]], [1, 2, 3])
+        assert circle_dims(setup) == (1, 4, 10, 20, 20, 20, 20)
 
-    def test_row_check_carries_out_of_the_top_digit(self):
-        # 255 + 1 = 2^8: every 8-bit partial sum is divisible by 2^8, and
-        # only the carry left after the last digit shows the row is not 0.
-        a = np.array([[1, 1], [1, -255]], dtype=np.int64)
-        nulls = np.array([[255], [1]], dtype=object)
-        assert exact._failing_rows(a, nulls, 8).tolist() == [True, False]
+    def test_a_carried_row_that_fails_its_congruence_falls_back(self, monkeypatch):
+        # Mod MODULUS the last row is the sum of the first two, so the
+        # search finds rank 2; over Q it is 3.  The lifted solution (100,
+        # 100) is exact, so only the carried row, whose residual is 1 after
+        # the second digit, keeps the size bound from accepting it there.
+        moduli = spy(monkeypatch, "_rational_solution")
+        fallbacks = spy(monkeypatch, "int_rank")
+        rows = [[1, 0, 100], [0, 1, 100], [1, 1, 200 + MODULUS]]
+        assert certified_rank(rows, 3) == 3
+        assert [args[1] for args, _ in moduli] == [MODULUS]
+        assert [result for _, result in fallbacks] == [3]
+
+    def test_the_size_bound_sends_a_modulus_row_to_bareiss(self, monkeypatch):
+        # At s = 1 the null vector is (1, 0), and [[P, 0], [0, 1]] (1, 0) =
+        # (P, 0) is 0 mod P: the congruence holds, and only the size bound
+        # 2 · P · 1 < P, which fails, refuses it.
+        solutions = spy(monkeypatch, "_rational_solution")
+        fallbacks = spy(monkeypatch, "int_rank")
+        assert certified_rank([[MODULUS, 0], [0, 1]], 2) == 2
+        (_, modulus), (den, nums) = solutions[0]
+        assert (modulus, den, nums.tolist()) == (MODULUS, 1, [[0]])
+        assert [result for _, result in fallbacks] == [2]
 
     def test_empty_and_zero(self):
         assert certified_rank([], 3) == 0

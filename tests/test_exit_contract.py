@@ -6,6 +6,8 @@ is JSON without NaN or Infinity (RFC 8259), and exit 2 reports nothing.
 
 Inputs are valid setups and generator families, mutated by huge, fractional
 or ill-typed entries and dropped keys, with extreme values of every option.
+Generic setups with only their level entries replaced reach the report
+path, where a level near the integer digit limit must still print or exit 2.
 --trials and --samples stay small: their cost grows without bound (see
 ROADMAP item 3), which is a budget question, not an exit-code one.
 """
@@ -15,6 +17,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -30,6 +33,15 @@ EXTREME_FLOATS = ["5e-324", "1e-300", "1e-30", "0.5", "1", "1e30", "1e100",
                   "1e154", "1e200", "1e300", "1.7e308", "1e400", "0", "-1",
                   "nan", "inf", "-inf"]
 SEEDS = [0, 1, 7, -1, 2 ** 32, 2 ** 64, 10 ** 30]
+LIMIT = sys.get_int_max_str_digits()
+# Levels that parse, whose reports print numbers near or past the limit.
+NEAR_LIMIT = [f"1e{LIMIT - 1}", f"99e{LIMIT - 1}", f"1e{LIMIT // 2}",
+              f"1e-{LIMIT // 2}", f"-7e-{LIMIT - 1}"]
+GENERIC_SETUPS = [
+    {"weights": [[1], [1], [1]], "alpha": ["-2"], "beta": [["1", "1"]]},
+    {"weights": [[1, 0], [0, 1], [1, 1], [1, -1]], "alpha": ["-2", "1"],
+     "beta": [["1", "-2"], ["-1", "1"]]},
+]
 
 odd = st.sampled_from(ODD_VALUES + HUGE_INTS)
 level = st.one_of(st.integers(-3, 3).map(str),
@@ -80,6 +92,20 @@ def setups(draw):
     return draw(mutated(setup))
 
 
+@st.composite
+def generic_setups(draw):
+    """A generic setup with one or two level entries replaced by an odd
+    value, a level near the digit limit or another level: most stay
+    generic, so the value reaches the report."""
+    setup = copy.deepcopy(draw(st.sampled_from(GENERIC_SETUPS)))
+    slots = [(setup["alpha"], i) for i in range(len(setup["alpha"]))]
+    slots += [(pair, j) for pair in setup["beta"] for j in range(2)]
+    for _ in range(draw(st.integers(1, 2))):
+        entries, i = draw(st.sampled_from(slots))
+        entries[i] = draw(st.one_of(odd, st.sampled_from(NEAR_LIMIT), level))
+    return setup
+
+
 TORUS = {"matrices": [{"re": [[0, 0], [0, 0]], "im": [[1, 0], [0, 1]]},
                       {"re": [[0, 0], [0, 0]], "im": [[1, 0], [0, -1]]}],
          "alpha": [0.5, -0.25]}
@@ -105,7 +131,8 @@ def requests(draw):
     """(command, input object, options) of one invocation; the option
     "--out" names a kind of path, filled in by the test."""
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
-    obj = draw(families() if command == "crossterm" else setups())
+    obj = draw(families() if command == "crossterm"
+               else st.one_of(setups(), generic_setups()))
     options = {}
     if draw(st.booleans()):
         options["--seed"] = str(draw(st.one_of(st.sampled_from(SEEDS),
