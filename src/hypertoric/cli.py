@@ -215,8 +215,8 @@ _SAMPLE_GENERIC = {"--sample-generic": (bool, False)}
 COMMANDS = {
     "analyze": (cmd_analyze, "full exact report with all cross-checks",
                 _SAMPLE_GENERIC),
-    "census": (cmd_census, "bounded face census of the dual arrangement",
-               _SAMPLE_GENERIC),
+    "census": (cmd_census, "bounded face census of {z : B^T z = alpha} cut "
+               "by the coordinate hyperplanes", _SAMPLE_GENERIC),
     "modify": (cmd_modify, "extend the setup by a circle and check recurrences",
                {"--column": (str, _REQUIRED),
                 "--check-recurrence": (bool, False), **_SAMPLE_GENERIC}),

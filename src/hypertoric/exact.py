@@ -332,10 +332,6 @@ class PoincarePoly:
     def monomial(power: int) -> "PoincarePoly":
         return PoincarePoly((0,) * power + (1,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 

@@ -103,33 +103,25 @@ def modification_cases(pair: ModificationPair) -> ModificationCases:
     n = pair.base.n
     base_flats = set(enumerate_flats(pair.base.weights))
     ext_flats = set(enumerate_flats(pair.extended.weights))
-    cases = {1: [], 2: [], 3: []}
-    ext_cover = {f: 0 for f in ext_flats}
-    base_cover = {f: 0 for f in base_flats}
+    # (in base, in extended, with row n in extended) -> the enlarged flats
+    cases = {(False, True, False): [], (True, True, True): [],
+             (True, False, True): []}
     for f in enumerate_flats(pair.enlarged.weights):
-        with_new = tuple(sorted(f + (n,)))
-        in_base = f in base_flats
-        in_ext = f in ext_flats
-        ext_in_ext = with_new in ext_flats
-        if not in_base and in_ext and not ext_in_ext:
-            cases[1].append(f)
-            ext_cover[f] += 1
-        elif in_base and in_ext and ext_in_ext:
-            cases[2].append(f)
-            ext_cover[f] += 1
-            ext_cover[with_new] += 1
-            base_cover[f] += 1
-        elif in_base and not in_ext and ext_in_ext:
-            cases[3].append(f)
-            ext_cover[with_new] += 1
-            base_cover[f] += 1
-        else:
+        key = (f in base_flats, f in ext_flats, f + (n,) in ext_flats)
+        if key not in cases:
             raise PartitionViolation(
                 f"flat {f} fits no modification case "
-                f"(base={in_base}, ext={in_ext}, ext+new={ext_in_ext})")
-    bad_ext = {f: c for f, c in ext_cover.items() if c != 1}
-    bad_base = {f: c for f, c in base_cover.items() if c != 1}
-    if bad_ext or bad_base:
+                f"(base={key[0]}, ext={key[1]}, ext+new={key[2]})")
+        cases[key].append(f)
+    new_only, shared_both, shared_extended = map(tuple, cases.values())
+    # Each enlarged flat f is visited once, f never holds row n and f + (n,)
+    # always does, so no flat is covered twice, and each cover lies inside
+    # its flats: the equalities fail only on a flat no case covers.
+    ext_cover = set(new_only + shared_both) | {
+        f + (n,) for f in shared_both + shared_extended}
+    base_cover = set(shared_both + shared_extended)
+    if ext_cover != ext_flats or base_cover != base_flats:
         raise PartitionViolation(
-            f"coverage counts off: extended {bad_ext}, base {bad_base}")
-    return ModificationCases(tuple(cases[1]), tuple(cases[2]), tuple(cases[3]))
+            f"the cases miss flats: extended {sorted(ext_flats - ext_cover)}, "
+            f"base {sorted(base_flats - base_cover)}")
+    return ModificationCases(new_only, shared_both, shared_extended)

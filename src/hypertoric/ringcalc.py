@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .errors import NonGenericAlpha
 from .exact import certified_rank
 from .flats import coatoms
-from .torus import TorusSetup, alpha_witness, sign_split
+from .torus import TorusSetup, negative_rows
 
 
 @dataclass(frozen=True)
@@ -93,12 +92,10 @@ def circle_equivariant_presentation(setup: TorusSetup) -> RingPresentation:
     gen_F.
 
     The coatom walls alone do not see every non-generic level, so the
-    level's genericity is checked first, over every flat.
+    signs are read from ``negative_rows``, which decides the level's
+    genericity over every flat.
     """
-    if (witness := alpha_witness(setup)) is not None:
-        raise NonGenericAlpha(witness)
-    w = setup.weights
-    minus = {h: sign_split(setup, h)[1] for h in coatoms(w)}
+    w, minus = setup.weights, negative_rows(setup)
     return _coatom_presentation(w, setup.dim + 1, lambda i, h: (
         tuple(-x for x in w[i]) + (1,) if i in minus[h] else w[i] + (0,)))
 

@@ -186,9 +186,11 @@ def walls_of(weights) -> MappingProxyType:
 # A witness depends on the weights and one level only, so each (weights,
 # alpha) and (weights, beta) pair is decided once per process and every
 # later check, sampling included, reads the cached decision.  Every check
-# reads the walls of ``walls_of``, on a level scaled to integers.  The beta
-# decision keeps the critical level of every flat, which it has to compute
-# anyway, so ``critical_levels`` reads the same cache.
+# reads the walls of ``walls_of``, on a level scaled to integers.  Each
+# decision keeps what it has to compute anyway: the beta decision the
+# critical level of every flat, read by ``critical_levels``, and a generic
+# alpha's the rows outside every flat that pair negatively with it, read by
+# ``negative_rows``.
 
 
 def beta_witness(setup: TorusSetup):
@@ -255,36 +257,36 @@ def alpha_witness(setup: TorusSetup):
     outside the span of the others, and a hyperplane z_j = 0 filling A puts
     alpha in that span.
     """
-    return _alpha_witness(setup.weights, setup.alpha)
+    return _alpha_signs(setup.weights, setup.alpha)[0]
+
+
+def negative_rows(setup: TorusSetup) -> MappingProxyType:
+    """Rows i outside each flat J with <alpha_J, u_i> < 0, keyed by the flat,
+    in flat order (read-only); every other row outside J pairs positively.
+    Raises NonGenericAlpha for a non-generic alpha."""
+    witness, negative = _alpha_signs(setup.weights, setup.alpha)
+    if witness is not None:
+        raise NonGenericAlpha(witness)
+    return negative
 
 
 @lru_cache(maxsize=None)
-def _alpha_witness(weights, alpha):
+def _alpha_signs(weights, alpha):
+    """(witness, negative) for one alpha: the first zero pairing in flat
+    order, walls in row order, and no mapping; else None and the negative
+    rows of every flat, signed on alpha scaled to integers."""
     _, a = _integral(alpha)
+    negative = {}
     for f, entry in walls_of(weights).items():
+        minus = []
         for i, h in entry.walls:
-            if not _dot(h, a):
-                return ("pairing", f, i)
-    return None
-
-
-def sign_split(setup: TorusSetup, flat) -> tuple:
-    """Partition rows outside the flat by the sign of their alpha pairing.
-
-    The sign decides whether the circle-equivariant Euler factor for that
-    row is the bare weight or its reflection through the equivariant class.
-    """
-    _, a = _integral(setup.alpha)
-    plus, minus = [], []
-    for i, h in walls_of(setup.weights)[flat].walls:
-        p = _dot(h, a)
-        if p > 0:
-            plus.append(i)
-        elif p < 0:
-            minus.append(i)
-        else:
-            raise NonGenericAlpha(("pairing", flat, i))
-    return tuple(plus), tuple(minus)
+            p = _dot(h, a)
+            if not p:
+                return ("pairing", f, i), None
+            if p < 0:
+                minus.append(i)
+        negative[f] = tuple(minus)
+    return None, MappingProxyType(negative)
 
 
 def require_generic(setup: TorusSetup) -> None:

@@ -27,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("census", parents=[common, levels],
-                       help="bounded face census of the dual arrangement")
+                       help="bounded face census of {z : B^T z = alpha} cut "
+                            "by the coordinate hyperplanes")
     p.add_argument("input", help="setup JSON file")
     p.set_defaults(fn=cmd_census)
 

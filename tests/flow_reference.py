@@ -119,10 +119,6 @@ class StatePath:
     status: str
 
     @property
-    def steps(self) -> int:
-        return len(self.energies) - 1
-
-    @property
     def f_limit(self) -> float:
         return float(self.energies[-1])
 

@@ -5,7 +5,7 @@ system fraction-free on integer rows: Gauss–Jordan elimination on Fraction
 entries (``solve_exact``), the inverse Gram matrix (B^T B)^{-1} as Fraction
 rows, and the residual map solved one unit covector at a time.  The tests
 compare the wall table ``torus.walls_of``, whose bottom flat's level form
-is the metric, and every witness, sign split and critical level read off
+is the metric, and every witness, negative row and critical level read off
 it, against it.  The Gale dual (``gale``) is the arrangement the face
 census used to read, built from a Fraction reduced row echelon form
 (``nullspace``).  The FM census takes its hyperplanes, vertex solves and
@@ -142,6 +142,15 @@ def critical_level(weights, beta, subset) -> Fraction:
     re = residual(weights, subset, [z.re for z in beta])
     im = residual(weights, subset, [z.im for z in beta])
     return pairing(gi, re, re) + pairing(gi, im, im)
+
+
+def hk_critical_level(weights, alpha, beta, subset) -> Fraction:
+    """1/4 |alpha_J|^2 + |beta_J|^2, the level of the muHK2 energy on the
+    flat J.  The flows take the real level halved, to match the 1/2 of
+    their real moment map (``flowlab.torus_rep``), hence the 1/4."""
+    res = residual(weights, subset, alpha)
+    return (pairing(gram_inverse(weights), res, res) / 4
+            + critical_level(weights, beta, subset))
 
 
 def gale(weights, alpha) -> tuple:

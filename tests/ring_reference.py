@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypertoric.exact import int_rank
 from hypertoric.flats import enumerate_flats
 from hypertoric.ringcalc import RingPresentation
-from hypertoric.torus import sample_generic, sign_split
+from hypertoric.torus import negative_rows, sample_generic
 
 
 def _linear_form(coeffs, nvars):
@@ -72,8 +72,10 @@ def reference_circle_presentation(setup):
     nvars = setup.dim + 1
     u0 = _linear_form((0,) * setup.dim + (1,), nvars)
     gens = []
+    negative = negative_rows(setup)
     for f in enumerate_flats(setup.weights)[:-1]:
-        plus, minus = sign_split(setup, f)
+        minus = negative[f]
+        plus = [i for i in range(setup.n) if i not in f and i not in minus]
         poly = {(0,) * nvars: 1}
         for i in plus:
             poly = _mul(poly, _linear_form(setup.weights[i] + (0,), nvars))

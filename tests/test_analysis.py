@@ -40,7 +40,7 @@ class TestClassifyLimit:
         trep = torus_rep(setup)
         traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
                               np.zeros(2, complex), np.zeros(2, complex))
-        assert traj.status == STATUS_CONVERGED and traj.steps == 0
+        assert traj.status == STATUS_CONVERGED and len(traj.energies) - 1 == 0
         flat = classify_limit(setup, traj)
         assert flat == ()
         # the limit energy is the critical level of the empty flat, 9/2
@@ -72,7 +72,7 @@ class TestLojReport:
     def test_insufficient_tail(self):
         # The first two samples of the trajectory, with its first step's length.
         short = self._trajectory(max_steps=1)
-        assert short.steps == 1
+        assert len(short.energies) - 1 == 1
         with pytest.raises(InsufficientTail):
             lojasiewicz_report(short, f_c=0.0)
 

@@ -445,13 +445,15 @@ def test_analyze_decides_each_level_once(tmp_path, capsys, flags):
     from hypertoric import cli, torus
 
     path = write_json(tmp_path, "cp2.json", CP2)
-    torus._alpha_witness.cache_clear()
+    torus._alpha_signs.cache_clear()
     torus._beta_levels.cache_clear()
     assert cli.main(["analyze", path, *flags]) == 0
     assert json.loads(capsys.readouterr().out)["sampled_generic"] is False
-    assert torus._alpha_witness.cache_info().misses == 1
+    assert torus._alpha_signs.cache_info().misses == 1
     assert torus._beta_levels.cache_info().misses == 1
-    # critical_components checks beta again and reads the cached decision
+    # the ring route reads alpha's cached decision, and critical_components
+    # checks beta again and reads its cached decision
+    assert torus._alpha_signs.cache_info().hits >= 1
     assert torus._beta_levels.cache_info().hits >= 1
 
 

@@ -7,7 +7,9 @@ definition, as a name or as an attribute: an import, an entry of
 only tests run belongs to the tests.  Every name a module of ``src/`` other
 than a package ``__init__`` imports must be loaded in that module, so an
 unused import hides no dead code.  Every field annotated in a class body
-there must be read somewhere in ``src/`` or ``tests/`` as an attribute.
+there must be read somewhere in ``src/`` or ``tests/`` as an attribute, and
+every method or property there, a dunder aside, must be loaded as an
+attribute in ``src/`` outside its own body.
 Every parameter with a default of a function there must be passed, by
 keyword or by position, at some call in ``src/`` or ``tests/`` to a callee
 of that name: a default no caller changes is a constant.  Every exception
@@ -66,6 +68,23 @@ def class_fields(tree):
                     yield node.name, stmt.target.id
 
 
+def class_methods(tree):
+    """(class name, function node) of every function defined in a class
+    body, dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("__")):
+                    yield node.name, stmt
+
+
+def attributes_loaded(tree):
+    """Attribute names a syntax tree loads."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def parse_all():
     package = sorted((SRC / "hypertoric").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
@@ -114,6 +133,25 @@ def test_every_class_field_is_read_as_an_attribute():
             for cls, field in class_fields(trees[path])
             if field not in read]
     assert dead == []
+
+
+def test_every_method_is_loaded_as_an_attribute_in_src_outside_its_body():
+    package, trees = parse_all()
+    loads = sum((attributes_loaded(trees[path]) for path in package), Counter())
+    dead = [f"{path.relative_to(SRC)}: {cls}.{node.name}"
+            for path in package
+            for cls, node in class_methods(trees[path])
+            if loads[node.name] == attributes_loaded(node)[node.name]]
+    assert dead == []
+
+
+def test_class_methods_skip_dunders_and_nested_functions():
+    source = ("class A:\n    def __init__(self):\n        pass\n"
+              "    @property\n    def p(self):\n        def inner():\n"
+              "            pass\n    @staticmethod\n    def s():\n        pass\n"
+              "def f():\n    pass\n")
+    assert [(cls, node.name) for cls, node in class_methods(ast.parse(source))] == [
+        ("A", "p"), ("A", "s")]
 
 
 def raised_names(tree):

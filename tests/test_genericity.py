@@ -24,10 +24,10 @@ from hypertoric.torus import (
     alpha_witness,
     beta_witness,
     critical_levels,
+    negative_rows,
     new_setup,
     require_generic,
     sample_generic,
-    sign_split,
     walls_of,
 )
 from metric_reference import (
@@ -107,20 +107,12 @@ def reference_alpha_witness(weights, alpha):
     return None
 
 
-def reference_sign_split(weights, alpha, flat):
-    """(plus, minus) rows outside the flat by the sign of their pairing with
-    alpha_J, or the witness of the first zero pairing."""
+def reference_negative_rows(weights, alpha, flat):
+    """Rows outside the flat whose pairing with alpha_J is negative."""
     gi = gram_inverse(weights)
     res = residual(weights, flat, alpha)
-    plus, minus = [], []
-    for i in range(len(weights)):
-        if i in flat:
-            continue
-        p = pairing(gi, res, weights[i])
-        if p == 0:
-            return ("pairing", flat, i)
-        (plus if p > 0 else minus).append(i)
-    return tuple(plus), tuple(minus)
+    return tuple(i for i in range(len(weights))
+                 if i not in flat and pairing(gi, res, weights[i]) < 0)
 
 
 def reference_simplicity_witness(weights, alpha):
@@ -133,13 +125,6 @@ def reference_simplicity_witness(weights, alpha):
         if best is None or (len(rest), rest) < (len(best), best):
             best = rest
     return best
-
-
-def signs(setup, flat):
-    try:
-        return sign_split(setup, flat)
-    except NonGenericAlpha as exc:
-        return exc.witness
 
 
 def solved_perp_part(weights, subset, vec):
@@ -348,5 +333,12 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
     all_flats = enumerate_flats(weights)
     for f in all_flats:
         assert critical_levels(setup)[f] == reference_level(weights, setup.beta, f)
-    for f in all_flats[:-1]:
-        assert signs(setup, f) == reference_sign_split(weights, setup.alpha, f)
+    witness = reference_alpha_witness(weights, setup.alpha)
+    if witness is not None:
+        with pytest.raises(NonGenericAlpha) as raised:
+            negative_rows(setup)
+        assert raised.value.witness == witness
+        return
+    for f in all_flats:
+        assert negative_rows(setup)[f] == reference_negative_rows(
+            weights, setup.alpha, f)

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flat_reference import weight_configurations
-from hypertoric.errors import NonGenericAlpha, NonGenericBeta, RankDeficient
+from hypertoric import morse
+from hypertoric.errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
+                               RankDeficient)
 from hypertoric.exact import PoincarePoly, int_rank
 from hypertoric.crosscheck import polynomial_recurrence
 from hypertoric.flats import lattice
@@ -16,7 +18,7 @@ from hypertoric.morse import (
     modification_cases,
     poincare_morse,
 )
-from hypertoric.torus import modify, new_setup, sample_generic, sign_split
+from hypertoric.torus import modify, negative_rows, new_setup, sample_generic
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -56,7 +58,7 @@ class TestPoincare:
             p = poincare_morse(weights)
             assert p.coefficient(0) == 1
             n, d = len(weights), len(weights[0])
-            assert p.degree <= n - d
+            assert len(p.coeffs) - 1 <= n - d
 
 
 def spanning_set_sum(weights):
@@ -138,21 +140,25 @@ class TestCriticalComponents:
 
 
 class TestSignSplit:
+    """Rows outside a flat split by the sign of their pairing with alpha,
+    read from ``negative_rows``."""
+
     def test_diagonal_circle_signs(self):
-        up = new_setup(DIAG2, [1])
-        assert sign_split(up, ()) == ((0, 1), ())
-        down = new_setup(DIAG2, [-1])
-        assert sign_split(down, ()) == ((), (0, 1))
+        assert negative_rows(new_setup(DIAG2, [1]))[()] == ()
+        assert negative_rows(new_setup(DIAG2, [-1]))[()] == (0, 1)
 
     def test_rows_in_flat_excluded(self):
-        s = new_setup(TRIPLE, [1, 3])
-        plus, minus = sign_split(s, (2,))
-        assert set(plus) | set(minus) == {0, 1}
+        # Of the rows 0 and 1 outside the flat (2,), alpha = (1, 3) pairs
+        # negatively with row 0 only.
+        negative = negative_rows(new_setup(TRIPLE, [1, 3]))
+        assert negative[(2,)] == (0,)
+        assert all(not set(f) & set(rows) for f, rows in negative.items())
 
     def test_zero_pairing_raises(self):
         s = new_setup(TRIPLE, [1, 2])  # pairs to zero against row 0
-        with pytest.raises(NonGenericAlpha):
-            sign_split(s, ())
+        with pytest.raises(NonGenericAlpha) as raised:
+            negative_rows(s)
+        assert raised.value.witness == ("pairing", (), 0)
 
 
 def pair_of(weights, circle):
@@ -200,3 +206,29 @@ class TestModification:
             total = (len(cases.new_only) + len(cases.shared_both)
                      + len(cases.shared_extended))
             assert total == len(enumerate_flats(enlarged_weights(weights, circle)))
+
+    @staticmethod
+    def edit_flats(monkeypatch, weights, edit):
+        """Let modification_cases read edit(flats) as the flats of weights."""
+        real = morse.enumerate_flats
+        monkeypatch.setattr(morse, "enumerate_flats", lambda w: (
+            edit(real(w)) if w == weights else real(w)))
+
+    def test_a_flat_in_no_case_raises(self, monkeypatch):
+        # Without the base flat (), the enlarged flat () is an extended flat
+        # both with and without the new row, but not a base flat.
+        pair = pair_of(DIAG2, (1, 0))
+        self.edit_flats(monkeypatch, pair.base.weights, lambda fs: fs[1:])
+        with pytest.raises(PartitionViolation, match=r"flat \(\) fits no modification "
+                           r"case \(base=False, ext=True, ext\+new=True\)"):
+            modification_cases(pair)
+
+    def test_a_flat_no_case_covers_raises(self, monkeypatch):
+        # Without the enlarged flat (0,), every other enlarged flat still
+        # fits its case, and only the extended flat (0,) is left uncovered.
+        pair = pair_of(DIAG2, (1, 0))
+        self.edit_flats(monkeypatch, pair.enlarged.weights,
+                        lambda fs: tuple(f for f in fs if f != (0,)))
+        with pytest.raises(PartitionViolation, match=r"the cases miss flats: "
+                           r"extended \[\(0,\)\], base \[\]$"):
+            modification_cases(pair)

@@ -12,7 +12,7 @@ from hypertoric.ringcalc import (
     hilbert_dims,
     ring_dims,
 )
-from hypertoric.torus import new_setup, sample_generic, sign_split
+from hypertoric.torus import negative_rows, new_setup, sample_generic
 from ring_reference import (generic_setups, quotient_dim, reference_circle_presentation,
                             reference_dims, reference_presentation)
 
@@ -94,10 +94,15 @@ class TestPresentation:
         # The lemma behind the coatom-only circle presentation: each proper
         # flat F lies in a coatom H whose rows outside it split by sign as
         # they do for F, so gen_H divides gen_F.
-        splits = {h: tuple(map(set, sign_split(setup, h)))
-                  for h in coatoms(setup.weights)}
+        negative = negative_rows(setup)
+
+        def split(f):
+            minus = set(negative[f])
+            return set(range(setup.n)) - set(f) - minus, minus
+
+        splits = {h: split(h) for h in coatoms(setup.weights)}
         for f in enumerate_flats(setup.weights)[:-1]:
-            plus, minus = map(set, sign_split(setup, f))
+            plus, minus = split(f)
             assert any(set(h) >= set(f) and hp <= plus and hm <= minus
                        for h, (hp, hm) in splits.items()), f
 
