@@ -4,8 +4,9 @@ Each case runs ``cli.main`` in process on a setup written to a file, and
 hashes its stdout, its stderr and its exit code.  ``report_digests.json``
 holds the digests, so a change to any report, exit code or message fails
 here.  The cases are ``analyze`` and ``census`` on every catalog setup at
-five kinds of level, two sampled and three given, and ``modify
---check-recurrence --sample-generic`` on every modification pair.  Some
+five kinds of level, two sampled and three given, and ``modify`` on
+every modification pair, both plain and with ``--check-recurrence
+--sample-generic``.  Some
 given levels exit 3 with a witness: the zero alpha always, the given
 alphas on four setups, and the unit beta with a level collision on two.
 After a deliberate report change, regenerate the file with
@@ -63,10 +64,12 @@ def cases():
                 yield (f"{command} {level} {json.dumps(weights)}",
                        make(weights), [command, "{input}", *flags])
     for weights, column in MODIFICATION_PAIRS:
+        argv = ["modify", "{input}", "--column", ",".join(map(str, column))]
         yield (f"modify {json.dumps(weights)} {json.dumps(column)}",
                {"weights": weights},
-               ["modify", "{input}", "--column", ",".join(map(str, column)),
-                "--check-recurrence", "--sample-generic"])
+               [*argv, "--check-recurrence", "--sample-generic"])
+        yield (f"modify plain {json.dumps(weights)} {json.dumps(column)}",
+               {"weights": weights}, argv)
 
 
 def digest(setup, argv, directory):
