@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 
 from .errors import InvariantViolation, NonGenericAlpha
-from .exact import PoincarePoly, int_solve
+from .exact import int_solve, trim
 from .torus import TorusSetup, alpha_witness
 
 
@@ -119,11 +119,11 @@ def face_census(setup: TorusSetup) -> tuple:
     return tuple(counts)
 
 
-def census_poincare(counts) -> PoincarePoly:
-    """Poincare polynomial from bounded face counts: sum d_k (q - 1)^k."""
-    q_minus_1 = PoincarePoly((-1, 1))
-    total = PoincarePoly.zero()
-    for k, c in enumerate(counts):
-        total = total + PoincarePoly((c,)) * q_minus_1 ** k
-    return total
+def census_poincare(counts) -> tuple:
+    """Poincare polynomial sum d_k (q - 1)^k of bounded face counts, by
+    Horner's rule: P <- (q - 1) P + d_k from the top nonzero count down."""
+    poly = ()
+    for c in reversed(trim(counts)):
+        poly = tuple(x - y for x, y in zip((c,) + poly, poly + (0,)))
+    return poly
 

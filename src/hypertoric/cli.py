@@ -16,6 +16,7 @@ from . import arrangement, crosscheck, flats
 from .errors import (EnumerationTooLarge, HypertoricError, InputError,
                      InvariantViolation)
 from .flowlab import cross_term_stats, from_matrices, run_ensemble
+from .flowlab.moments import ENERGY_KINDS
 from .serialize import (
     flat_to_json,
     parse_float_array,
@@ -221,7 +222,7 @@ COMMANDS = {
                {"--column": (str, _REQUIRED),
                 "--check-recurrence": (bool, False), **_SAMPLE_GENERIC}),
     "flow": (cmd_flow, "random-start gradient descents of a moment energy",
-             {"--function": (("muR2", "muC2", "muHK2"), "muC2"),
+             {"--function": (ENERGY_KINDS, "muC2"),
               "--trials": (int, 8),
               "--max-time": (float, 1e6),
               "--grad-tol": (float, 1e-5),

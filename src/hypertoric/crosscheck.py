@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import arrangement, morse, ringcalc
-from .exact import PoincarePoly
 from .torus import ModificationPair, TorusSetup
 
 
@@ -21,9 +20,9 @@ class Analysis:
     morse_census, morse_ring, circle_series and all, in that order."""
 
     components: tuple               # morse.CriticalComponent per flat, in order
-    poincare: PoincarePoly          # the Morse recursion's P
+    poincare: tuple                 # the Morse recursion's P
     counts: tuple                   # bounded face counts d_0, ..., d_m
-    census_poincare: PoincarePoly
+    census_poincare: tuple
     ordinary: tuple                 # ordinary ring dims, degrees 0..n - d + 2
     circle: tuple                   # circle-equivariant dims, 0..n - d + 3
     agreement: dict
@@ -46,7 +45,7 @@ def analyze(setup: TorusSetup) -> Analysis:
     circle = ringcalc.circle_dims(setup)
 
     top = setup.ambient_dim
-    betti = list(p.coeffs) + [0] * (top + 1 - len(p.coeffs))
+    betti = list(p) + [0] * (top + 1 - len(p))
     padded = (list(ordinary) + [0] * len(circle))[:len(circle)]
     agreement = {
         "morse_census": p == p_census,
@@ -56,6 +55,11 @@ def analyze(setup: TorusSetup) -> Analysis:
     }
     agreement["all"] = all(agreement.values())
     return Analysis(components, p, counts, p_census, ordinary, circle, agreement)
+
+
+def _coefficient(coeffs, k) -> int:
+    """coeffs[k], or 0 for a k outside the range."""
+    return coeffs[k] if 0 <= k < len(coeffs) else 0
 
 
 def polynomial_recurrence(pair: ModificationPair):
@@ -68,8 +72,10 @@ def polynomial_recurrence(pair: ModificationPair):
     """
     base, enlarged, extended = (morse.poincare_morse(s.weights) for s in
                                 (pair.base, pair.enlarged, pair.extended))
-    return (base, enlarged, extended,
-            extended == base + PoincarePoly.monomial(1) * enlarged)
+    holds = all(_coefficient(extended, k) == _coefficient(base, k)
+                + _coefficient(enlarged, k - 1)
+                for k in range(max(map(len, (base, enlarged, extended))) + 1))
+    return base, enlarged, extended, holds
 
 
 def census_recurrence(pair: ModificationPair):
@@ -84,8 +90,8 @@ def census_recurrence(pair: ModificationPair):
     cases = morse.modification_cases(pair)
     counts = [arrangement.face_census(s)
               for s in (pair.base, pair.enlarged, pair.extended)]
-    base, enlarged, extended = (dict(enumerate(c)) for c in counts)
-    holds = all(extended.get(k, 0) == base.get(k, 0) + enlarged.get(k, 0)
-                + enlarged.get(k - 1, 0)
+    base, enlarged, extended = counts
+    holds = all(_coefficient(extended, k) == _coefficient(base, k)
+                + _coefficient(enlarged, k) + _coefficient(enlarged, k - 1)
                 for k in range(max(map(len, counts)) + 1))
     return (cases, *counts, holds)

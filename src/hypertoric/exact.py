@@ -1,4 +1,4 @@
-"""Exact integer linear algebra, exact rationals and polynomial arithmetic.
+"""Exact integer linear algebra, exact rationals and polynomial division.
 
 Everything feeding the cross-checked invariants runs on Python integers and
 stdlib ``fractions.Fraction``; floats only appear in the flow laboratory.
@@ -10,8 +10,9 @@ and returns it only with a proof over Q from both sides: a minor that is
 nonsingular mod the prime, and null vectors proven by a congruence mod a
 power of the prime and an integer size bound.  Bareiss elimination answers
 otherwise.  Kernels come from ``int_solve`` on a nonsingular block.
-Polynomials have integer coefficients, and the one division the
-package needs, by a power of 1 - q, is a run of integer prefix sums.
+A polynomial is the tuple of its integer coefficients, lowest degree
+first, with no trailing zero, and the one division the package needs, by a
+power of 1 - q, is a run of integer prefix sums.
 """
 
 from __future__ import annotations
@@ -307,58 +308,15 @@ def int_solve(rows, rhs_rows):
 # ---------------------------------------------------------------------------
 
 
-def _trim(coeffs):
+def trim(coeffs) -> tuple:
+    """The coefficients as a tuple without trailing zeros."""
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class PoincarePoly:
-    """Polynomial in q with integer coefficients; coeffs[k] multiplies q^k."""
-
-    coeffs: tuple = ()
-
-    @staticmethod
-    def zero() -> "PoincarePoly":
-        return PoincarePoly(())
-
-    @staticmethod
-    def one() -> "PoincarePoly":
-        return PoincarePoly((1,))
-
-    @staticmethod
-    def monomial(power: int) -> "PoincarePoly":
-        return PoincarePoly((0,) * power + (1,))
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __add__(self, other: "PoincarePoly") -> "PoincarePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PoincarePoly(_trim(self.coefficient(k) + other.coefficient(k)
-                                  for k in range(n)))
-
-    def __mul__(self, other: "PoincarePoly") -> "PoincarePoly":
-        if not self.coeffs or not other.coeffs:
-            return PoincarePoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PoincarePoly(_trim(out))
-
-    def __pow__(self, n: int) -> "PoincarePoly":
-        result = PoincarePoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-
-def divide_by_one_minus_q(coeffs, power: int) -> PoincarePoly:
+def divide_by_one_minus_q(coeffs, power: int) -> tuple:
     """The integer coefficients coeffs divided by (1 - q)^power in Z[q].
 
     p = (1 - q) s exactly when s_k = p_0 + ... + p_k and the last prefix sum,
@@ -370,4 +328,4 @@ def divide_by_one_minus_q(coeffs, power: int) -> PoincarePoly:
         coeffs = list(accumulate(coeffs))
         if coeffs and coeffs.pop():
             raise NonZeroRemainder(f"not divisible by (1 - q)^{power}")
-    return PoincarePoly(_trim(coeffs))
+    return trim(coeffs)

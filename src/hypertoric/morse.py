@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
-from .exact import PoincarePoly, divide_by_one_minus_q, int_rank
+from .exact import divide_by_one_minus_q, int_rank
 from .flats import enumerate_flats, lattice
 from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
 
@@ -67,7 +67,7 @@ def _flat_polys(weights) -> tuple:
     return tuple(polys)
 
 
-def poincare_morse(weights) -> PoincarePoly:
+def poincare_morse(weights) -> tuple:
     """Poincare polynomial in q = t^2 of the quotient for these weights.
 
     The contributions of all critical manifolds sum to 1; isolating the top

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exact import CRat, PoincarePoly
+from .exact import CRat
 from .torus import TorusSetup, new_setup
 
 
@@ -54,8 +54,8 @@ def setup_from_json(obj) -> TorusSetup:
                      alpha=alpha, beta=beta)
 
 
-def poly_to_json(poly: PoincarePoly) -> list:
-    return list(poly.coeffs)
+def poly_to_json(poly: tuple) -> list:
+    return list(poly)
 
 
 def flat_to_json(flat: Sequence[int]) -> list:

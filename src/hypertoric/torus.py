@@ -310,12 +310,13 @@ _TRIES_PER_ROUND = 64
 def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
     """Deterministically give the weights generic levels.
 
-    A level passed explicitly is kept when it is generic.  A level not
-    given, or not generic, is redrawn: alpha first, then beta, each from
-    integer boxes [-s, s] with s doubling from 3 every 64 draws.
+    Each level of one setup is kept when generic and redrawn while not,
+    alpha first, then beta, each from integer boxes [-s, s] with s doubling
+    from 3 every 64 draws.  A level not given is zero, never generic for
+    d >= 1: it pairs to 0 with the bottom flat's wall of a nonzero row.
     """
-    given = new_setup(weights, alpha, beta)
-    d = given.dim
+    setup = new_setup(weights, alpha, beta)
+    d = setup.dim
     rng = random.Random(seed)
 
     def draw_alpha(size):
@@ -325,12 +326,10 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
         return tuple(CRat(Fraction(rng.randint(-size, size)),
                           Fraction(rng.randint(-size, size))) for _ in range(d))
 
-    setup = replace(given, alpha=None if alpha is None else given.alpha,
-                    beta=None if beta is None else given.beta)
     for name, draw, witness in (("alpha", draw_alpha, alpha_witness),
                                 ("beta", draw_beta, beta_witness)):
         tries = 0
-        while getattr(setup, name) is None or witness(setup) is not None:
+        while witness(setup) is not None:
             if tries == _SAMPLE_ROUNDS * _TRIES_PER_ROUND:
                 raise SamplingExhausted(f"no generic {name} found")
             setup = replace(setup, **{name: draw(3 << tries // _TRIES_PER_ROUND)})

@@ -11,13 +11,11 @@ import json
 import pytest
 
 from hypertoric import arrangement, cli, morse, ringcalc
-from hypertoric.crosscheck import analyze
-from hypertoric.exact import PoincarePoly
+from hypertoric.crosscheck import analyze, polynomial_recurrence
 from hypertoric.serialize import setup_to_json
-from hypertoric.torus import new_setup
+from hypertoric.torus import modify, new_setup
 
 CP2 = new_setup(((1,), (1,), (1,)), [1], [(3, 0)])
-Q3 = PoincarePoly.monomial(3)
 
 
 def replace_answers(monkeypatch, patches):
@@ -47,8 +45,8 @@ def false_flags(agreement):
     ([(ringcalc, "circle_dims", lambda c: c + (4,))], {"circle_series"}),
     # Every route agrees on a P of degree 3 > n - d: the ring must vanish
     # above n - d, so only morse_ring fails.
-    ([(morse, "poincare_morse", lambda p: p + Q3),
-      (arrangement, "census_poincare", lambda p: p + Q3),
+    ([(morse, "poincare_morse", lambda p: p + (1,)),
+      (arrangement, "census_poincare", lambda p: p + (1,)),
       (ringcalc, "ring_dims", lambda o: o[:3] + (1, 0)),
       (ringcalc, "circle_dims", lambda c: c[:3] + (4, 4, 4))], {"morse_ring"}),
     # So must a ring whose dims are P's through n - d but not zero above.
@@ -64,7 +62,7 @@ def test_truth_table(monkeypatch, patches, flags):
 
 
 @pytest.mark.parametrize("module, name, change, flags", [
-    (arrangement, "census_poincare", lambda p: p + PoincarePoly.monomial(1),
+    (arrangement, "census_poincare", lambda p: (p[0], p[1] + 1) + p[2:],
      {"morse_census"}),
     # The circle verdict reads the running sums of the ordinary dims, so a
     # shifted ordinary series fails both verdicts that read it.
@@ -84,7 +82,7 @@ def test_analyze_disagreement_exits_4(tmp_path, capsys, monkeypatch, module,
 
 
 @pytest.mark.parametrize("module, name, change, broken", [
-    (morse, "poincare_morse", lambda p: p + PoincarePoly.one(), "recurrence"),
+    (morse, "poincare_morse", lambda p: (p[0] + 1,) + p[1:], "recurrence"),
     (arrangement, "face_census", lambda d: (d[0] + 1,) + d[1:],
      "census_recurrence"),
 ], ids=["morse", "census"])
@@ -101,3 +99,14 @@ def test_modify_violation_exits_4(tmp_path, capsys, monkeypatch, module, name,
         "recurrence": broken != "recurrence",
         "census_recurrence": broken != "census_recurrence"}
     assert err == "modification recurrence violated; see the report\n"
+
+
+def test_recurrence_reads_the_top_coefficient_of_the_longest_polynomial(
+        monkeypatch):
+    # P_ext = 1 + 2q + 5q^2 is longer than P_base = 1 + q and q P_enl = q,
+    # so only the coefficient of q^2 breaks the recurrence.
+    pair = modify(new_setup(((1,), (1,)), [1], [(3, 0)]), (1, 0))
+    answers = {pair.base.weights: (1, 1), pair.enlarged.weights: (1,),
+               pair.extended.weights: (1, 2, 5)}
+    monkeypatch.setattr(morse, "poincare_morse", answers.__getitem__)
+    assert polynomial_recurrence(pair) == ((1, 1), (1,), (1, 2, 5), False)

@@ -15,9 +15,14 @@ keyword or by position, at some call in ``src/`` or ``tests/`` to a callee
 of that name: a default no caller changes is a constant.  Every exception
 class in ``errors.py`` must be raised somewhere in ``src/``, itself or
 through a subclass: an error only tests raise belongs to the tests.
+Every name an annotation in ``src/`` reads, string annotations included,
+is a builtin or a module-level name of its module: under ``from
+__future__ import annotations`` nothing evaluates them, so a stale one
+would otherwise pass unseen.
 """
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -240,3 +245,57 @@ def test_defaulted_parameters_skip_self_and_bare_keyword_only_names():
               "class A:\n    def m(self, x, y=0):\n        pass\n")
     assert list(defaulted_parameters(ast.parse(source))) == [
         ("f", "b", 1), ("f", "d", None), ("m", "y", 1)]
+
+
+def annotation_names(tree):
+    """Names the annotations of a syntax tree read, a string annotation
+    parsed as an expression: ``np.ndarray`` reads np, ``"P"`` reads P."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        stack = [annotation] if annotation is not None else []
+        while stack:
+            part = stack.pop()
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                stack.append(ast.parse(part.value, mode="eval"))
+            elif isinstance(part, ast.Name):
+                yield part.id
+            else:
+                stack.extend(ast.iter_child_nodes(part))
+
+
+def module_level_names(tree):
+    """Names a module binds at its top level, by definition or import."""
+    return ({name for name, _ in top_level_definitions(tree)}
+            | {name for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in imported_names(node)})
+
+
+def test_every_annotation_reads_a_builtin_or_a_module_level_name():
+    package, trees = parse_all()
+    stale = [f"{path.relative_to(SRC)}: {name}"
+             for path in package
+             for name in annotation_names(trees[path])
+             if not hasattr(builtins, name)
+             and name not in module_level_names(trees[path])]
+    assert stale == []
+
+
+def test_annotation_names_read_strings_attributes_and_every_slot():
+    source = ("import numpy as np\n"
+              "def f(a: np.ndarray, *b: 'P', c: int = 0, **d: 'dict[str, Q]')"
+              " -> 'R':\n    e: S = 1\n    g = 2\n"
+              "class A:\n    h: 'T | None'\n")
+    assert sorted(annotation_names(ast.parse(source))) == [
+        "P", "Q", "R", "S", "T", "dict", "int", "np", "str"]
+
+
+def test_module_level_names_skip_nested_bindings():
+    source = ("import os.path\nfrom a import b as c\nX = 1\ndef f():\n"
+              "    import y\n    z = 2\nclass A:\n    w = 3\n")
+    assert module_level_names(ast.parse(source)) == {"os", "c", "X", "f", "A"}

@@ -29,6 +29,7 @@ from hypertoric.torus import (
     walls_of,
 )
 import metric_reference as ref
+from test_acceptance import CATALOG
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -197,6 +198,13 @@ class TestSampling:
         s = sample_generic(TRIPLE, seed=5, alpha=[1, 1])
         assert s.alpha != (Fraction(1), Fraction(1))
         require_generic(s)
+
+    @pytest.mark.parametrize("weights", CATALOG)
+    def test_a_level_not_given_is_drawn_like_a_zero_level(self, weights):
+        d = len(weights[0])
+        for seed in (0, 3):
+            assert sample_generic(weights, seed) == sample_generic(
+                weights, seed, alpha=[0] * d, beta=[[0, 0]] * d)
 
     def test_different_seeds_usually_differ(self):
         draws = {sample_generic(TRIPLE, seed=k) for k in range(6)}
