@@ -7,8 +7,10 @@ critical data downstream, so everything here is exact.
 The flats form a lattice, built once per weights.  Every flat is an
 intersection of coatoms, the flats of rank one less than the whole (Oxley,
 *Matroid Theory*, 2011), and each coatom is the closure of an independent
-subset of that size.  The lattice stores each flat as a bitmask, bit j for
-row j, with its rank attached.
+subset of that size.  The lattice keeps each flat with its basis, the rows
+of the flat, in row order, that raise the rank of the rows before them; the
+flat's rank is the length of its basis.  Every later use of a flat's rank
+or independent rows reads them here.
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ from .exact import int_rank
 MAX_GROUND_SET = 14
 
 
-def flat_rank(weights, subset) -> int:
-    if not subset:
-        return 0
-    return int_rank([list(weights[j]) for j in subset], len(weights[0]))
-
-
-def closure(weights, subset) -> tuple:
-    """Indices of all rows inside the span of the rows named by subset."""
-    r = flat_rank(weights, subset)
-    return tuple(j for j in range(len(weights))
-                 if j in subset or flat_rank(weights, (*subset, j)) == r)
-
-
 def _mask(subset) -> int:
     return sum(1 << j for j in subset)
 
@@ -45,43 +34,57 @@ def _indices(mask) -> tuple:
 
 @lru_cache(maxsize=None)
 def lattice(weights) -> tuple:
-    """Every flat as a (bitmask, rank) pair, in (size, lexicographic) order.
+    """Every flat as a (flat, basis) pair, in (size, lexicographic) order.
 
-    The coatoms are the closures of the independent subsets of size
-    rank - 1; a subset inside a coatom already found closes to that coatom
-    or is dependent, so it is skipped.  The flats are then the intersections
-    of coatoms, the whole ground set being the empty intersection.
+    The basis of the whole ground set, the last flat, gives the rank r.  The
+    coatoms close the independent subsets of size r - 1 by the rows that do
+    not raise their rank; a subset inside a coatom already found closes to
+    that coatom or is dependent, so it is skipped.  The flats are then the
+    intersections of coatoms, the whole ground set being the empty one.
     """
     n = len(weights)
     if n > MAX_GROUND_SET:
         raise EnumerationTooLarge(
             f"{n} rows exceeds the flat-enumeration bound of {MAX_GROUND_SET}")
-    top = flat_rank(weights, tuple(range(n)))
+    d = len(weights[0]) if weights else 0
+
+    def rank(subset):
+        return int_rank([weights[j] for j in subset], d)
+
+    def basis(flat):
+        picked = ()
+        for j in flat:
+            if len(picked) < d and rank((*picked, j)) > len(picked):
+                picked += (j,)
+        return picked
+
+    whole = tuple(range(n))
+    top = basis(whole)
+    r = len(top) - 1  # the rank of a coatom
     hyperplanes = []
-    for subset in combinations(range(n), max(top - 1, 0)):
+    for subset in combinations(whole, max(r, 0)):
         mask = _mask(subset)
-        if any(mask & h == mask for h in hyperplanes):
+        if any(mask & h == mask for h in hyperplanes) or rank(subset) != r:
             continue
-        if flat_rank(weights, subset) == top - 1:
-            hyperplanes.append(_mask(closure(weights, subset)))
+        hyperplanes.append(mask | _mask(
+            j for j in whole if not mask >> j & 1 and rank((*subset, j)) == r))
     masks = frontier = {(1 << n) - 1}
     while frontier:
         frontier = {f & h for f in frontier for h in hyperplanes} - masks
         masks = masks | frontier
     flats = sorted(map(_indices, masks), key=lambda f: (len(f), f))
-    return tuple((_mask(f), flat_rank(weights, f)) for f in flats)
+    return tuple((f, basis(f)) for f in flats[:-1]) + ((whole, top),)
 
 
 @lru_cache(maxsize=None)
 def enumerate_flats(weights) -> tuple:
     """All flats, sorted by (size, lexicographic order)."""
-    return tuple(_indices(mask) for mask, _ in lattice(weights))
+    return tuple(f for f, _ in lattice(weights))
 
 
 @lru_cache(maxsize=None)
 def coatoms(weights) -> tuple:
     """Flats of rank one less than the whole configuration, in flat order."""
-    ranked = lattice(weights)
-    top = ranked[-1][1]
-    return tuple(f for f, (_, r) in zip(enumerate_flats(weights), ranked)
-                 if r == top - 1)
+    table = lattice(weights)
+    r = len(table[-1][1]) - 1
+    return tuple(f for f, basis in table if len(basis) == r)

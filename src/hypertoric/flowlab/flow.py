@@ -1,11 +1,11 @@
 """Negative gradient flow with monotone-decrease step control.
 
 The integrator takes explicit Euler steps along the negative gradient.
-A step is accepted only when it achieves a fixed fraction of the ideal
-first-order decrease; otherwise the step size is halved.  Accepted
-steps double the step size for the next attempt, so the scheme adapts
-to the local curvature without a stiffness model.  Energy is therefore
-strictly decreasing along every recorded trajectory.
+A step is accepted only when it lowers the energy, by at least a fixed
+fraction of the ideal first-order decrease; otherwise the step size is
+halved.  Accepted steps double the step size for the next attempt, so the
+scheme adapts to the local curvature without a stiffness model.  Energy
+is therefore strictly decreasing along every recorded trajectory.
 
 States descend as a stack in lock step.  Each round every unfinished
 state tries its step h and also the halved step h/2 that a rejection of h
@@ -141,7 +141,8 @@ def descend(fun: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
         h = 0.25 * h   # rows that move reset h
         f_trial, g_trial = (np.asarray(value, dtype=np.float64)
                             for value in fun(trial))
-        ok = np.isfinite(f_trial) & (f_trial <= bound)
+        ok = (np.isfinite(f_trial) & (f_trial <= bound)
+              & (f_trial.reshape(2, size) < f).ravel())
         if not np.isfinite(trial).all():
             ok &= np.isfinite(trial).all(axis=1)
         # A row takes its first acceptable candidate, or none; an h/2 below

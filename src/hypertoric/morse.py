@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
-from .exact import divide_by_one_minus_q, int_rank
+from .exact import divide_by_one_minus_q
 from .flats import enumerate_flats, lattice
 from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
 
@@ -31,11 +31,11 @@ def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one per flat, in (size, lex) flat order."""
     if (witness := beta_witness(setup)) is not None:
         raise NonGenericBeta(witness)
+    levels = critical_levels(setup)
     return tuple(
-        CriticalComponent(flat=f, rank=rank_f, index=2 * (setup.n - len(f)),
-                          level=level)
-        for (f, level), (_, rank_f) in zip(critical_levels(setup).items(),
-                                           lattice(setup.weights)))
+        CriticalComponent(flat=f, rank=len(basis), index=2 * (setup.n - len(f)),
+                          level=levels[f])
+        for f, basis in lattice(setup.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +51,18 @@ def _flat_polys(weights) -> tuple:
     critical manifolds give, bottom-up over the lattice,
     (1-q)^{rk F} P(F) = 1 - sum over G < F of q^{|F|-|G|} (1-q)^{rk G} P(G).
     """
-    flats = lattice(weights)
     polys = []
-    lifted = []  # (1-q)^{rk G} P(G), coefficients
-    for mask, rank_f in flats:
-        size = mask.bit_count()
-        acc = [1] + [0] * size
-        for (sub, _), coeffs in zip(flats, lifted):
+    lifted = []  # (bitmask of G, (1-q)^{rk G} P(G) coefficients)
+    for f, basis in lattice(weights):
+        mask = sum(1 << j for j in f)
+        acc = [1] + [0] * len(f)
+        for sub, coeffs in lifted:
             if sub & mask == sub:
-                shift = size - sub.bit_count()
+                shift = len(f) - sub.bit_count()
                 for k, c in enumerate(coeffs):
                     acc[shift + k] -= c
-        lifted.append(acc)
-        polys.append(divide_by_one_minus_q(acc, rank_f))
+        lifted.append((mask, acc))
+        polys.append(divide_by_one_minus_q(acc, len(basis)))
     return tuple(polys)
 
 
@@ -74,9 +73,8 @@ def poincare_morse(weights) -> tuple:
     flat leaves (1-q)^d * P equal to 1 minus the proper-flat terms, and the
     division is exact whenever the weights have full column rank.
     """
-    n = len(weights)
     d = len(weights[0]) if weights else 0
-    if n and d and int_rank(weights, d) != d:
+    if len(lattice(weights)[-1][1]) != d:
         raise RankDeficient("weights must have full column rank")
     return _flat_polys(weights)[-1]
 

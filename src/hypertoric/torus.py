@@ -114,17 +114,6 @@ def _integral(level) -> tuple:
     return scale, [x.numerator * (scale // x.denominator) for x in level]
 
 
-def _independent(rows) -> list:
-    """Indices of the rows, in order, that raise the rank of those before."""
-    picked = []
-    for i, row in enumerate(rows):
-        if len(picked) == len(row):
-            break
-        if int_rank([rows[j] for j in picked] + [row], len(row)) > len(picked):
-            picked.append(i)
-    return picked
-
-
 @dataclass(frozen=True)
 class FlatWalls:
     """The walls and the level form of one flat J, all integer.
@@ -147,7 +136,7 @@ def walls_of(weights) -> MappingProxyType:
     G = B^T B is positive definite, so one fraction-free solve gives its
     adjugate adj and det = det G > 0, with G^-1 = adj / det.  The bottom
     flat has nothing to project out: its entry is the metric itself, form =
-    adj and denom = det.  With U the first independent rows of J, the
+    adj and denom = det.  With U the rows of J's basis in the lattice, the
     projection onto span(J) is U^T M^-1 U adj for the integer matrix
     M = U adj U^T.  One fraction-free solve gives X = det_M M^-1 U adj, so
     K = det_M R_J = det_M I - U^T X is integral, and so is
@@ -166,9 +155,8 @@ def walls_of(weights) -> MappingProxyType:
             for i in range(d)]
     det, adj = int_solve(gram, [[int(i == j) for j in range(d)] for i in range(d)])
     table = {}
-    for f in flats.enumerate_flats(weights):
-        rows = [weights[j] for j in f]
-        u = [rows[k] for k in _independent(rows)]
+    for f, basis in flats.lattice(weights):
+        u = [weights[j] for j in basis]
         ua = [[_dot(r, row) for row in adj] for r in u]
         det_m, x = int_solve([[_dot(row, r) for r in u] for row in ua], ua)
         form = tuple(tuple(det_m * adj[i][j] - sum(a[i] * xr[j] for a, xr in zip(ua, x))

@@ -271,7 +271,8 @@ def descend_one(fun, grad_fun, state0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
             trial = state - h * g
             f_trial = float(fun(trial))
             if (np.isfinite(f_trial) and np.all(np.isfinite(trial))
-                    and f_trial <= f - _DECREASE_FRACTION * h * gnorm * gnorm):
+                    and f_trial <= f - _DECREASE_FRACTION * h * gnorm * gnorm
+                    and f_trial < f):
                 accepted = True
                 break
             h *= 0.5
@@ -324,7 +325,8 @@ def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
                             for value in fun(trial))
         ok = (np.isfinite(f_trial) & np.all(np.isfinite(trial), axis=1)
               & (f_trial <= f[active] - _DECREASE_FRACTION * hs * gnorm[active]
-                 * gnorm[active]))
+                 * gnorm[active])
+              & (f_trial < f[active]))
         h[active[~ok]] *= 0.5
         moved = active[ok]
         if moved.size == 0:

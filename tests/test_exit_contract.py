@@ -147,10 +147,6 @@ def requests(draw):
         for option in ("--radius", "--max-time", "--grad-tol"):
             if draw(st.booleans()):
                 options[option] = draw(extreme_float)
-        if _below(options.get("--grad-tol"), 1e-8):
-            # A tolerance the gradient never reaches runs every trial to
-            # 200,000 steps, 20-30 s, unless the flow time is short.
-            options["--max-time"] = draw(st.sampled_from(["1", "1e-3", "1e-300"]))
     elif command == "crossterm":
         options["--samples"] = str(draw(st.integers(1, 20)))
         if draw(st.booleans()):
@@ -166,13 +162,6 @@ def requests(draw):
         if draw(st.booleans()):
             options["--check-recurrence"] = True
     return command, obj, options
-
-
-def _below(text, bound):
-    try:
-        return float(text) < bound
-    except (TypeError, ValueError):
-        return False
 
 
 def _refuse(name):

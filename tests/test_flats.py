@@ -1,12 +1,10 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import flat_reference
 from flat_reference import reference_flats, weight_configurations
 from hypertoric.errors import EnumerationTooLarge
-from hypertoric.flats import (closure, coatoms, enumerate_flats, flat_rank,
-                              lattice)
+from hypertoric.flats import coatoms, enumerate_flats, lattice
 
 DIAG2 = ((1,), (1,))
 DIAG3 = ((1,), (1,), (1,))
@@ -14,23 +12,15 @@ TRIPLE = ((1, 0), (0, 1), (1, 1))
 IDENT2 = ((1, 0), (0, 1))
 
 
-def test_closure_collinear_rows():
-    assert closure(DIAG2, ()) == ()
-    assert closure(DIAG2, (0,)) == (0, 1)
-    assert closure(DIAG2, (1,)) == (0, 1)
+def test_coatoms_close_their_candidates():
+    # A coatom holds every row parallel to its independent rows.
+    assert coatoms(DIAG2) == ((),)
+    assert coatoms(TRIPLE) == ((0,), (1,), (2,))
+    assert coatoms(((1, 0), (0, 1), (2, 0), (1, 1))) == ((1,), (3,), (0, 2))
 
 
-def test_closure_triple():
-    assert closure(TRIPLE, (0,)) == (0,)
-    assert closure(TRIPLE, (2,)) == (2,)
-    assert closure(TRIPLE, (0, 1)) == (0, 1, 2)
-    assert closure(TRIPLE, (0, 2)) == (0, 1, 2)
-
-
-def test_closure_zero_row():
-    weights = ((0,), (1,))
-    assert closure(weights, ()) == (0,)
-    assert closure(weights, (1,)) == (0, 1)
+def test_a_zero_row_lies_in_every_flat_and_in_no_basis():
+    assert lattice(((0,), (1,))) == (((0,), ()), ((0, 1), (1,)))
 
 
 def test_enumerate_flats_diagonal():
@@ -60,10 +50,11 @@ def test_proper_flats_drop_full_set():
         assert enumerate_flats(weights)[-1] == tuple(range(len(weights)))
 
 
-def test_flat_rank():
-    assert flat_rank(TRIPLE, ()) == 0
-    assert flat_rank(TRIPLE, (0, 1, 2)) == 2
-    assert flat_rank(DIAG2, (0, 1)) == 1
+def test_lattice_keeps_each_flats_basis():
+    assert lattice(TRIPLE) == (((), ()), ((0,), (0,)), ((1,), (1,)),
+                               ((2,), (2,)), ((0, 1, 2), (0, 1)))
+    assert lattice(DIAG2) == (((), ()), ((0, 1), (0,)))
+    assert lattice(()) == (((), ()),)
 
 
 def test_ground_set_bound():
@@ -76,23 +67,25 @@ def test_flats_are_closed_and_sorted():
     weights = ((1, 0), (2, 0), (0, 1), (1, 1), (0, 0))
     fs = enumerate_flats(weights)
     for f in fs:
-        assert closure(weights, f) == f
+        assert flat_reference.closure(weights, f) == f
     sizes = [len(f) for f in fs]
     assert sizes == sorted(sizes)
     # zero row sits inside every flat
     assert all(4 in f for f in fs)
 
 
-@given(weight_configurations(), st.data())
+@given(weight_configurations())
 @settings(max_examples=150, deadline=None)
-def test_lattice_matches_closure_of_every_subset(weights, data):
+def test_lattice_matches_closure_of_every_subset(weights):
     expected = reference_flats(weights)
     assert enumerate_flats(weights) == tuple(f for f, _ in expected)
-    assert lattice(weights) == tuple((sum(1 << j for j in f), r)
-                                     for f, r in expected)
+    table = lattice(weights)
+    assert tuple(f for f, _ in table) == enumerate_flats(weights)
+    for (f, basis), (_, rank) in zip(table, expected):
+        # The first run of independent rows: row j of f is in the basis
+        # exactly when the rows of f before it do not span it.
+        assert len(basis) == rank
+        assert basis == tuple(j for k, j in enumerate(f)
+                              if j not in flat_reference.closure(weights, f[:k]))
     top = expected[-1][1]
     assert coatoms(weights) == tuple(f for f, r in expected if r == top - 1)
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(weights),
-                                max_size=len(weights)))
-    subset = tuple(j for j, c in enumerate(chosen) if c)
-    assert closure(weights, subset) == flat_reference.closure(weights, subset)

@@ -118,8 +118,8 @@ def perfection_sum(weights) -> tuple:
     """
     n = len(weights)
     return shifted_sum(
-        (n - mask.bit_count(), times(one_minus_q(rank_f), p))
-        for (mask, rank_f), p in zip(lattice(weights), _flat_polys(weights)))
+        (n - len(f), times(one_minus_q(len(basis)), p))
+        for (f, basis), p in zip(lattice(weights), _flat_polys(weights)))
 
 
 class TestPerfection:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from hypertoric.exact import int_rank
 from hypertoric.flats import enumerate_flats
-from hypertoric.flowlab import (STATUS_CONVERGED, descend, pack_state, torus_rep,
-                                unpack_state)
+from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_UNDERFLOW, descend,
+                                pack_state, torus_rep, unpack_state)
 from hypertoric.flowlab.moments import flow_objective
 from hypertoric.torus import new_setup, sample_generic
 from metric_reference import critical_level, hk_critical_level
@@ -37,14 +37,23 @@ def generic_setups(draw):
     return sample_generic(weights, draw(st.integers(0, 99)))
 
 
-def check_stratum_starts(setup, seed):
-    """Descend one start per flat for each energy and check every limit."""
+# A setup whose start on the flat (1,) stalls just above the tolerance 1e-6.
+STALL = new_setup(((-1, -1), (-1, -2)), [3, 0], [[3, 0], [-3, -1]])
+
+
+def stratum_starts(setup, seed):
+    """The flats, and a stack of one start per flat, zero outside it."""
     flats = enumerate_flats(setup.weights)
     draws = np.random.default_rng(seed).standard_normal((len(flats), 4, setup.n))
     for f, draw in zip(flats, draws):
         draw[:, [j for j in range(setup.n) if j not in f]] = 0.0
-    starts = pack_state((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2),
-                        (draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2))
+    return flats, pack_state((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2),
+                             (draws[:, 2] + 1j * draws[:, 3]) / np.sqrt(2))
+
+
+def check_stratum_starts(setup, seed):
+    """Descend one start per flat for each energy and check every limit."""
+    flats, starts = stratum_starts(setup, seed)
     trep = torus_rep(setup)
     levels = {"muC2": [critical_level(setup.weights, setup.beta, f) for f in flats],
               "muHK2": [hk_critical_level(setup.weights, setup.alpha, setup.beta, f)
@@ -70,15 +79,29 @@ def test_stratum_starts_converge_to_their_flat_level(setup, seed):
     check_stratum_starts(setup, seed)
 
 
-@pytest.mark.xfail(reason="at the level 82 of the flat (1,), the descent "
-                   "stops moving with a gradient norm of 2.7e-6 and spends "
-                   "its 20,000 steps", raises=AssertionError)
+@pytest.mark.xfail(reason="at the level 82 of the flat (1,), no step lowers "
+                   "the energy once the gradient norm is 2.7e-6, and the "
+                   "descent ends StepUnderflow after 38 steps",
+                   raises=AssertionError)
 def test_a_stratum_start_that_stalls_above_the_tolerance():
     # Near a critical point whose energy f is far from 0, the decrease the
     # step rule asks for, 70 % of the first-order one, falls below the
     # rounding of f once the gradient norm is about sqrt(ulp(f) * curvature),
-    # here some 1e-6.  No step that moves the state is accepted after that,
-    # and each remaining step is one too short to move it: a zero-length step
-    # leaves f as it is and passes the test.
-    check_stratum_starts(new_setup(((-1, -1), (-1, -2)), [3, 0],
-                                   [[3, 0], [-3, -1]]), 0)
+    # here some 1e-6.  No step is accepted after that, so the descent ends
+    # StepUnderflow above the tolerance.
+    check_stratum_starts(STALL, 0)
+
+
+def test_a_descent_below_the_float_floor_ends_within_a_hundred_steps():
+    # With a tolerance no float gradient reaches, a descent ends once no step
+    # lowers the energy, rather than spending its budget on steps too short
+    # to move the state, and its energy falls at every step.
+    flats, starts = stratum_starts(STALL, 0)
+    trep = torus_rep(STALL)
+    for function in ("muC2", "muHK2"):
+        objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+        for f, traj in zip(flats, descend(objective, starts, grad_tol=1e-300,
+                                          max_steps=20_000)):
+            assert traj.status in (STATUS_CONVERGED, STATUS_UNDERFLOW), (function, f)
+            assert len(traj.energies) - 1 <= 100, (function, f)
+            assert np.all(np.diff(traj.energies) < 0), (function, f)
