@@ -12,6 +12,24 @@ TRIPLE = ((1, 0), (0, 1), (1, 1))
 IDENT2 = ((1, 0), (0, 1))
 
 
+def _closure(weights, subset):
+    # The smallest lattice flat holding subset; flats come smallest first.
+    return next(f for f in enumerate_flats(weights) if set(subset) <= set(f))
+
+
+def test_closure_collinear_rows():
+    assert _closure(DIAG2, ()) == ()
+    assert _closure(DIAG2, (0,)) == (0, 1)
+    assert _closure(DIAG2, (1,)) == (0, 1)
+
+
+def test_closure_triple():
+    assert _closure(TRIPLE, (0,)) == (0,)
+    assert _closure(TRIPLE, (2,)) == (2,)
+    assert _closure(TRIPLE, (0, 1)) == (0, 1, 2)
+    assert _closure(TRIPLE, (0, 2)) == (0, 1, 2)
+
+
 def test_coatoms_close_their_candidates():
     # A coatom holds every row parallel to its independent rows.
     assert coatoms(DIAG2) == ((),)
