@@ -75,16 +75,3 @@ def lattice(weights) -> tuple:
     flats = sorted(map(_indices, masks), key=lambda f: (len(f), f))
     return tuple((f, basis(f)) for f in flats[:-1]) + ((whole, top),)
 
-
-@lru_cache(maxsize=None)
-def enumerate_flats(weights) -> tuple:
-    """All flats, sorted by (size, lexicographic order)."""
-    return tuple(f for f, _ in lattice(weights))
-
-
-@lru_cache(maxsize=None)
-def coatoms(weights) -> tuple:
-    """Flats of rank one less than the whole configuration, in flat order."""
-    table = lattice(weights)
-    r = len(table[-1][1]) - 1
-    return tuple(f for f, basis in table if len(basis) == r)

@@ -9,14 +9,14 @@ norm, limit classification against the exact critical data, and the
 cross-term experiment for nonabelian groups.
 """
 
-from .reps import GroupRep, TorusRep, from_matrices, random_state, torus_rep
+from .reps import GroupRep, TorusRep, from_matrices, torus_rep
 from .moments import pack_state, unpack_state
 from .flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW, Trajectory,
                    descend)
 from .analysis import LojReport, cross_term_stats, run_ensemble, tail_reports
 
 __all__ = [
-    "GroupRep", "TorusRep", "from_matrices", "random_state", "torus_rep",
+    "GroupRep", "TorusRep", "from_matrices", "torus_rep",
     "pack_state", "unpack_state",
     "STATUS_CONVERGED", "STATUS_MAX_TIME", "STATUS_UNDERFLOW", "Trajectory", "descend",
     "LojReport", "cross_term_stats", "run_ensemble", "tail_reports",

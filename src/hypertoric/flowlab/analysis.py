@@ -11,12 +11,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+# Imported with the package, so that a command's first draw does not pay
+# for loading numpy.random.
+from numpy.random import default_rng
 
 from ..errors import InputError, NonFiniteState
 from ..torus import critical_levels
 from .flow import STATUS_CONVERGED, Trajectory, descend
 from .moments import flow_objective, hk_components, pack_state, unpack_state
-from .reps import GroupRep, gaussian_state, random_state, torus_rep
+from .reps import GroupRep, gaussian_state, torus_rep
 
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
@@ -173,7 +176,7 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     # compares as large.  numpy need not print a warning for it.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(trials):
-            draws = np.stack([np.random.default_rng((base_seed, trial)).standard_normal(
+            draws = np.stack([default_rng((base_seed, trial)).standard_normal(
                 (4, setup.n)) for trial in block])
             starts = pack_state(*gaussian_state(draws, radius))
             try:
@@ -233,7 +236,7 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
         raise InputError("need at least one sample state")
     _require_seed(seed)
     _require_radius(radius)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     beta = np.zeros(rep.k, dtype=np.complex128)
     alpha = np.asarray(alpha, dtype=np.float64)
     pair_keys = ((1, 2), (1, 3), (2, 3))
@@ -242,7 +245,8 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     top, total = np.full(9, -np.inf), np.zeros(9)
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(samples):
-            x, y = random_state(rng, rep.dim, radius, count=len(block))
+            x, y = gaussian_state(
+                rng.standard_normal((len(block), 4, rep.dim)), radius)
             mu, packed = hk_components(rep, alpha, beta, x, y)
             grads = {i: packed[:, i - 1] for i in (1, 2, 3)}
             norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}

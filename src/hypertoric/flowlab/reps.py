@@ -8,7 +8,7 @@ without touching the matrices again.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,14 +190,6 @@ def torus_rep(setup) -> TorusRep:
     alpha = 0.5 * (vmat.T @ alpha_in)
     beta = vmat.T.astype(np.complex128) @ beta_in
     return TorusRep(rep, alpha, beta)
-
-
-def random_state(rng: np.random.Generator, n: int, radius: float = 1.0,
-                 count: Optional[int] = None):
-    """Independent complex Gaussian coordinates with scale ``radius``; with
-    ``count``, a stack of that many states, drawn as that many calls would."""
-    return gaussian_state(
-        rng.standard_normal((4, n) if count is None else (count, 4, n)), radius)
 
 
 def gaussian_state(draws: np.ndarray, radius: float):

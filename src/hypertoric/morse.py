@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NonGenericBeta, PartitionViolation, RankDeficient
 from .exact import divide_by_one_minus_q
-from .flats import enumerate_flats, lattice
+from .flats import lattice
 from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
 
 
@@ -99,12 +99,12 @@ def modification_cases(pair: ModificationPair) -> ModificationCases:
     violation is raised rather than papered over.
     """
     n = pair.base.n
-    base_flats = set(enumerate_flats(pair.base.weights))
-    ext_flats = set(enumerate_flats(pair.extended.weights))
+    base_flats = {f for f, _ in lattice(pair.base.weights)}
+    ext_flats = {f for f, _ in lattice(pair.extended.weights)}
     # (in base, in extended, with row n in extended) -> the enlarged flats
     cases = {(False, True, False): [], (True, True, True): [],
              (True, False, True): []}
-    for f in enumerate_flats(pair.enlarged.weights):
+    for f, _ in lattice(pair.enlarged.weights):
         key = (f in base_flats, f in ext_flats, f + (n,) in ext_flats)
         if key not in cases:
             raise PartitionViolation(

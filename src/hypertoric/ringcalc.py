@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .exact import certified_rank
-from .flats import coatoms
+from .flats import lattice
 from .torus import TorusSetup, negative_rows
 
 
@@ -44,10 +44,13 @@ def _expand(forms, nvars) -> tuple:
 
 def _coatom_presentation(weights, nvars, factor) -> RingPresentation:
     """For each coatom H, in flat order, the product of factor(i, H) over
-    the rows i outside H."""
+    the rows i outside H.  The coatoms are the flats whose basis is one row
+    shorter than the top flat's."""
+    table = lattice(weights)
+    r = len(table[-1][1]) - 1
     return RingPresentation(nvars, tuple(
         _expand([factor(i, h) for i in range(len(weights)) if i not in h], nvars)
-        for h in coatoms(weights)))
+        for h, basis in table if len(basis) == r))
 
 
 def cohomology_presentation(weights) -> RingPresentation:

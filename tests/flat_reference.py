@@ -3,8 +3,11 @@
 This is the enumeration the package used before it built the flat lattice
 from coatoms.  Every flat is the closure of one of its maximal independent
 subsets, so the closures of all subsets of size up to the rank cover every
-flat.  The tests compare ``flats.lattice`` and ``flats.enumerate_flats``
-against it on configurations drawn by ``weight_configurations``.
+flat.  ``test_flats.py`` compares ``flats.lattice`` against it on
+configurations drawn by ``weight_configurations``.  Every other test that
+needs the flats or coatoms of a configuration as inputs reads them here
+rather than from the lattice, so a fault in the lattice cannot hide by
+agreeing with itself.
 """
 
 from fractions import Fraction
@@ -63,6 +66,12 @@ def reference_flats(weights) -> tuple:
             found.add(closure(weights, subset))
     return tuple((f, len(_basis(weights, f)))
                  for f in sorted(found, key=lambda f: (len(f), f)))
+
+
+def reference_coatoms(weights) -> tuple:
+    """The flats of rank one less than the whole, in flat order."""
+    table = reference_flats(weights)
+    return tuple(f for f, r in table if r == table[-1][1] - 1)
 
 
 @st.composite

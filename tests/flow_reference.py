@@ -12,10 +12,10 @@ per iteration.  The reference flows record every state of their path, as a
 compare the stacked code against them.
 
 The one-state entries to the stacked API are kept here as adapters:
-``integrate_flow``, ``energy``, ``grad``, ``moment_hk``, ``grad_component``,
-``classify_limit`` and ``lojasiewicz_report`` each make one call of
-``descend``, ``flow_objective``, ``hk_components``, ``analysis._match_limit``
-or ``tail_reports``.
+``random_state``, ``integrate_flow``, ``energy``, ``grad``, ``moment_hk``,
+``grad_component``, ``classify_limit`` and ``lojasiewicz_report`` each make
+one call of ``gaussian_state``, ``descend``, ``flow_objective``,
+``hk_components``, ``analysis._match_limit`` or ``tail_reports``.
 
 The moment maps and gradients are also kept here as they were computed
 before they were read off one generator product: ``_apply`` applies each
@@ -41,9 +41,10 @@ import numpy as np
 from hypertoric.errors import InputError, NonFiniteState
 from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
                                 LojReport, Trajectory, descend, from_matrices, pack_state,
-                                random_state, tail_reports, torus_rep, unpack_state)
+                                tail_reports, torus_rep, unpack_state)
 from hypertoric.flowlab.analysis import _match_limit
 from hypertoric.flowlab.moments import flow_objective, hk_components
+from hypertoric.flowlab.reps import gaussian_state
 from hypertoric.torus import critical_levels
 
 _DECREASE_FRACTION = 0.7
@@ -54,6 +55,13 @@ _MIN_TAIL_POINTS = 4
 
 class InsufficientTail(Exception):
     """Too few trajectory samples in the decay window for a tail estimate."""
+
+
+def random_state(rng, n, radius=1.0, count=None):
+    """Independent complex Gaussian coordinates with scale ``radius``; with
+    ``count``, a stack of that many states, drawn as that many calls would."""
+    return gaussian_state(
+        rng.standard_normal((4, n) if count is None else (count, 4, n)), radius)
 
 
 def integrate_flow(rep, which, alpha, beta, x0, y0, **options):

@@ -18,8 +18,8 @@ from itertools import combinations_with_replacement
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from flat_reference import reference_flats
 from hypertoric.exact import int_rank
-from hypertoric.flats import enumerate_flats
 from hypertoric.ringcalc import RingPresentation
 from hypertoric.torus import negative_rows, sample_generic
 
@@ -57,7 +57,7 @@ def reference_presentation(weights):
     weights = tuple(tuple(r) for r in weights)
     d = len(weights[0]) if weights else 0
     gens = []
-    for f in enumerate_flats(weights)[:-1]:
+    for f, _ in reference_flats(weights)[:-1]:
         poly = {(0,) * d: 1}
         for i in range(len(weights)):
             if i not in f:
@@ -73,7 +73,7 @@ def reference_circle_presentation(setup):
     u0 = _linear_form((0,) * setup.dim + (1,), nvars)
     gens = []
     negative = negative_rows(setup)
-    for f in enumerate_flats(setup.weights)[:-1]:
+    for f, _ in reference_flats(setup.weights)[:-1]:
         minus = negative[f]
         plus = [i for i in range(setup.n) if i not in f and i not in minus]
         poly = {(0,) * nvars: 1}

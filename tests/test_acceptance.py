@@ -15,14 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from flat_reference import reference_flats
 from flow_reference import (abelian_gradient_norm2, energy, grad, lojasiewicz_report,
-                            su2_irrep)
+                            random_state, su2_irrep)
 from hypertoric.crosscheck import analyze, census_recurrence, polynomial_recurrence
-from hypertoric.flats import enumerate_flats
 from hypertoric.flowlab import (
     cross_term_stats,
     descend,
-    random_state,
     run_ensemble,
     torus_rep,
 )
@@ -37,6 +36,7 @@ from hypertoric.torus import (
     new_setup,
     sample_generic,
 )
+from test_stratum_flows import check_stratum_starts
 
 # Catalog of weight matrices, all with at most 7 rows and 3 columns:
 # diagonal circles, identity blocks, the (1,0),(0,1),(1,1) family, and
@@ -78,6 +78,17 @@ MODIFICATION_PAIRS = (
     (((0, 1), (1, 2), (-1, 0), (2, 2), (1, 0), (0, 0)), (1, 0, 0, 0, 0, 0)),
     (((0, -2, 0), (0, 0, 0), (0, 0, -2), (-1, 2, 1), (0, 0, 2)),
      (0, 1, 0, 0, 0)),
+)
+
+# Nonzero rows, n <= 5 and d <= 2, entries in [-2, 2]: the setups of the
+# stratum-start property in tests/test_stratum_flows.py.
+STRATUM_SETUPS = (
+    ((1,), (1,)),
+    ((1,), (-1,), (2,)),
+    ((1,), (-2,), (-2,), (1,), (1,)),
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 0), (0, 1), (1, 1), (1, -1)),
+    ((2, 1), (1, 2), (-1, 0), (0, 1), (1, 1)),
 )
 
 ENSEMBLE_SETUPS = (
@@ -137,7 +148,7 @@ def test_criterion_3_modification_recurrences():
         cases, *_, census_ok = census_recurrence(pair)
         total = (len(cases.new_only) + len(cases.shared_both)
                  + len(cases.shared_extended))
-        assert total == len(enumerate_flats(enlarged_weights(weights, column)))
+        assert total == len(reference_flats(enlarged_weights(weights, column)))
         assert census_ok, (weights, column)
     print(f"ACCEPTANCE 3 PASS: {len(MODIFICATION_PAIRS)} modification pairs, "
           "polynomial + census recurrences, trichotomy zero violations")
@@ -268,3 +279,13 @@ def test_criterion_8_determinism(tmp_path):
     assert flow_a.returncode == 0
     assert flow_a.stdout == flow_b.stdout and flow_a.stdout
     print("ACCEPTANCE 8 PASS: repeated analyze and flow runs byte-identical")
+
+
+def test_criterion_9_stratum_starts_reach_their_flat():
+    starts = 0
+    for weights in STRATUM_SETUPS:
+        setup = sample_generic(weights, derived_seed("acc9", weights))
+        starts += check_stratum_starts(setup, derived_seed("acc9-starts", weights))
+    print(f"ACCEPTANCE 9 PASS: {starts} stratum starts on {len(STRATUM_SETUPS)} "
+          "setups reach support J at |beta_J|^2 (muC2) and "
+          "1/4 |alpha_J|^2 + |beta_J|^2 (muHK2)")

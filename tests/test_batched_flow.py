@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 from flow_reference import (InsufficientTail, StatePath, cross_term_stats_one_by_one,
                             descend_lockstep, diagonal_sum, energy, grad, grad_component,
                             lojasiewicz_report, lojasiewicz_report_one, moment_hk,
-                            run_ensemble_one_by_one, su2_irrep, tail_report_one)
+                            random_state, run_ensemble_one_by_one, su2_irrep,
+                            tail_report_one)
 from hypertoric.exact import int_rank
 from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, cross_term_stats,
-                                descend, pack_state, random_state, run_ensemble,
-                                tail_reports, torus_rep)
+                                descend, pack_state, run_ensemble, tail_reports,
+                                torus_rep)
 from hypertoric.flowlab import analysis, flow
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.flowlab.reps import gaussian_state

@@ -5,7 +5,7 @@ import pytest
 
 from flow_reference import (abelian_gradient_norm2, diagonal_sum, energy, grad,
                             grad_component, integrate_flow, lojasiewicz_report,
-                            moment_hk, su2_irrep)
+                            moment_hk, random_state, su2_irrep)
 from hypertoric.errors import InputError, NonFiniteState, RankDeficient
 from hypertoric.flowlab import (
     STATUS_CONVERGED,
@@ -13,7 +13,6 @@ from hypertoric.flowlab import (
     descend,
     from_matrices,
     pack_state,
-    random_state,
     torus_rep,
     unpack_state,
 )

@@ -16,11 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flow_reference import (diagonal_sum, energy, grad, grad_component, moment_hk,
-                            reference_energy_grad, reference_kernel, reference_moment_hk,
-                            su2_irrep)
+                            random_state, reference_energy_grad, reference_kernel,
+                            reference_moment_hk, su2_irrep)
 from hypertoric.errors import InputError
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import GroupRep, pack_state, random_state, torus_rep
+from hypertoric.flowlab import GroupRep, pack_state, torus_rep
 from hypertoric.flowlab import moments
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
 from hypertoric.torus import new_setup

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flat_reference import weight_configurations
+from flat_reference import reference_flats, weight_configurations
 from hypertoric import morse
 from hypertoric.errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
                                RankDeficient)
@@ -219,27 +219,27 @@ class TestModification:
         assert cases.shared_extended == ((0, 1),)
 
     def test_case_sizes_sum_to_enlarged_flat_count(self):
-        from hypertoric.flats import enumerate_flats
         from hypertoric.torus import enlarged_weights
         for weights, circle in [(TRIPLE, (1, 0, 0)), (DIAG2, (0, 1)),
                                 (((1,), (1,), (1,)), (1, -1, 0))]:
             cases = modification_cases(pair_of(weights, circle))
             total = (len(cases.new_only) + len(cases.shared_both)
                      + len(cases.shared_extended))
-            assert total == len(enumerate_flats(enlarged_weights(weights, circle)))
+            assert total == len(reference_flats(enlarged_weights(weights, circle)))
 
     @staticmethod
     def edit_flats(monkeypatch, weights, edit):
-        """Let modification_cases read edit(flats) as the flats of weights."""
-        real = morse.enumerate_flats
-        monkeypatch.setattr(morse, "enumerate_flats", lambda w: (
+        """Let modification_cases read edit(table) as the lattice of weights,
+        a table of (flat, basis) pairs."""
+        real = morse.lattice
+        monkeypatch.setattr(morse, "lattice", lambda w: (
             edit(real(w)) if w == weights else real(w)))
 
     def test_a_flat_in_no_case_raises(self, monkeypatch):
         # Without the base flat (), the enlarged flat () is an extended flat
         # both with and without the new row, but not a base flat.
         pair = pair_of(DIAG2, (1, 0))
-        self.edit_flats(monkeypatch, pair.base.weights, lambda fs: fs[1:])
+        self.edit_flats(monkeypatch, pair.base.weights, lambda table: table[1:])
         with pytest.raises(PartitionViolation, match=r"flat \(\) fits no modification "
                            r"case \(base=False, ext=True, ext\+new=True\)"):
             modification_cases(pair)
@@ -249,7 +249,7 @@ class TestModification:
         # fits its case, and only the extended flat (0,) is left uncovered.
         pair = pair_of(DIAG2, (1, 0))
         self.edit_flats(monkeypatch, pair.enlarged.weights,
-                        lambda fs: tuple(f for f in fs if f != (0,)))
+                        lambda table: tuple(fb for fb in table if fb[0] != (0,)))
         with pytest.raises(PartitionViolation, match=r"the cases miss flats: "
                            r"extended \[\(0,\)\], base \[\]$"):
             modification_cases(pair)
