@@ -7,8 +7,7 @@ trajectory is summarized by an empirical power-law certificate.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 # Imported with the package, so that a command's first draw does not pay
@@ -31,39 +30,27 @@ _BLOCK = 256
 _MAX_STEPS = 200_000
 # Tail windows of an ensemble's decay reports, in decades, tried in order.
 _WIDTHS = (2.0, 4.0, 8.0, 16.0)
-
-
-@dataclass
-class LojReport:
-    """Empirical gradient-decay certificate over the tail of a trajectory.
-
-    With f_c the limit value, ``k_hat`` is the smallest observed value of
-    |grad f| / (f - f_c)^(3/4) on the window, and ``bound`` is the resulting
-    prediction 4 k_hat^{-1} (f_start - f_c)^{1/4} for the remaining path
-    length from the start of the window.
-    """
-
-    k_hat: float
-    fitted_exponent: float
-    tail_arclength: float
-    bound: float
-    window_size: int
+# The decay fields of a flow record, in report order.
+_DECAY_FIELDS = ("k_hat", "fitted_exponent", "arclength", "bound")
 
 
 def tail_reports(trajs: Sequence[Trajectory], limits,
-                 widths: Sequence[float]) -> List[Optional[LojReport]]:
+                 widths: Sequence[float]) -> List[dict]:
     """Fit the gradient-decay law on the final decades of every trajectory.
 
-    Trajectory i is measured against the limit value ``limits[i]``.  Its
-    window holds the samples with a nonzero gradient whose energy exceeds
-    the limit by at most 10**width times the smallest positive excess
-    observed, for the first of ``widths`` (in decades) that puts
-    _MIN_TAIL_POINTS samples in it; its report is None when none does.
-    The exponent is the least-squares slope of log |grad f| against
-    log(f - f_c), each centred on its window mean, and the tail arclength is
-    the sum of the step lengths after the window's first sample.  The
-    samples of all trajectories are reduced together with one reduction per
-    quantity, segment by segment.
+    Trajectory i is measured against the limit value f_c = ``limits[i]``.
+    Its window holds the samples with a nonzero gradient whose energy
+    exceeds the limit by at most 10**width times the smallest positive
+    excess observed, for the first of ``widths`` (in decades) that puts
+    _MIN_TAIL_POINTS samples in it.  Its report is a dict of the decay
+    fields of a flow record, each None when no width does: ``k_hat`` is
+    the smallest observed value of |grad f| / (f - f_c)^(3/4) on the
+    window; ``fitted_exponent`` is the least-squares slope of log |grad f|
+    against log(f - f_c), each centred on its window mean; ``arclength`` is
+    the sum of the step lengths after the window's first sample; and
+    ``bound`` is the prediction 4 k_hat^{-1} (f_start - f_c)^{1/4} for that
+    remaining path length.  The samples of all trajectories are reduced
+    together with one reduction per quantity, segment by segment.
     """
     count = len(trajs)
     sizes = np.array([len(traj.energies) for traj in trajs])
@@ -83,7 +70,7 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
         if not np.isneginf(cap).any():
             break
     window = np.flatnonzero(usable & (excess <= cap[owner]))
-    reports: List[Optional[LojReport]] = [None] * count
+    reports = [dict.fromkeys(_DECAY_FIELDS) for _ in trajs]
     if window.size == 0:
         return reports
 
@@ -104,13 +91,11 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     after[first] = window[heads]
     tail = np.arange(owner.size) > after[owner]
     arclength = np.bincount(owner[tail], weights=lengths[tail], minlength=count)[first]
-    for i, k, g_start, exponent, length, size_i in zip(
+    for i, k, g_start, exponent, length in zip(
             first.tolist(), k_hat.tolist(), g[heads].tolist(), slope.tolist(),
-            arclength.tolist(), size.tolist()):
-        reports[i] = LojReport(k_hat=k, fitted_exponent=exponent,
-                               tail_arclength=length,
-                               bound=4.0 * g_start ** (1.0 - _EXPONENT) / k,
-                               window_size=size_i)
+            arclength.tolist()):
+        reports[i] = {"k_hat": k, "fitted_exponent": exponent, "arclength": length,
+                      "bound": 4.0 * g_start ** (1.0 - _EXPONENT) / k}
     return reports
 
 
@@ -167,8 +152,8 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             f"the gradient tolerance must be finite and positive, got {grad_tol}")
     if not max_time > 0:  # also rejects NaN
         raise InputError(f"the flow-time budget must be positive, got {max_time}")
-    trep = torus_rep(setup)
-    objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+    rep, alpha, beta = torus_rep(setup)
+    objective = flow_objective(rep.basis, function, alpha, beta)
     levels = critical_levels(setup) if function == "muC2" else None
     records = []
     # Overflow to inf is expected near the float range: a descent rejects
@@ -191,18 +176,10 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
             reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
                                            for traj, match in zip(trajs, matches)],
                                    _WIDTHS)
-            for trial, traj, match, report in zip(block, trajs, matches, reports):
-                record = {"seed": trial, "status": traj.status,
-                          "f_limit": traj.f_limit,
-                          "J": None if match is None else match[0],
-                          "k_hat": None, "fitted_exponent": None,
-                          "arclength": None, "bound": None}
-                if report is not None:
-                    record.update(k_hat=report.k_hat,
-                                  fitted_exponent=report.fitted_exponent,
-                                  arclength=report.tail_arclength,
-                                  bound=report.bound)
-                records.append(record)
+            for trial, traj, match, fields in zip(block, trajs, matches, reports):
+                records.append({"seed": trial, "status": traj.status,
+                                "f_limit": traj.f_limit,
+                                "J": None if match is None else match[0], **fields})
     return records
 
 

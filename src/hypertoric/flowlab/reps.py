@@ -8,7 +8,7 @@ without touching the matrices again.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -119,14 +119,6 @@ def from_matrices(mats: Sequence) -> GroupRep:
     return GroupRep(basis=stack, structure=structure, abelian=abelian)
 
 
-class TorusRep(NamedTuple):
-    """A torus representation together with its transported level data."""
-
-    rep: GroupRep
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
 def _to_float(value, what: str) -> float:
     """An exact number as a float; InputError when it is too large for one."""
     try:
@@ -152,8 +144,9 @@ def beta_vector(setup) -> np.ndarray:
                      for b in setup.beta], dtype=np.complex128)
 
 
-def torus_rep(setup) -> TorusRep:
-    """Diagonal torus representation attached to a setup.
+def torus_rep(setup) -> Tuple[GroupRep, np.ndarray, np.ndarray]:
+    """Diagonal torus representation attached to a setup, with its
+    transported real and complex levels: the tuple (rep, alpha, beta).
 
     The basis element for direction a is ``i diag(B v_a)`` where the
     columns v_a orthonormalize the weight Gram matrix, so the basis is
@@ -189,7 +182,7 @@ def torus_rep(setup) -> TorusRep:
     rep = GroupRep(basis=basis, structure=np.zeros((d, d, d)), abelian=True)
     alpha = 0.5 * (vmat.T @ alpha_in)
     beta = vmat.T.astype(np.complex128) @ beta_in
-    return TorusRep(rep, alpha, beta)
+    return rep, alpha, beta
 
 
 def gaussian_state(draws: np.ndarray, radius: float):

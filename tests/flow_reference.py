@@ -39,18 +39,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypertoric.errors import InputError, NonFiniteState
-from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
-                                LojReport, Trajectory, descend, from_matrices, pack_state,
-                                tail_reports, torus_rep, unpack_state)
-from hypertoric.flowlab.analysis import _match_limit
-from hypertoric.flowlab.moments import flow_objective, hk_components
-from hypertoric.flowlab.reps import gaussian_state
+from hypertoric.flowlab.analysis import _match_limit, tail_reports
+from hypertoric.flowlab.flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
+                                     Trajectory, descend)
+from hypertoric.flowlab.moments import (flow_objective, hk_components, pack_state,
+                                        unpack_state)
+from hypertoric.flowlab.reps import from_matrices, gaussian_state, torus_rep
 from hypertoric.torus import critical_levels
 
 _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
+# The decay fields of a flow record, in report order.
+DECAY_FIELDS = ("k_hat", "fitted_exponent", "arclength", "bound")
 
 
 class InsufficientTail(Exception):
@@ -103,12 +105,12 @@ def classify_limit(setup, traj, tol_f=1e-6):
 
 
 def lojasiewicz_report(traj, f_c=None, decades=2.0):
-    """The report of ``tail_reports`` for one trajectory at one width, against
-    ``f_c`` or else the final energy; raises InsufficientTail when fewer than
-    _MIN_TAIL_POINTS samples land in the window."""
+    """The decay fields ``tail_reports`` gives one trajectory at one width,
+    against ``f_c`` or else the final energy; raises InsufficientTail when
+    fewer than _MIN_TAIL_POINTS samples land in the window."""
     limit = traj.f_limit if f_c is None else float(f_c)
     [report] = tail_reports([traj], [limit], [decades])
-    if report is None:
+    if report["k_hat"] is None:
         raise InsufficientTail(
             f"fewer than {_MIN_TAIL_POINTS} samples lie within {decades} "
             "decades above the limit value")
@@ -362,7 +364,7 @@ def descend_lockstep(fun, states0, *, grad_tol=1e-8, max_time=1e6, h0=0.05,
 
 
 def lojasiewicz_report_one(traj, f_c=None, decades=2.0):
-    """The decay certificate of one trajectory at one window width; raises
+    """The decay fields of one trajectory at one window width; raises
     InsufficientTail when fewer than _MIN_TAIL_POINTS samples land in it."""
     fs = traj.energies
     gns = traj.grad_norms
@@ -386,35 +388,34 @@ def lojasiewicz_report_one(traj, f_c=None, decades=2.0):
     tail = float(np.sum(np.linalg.norm(np.diff(traj.states[window[0]:], axis=0),
                                        axis=1)))
     slope = float(np.polyfit(np.log(g), np.log(gn), 1)[0])
-    return LojReport(k_hat=k_hat, fitted_exponent=slope, tail_arclength=tail,
-                     bound=bound, window_size=int(window.size))
+    return {"k_hat": k_hat, "fitted_exponent": slope, "arclength": tail,
+            "bound": bound}
 
 
 def tail_report_one(traj, f_c=None, decades=2.0):
-    """The certificate at the first of decades, 2 decades, ... up to 16
-    decades that fits, or None."""
+    """The decay fields at the first of decades, 2 decades, ... up to 16
+    decades that fits, or each None when none does."""
     width = decades
     while width <= 16.0:
         try:
             return lojasiewicz_report_one(traj, f_c=f_c, decades=width)
         except InsufficientTail:
             width *= 2.0
-    return None
+    return dict.fromkeys(DECAY_FIELDS)
 
 
 def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
                             radius=1.0, grad_tol=1e-5, max_time=1e6, decades=2.0,
                             max_steps=200_000):
     """``run_ensemble`` with each trial integrated on its own."""
-    trep = torus_rep(setup)
+    rep, alpha, beta = torus_rep(setup)
     n = setup.n
 
     def fun(state):
-        return energy(trep.rep, function, trep.alpha, trep.beta, *unpack_state(state, n))
+        return energy(rep, function, alpha, beta, *unpack_state(state, n))
 
     def grad_fun(state):
-        return pack_state(*grad(trep.rep, function, trep.alpha, trep.beta,
-                                *unpack_state(state, n)))
+        return pack_state(*grad(rep, function, alpha, beta, *unpack_state(state, n)))
 
     records = []
     for trial in range(trials):
@@ -425,17 +426,9 @@ def run_ensemble_one_by_one(setup, trials, base_seed, *, function="muC2",
         if function == "muC2" and traj.status == STATUS_CONVERGED:
             flat = classify_limit(setup, traj)
         f_c = float(critical_levels(setup)[flat]) if flat is not None else None
-        record = {"seed": trial, "status": traj.status,
-                  "f_limit": traj.f_limit, "J": flat,
-                  "k_hat": None, "fitted_exponent": None,
-                  "arclength": None, "bound": None}
-        report = tail_report_one(traj, f_c=f_c, decades=decades)
-        if report is not None:
-            record.update(k_hat=report.k_hat,
-                          fitted_exponent=report.fitted_exponent,
-                          arclength=report.tail_arclength,
-                          bound=report.bound)
-        records.append(record)
+        records.append({"seed": trial, "status": traj.status,
+                        "f_limit": traj.f_limit, "J": flat,
+                        **tail_report_one(traj, f_c=f_c, decades=decades)})
     return records
 
 

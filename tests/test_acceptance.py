@@ -19,13 +19,9 @@ from flat_reference import reference_flats
 from flow_reference import (abelian_gradient_norm2, energy, grad, lojasiewicz_report,
                             random_state, su2_irrep)
 from hypertoric.crosscheck import analyze, census_recurrence, polynomial_recurrence
-from hypertoric.flowlab import (
-    cross_term_stats,
-    descend,
-    run_ensemble,
-    torus_rep,
-)
-from hypertoric.flowlab.reps import beta_vector, weights_matrix
+from hypertoric.flowlab import cross_term_stats, run_ensemble
+from hypertoric.flowlab.flow import descend
+from hypertoric.flowlab.reps import beta_vector, torus_rep, weights_matrix
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import cohomology_presentation, hilbert_dims
 from hypertoric.torus import (
@@ -173,8 +169,8 @@ def _five_reps():
     reps = []
     for weights in (((1,), (1,)), ((1, 0), (0, 1), (1, 1)),
                     ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))):
-        trep = torus_rep(sample_generic(weights, derived_seed("acc5", weights)))
-        reps.append((trep.rep, trep.alpha, trep.beta, True, weights))
+        setup = sample_generic(weights, derived_seed("acc5", weights))
+        reps.append((*torus_rep(setup), True, weights))
     rng = np.random.default_rng(55)
     for dim in (2, 3):
         rep = su2_irrep(dim)
@@ -235,19 +231,19 @@ def test_criterion_6_flow_and_lojasiewicz():
     [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                      [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
     report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
-    assert abs(report.fitted_exponent - 0.75) < 0.02
+    assert abs(report["fitted_exponent"] - 0.75) < 0.02
     elapsed = time.time() - start
     assert elapsed < 300.0
     print(f"ACCEPTANCE 6 PASS: {total} runs converged and classified, "
-          f"decay bounds hold, toy exponent {report.fitted_exponent:.4f}, "
+          f"decay bounds hold, toy exponent {report['fitted_exponent']:.4f}, "
           f"{elapsed:.1f}s")
 
 
 def test_criterion_7_cross_terms():
     worst = 0.0
     for weights in (((1,), (1,)), ((1, 0), (0, 1), (1, 1))):
-        trep = torus_rep(sample_generic(weights, derived_seed("acc7", weights)))
-        stats = cross_term_stats(trep.rep, trep.alpha, 5000,
+        rep, alpha, _ = torus_rep(sample_generic(weights, derived_seed("acc7", weights)))
+        stats = cross_term_stats(rep, alpha, 5000,
                                  derived_seed("acc7-states", weights))
         assert stats["abelian"] is True
         worst = max(worst, max(p["max_ratio"] for p in stats["pairs"].values()))

@@ -6,15 +6,9 @@ import pytest
 from flow_reference import (InsufficientTail, classify_limit, integrate_flow,
                             lojasiewicz_report, su2_irrep, torus_reduction_check)
 from hypertoric.errors import InputError
-from hypertoric.flowlab import (
-    STATUS_CONVERGED,
-    cross_term_stats,
-    descend,
-    from_matrices,
-    run_ensemble,
-    torus_rep,
-)
-from hypertoric.flowlab import analysis
+from hypertoric.flowlab import analysis, cross_term_stats, from_matrices, run_ensemble
+from hypertoric.flowlab.flow import STATUS_CONVERGED, descend
+from hypertoric.flowlab.reps import torus_rep
 from hypertoric import torus
 from hypertoric.torus import critical_levels, new_setup
 
@@ -25,11 +19,11 @@ PAIR = ((1,), (1,))
 class TestClassifyLimit:
     def test_generic_start_reaches_full_flat(self):
         setup = new_setup(PAIR, beta=(3,))
-        trep = torus_rep(setup)
+        rep, alpha, beta = torus_rep(setup)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta, x0, y0,
+        traj = integrate_flow(rep, "muC2", alpha, beta, x0, y0,
                               grad_tol=1e-7)
         flat = classify_limit(setup, traj)
         assert flat == (0, 1)
@@ -37,8 +31,8 @@ class TestClassifyLimit:
 
     def test_origin_start_lands_on_empty_flat(self):
         setup = new_setup(PAIR, beta=(3,))
-        trep = torus_rep(setup)
-        traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
+        rep, alpha, beta = torus_rep(setup)
+        traj = integrate_flow(rep, "muC2", alpha, beta,
                               np.zeros(2, complex), np.zeros(2, complex))
         assert traj.status == STATUS_CONVERGED and len(traj.energies) - 1 == 0
         flat = classify_limit(setup, traj)
@@ -48,8 +42,8 @@ class TestClassifyLimit:
 
     def test_unresolved_when_tolerance_violated(self):
         setup = new_setup(PAIR, beta=(3,))
-        trep = torus_rep(setup)
-        traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
+        rep, alpha, beta = torus_rep(setup)
+        traj = integrate_flow(rep, "muC2", alpha, beta,
                               np.zeros(2, complex), np.zeros(2, complex))
         assert classify_limit(setup, traj, tol_f=1e-30) is None
 
@@ -64,10 +58,9 @@ class TestLojReport:
     def test_exact_power_law(self):
         report = lojasiewicz_report(self._trajectory(), f_c=0.0, decades=3.0)
         # |grad f| = 4 (f - 0)^{3/4} exactly for the quartic
-        assert abs(report.k_hat - 4.0) < 1e-9
-        assert abs(report.fitted_exponent - 0.75) < 1e-9
-        assert report.tail_arclength <= 1.5 * report.bound
-        assert report.window_size >= 4
+        assert abs(report["k_hat"] - 4.0) < 1e-9
+        assert abs(report["fitted_exponent"] - 0.75) < 1e-9
+        assert report["arclength"] <= 1.5 * report["bound"]
 
     def test_insufficient_tail(self):
         # The first two samples of the trajectory, with its first step's length.
@@ -126,8 +119,8 @@ class TestEnsemble:
 
 class TestCrossTerms:
     def test_abelian_orthogonality(self):
-        trep = torus_rep(new_setup(TRIPLE, beta=(1, 3)))
-        stats = cross_term_stats(trep.rep, trep.alpha, 200, seed=3)
+        rep, alpha, _ = torus_rep(new_setup(TRIPLE, beta=(1, 3)))
+        stats = cross_term_stats(rep, alpha, 200, seed=3)
         assert stats["abelian"]
         for pair in stats["pairs"].values():
             assert pair["max_ratio"] < 1e-12
@@ -155,8 +148,8 @@ class TestCrossTerms:
 
 class TestReductionCheck:
     def test_torus_against_itself(self):
-        trep = torus_rep(new_setup(PAIR, beta=(3,)))
-        results = torus_reduction_check(trep.rep, trep.rep, 3, seed=1)
+        rep, _, _ = torus_rep(new_setup(PAIR, beta=(3,)))
+        results = torus_reduction_check(rep, rep, 3, seed=1)
         assert all(r["status"] == "pass" for r in results)
 
     def test_su2_prepared_states_match(self):
@@ -170,9 +163,9 @@ class TestReductionCheck:
             assert r["rel_err"] < 1e-8
 
     def test_rejects_a_negative_seed(self):
-        trep = torus_rep(new_setup(PAIR, beta=(3,)))
+        rep, _, _ = torus_rep(new_setup(PAIR, beta=(3,)))
         with pytest.raises(InputError, match="seed"):
-            torus_reduction_check(trep.rep, trep.rep, 3, seed=-1)
+            torus_reduction_check(rep, rep, 3, seed=-1)
 
     def test_rejects_family_outside_span(self):
         rep = su2_irrep(2)

@@ -3,7 +3,7 @@ reference.
 
 Trials keep their seed, status and classified flat; limit energies agree to
 1e-12 absolute and the other floats to 1e-6 relative.  Stacked tail fits
-keep the window, k_hat and bound of the per-trajectory fit exactly, its
+keep the k_hat and bound of the per-trajectory fit exactly, its
 arclength to 1e-12 and its exponent, a centred least-squares slope in
 place of ``np.polyfit``, to 1e-9 relative.  Cross-term statistics agree to
 1e-12 relative, with a 1e-12 absolute floor for the statistics that are
@@ -20,22 +20,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flow_reference import (InsufficientTail, StatePath, cross_term_stats_one_by_one,
-                            descend_lockstep, diagonal_sum, energy, grad, grad_component,
+from flow_reference import (DECAY_FIELDS, InsufficientTail, StatePath,
+                            cross_term_stats_one_by_one, descend_lockstep, diagonal_sum,
+                            energy, grad, grad_component,
                             lojasiewicz_report, lojasiewicz_report_one, moment_hk,
                             random_state, run_ensemble_one_by_one, su2_irrep,
                             tail_report_one)
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (STATUS_MAX_TIME, STATUS_UNDERFLOW, cross_term_stats,
-                                descend, pack_state, run_ensemble, tail_reports,
-                                torus_rep)
-from hypertoric.flowlab import analysis, flow
-from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
-from hypertoric.flowlab.reps import gaussian_state
+from hypertoric.flowlab import analysis, cross_term_stats, flow, run_ensemble
+from hypertoric.flowlab.analysis import tail_reports
+from hypertoric.flowlab.flow import STATUS_MAX_TIME, STATUS_UNDERFLOW, descend
+from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective, pack_state
+from hypertoric.flowlab.reps import gaussian_state, torus_rep
 from hypertoric.torus import new_setup, sample_generic
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
-FLOATS = ("k_hat", "fitted_exponent", "arclength", "bound")
 
 
 def assert_records_match(got, want):
@@ -43,7 +42,7 @@ def assert_records_match(got, want):
     for a, b in zip(got, want):
         assert (a["seed"], a["status"], a["J"]) == (b["seed"], b["status"], b["J"])
         assert abs(a["f_limit"] - b["f_limit"]) <= 1e-12
-        for key in FLOATS:
+        for key in DECAY_FIELDS:
             if b[key] is None:
                 assert a[key] is None
             else:
@@ -92,8 +91,8 @@ def assert_records_path(traj, path):
 
 
 def _torus_objective(setup, function):
-    trep = torus_rep(setup)
-    return flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+    rep, alpha, beta = torus_rep(setup)
+    return flow_objective(rep.basis, function, alpha, beta)
 
 
 def _recorded(fun):
@@ -250,9 +249,9 @@ def test_cross_terms_match_one_by_one(rep, samples, seed, radius, data):
 
 
 def test_torus_cross_terms_match_one_by_one():
-    trep = torus_rep(sample_generic(TRIPLE, 4))
-    assert_stats_match(cross_term_stats(trep.rep, trep.alpha, 50, 8),
-                       cross_term_stats_one_by_one(trep.rep, trep.alpha, 50, 8))
+    rep, alpha, _ = torus_rep(sample_generic(TRIPLE, 4))
+    assert_stats_match(cross_term_stats(rep, alpha, 50, 8),
+                       cross_term_stats_one_by_one(rep, alpha, 50, 8))
 
 
 @pytest.mark.parametrize("function", ENERGY_KINDS)
@@ -320,13 +319,13 @@ def tails(draw):
 
 
 def assert_reports_match(got, want):
-    if want is None:
-        assert got is None
+    assert list(got) == list(want) == list(DECAY_FIELDS)
+    if want["k_hat"] is None:
+        assert got == want
         return
-    assert (got.window_size, got.k_hat, got.bound) == \
-        (want.window_size, want.k_hat, want.bound)
-    assert math.isclose(got.tail_arclength, want.tail_arclength, rel_tol=1e-12)
-    assert math.isclose(got.fitted_exponent, want.fitted_exponent, rel_tol=1e-9)
+    assert (got["k_hat"], got["bound"]) == (want["k_hat"], want["bound"])
+    assert math.isclose(got["arclength"], want["arclength"], rel_tol=1e-12)
+    assert math.isclose(got["fitted_exponent"], want["fitted_exponent"], rel_tol=1e-9)
 
 
 @given(stack=st.lists(tails(), min_size=1, max_size=6))
@@ -340,11 +339,11 @@ def test_stacked_tail_reports_match_one_by_one(stack):
         try:
             want = lojasiewicz_report_one(path, f_c=f_c)
         except InsufficientTail:
-            want = None
+            want = dict.fromkeys(DECAY_FIELDS)
         try:
             got = lojasiewicz_report(traj, f_c=f_c)
         except InsufficientTail:
-            got = None
+            got = dict.fromkeys(DECAY_FIELDS)
         assert_reports_match(got, want)
 
 
@@ -358,7 +357,12 @@ def test_tail_reports_widen_and_give_up_like_the_reference():
              for fs in (energies, energies[:3], edge)]
     wide, none, closed = tail_reports([path.trajectory() for path in paths],
                                       [0.0] * 3, [2.0, 4.0, 8.0, 16.0])
-    assert (wide.window_size, none, closed.window_size) == (4, None, 4)
+    # |grad f| = f^(3/4), so k_hat is 1 and the bound 4 f^(1/4) at the
+    # window's first sample: 1e-10, the fourth from the end, and 100.
+    assert [wide["k_hat"], closed["k_hat"]] == pytest.approx([1.0, 1.0], rel=1e-12)
+    assert [wide["bound"], closed["bound"]] == pytest.approx(
+        [4.0 * 1e-10 ** 0.25, 4.0 * 100.0 ** 0.25], rel=1e-12)
+    assert none == dict.fromkeys(DECAY_FIELDS)
     for path, got in zip(paths, (wide, none, closed)):
         assert_reports_match(got, tail_report_one(path, f_c=0.0))
 
@@ -384,10 +388,10 @@ def _one_by_one(rep, alpha, beta, x, y):
        seed=st.integers(min_value=0, max_value=1 << 16))
 @settings(max_examples=30, deadline=None)
 def test_torus_values_do_not_depend_on_the_stack(setup, count, seed):
-    trep = torus_rep(setup)
+    rep, alpha, beta = torus_rep(setup)
     x, y = random_state(np.random.default_rng(seed), setup.n, 1.5, count=count)
-    for got, want in zip(_stack_values(trep.rep, trep.alpha, trep.beta, x, y),
-                         _one_by_one(trep.rep, trep.alpha, trep.beta, x, y)):
+    for got, want in zip(_stack_values(rep, alpha, beta, x, y),
+                         _one_by_one(rep, alpha, beta, x, y)):
         assert np.array_equal(got, want)
 
 

@@ -129,6 +129,19 @@ def test_flow_records(tmp_path):
         assert rec["arclength"] <= 1.5 * rec["bound"]
 
 
+def test_a_flow_record_without_a_tail_window_keeps_its_fields(tmp_path):
+    # The flow-time budget ends the trial before its first step, so no tail
+    # window has the samples a decay fit needs.
+    path = write_json(tmp_path, "one.json", dict(PAIR, weights=[[1]]))
+    proc = run_cli("flow", path, "--trials", "1", "--max-time", "1e-300")
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(proc.stdout)
+    assert list(record) == ["seed", "status", "f_limit", "J", "k_hat",
+                            "fitted_exponent", "arclength", "bound"]
+    assert [record[key] for key in ("k_hat", "fitted_exponent", "arclength",
+                                    "bound")] == [None] * 4
+
+
 def test_flow_refuses_a_non_generic_level(tmp_path):
     path = write_json(tmp_path, "pair.json", dict(PAIR, beta=[["0", "0"]]))
     proc = run_cli("flow", path, "--trials", "2")

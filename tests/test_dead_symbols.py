@@ -6,9 +6,11 @@ definition, as a name or as an attribute: an import, an entry of
 ``__all__`` or a read from ``tests/`` does not keep it alive, since code
 only tests run belongs to the tests.  Every name a module of ``src/`` other
 than a package ``__init__`` imports must be loaded in that module, so an
-unused import hides no dead code.  Every field annotated in a class body
-there must be read somewhere in ``src/`` or ``tests/`` as an attribute, and
-every method or property there, a dunder aside, must be loaded as an
+unused import hides no dead code; every name a package ``__init__`` imports
+must be imported from that package by another module of ``src/``, so a
+package exports only what the package itself uses.  Every field annotated
+in a class body there must be read somewhere in ``src/`` as an attribute,
+and every method or property there, a dunder aside, must be loaded as an
 attribute in ``src/`` outside its own body.
 Every parameter with a default of a function there must be passed, by
 keyword or by position, at some call in ``src/`` or ``tests/`` to a callee
@@ -117,6 +119,50 @@ def test_every_import_of_a_src_module_is_loaded_there():
     assert unused == []
 
 
+def module_name(path):
+    """Dotted name of a module of ``src/``; a package's for its ``__init__``."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def names_imported_from(path, tree):
+    """(module, name) of every name the module at ``path`` imports from
+    another, a relative import resolved against the module's package."""
+    package = module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + (node.module.split(".") if node.module else []))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_every_name_a_package_init_imports_is_imported_from_it_in_src():
+    package, trees = parse_all()
+    imports = {path: set(names_imported_from(path, trees[path])) for path in package}
+    unused = [f"{path.relative_to(SRC)}: {name}"
+              for path in package if path.name == "__init__.py"
+              for _, name in sorted(imports[path])
+              if not any((module_name(path), name) in imports[other]
+                         for other in package if other != path)]
+    assert unused == []
+
+
+def test_names_imported_from_resolves_relative_imports():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from numpy import ndarray\nfrom . import a\n"
+              "from .b import c as d\nfrom ..e import f\n")
+    path = SRC / "hypertoric" / "flowlab" / "reps.py"
+    assert list(names_imported_from(path, ast.parse(source))) == [
+        ("numpy", "ndarray"), ("hypertoric.flowlab", "a"),
+        ("hypertoric.flowlab.b", "c"), ("hypertoric.e", "f")]
+    init = SRC / "hypertoric" / "flowlab" / "__init__.py"
+    assert list(names_imported_from(init, ast.parse("from .b import c\n"))) == [
+        ("hypertoric.flowlab.b", "c")]
+
+
 def test_names_loaded_skips_imports_stores_and_strings():
     source = ("import a\nfrom b import c as d\ne = f.g\nh.i = 1\n"
               "__all__ = ['j']\n")
@@ -131,8 +177,7 @@ def test_imported_names_reads_aliases_and_dotted_modules():
 
 def test_every_class_field_is_read_as_an_attribute():
     package, trees = parse_all()
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = sum((attributes_loaded(trees[path]) for path in package), Counter())
     dead = [f"{path.relative_to(SRC)}: {cls}.{field}"
             for path in package
             for cls, field in class_fields(trees[path])

@@ -7,16 +7,9 @@ from flow_reference import (abelian_gradient_norm2, diagonal_sum, energy, grad,
                             grad_component, integrate_flow, lojasiewicz_report,
                             moment_hk, random_state, su2_irrep)
 from hypertoric.errors import InputError, NonFiniteState, RankDeficient
-from hypertoric.flowlab import (
-    STATUS_CONVERGED,
-    STATUS_UNDERFLOW,
-    descend,
-    from_matrices,
-    pack_state,
-    torus_rep,
-    unpack_state,
-)
-from hypertoric.flowlab.reps import beta_vector, weights_matrix
+from hypertoric.flowlab.flow import STATUS_CONVERGED, STATUS_UNDERFLOW, descend
+from hypertoric.flowlab.moments import pack_state, unpack_state
+from hypertoric.flowlab.reps import beta_vector, from_matrices, torus_rep, weights_matrix
 from hypertoric.torus import new_setup, sample_generic
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -72,24 +65,24 @@ class TestFromMatrices:
 
 class TestTorusRep:
     def test_basis_is_orthonormal(self):
-        trep = torus_rep(new_setup(TRIPLE))
+        rep, _, _ = torus_rep(new_setup(TRIPLE))
         for a in range(2):
             for b in range(2):
-                ip = np.real(np.sum(np.conj(trep.rep.basis[a]) * trep.rep.basis[b]))
+                ip = np.real(np.sum(np.conj(rep.basis[a]) * rep.basis[b]))
                 assert abs(ip - (a == b)) < 1e-12
 
     def test_levels_are_transported(self):
         setup = new_setup(((1,), (1,)), alpha=(4,), beta=(6,))
-        trep = torus_rep(setup)
+        _, alpha, beta = torus_rep(setup)
         # gram = 2, so the single basis column is 1/sqrt(2); the real level
         # additionally picks up the one-half normalization
-        assert np.allclose(trep.alpha, [0.5 * 4 / np.sqrt(2)])
-        assert np.allclose(trep.beta, [6 / np.sqrt(2)])
+        assert np.allclose(alpha, [0.5 * 4 / np.sqrt(2)])
+        assert np.allclose(beta, [6 / np.sqrt(2)])
 
     def test_zero_dim_torus(self):
-        trep = torus_rep(new_setup(((), ())))
-        assert trep.rep.k == 0
-        assert trep.alpha.shape == (0,)
+        rep, alpha, _ = torus_rep(new_setup(((), ())))
+        assert rep.k == 0
+        assert alpha.shape == (0,)
 
 
 class TestMoments:
@@ -108,10 +101,10 @@ class TestMoments:
         assert all(np.allclose(mu, 0.0) for mu in triple)
 
     def test_conjugate_fiber_kills_real_moment(self):
-        trep = torus_rep(new_setup(TRIPLE))
+        rep, _, _ = torus_rep(new_setup(TRIPLE))
         rng = np.random.default_rng(1)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        mu1, _, _ = moment_hk(trep.rep, np.zeros(2), np.zeros(2, complex), x,
+        mu1, _, _ = moment_hk(rep, np.zeros(2), np.zeros(2, complex), x,
                               np.conj(x))
         assert np.max(np.abs(mu1)) < 1e-12
 
@@ -141,17 +134,17 @@ class TestMoments:
                    np.zeros(1, complex), np.zeros(1, complex))
 
     def test_component_gradients_sum(self):
-        trep = torus_rep(sample_generic(TRIPLE, seed=2))
+        rep, alpha, beta = torus_rep(sample_generic(TRIPLE, seed=2))
         rng = np.random.default_rng(3)
         x, y = random_state(rng, 3, 1.2)
-        parts = [grad_component(trep.rep, i, trep.alpha, trep.beta, x, y)
+        parts = [grad_component(rep, i, alpha, beta, x, y)
                  for i in (1, 2, 3)]
-        gx, gy = grad(trep.rep, "muHK2", trep.alpha, trep.beta, x, y)
+        gx, gy = grad(rep, "muHK2", alpha, beta, x, y)
         assert np.allclose(sum(p[0] for p in parts), gx)
         assert np.allclose(sum(p[1] for p in parts), gy)
 
     @pytest.mark.parametrize("rep", [su2_irrep(3), diagonal_sum(su2_irrep(2), 2),
-                                     torus_rep(sample_generic(TRIPLE, seed=5)).rep],
+                                     torus_rep(sample_generic(TRIPLE, seed=5))[0]],
                              ids=["su2", "su2-sum", "torus"])
     def test_matches_per_element_loop(self, rep):
         rng = np.random.default_rng(12)
@@ -224,8 +217,8 @@ def assert_matches_finite_differences(fun, gradient, x, y):
 class TestFiniteDifferences:
     @pytest.mark.parametrize("which", ENERGIES, ids=ENERGY_IDS)
     def test_torus_rep(self, which):
-        trep = torus_rep(sample_generic(TRIPLE, seed=7))
-        fun, gradient = energy_and_grad(trep.rep, which, trep.alpha, trep.beta)
+        rep, alpha, beta = torus_rep(sample_generic(TRIPLE, seed=7))
+        fun, gradient = energy_and_grad(rep, which, alpha, beta)
         rng = np.random.default_rng(8)
         for _ in range(10):
             x, y = random_state(rng, 3, 1.5)
@@ -247,10 +240,10 @@ class TestNormFormula:
     def test_matches_direct_gradient(self):
         for seed in range(5):
             setup = sample_generic(TRIPLE, seed=seed)
-            trep = torus_rep(setup)
+            rep, alpha, beta = torus_rep(setup)
             rng = np.random.default_rng(100 + seed)
             x, y = random_state(rng, 3, 1.3)
-            gx, gy = grad(trep.rep, "muC2", trep.alpha, trep.beta, x, y)
+            gx, gy = grad(rep, "muC2", alpha, beta, x, y)
             direct = float(np.sum(np.abs(gx) ** 2) + np.sum(np.abs(gy) ** 2))
             closed = abelian_gradient_norm2(weights_matrix(setup),
                                             beta_vector(setup), x, y)
@@ -276,22 +269,22 @@ class TestFlow:
         # solve x_j y_j = z_j with B^T z = beta: for the diagonal circle on
         # C^2 with beta = 3 take z = (3/2, 3/2)
         setup = new_setup(((1,), (1,)), beta=(3,))
-        trep = torus_rep(setup)
+        rep, alpha, beta = torus_rep(setup)
         z = np.array([1.5, 1.5], dtype=complex)
         x0 = np.sqrt(np.abs(z)).astype(complex)
         y0 = z / x0
-        gx, gy = grad(trep.rep, "muC2", trep.alpha, trep.beta, x0, y0)
+        gx, gy = grad(rep, "muC2", alpha, beta, x0, y0)
         assert np.linalg.norm(np.concatenate([gx, gy])) < 1e-12
-        traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta, x0, y0)
+        traj = integrate_flow(rep, "muC2", alpha, beta, x0, y0)
         assert traj.status == STATUS_CONVERGED
         assert len(traj.energies) - 1 == 0
 
     def test_monotone_energies_and_positive_steps(self):
         setup = new_setup(((1,), (1,)), beta=(3,))
-        trep = torus_rep(setup)
+        rep, alpha, beta = torus_rep(setup)
         rng = np.random.default_rng(11)
         x0, y0 = random_state(rng, 2, 1.0)
-        traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta, x0, y0,
+        traj = integrate_flow(rep, "muC2", alpha, beta, x0, y0,
                               grad_tol=1e-6)
         assert np.all(np.diff(traj.energies) < 0)
         assert np.all(traj.step_lengths[1:] > 0)
@@ -301,11 +294,11 @@ class TestFlow:
         # |s_0| plus the path length bounds every |s_t| by the triangle
         # inequality; the paper bounds the path length itself.
         setup = new_setup(((1,), (1,)), beta=(3,))
-        trep = torus_rep(setup)
+        rep, alpha, beta = torus_rep(setup)
         for seed in range(8):
             rng = np.random.default_rng(seed)
             x0, y0 = random_state(rng, 2, 1.0)
-            traj = integrate_flow(trep.rep, "muC2", trep.alpha, trep.beta,
+            traj = integrate_flow(rep, "muC2", alpha, beta,
                                   x0, y0, grad_tol=1e-6)
             assert traj.status == STATUS_CONVERGED
             assert (np.linalg.norm(pack_state(x0, y0))
@@ -334,4 +327,4 @@ class TestFlow:
         [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),
                          [[1.0]], grad_tol=1e-10, h0=1e-3, max_time=1e12)
         report = lojasiewicz_report(traj, f_c=0.0, decades=3.0)
-        assert abs(report.fitted_exponent - 0.75) < 0.02
+        assert abs(report["fitted_exponent"] - 0.75) < 0.02

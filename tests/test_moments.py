@@ -20,9 +20,9 @@ from flow_reference import (diagonal_sum, energy, grad, grad_component, moment_h
                             reference_moment_hk, su2_irrep)
 from hypertoric.errors import InputError
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import GroupRep, pack_state, torus_rep
 from hypertoric.flowlab import moments
-from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective
+from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective, pack_state
+from hypertoric.flowlab.reps import GroupRep, torus_rep
 from hypertoric.torus import new_setup
 
 
@@ -43,9 +43,8 @@ def tori(draw, max_d=4, max_n=8):
     assume(int_rank(weights, d) == d)
     levels = st.lists(st.integers(min_value=-5, max_value=5), min_size=d, max_size=d)
     beta = [(a, b) for a, b in zip(draw(levels), draw(levels))]
-    trep = torus_rep(new_setup([tuple(row) for row in weights], alpha=draw(levels),
+    return torus_rep(new_setup([tuple(row) for row in weights], alpha=draw(levels),
                                beta=beta))
-    return trep.rep, trep.alpha, trep.beta
 
 
 @st.composite
@@ -150,9 +149,8 @@ def _with_levels(rep, seed):
 def _torus(weights, seed):
     rng = np.random.default_rng(seed)
     d = len(weights[0])
-    trep = torus_rep(new_setup(weights, alpha=rng.integers(-5, 6, d).tolist(),
+    return torus_rep(new_setup(weights, alpha=rng.integers(-5, 6, d).tolist(),
                                beta=rng.integers(-5, 6, (d, 2)).tolist()))
-    return trep.rep, trep.alpha, trep.beta
 
 
 @pytest.mark.parametrize("family", [

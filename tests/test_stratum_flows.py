@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from flat_reference import reference_flats
 from hypertoric.exact import int_rank
-from hypertoric.flowlab import (STATUS_CONVERGED, STATUS_UNDERFLOW, descend,
-                                pack_state, torus_rep, unpack_state)
-from hypertoric.flowlab.moments import flow_objective
+from hypertoric.flowlab.flow import STATUS_CONVERGED, STATUS_UNDERFLOW, descend
+from hypertoric.flowlab.moments import flow_objective, pack_state, unpack_state
+from hypertoric.flowlab.reps import torus_rep
 from hypertoric.torus import new_setup, sample_generic
 from metric_reference import critical_level, hk_critical_level
 
@@ -55,12 +55,12 @@ def check_stratum_starts(setup, seed):
     """Descend one start per flat for each energy and check every limit;
     return the number of starts."""
     flats, starts = stratum_starts(setup, seed)
-    trep = torus_rep(setup)
+    rep, alpha, beta = torus_rep(setup)
     levels = {"muC2": [critical_level(setup.weights, setup.beta, f) for f in flats],
               "muHK2": [hk_critical_level(setup.weights, setup.alpha, setup.beta, f)
                         for f in flats]}
     for function, want in levels.items():
-        objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+        objective = flow_objective(rep.basis, function, alpha, beta)
         trajs = descend(objective, starts, grad_tol=1e-6, max_steps=20_000)
         for f, level, traj in zip(flats, want, trajs):
             x, y = unpack_state(traj.final, setup.n)
@@ -99,9 +99,9 @@ def test_a_descent_below_the_float_floor_ends_within_a_hundred_steps():
     # lowers the energy, rather than spending its budget on steps too short
     # to move the state, and its energy falls at every step.
     flats, starts = stratum_starts(STALL, 0)
-    trep = torus_rep(STALL)
+    rep, alpha, beta = torus_rep(STALL)
     for function in ("muC2", "muHK2"):
-        objective = flow_objective(trep.rep.basis, function, trep.alpha, trep.beta)
+        objective = flow_objective(rep.basis, function, alpha, beta)
         for f, traj in zip(flats, descend(objective, starts, grad_tol=1e-300,
                                           max_steps=20_000)):
             assert traj.status in (STATUS_CONVERGED, STATUS_UNDERFLOW), (function, f)
