@@ -14,9 +14,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import lcm
 
-from .errors import InvariantViolation, NonGenericAlpha
+from .errors import InvariantViolation
 from .exact import int_solve, trim
-from .torus import TorusSetup, alpha_witness
+from .torus import TorusSetup, negative_rows
 
 
 def _submasks(mask) -> list:
@@ -32,8 +32,9 @@ def _submasks(mask) -> list:
 def face_census(setup: TorusSetup) -> tuple:
     """Bounded face counts (d_0, ..., d_m) of the arrangement, m = n - d.
 
-    Requires a generic alpha and raises NonGenericAlpha otherwise: a generic
-    alpha makes the arrangement simple (see ``torus.alpha_witness``).
+    Requires a generic alpha, which ``torus.negative_rows`` refuses with
+    NonGenericAlpha otherwise: a generic alpha makes the arrangement simple
+    (see ``torus.alpha_witness``).
 
     The arrangement is the affine space A = {z : B^T z = alpha} of dimension
     m, cut by the hyperplanes z_j = 0.  A face is a nonempty set of points
@@ -71,8 +72,7 @@ def face_census(setup: TorusSetup) -> tuple:
     minus bitmask shifted by n; its dimension is its bit count less d.
     Only the lower keys are stored; the upper ones are tested as made.
     """
-    if (witness := alpha_witness(setup)) is not None:
-        raise NonGenericAlpha(witness)
+    negative_rows(setup)
     weights = setup.weights
     n = setup.n
     d = setup.dim

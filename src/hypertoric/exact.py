@@ -7,9 +7,10 @@ Matrices are lists of integer rows, and there are three algorithms on them:
 Gauss–Jordan returning a determinant and an integer solution, and
 ``certified_rank``, which searches a rank with int64 arithmetic mod a prime
 and returns it only with a proof over Q from both sides: a minor that is
-nonsingular mod the prime, and null vectors proven by a congruence mod a
-power of the prime and an integer size bound.  Bareiss elimination answers
-otherwise.  Kernels come from ``int_solve`` on a nonsingular block.
+nonsingular mod the prime, and null vectors from p-adic lifting
+(``_kernel_certified``) proven by a congruence mod a power of the prime and
+an integer size bound.  Bareiss elimination answers otherwise.  ``int_solve``
+solves the wall table's Gram and flat systems and the census's vertex ones.
 A polynomial is the tuple of its integer coefficients, lowest degree
 first, with no trailing zero, and the one division the package needs, by a
 power of 1 - q, is a run of integer prefix sums.
@@ -18,7 +19,6 @@ power of 1 - q, is a run of integer prefix sums.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -52,14 +52,6 @@ def _exponent(text: str) -> int:
         return abs(int(text.lower().partition("e")[2] or 0))
     except ValueError:
         return 0
-
-
-@dataclass(frozen=True)
-class CRat:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .reps import GroupRep, gaussian_state, torus_rep
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
 _STATE_TOL = 1e-4
+# Largest gap between a limit energy and the critical level it is matched to.
+_LEVEL_TOL = 1e-6
 # Most states stacked at once: ensembles and cross terms run in blocks of
 # this many, so memory does not grow with their size.
 _BLOCK = 256
@@ -99,21 +101,21 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     return reports
 
 
-def _match_limit(setup, traj: Trajectory, levels, tol_f: float = 1e-6):
+def _match_limit(setup, traj: Trajectory, levels):
     """Match a converged holomorphic-energy limit to a flat of the setup.
 
     The candidate index set collects the coordinates whose base and fiber
     sizes both vanished; its complement must be a flat whose critical
     level, in ``levels`` (``critical_levels(setup)``), agrees with the limit
-    energy within ``tol_f``.  Returns the flat with its critical level as a
-    float, or None when the limit is unresolved.
+    energy within ``_LEVEL_TOL``.  Returns the flat with its critical level
+    as a float, or None when the limit is unresolved.
     """
     n = setup.n
     x, y = unpack_state(traj.final, n)
     sizes = np.abs(x) ** 2 + np.abs(y) ** 2
     flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
     level = levels.get(flat)  # keyed by exactly the flats
-    if level is None or abs(traj.f_limit - float(level)) >= tol_f:
+    if level is None or abs(traj.f_limit - float(level)) >= _LEVEL_TOL:
         return None
     return flat, float(level)
 

@@ -140,8 +140,8 @@ def alpha_vector(setup) -> np.ndarray:
 
 
 def beta_vector(setup) -> np.ndarray:
-    return np.array([complex(_to_float(b.re, "beta"), _to_float(b.im, "beta"))
-                     for b in setup.beta], dtype=np.complex128)
+    return np.array([complex(_to_float(re, "beta"), _to_float(im, "beta"))
+                     for re, im in setup.beta], dtype=np.complex128)
 
 
 def torus_rep(setup) -> Tuple[GroupRep, np.ndarray, np.ndarray]:

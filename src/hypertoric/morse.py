@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonGenericBeta, PartitionViolation, RankDeficient
+from .errors import PartitionViolation, RankDeficient
 from .exact import divide_by_one_minus_q
 from .flats import lattice
-from .torus import ModificationPair, TorusSetup, beta_witness, critical_levels
+from .torus import ModificationPair, TorusSetup, critical_levels
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,6 @@ class CriticalComponent:
 
 def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one per flat, in (size, lex) flat order."""
-    if (witness := beta_witness(setup)) is not None:
-        raise NonGenericBeta(witness)
     levels = critical_levels(setup)
     return tuple(
         CriticalComponent(flat=f, rank=len(basis), index=2 * (setup.n - len(f)),

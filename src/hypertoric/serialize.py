@@ -11,7 +11,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .exact import CRat
 from .torus import TorusSetup, new_setup
 
 
@@ -22,15 +21,11 @@ def rational_to_str(value: Fraction) -> str:
         raise InputError(f"cannot print an exact value: {exc}") from exc
 
 
-def complex_to_json(value: CRat) -> list:
-    return [rational_to_str(value.re), rational_to_str(value.im)]
-
-
 def setup_to_json(setup: TorusSetup) -> dict:
     return {
         "weights": [[int(w) for w in row] for row in setup.weights],
         "alpha": [rational_to_str(a) for a in setup.alpha],
-        "beta": [complex_to_json(b) for b in setup.beta],
+        "beta": [[rational_to_str(x) for x in b] for b in setup.beta],
     }
 
 

@@ -2,8 +2,9 @@
 
 A setup is an integer N x d weight matrix B of full column rank together with
 a real level alpha (d rationals) and a complex level beta (d exact complex
-numbers).  Row j of B is the weight of the j-th coordinate of C^N under the
-d-torus.  The dual pairing used throughout is <a, b> = a^T (B^T B)^{-1} b.
+numbers, each the (re, im) pair of its rational parts).  Row j of B is the
+weight of the j-th coordinate of C^N under the d-torus.  The dual pairing
+used throughout is <a, b> = a^T (B^T B)^{-1} b.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from .errors import (
     RankDeficient,
     SamplingExhausted,
 )
-from .exact import CRat, as_rat, int_rank, int_solve
+from .exact import as_rat, int_rank, int_solve
 
 
 @dataclass(frozen=True)
 class TorusSetup:
     weights: tuple  # N rows, each a tuple of d ints
     alpha: tuple    # d Fractions
-    beta: tuple     # d CRats
+    beta: tuple     # d (re, im) pairs of Fractions
 
     @property
     def n(self) -> int:
@@ -50,16 +51,15 @@ class TorusSetup:
         return self.n - self.dim
 
 
-def _as_crat(value) -> CRat:
-    """Read a complex level entry: a CRat, an [re, im] pair, or a real."""
-    if isinstance(value, CRat):
-        return value
+def _as_complex(value) -> tuple:
+    """Read a complex level entry, an [re, im] pair or a real, as the
+    (re, im) pair of its rational parts."""
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
             raise InputError(
                 "a complex level entry must be a value or a [re, im] pair")
-        return CRat(as_rat(value[0]), as_rat(value[1]))
-    return CRat(as_rat(value))
+        return as_rat(value[0]), as_rat(value[1])
+    return as_rat(value), Fraction(0)
 
 
 def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
@@ -87,9 +87,9 @@ def new_setup(weights, alpha=None, beta=None) -> TorusSetup:
                 f"alpha has {len(alpha_t)} entries, weights have {d} columns")
 
     if beta is None:
-        beta_t = tuple(CRat() for _ in range(d))
+        beta_t = ((Fraction(0), Fraction(0)),) * d
     else:
-        beta_t = tuple(_as_crat(b) for b in beta)
+        beta_t = tuple(_as_complex(b) for b in beta)
         if len(beta_t) != d:
             raise DimensionMismatch(
                 f"beta has {len(beta_t)} entries, weights have {d} columns")
@@ -174,11 +174,11 @@ def walls_of(weights) -> MappingProxyType:
 # A witness depends on the weights and one level only, so each (weights,
 # alpha) and (weights, beta) pair is decided once per process and every
 # later check, sampling included, reads the cached decision.  Every check
-# reads the walls of ``walls_of``, on a level scaled to integers.  Each
-# decision keeps what it has to compute anyway: the beta decision the
-# critical level of every flat, read by ``critical_levels``, and a generic
-# alpha's the rows outside every flat that pair negatively with it, read by
-# ``negative_rows``.
+# reads the walls of ``walls_of``, on a level scaled to integers.  A
+# decision gives its first failing condition, or None and what a generic
+# level's reader needs: every flat's critical level for ``critical_levels``,
+# and the rows pairing negatively with alpha for ``negative_rows``.  Only
+# these two readers refuse a level; sampling redraws on the witnesses.
 
 
 def beta_witness(setup: TorusSetup):
@@ -196,35 +196,37 @@ def beta_witness(setup: TorusSetup):
 def critical_levels(setup: TorusSetup) -> MappingProxyType:
     """Exact value |beta_J|^2 of every flat J, keyed by the flat, in flat
     order (read-only): the squared dual length of beta's residual against
-    the span of J.  Every flat has its level, generic beta or not."""
-    return _beta_levels(setup.weights, setup.beta)[1]
+    the span of J.  Raises NonGenericBeta for a non-generic beta."""
+    witness, levels = _beta_levels(setup.weights, setup.beta)
+    if witness is not None:
+        raise NonGenericBeta(witness)
+    return levels
 
 
 @lru_cache(maxsize=None)
 def _beta_levels(weights, beta):
-    """(witness, levels) for one beta: the first pairing failure in flat
-    order, else the first level collision, else None; and every flat's
-    level, read off its level form with beta = (re + i im) / s integral."""
-    scale, parts = _integral([x for z in beta for x in (z.re, z.im)])
+    """(witness, levels) for one beta: the first zero pairing in flat order,
+    walls in row order, else the first level collision, and no mapping;
+    else None and every flat's level, read off its level form with
+    beta = (re + i im) / s integral."""
+    scale, parts = _integral([x for z in beta for x in z])
     re, im = parts[0::2], parts[1::2]
-    witness, levels, by_level = None, {}, {}  # by_level: level -> its flats
+    levels, by_level = {}, {}  # by_level: level -> its flats
     for f, entry in walls_of(weights).items():
+        for i, h in entry.walls:
+            if not _dot(h, re) and not _dot(h, im):
+                return ("pairing", f, i), None
         quad = sum(x * _dot(row, re) + y * _dot(row, im)
                    for x, y, row in zip(re, im, entry.form))
         levels[f] = level = Fraction(quad, entry.denom * scale * scale)
         by_level.setdefault(level, []).append(f)
-        if witness is None:
-            for i, h in entry.walls:
-                if not _dot(h, re) and not _dot(h, im):
-                    witness = ("pairing", f, i)
-                    break
     # The first colliding pair (a, b) in flat order: a is the first flat of
     # the first level shared by two flats (dicts keep insertion order), and
     # b the next flat at that level.
-    if witness is None:
-        witness = next((("level_collision", *group[:2])
-                        for group in by_level.values() if len(group) > 1), None)
-    return witness, MappingProxyType(levels)
+    for group in by_level.values():
+        if len(group) > 1:
+            return ("level_collision", *group[:2]), None
+    return None, MappingProxyType(levels)
 
 
 def alpha_witness(setup: TorusSetup):
@@ -279,12 +281,8 @@ def _alpha_signs(weights, alpha):
 
 def require_generic(setup: TorusSetup) -> None:
     """Raise NonGenericAlpha, else NonGenericBeta, for a non-generic level."""
-    witness = alpha_witness(setup)
-    if witness is not None:
-        raise NonGenericAlpha(witness)
-    witness = beta_witness(setup)
-    if witness is not None:
-        raise NonGenericBeta(witness)
+    negative_rows(setup)
+    critical_levels(setup)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +309,8 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
         return tuple(Fraction(rng.randint(-size, size)) for _ in range(d))
 
     def draw_beta(size):
-        return tuple(CRat(Fraction(rng.randint(-size, size)),
-                          Fraction(rng.randint(-size, size))) for _ in range(d))
+        return tuple((Fraction(rng.randint(-size, size)),
+                      Fraction(rng.randint(-size, size))) for _ in range(d))
 
     for name, draw, witness in (("alpha", draw_alpha, alpha_witness),
                                 ("beta", draw_beta, beta_witness)):

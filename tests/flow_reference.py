@@ -98,9 +98,9 @@ def grad_component(rep, index, alpha, beta, x, y):
                         rep.dim)
 
 
-def classify_limit(setup, traj, tol_f=1e-6):
+def classify_limit(setup, traj):
     """The flat a converged holomorphic-energy limit reaches, or None."""
-    match = _match_limit(setup, traj, critical_levels(setup), tol_f)
+    match = _match_limit(setup, traj, critical_levels(setup))
     return None if match is None else match[0]
 
 

@@ -137,10 +137,10 @@ def residual(weights, subset, vec) -> tuple:
 
 
 def critical_level(weights, beta, subset) -> Fraction:
-    """|beta_J|^2 in the dual metric."""
+    """|beta_J|^2 in the dual metric, beta given as (re, im) pairs."""
     gi = gram_inverse(weights)
-    re = residual(weights, subset, [z.re for z in beta])
-    im = residual(weights, subset, [z.im for z in beta])
+    re = residual(weights, subset, [x for x, _ in beta])
+    im = residual(weights, subset, [y for _, y in beta])
     return pairing(gi, re, re) + pairing(gi, im, im)
 
 

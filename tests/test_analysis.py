@@ -1,5 +1,7 @@
 """Limit classification, decay certificates, and structured experiments."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,11 @@ class TestClassifyLimit:
         rep, alpha, beta = torus_rep(setup)
         traj = integrate_flow(rep, "muC2", alpha, beta,
                               np.zeros(2, complex), np.zeros(2, complex))
-        assert classify_limit(setup, traj, tol_f=1e-30) is None
+        # the limit is the empty flat's level 9/2, off by 1e-3 from the one given
+        levels = critical_levels(setup)
+        shifted = {**levels, (): levels[()] + Fraction(1, 1000)}
+        assert analysis._match_limit(setup, traj, levels) == ((), 4.5)
+        assert analysis._match_limit(setup, traj, shifted) is None
 
 
 class TestLojReport:

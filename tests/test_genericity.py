@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import flat_reference
 from flat_reference import reference_coatoms, reference_flats
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
-from hypertoric.exact import CRat, int_rank
+from hypertoric.exact import int_rank
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
@@ -40,6 +40,7 @@ from metric_reference import (
     solve_exact,
 )
 from metric_reference import critical_level as reference_level
+from test_torus import level as table_level
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -78,8 +79,8 @@ def pairwise_beta_witness(weights, beta):
     residuals = {}
     levels = {}
     for f in all_flats:
-        re = residual(weights, f, [z.re for z in beta])
-        im = residual(weights, f, [z.im for z in beta])
+        re = residual(weights, f, [x for x, _ in beta])
+        im = residual(weights, f, [y for _, y in beta])
         residuals[f] = (re, im)
         levels[f] = reference_level(weights, beta, f)
         for i in range(len(weights)):
@@ -168,8 +169,8 @@ def two_loop_sample_generic(weights, seed, alpha=None, beta=None):
         size = 3
         for _ in range(8):
             for _ in range(64):
-                cand_beta = tuple(CRat(Fraction(rng.randint(-size, size)),
-                                       Fraction(rng.randint(-size, size)))
+                cand_beta = tuple((Fraction(rng.randint(-size, size)),
+                                   Fraction(rng.randint(-size, size)))
                                   for _ in range(d))
                 if beta_witness(replace(base, beta=cand_beta)) is None:
                     beta_t = cand_beta
@@ -259,7 +260,7 @@ def test_beta_witness_equals_the_pairwise_search(weights, data):
     # Entries in [-1, 1] make pairing failures and level collisions common:
     # about a third and a tenth of the draws.
     part = st.integers(-1, 1).map(Fraction)
-    beta = data.draw(st.tuples(*[st.builds(CRat, part, part)] * len(weights[0])))
+    beta = data.draw(st.tuples(*[st.tuples(part, part)] * len(weights[0])))
     setup = new_setup(weights, beta=beta)
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
 
@@ -272,15 +273,17 @@ def test_beta_witness_equals_the_pairwise_search(weights, data):
     (((1, 0), (0, 1), (1, 1)), [1, 1], ("pairing", (2,), 0)),
     (((1, 0), (0, 1)), [1, 1], ("level_collision", (0,), (1,))),
 ])
-def test_levels_of_a_non_generic_beta_cover_every_flat(weights, beta, witness):
-    # The beta decision computes every flat's level, also past the witness.
+def test_critical_levels_refuse_a_non_generic_beta(weights, beta, witness):
+    # critical_levels refuses with the beta decision's witness; every flat's
+    # level is still read off the wall table.
     setup = new_setup(weights, beta=beta)
     assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta) == witness
-    levels = critical_levels(setup)
-    all_flats = [f for f, _ in reference_flats(weights)]
-    assert list(levels) == all_flats
-    for f in all_flats:
-        assert levels[f] == reference_level(weights, setup.beta, f)
+    with pytest.raises(NonGenericBeta) as raised:
+        critical_levels(setup)
+    assert raised.value.witness == witness
+    for f, _ in reference_flats(weights):
+        assert table_level(weights, f, setup.beta) == reference_level(
+            weights, setup.beta, f)
 
 
 # alpha = (1, 1) lies on the third row of TRIPLE: hyperplanes 1 and 2 of the
@@ -329,12 +332,22 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
     q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     d = len(weights[0])
     setup = new_setup(weights, data.draw(st.tuples(*[q] * d)),
-                      data.draw(st.tuples(*[st.builds(CRat, q, q)] * d)))
+                      data.draw(st.tuples(*[st.tuples(q, q)] * d)))
     assert alpha_witness(setup) == reference_alpha_witness(weights, setup.alpha)
-    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
+    beta_bad = pairwise_beta_witness(weights, setup.beta)
+    assert beta_witness(setup) == beta_bad
     all_flats = [f for f, _ in reference_flats(weights)]
     for f in all_flats:
-        assert critical_levels(setup)[f] == reference_level(weights, setup.beta, f)
+        assert table_level(weights, f, setup.beta) == reference_level(
+            weights, setup.beta, f)
+    if beta_bad is None:
+        assert list(critical_levels(setup)) == all_flats
+        assert critical_levels(setup) == {
+            f: reference_level(weights, setup.beta, f) for f in all_flats}
+    else:
+        with pytest.raises(NonGenericBeta) as raised:
+            critical_levels(setup)
+        assert raised.value.witness == beta_bad
     witness = reference_alpha_witness(weights, setup.alpha)
     if witness is not None:
         with pytest.raises(NonGenericAlpha) as raised:

@@ -7,8 +7,9 @@ route module imports another, so none can read another's answer.  Only
 ``perfbench/oracle.py`` imports no module of the package at all, and no
 module of the package imports another's single-underscore name.  Only
 ``torus`` names its wall table ``walls_of``: every other module asks its
-level questions through ``torus``.  All are read from the syntax trees;
-nothing is imported or run.
+level questions through ``torus``, and only ``torus`` raises the refusal of
+a non-generic level.  All are read from the syntax trees; nothing is
+imported or run.
 """
 
 import ast
@@ -53,6 +54,18 @@ def named_identifiers(tree):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield from node.name.split(".")
+
+
+def raised_names(tree):
+    """The class each ``raise`` of a syntax tree names, called or not: the
+    last part of a dotted name.  A bare ``raise`` names none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
 
 
 def package_trees():
@@ -127,6 +140,26 @@ def test_only_torus_names_the_wall_table():
 ])
 def test_named_identifiers_reads_each_form(source, named):
     assert ("walls_of" in named_identifiers(ast.parse(source))) == named
+
+
+def test_only_torus_raises_a_level_refusal():
+    # The readers of the two decisions, negative_rows and critical_levels,
+    # refuse a non-generic level; every other module asks them.
+    refusals = {"NonGenericAlpha", "NonGenericBeta"}
+    assert {module for module, _, tree in package_trees()
+            if refusals & set(raised_names(tree))} == {"torus"}
+
+
+@pytest.mark.parametrize("source, raised", [
+    ("raise NonGenericBeta(witness)", {"NonGenericBeta"}),
+    ("raise errors.NonGenericAlpha(w) from exc", {"NonGenericAlpha"}),
+    ("raise NonGenericAlpha", {"NonGenericAlpha"}),
+    ("def f(w):\n    if w:\n        raise NonGenericBeta(w)", {"NonGenericBeta"}),
+    ("try:\n    f()\nexcept NonGenericBeta:\n    raise", set()),
+    ("error = NonGenericBeta(w)", set()),
+])
+def test_raised_names_reads_each_form(source, raised):
+    assert set(raised_names(ast.parse(source))) == raised
 
 
 def test_oracle_imports_no_package_module():

@@ -13,7 +13,7 @@ from hypertoric.errors import (
     NonGenericBeta,
     RankDeficient,
 )
-from hypertoric.exact import CRat, int_rank
+from hypertoric.exact import int_rank
 from hypertoric.torus import (
     alpha_witness,
     beta_witness,
@@ -41,17 +41,26 @@ def pairing(weights, flat, vec, i):
     return Fraction(sum(map(mul, dict(entry.walls)[i], vec)), entry.denom)
 
 
+def level(weights, flat, beta):
+    """|R_J beta|^2 read off the level form of the flat J: b^T form b / denom
+    summed over b = Re beta and Im beta, for any beta, generic or not."""
+    entry = walls_of(weights)[flat]
+    return sum(Fraction(sum(x * sum(map(mul, row, b))
+                            for x, row in zip(b, entry.form)), entry.denom)
+               for b in zip(*beta))
+
+
 class TestNewSetup:
     def test_defaults_to_zero_levels(self):
         s = new_setup(DIAG2)
         assert s.n == 2 and s.dim == 1 and s.ambient_dim == 1
         assert s.alpha == (Fraction(0),)
-        assert s.beta == (CRat(),)
+        assert s.beta == ((0, 0),)
 
     def test_accepts_rational_strings(self):
         s = new_setup(DIAG2, ["3/2"], [("1/2", "-2")])
         assert s.alpha == (Fraction(3, 2),)
-        assert s.beta == (CRat(Fraction(1, 2), Fraction(-2)),)
+        assert s.beta == ((Fraction(1, 2), Fraction(-2)),)
 
     def test_rejects_non_integer_weights(self):
         with pytest.raises(InputError):
@@ -119,9 +128,13 @@ class TestResiduals:
         assert [sum(map(mul, row, TRIPLE[2])) for row in entry.form] == [0, 0]
         assert [i for i, _ in entry.walls] == [0, 1]
         # Re beta and Im beta have residuals +-(1/2, -1/2), each of squared
-        # dual length 1/2
+        # dual length 1/2; this beta is not generic, so the wall table gives
+        # the level
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (0, 1)])
-        assert critical_levels(s)[(2,)] == 1
+        assert level(TRIPLE, (2,), s.beta) == 1
+        assert ref.critical_level(TRIPLE, s.beta, (2,)) == 1
+        with pytest.raises(NonGenericBeta):
+            critical_levels(s)
 
     def test_critical_levels_diagonal(self):
         s = new_setup(DIAG2, [1], [(3, 0)])
@@ -141,16 +154,25 @@ class TestGenericBeta:
         assert beta_witness(s) == ("pairing", (), 0)
         with pytest.raises(NonGenericBeta):
             require_generic(s)
+        with pytest.raises(NonGenericBeta) as raised:
+            critical_levels(s)
+        assert raised.value.witness == ("pairing", (), 0)
 
     def test_residual_vanishes_on_flat(self):
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (1, 0)])
         assert beta_witness(s) == ("pairing", (2,), 0)
+        with pytest.raises(NonGenericBeta) as raised:
+            critical_levels(s)
+        assert raised.value.witness == ("pairing", (2,), 0)
 
     def test_level_collision_detected(self):
         s = new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (1, 0)])
         w = beta_witness(s)
         assert w is not None and w[0] == "level_collision"
         assert set(w[1:]) == {(0,), (1,)}
+        with pytest.raises(NonGenericBeta) as raised:
+            critical_levels(s)
+        assert raised.value.witness == w
 
     def test_generic_beta_accepted(self):
         assert beta_witness(new_setup(DIAG2, [1], [(1, 0)])) is None
@@ -261,7 +283,7 @@ def rational_setups(draw):
     assume(int_rank(weights, d) == d)
     q = st.fractions(min_value=-20, max_value=20, max_denominator=9)
     alpha = draw(st.tuples(*[q] * d))
-    beta = [CRat(draw(q), draw(q)) for _ in range(d)]
+    beta = [(draw(q), draw(q)) for _ in range(d)]
     return new_setup(weights, alpha, beta)
 
 
@@ -282,7 +304,7 @@ def test_metric_and_residuals_equal_the_fraction_reference(setup):
         # form / denom = G^-1 R_J, which is symmetric
         assert [[Fraction(x, entry.denom) for x in row] for row in entry.form] \
             == ref.matmul(gi, ref.residual_map(w, f))
-        assert critical_levels(setup)[f] == ref.critical_level(w, setup.beta, f)
+        assert level(w, f, setup.beta) == ref.critical_level(w, setup.beta, f)
         res = ref.residual(w, f, setup.alpha)
         assert [i for i, _ in entry.walls] == [i for i in range(setup.n)
                                                if i not in f]
