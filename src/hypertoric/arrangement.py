@@ -12,11 +12,10 @@ another, so the counts are exact and reproducible.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
 
 from .errors import InvariantViolation
 from .exact import int_solve, trim
-from .torus import TorusSetup, negative_rows
+from .torus import TorusSetup, integral, negative_rows
 
 
 def _submasks(mask) -> list:
@@ -77,8 +76,7 @@ def face_census(setup: TorusSetup) -> tuple:
     n = setup.n
     d = setup.dim
     # Scaling alpha by one positive integer scales the arrangement.
-    scale = lcm(*(a.denominator for a in setup.alpha))
-    level = [int(a * scale) for a in setup.alpha]
+    _, level = integral(setup.alpha)
     lower = set()
     vertices = []
     for basis in combinations(range(n), d):

@@ -128,22 +128,6 @@ def _to_float(value, what: str) -> float:
             f"an entry of {what} is too large for floating point") from exc
 
 
-def weights_matrix(setup) -> np.ndarray:
-    """Weight matrix of a setup as a float array of shape (n, dim)."""
-    return np.array([[_to_float(w, "the weights") for w in row]
-                     for row in setup.weights],
-                    dtype=np.float64).reshape(setup.n, setup.dim)
-
-
-def alpha_vector(setup) -> np.ndarray:
-    return np.array([_to_float(a, "alpha") for a in setup.alpha], dtype=np.float64)
-
-
-def beta_vector(setup) -> np.ndarray:
-    return np.array([complex(_to_float(re, "beta"), _to_float(im, "beta"))
-                     for re, im in setup.beta], dtype=np.complex128)
-
-
 def torus_rep(setup) -> Tuple[GroupRep, np.ndarray, np.ndarray]:
     """Diagonal torus representation attached to a setup, with its
     transported real and complex levels: the tuple (rep, alpha, beta).
@@ -158,10 +142,12 @@ def torus_rep(setup) -> Tuple[GroupRep, np.ndarray, np.ndarray]:
     |alpha|^2 or |beta|^2 overflows a float, or whose B^T B is singular in
     floats, raises InputError.
     """
-    bmat = weights_matrix(setup)
-    d = setup.dim
-    n = setup.n
-    alpha_in, beta_in = alpha_vector(setup), beta_vector(setup)
+    d, n = setup.dim, setup.n
+    bmat = np.array([[_to_float(w, "the weights") for w in row]
+                     for row in setup.weights], dtype=np.float64).reshape(n, d)
+    alpha_in = np.array([_to_float(a, "alpha") for a in setup.alpha], dtype=np.float64)
+    beta_in = np.array([complex(_to_float(re, "beta"), _to_float(im, "beta"))
+                        for re, im in setup.beta], dtype=np.complex128)
     with np.errstate(all="ignore"):
         gram = bmat.T @ bmat
         squares = {"B^T B": gram, "|alpha|^2": alpha_in @ alpha_in,

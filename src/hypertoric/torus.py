@@ -108,7 +108,7 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _integral(level) -> tuple:
+def integral(level) -> tuple:
     """(s, s * level) for the least s > 0 making every entry an integer."""
     scale = lcm(*(x.denominator for x in level))
     return scale, [x.numerator * (scale // x.denominator) for x in level]
@@ -209,7 +209,7 @@ def _beta_levels(weights, beta):
     walls in row order, else the first level collision, and no mapping;
     else None and every flat's level, read off its level form with
     beta = (re + i im) / s integral."""
-    scale, parts = _integral([x for z in beta for x in z])
+    scale, parts = integral([x for z in beta for x in z])
     re, im = parts[0::2], parts[1::2]
     levels, by_level = {}, {}  # by_level: level -> its flats
     for f, entry in walls_of(weights).items():
@@ -265,7 +265,7 @@ def _alpha_signs(weights, alpha):
     """(witness, negative) for one alpha: the first zero pairing in flat
     order, walls in row order, and no mapping; else None and the negative
     rows of every flat, signed on alpha scaled to integers."""
-    _, a = _integral(alpha)
+    _, a = integral(alpha)
     negative = {}
     for f, entry in walls_of(weights).items():
         minus = []
@@ -341,47 +341,28 @@ class ModificationPair:
     extended: TorusSetup   # one extra coordinate carrying the inverse circle
 
 
-def enlarged_weights(weights, circle) -> tuple:
-    return tuple(row + (c,) for row, c in zip(weights, circle))
-
-
-def extended_weights(weights, circle) -> tuple:
-    d = len(weights[0]) if weights else 0
-    new_rows = enlarged_weights(weights, circle)
-    return new_rows + ((0,) * d + (-1,),)
-
-
-def require_new_circle(weights, circle) -> tuple:
-    """Validate a circle column against the weights; return it as a tuple.
+def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
+    """Grow the torus by an integer circle weight column.
 
     The circle must act non-trivially on the quotient: if it already lies in
     the rational column span of the weights the construction degenerates.
+    The enlarged weights append the column to each row, and the extended
+    ones add the row (0, ..., 0, -1).  Fresh generic levels for the two
+    derived setups are sampled from seeds derived deterministically from
+    (weights, circle, seed).
     """
-    weights = tuple(tuple(r) for r in weights)
-    circle = tuple(circle)
+    weights, circle, d = setup.weights, tuple(circle), setup.dim
     for x in circle:
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError("circle weights must be integers")
     if len(circle) != len(weights):
         raise DimensionMismatch(
             f"circle has {len(circle)} entries, weights have {len(weights)} rows")
-    d = len(weights[0]) if weights else 0
-    wide = enlarged_weights(weights, circle)
+    wide = tuple(row + (c,) for row, c in zip(weights, circle))
     if int_rank(wide, d + 1) != d + 1:
         raise CircleInsideTorus(
             "circle weight column lies in the span of the existing weights")
-    return circle
-
-
-def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
-    """Grow the torus by an integer circle weight column.
-
-    Fresh generic levels for the two derived setups are sampled from seeds
-    derived deterministically from (weights, circle, seed).
-    """
-    circle = require_new_circle(setup.weights, circle)
-    wide = enlarged_weights(setup.weights, circle)
-    hat = sample_generic(wide, derived_seed("enlarged", setup.weights, circle, seed))
-    tilde = sample_generic(extended_weights(setup.weights, circle),
-                           derived_seed("extended", setup.weights, circle, seed))
+    hat = sample_generic(wide, derived_seed("enlarged", weights, circle, seed))
+    tilde = sample_generic(wide + ((0,) * d + (-1,),),
+                           derived_seed("extended", weights, circle, seed))
     return ModificationPair(setup, hat, tilde)

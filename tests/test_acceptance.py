@@ -21,13 +21,12 @@ from flow_reference import (abelian_gradient_norm2, energy, grad, lojasiewicz_re
 from hypertoric.crosscheck import analyze, census_recurrence, polynomial_recurrence
 from hypertoric.flowlab import cross_term_stats, run_ensemble
 from hypertoric.flowlab.flow import descend
-from hypertoric.flowlab.reps import beta_vector, torus_rep, weights_matrix
+from hypertoric.flowlab.reps import torus_rep
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import cohomology_presentation, hilbert_dims
 from hypertoric.torus import (
     critical_levels,
     derived_seed,
-    enlarged_weights,
     modify,
     new_setup,
     sample_generic,
@@ -144,7 +143,8 @@ def test_criterion_3_modification_recurrences():
         cases, *_, census_ok = census_recurrence(pair)
         total = (len(cases.new_only) + len(cases.shared_both)
                  + len(cases.shared_extended))
-        assert total == len(reference_flats(enlarged_weights(weights, column)))
+        wide = tuple(row + (c,) for row, c in zip(weights, column))
+        assert total == len(reference_flats(wide))
         assert census_ok, (weights, column)
     print(f"ACCEPTANCE 3 PASS: {len(MODIFICATION_PAIRS)} modification pairs, "
           "polynomial + census recurrences, trichotomy zero violations")
@@ -187,8 +187,8 @@ def test_criterion_5_gradient_correctness():
         rng = np.random.default_rng(derived_seed("acc5-states", rep.dim, rep.k))
         if is_torus:
             setup = sample_generic(weights, derived_seed("acc5", weights))
-            bmat = weights_matrix(setup)
-            bvec = beta_vector(setup)
+            bmat = np.array(setup.weights, dtype=float)
+            bvec = np.array([complex(*z) for z in setup.beta])
         for _ in range(100):
             x, y = random_state(rng, rep.dim, 1.2)
             for which in ("muR2", "muC2", "muHK2"):

@@ -74,6 +74,17 @@ def test_analyze_can_sample_generic_levels(tmp_path):
     assert report["agreement"]["all"] is True
 
 
+def test_analyze_exits_3_when_sampling_is_exhausted(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr("hypertoric.torus._SAMPLE_ROUNDS", 0)
+    path = write_json(tmp_path, "zero.json", {"weights": [[1], [1]]})
+    assert cli.main(["analyze", path, "--sample-generic"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "SamplingExhausted",
+                                        "message": "no generic alpha found"}
+    assert err == "SamplingExhausted: no generic alpha found\n"
+
+
 def test_census_output(tmp_path):
     path = write_json(tmp_path, "pair.json", PAIR)
     proc = run_cli("census", path)
@@ -340,6 +351,7 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("modify", dict(PAIR, alpha=["1e5000"]), ("--column", "1,0")),
     ("analyze", dict(PAIR, alpha=["1e-5000"]), ()),
     ("analyze", {"weights": [[1], [2]], "alpha": ["1"], "beta": [["1e3000", "0"]]}, ()),
+    ("analyze", dict(PAIR, beta=[["1", "2", "3"]]), ()),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -369,7 +381,7 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
         "input-not-utf8", "analyze-alpha-power-past-digit-limit",
         "modify-alpha-power-past-digit-limit",
         "analyze-alpha-negative-power-past-digit-limit",
-        "analyze-level-past-digit-limit"])
+        "analyze-level-past-digit-limit", "beta-three-parts"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
     proc = run_cli(command, *paths, *flags, cwd=tmp_path)
@@ -388,6 +400,13 @@ def test_crossterm_names_its_unknown_fields(tmp_path):
     proc = run_cli("crossterm", path)
     assert proc.returncode == 2
     assert proc.stderr.strip() == "InputError: unknown crossterm fields: ['alpah', 'beta']"
+
+
+def test_a_three_part_beta_entry_names_the_pair_form(tmp_path, capsys):
+    path = write_json(tmp_path, "input.json", dict(PAIR, beta=[["1", "2", "3"]]))
+    assert cli.main(["analyze", path]) == 2
+    assert capsys.readouterr() == ("", "InputError: a complex level entry "
+                                   "must be a value or a [re, im] pair\n")
 
 
 def test_modify_refuses_a_setup_whose_extension_is_too_large(tmp_path):

@@ -217,6 +217,29 @@ class TestCertifiedRank:
         assert (modulus, den, nums.tolist()) == (MODULUS, 1, [[0]])
         assert [result for _, result in fallbacks] == [2]
 
+    def test_an_entry_past_int64_goes_to_bareiss(self, monkeypatch):
+        searches = spy(monkeypatch, "_reduce_mod_p")
+        fallbacks = spy(monkeypatch, "int_rank")
+        assert certified_rank([[2 ** 70, 0], [0, 1]], 2) == 2
+        assert searches == []
+        assert [result for _, result in fallbacks] == [2]
+
+    # The entries fit an int64 and the search finds a rank below 2, but a
+    # row norm may reach top * ncols >= 2^63: the certificate refuses before
+    # it sums one.  In the second matrix every entry is 0 mod MODULUS, so
+    # the search finds rank 0, and only this refusal keeps a wrapped norm
+    # from passing the size bound with rank 0.
+    @pytest.mark.parametrize("rows, rank", [
+        ([[2 ** 62, 2 ** 62], [1, 1], [3, 3]], 1),
+        ([[-(-2 ** 62 // MODULUS) * MODULUS] * 2] * 2, 1),
+    ], ids=["rank-1-search", "rank-0-search"])
+    def test_row_norms_past_int64_go_to_bareiss(self, monkeypatch, rows, rank):
+        certificates = spy(monkeypatch, "_kernel_certified")
+        fallbacks = spy(monkeypatch, "int_rank")
+        assert certified_rank(rows, 2) == rank
+        assert [result for _, result in certificates] == [False]
+        assert [result for _, result in fallbacks] == [rank]
+
     def test_empty_and_zero(self):
         assert certified_rank([], 3) == 0
         assert certified_rank([[0, 0], [0, 0]], 2) == 0

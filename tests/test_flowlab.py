@@ -9,7 +9,7 @@ from flow_reference import (abelian_gradient_norm2, diagonal_sum, energy, grad,
 from hypertoric.errors import InputError, NonFiniteState, RankDeficient
 from hypertoric.flowlab.flow import STATUS_CONVERGED, STATUS_UNDERFLOW, descend
 from hypertoric.flowlab.moments import pack_state, unpack_state
-from hypertoric.flowlab.reps import beta_vector, from_matrices, torus_rep, weights_matrix
+from hypertoric.flowlab.reps import from_matrices, torus_rep
 from hypertoric.torus import new_setup, sample_generic
 
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -245,8 +245,9 @@ class TestNormFormula:
             x, y = random_state(rng, 3, 1.3)
             gx, gy = grad(rep, "muC2", alpha, beta, x, y)
             direct = float(np.sum(np.abs(gx) ** 2) + np.sum(np.abs(gy) ** 2))
-            closed = abelian_gradient_norm2(weights_matrix(setup),
-                                            beta_vector(setup), x, y)
+            closed = abelian_gradient_norm2(
+                np.array(setup.weights, dtype=float),
+                np.array([complex(*z) for z in setup.beta]), x, y)
             assert abs(direct - closed) <= 1e-10 * max(closed, 1.0)
 
     def test_zero_dim(self):

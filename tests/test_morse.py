@@ -219,13 +219,13 @@ class TestModification:
         assert cases.shared_extended == ((0, 1),)
 
     def test_case_sizes_sum_to_enlarged_flat_count(self):
-        from hypertoric.torus import enlarged_weights
         for weights, circle in [(TRIPLE, (1, 0, 0)), (DIAG2, (0, 1)),
                                 (((1,), (1,), (1,)), (1, -1, 0))]:
             cases = modification_cases(pair_of(weights, circle))
             total = (len(cases.new_only) + len(cases.shared_both)
                      + len(cases.shared_extended))
-            assert total == len(reference_flats(enlarged_weights(weights, circle)))
+            wide = tuple(row + (c,) for row, c in zip(weights, circle))
+            assert total == len(reference_flats(wide))
 
     @staticmethod
     def edit_flats(monkeypatch, weights, edit):

@@ -7,9 +7,10 @@ route module imports another, so none can read another's answer.  Only
 ``perfbench/oracle.py`` imports no module of the package at all, and no
 module of the package imports another's single-underscore name.  Only
 ``torus`` names its wall table ``walls_of``: every other module asks its
-level questions through ``torus``, and only ``torus`` raises the refusal of
-a non-generic level.  All are read from the syntax trees; nothing is
-imported or run.
+level questions through ``torus``, only ``torus`` raises the refusal of
+a non-generic level, and only ``torus`` scales a level to integers (names
+``denominator`` or ``lcm``).  All are read from the syntax trees; nothing
+is imported or run.
 """
 
 import ast
@@ -140,6 +141,26 @@ def test_only_torus_names_the_wall_table():
 ])
 def test_named_identifiers_reads_each_form(source, named):
     assert ("walls_of" in named_identifiers(ast.parse(source))) == named
+
+
+def test_only_torus_scales_a_level():
+    # torus.integral is the one level scaler; every other module calls it.
+    scalers = {"denominator", "lcm"}
+    assert {module for module, _, tree in package_trees()
+            if scalers & set(named_identifiers(tree))} == {"torus"}
+
+
+@pytest.mark.parametrize("source, named", [
+    ("scale = lcm(*(a.denominator for a in alpha))", {"denominator", "lcm"}),
+    ("from math import lcm", {"lcm"}),
+    ("import math\nscale = math.lcm(2, 3)", {"lcm"}),
+    ("least = reduce(lcm, dens)", {"lcm"}),
+    ("def f(q):\n    return q.denominator", {"denominator"}),
+    ("_, level = integral(alpha)", set()),
+    ("note = 'the lcm of the denominators'", set()),
+])
+def test_named_identifiers_reads_each_scaling(source, named):
+    assert {"denominator", "lcm"} & set(named_identifiers(ast.parse(source))) == named
 
 
 def test_only_torus_raises_a_level_refusal():

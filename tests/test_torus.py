@@ -12,6 +12,7 @@ from hypertoric.errors import (
     NonGenericAlpha,
     NonGenericBeta,
     RankDeficient,
+    SamplingExhausted,
 )
 from hypertoric.exact import int_rank
 from hypertoric.torus import (
@@ -19,8 +20,6 @@ from hypertoric.torus import (
     beta_witness,
     critical_levels,
     derived_seed,
-    enlarged_weights,
-    extended_weights,
     modify,
     new_setup,
     require_generic,
@@ -228,6 +227,13 @@ class TestSampling:
             assert sample_generic(weights, seed) == sample_generic(
                 weights, seed, alpha=[0] * d, beta=[[0, 0]] * d)
 
+    def test_no_rounds_left_refuses_the_first_non_generic_level(self, monkeypatch):
+        monkeypatch.setattr("hypertoric.torus._SAMPLE_ROUNDS", 0)
+        with pytest.raises(SamplingExhausted, match="^no generic alpha found$"):
+            sample_generic(DIAG2, seed=0)
+        with pytest.raises(SamplingExhausted, match="^no generic beta found$"):
+            sample_generic(DIAG2, seed=0, alpha=[1])
+
     def test_different_seeds_usually_differ(self):
         draws = {sample_generic(TRIPLE, seed=k) for k in range(6)}
         assert len(draws) > 1
@@ -242,8 +248,10 @@ class TestSampling:
 
 class TestModification:
     def test_shapes(self):
-        assert enlarged_weights(DIAG2, (1, 0)) == ((1, 1), (1, 0))
-        assert extended_weights(DIAG2, (1, 0)) == ((1, 1), (1, 0), (0, -1))
+        pair = modify(sample_generic(TRIPLE, seed=1), (1, 0, 0), seed=3)
+        assert pair.enlarged.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0))
+        assert pair.extended.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0),
+                                          (0, 0, -1))
 
     def test_modify_builds_generic_pair(self):
         s = sample_generic(DIAG2, seed=1)
@@ -259,18 +267,21 @@ class TestModification:
 
     def test_circle_in_span_rejected(self):
         s = sample_generic(DIAG2, seed=1)
-        with pytest.raises(CircleInsideTorus):
+        inside = "circle weight column lies in the span of the existing weights"
+        with pytest.raises(CircleInsideTorus, match=f"^{inside}$"):
             modify(s, (2, 2))
         # With no rows the circle column is empty: rank 0, not 1.
-        with pytest.raises(CircleInsideTorus):
+        with pytest.raises(CircleInsideTorus, match=f"^{inside}$"):
             modify(new_setup(()), ())
 
     def test_bad_circle_rejected(self):
         s = sample_generic(DIAG2, seed=1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match="^circle has 3 entries, weights have 2 rows$"):
             modify(s, (1, 0, 0))
-        with pytest.raises(InputError):
-            modify(s, (1, 0.5))
+        for circle in ((1, 0.5), (True, 0)):
+            with pytest.raises(InputError, match="^circle weights must be integers$"):
+                modify(s, circle)
 
 
 @st.composite
