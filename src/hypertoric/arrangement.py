@@ -33,7 +33,7 @@ def face_census(setup: TorusSetup) -> tuple:
 
     Requires a generic alpha, which ``torus.negative_rows`` refuses with
     NonGenericAlpha otherwise: a generic alpha makes the arrangement simple
-    (see ``torus.alpha_witness``).
+    (see ``torus._alpha_signs``).
 
     The arrangement is the affine space A = {z : B^T z = alpha} of dimension
     m, cut by the hyperplanes z_j = 0.  A face is a nonempty set of points

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import arrangement, crosscheck, flats
 from .errors import (EnumerationTooLarge, HypertoricError, InputError,
-                     InvariantViolation)
+                     InvariantViolation, witness_to_json)
 from .flowlab import cross_term_stats, from_matrices, run_ensemble
 from .flowlab.moments import ENERGY_KINDS
 from .serialize import (
@@ -25,9 +25,9 @@ from .serialize import (
     rational_to_str,
     setup_from_json,
     setup_to_json,
-    witness_to_json,
 )
-from .torus import derived_seed, modify, require_generic, sample_generic
+from .torus import (critical_levels, derived_seed, modify, negative_rows,
+                    sample_generic)
 
 EXIT_OK = 0
 EXIT_CROSS_CHECK = HypertoricError.exit_code
@@ -68,10 +68,11 @@ def _load_setup(args):
 def _ensure_generic(setup, args):
     """Return (setup, sampled) with generic levels, resampling if allowed."""
     if not args.sample_generic:
-        require_generic(setup)
+        negative_rows(setup)
+        critical_levels(setup)
         return setup, False
     seed = derived_seed("cli-sample", setup.weights, args.seed)
-    result = sample_generic(setup.weights, seed, setup.alpha, setup.beta)
+    result = sample_generic(setup, seed)
     return result, result != setup
 
 

@@ -6,6 +6,15 @@ degenerate parameters, 4 a failed cross-check or internal invariant.
 """
 
 
+def witness_to_json(witness) -> dict:
+    """Structured form of a genericity witness, indices 1-based: a pairing
+    of a flat and a row outside it, or a level collision of two flats."""
+    kind, first, second = witness
+    if kind == "pairing":
+        return {"kind": kind, "flat": [i + 1 for i in first], "weight": second + 1}
+    return {"kind": kind, "flats": [[i + 1 for i in first], [i + 1 for i in second]]}
+
+
 class HypertoricError(Exception):
     """Base class for all package-specific errors."""
 
@@ -40,20 +49,26 @@ class CircleInsideTorus(NonGeneric):
     """Modification column already lies in the column span of the weights."""
 
 
+def _refuse_level(self, witness):
+    """The one constructor of a level's refusal: it keeps the decision's
+    0-based witness and names the 1-based form the report carries."""
+    self.witness = witness
+    NonGeneric.__init__(self, f"{self.level} is not generic: " + ", ".join(
+        f"{key} {value}" for key, value in witness_to_json(witness).items()))
+
+
 class NonGenericBeta(NonGeneric):
     """Complex parameter fails a genericity condition; carries a witness."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"beta is not generic: {witness}")
+    level = "beta"
+    __init__ = _refuse_level
 
 
 class NonGenericAlpha(NonGeneric):
     """Real parameter fails a genericity condition; carries a witness."""
 
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"alpha is not generic: {witness}")
+    level = "alpha"
+    __init__ = _refuse_level
 
 
 class SamplingExhausted(NonGeneric):

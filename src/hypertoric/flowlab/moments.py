@@ -57,9 +57,9 @@ import numpy as np
 from ..errors import InputError
 from .reps import GroupRep
 
-ENERGY_KINDS = ("muR2", "muC2", "muHK2")
 # The components each energy reads: 0 for mu1, 1 and 2 for mu2 and mu3.
 _PARTS = {"muR2": (0,), "muC2": (1, 2), "muHK2": (0, 1, 2)}
+ENERGY_KINDS = tuple(_PARTS)
 
 # A stack meets G in chunks of 2^19 // (16 n^2 k) rows (33 at n = 14,
 # k = 5), so that the product of a chunk with each 4n x 4nk block stays
@@ -72,7 +72,7 @@ _ONE_THREAD_MADDS = 1 << 19
 
 
 def _parts(which: str) -> Tuple[int, ...]:
-    if which not in ENERGY_KINDS:
+    if which not in _PARTS:
         raise InputError(f"unknown energy kind {which!r}")
     return _PARTS[which]
 

@@ -133,8 +133,7 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
                 for k, c in terms:
                     row[index[k + shift]] += c
                 rows.append(row)
-        r = certified_rank(rows, len(index)) if rows else 0
-        dims.append(len(index) - r)
+        dims.append(len(index) - certified_rank(rows, len(index)))
     return tuple(dims)
 
 

@@ -1,4 +1,4 @@
-"""JSON conversions for setups, polynomials, and genericity witnesses.
+"""JSON conversions for setups, polynomials, and input arrays.
 
 Exact rational data travels as strings ("3/4") so nothing is ever
 rounded; floats appear only in the floating-point sections of reports.
@@ -56,17 +56,6 @@ def poly_to_json(poly: tuple) -> list:
 def flat_to_json(flat: Sequence[int]) -> list:
     """1-based index list for user-facing output."""
     return [i + 1 for i in flat]
-
-
-def witness_to_json(witness) -> dict:
-    """Structured form of a genericity witness, indices 1-based: a pairing,
-    or a level collision of two flats."""
-    kind = witness[0]
-    if kind == "pairing":
-        return {"kind": "pairing", "flat": flat_to_json(witness[1]),
-                "weight": witness[2] + 1}
-    return {"kind": kind, "flats": [flat_to_json(witness[1]),
-                                    flat_to_json(witness[2])]}
 
 
 def _numbers_only(value) -> bool:

@@ -171,26 +171,13 @@ def walls_of(weights) -> MappingProxyType:
 # Genericity
 # ---------------------------------------------------------------------------
 #
-# A witness depends on the weights and one level only, so each (weights,
-# alpha) and (weights, beta) pair is decided once per process and every
-# later check, sampling included, reads the cached decision.  Every check
-# reads the walls of ``walls_of``, on a level scaled to integers.  A
-# decision gives its first failing condition, or None and what a generic
-# level's reader needs: every flat's critical level for ``critical_levels``,
-# and the rows pairing negatively with alpha for ``negative_rows``.  Only
-# these two readers refuse a level; sampling redraws on the witnesses.
-
-
-def beta_witness(setup: TorusSetup):
-    """First failing condition for beta-genericity, or None.
-
-    Conditions over flats J: (i) <beta_J, u_i> != 0 for every row i outside
-    J, (ii) the levels |beta_J|^2 are pairwise distinct.  (i) also makes the
-    residuals beta_J pairwise distinct: two flats differ in some row i, and
-    beta_J pairs to zero with every row of J, so the residual of the flat
-    without i, were it equal to the other's, would pair to zero with u_i.
-    """
-    return _beta_levels(setup.weights, setup.beta)[0]
+# A decision depends on the weights and one level only, so each (weights,
+# alpha) and (weights, beta) pair is decided once per process, on the walls
+# of ``walls_of`` and the level scaled to integers.  A decision gives its
+# first failing condition, the witness, or None and what a generic level's
+# reader needs: every flat's critical level for ``critical_levels``, and the
+# rows pairing negatively with alpha for ``negative_rows``.  Only these two
+# readers refuse a level; ``sample_generic`` redraws on the witnesses.
 
 
 def critical_levels(setup: TorusSetup) -> MappingProxyType:
@@ -208,7 +195,15 @@ def _beta_levels(weights, beta):
     """(witness, levels) for one beta: the first zero pairing in flat order,
     walls in row order, else the first level collision, and no mapping;
     else None and every flat's level, read off its level form with
-    beta = (re + i im) / s integral."""
+    beta = (re + i im) / s integral.
+
+    Beta is generic when, over flats J, (i) <beta_J, u_i> != 0 for every
+    row i outside J and (ii) the levels |beta_J|^2 are pairwise distinct.
+    (i) also makes the residuals beta_J pairwise distinct: two flats differ
+    in some row i, and beta_J pairs to zero with every row of J, so the
+    residual of the flat without i, were it equal to the other's, would
+    pair to zero with u_i.
+    """
     scale, parts = integral([x for z in beta for x in z])
     re, im = parts[0::2], parts[1::2]
     levels, by_level = {}, {}  # by_level: level -> its flats
@@ -229,27 +224,6 @@ def _beta_levels(weights, beta):
     return None, MappingProxyType(levels)
 
 
-def alpha_witness(setup: TorusSetup):
-    """First failing condition for alpha-genericity, or None.
-
-    The condition is <alpha_J, u_i> != 0 for every proper flat J and row i
-    outside it.  It implies that the census's arrangement, the level set
-    A = {z : B^T z = alpha} cut by the hyperplanes z_j = 0, is simple, which
-    is all the face census needs.  Hyperplanes S share a point of A exactly
-    when alpha = B^T z for some z vanishing on S, that is when alpha lies in
-    the span of the rows outside S.  They are dependent on A exactly when
-    some nonzero c supported on S is orthogonal to ker B^T, that is c = B w
-    for a w != 0 orthogonal to every row outside S, so when those rows span
-    a proper subspace.  The closure J of those rows is then a proper flat
-    with alpha in span(J), so alpha_J = 0 pairs to zero with every row
-    outside J, and the loop below has already returned a pairing witness.
-    A coordinate z_j constant on A is the case S = {j}: row j is then
-    outside the span of the others, and a hyperplane z_j = 0 filling A puts
-    alpha in that span.
-    """
-    return _alpha_signs(setup.weights, setup.alpha)[0]
-
-
 def negative_rows(setup: TorusSetup) -> MappingProxyType:
     """Rows i outside each flat J with <alpha_J, u_i> < 0, keyed by the flat,
     in flat order (read-only); every other row outside J pairs positively.
@@ -264,7 +238,23 @@ def negative_rows(setup: TorusSetup) -> MappingProxyType:
 def _alpha_signs(weights, alpha):
     """(witness, negative) for one alpha: the first zero pairing in flat
     order, walls in row order, and no mapping; else None and the negative
-    rows of every flat, signed on alpha scaled to integers."""
+    rows of every flat, signed on alpha scaled to integers.
+
+    Alpha is generic when <alpha_J, u_i> != 0 for every proper flat J and
+    row i outside it.  This implies that the census's arrangement, the
+    level set A = {z : B^T z = alpha} cut by the hyperplanes z_j = 0, is
+    simple, which is all the face census needs.  Hyperplanes S share a
+    point of A exactly when alpha = B^T z for some z vanishing on S, that
+    is when alpha lies in the span of the rows outside S.  They are
+    dependent on A exactly when some nonzero c supported on S is orthogonal
+    to ker B^T, that is c = B w for a w != 0 orthogonal to every row
+    outside S, so when those rows span a proper subspace.  The closure J of
+    those rows is then a proper flat with alpha in span(J), so alpha_J = 0
+    pairs to zero with every row outside J, and the loop below has already
+    returned a pairing witness.  A coordinate z_j constant on A is the case
+    S = {j}: row j is then outside the span of the others, and a hyperplane
+    z_j = 0 filling A puts alpha in that span.
+    """
     _, a = integral(alpha)
     negative = {}
     for f, entry in walls_of(weights).items():
@@ -279,12 +269,6 @@ def _alpha_signs(weights, alpha):
     return None, MappingProxyType(negative)
 
 
-def require_generic(setup: TorusSetup) -> None:
-    """Raise NonGenericAlpha, else NonGenericBeta, for a non-generic level."""
-    negative_rows(setup)
-    critical_levels(setup)
-
-
 # ---------------------------------------------------------------------------
 # Parameter sampling
 # ---------------------------------------------------------------------------
@@ -293,15 +277,14 @@ _SAMPLE_ROUNDS = 8
 _TRIES_PER_ROUND = 64
 
 
-def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
-    """Deterministically give the weights generic levels.
+def sample_generic(setup: TorusSetup, seed: int) -> TorusSetup:
+    """Deterministically give a checked setup generic levels.
 
-    Each level of one setup is kept when generic and redrawn while not,
-    alpha first, then beta, each from integer boxes [-s, s] with s doubling
-    from 3 every 64 draws.  A level not given is zero, never generic for
+    Each level is kept when generic and redrawn while not, alpha first,
+    then beta, each from integer boxes [-s, s] with s doubling from 3 every
+    64 draws.  A zero level, ``new_setup``'s default, is never generic for
     d >= 1: it pairs to 0 with the bottom flat's wall of a nonzero row.
     """
-    setup = new_setup(weights, alpha, beta)
     d = setup.dim
     rng = random.Random(seed)
 
@@ -312,10 +295,10 @@ def sample_generic(weights, seed: int, alpha=None, beta=None) -> TorusSetup:
         return tuple((Fraction(rng.randint(-size, size)),
                       Fraction(rng.randint(-size, size))) for _ in range(d))
 
-    for name, draw, witness in (("alpha", draw_alpha, alpha_witness),
-                                ("beta", draw_beta, beta_witness)):
+    for name, draw, decision in (("alpha", draw_alpha, _alpha_signs),
+                                 ("beta", draw_beta, _beta_levels)):
         tries = 0
-        while witness(setup) is not None:
+        while decision(setup.weights, getattr(setup, name))[0] is not None:
             if tries == _SAMPLE_ROUNDS * _TRIES_PER_ROUND:
                 raise SamplingExhausted(f"no generic {name} found")
             setup = replace(setup, **{name: draw(3 << tries // _TRIES_PER_ROUND)})
@@ -362,7 +345,8 @@ def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
     if int_rank(wide, d + 1) != d + 1:
         raise CircleInsideTorus(
             "circle weight column lies in the span of the existing weights")
-    hat = sample_generic(wide, derived_seed("enlarged", weights, circle, seed))
-    tilde = sample_generic(wide + ((0,) * d + (-1,),),
+    hat = sample_generic(new_setup(wide),
+                         derived_seed("enlarged", weights, circle, seed))
+    tilde = sample_generic(new_setup(wide + ((0,) * d + (-1,),)),
                            derived_seed("extended", weights, circle, seed))
     return ModificationPair(setup, hat, tilde)

@@ -15,9 +15,9 @@ Constraints are triples (coeffs, const, strict), meaning coeffs . y + const
 from itertools import combinations
 from math import gcd
 
-from hypertoric.errors import InvariantViolation, NonGenericAlpha
+from hypertoric.errors import InvariantViolation
 from hypertoric.exact import int_rank
-from hypertoric.torus import alpha_witness
+from hypertoric.torus import negative_rows
 from metric_reference import gale, nullspace, solve_exact
 
 
@@ -138,8 +138,7 @@ def bounded_regions(hyperplanes, k) -> int:
 def fm_face_census(setup) -> tuple:
     """Bounded face counts (d_0, ..., d_m), support by support; a
     non-generic alpha raises NonGenericAlpha, as the vertex census does."""
-    if (witness := alpha_witness(setup)) is not None:
-        raise NonGenericAlpha(witness)
+    negative_rows(setup)
     m = setup.ambient_dim
     n = setup.n
     normals, offsets = gale(setup.weights, setup.alpha)

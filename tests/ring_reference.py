@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from flat_reference import reference_flats
 from hypertoric.exact import int_rank
 from hypertoric.ringcalc import RingPresentation
-from hypertoric.torus import negative_rows, sample_generic
+from hypertoric.torus import negative_rows, new_setup, sample_generic
 
 
 def _linear_form(coeffs, nvars):
@@ -137,4 +137,5 @@ def generic_setups(draw, max_dim=3, max_rows=6):
     weights = tuple(
         draw(st.tuples(*[entries] * d).filter(any)) for _ in range(n))
     assume(int_rank([list(r) for r in weights], d) == d)
-    return sample_generic(weights, draw(st.integers(min_value=0, max_value=99)))
+    return sample_generic(new_setup(weights),
+                          draw(st.integers(min_value=0, max_value=99)))

@@ -116,7 +116,8 @@ def test_criterion_1_triple_agreement():
         n, d = len(weights), len(weights[0]) if weights[0] else 0
         assert n <= 7 and d <= 3
         for repeat in range(5):
-            setup = sample_generic(weights, derived_seed("acc1", weights, repeat))
+            setup = sample_generic(new_setup(weights),
+                                   derived_seed("acc1", weights, repeat))
             agreement = analyze(setup).agreement
             assert agreement["morse_census"], (weights, repeat)
             assert agreement["morse_ring"], (weights, repeat)
@@ -136,7 +137,8 @@ def test_criterion_2_projective_family():
 def test_criterion_3_modification_recurrences():
     assert len(MODIFICATION_PAIRS) >= 10
     for weights, column in MODIFICATION_PAIRS:
-        setup = sample_generic(weights, derived_seed("acc3", weights, column))
+        setup = sample_generic(new_setup(weights),
+                               derived_seed("acc3", weights, column))
         pair = modify(setup, column, seed=1)
         *_, poly_ok = polynomial_recurrence(pair)
         assert poly_ok, (weights, column)
@@ -156,7 +158,7 @@ def test_criterion_4_ring_sanity():
         dims = hilbert_dims(cohomology_presentation(weights), n - d + 3)
         assert dims[0] == 1
         assert all(v == 0 for k, v in enumerate(dims) if k > n - d)
-        setup = sample_generic(weights, derived_seed("acc4", weights))
+        setup = sample_generic(new_setup(weights), derived_seed("acc4", weights))
         result = analyze(setup)
         assert result.ordinary == dims[:-1]
         assert len(result.circle) == n - d + 4
@@ -169,7 +171,7 @@ def _five_reps():
     reps = []
     for weights in (((1,), (1,)), ((1, 0), (0, 1), (1, 1)),
                     ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))):
-        setup = sample_generic(weights, derived_seed("acc5", weights))
+        setup = sample_generic(new_setup(weights), derived_seed("acc5", weights))
         reps.append((*torus_rep(setup), True, weights))
     rng = np.random.default_rng(55)
     for dim in (2, 3):
@@ -186,7 +188,7 @@ def test_criterion_5_gradient_correctness():
     for rep, alpha, beta, is_torus, weights in _five_reps():
         rng = np.random.default_rng(derived_seed("acc5-states", rep.dim, rep.k))
         if is_torus:
-            setup = sample_generic(weights, derived_seed("acc5", weights))
+            setup = sample_generic(new_setup(weights), derived_seed("acc5", weights))
             bmat = np.array(setup.weights, dtype=float)
             bvec = np.array([complex(*z) for z in setup.beta])
         for _ in range(100):
@@ -242,7 +244,8 @@ def test_criterion_6_flow_and_lojasiewicz():
 def test_criterion_7_cross_terms():
     worst = 0.0
     for weights in (((1,), (1,)), ((1, 0), (0, 1), (1, 1))):
-        rep, alpha, _ = torus_rep(sample_generic(weights, derived_seed("acc7", weights)))
+        rep, alpha, _ = torus_rep(sample_generic(new_setup(weights),
+                                                 derived_seed("acc7", weights)))
         stats = cross_term_stats(rep, alpha, 5000,
                                  derived_seed("acc7-states", weights))
         assert stats["abelian"] is True
@@ -280,7 +283,7 @@ def test_criterion_8_determinism(tmp_path):
 def test_criterion_9_stratum_starts_reach_their_flat():
     starts = 0
     for weights in STRATUM_SETUPS:
-        setup = sample_generic(weights, derived_seed("acc9", weights))
+        setup = sample_generic(new_setup(weights), derived_seed("acc9", weights))
         starts += check_stratum_starts(setup, derived_seed("acc9-starts", weights))
     print(f"ACCEPTANCE 9 PASS: {starts} stratum starts on {len(STRATUM_SETUPS)} "
           "setups reach support J at |beta_J|^2 (muC2) and "

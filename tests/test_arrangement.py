@@ -135,13 +135,13 @@ class TestAgreementWithRecursion:
     def test_sampled_setups_agree(self):
         for weights in [DIAG2, TRIPLE, ((1,), (1,), (1,)),
                         ((1,), (2,), (3,)), ((1, 0), (0, 1))]:
-            s = sample_generic(weights, seed=7)
+            s = sample_generic(new_setup(weights), seed=7)
             assert census_poincare(face_census(s)) == poincare_morse(weights), weights
 
     def test_census_is_alpha_invariant(self):
         reference = None
         for seed in range(5):
-            s = sample_generic(TRIPLE, seed=seed)
+            s = sample_generic(new_setup(TRIPLE), seed=seed)
             c = face_census(s)
             if reference is None:
                 reference = c
@@ -159,7 +159,7 @@ class TestLargeCensus:
                             for _ in range(n))
             if int_rank(weights, d) == d:
                 break
-        s = sample_generic(weights, seed=n)
+        s = sample_generic(new_setup(weights), seed=n)
         assert census_poincare(face_census(s)) == poincare_morse(weights)
 
 
@@ -185,7 +185,8 @@ def setups(draw):
     weights = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
     assume(int_rank(weights, d) == d)
     coord = st.one_of(st.integers(-2, 2), st.integers(-60, 60))
-    sampled = st.integers(0, 2**16).map(lambda seed: sample_generic(weights, seed).alpha)
+    sampled = st.integers(0, 2**16).map(
+        lambda seed: sample_generic(new_setup(weights), seed).alpha)
     return new_setup(weights, draw(st.one_of(st.tuples(*[coord] * d), sampled)))
 
 

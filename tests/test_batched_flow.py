@@ -69,7 +69,8 @@ def torus_setups(draw):
     weights = tuple(
         draw(st.tuples(*[entries] * d).filter(any)) for _ in range(n))
     assume(int_rank([list(r) for r in weights], d) == d)
-    return sample_generic(weights, draw(st.integers(min_value=0, max_value=99)))
+    return sample_generic(new_setup(weights),
+                          draw(st.integers(min_value=0, max_value=99)))
 
 
 nonabelian_reps = st.one_of(
@@ -145,7 +146,7 @@ def test_descend_halves_the_rounds_of_an_ensemble():
     # 64 trials at n = 5 for each energy, with run_ensemble's options.  One
     # trial per round needs about two rounds per step of the slowest trial;
     # trying h and h/2 together about one.
-    setup = sample_generic(((1, 0), (0, 1), (1, 1), (1, -1), (1, 2)), 1)
+    setup = sample_generic(new_setup(((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))), 1)
     draws = np.stack([np.random.default_rng((1, trial)).standard_normal((4, 5))
                       for trial in range(64)])
     starts = pack_state(*gaussian_state(draws, 1.0))
@@ -249,7 +250,7 @@ def test_cross_terms_match_one_by_one(rep, samples, seed, radius, data):
 
 
 def test_torus_cross_terms_match_one_by_one():
-    rep, alpha, _ = torus_rep(sample_generic(TRIPLE, 4))
+    rep, alpha, _ = torus_rep(sample_generic(new_setup(TRIPLE), 4))
     assert_stats_match(cross_term_stats(rep, alpha, 50, 8),
                        cross_term_stats_one_by_one(rep, alpha, 50, 8))
 

@@ -21,7 +21,7 @@ from hypertoric.arrangement import census_poincare, face_census
 from hypertoric.exact import int_rank
 from hypertoric.morse import poincare_morse
 from hypertoric.ringcalc import circle_dims, ring_dims
-from hypertoric.torus import sample_generic
+from hypertoric.torus import new_setup, sample_generic
 
 
 def contract(weights, e) -> tuple:
@@ -79,7 +79,7 @@ def test_morse_recursion_deletes_and_contracts(triple):
 @settings(max_examples=40, deadline=None)
 @given(triples())
 def test_census_deletes_and_contracts(triple):
-    setups = [sample_generic(weights, 1) for weights in triple]
+    setups = [sample_generic(new_setup(weights), 1) for weights in triple]
     assert holds(*(census_poincare(face_census(s)) for s in setups))
 
 
@@ -94,4 +94,5 @@ def test_ring_dims_delete_and_contract(triple):
 def test_circle_dims_delete_and_contract(triple):
     # The circle dims are running sums of the Betti numbers, and a running
     # sum keeps the identity.
-    assert holds(*(circle_dims(sample_generic(weights, 1)) for weights in triple))
+    assert holds(*(circle_dims(sample_generic(new_setup(weights), 1))
+                   for weights in triple))

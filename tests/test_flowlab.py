@@ -134,7 +134,7 @@ class TestMoments:
                    np.zeros(1, complex), np.zeros(1, complex))
 
     def test_component_gradients_sum(self):
-        rep, alpha, beta = torus_rep(sample_generic(TRIPLE, seed=2))
+        rep, alpha, beta = torus_rep(sample_generic(new_setup(TRIPLE), seed=2))
         rng = np.random.default_rng(3)
         x, y = random_state(rng, 3, 1.2)
         parts = [grad_component(rep, i, alpha, beta, x, y)
@@ -144,7 +144,8 @@ class TestMoments:
         assert np.allclose(sum(p[1] for p in parts), gy)
 
     @pytest.mark.parametrize("rep", [su2_irrep(3), diagonal_sum(su2_irrep(2), 2),
-                                     torus_rep(sample_generic(TRIPLE, seed=5))[0]],
+                                     torus_rep(sample_generic(new_setup(TRIPLE),
+                                                              seed=5))[0]],
                              ids=["su2", "su2-sum", "torus"])
     def test_matches_per_element_loop(self, rep):
         rng = np.random.default_rng(12)
@@ -217,7 +218,7 @@ def assert_matches_finite_differences(fun, gradient, x, y):
 class TestFiniteDifferences:
     @pytest.mark.parametrize("which", ENERGIES, ids=ENERGY_IDS)
     def test_torus_rep(self, which):
-        rep, alpha, beta = torus_rep(sample_generic(TRIPLE, seed=7))
+        rep, alpha, beta = torus_rep(sample_generic(new_setup(TRIPLE), seed=7))
         fun, gradient = energy_and_grad(rep, which, alpha, beta)
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -239,7 +240,7 @@ class TestFiniteDifferences:
 class TestNormFormula:
     def test_matches_direct_gradient(self):
         for seed in range(5):
-            setup = sample_generic(TRIPLE, seed=seed)
+            setup = sample_generic(new_setup(TRIPLE), seed=seed)
             rep, alpha, beta = torus_rep(setup)
             rng = np.random.default_rng(100 + seed)
             x, y = random_state(rng, 3, 1.3)

@@ -22,12 +22,11 @@ from flat_reference import reference_coatoms, reference_flats
 from hypertoric.errors import NonGenericAlpha, NonGenericBeta, SamplingExhausted
 from hypertoric.exact import int_rank
 from hypertoric.torus import (
-    alpha_witness,
-    beta_witness,
+    _alpha_signs,
+    _beta_levels,
     critical_levels,
     negative_rows,
     new_setup,
-    require_generic,
     sample_generic,
     walls_of,
 )
@@ -157,7 +156,7 @@ def two_loop_sample_generic(weights, seed, alpha=None, beta=None):
             for _ in range(64):
                 cand = replace(base, alpha=tuple(
                     Fraction(rng.randint(-size, size)) for _ in range(d)))
-                if alpha_witness(cand) is None:
+                if _alpha_signs(cand.weights, cand.alpha)[0] is None:
                     alpha_t = cand.alpha
                     break
             if alpha_t is not None:
@@ -172,7 +171,7 @@ def two_loop_sample_generic(weights, seed, alpha=None, beta=None):
                 cand_beta = tuple((Fraction(rng.randint(-size, size)),
                                    Fraction(rng.randint(-size, size)))
                                   for _ in range(d))
-                if beta_witness(replace(base, beta=cand_beta)) is None:
+                if _beta_levels(base.weights, cand_beta)[0] is None:
                     beta_t = cand_beta
                     break
             if beta_t is not None:
@@ -184,10 +183,10 @@ def two_loop_sample_generic(weights, seed, alpha=None, beta=None):
 
 
 def two_witness_ensure_generic(setup, seed, sample):
-    """The command line's genericity step before ``require_generic``: both
+    """The command line's genericity step before the two readers: both
     witnesses first, then the bad levels redrawn or the first one raised."""
-    alpha_bad = alpha_witness(setup)
-    beta_bad = beta_witness(setup)
+    alpha_bad = _alpha_signs(setup.weights, setup.alpha)[0]
+    beta_bad = _beta_levels(setup.weights, setup.beta)[0]
     if alpha_bad is None and beta_bad is None:
         return setup
     if not sample:
@@ -244,13 +243,13 @@ def given_levels(draw):
 @given(given_levels(), st.integers(0, 2**32 - 1))
 def test_one_sampling_loop_matches_two(setup, seed):
     def required(s):
-        require_generic(s)
+        negative_rows(s)
+        critical_levels(s)
         return s
 
     assert outcome(required, setup) == outcome(
         two_witness_ensure_generic, setup, seed, False)
-    assert outcome(sample_generic, setup.weights, seed, setup.alpha,
-                   setup.beta) == outcome(
+    assert outcome(sample_generic, setup, seed) == outcome(
         two_witness_ensure_generic, setup, seed, True)
 
 
@@ -262,7 +261,8 @@ def test_beta_witness_equals_the_pairwise_search(weights, data):
     part = st.integers(-1, 1).map(Fraction)
     beta = data.draw(st.tuples(*[st.tuples(part, part)] * len(weights[0])))
     setup = new_setup(weights, beta=beta)
-    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta)
+    assert _beta_levels(weights, setup.beta)[0] == pairwise_beta_witness(
+        weights, setup.beta)
 
 
 @pytest.mark.parametrize("weights, beta, witness", [
@@ -277,7 +277,7 @@ def test_critical_levels_refuse_a_non_generic_beta(weights, beta, witness):
     # critical_levels refuses with the beta decision's witness; every flat's
     # level is still read off the wall table.
     setup = new_setup(weights, beta=beta)
-    assert beta_witness(setup) == pairwise_beta_witness(weights, setup.beta) == witness
+    assert pairwise_beta_witness(weights, setup.beta) == witness
     with pytest.raises(NonGenericBeta) as raised:
         critical_levels(setup)
     assert raised.value.witness == witness
@@ -297,7 +297,7 @@ def test_pairing_conditions_imply_a_simple_arrangement(setup):
     # alpha leaves no dependent set of hyperplanes with a common point, found
     # by the coatom test or by the subset search, and no zero normal with a
     # zero offset (a hyperplane filling the space).
-    witness = alpha_witness(setup)
+    witness = _alpha_signs(setup.weights, setup.alpha)[0]
     assert witness is None or witness[0] == "pairing"
     normals, offsets = gale(setup.weights, setup.alpha)
     coatom = reference_simplicity_witness(setup.weights, setup.alpha)
@@ -333,9 +333,10 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
     d = len(weights[0])
     setup = new_setup(weights, data.draw(st.tuples(*[q] * d)),
                       data.draw(st.tuples(*[st.tuples(q, q)] * d)))
-    assert alpha_witness(setup) == reference_alpha_witness(weights, setup.alpha)
+    assert _alpha_signs(weights, setup.alpha)[0] == reference_alpha_witness(
+        weights, setup.alpha)
     beta_bad = pairwise_beta_witness(weights, setup.beta)
-    assert beta_witness(setup) == beta_bad
+    assert _beta_levels(weights, setup.beta)[0] == beta_bad
     all_flats = [f for f, _ in reference_flats(weights)]
     for f in all_flats:
         assert table_level(weights, f, setup.beta) == reference_level(

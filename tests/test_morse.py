@@ -154,7 +154,7 @@ class TestCriticalComponents:
             critical_components(s)
 
     def test_levels_strictly_separated(self):
-        s = sample_generic(TRIPLE, seed=3)
+        s = sample_generic(new_setup(TRIPLE), seed=3)
         comps = critical_components(s)
         levels = [c.level for c in comps]
         assert len(set(levels)) == len(levels)

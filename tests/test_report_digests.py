@@ -72,16 +72,22 @@ def cases():
                {"weights": weights}, argv)
 
 
-def digest(setup, argv, directory):
-    """sha256 of stdout and stderr, and the exit code, of one CLI run."""
+def run(setup, argv, directory):
+    """Exit code, stdout and stderr of one CLI run."""
     path = Path(directory) / "setup.json"
     path.write_text(json.dumps(setup), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main([str(path) if a == "{input}" else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(setup, argv, directory):
+    """sha256 of stdout and stderr, and the exit code, of one CLI run."""
+    code, out, err = run(setup, argv, directory)
     return {"exit": code,
-            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+            "stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest()}
 
 
 def all_digests():
@@ -97,6 +103,27 @@ def test_reports_match_their_digests():
     changed = [name for name in expected if got[name] != expected[name]]
     assert changed == []
     assert {d["exit"] for d in got.values()} >= {0, 3}
+
+
+def test_each_refusal_names_its_witness_as_the_report_does():
+    # The message of an exit-3 payload names the same 1-based flats and row
+    # as its witness field, and the stderr line repeats the message.
+    refusals = 0
+    with tempfile.TemporaryDirectory() as directory:
+        for name, setup, argv in cases():
+            code, out, err = run(setup, argv, directory)
+            if code != 3:
+                continue
+            error = json.loads(out)["error"]
+            witness = error["witness"]
+            if witness["kind"] == "pairing":
+                named = f"flat {witness['flat']}, weight {witness['weight']}"
+            else:
+                named = f"flats {witness['flats']}"
+            assert error["message"].endswith(named), name
+            assert err == f"{error['type']}: {error['message']}\n", name
+            refusals += 1
+    assert refusals == 60
 
 
 if __name__ == "__main__":

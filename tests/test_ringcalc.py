@@ -123,7 +123,8 @@ class TestDims:
     def test_matches_recursion_route(self):
         for weights in [DIAG2, TRIPLE, ((1,), (1,), (1,), (1,)),
                         ((1,), (2,), (3,)), ((1, 0), (0, 1), (1, 1), (1, -1))]:
-            assert analyze(sample_generic(weights, 0)).agreement["morse_ring"], weights
+            setup = sample_generic(new_setup(weights), 0)
+            assert analyze(setup).agreement["morse_ring"], weights
 
     def test_custom_degree(self):
         assert hilbert_dims(cohomology_presentation(DIAG2), 5) == (1, 1, 0, 0, 0, 0)
@@ -151,7 +152,7 @@ class TestCircleDims:
 
     def test_equals_cumulative_ordinary(self):
         for weights in [DIAG2, TRIPLE, ((1,), (1,), (1,))]:
-            agreement = analyze(sample_generic(weights, seed=2)).agreement
+            agreement = analyze(sample_generic(new_setup(weights), seed=2)).agreement
             assert agreement["morse_ring"] and agreement["circle_series"], weights
 
     @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hypertoric.crosscheck import analyze
 from hypertoric.exact import int_rank
-from hypertoric.torus import sample_generic
+from hypertoric.torus import new_setup, sample_generic
 
 
 @st.composite
@@ -21,7 +21,7 @@ def generic_setups(draw):
     entries = st.integers(-2, 2)
     weights = tuple(draw(st.tuples(*[entries] * d).filter(any)) for _ in range(n))
     assume(int_rank(weights, d) == d)
-    return sample_generic(weights, draw(st.integers(0, 99)))
+    return sample_generic(new_setup(weights), draw(st.integers(0, 99)))
 
 
 @settings(max_examples=150, deadline=None)

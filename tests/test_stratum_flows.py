@@ -34,7 +34,7 @@ def generic_setups(draw):
     entries = st.integers(-2, 2)
     weights = tuple(draw(st.tuples(*[entries] * d).filter(any)) for _ in range(n))
     assume(int_rank(weights, d) == d)
-    return sample_generic(weights, draw(st.integers(0, 99)))
+    return sample_generic(new_setup(weights), draw(st.integers(0, 99)))
 
 
 # A setup whose start on the flat (1,) stalls just above the tolerance 1e-6.

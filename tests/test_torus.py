@@ -15,14 +15,13 @@ from hypertoric.errors import (
     SamplingExhausted,
 )
 from hypertoric.exact import int_rank
+from hypertoric import exact, flats, torus
 from hypertoric.torus import (
-    alpha_witness,
-    beta_witness,
     critical_levels,
     derived_seed,
     modify,
+    negative_rows,
     new_setup,
-    require_generic,
     sample_generic,
     walls_of,
 )
@@ -150,92 +149,102 @@ class TestResiduals:
 class TestGenericBeta:
     def test_zero_beta_rejected(self):
         s = new_setup(DIAG2, [1], [(0, 0)])
-        assert beta_witness(s) == ("pairing", (), 0)
-        with pytest.raises(NonGenericBeta):
-            require_generic(s)
         with pytest.raises(NonGenericBeta) as raised:
+            negative_rows(s)
             critical_levels(s)
         assert raised.value.witness == ("pairing", (), 0)
 
     def test_residual_vanishes_on_flat(self):
         s = new_setup(TRIPLE, [1, 3], [(1, 0), (1, 0)])
-        assert beta_witness(s) == ("pairing", (2,), 0)
         with pytest.raises(NonGenericBeta) as raised:
             critical_levels(s)
         assert raised.value.witness == ("pairing", (2,), 0)
 
     def test_level_collision_detected(self):
         s = new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (1, 0)])
-        w = beta_witness(s)
-        assert w is not None and w[0] == "level_collision"
-        assert set(w[1:]) == {(0,), (1,)}
         with pytest.raises(NonGenericBeta) as raised:
             critical_levels(s)
-        assert raised.value.witness == w
+        w = raised.value.witness
+        assert w[0] == "level_collision"
+        assert set(w[1:]) == {(0,), (1,)}
 
     def test_generic_beta_accepted(self):
-        assert beta_witness(new_setup(DIAG2, [1], [(1, 0)])) is None
-        assert beta_witness(new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (2, 0)])) is None
+        critical_levels(new_setup(DIAG2, [1], [(1, 0)]))
+        critical_levels(new_setup(((1, 0), (0, 1)), [1, 2], [(1, 0), (2, 0)]))
 
 
 class TestGenericAlpha:
     def test_zero_alpha_rejected(self):
         s = new_setup(DIAG2, [0])
-        assert alpha_witness(s) == ("pairing", (), 0)
-        with pytest.raises(NonGenericAlpha):
-            require_generic(s)
+        with pytest.raises(NonGenericAlpha) as raised:
+            negative_rows(s)
+            critical_levels(s)
+        assert raised.value.witness == ("pairing", (), 0)
 
     def test_coincident_hyperplanes_rejected(self):
-        s = new_setup(TRIPLE, [1, 1])
-        w = alpha_witness(s)
-        assert w is not None
+        with pytest.raises(NonGenericAlpha):
+            negative_rows(new_setup(TRIPLE, [1, 1]))
 
     def test_pairing_wall_rejected_even_when_simple(self):
         # offsets (1,2,0) give three distinct points, yet alpha pairs to zero
         # with the first weight row
-        s = new_setup(TRIPLE, [1, 2])
-        assert alpha_witness(s) == ("pairing", (), 0)
+        with pytest.raises(NonGenericAlpha) as raised:
+            negative_rows(new_setup(TRIPLE, [1, 2]))
+        assert raised.value.witness == ("pairing", (), 0)
 
     def test_generic_alpha_accepted(self):
-        assert alpha_witness(new_setup(DIAG2, [1])) is None
-        assert alpha_witness(new_setup(TRIPLE, [1, 3])) is None
-        assert alpha_witness(new_setup(((1, 0), (0, 1)), [1, 2])) is None
-        assert alpha_witness(new_setup(((), ()), [], [])) is None
+        negative_rows(new_setup(DIAG2, [1]))
+        negative_rows(new_setup(TRIPLE, [1, 3]))
+        negative_rows(new_setup(((1, 0), (0, 1)), [1, 2]))
+        negative_rows(new_setup(((), ()), [], []))
 
 
 class TestSampling:
     def test_sample_is_deterministic_and_generic(self):
-        s1 = sample_generic(TRIPLE, seed=11)
-        s2 = sample_generic(TRIPLE, seed=11)
+        s1 = sample_generic(new_setup(TRIPLE), seed=11)
+        s2 = sample_generic(new_setup(TRIPLE), seed=11)
         assert s1 == s2
-        require_generic(s1)
+        negative_rows(s1)
+        critical_levels(s1)
 
     def test_sample_respects_pinned_alpha(self):
-        s = sample_generic(TRIPLE, seed=5, alpha=[1, 3])
+        s = sample_generic(new_setup(TRIPLE, [1, 3]), seed=5)
         assert s.alpha == (Fraction(1), Fraction(3))
-        assert beta_witness(s) is None
+        critical_levels(s)
 
     def test_pinned_nongeneric_alpha_is_redrawn(self):
-        s = sample_generic(TRIPLE, seed=5, alpha=[1, 1])
+        s = sample_generic(new_setup(TRIPLE, [1, 1]), seed=5)
         assert s.alpha != (Fraction(1), Fraction(1))
-        require_generic(s)
+        negative_rows(s)
+        critical_levels(s)
+
+    def test_a_checked_generic_setup_comes_back_without_a_rank(self, monkeypatch):
+        s = new_setup(TRIPLE, [1, 3], [(1, 0), (3, 0)])
+        negative_rows(s)
+        critical_levels(s)
+        calls = []
+        for module in (torus, flats, exact):
+            monkeypatch.setattr(module, "int_rank",
+                                lambda *args: calls.append(args))
+        assert sample_generic(s, seed=5) is s
+        assert calls == []
 
     @pytest.mark.parametrize("weights", CATALOG)
     def test_a_level_not_given_is_drawn_like_a_zero_level(self, weights):
         d = len(weights[0])
         for seed in (0, 3):
-            assert sample_generic(weights, seed) == sample_generic(
-                weights, seed, alpha=[0] * d, beta=[[0, 0]] * d)
+            assert sample_generic(new_setup(weights), seed) == sample_generic(
+                new_setup(weights, alpha=[0] * d, beta=[[0, 0]] * d), seed)
 
     def test_no_rounds_left_refuses_the_first_non_generic_level(self, monkeypatch):
         monkeypatch.setattr("hypertoric.torus._SAMPLE_ROUNDS", 0)
         with pytest.raises(SamplingExhausted, match="^no generic alpha found$"):
-            sample_generic(DIAG2, seed=0)
+            sample_generic(new_setup(DIAG2), seed=0)
         with pytest.raises(SamplingExhausted, match="^no generic beta found$"):
-            sample_generic(DIAG2, seed=0, alpha=[1])
+            sample_generic(new_setup(DIAG2, [1]), seed=0)
 
     def test_different_seeds_usually_differ(self):
-        draws = {sample_generic(TRIPLE, seed=k) for k in range(6)}
+        draws = {sample_generic(new_setup(TRIPLE), seed=k) for k in range(6)}
         assert len(draws) > 1
 
     def test_derived_seed_stable(self):
@@ -248,25 +257,27 @@ class TestSampling:
 
 class TestModification:
     def test_shapes(self):
-        pair = modify(sample_generic(TRIPLE, seed=1), (1, 0, 0), seed=3)
+        pair = modify(sample_generic(new_setup(TRIPLE), seed=1), (1, 0, 0),
+                      seed=3)
         assert pair.enlarged.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0))
         assert pair.extended.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0),
                                           (0, 0, -1))
 
     def test_modify_builds_generic_pair(self):
-        s = sample_generic(DIAG2, seed=1)
+        s = sample_generic(new_setup(DIAG2), seed=1)
         pair = modify(s, (1, 0), seed=2)
         assert pair.enlarged.weights == ((1, 1), (1, 0))
         assert pair.extended.weights == ((1, 1), (1, 0), (0, -1))
-        require_generic(pair.enlarged)
-        require_generic(pair.extended)
+        for derived in (pair.enlarged, pair.extended):
+            negative_rows(derived)
+            critical_levels(derived)
 
     def test_modify_deterministic(self):
-        s = sample_generic(DIAG2, seed=1)
+        s = sample_generic(new_setup(DIAG2), seed=1)
         assert modify(s, (1, 0), seed=2) == modify(s, (1, 0), seed=2)
 
     def test_circle_in_span_rejected(self):
-        s = sample_generic(DIAG2, seed=1)
+        s = sample_generic(new_setup(DIAG2), seed=1)
         inside = "circle weight column lies in the span of the existing weights"
         with pytest.raises(CircleInsideTorus, match=f"^{inside}$"):
             modify(s, (2, 2))
@@ -275,7 +286,7 @@ class TestModification:
             modify(new_setup(()), ())
 
     def test_bad_circle_rejected(self):
-        s = sample_generic(DIAG2, seed=1)
+        s = sample_generic(new_setup(DIAG2), seed=1)
         with pytest.raises(DimensionMismatch,
                            match="^circle has 3 entries, weights have 2 rows$"):
             modify(s, (1, 0, 0))
