@@ -2,15 +2,17 @@
 
 Everything feeding the cross-checked invariants runs on Python integers and
 stdlib ``fractions.Fraction``; floats only appear in the flow laboratory.
-Matrices are lists of integer rows, and there are three algorithms on them:
-``int_rank`` by Bareiss elimination, ``int_solve`` by fraction-free
-Gauss–Jordan returning a determinant and an integer solution, and
-``certified_rank``, which searches a rank with int64 arithmetic mod a prime
-and returns it only with a proof over Q from both sides: a minor that is
-nonsingular mod the prime, and null vectors from p-adic lifting
-(``_kernel_certified``) proven by a congruence mod a power of the prime and
-an integer size bound.  Bareiss elimination answers otherwise.  ``int_solve``
-solves the wall table's Gram and flat systems and the census's vertex ones.
+Matrices are lists of integer rows.  ``int_rank`` eliminates them by
+Bareiss, and ``int_solve`` by fraction-free Gauss–Jordan, returning a
+determinant and an integer solution; it solves the wall table's Gram and
+flat systems and the census's vertex ones.  ``certified_rank`` searches a
+rank with int64 arithmetic mod a prime and returns it only with a proof
+over Q from both sides: a minor that is nonsingular mod the prime, and an
+upper bound from left-null vectors the caller hands over, checked exactly,
+and from null vectors found by p-adic lifting (``_kernel_certified``) and
+proven by a congruence mod a power of the prime and an integer size bound,
+for the rows the left-null vectors leave.  Bareiss elimination answers
+otherwise.
 A polynomial is the tuple of its integer coefficients, lowest degree
 first, with no trailing zero, and the one division the package needs, by a
 power of 1 - q, is a run of integer prefix sums.
@@ -25,7 +27,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import InputError, NonZeroRemainder
+from .errors import InputError, InvariantViolation, NonZeroRemainder
 
 
 def as_rat(value) -> Fraction:
@@ -165,9 +167,10 @@ def _rational_solution(x, modulus):
     return den, np.where(nums > modulus // 2, nums - modulus, nums)
 
 
-def _kernel_certified(a, piv_rows, piv_cols) -> bool:
-    """Whether ncols − r null vectors of a, r = len(piv_rows), are proven
-    by congruence and size, which proves rank(a) ≤ r.
+def _kernel_certified(a, piv_cols) -> bool:
+    """Whether ncols − r null vectors of a, whose first r = len(piv_cols)
+    rows are its pivot rows I, are proven by congruence and size, which
+    proves rank(a) ≤ r.
 
     A[I, J] is nonsingular mod MODULUS.  The system A[I, J] X = A[I, F] on
     the free columns F is solved over Q by Dixon's p-adic lifting (Numer.
@@ -185,12 +188,10 @@ def _kernel_certified(a, piv_rows, piv_cols) -> bool:
     after its bound is checked on the integers.
     """
     ncols = a.shape[1]
-    r = len(piv_rows)
+    r = len(piv_cols)
     free = np.ones(ncols, dtype=bool)  # np.setdiff1d would import numpy.ma
     free[piv_cols] = False
     free = np.flatnonzero(free)
-    rest = np.ones(len(a), dtype=bool)
-    rest[piv_rows] = False
     top = max(int(a.max()), -int(a.min()))
     if top * ncols >= _INT64:  # the row norms below must fit an int64
         return False
@@ -200,15 +201,15 @@ def _kernel_certified(a, piv_rows, piv_cols) -> bool:
         return False
     norms = [int(v) for v in np.abs(a).sum(axis=1)]
     widest = max(norms)
-    b = a[piv_rows][:, piv_cols]
-    res = a[piv_rows][:, free]
-    others = a[rest][:, piv_cols]
-    carry = a[rest][:, free]
+    b = a[:r][:, piv_cols]
+    res = a[:r][:, free]
+    others = a[r:][:, piv_cols]
+    carry = a[r:][:, free]
     inv = _reduce_mod_p(np.concatenate([b, np.eye(r, dtype=np.int64)], axis=1))[2][:, r:]
     # Hadamard: D and every |N| are minors of A[I, :], at most H = Π ‖row‖₁.
     # Reconstruction succeeds once P^s > 2 H², the size bound holds once
     # P^s > 2 H max‖a_i‖₁, and P > 2^24.
-    log_h = sum(norms[i].bit_length() for i in piv_rows)
+    log_h = sum(norm.bit_length() for norm in norms[:r])
     last = (log_h + max(log_h, widest.bit_length()) + 24) // 24
     x = np.zeros(res.shape, dtype=object)
     pending = []
@@ -235,20 +236,76 @@ def _kernel_certified(a, piv_rows, piv_cols) -> bool:
     return False
 
 
-def certified_rank(rows, ncols: int) -> int:
+def _unproven_rows(a, rest, relations):
+    """The rows of rest, in order, that the relations do not prove to lie
+    in the rational span of a's other rows.
+
+    Each relation is a sequence of (row, coefficient) pairs, the left-null
+    vector y of a with those entries.  Y a = 0 is checked exactly, in int64
+    after max|a| · max‖y‖₁ < 2^63 is checked on the integers, and a
+    relation that fails it raises InvariantViolation.  Then Y[:, rest]ᵀ is
+    eliminated mod MODULUS.  Its pivot rows K and columns T give a minor
+    Y[T, K] that is nonsingular mod MODULUS, so over Q, and Y[T] a = 0
+    writes a[K] as Y[T, K]⁻¹ times a combination of the rows outside K.
+    Dropping K leaves the rank over Q unchanged.  Relations whose bounds
+    do not hold are not used, and every row of rest is returned.
+    """
+    relations = [list(y) for y in relations]
+    if not relations:
+        return rest
+    n = len(a)
+    for t, y in enumerate(relations):
+        if not all(0 <= i < n for i, _ in y):
+            raise InvariantViolation(f"relation {t} names a row outside its matrix")
+    top = max(int(a.max()), -int(a.min()), 1)
+    norm = max(sum(abs(c) for _, c in y) for y in relations)
+    cap = min(len(rest), len(relations))
+    if top * norm >= _INT64 or MODULUS ** 2 * (cap + 1) >= _INT64:
+        return rest
+    # Pad each relation to one width with row n, a zero row below a.
+    width = max(map(len, relations))
+    where = np.array([[i for i, _ in y] + [n] * (width - len(y)) for y in relations],
+                     dtype=np.int64)
+    coef = np.array([[c for _, c in y] + [0] * (width - len(y)) for y in relations],
+                    dtype=np.int64)
+    padded = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=np.int64)])
+    product = np.zeros((len(relations), a.shape[1]), dtype=np.int64)
+    for k in range(width):
+        product += coef[:, k, None] * padded[where[:, k]]
+    wrong = product.any(axis=1).nonzero()[0]
+    if wrong.size:
+        raise InvariantViolation(f"relation {wrong[0]} is not a left-null "
+                                 "vector of its matrix")
+    column = np.full(n + 1, len(rest))  # rows outside rest share a last column
+    column[rest] = np.arange(len(rest))
+    yt = np.zeros((len(rest) + 1, len(relations)), dtype=np.int64)
+    np.add.at(yt, (column[where], np.arange(len(relations))[:, None]), coef)
+    left = np.ones(len(rest), dtype=bool)
+    left[_reduce_mod_p(yt[:-1])[0]] = False
+    return rest[left]
+
+
+def certified_rank(rows, ncols: int, relations=()) -> int:
     """Exact rank of integer rows over Q: searched mod MODULUS, then proven
     from both sides.
 
     One int64 elimination mod MODULUS finds pivot rows I and columns J with
     A[I, J] nonsingular mod MODULUS.  Its determinant is then a nonzero
     integer, so the rank is at least r = |I|.  When r = min(#rows, ncols)
-    that settles it, as in every degree of a ring that vanishes.  Otherwise
-    ``_kernel_certified`` proves rank ≤ r with ncols − r null vectors,
+    that settles it, as in every degree of a ring that vanishes, and
+    relations is never read.  Otherwise rank ≤ r is proven on the non-pivot
+    rows S in at most two steps.  First the relations, left-null vectors y
+    of A each given as (row, coefficient) pairs, prune S: Y A = 0 is
+    checked exactly, so the rows K ⊆ S of a minor of Y[:, S] nonsingular
+    mod MODULUS, so over Q, are rational combinations of the rows outside
+    K, and rank A = rank A[outside K] (``_unproven_rows``).  When K = S
+    that leaves A[I], of rank r.  Otherwise ``_kernel_certified`` proves
+    rank ≤ r for the rows outside K with ncols − r null vectors,
     N_J = −D X and N_F = D·I on the free columns, found by p-adic lifting:
-    every row times them is ≡ 0 mod MODULUS^s and smaller than MODULUS^s / 2
-    in size, so it is 0.  When it cannot, or when an entry or a product
-    could leave int64, the answer is Bareiss elimination, ``int_rank``, on
-    the same rows.
+    every row times them is ≡ 0 mod MODULUS^s and smaller than
+    MODULUS^s / 2 in size, so it is 0.  When it cannot, or when an entry or
+    a product could leave int64, the answer is Bareiss elimination,
+    ``int_rank``, on the same rows.
     """
     if not rows or not ncols:
         return 0
@@ -261,7 +318,12 @@ def certified_rank(rows, ncols: int) -> int:
         return int_rank(rows, ncols)
     piv_rows, piv_cols, _ = _reduce_mod_p(a)
     r = len(piv_rows)
-    if r == cap or _kernel_certified(a, piv_rows, piv_cols):
+    if r == cap:
+        return r
+    rest = np.ones(len(a), dtype=bool)
+    rest[piv_rows] = False
+    rest = _unproven_rows(a, rest.nonzero()[0], relations)
+    if not rest.size or _kernel_certified(a[np.concatenate([piv_rows, rest])], piv_cols):
         return r
     return int_rank(rows, ncols)
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PartitionViolation, RankDeficient
-from .exact import divide_by_one_minus_q
+from .errors import InvariantViolation, PartitionViolation, RankDeficient
+from .exact import divide_by_one_minus_q, int_rank
 from .flats import lattice
 from .torus import ModificationPair, TorusSetup, critical_levels
 
@@ -69,11 +69,16 @@ def poincare_morse(weights) -> tuple:
 
     The contributions of all critical manifolds sum to 1; isolating the top
     flat leaves (1-q)^d * P equal to 1 minus the proper-flat terms, and the
-    division is exact whenever the weights have full column rank.
+    division is exact whenever the weights have full column rank.  A top
+    flat whose basis is shorter than d blames the weights only when their
+    own rank is below d; otherwise the lattice is at fault.
     """
     d = len(weights[0]) if weights else 0
-    if len(lattice(weights)[-1][1]) != d:
-        raise RankDeficient("weights must have full column rank")
+    top = len(lattice(weights)[-1][1])
+    if top != d:
+        if int_rank(weights, d) < d:
+            raise RankDeficient("weights must have full column rank")
+        raise InvariantViolation(f"the flat lattice has rank {top}, the weights {d}")
     return _flat_polys(weights)[-1]
 
 

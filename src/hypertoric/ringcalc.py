@@ -7,14 +7,16 @@ presentations take one relation per coatom.  The circle-equivariant variant
 adds one extra variable and replaces each factor by its reflection when the
 level pairs negatively with the row.
 Dimensions are counted degree by degree with exact integer ranks from
-``exact.certified_rank``, whose docstring gives its two-sided proof.  The
-ring route reads only its presentation, never the Morse or census answers.
+``exact.certified_rank``, whose docstring gives its two-sided proof; every
+generator is a product of linear forms, and two that share all factors
+but one hand it the left-null vectors for its upper bound.  The ring route
+reads only its presentation, never the Morse or census answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .exact import certified_rank
 from .flats import lattice
@@ -25,6 +27,7 @@ from .torus import TorusSetup, negative_rows
 class RingPresentation:
     nvars: int
     gens: tuple  # sorted (exponent tuple, coefficient) pairs per generator
+    forms: tuple = ()  # per generator, the linear forms it is the product of
 
 
 def _expand(forms, nvars) -> tuple:
@@ -48,9 +51,23 @@ def _coatom_presentation(weights, nvars, factor) -> RingPresentation:
     shorter than the top flat's."""
     table = lattice(weights)
     r = len(table[-1][1]) - 1
-    return RingPresentation(nvars, tuple(
-        _expand([factor(i, h) for i in range(len(weights)) if i not in h], nvars)
-        for h, basis in table if len(basis) == r))
+    forms = tuple(tuple(factor(i, h) for i in range(len(weights)) if i not in h)
+                  for h, basis in table if len(basis) == r)
+    return RingPresentation(nvars, tuple(_expand(f, nvars) for f in forms), forms)
+
+
+def _cofactor_pairs(forms) -> list:
+    """(i, j, l_i, l_j) for every two generators gen_i = l_i C and
+    gen_j = l_j C, found by bucketing each one's factors with one form
+    removed; then l_j gen_i - l_i gen_j = 0."""
+    buckets = {}
+    for g, factors in enumerate(forms):
+        for form in set(factors):
+            rest = list(factors)
+            rest.remove(form)
+            buckets.setdefault(tuple(sorted(rest)), []).append((g, form))
+    return [(i, j, li, lj) for bucket in buckets.values()
+            for (i, li), (j, lj) in combinations(bucket, 2)]
 
 
 def cohomology_presentation(weights) -> RingPresentation:
@@ -106,34 +123,58 @@ def circle_equivariant_presentation(setup: TorusSetup) -> RingPresentation:
 def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     """Graded dimensions of the quotient ring, degrees 0..max_degree.
 
-    In each degree the span of (monomial multiple of generator) is a lattice
-    of integer coefficient vectors, whose rank is ``certified_rank``, proven
-    from both sides as its docstring states.  A monomial of degree at most
-    max_degree is keyed by the integer sum e_a B^a with B = max_degree + 1,
-    so the key of a product is the sum of the keys.  The ring is generated
-    in degree 1, so R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
+    In each degree m the span of (monomial multiple of generator) is a
+    lattice of integer coefficient vectors, one row per (generator,
+    monomial), whose rank is ``certified_rank``, proven from both sides as
+    its docstring states.  The upper bound reads left-null vectors that
+    the presentation's forms give: when gen_i = l_i C and gen_j = l_j C,
+    each monomial mu of degree m - deg - 1 turns l_j gen_i - l_i gen_j = 0
+    into the integer relation with l_j[a] on row (gen_i, mu x_a) and
+    -l_i[a] on row (gen_j, mu x_a).  They are built only when the rank
+    searched mod a prime falls short of full, and a presentation without
+    forms gives none.  A monomial of degree at most max_degree is keyed by
+    the integer sum e_a B^a with B = max_degree + 1, so the key of a
+    product is the sum of the keys.  The ring is generated in degree 1, so
+    R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
     remaining degrees are padded with zeros instead of ranked.
     """
     powers = [(max_degree + 1) ** a for a in range(pres.nvars)]
     gens = [(sum(gen[0][0]),
              [(sum(e * b for e, b in zip(exp, powers)), c) for exp, c in gen])
             for gen in pres.gens if gen]
+    pairs = _cofactor_pairs([f for gen, f in zip(pres.gens, pres.forms) if gen])
     keys = []  # keys[m]: the monomials of degree m, in basis order
+    index = []  # index[m]: each key's place in keys[m]
     dims = []
+
+    def syzygies(m, start):
+        """Degree m's relations; row (gen g, monomial mu) is start[g] plus
+        mu's place among the monomials of degree m - deg g."""
+        for i, j, li, lj in pairs:
+            g = gens[i][0]
+            if g < m:
+                place = index[m - g]
+                for mu in keys[m - g - 1]:
+                    yield ([(start[i] + place[mu + p], c) for p, c in zip(powers, lj) if c]
+                           + [(start[j] + place[mu + p], -c) for p, c in zip(powers, li) if c])
+
     for m in range(max_degree + 1):
         if dims and dims[-1] == 0:
             return tuple(dims) + (0,) * (max_degree + 1 - m)
         keys.append([sum(powers[a] for a in combo) for combo in
                      combinations_with_replacement(range(pres.nvars), m)])
-        index = {k: i for i, k in enumerate(keys[m])}
+        index.append({k: i for i, k in enumerate(keys[m])})
+        place = index[m]
         rows = []
+        start = []  # start[g]: the first row of generator g
         for g, terms in gens:
+            start.append(len(rows))
             for shift in keys[m - g] if g <= m else ():
-                row = [0] * len(index)
+                row = [0] * len(place)
                 for k, c in terms:
-                    row[index[k + shift]] += c
+                    row[place[k + shift]] += c
                 rows.append(row)
-        dims.append(len(index) - certified_rank(rows, len(index)))
+        dims.append(len(place) - certified_rank(rows, len(place), syzygies(m, start)))
     return tuple(dims)
 
 

@@ -1,12 +1,13 @@
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import exact
-from hypertoric.errors import InputError, NonZeroRemainder
+from hypertoric.errors import InputError, InvariantViolation, NonZeroRemainder
 from hypertoric.exact import (
     MODULUS,
     as_rat,
@@ -244,6 +245,116 @@ class TestCertifiedRank:
         assert certified_rank([], 3) == 0
         assert certified_rank([[0, 0], [0, 0]], 2) == 0
         assert certified_rank([[]], 0) == 0
+
+
+def left_null_basis(rows, ncols):
+    """Integer vectors y with y A = 0 spanning the left null space of the
+    rows A, one per free column of the reduced echelon form of A^T over Q."""
+    nrows = len(rows)
+    m = [[Fraction(rows[i][j]) for i in range(nrows)] for j in range(ncols)]
+    pivots = []
+    for c in range(nrows):
+        r = len(pivots)
+        p = next((i for i in range(r, ncols) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(ncols):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(nrows) if c not in pivots):
+        y = [Fraction(int(c == free)) for c in range(nrows)]
+        for r, c in enumerate(pivots):
+            y[c] = -m[r][free]
+        den = lcm(*(x.denominator for x in y))
+        basis.append([int(x * den) for x in y])
+    return basis
+
+
+def as_relation(y):
+    """A dense left-null vector as the (row, coefficient) pairs
+    certified_rank reads."""
+    return [(i, c) for i, c in enumerate(y) if c]
+
+
+@st.composite
+def matrices_with_relations(draw):
+    """rank_test_matrices with genuine left-null vectors: the whole basis,
+    a prefix of it (too few to prove the rank alone), none, or integer
+    combinations of it.  The matrices with entries near 2^40 or past 2^64
+    give relations whose products leave int64, which must go unused."""
+    rows, ncols = draw(rank_test_matrices())
+    basis = left_null_basis(rows, ncols)
+    kind = draw(st.sampled_from(["all", "prefix", "none", "combinations"]))
+    if kind == "all":
+        relations = basis
+    elif kind == "prefix":
+        relations = basis[:draw(st.integers(min_value=0, max_value=len(basis)))]
+    elif kind == "none":
+        relations = []
+    else:
+        weights = draw(st.lists(st.lists(small_ints, min_size=len(basis), max_size=len(basis)),
+                                max_size=len(basis) + 2))
+        relations = [[sum(w * y[i] for w, y in zip(row, basis)) for i in range(len(rows))]
+                     for row in weights]
+    return rows, ncols, [as_relation(y) for y in relations]
+
+
+class TestRelations:
+    @given(matrices_with_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bareiss(self, drawn):
+        rows, ncols, relations = drawn
+        assert certified_rank(rows, ncols, relations) == int_rank(rows, ncols)
+
+    def test_relations_prove_a_deficient_rank_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the relations should have proven the rank")
+
+        monkeypatch.setattr(exact, "_kernel_certified", refuse)
+        monkeypatch.setattr(exact, "int_rank", refuse)
+        left = [[1, 0, 2], [0, 1, -1], [3, 1, 0], [1, 1, 1], [2, -1, 5], [0, 0, 1]]
+        right = [[1, 2, 0, -1, 3], [0, 1, 1, 2, -2], [4, 0, -3, 1, 1]]
+        rows = times(left, right)
+        basis = left_null_basis(rows, 5)
+        assert len(basis) == 3
+        assert certified_rank(rows, 5, map(as_relation, basis)) == 3
+
+    def test_too_few_relations_leave_the_other_rows_to_lifting(self, monkeypatch):
+        # The search keeps rows 0 and 1; one relation proves row 2, and
+        # lifting carries row 3 alone beside the pivot rows.
+        certificates = spy(monkeypatch, "_kernel_certified")
+        rows = [[1, 2, 3], [0, 1, 1], [1, 3, 4], [2, 5, 7]]
+        assert certified_rank(rows, 3, [as_relation([1, 1, -1, 0])]) == 2
+        assert [(args[0].tolist(), result) for args, result in certificates] == [
+            ([[1, 2, 3], [0, 1, 1], [2, 5, 7]], True)]
+
+    def test_relations_are_not_read_at_full_rank(self):
+        def unread():
+            raise AssertionError("a full rank needs no relation")
+            yield
+
+        assert certified_rank([[1, 0], [0, 1], [1, 1]], 2, unread()) == 2
+        assert certified_rank([[1, 2], [3, 4]], 2, unread()) == 2
+
+    def test_a_relation_that_is_not_left_null_raises(self):
+        rows = [[1, 2], [2, 4], [3, 6]]
+        assert certified_rank(rows, 2, [[(0, 2), (1, -1)], [(0, 3), (2, -1)]]) == 1
+        for wrong in ([(0, 2), (1, 1)], [(0, 3), (5, -1)], [(-1, 1)]):
+            with pytest.raises(InvariantViolation):
+                certified_rank(rows, 2, [[(0, 2), (1, -1)], wrong])
+
+    def test_relations_whose_product_could_leave_int64_go_unused(self, monkeypatch):
+        # max|a| max||y||_1 = 2^36 (2^35 + 1) >= 2^63: the relation, though
+        # genuine, is neither checked nor used, and lifting proves the rank.
+        certificates = spy(monkeypatch, "_kernel_certified")
+        rows = [[2 ** 35, 2 ** 36], [1, 2]]
+        assert certified_rank(rows, 2, [[(0, 1), (1, -(2 ** 35))]]) == 1
+        assert [result for _, result in certificates] == [True]
 
 
 class TestSolveInverse:

@@ -1,19 +1,25 @@
 """Planted faults: the exact side refuses, flags, or is not moved.
 
-Each fault is one monkeypatch of the flat lattice, the table that Morse,
+Three faults are monkeypatches of the flat lattice, the table that Morse,
 both rings and the genericity decisions read: drop its last coatom, drop
 its first atom, or let its rank see rows 1 and 2 as parallel.  On every
-setup ``analyze`` must raise with exit code 3 or 4 (or refuse the weights
-as rank deficient), set an agreement flag false, or return the unfaulted
-report; a changed report with every flag true would be a wrong answer the
-cross-checks let through.  Every fault must also be caught on some setup,
-so that a fault which changes nothing cannot pass.  The four caches are
-cleared around every faulted run, so no table built from a faulted
-lattice outlives it.
+setup ``analyze`` must raise with exit code 3 or 4, set an agreement flag
+false, or return the unfaulted report; a changed report with every flag
+true would be a wrong answer the cross-checks let through.  Every fault
+must also be caught on some setup, so that a fault which changes nothing
+cannot pass.  The four caches are cleared around every faulted run, so no
+table built from a faulted lattice outlives it.
 
-The setups are the catalog's with d >= 2 and 30 random generic ones
-(n 3-6, d 2-3, entries in [-2, 2]) from a fixed seed; at d = 1 the lattice
-has two flats and these faults cannot show.
+Three more are planted in the ring's ranks, at ``ringcalc.certified_rank``:
+one coefficient of a left-null relation flipped, which must end in exit 4
+whenever the relation is read; no relations at all, which must give the
+true report through p-adic lifting; and a rank one short in one degree,
+which must be refused or flagged.
+
+The lattice faults run on the catalog's setups with d >= 2 and 30 random
+generic ones (n 3-6, d 2-3, entries in [-2, 2]) from a fixed seed; at
+d = 1 the lattice has two flats and they cannot show.  The ring faults
+run on the whole catalog and the same 30.
 """
 
 import random
@@ -21,15 +27,16 @@ import sys
 
 import pytest
 
-from hypertoric import flats, torus
+from hypertoric import exact, flats, ringcalc, torus
 from hypertoric.crosscheck import analyze
-from hypertoric.errors import HypertoricError, RankDeficient
-from hypertoric.exact import int_rank
+from hypertoric.errors import HypertoricError
+from hypertoric.exact import certified_rank, int_rank
 from hypertoric.torus import derived_seed, new_setup, sample_generic
 from test_acceptance import CATALOG
 
 CACHES = (flats.lattice, torus.walls_of, torus._alpha_signs, torus._beta_levels)
 TRUE_LATTICE = flats.lattice
+TRUE_LIFTING = exact._kernel_certified
 
 
 def random_weights(rng):
@@ -41,9 +48,9 @@ def random_weights(rng):
             return rows
 
 
-def setups():
+def setups(min_dim=2):
     rng = random.Random(22)
-    weights = [w for w in CATALOG if len(w[0]) >= 2]
+    weights = [w for w in CATALOG if len(w[0]) >= min_dim]
     weights += [random_weights(rng) for _ in range(30)]
     return [sample_generic(new_setup(w), derived_seed("faults", w)) for w in weights]
 
@@ -85,32 +92,104 @@ def clear_caches():
         cache.cache_clear()
 
 
+def unfaulted(setup):
+    clear_caches()
+    truth = analyze(setup)
+    assert truth.agreement["all"], setup
+    return truth
+
+
+def outcome(setup, truth):
+    """The error's name, "flagged" or "unchanged" for one faulted run."""
+    clear_caches()
+    try:
+        result = analyze(setup)
+    except HypertoricError as exc:
+        assert exc.exit_code in (3, 4), (setup, exc)
+        return type(exc).__name__
+    finally:
+        clear_caches()
+    if not result.agreement["all"]:
+        return "flagged"
+    assert result == truth, setup
+    return "unchanged"
+
+
 @pytest.mark.parametrize("fault", ["last-coatom", "first-atom", "parallel-rows"])
 def test_a_fault_is_refused_flagged_or_harmless(fault):
     outcomes = []
     for setup in setups():
-        clear_caches()
-        truth = analyze(setup)
-        assert truth.agreement["all"], setup
+        truth = unfaulted(setup)
         with pytest.MonkeyPatch.context() as monkeypatch:
             plant(monkeypatch, fault, setup)
-            clear_caches()
-            try:
-                result = analyze(setup)
-            except HypertoricError as exc:
-                # A lattice whose whole rank falls below d makes the Morse
-                # route refuse the weights as rank deficient, with exit 2:
-                # a refusal, though it blames the input for the lattice.
-                assert (exc.exit_code in (3, 4)
-                        or isinstance(exc, RankDeficient)), (setup, exc)
-                outcomes.append(type(exc).__name__)
-                continue
-            finally:
-                clear_caches()
-        if not result.agreement["all"]:
-            outcomes.append("flagged")
-        else:
-            assert result == truth, setup
-            outcomes.append("unchanged")
+            outcomes.append(outcome(setup, truth))
     assert len(outcomes) == 37
     assert set(outcomes) - {"unchanged"}
+
+
+def flip_first(relations, read):
+    """The relations, the first with its first coefficient negated; read
+    records that it was handed over."""
+    for t, y in enumerate(relations):
+        if t == 0:
+            (row, c), *rest = y
+            y = [(row, -c), *rest]
+            read.append(row)
+        yield y
+
+
+def test_a_flipped_relation_ends_in_exit_4():
+    outcomes = []
+    for setup in setups(min_dim=1):
+        truth = unfaulted(setup)
+        read = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(ringcalc, "certified_rank", lambda rows, ncols, relations=():
+                                certified_rank(rows, ncols, flip_first(relations, read)))
+            outcomes.append(outcome(setup, truth))
+        assert outcomes[-1] == ("InvariantViolation" if read else "unchanged"), setup
+    assert len(outcomes) == 50
+    assert "InvariantViolation" in outcomes
+
+
+def test_no_relations_give_the_true_report_through_lifting(monkeypatch):
+    liftings = []
+
+    def lifting(*args):
+        liftings.append(args)
+        return TRUE_LIFTING(*args)
+
+    monkeypatch.setattr(exact, "_kernel_certified", lifting)
+    lifted_more = 0
+    for setup in setups(min_dim=1):
+        liftings.clear()
+        truth = unfaulted(setup)
+        before = len(liftings)
+        liftings.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ringcalc, "certified_rank",
+                          lambda rows, ncols, relations=(): certified_rank(rows, ncols))
+            assert outcome(setup, truth) == "unchanged", setup
+        lifted_more += len(liftings) > before
+    assert lifted_more
+
+
+def test_a_rank_one_short_is_refused_or_flagged():
+    outcomes = []
+    for setup in setups(min_dim=1):
+        truth = unfaulted(setup)
+        short = []
+
+        def one_short(rows, ncols, relations=()):
+            rank = certified_rank(rows, ncols, relations)
+            if rank and not short:
+                short.append(rank)
+                return rank - 1
+            return rank
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(ringcalc, "certified_rank", one_short)
+            outcomes.append(outcome(setup, truth))
+        assert short and outcomes[-1] != "unchanged", setup
+    assert len(outcomes) == 50
+

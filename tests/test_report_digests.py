@@ -6,7 +6,10 @@ holds the digests, so a change to any report, exit code or message fails
 here.  The cases are ``analyze`` and ``census`` on every catalog setup at
 five kinds of level, two sampled and three given, and ``modify`` on
 every modification pair, both plain and with ``--check-recurrence
---sample-generic``.  Some
+--sample-generic``, and ``analyze --sample-generic`` on one setup of each
+shape in ``RING_SHAPES`` with entries in [-9, 9], drawn from a fixed seed:
+the wide-entry ring matrices whose deficient ranks the generators'
+syzygies prove.  Some
 given levels exit 3 with a witness: the zero alpha always, the given
 alphas on four setups, and the unit beta with a level collision on two.
 After a deliberate report change, regenerate the file with
@@ -17,12 +20,14 @@ After a deliberate report change, regenerate the file with
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypertoric import cli
+from hypertoric.exact import int_rank
 from test_acceptance import CATALOG, MODIFICATION_PAIRS
 
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
@@ -56,6 +61,21 @@ LEVELS = (
 )
 
 
+RING_SHAPES = ((5, 3), (6, 3), (7, 3), (5, 4), (6, 4))
+
+
+def wide_weights():
+    """One n x d setup of each RING_SHAPES shape, entries in [-9, 9], each
+    redrawn until it has rank d."""
+    rng = random.Random("wide-ring-digests")
+    for n, d in RING_SHAPES:
+        while True:
+            rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
+            if int_rank(rows, d) == d:
+                yield rows
+                break
+
+
 def cases():
     """(name, setup object, argv after the input path) for every report."""
     for weights in CATALOG:
@@ -70,6 +90,9 @@ def cases():
                [*argv, "--check-recurrence", "--sample-generic"])
         yield (f"modify plain {json.dumps(weights)} {json.dumps(column)}",
                {"weights": weights}, argv)
+    for weights in wide_weights():
+        yield (f"analyze sampled {json.dumps(weights)}", {"weights": weights},
+               ["analyze", "{input}", "--sample-generic"])
 
 
 def run(setup, argv, directory):

@@ -1,9 +1,14 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flat_reference import reference_coatoms, reference_flats
+from hypertoric import exact
 from hypertoric.crosscheck import analyze
 from hypertoric.errors import NonGenericAlpha
+from hypertoric.exact import int_rank
 from hypertoric.ringcalc import (
     RingPresentation,
     circle_dims,
@@ -15,6 +20,7 @@ from hypertoric.ringcalc import (
 from hypertoric.torus import negative_rows, new_setup, sample_generic
 from ring_reference import (generic_setups, quotient_dim, reference_circle_presentation,
                             reference_dims, reference_presentation)
+from test_report_digests import wide_weights
 
 DIAG2 = ((1,), (1,))
 TRIPLE = ((1, 0), (0, 1), (1, 1))
@@ -175,6 +181,84 @@ class TestCircleDims:
         assert circle == reference_dims(circle_pres, top + 3)
         assert circle == reference_dims(
             reference_circle_presentation(setup), top + 3)
+
+
+@st.composite
+def uniform_setups(draw):
+    """Weights whose every d rows are independent, n <= 7 rows of width
+    d <= 4 with n + d <= 10 and entries in [-9, 9], at a sampled level.
+    (7, 4) is left out: its Bareiss reference takes about 18 s."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=d + 1, max_value=min(7, 10 - d)))
+    entries = st.integers(min_value=-9, max_value=9)
+    weights = tuple(draw(st.tuples(*[entries] * d)) for _ in range(n))
+    assume(all(int_rank([weights[i] for i in rows], d) == d
+               for rows in combinations(range(n), d)))
+    return sample_generic(new_setup(weights), draw(st.integers(min_value=0, max_value=99)))
+
+
+def refuse(*args):
+    raise AssertionError("the generators' syzygies should have proven every rank")
+
+
+class TestSyzygies:
+    @settings(max_examples=12, deadline=None)
+    @given(uniform_setups())
+    def test_a_uniform_matroid_needs_no_lifting(self, setup):
+        top = setup.n - setup.dim
+        ordinary = reference_dims(cohomology_presentation(setup.weights), top + 2)
+        circle = reference_dims(circle_equivariant_presentation(setup), top + 3)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(exact, "_kernel_certified", refuse)
+            monkeypatch.setattr(exact, "int_rank", refuse)
+            assert ring_dims(setup.weights) == ordinary
+            assert circle_dims(setup) == circle
+
+    @pytest.mark.parametrize("weights", list(wide_weights()), ids=str)
+    def test_the_wide_ring_shapes_need_no_lifting(self, monkeypatch, weights):
+        # One setup of each shape of the benchmark's ring rungs, as pinned
+        # by report digest.
+        setup = sample_generic(new_setup(weights), 0)
+        top = setup.n - setup.dim
+        circle = reference_dims(circle_equivariant_presentation(setup), top + 3)
+        monkeypatch.setattr(exact, "_kernel_certified", refuse)
+        monkeypatch.setattr(exact, "int_rank", refuse)
+        assert circle_dims(setup) == circle
+
+    def test_parallel_rows_still_need_lifting(self, monkeypatch):
+        # Rows 0 and 1 are parallel, so the matroid is not uniform, and the
+        # syzygies leave rows of the circle ring's matrices to lifting.
+        setup = sample_generic(new_setup(((3, 1, 0), (-6, -2, 0), (0, 1, 5), (2, 0, 1),
+                                          (1, 1, 1), (1, -1, 2))), 3)
+        top = setup.n - setup.dim
+        circle = reference_dims(circle_equivariant_presentation(setup), top + 3)
+        liftings = []
+        lifting = exact._kernel_certified
+
+        def recorded(*args):
+            liftings.append(lifting(*args))
+            return liftings[-1]
+
+        monkeypatch.setattr(exact, "_kernel_certified", recorded)
+        assert circle_dims(setup) == circle
+        assert liftings and all(liftings)
+
+    def test_a_presentation_without_forms_gives_no_relations(self, monkeypatch):
+        assert cohomology_presentation(TRIPLE).forms == (
+            ((0, 1), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (0, 1)))
+        pres = circle_equivariant_presentation(new_setup(TRIPLE, [1, 3]))
+        handed = []
+
+        def bareiss(rows, ncols, relations):
+            handed.append(list(relations))
+            return int_rank(rows, ncols)
+
+        monkeypatch.setattr("hypertoric.ringcalc.certified_rank", bareiss)
+        dims = hilbert_dims(pres, 4)
+        assert dims == (1, 3, 3, 3, 3) and any(handed)
+        handed.clear()
+        assert hilbert_dims(RingPresentation(pres.nvars, pres.gens), 4) == dims
+        assert handed and not any(handed)
 
 
 class TestHilbertEdgeCases:
