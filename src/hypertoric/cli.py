@@ -90,13 +90,13 @@ def cmd_analyze(args) -> int:
     report = {
         "setup": setup_to_json(setup),
         "sampled_generic": sampled,
-        "flats": [flat_to_json(c.flat) for c in result.components],
+        "flats": [flat_to_json(flat) for flat, *_ in result.components],
         "morse": {
             "poincare": poly_to_json(result.poincare),
             "components": [
-                {"flat": flat_to_json(c.flat), "rank": c.rank, "index": c.index,
-                 "level": rational_to_str(c.level)}
-                for c in result.components
+                {"flat": flat_to_json(flat), "rank": rank, "index": index,
+                 "level": rational_to_str(level)}
+                for flat, rank, index, level in result.components
             ],
         },
         "census": {"d": list(result.counts),
@@ -141,11 +141,12 @@ def cmd_modify(args) -> int:
     if args.check_recurrence:
         setup, _ = _ensure_generic(setup, args)
     pair = modify(setup, circle, seed=args.seed)
+    base, enlarged, extended = pair
     p_base, p_enl, p_ext, holds = crosscheck.polynomial_recurrence(pair)
     report = {
-        "base": setup_to_json(pair.base),
-        "enlarged": setup_to_json(pair.enlarged),
-        "extended": setup_to_json(pair.extended),
+        "base": setup_to_json(base),
+        "enlarged": setup_to_json(enlarged),
+        "extended": setup_to_json(extended),
         "polynomials": {
             "base": poly_to_json(p_base),
             "enlarged": poly_to_json(p_enl),
@@ -157,10 +158,8 @@ def cmd_modify(args) -> int:
         cases, base_d, enl_d, ext_d, census_ok = crosscheck.census_recurrence(
             pair)
         report["trichotomy"] = {
-            "new_only": [flat_to_json(f) for f in cases.new_only],
-            "shared_both": [flat_to_json(f) for f in cases.shared_both],
-            "shared_extended": [flat_to_json(f) for f in cases.shared_extended],
-        }
+            key: [flat_to_json(f) for f in case] for key, case in
+            zip(("new_only", "shared_both", "shared_extended"), cases)}
         report["census_recurrence"] = {
             "base_d": list(base_d),
             "enlarged_d": list(enl_d),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import arrangement, morse, ringcalc
-from .torus import ModificationPair, TorusSetup
+from .torus import TorusSetup
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class Analysis:
     """Every route's answer for one setup, and the agreement flags
     morse_census, morse_ring, circle_series and all, in that order."""
 
-    components: tuple               # morse.CriticalComponent per flat, in order
+    components: tuple               # (flat, rank, index, level) per flat, in order
     poincare: tuple                 # the Morse recursion's P
     counts: tuple                   # bounded face counts d_0, ..., d_m
     census_poincare: tuple
@@ -62,23 +62,23 @@ def _coefficient(coeffs, k) -> int:
     return coeffs[k] if 0 <= k < len(coeffs) else 0
 
 
-def polynomial_recurrence(pair: ModificationPair):
+def polynomial_recurrence(pair: tuple):
     """The Morse recursion's P of the base, enlarged and extended setups of
     a modification, and whether P_ext = P_base + q P_enl.
 
     Extending by a circle adds one row whose flat structure interleaves the
-    base and enlarged ones, which gives the identity.  The pair comes from
-    ``torus.modify``, which has checked the circle.
+    base and enlarged ones, which gives the identity.  The pair is
+    ``torus.modify``'s (base, enlarged, extended), and modify has checked
+    the circle.
     """
-    base, enlarged, extended = (morse.poincare_morse(s.weights) for s in
-                                (pair.base, pair.enlarged, pair.extended))
+    base, enlarged, extended = (morse.poincare_morse(s.weights) for s in pair)
     holds = all(_coefficient(extended, k) == _coefficient(base, k)
                 + _coefficient(enlarged, k - 1)
                 for k in range(max(map(len, (base, enlarged, extended))) + 1))
     return base, enlarged, extended, holds
 
 
-def census_recurrence(pair: ModificationPair):
+def census_recurrence(pair: tuple):
     """The modification cases of the enlarged flats, the face counts of the
     base, enlarged and extended setups at the levels the pair carries (see
     ``torus.modify``), and whether every extended count is the base count
@@ -88,8 +88,7 @@ def census_recurrence(pair: ModificationPair):
     not partition the flats.
     """
     cases = morse.modification_cases(pair)
-    counts = [arrangement.face_census(s)
-              for s in (pair.base, pair.enlarged, pair.extended)]
+    counts = [arrangement.face_census(s) for s in pair]
     base, enlarged, extended = counts
     holds = all(_coefficient(extended, k) == _coefficient(base, k)
                 + _coefficient(enlarged, k) + _coefficient(enlarged, k - 1)

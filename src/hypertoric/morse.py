@@ -10,30 +10,19 @@ by exact division -- no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import InvariantViolation, PartitionViolation, RankDeficient
 from .exact import divide_by_one_minus_q, int_rank
 from .flats import lattice
-from .torus import ModificationPair, TorusSetup, critical_levels
-
-
-@dataclass(frozen=True)
-class CriticalComponent:
-    flat: tuple
-    rank: int
-    index: int        # Morse index: 2 * (rows outside the flat)
-    level: Fraction   # exact energy value |beta_residual|^2
+from .torus import TorusSetup, critical_levels
 
 
 def critical_components(setup: TorusSetup) -> tuple:
-    """All critical manifolds, one per flat, in (size, lex) flat order."""
+    """All critical manifolds, one (flat, rank, index, level) per flat, in
+    (size, lex) flat order: the flat's rank, the Morse index 2 * (rows
+    outside the flat), and the exact energy value |beta_residual|^2."""
     levels = critical_levels(setup)
-    return tuple(
-        CriticalComponent(flat=f, rank=len(basis), index=2 * (setup.n - len(f)),
-                          level=levels[f])
-        for f, basis in lattice(setup.weights))
+    return tuple((f, len(basis), 2 * (setup.n - len(f)), levels[f])
+                 for f, basis in lattice(setup.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +76,26 @@ def poincare_morse(weights) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModificationCases:
-    new_only: tuple        # enlarged flats that are extended flats but not base flats
-    shared_both: tuple     # base flats staying flats with and without the new row
-    shared_extended: tuple # base flats that stay flats only with the new row added
-
-
-def modification_cases(pair: ModificationPair) -> ModificationCases:
-    """Classify enlarged-configuration flats into the three recursion cases.
+def modification_cases(pair: tuple) -> tuple:
+    """Classify enlarged-configuration flats into the three recursion cases,
+    (new_only, shared_both, shared_extended): the enlarged flats that are
+    extended flats but not base flats, the base flats staying flats with
+    and without the new row, and the base flats that stay flats only with
+    the new row added.  The pair is ``torus.modify``'s (base, enlarged,
+    extended).
 
     Every enlarged flat must land in exactly one case, and together the cases
     must cover each extended flat and each base flat exactly once; any
     violation is raised rather than papered over.
     """
-    n = pair.base.n
-    base_flats = {f for f, _ in lattice(pair.base.weights)}
-    ext_flats = {f for f, _ in lattice(pair.extended.weights)}
+    base, enlarged, extended = pair
+    n = base.n
+    base_flats = {f for f, _ in lattice(base.weights)}
+    ext_flats = {f for f, _ in lattice(extended.weights)}
     # (in base, in extended, with row n in extended) -> the enlarged flats
     cases = {(False, True, False): [], (True, True, True): [],
              (True, False, True): []}
-    for f, _ in lattice(pair.enlarged.weights):
+    for f, _ in lattice(enlarged.weights):
         key = (f in base_flats, f in ext_flats, f + (n,) in ext_flats)
         if key not in cases:
             raise PartitionViolation(
@@ -125,4 +113,4 @@ def modification_cases(pair: ModificationPair) -> ModificationCases:
         raise PartitionViolation(
             f"the cases miss flats: extended {sorted(ext_flats - ext_cover)}, "
             f"base {sorted(base_flats - base_cover)}")
-    return ModificationCases(new_only, shared_both, shared_extended)
+    return new_only, shared_both, shared_extended

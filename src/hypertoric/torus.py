@@ -114,24 +114,15 @@ def integral(level) -> tuple:
     return scale, [x.numerator * (scale // x.denominator) for x in level]
 
 
-@dataclass(frozen=True)
-class FlatWalls:
-    """The walls and the level form of one flat J, all integer.
-
-    With R_J the residual map (a covector minus its dual-metric projection
-    onto the span of J) and u_i row i, every level question on J reads
-
-        <R_J a, u_i> = (h_i . a) / denom   and   |R_J b|^2 = b^T form b / denom.
-    """
-
-    walls: tuple  # (i, h_i) for every row i outside J, in row order
-    form: tuple   # d integer rows, symmetric
-    denom: int    # positive
-
-
 @lru_cache(maxsize=None)
 def walls_of(weights) -> MappingProxyType:
-    """FlatWalls of every flat, keyed by the flat, in flat order (read-only).
+    """(walls, form, denom) of every flat J, keyed by the flat, in flat order
+    (read-only), all integer: walls holds (i, h_i) for every row i outside
+    J, in row order, form is d symmetric rows, and denom is positive.  With
+    R_J the residual map (a covector minus its dual-metric projection onto
+    the span of J) and u_i row i, every level question on J reads
+
+        <R_J a, u_i> = (h_i . a) / denom   and   |R_J b|^2 = b^T form b / denom.
 
     G = B^T B is positive definite, so one fraction-free solve gives its
     adjugate adj and det = det G > 0, with G^-1 = adj / det.  The bottom
@@ -163,7 +154,7 @@ def walls_of(weights) -> MappingProxyType:
                            for j in range(d)) for i in range(d))
         walls = tuple((i, tuple(_dot(row, weights[i]) for row in form))
                       for i in range(len(weights)) if i not in f)
-        table[f] = FlatWalls(walls, form, det * det_m)
+        table[f] = walls, form, det * det_m
     return MappingProxyType(table)
 
 
@@ -207,13 +198,13 @@ def _beta_levels(weights, beta):
     scale, parts = integral([x for z in beta for x in z])
     re, im = parts[0::2], parts[1::2]
     levels, by_level = {}, {}  # by_level: level -> its flats
-    for f, entry in walls_of(weights).items():
-        for i, h in entry.walls:
+    for f, (walls, form, denom) in walls_of(weights).items():
+        for i, h in walls:
             if not _dot(h, re) and not _dot(h, im):
                 return ("pairing", f, i), None
         quad = sum(x * _dot(row, re) + y * _dot(row, im)
-                   for x, y, row in zip(re, im, entry.form))
-        levels[f] = level = Fraction(quad, entry.denom * scale * scale)
+                   for x, y, row in zip(re, im, form))
+        levels[f] = level = Fraction(quad, denom * scale * scale)
         by_level.setdefault(level, []).append(f)
     # The first colliding pair (a, b) in flat order: a is the first flat of
     # the first level shared by two flats (dicts keep insertion order), and
@@ -257,9 +248,9 @@ def _alpha_signs(weights, alpha):
     """
     _, a = integral(alpha)
     negative = {}
-    for f, entry in walls_of(weights).items():
+    for f, (walls, _, _) in walls_of(weights).items():
         minus = []
-        for i, h in entry.walls:
+        for i, h in walls:
             p = _dot(h, a)
             if not p:
                 return ("pairing", f, i), None
@@ -317,15 +308,11 @@ def derived_seed(tag: str, *parts) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModificationPair:
-    base: TorusSetup
-    enlarged: TorusSetup   # same coordinates, torus grown by the circle
-    extended: TorusSetup   # one extra coordinate carrying the inverse circle
-
-
-def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
-    """Grow the torus by an integer circle weight column.
+def modify(setup: TorusSetup, circle, seed: int = 0) -> tuple:
+    """Grow the torus by an integer circle weight column: (base, enlarged,
+    extended), the setup itself, the setup on the same coordinates with the
+    torus grown by the circle, and the setup with one extra coordinate
+    carrying the inverse circle.
 
     The circle must act non-trivially on the quotient: if it already lies in
     the rational column span of the weights the construction degenerates.
@@ -349,4 +336,4 @@ def modify(setup: TorusSetup, circle, seed: int = 0) -> ModificationPair:
                          derived_seed("enlarged", weights, circle, seed))
     tilde = sample_generic(new_setup(wide + ((0,) * d + (-1,),)),
                            derived_seed("extended", weights, circle, seed))
-    return ModificationPair(setup, hat, tilde)
+    return setup, hat, tilde

@@ -142,9 +142,9 @@ def test_criterion_3_modification_recurrences():
         pair = modify(setup, column, seed=1)
         *_, poly_ok = polynomial_recurrence(pair)
         assert poly_ok, (weights, column)
-        cases, *_, census_ok = census_recurrence(pair)
-        total = (len(cases.new_only) + len(cases.shared_both)
-                 + len(cases.shared_extended))
+        (new_only, shared_both, shared_extended), *_, census_ok = \
+            census_recurrence(pair)
+        total = len(new_only) + len(shared_both) + len(shared_extended)
         wide = tuple(row + (c,) for row, c in zip(weights, column))
         assert total == len(reference_flats(wide))
         assert census_ok, (weights, column)

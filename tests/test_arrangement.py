@@ -13,6 +13,7 @@ from fm_census import bounded_regions, cone_is_pointed, fm_face_census, fm_feasi
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypertoric import arrangement
 from hypertoric.arrangement import census_poincare, face_census
 from hypertoric.errors import InvariantViolation, NonGenericAlpha
 from hypertoric.exact import int_rank
@@ -117,6 +118,16 @@ class TestCensus:
             face_census(new_setup(TRIPLE, [1, 1]))
         assert caught.value.witness == ("pairing", (2,), 0)
         assert caught.value.exit_code == 3
+
+    def test_a_hyperplane_through_a_vertex_is_an_invariant_violation(
+            self, monkeypatch):
+        # alpha = 0 puts every hyperplane through every vertex; with the
+        # alpha decision let through, the census refuses at the first vertex.
+        monkeypatch.setattr(arrangement, "negative_rows", lambda setup: {})
+        with pytest.raises(InvariantViolation, match=r"^hyperplane 1 passes "
+                           r"through the vertex of \(1,\)$") as caught:
+            face_census(new_setup(((1,), (2,), (1,)), [0]))
+        assert caught.value.exit_code == 4
 
     def test_inert_coordinate_is_skipped(self):
         weights = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))

@@ -106,7 +106,8 @@ def test_recurrence_reads_the_top_coefficient_of_the_longest_polynomial(
     # P_ext = 1 + 2q + 5q^2 is longer than P_base = 1 + q and q P_enl = q,
     # so only the coefficient of q^2 breaks the recurrence.
     pair = modify(new_setup(((1,), (1,)), [1], [(3, 0)]), (1, 0))
-    answers = {pair.base.weights: (1, 1), pair.enlarged.weights: (1,),
-               pair.extended.weights: (1, 2, 5)}
+    base, enlarged, extended = pair
+    answers = {base.weights: (1, 1), enlarged.weights: (1,),
+               extended.weights: (1, 2, 5)}
     monkeypatch.setattr(morse, "poincare_morse", answers.__getitem__)
     assert polynomial_recurrence(pair) == ((1, 1), (1,), (1, 2, 5), False)

@@ -16,10 +16,17 @@ whenever the relation is read; no relations at all, which must give the
 true report through p-adic lifting; and a rank one short in one degree,
 which must be refused or flagged.
 
+Four more are planted one in each of four layers, under the lattice
+faults' contract: 1 added to the census's d_0 (``face_census``), Horner's
+rule run on the counts without the last one (``census_poincare``), 1
+added to the constant term of every Morse quotient
+(``divide_by_one_minus_q``), and the sign of one row flipped in the first
+coatom that the circle ring reads (its ``negative_rows``).
+
 The lattice faults run on the catalog's setups with d >= 2 and 30 random
 generic ones (n 3-6, d 2-3, entries in [-2, 2]) from a fixed seed; at
-d = 1 the lattice has two flats and they cannot show.  The ring faults
-run on the whole catalog and the same 30.
+d = 1 the lattice has two flats and they cannot show.  The ring and
+layer faults run on the whole catalog and the same 30.
 """
 
 import random
@@ -27,7 +34,7 @@ import sys
 
 import pytest
 
-from hypertoric import exact, flats, ringcalc, torus
+from hypertoric import arrangement, exact, flats, morse, ringcalc, torus
 from hypertoric.crosscheck import analyze
 from hypertoric.errors import HypertoricError
 from hypertoric.exact import certified_rank, int_rank
@@ -193,3 +200,46 @@ def test_a_rank_one_short_is_refused_or_flagged():
         assert short and outcomes[-1] != "unchanged", setup
     assert len(outcomes) == 50
 
+
+
+def bump_first(coeffs):
+    """The coefficients with 1 added to the first."""
+    return (coeffs[0] + 1, *coeffs[1:])
+
+
+def flip_first_coatom(setup, negative):
+    """The negative rows with the sign of the first coatom's first outside
+    row flipped."""
+    d = setup.dim
+    coatom = next(f for f, basis in TRUE_LATTICE(setup.weights)
+                  if len(basis) == d - 1)
+    row = next(i for i in range(setup.n) if i not in coatom)
+    return {**negative, coatom: tuple(sorted(set(negative[coatom]) ^ {row}))}
+
+
+# fault -> (module, name, the faulty function made from the true one)
+LAYER_FAULTS = {
+    "census-count": (arrangement, "face_census",
+                     lambda true: lambda setup: bump_first(true(setup))),
+    "horner-short": (arrangement, "census_poincare",
+                     lambda true: lambda counts: true(counts[:-1])),
+    "morse-division": (morse, "divide_by_one_minus_q",
+                       lambda true: lambda coeffs, power: bump_first(
+                           true(coeffs, power))),
+    "coatom-sign": (ringcalc, "negative_rows",
+                    lambda true: lambda setup: flip_first_coatom(
+                        setup, true(setup))),
+}
+
+
+@pytest.mark.parametrize("fault", LAYER_FAULTS)
+def test_a_layer_fault_is_refused_flagged_or_harmless(fault):
+    module, name, make = LAYER_FAULTS[fault]
+    outcomes = []
+    for setup in setups(min_dim=1):
+        truth = unfaulted(setup)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(module, name, make(getattr(module, name)))
+            outcomes.append(outcome(setup, truth))
+    assert len(outcomes) == 50
+    assert set(outcomes) - {"unchanged"}

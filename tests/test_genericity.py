@@ -318,11 +318,11 @@ def test_cached_projection_equals_solved_projection(data):
     subset = tuple(sorted(data.draw(
         st.sets(st.integers(0, len(weights) - 1), max_size=len(weights)))))
     vec = data.draw(levels(len(weights[0])))
-    entry = walls_of(weights)[flat_reference.closure(weights, subset)]
+    _, form, denom = walls_of(weights)[flat_reference.closure(weights, subset)]
     res = solved_perp_part(weights, subset, vec)
-    assert [Fraction(sum(x * v for x, v in zip(row, vec)), entry.denom)
-            for row in entry.form] == [sum(g * r for g, r in zip(row, res))
-                                       for row in gram_inverse(weights)]
+    assert [Fraction(sum(x * v for x, v in zip(row, vec)), denom)
+            for row in form] == [sum(g * r for g, r in zip(row, res))
+                                 for row in gram_inverse(weights)]
 
 
 @PROPS

@@ -139,14 +139,14 @@ class TestPerfection:
         assert perfection_sum(weights) == (1,)
 
 
-class TestCriticalComponents:
+class TestCriticalSets:
     def test_diagonal_circle(self):
         s = new_setup(DIAG2, [1], [(3, 0)])
-        comps = critical_components(s)
-        assert [c.flat for c in comps] == [(), (0, 1)]
-        assert [c.level for c in comps] == [Fraction(9, 2), Fraction(0)]
-        assert [c.index for c in comps] == [4, 0]
-        assert [c.rank for c in comps] == [0, 1]
+        flats, ranks, indices, levels = zip(*critical_components(s))
+        assert list(flats) == [(), (0, 1)]
+        assert list(levels) == [Fraction(9, 2), Fraction(0)]
+        assert list(indices) == [4, 0]
+        assert list(ranks) == [0, 1]
 
     def test_requires_generic_beta(self):
         s = new_setup(DIAG2, [1], [(0, 0)])
@@ -155,8 +155,7 @@ class TestCriticalComponents:
 
     def test_levels_strictly_separated(self):
         s = sample_generic(new_setup(TRIPLE), seed=3)
-        comps = critical_components(s)
-        levels = [c.level for c in comps]
+        levels = [level for *_, level in critical_components(s)]
         assert len(set(levels)) == len(levels)
 
 
@@ -213,17 +212,18 @@ class TestModification:
             pair_of(TRIPLE, (0, 1, 1))
 
     def test_cases_diagonal_circle(self):
-        cases = modification_cases(pair_of(DIAG2, (1, 0)))
-        assert cases.new_only == ((0,), (1,))
-        assert cases.shared_both == ((),)
-        assert cases.shared_extended == ((0, 1),)
+        new_only, shared_both, shared_extended = modification_cases(
+            pair_of(DIAG2, (1, 0)))
+        assert new_only == ((0,), (1,))
+        assert shared_both == ((),)
+        assert shared_extended == ((0, 1),)
 
     def test_case_sizes_sum_to_enlarged_flat_count(self):
         for weights, circle in [(TRIPLE, (1, 0, 0)), (DIAG2, (0, 1)),
                                 (((1,), (1,), (1,)), (1, -1, 0))]:
-            cases = modification_cases(pair_of(weights, circle))
-            total = (len(cases.new_only) + len(cases.shared_both)
-                     + len(cases.shared_extended))
+            new_only, shared_both, shared_extended = modification_cases(
+                pair_of(weights, circle))
+            total = len(new_only) + len(shared_both) + len(shared_extended)
             wide = tuple(row + (c,) for row, c in zip(weights, circle))
             assert total == len(reference_flats(wide))
 
@@ -239,7 +239,8 @@ class TestModification:
         # Without the base flat (), the enlarged flat () is an extended flat
         # both with and without the new row, but not a base flat.
         pair = pair_of(DIAG2, (1, 0))
-        self.edit_flats(monkeypatch, pair.base.weights, lambda table: table[1:])
+        base, _, _ = pair
+        self.edit_flats(monkeypatch, base.weights, lambda table: table[1:])
         with pytest.raises(PartitionViolation, match=r"flat \(\) fits no modification "
                            r"case \(base=False, ext=True, ext\+new=True\)"):
             modification_cases(pair)
@@ -248,7 +249,8 @@ class TestModification:
         # Without the enlarged flat (0,), every other enlarged flat still
         # fits its case, and only the extended flat (0,) is left uncovered.
         pair = pair_of(DIAG2, (1, 0))
-        self.edit_flats(monkeypatch, pair.enlarged.weights,
+        _, enlarged, _ = pair
+        self.edit_flats(monkeypatch, enlarged.weights,
                         lambda table: tuple(fb for fb in table if fb[0] != (0,)))
         with pytest.raises(PartitionViolation, match=r"the cases miss flats: "
                            r"extended \[\(0,\)\], base \[\]$"):

@@ -35,16 +35,16 @@ TRIPLE = ((1, 0), (0, 1), (1, 1))
 
 def pairing(weights, flat, vec, i):
     """<R_J vec, u_i> read off the wall of row i outside the flat J."""
-    entry = walls_of(weights)[flat]
-    return Fraction(sum(map(mul, dict(entry.walls)[i], vec)), entry.denom)
+    walls, _, denom = walls_of(weights)[flat]
+    return Fraction(sum(map(mul, dict(walls)[i], vec)), denom)
 
 
 def level(weights, flat, beta):
     """|R_J beta|^2 read off the level form of the flat J: b^T form b / denom
     summed over b = Re beta and Im beta, for any beta, generic or not."""
-    entry = walls_of(weights)[flat]
+    _, form, denom = walls_of(weights)[flat]
     return sum(Fraction(sum(x * sum(map(mul, row, b))
-                            for x, row in zip(b, entry.form)), entry.denom)
+                            for x, row in zip(b, form)), denom)
                for b in zip(*beta))
 
 
@@ -91,9 +91,9 @@ class TestMetricGale:
     def test_gram_and_inverse(self):
         # The bottom flat's level form is G^-1: with G = [[2, 1], [1, 2]],
         # G^-1 = [[2/3, -1/3], [-1/3, 2/3]] is its adjugate over det G
-        m = walls_of(TRIPLE)[()]
-        assert m.form == ((2, -1), (-1, 2))
-        assert m.denom == 3
+        _, form, denom = walls_of(TRIPLE)[()]
+        assert form == ((2, -1), (-1, 2))
+        assert denom == 3
 
     def test_pairing(self):
         # on the empty flat the residual is the identity: plain pairings
@@ -105,26 +105,26 @@ class TestMetricGale:
 class TestResiduals:
     def test_perp_part_empty_subset_is_identity(self):
         # the empty flat's level form is G^-1 itself: adj over det
-        entry = walls_of(TRIPLE)[()]
-        assert entry.form == ((2, -1), (-1, 2))
-        assert entry.denom == 3
+        _, form, denom = walls_of(TRIPLE)[()]
+        assert form == ((2, -1), (-1, 2))
+        assert denom == 3
         assert [pairing(TRIPLE, (), (1, 2), i) for i in range(3)] == [0, 1, 1]
 
     def test_perp_part_full_span_kills_vector(self):
         # (0, 1) spans everything and closes to the top flat: no walls, and
         # the residual of (3, -2) is zero
-        entry = walls_of(TRIPLE)[(0, 1, 2)]
-        assert entry.walls == ()
-        assert entry.form == ((0, 0), (0, 0))
+        walls, form, _ = walls_of(TRIPLE)[(0, 1, 2)]
+        assert walls == ()
+        assert form == ((0, 0), (0, 0))
         assert critical_levels(new_setup(TRIPLE, beta=[(3, 0), (-2, 0)]))[
             (0, 1, 2)] == 0
 
     def test_residual_orthogonal_to_flat(self):
         # form u_2 would be the wall of row 2 on the flat (2,): it is zero,
         # so the residuals of Re beta and Im beta pair to zero with u_2
-        entry = walls_of(TRIPLE)[(2,)]
-        assert [sum(map(mul, row, TRIPLE[2])) for row in entry.form] == [0, 0]
-        assert [i for i, _ in entry.walls] == [0, 1]
+        walls, form, _ = walls_of(TRIPLE)[(2,)]
+        assert [sum(map(mul, row, TRIPLE[2])) for row in form] == [0, 0]
+        assert [i for i, _ in walls] == [0, 1]
         # Re beta and Im beta have residuals +-(1/2, -1/2), each of squared
         # dual length 1/2; this beta is not generic, so the wall table gives
         # the level
@@ -142,8 +142,8 @@ class TestResiduals:
 
     def test_norm2_uses_dual_metric(self):
         # 3^2 G^-1 = 9/2 where the Euclidean square would be 9
-        entry = walls_of(DIAG2)[()]
-        assert Fraction(3 * 3 * entry.form[0][0], entry.denom) == Fraction(9, 2)
+        _, form, denom = walls_of(DIAG2)[()]
+        assert Fraction(3 * 3 * form[0][0], denom) == Fraction(9, 2)
 
 
 class TestGenericBeta:
@@ -257,18 +257,18 @@ class TestSampling:
 
 class TestModification:
     def test_shapes(self):
-        pair = modify(sample_generic(new_setup(TRIPLE), seed=1), (1, 0, 0),
-                      seed=3)
-        assert pair.enlarged.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0))
-        assert pair.extended.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0),
-                                          (0, 0, -1))
+        _, enlarged, extended = modify(sample_generic(new_setup(TRIPLE), seed=1),
+                                       (1, 0, 0), seed=3)
+        assert enlarged.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0))
+        assert extended.weights == ((1, 0, 1), (0, 1, 0), (1, 1, 0),
+                                    (0, 0, -1))
 
     def test_modify_builds_generic_pair(self):
         s = sample_generic(new_setup(DIAG2), seed=1)
-        pair = modify(s, (1, 0), seed=2)
-        assert pair.enlarged.weights == ((1, 1), (1, 0))
-        assert pair.extended.weights == ((1, 1), (1, 0), (0, -1))
-        for derived in (pair.enlarged, pair.extended):
+        _, enlarged, extended = modify(s, (1, 0), seed=2)
+        assert enlarged.weights == ((1, 1), (1, 0))
+        assert extended.weights == ((1, 1), (1, 0), (0, -1))
+        for derived in (enlarged, extended):
             negative_rows(derived)
             critical_levels(derived)
 
@@ -317,18 +317,18 @@ def test_metric_and_residuals_equal_the_fraction_reference(setup):
     assert list(table) == [f for f, _ in reference_flats(w)]
     # The bottom flat, spanned by the zero rows, projects nothing out: its
     # level form over its denominator is G^-1
-    metric = next(iter(table.values()))
+    _, metric_form, metric_denom = next(iter(table.values()))
     gi = ref.gram_inverse(w)
-    assert metric.denom > 0
-    assert [[Fraction(x, metric.denom) for x in row] for row in metric.form] == gi
-    for f, entry in table.items():
-        assert entry.denom > 0
+    assert metric_denom > 0
+    assert [[Fraction(x, metric_denom) for x in row] for row in metric_form] == gi
+    for f, (walls, form, denom) in table.items():
+        assert denom > 0
         # form / denom = G^-1 R_J, which is symmetric
-        assert [[Fraction(x, entry.denom) for x in row] for row in entry.form] \
+        assert [[Fraction(x, denom) for x in row] for row in form] \
             == ref.matmul(gi, ref.residual_map(w, f))
         assert level(w, f, setup.beta) == ref.critical_level(w, setup.beta, f)
         res = ref.residual(w, f, setup.alpha)
-        assert [i for i, _ in entry.walls] == [i for i in range(setup.n)
-                                               if i not in f]
-        for i, h in entry.walls:
+        assert [i for i, _ in walls] == [i for i in range(setup.n)
+                                         if i not in f]
+        for i, h in walls:
             assert pairing(w, f, setup.alpha, i) == ref.pairing(gi, res, w[i])
