@@ -17,7 +17,7 @@ from numpy.random import default_rng
 from ..errors import InputError, NonFiniteState
 from ..torus import critical_levels
 from .flow import STATUS_CONVERGED, Trajectory, descend
-from .moments import flow_objective, hk_components, pack_state, unpack_state
+from .moments import flow_objective, moment_terms, pack_state, unpack_state
 from .reps import GroupRep, gaussian_state, torus_rep
 
 _EXPONENT = 0.75
@@ -216,8 +216,7 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
     _require_seed(seed)
     _require_radius(radius)
     rng = default_rng(seed)
-    beta = np.zeros(rep.k, dtype=np.complex128)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    evaluate = moment_terms(rep.basis, (0, 1, 2), alpha, np.zeros(rep.k))
     pair_keys = ((1, 2), (1, 3), (2, 3))
     # Running maxima and sums of |ip| and ratio per pair, |scalar|, the
     # remark ratio and the identity residual.
@@ -226,8 +225,10 @@ def cross_term_stats(rep: GroupRep, alpha, samples: int, seed: int,
         for block in _blocks(samples):
             x, y = gaussian_state(
                 rng.standard_normal((len(block), 4, rep.dim)), radius)
-            mu, packed = hk_components(rep, alpha, beta, x, y)
-            grads = {i: packed[:, i - 1] for i in (1, 2, 3)}
+            r, vectors = evaluate(pack_state(x, y))
+            mu = r.reshape(len(block), 3, rep.k)
+            packed = (4.0 * mu[:, :, None]) @ vectors.reshape(len(block), 3, rep.k, 4 * rep.dim)
+            grads = {i: packed[:, i - 1, 0] for i in (1, 2, 3)}
             norms = {i: np.sqrt(np.sum(grads[i] ** 2, axis=1)) for i in (1, 2, 3)}
             ips = {(i, j): np.sum(grads[i] * grads[j], axis=1) for i, j in pair_keys}
             scalar = np.sum(mu[:, 0] * rep.bracket_coords(mu[:, 1], mu[:, 2]), axis=1)

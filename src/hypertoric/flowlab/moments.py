@@ -55,7 +55,6 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import InputError
-from .reps import GroupRep
 
 # The components each energy reads: 0 for mu1, 1 and 2 for mu2 and mu3.
 _PARTS = {"muR2": (0,), "muC2": (1, 2), "muHK2": (0, 1, 2)}
@@ -91,7 +90,7 @@ def _generators(basis: np.ndarray, parts) -> np.ndarray:
     return np.ascontiguousarray(blocks).view(np.float64).reshape(len(parts), 4 * n, -1)
 
 
-def _kernel(basis: np.ndarray, parts, alpha, beta):
+def moment_terms(basis: np.ndarray, parts, alpha, beta):
     """The map from a stack s of packed states, of shape (T, 4n), to the
     residuals r, of shape (T, C), and the vectors p = Q_c s, of shape
     (T, C, 4n), of the components c = (part, a) of ``parts``, part-major.
@@ -121,18 +120,6 @@ def _kernel(basis: np.ndarray, parts, alpha, beta):
     return evaluate
 
 
-def hk_components(rep: GroupRep, alpha, beta, x, y) -> Tuple[np.ndarray, np.ndarray]:
-    """The triple (mu1, mu2, mu3), levels subtracted, of shape (..., 3, k),
-    and the gradients of |mu1|^2, |mu2|^2 and |mu3|^2 packed as by pack_state,
-    of shape (..., 3, 4n), from one evaluation."""
-    states = pack_state(x, y)
-    shape, s = states.shape[:-1], states.reshape(-1, states.shape[-1])
-    r, p = _kernel(rep.basis, (0, 1, 2), alpha, beta)(s)
-    r = r.reshape(len(s), 3, 1, rep.k)
-    grads = (4.0 * r) @ p.reshape(len(s), 3, rep.k, s.shape[1])
-    return r.reshape(shape + (3, rep.k)), grads.reshape(shape + (3, s.shape[1]))
-
-
 def flow_objective(basis: np.ndarray, which: str, alpha, beta):
     """The selected energy with its gradient, as ``descend`` reads them: on a
     stack of states packed by pack_state, the gradients packed alike.
@@ -142,7 +129,7 @@ def flow_objective(basis: np.ndarray, which: str, alpha, beta):
     brackets are not read, so the family need not span a subalgebra.
     Raises InputError unless alpha and beta have k entries each.
     """
-    evaluate = _kernel(basis, _parts(which), alpha, beta)
+    evaluate = moment_terms(basis, _parts(which), alpha, beta)
 
     def fun(states):
         states = np.ascontiguousarray(states, dtype=np.float64)

@@ -10,6 +10,8 @@ by exact division -- no floating point anywhere.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import InvariantViolation, PartitionViolation, RankDeficient
 from .exact import divide_by_one_minus_q, int_rank
 from .flats import lattice
@@ -19,8 +21,16 @@ from .torus import TorusSetup, critical_levels
 def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one (flat, rank, index, level) per flat, in
     (size, lex) flat order: the flat's rank, the Morse index 2 * (rows
-    outside the flat), and the exact energy value |beta_residual|^2."""
+    outside the flat), and the exact energy value |beta_residual|^2.  A flat
+    J's level is above that of each flat K containing it: equality would make
+    beta_J pair to zero with every row of K - J, which the beta decision
+    refuses.  A level that is not above raises InvariantViolation."""
     levels = critical_levels(setup)
+    masks = [(sum(1 << j for j in f), f) for f, _ in lattice(setup.weights)]
+    for (sub, g), (mask, f) in combinations(masks, 2):
+        if sub & mask == sub and not levels[g] > levels[f]:
+            raise InvariantViolation(f"flat {g} lies in flat {f}, but its level "
+                                     f"{levels[g]} is not above {levels[f]}")
     return tuple((f, len(basis), 2 * (setup.n - len(f)), levels[f])
                  for f, basis in lattice(setup.weights))
 

@@ -15,7 +15,9 @@ The one-state entries to the stacked API are kept here as adapters:
 ``random_state``, ``integrate_flow``, ``energy``, ``grad``, ``moment_hk``,
 ``grad_component``, ``classify_limit`` and ``lojasiewicz_report`` each make
 one call of ``gaussian_state``, ``descend``, ``flow_objective``,
-``hk_components``, ``analysis._match_limit`` or ``tail_reports``.
+``moment_terms``, ``analysis._match_limit`` or ``tail_reports``.  The
+readers of ``moment_terms`` contract only what they return: the residuals
+of the triple, or the vectors p of one part against its residuals.
 
 The moment maps and gradients are also kept here as they were computed
 before they were read off one generator product: ``_apply`` applies each
@@ -42,7 +44,7 @@ from hypertoric.errors import InputError, NonFiniteState
 from hypertoric.flowlab.analysis import _match_limit, tail_reports
 from hypertoric.flowlab.flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
                                      Trajectory, descend)
-from hypertoric.flowlab.moments import (flow_objective, hk_components, pack_state,
+from hypertoric.flowlab.moments import (flow_objective, moment_terms, pack_state,
                                         unpack_state)
 from hypertoric.flowlab.reps import from_matrices, gaussian_state, torus_rep
 from hypertoric.torus import critical_levels
@@ -84,9 +86,23 @@ def grad(rep, which, alpha, beta, x, y):
         pack_state(x, y))[1], rep.dim)
 
 
+def _packed_grads(rep, parts, alpha, beta, x, y):
+    """The gradients of |mu_c|^2 for the parts c, packed, of shape
+    (..., len(parts), 4n): 4 r_c p_c, summed over the basis."""
+    states = pack_state(x, y)
+    s = states.reshape(-1, states.shape[-1])
+    r, p = moment_terms(rep.basis, parts, alpha, beta)(s)
+    grads = (4.0 * r.reshape(len(s), len(parts), 1, rep.k)) @ p.reshape(
+        len(s), len(parts), rep.k, s.shape[1])
+    return grads.reshape(states.shape[:-1] + (len(parts), s.shape[1]))
+
+
 def moment_hk(rep, alpha, beta, x, y):
     """The hyperkahler triple (mu1, mu2, mu3), levels subtracted."""
-    mu = hk_components(rep, alpha, beta, x, y)[0]
+    states = pack_state(x, y)
+    r = moment_terms(rep.basis, (0, 1, 2), alpha, beta)(
+        states.reshape(-1, states.shape[-1]))[0]
+    mu = r.reshape(states.shape[:-1] + (3, rep.k))
     return mu[..., 0, :], mu[..., 1, :], mu[..., 2, :]
 
 
@@ -94,7 +110,7 @@ def grad_component(rep, index, alpha, beta, x, y):
     """Gradient (complex form) of |mu_index|^2 for index in {1, 2, 3}."""
     if index not in (1, 2, 3):
         raise InputError("component index must be 1, 2 or 3")
-    return unpack_state(hk_components(rep, alpha, beta, x, y)[1][..., index - 1, :],
+    return unpack_state(_packed_grads(rep, (index - 1,), alpha, beta, x, y)[..., 0, :],
                         rep.dim)
 
 
@@ -221,7 +237,7 @@ def reference_moment_hk(rep, alpha, beta, x, y):
 
 
 def reference_kernel(basis, parts, alpha, beta):
-    """``moments._kernel`` with G holding w alone: the product s G gives
+    """``moments.moment_terms`` with G holding w alone: the product s G gives
     w = (w_1, ..., w_k), and v = (-conj(w_y), conj(w_x)) and i v are made from
     it.  The stack meets G in chunks of fewer than 2^19 multiply-adds."""
     k, n = basis.shape[:2]
@@ -571,10 +587,10 @@ def torus_reduction_check(rep, sub_rep, samples, seed, *, alpha=None):
                     grad_tol=1e-12, max_steps=50_000)
     finals = np.array([traj.final for traj in trajs])
     x, y = unpack_state(finals, n)
-    full = np.linalg.norm(hk_components(rep, alpha_full, np.zeros(rep.k), x, y)[1][:, 0],
+    full = np.linalg.norm(_packed_grads(rep, (0,), alpha_full, np.zeros(rep.k), x, y)[:, 0],
                           axis=1)
-    sub = np.linalg.norm(hk_components(sub_rep, alpha_sub, np.zeros(sub_rep.k),
-                                       x, y)[1][:, 0], axis=1)
+    sub = np.linalg.norm(_packed_grads(sub_rep, (0,), alpha_sub, np.zeros(sub_rep.k),
+                                       x, y)[:, 0], axis=1)
     results = []
     for off_norm2, full_norm, sub_norm in zip(objective(finals)[0].tolist(), full, sub):
         rel = (None if off_norm2 >= _PREP_TOL

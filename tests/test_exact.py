@@ -71,7 +71,8 @@ class TestRat:
                 as_rat(text)
 
     def test_as_rat_rejects_floats(self):
-        for value in (0.5, True, None, [1], "abc", "1/0"):
+        # "1ex" has no integer exponent for the digit limit to read.
+        for value in (0.5, True, None, [1], "abc", "1/0", "1ex"):
             with pytest.raises(InputError, match="3/4"):
                 as_rat(value)
 
@@ -164,6 +165,10 @@ def spy(monkeypatch, name):
     return calls
 
 
+# Four rows of rank 2 in three columns.
+DEFICIENT = [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7]]
+
+
 class TestCertifiedRank:
     @given(rank_test_matrices())
     @settings(max_examples=300, deadline=None)
@@ -240,6 +245,25 @@ class TestCertifiedRank:
         assert certified_rank(rows, 2) == rank
         assert [result for _, result in certificates] == [False]
         assert [result for _, result in fallbacks] == [rank]
+
+    def test_lifting_without_a_reconstruction_falls_back(self, monkeypatch):
+        # Rank 2 with two non-pivot rows: with no rational reconstruction
+        # the lifting runs out of digits and Bareiss answers.
+        monkeypatch.setattr(exact, "_rational_solution", lambda x, modulus: None)
+        certificates = spy(monkeypatch, "_kernel_certified")
+        fallbacks = spy(monkeypatch, "int_rank")
+        assert certified_rank(DEFICIENT, 3) == 2
+        assert [result for _, result in certificates] == [False]
+        assert [result for _, result in fallbacks] == [2]
+
+    def test_a_modulus_past_the_int64_bound_goes_to_bareiss(self, monkeypatch):
+        # (cap + 1) MODULUS^2 >= 2^63 at cap = 3 for the prime 2^31 - 1.
+        monkeypatch.setattr(exact, "MODULUS", 2_147_483_647)
+        searches = spy(monkeypatch, "_reduce_mod_p")
+        fallbacks = spy(monkeypatch, "int_rank")
+        assert certified_rank(DEFICIENT, 3) == 2
+        assert searches == []
+        assert [result for _, result in fallbacks] == [2]
 
     def test_empty_and_zero(self):
         assert certified_rank([], 3) == 0

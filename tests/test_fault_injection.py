@@ -16,17 +16,26 @@ whenever the relation is read; no relations at all, which must give the
 true report through p-adic lifting; and a rank one short in one degree,
 which must be refused or flagged.
 
-Four more are planted one in each of four layers, under the lattice
+Seven more are planted one in each of seven layers, under the lattice
 faults' contract: 1 added to the census's d_0 (``face_census``), Horner's
 rule run on the counts without the last one (``census_poincare``), 1
 added to the constant term of every Morse quotient
-(``divide_by_one_minus_q``), and the sign of one row flipped in the first
-coatom that the circle ring reads (its ``negative_rows``).
+(``divide_by_one_minus_q``), the sign of one row flipped in the first
+coatom that the circle ring reads (its ``negative_rows``), the first two
+critical levels swapped (``morse.critical_levels``), 1 added to the first
+coordinate of the first wall (``torus.walls_of``), and the determinant of
+the census's first solvable vertex basis negated (``arrangement.int_solve``).
+Every row negative, or every row positive, at the circle ring's
+``negative_rows`` left every report unchanged: the ring's presentation
+does not see alpha's signs, so those two faults cannot be caught and are
+not planted.
 
 The lattice faults run on the catalog's setups with d >= 2 and 30 random
 generic ones (n 3-6, d 2-3, entries in [-2, 2]) from a fixed seed; at
 d = 1 the lattice has two flats and they cannot show.  The ring and
-layer faults run on the whole catalog and the same 30.
+layer faults run on the whole catalog and the same 30.  Each setup's
+unfaulted report is computed once for the module, except where a test
+counts what the unfaulted run does.
 """
 
 import random
@@ -55,11 +64,17 @@ def random_weights(rng):
             return rows
 
 
-def setups(min_dim=2):
+def setups():
     rng = random.Random(22)
-    weights = [w for w in CATALOG if len(w[0]) >= min_dim]
-    weights += [random_weights(rng) for _ in range(30)]
+    weights = list(CATALOG) + [random_weights(rng) for _ in range(30)]
     return [sample_generic(new_setup(w), derived_seed("faults", w)) for w in weights]
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """(setup, its unfaulted report) for every setup, analyzed once for all
+    the faults."""
+    return [(setup, unfaulted(setup)) for setup in setups()]
 
 
 def drop(pick):
@@ -123,10 +138,11 @@ def outcome(setup, truth):
 
 
 @pytest.mark.parametrize("fault", ["last-coatom", "first-atom", "parallel-rows"])
-def test_a_fault_is_refused_flagged_or_harmless(fault):
+def test_a_fault_is_refused_flagged_or_harmless(fault, cases):
     outcomes = []
-    for setup in setups():
-        truth = unfaulted(setup)
+    for setup, truth in cases:
+        if setup.dim < 2:
+            continue
         with pytest.MonkeyPatch.context() as monkeypatch:
             plant(monkeypatch, fault, setup)
             outcomes.append(outcome(setup, truth))
@@ -145,10 +161,9 @@ def flip_first(relations, read):
         yield y
 
 
-def test_a_flipped_relation_ends_in_exit_4():
+def test_a_flipped_relation_ends_in_exit_4(cases):
     outcomes = []
-    for setup in setups(min_dim=1):
-        truth = unfaulted(setup)
+    for setup, truth in cases:
         read = []
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(ringcalc, "certified_rank", lambda rows, ncols, relations=():
@@ -168,7 +183,7 @@ def test_no_relations_give_the_true_report_through_lifting(monkeypatch):
 
     monkeypatch.setattr(exact, "_kernel_certified", lifting)
     lifted_more = 0
-    for setup in setups(min_dim=1):
+    for setup in setups():
         liftings.clear()
         truth = unfaulted(setup)
         before = len(liftings)
@@ -181,10 +196,9 @@ def test_no_relations_give_the_true_report_through_lifting(monkeypatch):
     assert lifted_more
 
 
-def test_a_rank_one_short_is_refused_or_flagged():
+def test_a_rank_one_short_is_refused_or_flagged(cases):
     outcomes = []
-    for setup in setups(min_dim=1):
-        truth = unfaulted(setup)
+    for setup, truth in cases:
         short = []
 
         def one_short(rows, ncols, relations=()):
@@ -217,6 +231,33 @@ def flip_first_coatom(setup, negative):
     return {**negative, coatom: tuple(sorted(set(negative[coatom]) ^ {row}))}
 
 
+def swap_first_two(levels):
+    """The levels with the values of the first two flats exchanged."""
+    (f, a), (g, b), *rest = levels.items()
+    return {f: b, g: a, **dict(rest)}
+
+
+def shift_first_wall(table):
+    """The wall table with 1 added to the first coordinate of the first
+    wall of the first flat that has one."""
+    f = next(f for f, (walls, _, _) in table.items() if walls)
+    ((i, h), *walls), form, denom = table[f]
+    return {**table, f: (((i, (h[0] + 1, *h[1:])), *walls), form, denom)}
+
+
+def negate_first_solution(true):
+    """int_solve with the determinant of its first solvable system negated."""
+    done = []
+
+    def faulty(rows, rhs_rows):
+        solved = true(rows, rhs_rows)
+        if solved is None or done:
+            return solved
+        done.append(solved)
+        return -solved[0], solved[1]
+    return faulty
+
+
 # fault -> (module, name, the faulty function made from the true one)
 LAYER_FAULTS = {
     "census-count": (arrangement, "face_census",
@@ -229,15 +270,19 @@ LAYER_FAULTS = {
     "coatom-sign": (ringcalc, "negative_rows",
                     lambda true: lambda setup: flip_first_coatom(
                         setup, true(setup))),
+    "level-swap": (morse, "critical_levels",
+                   lambda true: lambda setup: swap_first_two(true(setup))),
+    "wall-shift": (torus, "walls_of",
+                   lambda true: lambda weights: shift_first_wall(true(weights))),
+    "vertex-sign": (arrangement, "int_solve", negate_first_solution),
 }
 
 
 @pytest.mark.parametrize("fault", LAYER_FAULTS)
-def test_a_layer_fault_is_refused_flagged_or_harmless(fault):
+def test_a_layer_fault_is_refused_flagged_or_harmless(fault, cases):
     module, name, make = LAYER_FAULTS[fault]
     outcomes = []
-    for setup in setups(min_dim=1):
-        truth = unfaulted(setup)
+    for setup, truth in cases:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(module, name, make(getattr(module, name)))
             outcomes.append(outcome(setup, truth))

@@ -7,7 +7,8 @@ Every value ``energy``, ``grad``, ``grad_component``, ``moment_hk`` and
 generator blocks w, v and i v gives the residuals and the vectors Q_c s of
 the conjugation construction bit for bit, in stacks of any length.  On
 tori a state's objective is the same bit for bit alone and in any stack,
-also one longer than a chunk of the generator product.
+also one longer than a chunk of the generator product.  A cross-term run
+builds the generator blocks once.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from flow_reference import (diagonal_sum, energy, grad, grad_component, moment_h
 from hypertoric.errors import InputError
 from hypertoric.exact import int_rank
 from hypertoric.flowlab import moments
+from hypertoric.flowlab.analysis import cross_term_stats
 from hypertoric.flowlab.moments import ENERGY_KINDS, flow_objective, pack_state
 from hypertoric.flowlab.reps import GroupRep, torus_rep
 from hypertoric.torus import new_setup
@@ -171,7 +173,7 @@ def test_the_folded_product_equals_the_conjugation_construction(family):
     rows = moments._ONE_THREAD_MADDS // (16 * rep.dim ** 2 * rep.k)
     for which in ENERGY_KINDS:
         parts = moments._PARTS[which]
-        folded = moments._kernel(rep.basis, parts, alpha, beta)
+        folded = moments.moment_terms(rep.basis, parts, alpha, beta)
         reference = reference_kernel(rep.basis, parts, alpha, beta)
         for count in (1, rows - 1, rows, rows + 1, 513):
             s = pack_state(*random_state(rng, rep.dim, 1.5, count=count))
@@ -196,3 +198,13 @@ def test_levels_of_the_wrong_length_are_refused(alpha, beta):
     for call in calls:
         with pytest.raises(InputError, match="k = 3"):
             call()
+
+
+def test_cross_terms_build_the_generator_blocks_once(monkeypatch):
+    # 2,000 samples run in 8 stacks, all read by one evaluator.
+    built = []
+    true = moments._generators
+    monkeypatch.setattr(moments, "_generators",
+                        lambda basis, parts: built.append(parts) or true(basis, parts))
+    cross_term_stats(su2_irrep(3), np.zeros(3), 2000, seed=0)
+    assert built == [(0, 1, 2)]

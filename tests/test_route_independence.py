@@ -9,7 +9,8 @@ module of the package imports another's single-underscore name.  Only
 ``torus`` names its wall table ``walls_of``: every other module asks its
 level questions through ``torus``, only ``torus`` raises the refusal of
 a non-generic level, and only ``torus`` scales a level to integers (names
-``denominator`` or ``lcm``).  All are read from the syntax trees; nothing
+``denominator`` or ``lcm``).  ``flowlab.moments`` imports no module of
+the package but ``errors``.  All are read from the syntax trees; nothing
 is imported or run.
 """
 
@@ -181,6 +182,14 @@ def test_only_torus_raises_a_level_refusal():
 ])
 def test_raised_names_reads_each_form(source, raised):
     assert set(raised_names(ast.parse(source))) == raised
+
+
+def test_moments_imports_no_package_module_but_errors():
+    # The moment maps read a basis array, not a GroupRep.
+    tree = ast.parse((PACKAGE / "flowlab" / "moments.py").read_text(encoding="utf-8"))
+    names = set(imported_modules(tree, package="hypertoric.flowlab"))
+    assert {name for name in names if reads_module({name}, "hypertoric")
+            and not reads_module({name}, "hypertoric.errors")} == set()
 
 
 def test_oracle_imports_no_package_module():
