@@ -95,38 +95,65 @@ so an int64 holds a sum of up to 2^13 of them."""
 _INT64 = 1 << 63
 
 
-def _reduce_mod_p(m):
-    """Gauss–Jordan elimination of an int64 array modulo MODULUS.
+def _pivots_mod_p(m):
+    """Pivot rows and columns of an int64 array modulo MODULUS.
 
-    Returns (rows, cols, reduced): the original indices of the pivot rows,
-    the pivot columns, and the reduced array, whose row i holds pivot i.
-    A column is reduced before its pivot search and a row before it scales;
-    the rest only at the end.  Each of the r steps changes an entry by less
-    than MODULUS², so the caller's (r + 1) MODULUS² < 2^63 keeps it exact.
+    Returns (rows, cols): the original indices of the pivot rows, in the
+    order taken, and the pivot columns, ascending.  For each column c the
+    pivot is the lowest-index row whose entry there is nonzero mod MODULUS.
+    Only the other rows with a nonzero in column c are updated, and only
+    from column c + 1 on; the pivot row is then set to zero, in place of
+    being swapped and cleared above.  A row never taken reduces to zero mod
+    MODULUS, so r = len(rows) is the rank mod MODULUS.
+
+    The minor A[I, J] is nonsingular mod MODULUS: each step subtracts
+    multiples of the pivot row from rows not yet taken, so the search is
+    an LU factorization with row pivoting, A[I, J] = L U with rows in the
+    order taken, L unit lower triangular and U's diagonal the pivots.  Its
+    bound: a column is reduced before its search and a row before it is
+    scaled, so each of the r steps adds less than MODULUS² to an entry,
+    and the caller's (cap + 1) MODULUS² < 2^63, cap ≥ r, keeps it exact.
     """
     m = m % MODULUS
-    order = np.arange(m.shape[0])
-    cols = []
+    rows, cols = [], []
     for c in range(m.shape[1]):
-        r = len(cols)
-        if r == m.shape[0]:
+        if len(rows) == m.shape[0]:
             break
         col = m[:, c] % MODULUS
-        nonzero = col[r:].nonzero()[0]
+        nonzero = col.nonzero()[0]
         if not nonzero.size:
             continue
-        piv = r + nonzero[0]
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-            order[[r, piv]] = order[[piv, r]]
-            col[[r, piv]] = col[[piv, r]]
-        row = m[r, c:] % MODULUS * pow(int(col[r]), -1, MODULUS) % MODULUS
-        m[r, c:] = row
-        col[r] = 0
+        piv, others = nonzero[0], nonzero[1:]
+        if others.size:
+            row = m[piv, c + 1:] % MODULUS * pow(int(col[piv]), -1, MODULUS) % MODULUS
+            m[others, c + 1:] -= col[others, None] * row
+        m[piv] = 0
+        rows.append(piv)
+        cols.append(c)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
+def _inverse_mod_p(b):
+    """The inverse mod MODULUS of a square int64 array, by Gauss–Jordan
+    elimination of [b | I].
+
+    b is A[I, J] from ``_pivots_mod_p``, rows in the order taken, whose
+    search is an LU factorization of it: so each diagonal entry is nonzero
+    mod MODULUS when its column is reached, and no row is swapped.  A row
+    is reduced before it scales and the rest only at the end; each of the
+    r steps changes an entry by less than MODULUS², so the caller's
+    (cap + 1) MODULUS² < 2^63, cap ≥ r, keeps it exact.
+    """
+    r = len(b)
+    m = np.concatenate([b % MODULUS, np.eye(r, dtype=np.int64)], axis=1)
+    for c in range(r):
+        col = m[:, c] % MODULUS
+        row = m[c, c:] % MODULUS * pow(int(col[c]), -1, MODULUS) % MODULUS
+        m[c, c:] = row
+        col[c] = 0
         others = col.nonzero()[0]
         m[others, c:] -= col[others, None] * row
-        cols.append(c)
-    return order[:len(cols)], np.array(cols, dtype=np.int64), m % MODULUS
+    return m[:, r:] % MODULUS
 
 
 def _assemble(digits):
@@ -172,9 +199,10 @@ def _kernel_certified(a, piv_cols) -> bool:
     rows are its pivot rows I, are proven by congruence and size, which
     proves rank(a) ≤ r.
 
-    A[I, J] is nonsingular mod MODULUS.  The system A[I, J] X = A[I, F] on
-    the free columns F is solved over Q by Dixon's p-adic lifting (Numer.
-    Math. 40, 1982): one inverse mod MODULUS, then int64 residual updates.
+    A[I, J] is nonsingular mod MODULUS, its rows in the order the search
+    took them.  The system A[I, J] X = A[I, F] on the free columns F is
+    solved over Q by Dixon's p-adic lifting (Numer. Math. 40, 1982): one
+    inverse mod MODULUS (``_inverse_mod_p``), then int64 residual updates.
     The other rows R are carried beside I: after s digits x ≡ X mod P^s,
     P = MODULUS, and A[R, F] − A[R, J] x must be divisible by P^s, as it is
     when rank(a) = r; a residual that is not gives False.  Rational
@@ -205,7 +233,7 @@ def _kernel_certified(a, piv_cols) -> bool:
     res = a[:r][:, free]
     others = a[r:][:, piv_cols]
     carry = a[r:][:, free]
-    inv = _reduce_mod_p(np.concatenate([b, np.eye(r, dtype=np.int64)], axis=1))[2][:, r:]
+    inv = _inverse_mod_p(b)
     # Hadamard: D and every |N| are minors of A[I, :], at most H = Π ‖row‖₁.
     # Reconstruction succeeds once P^s > 2 H², the size bound holds once
     # P^s > 2 H max‖a_i‖₁, and P > 2^24.
@@ -244,9 +272,10 @@ def _unproven_rows(a, rest, relations):
     vector y of a with those entries.  Y a = 0 is checked exactly, in int64
     after max|a| · max‖y‖₁ < 2^63 is checked on the integers, and a
     relation that fails it raises InvariantViolation.  Then Y[:, rest]ᵀ is
-    eliminated mod MODULUS.  Its pivot rows K and columns T give a minor
-    Y[T, K] that is nonsingular mod MODULUS, so over Q, and Y[T] a = 0
-    writes a[K] as Y[T, K]⁻¹ times a combination of the rows outside K.
+    searched mod MODULUS (``_pivots_mod_p``).  Its pivot rows K and
+    columns T give a minor Y[T, K] that is nonsingular mod MODULUS, so over
+    Q, and Y[T] a = 0 writes a[K] as Y[T, K]⁻¹ times a combination of the
+    rows outside K.
     Dropping K leaves the rank over Q unchanged.  Relations whose bounds
     do not hold are not used, and every row of rest is returned.
     """
@@ -281,7 +310,7 @@ def _unproven_rows(a, rest, relations):
     yt = np.zeros((len(rest) + 1, len(relations)), dtype=np.int64)
     np.add.at(yt, (column[where], np.arange(len(relations))[:, None]), coef)
     left = np.ones(len(rest), dtype=bool)
-    left[_reduce_mod_p(yt[:-1])[0]] = False
+    left[_pivots_mod_p(yt[:-1])[0]] = False
     return rest[left]
 
 
@@ -289,9 +318,9 @@ def certified_rank(rows, ncols: int, relations=()) -> int:
     """Exact rank of integer rows over Q: searched mod MODULUS, then proven
     from both sides.
 
-    One int64 elimination mod MODULUS finds pivot rows I and columns J with
-    A[I, J] nonsingular mod MODULUS.  Its determinant is then a nonzero
-    integer, so the rank is at least r = |I|.  When r = min(#rows, ncols)
+    One int64 pivot search mod MODULUS (``_pivots_mod_p``) finds pivot rows
+    I and columns J with A[I, J] nonsingular mod MODULUS.  Its determinant
+    is then a nonzero integer, so the rank is at least r = |I|.  When r = min(#rows, ncols)
     that settles it, as in every degree of a ring that vanishes, and
     relations is never read.  Otherwise rank ≤ r is proven on the non-pivot
     rows S in at most two steps.  First the relations, left-null vectors y
@@ -316,7 +345,7 @@ def certified_rank(rows, ncols: int, relations=()) -> int:
         return int_rank(rows, ncols)
     if MODULUS ** 2 * (cap + 1) >= _INT64:
         return int_rank(rows, ncols)
-    piv_rows, piv_cols, _ = _reduce_mod_p(a)
+    piv_rows, piv_cols = _pivots_mod_p(a)
     r = len(piv_rows)
     if r == cap:
         return r

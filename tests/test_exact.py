@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from hypertoric.exact import (
     trim,
 )
 from hypertoric.ringcalc import circle_dims
-from hypertoric.torus import new_setup
+from hypertoric.torus import new_setup, sample_generic
 from metric_reference import solve_exact
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -224,10 +225,11 @@ class TestCertifiedRank:
         assert [result for _, result in fallbacks] == [2]
 
     def test_an_entry_past_int64_goes_to_bareiss(self, monkeypatch):
-        searches = spy(monkeypatch, "_reduce_mod_p")
+        searches = spy(monkeypatch, "_pivots_mod_p")
+        inverses = spy(monkeypatch, "_inverse_mod_p")
         fallbacks = spy(monkeypatch, "int_rank")
         assert certified_rank([[2 ** 70, 0], [0, 1]], 2) == 2
-        assert searches == []
+        assert searches == inverses == []
         assert [result for _, result in fallbacks] == [2]
 
     # The entries fit an int64 and the search finds a rank below 2, but a
@@ -259,16 +261,96 @@ class TestCertifiedRank:
     def test_a_modulus_past_the_int64_bound_goes_to_bareiss(self, monkeypatch):
         # (cap + 1) MODULUS^2 >= 2^63 at cap = 3 for the prime 2^31 - 1.
         monkeypatch.setattr(exact, "MODULUS", 2_147_483_647)
-        searches = spy(monkeypatch, "_reduce_mod_p")
+        searches = spy(monkeypatch, "_pivots_mod_p")
+        inverses = spy(monkeypatch, "_inverse_mod_p")
         fallbacks = spy(monkeypatch, "int_rank")
         assert certified_rank(DEFICIENT, 3) == 2
-        assert searches == []
+        assert searches == inverses == []
         assert [result for _, result in fallbacks] == [2]
 
     def test_empty_and_zero(self):
         assert certified_rank([], 3) == 0
         assert certified_rank([[0, 0], [0, 0]], 2) == 0
         assert certified_rank([[]], 0) == 0
+
+
+def pivot_columns_mod(rows, ncols, modulus):
+    """The pivot columns of the row echelon form of integer rows mod a
+    prime, by plain elimination with row swaps."""
+    m = [[x % modulus for x in row] for row in rows]
+    cols = []
+    for c in range(ncols):
+        r = len(cols)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inverse = pow(m[r][c], -1, modulus)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inverse
+            m[i] = [(x - f * y) % modulus for x, y in zip(m[i], m[r])]
+        cols.append(c)
+    return cols
+
+
+@st.composite
+def search_matrices(draw):
+    """Integer rows B·C of rank at most the inner size, up to 10 x 12, with
+    some columns zeroed, then edited row by row: zeroed, duplicated, scaled,
+    scaled by MODULUS, or given entries plus multiples of MODULUS."""
+    nrows = draw(st.integers(min_value=1, max_value=10))
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    inner = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    left = draw(st.lists(st.lists(small_ints, min_size=inner, max_size=inner),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                          min_size=inner, max_size=inner))
+    zero = draw(st.sets(st.integers(min_value=0, max_value=ncols - 1)))
+    rows = [[0 if j in zero else sum(a * right[t][j] for t, a in enumerate(row))
+             for j in range(ncols)] for row in left]
+    multiples = st.integers(min_value=-(2 ** 30), max_value=2 ** 30)
+    for i in range(nrows):
+        kind = draw(st.sampled_from(
+            ["keep", "zero", "duplicate", "scale", "times_modulus", "plus_modulus"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "duplicate":
+            rows[i] = list(rows[draw(st.integers(min_value=0, max_value=nrows - 1))])
+        elif kind == "scale":
+            rows[i] = [draw(small_ints) * x for x in rows[i]]
+        elif kind == "times_modulus":
+            rows[i] = [MODULUS * x for x in rows[i]]
+        elif kind == "plus_modulus":
+            rows[i] = [x + MODULUS * draw(multiples) for x in rows[i]]
+    return rows, ncols
+
+
+class TestPivotSearch:
+    @given(search_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_pivots_of_a_nonsingular_minor_in_echelon_columns(self, drawn):
+        rows, ncols = drawn
+        piv_rows, piv_cols = exact._pivots_mod_p(np.array(rows, dtype=np.int64))
+        assert piv_cols.tolist() == pivot_columns_mod(rows, ncols, MODULUS)
+        assert len(set(piv_rows.tolist())) == len(piv_rows)
+        minor = [[rows[i][j] for j in piv_cols] for i in piv_rows]
+        det, _ = int_solve(minor, [[] for _ in minor])
+        assert det % MODULUS
+
+    def test_the_lowest_row_pivots_and_is_used_once(self):
+        # Row 2, 1 mod MODULUS, is column 0's only pivot.  In column 1 row 0
+        # pivots, where a swap of rows 0 and 2 would have put row 1 first;
+        # zeroed, row 0 cannot pivot again in column 2, where row 1 does.
+        # Row 3 is twice row 0 and ends zero.
+        rows = np.array([[0, 1, 1], [0, 1, 2], [MODULUS + 1, 0, 0], [0, 2, 2]],
+                        dtype=np.int64)
+        piv_rows, piv_cols = exact._pivots_mod_p(rows)
+        assert (piv_rows.tolist(), piv_cols.tolist()) == ([2, 0, 1], [0, 1, 2])
+
+    def test_the_inverse_undoes_the_minor(self):
+        minor = np.array([[2, 1, 0], [4, 3, 1], [0, 5, MODULUS + 7]], dtype=np.int64)
+        inverse = exact._inverse_mod_p(minor)
+        assert (minor @ inverse % MODULUS == np.eye(3, dtype=np.int64)).all()
 
 
 def left_null_basis(rows, ncols):
@@ -379,6 +461,50 @@ class TestRelations:
         rows = [[2 ** 35, 2 ** 36], [1, 2]]
         assert certified_rank(rows, 2, [[(0, 1), (1, -(2 ** 35))]]) == 1
         assert [result for _, result in certificates] == [True]
+
+
+class TestWorkCount:
+    """The eliminations each rank runs: one search, one more for the
+    relations, and one Gauss–Jordan inverse per lifting."""
+
+    def test_a_full_rank_runs_one_search(self, monkeypatch):
+        searches = spy(monkeypatch, "_pivots_mod_p")
+        inverses = spy(monkeypatch, "_inverse_mod_p")
+        assert certified_rank([[1, 2, 3], [0, 1, 4], [5, 6, 0]], 3) == 3
+        assert certified_rank([[1, 0], [0, 1], [1, 1]], 2) == 2
+        assert (len(searches), inverses) == (2, [])
+
+    def test_relations_prove_a_deficient_rank_in_two_searches(self, monkeypatch):
+        searches = spy(monkeypatch, "_pivots_mod_p")
+        inverses = spy(monkeypatch, "_inverse_mod_p")
+        certificates = spy(monkeypatch, "_kernel_certified")
+        left = [[1, 0, 2], [0, 1, -1], [3, 1, 0], [1, 1, 1], [2, -1, 5], [0, 0, 1]]
+        right = [[1, 2, 0, -1, 3], [0, 1, 1, 2, -2], [4, 0, -3, 1, 1]]
+        rows = times(left, right)
+        relations = [as_relation(y) for y in left_null_basis(rows, 5)]
+        assert certified_rank(rows, 5, relations) == 3
+        assert [args[0].shape for args, _ in searches] == [(6, 5), (3, 3)]
+        assert inverses == certificates == []
+
+    def test_each_lifting_runs_one_inverse(self, monkeypatch):
+        inverses = spy(monkeypatch, "_inverse_mod_p")
+        counts = []
+        lifting = exact._kernel_certified
+
+        def counted(a, piv_cols):
+            before = len(inverses)
+            proven = lifting(a, piv_cols)
+            counts.append(len(inverses) - before)
+            return proven
+
+        monkeypatch.setattr(exact, "_kernel_certified", counted)
+        searches = spy(monkeypatch, "_pivots_mod_p")
+        assert certified_rank(DEFICIENT, 3) == 2
+        assert (len(searches), counts) == (1, [1])
+        # A circle ring whose parallel rows 0 and 1 leave rows to lifting.
+        circle_dims(sample_generic(new_setup(((3, 1, 0), (-6, -2, 0), (0, 1, 5),
+                                              (2, 0, 1), (1, 1, 1), (1, -1, 2))), 3))
+        assert counts[1:] and set(counts) == {1}
 
 
 class TestSolveInverse:

@@ -116,7 +116,7 @@ def test_no_module_imports_a_private_name():
 
 @pytest.mark.parametrize("source, private", [
     ("from .torus import _integral", True),
-    ("from hypertoric.exact import _reduce_mod_p", True),
+    ("from hypertoric.exact import _pivots_mod_p", True),
     ("def f():\n    from . import _helpers", True),
     ("from .torus import walls_of", False),
     ("from . import __version__", False),
