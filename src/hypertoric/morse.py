@@ -40,17 +40,27 @@ def critical_components(setup: TorusSetup) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _flat_polys(weights) -> tuple:
-    """P(F) for every flat F, in flat order.
+def poincare_morse(weights) -> tuple:
+    """Poincare polynomial in q = t^2 of the quotient for these weights.
 
-    P(F) is the Poincare polynomial of the sub-configuration on F.  Its flats
-    are the flats inside F, with the same ranks, so the contributions of its
-    critical manifolds give, bottom-up over the lattice,
-    (1-q)^{rk F} P(F) = 1 - sum over G < F of q^{|F|-|G|} (1-q)^{rk G} P(G).
+    The contributions of all critical manifolds sum to 1.  The flats of the
+    sub-configuration on a flat F are the flats inside F, with the same
+    ranks, so its Poincare polynomial P(F) is, bottom-up over the lattice,
+    (1-q)^{rk F} P(F) = 1 - sum over G < F of q^{|F|-|G|} (1-q)^{rk G} P(G);
+    the top flat's is P.  Every division is exact, so each is made: a flat
+    missing from the lattice leaves a remainder.  A top flat whose basis is
+    shorter than d blames the weights only when their own rank is below d;
+    otherwise the lattice is at fault.
     """
-    polys = []
+    d = len(weights[0]) if weights else 0
+    table = lattice(weights)
+    top = len(table[-1][1])
+    if top != d:
+        if int_rank(weights, d) < d:
+            raise RankDeficient("weights must have full column rank")
+        raise InvariantViolation(f"the flat lattice has rank {top}, the weights {d}")
     lifted = []  # (bitmask of G, (1-q)^{rk G} P(G) coefficients)
-    for f, basis in lattice(weights):
+    for f, basis in table:
         mask = sum(1 << j for j in f)
         acc = [1] + [0] * len(f)
         for sub, coeffs in lifted:
@@ -59,26 +69,8 @@ def _flat_polys(weights) -> tuple:
                 for k, c in enumerate(coeffs):
                     acc[shift + k] -= c
         lifted.append((mask, acc))
-        polys.append(divide_by_one_minus_q(acc, len(basis)))
-    return tuple(polys)
-
-
-def poincare_morse(weights) -> tuple:
-    """Poincare polynomial in q = t^2 of the quotient for these weights.
-
-    The contributions of all critical manifolds sum to 1; isolating the top
-    flat leaves (1-q)^d * P equal to 1 minus the proper-flat terms, and the
-    division is exact whenever the weights have full column rank.  A top
-    flat whose basis is shorter than d blames the weights only when their
-    own rank is below d; otherwise the lattice is at fault.
-    """
-    d = len(weights[0]) if weights else 0
-    top = len(lattice(weights)[-1][1])
-    if top != d:
-        if int_rank(weights, d) < d:
-            raise RankDeficient("weights must have full column rank")
-        raise InvariantViolation(f"the flat lattice has rank {top}, the weights {d}")
-    return _flat_polys(weights)[-1]
+        poly = divide_by_one_minus_q(acc, len(basis))
+    return poly
 
 
 # ---------------------------------------------------------------------------

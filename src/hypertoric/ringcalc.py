@@ -27,7 +27,7 @@ from .torus import TorusSetup, negative_rows
 class RingPresentation:
     nvars: int
     gens: tuple  # sorted (exponent tuple, coefficient) pairs per generator
-    forms: tuple = ()  # per generator, the linear forms it is the product of
+    forms: tuple  # per generator, the linear forms it is the product of
 
 
 def _expand(forms, nvars) -> tuple:
@@ -131,18 +131,18 @@ def hilbert_dims(pres: RingPresentation, max_degree: int) -> tuple:
     each monomial mu of degree m - deg - 1 turns l_j gen_i - l_i gen_j = 0
     into the integer relation with l_j[a] on row (gen_i, mu x_a) and
     -l_i[a] on row (gen_j, mu x_a).  They are built only when the rank
-    searched mod a prime falls short of full, and a presentation without
-    forms gives none.  A monomial of degree at most max_degree is keyed by
+    searched mod a prime falls short of full.  A generator's degree is its
+    number of forms.  A monomial of degree at most max_degree is keyed by
     the integer sum e_a B^a with B = max_degree + 1, so the key of a
     product is the sum of the keys.  The ring is generated in degree 1, so
     R_{k+1} = S_1 R_k: once a degree is zero, every higher one is, and the
     remaining degrees are padded with zeros instead of ranked.
     """
     powers = [(max_degree + 1) ** a for a in range(pres.nvars)]
-    gens = [(sum(gen[0][0]),
+    gens = [(len(factors),
              [(sum(e * b for e, b in zip(exp, powers)), c) for exp, c in gen])
-            for gen in pres.gens if gen]
-    pairs = _cofactor_pairs([f for gen, f in zip(pres.gens, pres.forms) if gen])
+            for gen, factors in zip(pres.gens, pres.forms)]
+    pairs = _cofactor_pairs(pres.forms)
     keys = []  # keys[m]: the monomials of degree m, in basis order
     index = []  # index[m]: each key's place in keys[m]
     dims = []

@@ -2,11 +2,11 @@
 
 ``reference_presentation`` and ``reference_circle_presentation`` take one
 generator per proper flat (every flat but the last, the full ground set),
-multiplied out from dict polynomials, as ``ringcalc`` did before it kept
-only the coatoms of both rings and expanded every generator with one
-builder.  ``reference_dims`` is the loop
-``ringcalc.hilbert_dims`` ran before its ranks were found mod a prime and
-then proven, and before its monomials were keyed by integers.  Each
+multiplied out from dict polynomials and kept with the linear forms it is
+the product of, as ``ringcalc`` did before it kept only the coatoms of both
+rings and expanded every generator with one builder.  ``reference_dims`` is
+the loop ``ringcalc.hilbert_dims`` ran before its ranks were found mod a
+prime and then proven, and before its monomials were keyed by integers.  Each
 degree's matrix has one row per monomial multiple of a generator, in the
 monomial basis of that degree, and its rank is ``exact.int_rank``.  The
 tests compare ``ring_dims`` and ``circle_dims`` against them on setups
@@ -51,27 +51,32 @@ def _freeze(p):
     return tuple(sorted(p.items()))
 
 
+def product(forms, nvars):
+    """The product of integer linear forms, each a row of nvars
+    coefficients, as sorted (exponent tuple, coefficient) pairs."""
+    poly = {(0,) * nvars: 1}
+    for form in forms:
+        poly = _mul(poly, _linear_form(form, nvars))
+    return _freeze(poly)
+
+
 def reference_presentation(weights):
     """Ordinary presentation with one generator per proper flat: the product
     of the linear forms of the rows outside it."""
     weights = tuple(tuple(r) for r in weights)
     d = len(weights[0]) if weights else 0
-    gens = []
-    for f, _ in reference_flats(weights)[:-1]:
-        poly = {(0,) * d: 1}
-        for i in range(len(weights)):
-            if i not in f:
-                poly = _mul(poly, _linear_form(weights[i], d))
-        gens.append(_freeze(poly))
-    return RingPresentation(d, tuple(gens))
+    forms = tuple(tuple(weights[i] for i in range(len(weights)) if i not in f)
+                  for f, _ in reference_flats(weights)[:-1])
+    return RingPresentation(d, tuple(product(f, d) for f in forms), forms)
 
 
 def reference_circle_presentation(setup):
     """Circle-equivariant presentation with one generator per proper flat;
-    a row pairing negatively with the level contributes (u0 - form)."""
+    a row pairing negatively with the level contributes (u0 - form), whose
+    coefficients are the form's negated and then 1."""
     nvars = setup.dim + 1
     u0 = _linear_form((0,) * setup.dim + (1,), nvars)
-    gens = []
+    gens, forms = [], []
     negative = negative_rows(setup)
     for f, _ in reference_flats(setup.weights)[:-1]:
         minus = negative[f]
@@ -87,7 +92,9 @@ def reference_circle_presentation(setup):
                     del factor[exp]
             poly = _mul(poly, factor)
         gens.append(_freeze(poly))
-    return RingPresentation(nvars, tuple(gens))
+        forms.append(tuple(setup.weights[i] + (0,) for i in plus)
+                     + tuple(tuple(-x for x in setup.weights[i]) + (1,) for i in minus))
+    return RingPresentation(nvars, tuple(gens), tuple(forms))
 
 
 def monomials(nvars, degree):

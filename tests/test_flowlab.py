@@ -28,6 +28,17 @@ class TestFromMatrices:
         with pytest.raises(RankDeficient):
             from_matrices([1j * np.eye(2), 2j * np.eye(2)])
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9])
+    def test_rejects_nearly_dependent(self, eps):
+        # The second generator passes the dependence test, but its unit
+        # residual is not orthogonal to the first to within the Gram bound.
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            a, c = (m - np.conj(m.T) for m in rng.normal(size=(2, 3, 3))
+                    + 1j * rng.normal(size=(2, 3, 3)))
+            with pytest.raises(RankDeficient, match="too close to dependent"):
+                from_matrices([a, a + eps * c])
+
     def test_rejects_unclosed_bracket(self):
         # i*sigma_1 and i*sigma_2 bracket to a multiple of i*sigma_3,
         # which is outside their span.
@@ -324,6 +335,26 @@ class TestFlow:
     def test_non_finite_energy_raises(self):
         with pytest.raises(NonFiniteState):
             descend(lambda s: (np.full(len(s), np.nan), np.ones_like(s)), [[1.0]])
+
+    def test_a_non_finite_trial_is_rejected_whatever_its_energy(self):
+        # Energy -x near the float maximum: every step overflows to inf at
+        # first, and fun gives inf an energy below every finite state's.
+        def fun(s):
+            low = -np.finfo(np.float64).max
+            return np.where(np.isfinite(s[:, 0]), -s[:, 0], low), -np.ones_like(s)
+
+        with np.errstate(over="ignore"):
+            [traj] = descend(fun, [[1.7e308]], h0=1e308)
+        assert np.isfinite(traj.final).all() and len(traj.energies) == 2
+        assert traj.final[0] > 1.7e308 and traj.energies[-1] == -traj.final[0]
+
+    def test_a_non_finite_gradient_at_an_accepted_step_raises(self):
+        # x^2 is finite everywhere, its gradient only at the start.
+        def fun(s):
+            return s[:, 0] ** 2, np.where(s == 1.0, 2 * s, np.nan)
+
+        with pytest.raises(NonFiniteState, match="at flow time 0.05"):
+            descend(fun, [[1.0]])
 
     def test_quartic_toy_exponent(self):
         [traj] = descend(lambda s: (s[:, 0] ** 4, 4 * s ** 3),

@@ -13,12 +13,7 @@ from hypertoric.errors import (NonGenericAlpha, NonGenericBeta, PartitionViolati
 from hypertoric.exact import int_rank, trim
 from hypertoric.crosscheck import polynomial_recurrence
 from hypertoric.flats import lattice
-from hypertoric.morse import (
-    _flat_polys,
-    critical_components,
-    modification_cases,
-    poincare_morse,
-)
+from hypertoric.morse import critical_components, modification_cases, poincare_morse
 from hypertoric.torus import modify, negative_rows, new_setup, sample_generic
 
 DIAG2 = ((1,), (1,))
@@ -87,19 +82,23 @@ def shifted_sum(terms) -> tuple:
 
 
 def spanning_set_sum(weights):
-    """Sum over spanning subsets A of q^(n-|A|) (1-q)^(|A|-d).
+    """Sum over the subsets A of the rows with their full rank r of
+    q^(n-|A|) (1-q)^(|A|-r).
 
-    This is q^(n-d) T_M(1, 1/q) for the Tutte polynomial T_M of the rows
-    (Hausel-Sturmfels, Toric hyperKahler varieties, 2002), computed with no
-    flats and no recursion.
+    For weights of rank d this is q^(n-d) T_M(1, 1/q) for the Tutte
+    polynomial T_M of the rows (Hausel-Sturmfels, Toric hyperKahler
+    varieties, 2002), computed with no flats and no recursion; on the rows
+    of a flat J it is P(J), the Poincare polynomial of the sub-configuration
+    on J, whose rank is rk J.
     """
     n = len(weights)
     d = len(weights[0]) if weights else 0
+    r = int_rank(weights, d)
     return shifted_sum(
-        (n - size, one_minus_q(size - d))
-        for size in range(d, n + 1)
+        (n - size, one_minus_q(size - r))
+        for size in range(r, n + 1)
         for subset in combinations(range(n), size)
-        if not d or int_rank([weights[j] for j in subset], d) == d)
+        if int_rank([weights[j] for j in subset], d) == r)
 
 
 class TestPoincareAgainstTutte:
@@ -112,14 +111,16 @@ class TestPoincareAgainstTutte:
 
 
 def perfection_sum(weights) -> tuple:
-    """Sum of q^{n-|J|} (1-q)^{rank J} P(sub_J) over all flats.
+    """Sum of q^{n-|J|} (1-q)^{rank J} P(J) over all flats, with rank J the
+    length of the lattice's basis and P(J) the spanning-set sum on J's rows.
 
     Equals the constant polynomial 1.
     """
     n = len(weights)
     return shifted_sum(
-        (n - len(f), times(one_minus_q(len(basis)), p))
-        for (f, basis), p in zip(lattice(weights), _flat_polys(weights)))
+        (n - len(f), times(one_minus_q(len(basis)),
+                           spanning_set_sum([weights[j] for j in f])))
+        for f, basis in lattice(weights))
 
 
 class TestPerfection:
