@@ -4,8 +4,8 @@ Everything feeding the cross-checked invariants runs on Python integers and
 stdlib ``fractions.Fraction``; floats only appear in the flow laboratory.
 Matrices are lists of integer rows.  ``int_rank`` eliminates them by
 Bareiss, and ``int_solve`` by fraction-free Gauss–Jordan, returning a
-determinant and an integer solution; it solves the wall table's Gram and
-flat systems and the census's vertex ones.  ``certified_rank`` searches a
+determinant and an integer solution; it solves the wall table's Gram
+system and the census's vertex ones.  ``certified_rank`` searches a
 rank with int64 arithmetic mod a prime and returns it only with a proof
 over Q from both sides: a minor that is nonsingular mod the prime, and an
 upper bound from left-null vectors the caller hands over, checked exactly,

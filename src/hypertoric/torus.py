@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
 
@@ -127,34 +127,52 @@ def walls_of(weights) -> MappingProxyType:
     G = B^T B is positive definite, so one fraction-free solve gives its
     adjugate adj and det = det G > 0, with G^-1 = adj / det.  The bottom
     flat has nothing to project out: its entry is the metric itself, form =
-    adj and denom = det.  With U the rows of J's basis in the lattice, the
-    projection onto span(J) is U^T M^-1 U adj for the integer matrix
-    M = U adj U^T.  One fraction-free solve gives X = det_M M^-1 U adj, so
-    K = det_M R_J = det_M I - U^T X is integral, and so is
-    form = adj K = det_M adj - (U adj)^T X.  M is positive definite, so
-    ``int_solve`` pivots on its leading principal minors without a swap and
-    det_M = det M > 0: denom = det det_M is positive, and the sign of
-    h_i . a is the sign of the pairing.  The projection is self-adjoint,
-    K^T adj = adj K, so the pairing <R_J a, u_i> = a^T K^T adj u_i / denom
-    has h_i = form u_i, and |R_J b|^2 = b^T R_J^T G^-1 R_J b = b^T G^-1 R_J b
-    because R_J^2 = R_J.  These are the walls of Hausel and Sturmfels
-    (Toric hyperKahler varieties, Doc. Math. 7, 2002): a level is generic
-    exactly when it lies on none of them.
+    adj and denom = det, kept unreduced.  Every other flat's entry is a
+    rank-one downdate of the entry (F', e') of its basis less the last row
+    u.  That prefix is the basis of its own closure (see ``flats.lattice``),
+    a flat below J, so its entry is J's parent's; an entry missing from the
+    lattice is built the same way, in a table local to the call.  With
+    F'/e' = G^-1 R' for the prefix's residual R', projecting out the one
+    more direction R'u gives
+
+        G^-1 R_J = F'/e' - (F'u)(F'u)^T / (e' u^T F'u),
+
+    so with v = F'u and c = u . v, form = c F' - v v^T and denom = e' c,
+    both divided by their gcd.  c / e' = u^T G^-1 R' u is the squared dual
+    length of R'u, positive because u lies outside the prefix's span: so
+    c > 0 and denom stays positive.  The top flat's residual is zero, and
+    so is its form.  The projection is self-adjoint, so the pairing
+    <R_J a, u_i> = a^T G^-1 R_J u_i has h_i = form u_i, and |R_J b|^2 =
+    b^T R_J^T G^-1 R_J b = b^T G^-1 R_J b because R_J^2 = R_J.  These are
+    the walls of Hausel and Sturmfels (Toric hyperKahler varieties, Doc.
+    Math. 7, 2002): a level is generic exactly when it lies on none of
+    them.
     """
     d = len(weights[0]) if weights else 0
     gram = [[sum(row[i] * row[j] for row in weights) for j in range(d)]
             for i in range(d)]
     det, adj = int_solve(gram, [[int(i == j) for j in range(d)] for i in range(d)])
+    entries = {(): (tuple(map(tuple, adj)), det)}  # basis -> (form, denom)
+
+    def entry(basis):
+        if basis not in entries:
+            form, denom = entry(basis[:-1])
+            u = weights[basis[-1]]
+            v = [_dot(row, u) for row in form]
+            c = _dot(u, v)
+            form = [[c * x - a * b for x, b in zip(row, v)]
+                    for row, a in zip(form, v)]
+            g = gcd(denom * c, *(x for row in form for x in row))
+            entries[basis] = (tuple(tuple(x // g for x in row) for row in form),
+                              denom * c // g)
+        return entries[basis]
+
     table = {}
     for f, basis in flats.lattice(weights):
-        u = [weights[j] for j in basis]
-        ua = [[_dot(r, row) for row in adj] for r in u]
-        det_m, x = int_solve([[_dot(row, r) for r in u] for row in ua], ua)
-        form = tuple(tuple(det_m * adj[i][j] - sum(a[i] * xr[j] for a, xr in zip(ua, x))
-                           for j in range(d)) for i in range(d))
+        form, denom = entry(basis)
         walls = tuple((i, tuple(_dot(row, weights[i]) for row in form))
                       for i in range(len(weights)) if i not in f)
-        table[f] = walls, form, det * det_m
+        table[f] = walls, form, denom
     return MappingProxyType(table)
 
 
@@ -186,7 +204,9 @@ def _beta_levels(weights, beta):
     """(witness, levels) for one beta: the first zero pairing in flat order,
     walls in row order, else the first level collision, and no mapping;
     else None and every flat's level, read off its level form with
-    beta = (re + i im) / s integral.
+    beta = (re + i im) / s integral.  Flats are grouped by level as the
+    reduced pair of its integer numerator and positive denominator, and a
+    level becomes a Fraction only once beta is found generic.
 
     Beta is generic when, over flats J, (i) <beta_J, u_i> != 0 for every
     row i outside J and (ii) the levels |beta_J|^2 are pairwise distinct.
@@ -197,22 +217,25 @@ def _beta_levels(weights, beta):
     """
     scale, parts = integral([x for z in beta for x in z])
     re, im = parts[0::2], parts[1::2]
-    levels, by_level = {}, {}  # by_level: level -> its flats
+    by_level = {}  # level, as a reduced (numerator, denominator) -> its flats
     for f, (walls, form, denom) in walls_of(weights).items():
         for i, h in walls:
             if not _dot(h, re) and not _dot(h, im):
                 return ("pairing", f, i), None
         quad = sum(x * _dot(row, re) + y * _dot(row, im)
                    for x, y, row in zip(re, im, form))
-        levels[f] = level = Fraction(quad, denom * scale * scale)
-        by_level.setdefault(level, []).append(f)
+        den = denom * scale * scale
+        g = gcd(quad, den)
+        by_level.setdefault((quad // g, den // g), []).append(f)
     # The first colliding pair (a, b) in flat order: a is the first flat of
     # the first level shared by two flats (dicts keep insertion order), and
     # b the next flat at that level.
     for group in by_level.values():
         if len(group) > 1:
             return ("level_collision", *group[:2]), None
-    return None, MappingProxyType(levels)
+    # No level is shared, so the levels come in flat order.
+    return None, MappingProxyType(
+        {f: Fraction(*level) for level, (f,) in by_level.items()})
 
 
 def negative_rows(setup: TorusSetup) -> MappingProxyType:

@@ -2,13 +2,14 @@
 
 Three faults are monkeypatches of the flat lattice, the table that Morse,
 both rings and the genericity decisions read: drop its last coatom, drop
-its first atom, or let its rank see rows 1 and 2 as parallel.  On every
-setup ``analyze`` must raise with exit code 3 or 4, set an agreement flag
-false, or return the unfaulted report; a changed report with every flag
-true would be a wrong answer the cross-checks let through.  Every fault
-must also be caught on some setup, so that a fault which changes nothing
-cannot pass.  The four caches are cleared around every faulted run, so no
-table built from a faulted lattice outlives it.
+its first atom, or let its row echelon reduce row 2 as row 1, so that
+rows 1 and 2 read as parallel.  On every setup ``analyze`` must raise with
+exit code 3 or 4, set an agreement flag false, or return the unfaulted
+report; a changed report with every flag true would be a wrong answer the
+cross-checks let through.  Every fault must also be caught on some setup,
+so that a fault which changes nothing cannot pass.  The four caches are
+cleared around every faulted run, so no table built from a faulted
+lattice outlives it.
 
 Three more are planted in the ring's ranks, at ``ringcalc.certified_rank``:
 one coefficient of a left-null relation flipped, which must end in exit 4
@@ -52,6 +53,7 @@ from test_acceptance import CATALOG
 
 CACHES = (flats.lattice, torus.walls_of, torus._alpha_signs, torus._beta_levels)
 TRUE_LATTICE = flats.lattice
+TRUE_REDUCED = flats._reduced
 TRUE_LIFTING = exact._kernel_certified
 
 
@@ -99,8 +101,8 @@ def plant(monkeypatch, fault, setup):
     """Patch every module that binds the faulted function."""
     if fault == "parallel-rows":
         first, second = setup.weights[:2]
-        monkeypatch.setattr(flats, "int_rank", lambda rows, ncols: int_rank(
-            [first if row == second else row for row in rows], ncols))
+        monkeypatch.setattr(flats, "_reduced", lambda echelon, row: TRUE_REDUCED(
+            echelon, first if row == second else row))
         return
     faulty = drop(last_coatom if fault == "last-coatom" else first_atom)
     for name, module in list(sys.modules.items()):

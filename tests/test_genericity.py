@@ -208,10 +208,10 @@ def outcome(fn, *args):
 
 
 @st.composite
-def weight_matrices(draw, max_rows=7):
-    d = draw(st.integers(1, 3))
+def weight_matrices(draw, max_rows=7, dims=(1, 3), bound=2):
+    d = draw(st.integers(*dims))
     n = draw(st.integers(d, max_rows))
-    entry = st.integers(-2, 2)
+    entry = st.integers(-bound, bound)
     rows = tuple(draw(st.tuples(*[entry] * d)) for _ in range(n))
     assume(int_rank(rows, d) == d)
     return rows
@@ -328,13 +328,25 @@ def test_cached_projection_equals_solved_projection(data):
 @PROPS
 @given(weight_matrices(), st.data())
 def test_wall_table_equals_the_fraction_reference(weights, data):
+    assert_wall_table_equals_the_fraction_reference(weights, data)
+
+
+@settings(max_examples=12, deadline=None)
+@given(weight_matrices(max_rows=6, dims=(4, 5), bound=9), st.data())
+def test_wide_wall_table_equals_the_fraction_reference(weights, data):
+    # The ring rungs' shape: each flat's form is downdated from the bottom
+    # flat's through up to d - 1 others.
+    assert_wall_table_equals_the_fraction_reference(weights, data)
+
+
+def assert_wall_table_equals_the_fraction_reference(weights, data):
     # Entries of small numerator and denominator put levels on walls often.
     q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     d = len(weights[0])
     setup = new_setup(weights, data.draw(st.tuples(*[q] * d)),
                       data.draw(st.tuples(*[st.tuples(q, q)] * d)))
-    assert _alpha_signs(weights, setup.alpha)[0] == reference_alpha_witness(
-        weights, setup.alpha)
+    witness = reference_alpha_witness(weights, setup.alpha)
+    assert _alpha_signs(weights, setup.alpha)[0] == witness
     beta_bad = pairwise_beta_witness(weights, setup.beta)
     assert _beta_levels(weights, setup.beta)[0] == beta_bad
     all_flats = [f for f, _ in reference_flats(weights)]
@@ -349,7 +361,6 @@ def test_wall_table_equals_the_fraction_reference(weights, data):
         with pytest.raises(NonGenericBeta) as raised:
             critical_levels(setup)
         assert raised.value.witness == beta_bad
-    witness = reference_alpha_witness(weights, setup.alpha)
     if witness is not None:
         with pytest.raises(NonGenericAlpha) as raised:
             negative_rows(setup)

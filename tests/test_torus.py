@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -223,9 +224,10 @@ class TestSampling:
         negative_rows(s)
         critical_levels(s)
         calls = []
-        for module in (torus, flats, exact):
+        for module in (torus, exact):
             monkeypatch.setattr(module, "int_rank",
                                 lambda *args: calls.append(args))
+        monkeypatch.setattr(flats, "_reduced", lambda *args: calls.append(args))
         assert sample_generic(s, seed=5) is s
         assert calls == []
 
@@ -332,3 +334,61 @@ def test_metric_and_residuals_equal_the_fraction_reference(setup):
                                          if i not in f]
         for i, h in walls:
             assert pairing(w, f, setup.alpha, i) == ref.pairing(gi, res, w[i])
+
+
+class TestLevelLayerWork:
+    """The eliminations of the level layer: the lattice reduces rows against
+    an echelon and ranks nothing, and the wall table solves the Gram system
+    once per weights and downdates every other flat's form from the entry
+    of its basis less the last row."""
+
+    WEIGHTS = (TRIPLE, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)),
+               ((2, 0), (0, 2), (1, 1), (0, 1)),
+               ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (1, 1, 1, 1), (1, -1, 2, 0)))
+
+    @pytest.fixture(autouse=True)
+    def cold_tables(self):
+        """Every test builds its tables afresh, and leaves none behind."""
+        flats.lattice.cache_clear()
+        walls_of.cache_clear()
+        yield
+        flats.lattice.cache_clear()
+        walls_of.cache_clear()
+
+    def test_the_lattice_ranks_nothing_and_the_walls_solve_once(self, monkeypatch):
+        ranks, solves = [], []
+        for module in (torus, exact):
+            monkeypatch.setattr(module, "int_rank",
+                                lambda *args: ranks.append(args))
+        solve = torus.int_solve
+        monkeypatch.setattr(torus, "int_solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        for weights in self.WEIGHTS:
+            walls_of(weights)
+        assert ranks == []
+        assert len(solves) == len(self.WEIGHTS)
+
+    def test_every_downdated_form_is_in_lowest_terms(self):
+        for weights in self.WEIGHTS:
+            _, *rest = walls_of(weights).values()
+            assert all(gcd(denom, *(x for row in form for x in row)) == 1
+                       for _, form, denom in rest)
+        # The bottom flat keeps the Gram solve's adjugate and determinant:
+        # G = 4 I has adjugate 4 I over 16.
+        assert walls_of(((2, 0), (0, 2)))[()][1:] == (((4, 0), (0, 4)), 16)
+
+    def test_a_lattice_without_its_first_atom_keeps_the_true_forms(self, monkeypatch):
+        # The dropped atom's basis is a prefix of the bases above it, so
+        # their downdates build its entry themselves.
+        for weights in self.WEIGHTS:
+            truth = dict(walls_of(weights))
+            walls_of.cache_clear()
+            table = flats.lattice(weights)
+            atom = next(f for f, basis in table if len(basis) == 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(flats, "lattice", lambda w: tuple(
+                    entry for entry in table if entry[0] != atom))
+                faulted = dict(walls_of(weights))
+            walls_of.cache_clear()
+            assert faulted == {f: v for f, v in truth.items() if f != atom}
