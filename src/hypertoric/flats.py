@@ -4,27 +4,21 @@ A subset J of the row indices is a flat when it already contains every row
 lying in the rational span of its members.  Flats index the fixed loci and
 critical data downstream, so everything here is exact.
 
-The flats form a lattice, built once per weights.  Every flat is an
-intersection of coatoms, the flats of rank one less than the whole (Oxley,
-*Matroid Theory*, 2011), and each coatom is the closure of an independent
-subset of that size.  The lattice keeps each flat with its basis, the rows
-of the flat, in row order, that raise the rank of the rows before them; the
-flat's rank is the length of its basis.  Every later use of a flat's rank
-or independent rows reads them here.
+The flats form a lattice, built once per weights.  The lattice keeps each
+flat with its basis, the rows of the flat, in row order, that raise the
+rank of the rows before them; the flat's rank is the length of its basis.
+A basis less its last row is the basis of a flat below it, so the lattice
+builds each flat from that one (see ``lattice``).  Every later use of a
+flat's rank or independent rows reads them here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import EnumerationTooLarge
 
 MAX_GROUND_SET = 14
-
-
-def _mask(subset) -> int:
-    return sum(1 << j for j in subset)
 
 
 def _indices(mask) -> tuple:
@@ -43,65 +37,50 @@ def _reduced(echelon, row):
     return row
 
 
-def _extend(echelon, row) -> bool:
-    """Whether row raises the echelon's rank; if so its reduction joins it."""
-    reduced = _reduced(echelon, row)
-    col = next((c for c, x in enumerate(reduced) if x), None)
-    if col is not None:
-        echelon.append((col, reduced))
-    return col is not None
-
-
 @lru_cache(maxsize=None)
 def lattice(weights) -> tuple:
     """Every flat as a (flat, basis) pair, in (size, lexicographic) order.
 
-    Ranks and spans are read off one fraction-free row echelon per subset:
-    a row joins it reduced against the rows already there, a multiple of
-    it minus multiples of theirs that clears their pivot columns.  The
-    echelon's rows stay independent with distinct pivots, so a row lies in
-    their span exactly when it reduces to zero.  A flat's basis is the
-    rows of the flat that raise the echelon's rank, in row order, at most
-    d of them.  Each prefix of a basis is then the basis of its own
-    closure, a flat: a row of that closure outside the prefix lies in the
-    span of the prefix rows before it.  The basis of the whole ground set,
-    the last flat, gives the rank r.  The coatoms close the independent
-    subsets of size r - 1 by the rows that reduce to zero against their
-    echelon; a subset inside a coatom already found closes to that coatom
-    or is dependent, so it is skipped.  The flats are then the
-    intersections of coatoms, the whole ground set being the empty one.
+    Spans are read off a fraction-free row echelon: a row joins it reduced
+    against the rows already there, a multiple of it minus multiples of
+    theirs that clears their pivot columns.  The echelon's rows stay
+    independent with distinct pivots, so a row lies in their span exactly
+    when it reduces to zero.
+
+    Each prefix of a flat K's basis is the basis of its own closure, a flat:
+    a row of that closure outside the prefix lies in the span of the prefix
+    rows before it.  So K's basis less its last row j is the basis of a flat
+    P below K, and j is the first row of K outside P, since the rows of K
+    before j lie in the span of P's basis.  The lattice is built up from the
+    bottom flat, the zero rows with basis (), and each flat P carries the
+    reductions of the rows outside it against the echelon of its basis,
+    none of them zero.  For each row j outside P after P's last basis row
+    and in no cover of P made so far, j's reduction joins the echelon:
+    reducing the other rows' reductions against it gives theirs against the
+    longer echelon, and the rows whose reductions are then zero make up,
+    with P and j, the cover C of P that j spans.  C is kept, with basis P's
+    plus (j,), exactly when no row of C outside P comes before j; so each
+    flat is made once, from the flat of its basis prefix.
     """
     n = len(weights)
     if n > MAX_GROUND_SET:
         raise EnumerationTooLarge(
             f"{n} rows exceeds the flat-enumeration bound of {MAX_GROUND_SET}")
-    d = len(weights[0]) if weights else 0
-
-    def basis(flat):
-        echelon, picked = [], ()
-        for j in flat:
-            if len(picked) == d:
-                break
-            if _extend(echelon, weights[j]):
-                picked += (j,)
-        return picked
-
-    whole = tuple(range(n))
-    top = basis(whole)
-    r = len(top) - 1  # the rank of a coatom
-    hyperplanes = []
-    for subset in combinations(whole, r) if r >= 0 else ():
-        mask = _mask(subset)
-        if any(mask & h == mask for h in hyperplanes):
-            continue
-        echelon = []
-        if all(_extend(echelon, weights[j]) for j in subset):
-            hyperplanes.append(mask | _mask(
-                j for j in whole if not mask >> j & 1
-                and not any(_reduced(echelon, weights[j]))))
-    masks = frontier = {(1 << n) - 1}
-    while frontier:
-        frontier = {f & h for f in frontier for h in hyperplanes} - masks
-        masks = masks | frontier
-    flats = sorted(map(_indices, masks), key=lambda f: (len(f), f))
-    return tuple((f, basis(f)) for f in flats[:-1]) + ((whole, top),)
+    outside = {j: row for j, row in enumerate(weights) if any(row)}
+    stack = [(sum(1 << j for j in range(n) if j not in outside), (), outside)]
+    table = []
+    while stack:
+        flat, basis, outside = stack.pop()
+        table.append((_indices(flat), basis))
+        seen = 0  # the rows of the covers of flat made so far
+        for j, row in outside.items():
+            if basis and j < basis[-1] or seen >> j & 1:
+                continue
+            step = [(next(c for c, x in enumerate(row) if x), row)]
+            rest = {k: _reduced(step, v) for k, v in outside.items() if k != j}
+            cover = sum(1 << k for k, v in rest.items() if not any(v)) | 1 << j
+            seen |= cover
+            if not cover & (1 << j) - 1:
+                stack.append((flat | cover, basis + (j,),
+                              {k: v for k, v in rest.items() if any(v)}))
+    return tuple(sorted(table, key=lambda e: (len(e[0]), e[0])))

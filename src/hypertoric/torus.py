@@ -129,8 +129,9 @@ def walls_of(weights) -> MappingProxyType:
     flat has nothing to project out: its entry is the metric itself, form =
     adj and denom = det, kept unreduced.  Every other flat's entry is a
     rank-one downdate of the entry (F', e') of its basis less the last row
-    u.  That prefix is the basis of its own closure (see ``flats.lattice``),
-    a flat below J, so its entry is J's parent's; an entry missing from the
+    u.  That prefix is the basis of its own closure, a flat below J, and
+    the lattice builds J from that flat, its parent (see ``flats.lattice``),
+    so the prefix's entry is J's parent's; an entry missing from the
     lattice is built the same way, in a table local to the call.  With
     F'/e' = G^-1 R' for the prefix's residual R', projecting out the one
     more direction R'u gives

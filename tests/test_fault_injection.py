@@ -3,13 +3,14 @@
 Three faults are monkeypatches of the flat lattice, the table that Morse,
 both rings and the genericity decisions read: drop its last coatom, drop
 its first atom, or let its row echelon reduce row 2 as row 1, so that
-rows 1 and 2 read as parallel.  On every setup ``analyze`` must raise with
-exit code 3 or 4, set an agreement flag false, or return the unfaulted
-report; a changed report with every flag true would be a wrong answer the
-cross-checks let through.  Every fault must also be caught on some setup,
-so that a fault which changes nothing cannot pass.  The four caches are
-cleared around every faulted run, so no table built from a faulted
-lattice outlives it.
+rows 1 and 2 read as parallel (a zero row lies in every flat and is never
+reduced, so a zero row 2 is not moved).  On every setup ``analyze`` must
+raise with exit code 3 or 4, set an agreement flag false, or return the
+unfaulted report; a changed report with every flag true would be a wrong
+answer the cross-checks let through.  Every fault must also be caught on
+some setup, so that a fault which changes nothing cannot pass.  The four
+caches are cleared around every faulted run, so no table built from a
+faulted lattice outlives it.
 
 Three more are planted in the ring's ranks, at ``ringcalc.certified_rank``:
 one coefficient of a left-null relation flipped, which must end in exit 4

@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 
@@ -116,3 +119,33 @@ def test_lattice_matches_closure_of_every_subset(weights):
                               if j not in flat_reference.closure(weights, f[:k]))
     top = expected[-1][1]
     assert _coatoms(weights) == tuple(f for f, r in expected if r == top - 1)
+    # The lattice builds each flat from the flat of its basis prefix: a
+    # basis less its last row is the basis of a table flat below, and the
+    # last row is the first row of the flat outside that one.
+    flat_of = {basis: f for f, basis in table}
+    for f, basis in table:
+        if basis:
+            assert basis[:-1] in flat_of
+            below = flat_of[basis[:-1]]
+            assert set(below) < set(f)
+            assert basis[-1] == min(set(f) - set(below))
+
+
+def test_fourteen_rows_at_rank_five():
+    # One draw past the property's 8 rows and width 4.  Every flat is the
+    # closure of its basis, and the basis is the greedy one: each basis row
+    # lies outside the closure of the basis rows before it, which holds
+    # every row of the flat before it.
+    rng = random.Random(14)
+    weights = tuple(tuple(rng.randint(-2, 2) for _ in range(5)) for _ in range(14))
+    span = cache(lambda rows: flat_reference.closure(weights, rows))
+    table = lattice(weights)
+    assert len(table[-1][1]) == 5
+    for f, basis in table:
+        assert span(basis) == f
+        for i, j in enumerate(basis):
+            assert j not in span(basis[:i])
+            assert set(f[:f.index(j)]) <= set(span(basis[:i]))
+    # reference_flats finds 1,015 flats here; it takes seconds, so the
+    # count is pinned.
+    assert len(table) == 1015
