@@ -10,29 +10,52 @@ by exact division -- no floating point anywhere.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import InvariantViolation, PartitionViolation, RankDeficient
 from .exact import divide_by_one_minus_q, int_rank
 from .flats import lattice
 from .torus import TorusSetup, critical_levels
 
 
+def _below(table):
+    """The table indices of the flats strictly inside each flat, in table
+    order.  A flat's parent, the flat of its basis less the last row, comes
+    before it.  G lies in F exactly when G's basis does, as F is closed, and
+    then so do the bases of G's ancestors, its prefixes; so the walk from the
+    bottom flat through children whose last basis row lies in F reaches
+    them.  A basis prefix with no flat raises InvariantViolation."""
+    index = {basis: i for i, (_, basis) in enumerate(table)}
+    children = [[] for _ in table]  # (last basis row, index) of each child
+    for i, (f, basis) in enumerate(table):
+        if basis and basis[:-1] not in index:
+            raise InvariantViolation(f"flat {f}'s basis prefix {basis[:-1]} has no flat")
+        rows = set(f)
+        inside = [index[()]] if basis else []
+        for g in inside:  # the loop reads what it appends
+            for j, c in children[g]:
+                if j in rows:
+                    inside.append(c)
+        if basis:
+            children[index[basis[:-1]]].append((basis[-1], i))
+        yield inside
+
+
 def critical_components(setup: TorusSetup) -> tuple:
     """All critical manifolds, one (flat, rank, index, level) per flat, in
     (size, lex) flat order: the flat's rank, the Morse index 2 * (rows
     outside the flat), and the exact energy value |beta_residual|^2.  A flat
-    J's level is above that of each flat K containing it: equality would make
-    beta_J pair to zero with every row of K - J, which the beta decision
-    refuses.  A level that is not above raises InvariantViolation."""
+    J's level is above that of each flat K containing it (J from ``_below``):
+    equality would make beta_J pair to zero with every row of K - J, which
+    the beta decision refuses.  A level not above raises InvariantViolation."""
     levels = critical_levels(setup)
-    masks = [(sum(1 << j for j in f), f) for f, _ in lattice(setup.weights)]
-    for (sub, g), (mask, f) in combinations(masks, 2):
-        if sub & mask == sub and not levels[g] > levels[f]:
-            raise InvariantViolation(f"flat {g} lies in flat {f}, but its level "
-                                     f"{levels[g]} is not above {levels[f]}")
+    table = lattice(setup.weights)
+    for (f, _), inside in zip(table, _below(table)):
+        for g in inside:
+            g = table[g][0]
+            if not levels[g] > levels[f]:
+                raise InvariantViolation(f"flat {g} lies in flat {f}, but its level "
+                                         f"{levels[g]} is not above {levels[f]}")
     return tuple((f, len(basis), 2 * (setup.n - len(f)), levels[f])
-                 for f, basis in lattice(setup.weights))
+                 for f, basis in table)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +70,10 @@ def poincare_morse(weights) -> tuple:
     sub-configuration on a flat F are the flats inside F, with the same
     ranks, so its Poincare polynomial P(F) is, bottom-up over the lattice,
     (1-q)^{rk F} P(F) = 1 - sum over G < F of q^{|F|-|G|} (1-q)^{rk G} P(G);
-    the top flat's is P.  Every division is exact, so each is made: a flat
-    missing from the lattice leaves a remainder.  A top flat whose basis is
-    shorter than d blames the weights only when their own rank is below d;
-    otherwise the lattice is at fault.
+    the top flat's is P, each G < F from ``_below``.  Every division is exact,
+    so each is made: a missing flat leaves a remainder or orphans its children.
+    A top flat whose basis is shorter than d blames the weights only when their
+    own rank is below d; otherwise the lattice is at fault.
     """
     d = len(weights[0]) if weights else 0
     table = lattice(weights)
@@ -59,16 +82,13 @@ def poincare_morse(weights) -> tuple:
         if int_rank(weights, d) < d:
             raise RankDeficient("weights must have full column rank")
         raise InvariantViolation(f"the flat lattice has rank {top}, the weights {d}")
-    lifted = []  # (bitmask of G, (1-q)^{rk G} P(G) coefficients)
-    for f, basis in table:
-        mask = sum(1 << j for j in f)
+    lifted = []  # (1-q)^{rk G} P(G) coefficients of each flat G, in table order
+    for (f, basis), inside in zip(table, _below(table)):
         acc = [1] + [0] * len(f)
-        for sub, coeffs in lifted:
-            if sub & mask == sub:
-                shift = len(f) - sub.bit_count()
-                for k, c in enumerate(coeffs):
-                    acc[shift + k] -= c
-        lifted.append((mask, acc))
+        for g in inside:  # G's term has |G| + 1 coefficients
+            for k, c in enumerate(lifted[g], len(f) + 1 - len(lifted[g])):
+                acc[k] -= c
+        lifted.append(acc)
         poly = divide_by_one_minus_q(acc, len(basis))
     return poly
 

@@ -8,6 +8,7 @@ import flat_reference
 from flat_reference import reference_flats, weight_configurations
 from hypertoric.errors import EnumerationTooLarge
 from hypertoric.flats import lattice
+from hypertoric.morse import _below
 
 DIAG2 = ((1,), (1,))
 DIAG3 = ((1,), (1,), (1,))
@@ -149,3 +150,9 @@ def test_fourteen_rows_at_rank_five():
     # reference_flats finds 1,015 flats here; it takes seconds, so the
     # count is pinned.
     assert len(table) == 1015
+    # The prefix-tree walk gives each flat the flats strictly inside it, as
+    # a direct subset test finds them among the flats before it in the table.
+    masks = [sum(1 << j for j in f) for f, _ in table]
+    for i, (mask, inside) in enumerate(zip(masks, _below(table))):
+        assert sorted(inside) == [k for k, sub in enumerate(masks[:i])
+                                  if sub & mask == sub]

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from flat_reference import reference_flats, weight_configurations
 from hypertoric import morse
-from hypertoric.errors import (NonGenericAlpha, NonGenericBeta, PartitionViolation,
-                               RankDeficient)
+from hypertoric.errors import (InvariantViolation, NonGenericAlpha, NonGenericBeta,
+                               NonZeroRemainder, PartitionViolation, RankDeficient)
 from hypertoric.exact import int_rank, trim
 from hypertoric.crosscheck import polynomial_recurrence
 from hypertoric.flats import lattice
-from hypertoric.morse import critical_components, modification_cases, poincare_morse
+from hypertoric.morse import (_below, critical_components, modification_cases,
+                              poincare_morse)
 from hypertoric.torus import modify, negative_rows, new_setup, sample_generic
 
 DIAG2 = ((1,), (1,))
@@ -160,6 +161,56 @@ class TestCriticalSets:
         assert len(set(levels)) == len(levels)
 
 
+GENERAL3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def edit_flats(monkeypatch, weights, edit):
+    """Let morse read edit(table) as the lattice of weights, a table of
+    (flat, basis) pairs."""
+    real = morse.lattice
+    monkeypatch.setattr(morse, "lattice", lambda w: (
+        edit(real(w)) if w == weights else real(w)))
+
+
+def without(gone):
+    """The edit that drops the flat gone from a lattice table."""
+    return lambda table: tuple(entry for entry in table if entry[0] != gone)
+
+
+class TestWalk:
+    """``_below`` walks the lattice's prefix tree for the flats inside each
+    flat, and both the recursion and the level check read it."""
+
+    @given(weight_configurations())
+    @settings(max_examples=100, deadline=None)
+    def test_the_walk_finds_exactly_the_flats_inside(self, weights):
+        table = lattice(weights)
+        reference = [f for f, _ in reference_flats(weights)]
+        assert [f for f, _ in table] == reference
+        for f, inside in zip(reference, _below(table)):
+            found = [reference[k] for k in inside]
+            assert len(found) == len(set(found))
+            assert set(found) == {g for g in reference if set(g) < set(f)}
+
+    def test_an_orphan_raises_and_names_the_missing_prefix(self, monkeypatch):
+        # The atom (0,) is the parent of the flats (0, 1), (0, 2) and (0, 3).
+        setup = sample_generic(new_setup(GENERAL3), seed=1)
+        edit_flats(monkeypatch, GENERAL3, without((0,)))
+        message = r"flat \(0, 1\)'s basis prefix \(0,\) has no flat"
+        with pytest.raises(InvariantViolation, match=message):
+            poincare_morse(GENERAL3)
+        with pytest.raises(InvariantViolation, match=message):
+            critical_components(setup)
+
+    def test_a_childless_missing_flat_leaves_a_remainder(self, monkeypatch):
+        # The coatom (2, 3) is no flat's parent: the top flat's basis is
+        # (0, 1, 2).
+        assert lattice(GENERAL3)[-1][1] == (0, 1, 2)
+        edit_flats(monkeypatch, GENERAL3, without((2, 3)))
+        with pytest.raises(NonZeroRemainder):
+            poincare_morse(GENERAL3)
+
+
 class TestSignSplit:
     """Rows outside a flat split by the sign of their pairing with alpha,
     read from ``negative_rows``."""
@@ -228,20 +279,12 @@ class TestModification:
             wide = tuple(row + (c,) for row, c in zip(weights, circle))
             assert total == len(reference_flats(wide))
 
-    @staticmethod
-    def edit_flats(monkeypatch, weights, edit):
-        """Let modification_cases read edit(table) as the lattice of weights,
-        a table of (flat, basis) pairs."""
-        real = morse.lattice
-        monkeypatch.setattr(morse, "lattice", lambda w: (
-            edit(real(w)) if w == weights else real(w)))
-
     def test_a_flat_in_no_case_raises(self, monkeypatch):
         # Without the base flat (), the enlarged flat () is an extended flat
         # both with and without the new row, but not a base flat.
         pair = pair_of(DIAG2, (1, 0))
         base, _, _ = pair
-        self.edit_flats(monkeypatch, base.weights, lambda table: table[1:])
+        edit_flats(monkeypatch, base.weights, lambda table: table[1:])
         with pytest.raises(PartitionViolation, match=r"flat \(\) fits no modification "
                            r"case \(base=False, ext=True, ext\+new=True\)"):
             modification_cases(pair)
@@ -251,8 +294,7 @@ class TestModification:
         # fits its case, and only the extended flat (0,) is left uncovered.
         pair = pair_of(DIAG2, (1, 0))
         _, enlarged, _ = pair
-        self.edit_flats(monkeypatch, enlarged.weights,
-                        lambda table: tuple(fb for fb in table if fb[0] != (0,)))
+        edit_flats(monkeypatch, enlarged.weights, without((0,)))
         with pytest.raises(PartitionViolation, match=r"the cases miss flats: "
                            r"extended \[\(0,\)\], base \[\]$"):
             modification_cases(pair)
