@@ -7,12 +7,13 @@ trajectory is summarized by an empirical power-law certificate.
 """
 
 import math
+from itertools import compress
 from typing import List, Sequence
 
 import numpy as np
 # Imported with the package, so that a command's first draw does not pay
 # for loading numpy.random.
-from numpy.random import default_rng
+from numpy.random import PCG64, Generator, default_rng
 
 from ..errors import InputError, NonFiniteState
 from ..torus import critical_levels
@@ -34,6 +35,14 @@ _MAX_STEPS = 200_000
 _WIDTHS = (2.0, 4.0, 8.0, 16.0)
 # The decay fields of a flow record, in report order.
 _DECAY_FIELDS = ("k_hat", "fitted_exponent", "arclength", "bound")
+# numpy's SeedSequence: its pool size and hash constants, and the PCG64
+# multiplier (numpy/random/bit_generator.pyx and pcg64.h).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def tail_reports(trajs: Sequence[Trajectory], limits,
@@ -101,23 +110,126 @@ def tail_reports(trajs: Sequence[Trajectory], limits,
     return reports
 
 
-def _match_limit(setup, traj: Trajectory, levels):
-    """Match a converged holomorphic-energy limit to a flat of the setup.
+def _match_limits(trajs: Sequence[Trajectory], levels, n: int) -> list:
+    """Match the converged holomorphic-energy limits of a block to flats.
 
-    The candidate index set collects the coordinates whose base and fiber
-    sizes both vanished; its complement must be a flat whose critical
-    level, in ``levels`` (``critical_levels(setup)``), agrees with the limit
-    energy within ``_LEVEL_TOL``.  Returns the flat with its critical level
-    as a float, or None when the limit is unresolved.
+    A trajectory's candidate index set collects the coordinates whose base
+    and fiber sizes both vanished; its complement must be a flat whose
+    critical level, in ``levels`` (``critical_levels(setup)``), agrees with
+    the limit energy within ``_LEVEL_TOL``.  The final states are stacked
+    and sized in one pass, and each flat's level is made a float once.
+    Returns per trajectory its flat with that level, or None when it did
+    not converge or its limit is unresolved.
     """
-    n = setup.n
-    x, y = unpack_state(traj.final, n)
-    sizes = np.abs(x) ** 2 + np.abs(y) ** 2
-    flat = tuple(j for j in range(n) if sizes[j] >= _STATE_TOL)
-    level = levels.get(flat)  # keyed by exactly the flats
-    if level is None or abs(traj.f_limit - float(level)) >= _LEVEL_TOL:
-        return None
-    return flat, float(level)
+    matches = [None] * len(trajs)
+    done = [i for i, traj in enumerate(trajs) if traj.status == STATUS_CONVERGED]
+    if not done:
+        return matches
+    x, y = unpack_state(np.stack([trajs[i].final for i in done]), n)
+    held = (np.abs(x) ** 2 + np.abs(y) ** 2 >= _STATE_TOL).tolist()
+    floats = {}
+    for i, row in zip(done, held):
+        flat = tuple(compress(range(n), row))
+        level = levels.get(flat)  # keyed by exactly the flats
+        if level is None:
+            continue
+        if flat not in floats:
+            floats[flat] = float(level)
+        if abs(trajs[i].f_limit - floats[flat]) < _LEVEL_TOL:
+            matches[i] = flat, floats[flat]
+    return matches
+
+
+def _uint32_words(value: int) -> list:
+    """The 32-bit words of a non-negative integer, least significant first,
+    as numpy's SeedSequence reads it: 0 is the one word 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init · mult^i mod 2^32 for i < count, as a uint32 column."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values``: xor with one hash
+    constant, multiply by the next, and fold the high half into the low."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _seed_words(base_seed: int, trials: range) -> list:
+    """``SeedSequence((base_seed, t)).generate_state(4, np.uint64)`` for each
+    trial t, as rows of Python ints.
+
+    The trials are hashed together, one uint32 array per pool word.  Trials
+    with as many words as each other share their hash constants, so the
+    trials below and above a power of 2^32 are hashed as two groups.
+    """
+    base = _uint32_words(base_seed)
+    rows = []
+    start = trials.start
+    while start < trials.stop:
+        width = len(_uint32_words(start))
+        group = range(start, min(trials.stop, 1 << 32 * width))
+        # The base seed's words, then the trial's, then zeros to fill the pool.
+        entropy = np.zeros((max(len(base) + width, _POOL), len(group)), dtype=np.uint32)
+        entropy[:len(base)] = np.array(base, dtype=np.uint32)[:, None]
+        entropy[len(base):len(base) + width] = [
+            [t >> 32 * j & _MASK32 for t in group] for j in range(width)]
+        # The pool's words, then 3 hashes per pool word and 4 per extra word.
+        consts = _hash_constants(_INIT_A, _MULT_A, len(entropy) * 4 + 1)
+        pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
+        used = _POOL
+        for src in range(_POOL):
+            dst = [i for i in range(_POOL) if i != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used:used + _POOL]))
+            used += _POOL - 1
+        for word in entropy[_POOL:]:
+            pool = _mix(pool, _hashmix(word, consts[used:used + _POOL + 1]))
+            used += _POOL
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
+                         _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1))
+        rows += np.ascontiguousarray(state.T).astype("<u4").view("<u8").tolist()
+        start = group.stop
+    return rows
+
+
+def _start_draws(base_seed: int, trials: range, n: int) -> np.ndarray:
+    """The standard normal draws of shape (len(trials), 4, n) that
+    ``default_rng((base_seed, t)).standard_normal((4, n))`` gives each
+    trial t, bit for bit.
+
+    One PCG64 serves the block.  For each trial it is set to the state that
+    seeding by the trial's words (w0, w1, w2, w3) leaves, with s = w0 2^64 +
+    w1 and q = w2 2^64 + w3: inc = 2q + 1 and ((inc + s) M + inc) mod 2^128
+    for the PCG64 multiplier M.  It then draws into the trial's row.
+    """
+    draws = np.empty((len(trials), 4, n))
+    bitgen = PCG64(0)  # its seed is replaced before every draw
+    generator = Generator(bitgen)
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    for row, (w0, w1, w2, w3) in zip(draws, _seed_words(base_seed, trials)):
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+        words["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        words["inc"] = inc
+        bitgen.state = state
+        generator.standard_normal(out=row)
+    return draws
 
 
 def _blocks(count: int):
@@ -131,9 +243,13 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
                  grad_tol: float = 1e-5, max_time: float = 1e6) -> List[dict]:
     """Independent random-start descents of a moment-map energy.
 
-    Each trial draws its start from a generator seeded by
-    (base_seed, trial), so ensembles are reproducible and individual
-    trials can be re-run in isolation.  The starts descend together, as
+    Each trial's start is the one ``default_rng((base_seed, trial))``
+    draws, bit for bit, so ensembles are reproducible and individual trials
+    can be re-run in isolation.  No generator is seeded per trial: the seed
+    words of a block's trials are hashed together in uint32 arrays, by
+    numpy's SeedSequence algorithm (the base seed's words, then the
+    trial's, mixed into a pool of 4 words), and one PCG64 is set to each
+    trial's state in turn (``_start_draws``).  The starts descend together, as
     stacks of at most _BLOCK states, each along its own trajectory.  Limit
     classification applies to the holomorphic energy only; for the other
     energies J is None.  A trial that collapses several decades of energy
@@ -163,18 +279,16 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
     # compares as large.  numpy need not print a warning for it.
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _blocks(trials):
-            draws = np.stack([default_rng((base_seed, trial)).standard_normal(
-                (4, setup.n)) for trial in block])
-            starts = pack_state(*gaussian_state(draws, radius))
+            starts = pack_state(*gaussian_state(
+                _start_draws(base_seed, block, setup.n), radius))
             try:
                 trajs = descend(objective, starts, grad_tol=grad_tol,
                                 max_time=max_time, max_steps=_MAX_STEPS)
             except NonFiniteState as exc:
                 raise InputError(f"{exc}: radius {radius} or the setup is too "
                                  "large for floating point") from exc
-            matches = [_match_limit(setup, traj, levels)
-                       if levels is not None and traj.status == STATUS_CONVERGED
-                       else None for traj in trajs]
+            matches = ([None] * len(trajs) if levels is None
+                       else _match_limits(trajs, levels, setup.n))
             reports = tail_reports(trajs, [traj.f_limit if match is None else match[1]
                                            for traj, match in zip(trajs, matches)],
                                    _WIDTHS)

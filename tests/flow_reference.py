@@ -13,11 +13,12 @@ compare the stacked code against them.
 
 The one-state entries to the stacked API are kept here as adapters:
 ``random_state``, ``integrate_flow``, ``energy``, ``grad``, ``moment_hk``,
-``grad_component``, ``classify_limit`` and ``lojasiewicz_report`` each make
-one call of ``gaussian_state``, ``descend``, ``flow_objective``,
-``moment_terms``, ``analysis._match_limit`` or ``tail_reports``.  The
-readers of ``moment_terms`` contract only what they return: the residuals
-of the triple, or the vectors p of one part against its residuals.
+``grad_component`` and ``lojasiewicz_report`` each make one call of
+``gaussian_state``, ``descend``, ``flow_objective``, ``moment_terms`` or
+``tail_reports``.  ``classify_limit`` matches one limit as ``run_ensemble``
+did before it matched a block's limits in one pass.  The readers of
+``moment_terms`` contract only what they return: the residuals of the
+triple, or the vectors p of one part against its residuals.
 
 The moment maps and gradients are also kept here as they were computed
 before they were read off one generator product: ``_apply`` applies each
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hypertoric.errors import InputError, NonFiniteState
-from hypertoric.flowlab.analysis import _match_limit, tail_reports
+from hypertoric.flowlab.analysis import tail_reports
 from hypertoric.flowlab.flow import (STATUS_CONVERGED, STATUS_MAX_TIME, STATUS_UNDERFLOW,
                                      Trajectory, descend)
 from hypertoric.flowlab.moments import (flow_objective, moment_terms, pack_state,
@@ -53,6 +54,8 @@ _DECREASE_FRACTION = 0.7
 _MIN_STEP = 1e-18
 _EXPONENT = 0.75
 _MIN_TAIL_POINTS = 4
+_STATE_TOL = 1e-4
+_LEVEL_TOL = 1e-6
 # The decay fields of a flow record, in report order.
 DECAY_FIELDS = ("k_hat", "fitted_exponent", "arclength", "bound")
 
@@ -115,9 +118,17 @@ def grad_component(rep, index, alpha, beta, x, y):
 
 
 def classify_limit(setup, traj):
-    """The flat a converged holomorphic-energy limit reaches, or None."""
-    match = _match_limit(setup, traj, critical_levels(setup))
-    return None if match is None else match[0]
+    """The flat a converged holomorphic-energy limit reaches, or None: the
+    coordinates whose base and fiber sizes did not both vanish, if they
+    form a flat whose critical level is within _LEVEL_TOL of the limit
+    energy."""
+    x, y = unpack_state(traj.final, setup.n)
+    sizes = np.abs(x) ** 2 + np.abs(y) ** 2
+    flat = tuple(j for j in range(setup.n) if sizes[j] >= _STATE_TOL)
+    level = critical_levels(setup).get(flat)
+    if level is None or abs(traj.f_limit - float(level)) >= _LEVEL_TOL:
+        return None
+    return flat
 
 
 def lojasiewicz_report(traj, f_c=None, decades=2.0):

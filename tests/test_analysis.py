@@ -10,6 +10,7 @@ from flow_reference import (InsufficientTail, classify_limit, integrate_flow,
 from hypertoric.errors import InputError
 from hypertoric.flowlab import analysis, cross_term_stats, from_matrices, run_ensemble
 from hypertoric.flowlab.flow import STATUS_CONVERGED, descend
+from hypertoric.flowlab.moments import flow_objective, pack_state
 from hypertoric.flowlab.reps import torus_rep
 from hypertoric import torus
 from hypertoric.torus import critical_levels, new_setup
@@ -50,8 +51,30 @@ class TestClassifyLimit:
         # the limit is the empty flat's level 9/2, off by 1e-3 from the one given
         levels = critical_levels(setup)
         shifted = {**levels, (): levels[()] + Fraction(1, 1000)}
-        assert analysis._match_limit(setup, traj, levels) == ((), 4.5)
-        assert analysis._match_limit(setup, traj, shifted) is None
+        assert analysis._match_limits([traj], levels, 2) == [((), 4.5)]
+        assert analysis._match_limits([traj], shifted, 2) == [None]
+
+    def test_a_block_matches_each_limit_as_alone(self):
+        # Starts on the strata of the flats (0, 1, 2), (0,), (1,) and (),
+        # matched in one pass with a trajectory stopped unconverged one step
+        # from the limit of (0,): each flat gets its own level, and the
+        # unconverged trajectory none, though its limit would match.
+        setup = new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3))
+        rep, alpha, beta = torus_rep(setup)
+        rng = np.random.default_rng(2)
+        support = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 1]])
+        x, y = (support * (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+                for _ in range(2))
+        fun = flow_objective(rep.basis, "muC2", alpha, beta)
+        trajs = descend(fun, pack_state(x, y), grad_tol=1e-7)
+        trajs += descend(fun, trajs[1].final[None], grad_tol=1e-300, max_steps=1)
+        assert trajs[-1].status != STATUS_CONVERGED
+        levels = critical_levels(setup)
+        matches = analysis._match_limits(trajs, levels, 3)
+        assert [match and match[0] for match in matches] == [
+            (0, 1, 2), (0,), (1,), (), (0, 1, 2), None]
+        for traj, match in zip(trajs[:5], matches):
+            assert match == (classify_limit(setup, traj), float(levels[match[0]]))
 
 
 class TestLojReport:

@@ -13,6 +13,7 @@ retry in one round, follows one trial per round bit for bit on tori.
 """
 
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -231,11 +232,14 @@ def test_an_empty_stack_has_no_trajectories():
 
 
 @given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),
-       seed=st.integers(min_value=0, max_value=1 << 16))
+       seed=st.integers(min_value=0, max_value=1 << 16), trials=st.just(3))
+# Twenty limits, each matched to the full flat and its level in one pass.
+@example(setup=new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3)), function="muC2",
+         seed=13, trials=20)
 @settings(max_examples=30, deadline=None)
-def test_ensembles_match_one_by_one(setup, function, seed):
-    assert_records_match(run_ensemble(setup, 3, seed, function=function),
-                         run_ensemble_one_by_one(setup, 3, seed, function=function))
+def test_ensembles_match_one_by_one(setup, function, seed, trials):
+    assert_records_match(run_ensemble(setup, trials, seed, function=function),
+                         run_ensemble_one_by_one(setup, trials, seed, function=function))
 
 
 @given(rep=nonabelian_reps, samples=st.integers(min_value=1, max_value=40),
@@ -266,16 +270,40 @@ def test_small_blocks_match_one_block(monkeypatch, function):
     assert_stats_match(cross_term_stats(rep, np.zeros(3), 10, 5), stats)
 
 
+# Base seeds of one to four words (with a trial's words, 2**64 + 3 and
+# 2**96 + 1 overflow the pool of four), and trials across 256, 2**32 and
+# 2**64, where a trial gains a word.
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.3])
 def test_stacked_starts_equal_one_draw_per_trial(radius):
-    # run_ensemble turns a block's draws into states in one call; each start
-    # must equal bit for bit the one random_state gives its trial alone.
-    draws = np.stack([np.random.default_rng((7, trial)).standard_normal((4, 5))
-                      for trial in range(70)])
-    x, y = gaussian_state(draws, radius)
-    for trial in range(70):
-        x1, y1 = random_state(np.random.default_rng((7, trial)), 5, radius)
-        assert np.array_equal(x[trial], x1) and np.array_equal(y[trial], y1)
+    # run_ensemble draws a block's starts in one call and turns them into
+    # states in one more; each start must equal bit for bit the one
+    # random_state gives its trial alone.
+    for base_seed, trials in product(
+            (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96 + 1),
+            (range(70), range(250, 262), range(2 ** 32 - 3, 2 ** 32 + 3),
+             range(2 ** 64 - 2, 2 ** 64 + 2))):
+        x, y = gaussian_state(analysis._start_draws(base_seed, trials, 5), radius)
+        for i, trial in enumerate(trials):
+            x1, y1 = random_state(np.random.default_rng((base_seed, trial)), 5, radius)
+            assert np.array_equal(x[i], x1) and np.array_equal(y[i], y1), (base_seed, trial)
+
+
+def test_ensembles_seed_no_generator_per_trial(monkeypatch):
+    # Each energy's 300 trials, two blocks, are drawn without default_rng;
+    # the cross terms draw every sample from one generator.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return np.random.default_rng(*args)
+
+    monkeypatch.setattr(analysis, "default_rng", recording)
+    setup = new_setup(TRIPLE, alpha=(1, 2), beta=(1, 3))
+    for function in ENERGY_KINDS:
+        assert len(run_ensemble(setup, 300, 5, function=function)) == 300
+    assert calls == []
+    cross_term_stats(su2_irrep(3), np.zeros(3), 300, 5)
+    assert calls == [(5,)]
 
 
 @given(setup=torus_setups(), function=st.sampled_from(ENERGY_KINDS),
