@@ -140,22 +140,17 @@ def _match_limits(trajs: Sequence[Trajectory], levels, n: int) -> list:
     return matches
 
 
-def _uint32_words(value: int) -> list:
+def _uint32_words(value: int) -> np.ndarray:
     """The 32-bit words of a non-negative integer, least significant first,
     as numpy's SeedSequence reads it: 0 is the one word 0."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+    size = (value.bit_length() + 31) // 32 or 1
+    return np.frombuffer(value.to_bytes(4 * size, "little"), "<u4")
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init · mult^i mod 2^32 for i < count, as a uint32 column."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)],
+                    dtype=np.uint32)[:, None]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -175,37 +170,29 @@ def _seed_words(base_seed: int, trials: range) -> list:
     """``SeedSequence((base_seed, t)).generate_state(4, np.uint64)`` for each
     trial t, as rows of Python ints.
 
-    The trials are hashed together, one uint32 array per pool word.  Trials
-    with as many words as each other share their hash constants, so the
-    trials below and above a power of 2^32 are hashed as two groups.
+    Every trial is below 2^32, so it is one seed word and the block's
+    trials are hashed as one group, one uint32 array per pool word; a
+    larger trial overflows its uint32 row (OverflowError).
     """
     base = _uint32_words(base_seed)
-    rows = []
-    start = trials.start
-    while start < trials.stop:
-        width = len(_uint32_words(start))
-        group = range(start, min(trials.stop, 1 << 32 * width))
-        # The base seed's words, then the trial's, then zeros to fill the pool.
-        entropy = np.zeros((max(len(base) + width, _POOL), len(group)), dtype=np.uint32)
-        entropy[:len(base)] = np.array(base, dtype=np.uint32)[:, None]
-        entropy[len(base):len(base) + width] = [
-            [t >> 32 * j & _MASK32 for t in group] for j in range(width)]
-        # The pool's words, then 3 hashes per pool word and 4 per extra word.
-        consts = _hash_constants(_INIT_A, _MULT_A, len(entropy) * 4 + 1)
-        pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
-        used = _POOL
-        for src in range(_POOL):
-            dst = [i for i in range(_POOL) if i != src]
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used:used + _POOL]))
-            used += _POOL - 1
-        for word in entropy[_POOL:]:
-            pool = _mix(pool, _hashmix(word, consts[used:used + _POOL + 1]))
-            used += _POOL
-        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
-                         _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1))
-        rows += np.ascontiguousarray(state.T).astype("<u4").view("<u8").tolist()
-        start = group.stop
-    return rows
+    # The base seed's words, then the trial's word, then zeros to fill the pool.
+    entropy = np.zeros((max(len(base) + 1, _POOL), len(trials)), dtype=np.uint32)
+    entropy[:len(base)] = base[:, None]
+    entropy[len(base)] = trials
+    # The pool's words, then 3 hashes per pool word and 4 per extra word.
+    consts = _hash_constants(_INIT_A, _MULT_A, len(entropy) * 4 + 1)
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
+    used = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used:used + _POOL]))
+        used += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, consts[used:used + _POOL + 1]))
+        used += _POOL
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1))
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").tolist()
 
 
 def _start_draws(base_seed: int, trials: range, n: int) -> np.ndarray:
@@ -243,24 +230,25 @@ def run_ensemble(setup, trials: int, base_seed: int, *,
                  grad_tol: float = 1e-5, max_time: float = 1e6) -> List[dict]:
     """Independent random-start descents of a moment-map energy.
 
-    Each trial's start is the one ``default_rng((base_seed, trial))``
-    draws, bit for bit, so ensembles are reproducible and individual trials
-    can be re-run in isolation.  No generator is seeded per trial: the seed
-    words of a block's trials are hashed together in uint32 arrays, by
-    numpy's SeedSequence algorithm (the base seed's words, then the
-    trial's, mixed into a pool of 4 words), and one PCG64 is set to each
-    trial's state in turn (``_start_draws``).  The starts descend together, as
-    stacks of at most _BLOCK states, each along its own trajectory.  Limit
-    classification applies to the holomorphic energy only; for the other
-    energies J is None.  A trial that collapses several decades of energy
-    per step can leave too few samples in a window of 2 decades, so its
-    decay report widens the window up to 16 decades, which span any
-    double tail.  A non-finite energy or gradient in a descent raises
-    InputError: the starts are finite and every step lowers the energy, so
-    it comes from the size of the radius or of the setup.
+    Each trial's start is the one ``default_rng((base_seed, trial))`` draws,
+    bit for bit, so ensembles are reproducible and individual trials can be
+    re-run in isolation.  ``trials`` is 1 to 2^32 (more would take days and
+    are refused before any draw), so a trial index is one 32-bit seed word.
+    No generator is seeded per trial: a block's trials are hashed as one
+    group in uint32 arrays, by numpy's SeedSequence algorithm (the base
+    seed's words, then the trial's, mixed into a pool of 4 words), and one
+    PCG64 is set to each trial's state in turn (``_start_draws``).  The
+    starts descend together, as stacks of at most _BLOCK states, each along
+    its own trajectory.  Limit classification applies to the holomorphic
+    energy only; for the other energies J is None.  A trial that collapses
+    several decades of energy per step can leave too few samples in a window
+    of 2 decades, so its decay report widens the window up to 16 decades,
+    which span any double tail.  A non-finite energy or gradient in a
+    descent raises InputError: the starts are finite and every step lowers
+    the energy, so it comes from the size of the radius or of the setup.
     """
-    if trials < 1:
-        raise InputError("need at least one trial")
+    if not 1 <= trials <= 2 ** 32:
+        raise InputError(f"a flow takes 1 to 2**32 trials, got {trials}")
     if setup.n == 0:  # no state to descend
         raise InputError("a flow needs at least one weight row")
     _require_seed(base_seed)

@@ -145,6 +145,27 @@ class TestEnsemble:
         info = torus._beta_levels.cache_info()
         assert (info.misses, info.hits) == (1, 0)
 
+    def test_trial_count_is_at_most_two_to_the_32(self, monkeypatch):
+        # Past 2**32 trials the count is refused before any draw; at 2**32
+        # the first block is drawn, and the spy stops the run there.
+        class Reached(Exception):
+            pass
+
+        blocks = []
+
+        def spy(base_seed, trials, n):
+            blocks.append(trials)
+            raise Reached
+
+        monkeypatch.setattr(analysis, "_start_draws", spy)
+        setup = new_setup(PAIR, beta=(3,))
+        with pytest.raises(InputError, match="trials"):
+            run_ensemble(setup, 2 ** 32 + 1, 0)
+        assert blocks == []
+        with pytest.raises(Reached):
+            run_ensemble(setup, 2 ** 32, 0)
+        assert blocks == [range(0, 256)]
+
 
 class TestCrossTerms:
     def test_abelian_orthogonality(self):

@@ -270,18 +270,17 @@ def test_small_blocks_match_one_block(monkeypatch, function):
     assert_stats_match(cross_term_stats(rep, np.zeros(3), 10, 5), stats)
 
 
-# Base seeds of one to four words (with a trial's words, 2**64 + 3 and
-# 2**96 + 1 overflow the pool of four), and trials across 256, 2**32 and
-# 2**64, where a trial gains a word.
+# Base seeds of one to five words (with the trial's word, 2**64 + 3 fills
+# the pool of four, and 2**96 + 1 and 2**128 + 7 put one and two words past
+# it), and trials across 256 and up to 2**32 - 1, the last a flow can take.
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.3])
 def test_stacked_starts_equal_one_draw_per_trial(radius):
     # run_ensemble draws a block's starts in one call and turns them into
     # states in one more; each start must equal bit for bit the one
     # random_state gives its trial alone.
     for base_seed, trials in product(
-            (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96 + 1),
-            (range(70), range(250, 262), range(2 ** 32 - 3, 2 ** 32 + 3),
-             range(2 ** 64 - 2, 2 ** 64 + 2))):
+            (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96 + 1, 2 ** 128 + 7),
+            (range(70), range(250, 262), range(2 ** 32 - 3, 2 ** 32))):
         x, y = gaussian_state(analysis._start_draws(base_seed, trials, 5), radius)
         for i, trial in enumerate(trials):
             x1, y1 = random_state(np.random.default_rng((base_seed, trial)), 5, radius)

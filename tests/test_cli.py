@@ -352,6 +352,7 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
     ("analyze", dict(PAIR, alpha=["1e-5000"]), ()),
     ("analyze", {"weights": [[1], [2]], "alpha": ["1"], "beta": [["1e3000", "0"]]}, ()),
     ("analyze", dict(PAIR, beta=[["1", "2", "3"]]), ()),
+    ("flow", PAIR, ("--trials", "4294967297")),
 ], ids=["alpha-scalar", "beta-scalar", "crossterm-alpha-text",
         "nan-generator", "flow-radius-nan", "flow-radius-inf",
         "crossterm-radius-nan", "flow-negative-trials",
@@ -381,7 +382,8 @@ SU2 = {"matrices": [{"re": [[0, 0.5], [-0.5, 0]], "im": [[0, 0], [0, 0]]},
         "input-not-utf8", "analyze-alpha-power-past-digit-limit",
         "modify-alpha-power-past-digit-limit",
         "analyze-alpha-negative-power-past-digit-limit",
-        "analyze-level-past-digit-limit", "beta-three-parts"])
+        "analyze-level-past-digit-limit", "beta-three-parts",
+        "flow-trials-past-2-32"])
 def test_bad_input_exits_2_with_one_line(tmp_path, command, obj, flags):
     paths = [] if obj is None else [write_json(tmp_path, "input.json", obj)]
     proc = run_cli(command, *paths, *flags, cwd=tmp_path)

@@ -8,8 +8,9 @@ Inputs are valid setups and generator families, mutated by huge, fractional
 or ill-typed entries and dropped keys, with extreme values of every option.
 Generic setups with only their level entries replaced reach the report
 path, where a level near the integer digit limit must still print or exit 2.
---trials and --samples stay small: their cost grows without bound (see
-ROADMAP item 3), which is a budget question, not an exit-code one.
+--trials stays small unless it is past 2**32, which is refused before any
+work, and --samples stays small: their cost grows without bound (see ROADMAP
+item 3), which is a budget question, not an exit-code one.
 """
 
 import contextlib
@@ -33,6 +34,8 @@ EXTREME_FLOATS = ["5e-324", "1e-300", "1e-30", "0.5", "1", "1e30", "1e100",
                   "1e154", "1e200", "1e300", "1.7e308", "1e400", "0", "-1",
                   "nan", "inf", "-inf"]
 SEEDS = [0, 1, 7, -1, 2 ** 32, 2 ** 64, 10 ** 30]
+# Trial counts a flow refuses before it starts.
+PAST_TRIAL_LIMIT = [2 ** 32 + 1, 10 ** 30]
 LIMIT = sys.get_int_max_str_digits()
 # Levels that parse, whose reports print numbers near or past the limit.
 NEAR_LIMIT = [f"1e{LIMIT - 1}", f"99e{LIMIT - 1}", f"1e{LIMIT // 2}",
@@ -143,7 +146,8 @@ def requests(draw):
         [None] * 5 + ["file", "directory", "missing-directory"]))
     if command == "flow":
         options["--function"] = draw(st.sampled_from(["muR2", "muC2", "muHK2"]))
-        options["--trials"] = str(draw(st.integers(1, 3)))
+        options["--trials"] = str(draw(st.one_of(
+            st.integers(1, 3), st.sampled_from(PAST_TRIAL_LIMIT))))
         for option in ("--radius", "--max-time", "--grad-tol"):
             if draw(st.booleans()):
                 options[option] = draw(extreme_float)
@@ -203,5 +207,7 @@ def test_every_input_ends_in_a_contract_exit(request):
     assert len(stderr.getvalue().splitlines()) <= 1, stderr.getvalue()
     if code == 2:
         assert report == "", report
+    if command == "flow" and int(options["--trials"]) > 2 ** 32:
+        assert code in (2, 3), (argv, stderr.getvalue())
     if report:
         json.loads(report, parse_constant=_refuse)
